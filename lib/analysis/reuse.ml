@@ -79,11 +79,15 @@ let set_counts body = (List.length (read_sets body), List.length (write_sets bod
 (** Distinct subscript-expression members of a group (members that appear
     several times syntactically count once — a single load serves all). *)
 let distinct_members (g : group) : Access.t list =
-  List.fold_left
-    (fun acc (a : Access.t) ->
-      if List.exists (fun (b : Access.t) -> b.subs = a.subs) acc then acc
-      else acc @ [ a ])
-    [] g.members
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun (a : Access.t) ->
+      if Hashtbl.mem seen a.subs then false
+      else begin
+        Hashtbl.replace seen a.subs ();
+        true
+      end)
+    g.members
 
 (** Loops of the group's enclosing nest that the group's subscripts do not
     vary with — temporal reuse is carried by each of them (every iteration

@@ -73,29 +73,9 @@ let empty_report =
 (* ------------------------------------------------------------------ *)
 (* Tree-edit helpers, all keyed by spine-loop index *)
 
-(** Replace the (canonical) read expression [Arr (a, subs)] by [Var r] in
-    a statement list. *)
-let replace_read a subs r body =
-  Ast.map_body_exprs
-    (fun e -> if e = Arr (a, subs) then Var r else e)
-    body
-
-(** Replace writes [A[subs] = e] by [r = e]. *)
-let rec replace_write a subs r body =
-  List.map
-    (fun s ->
-      match s with
-      | Assign (Larr (a', subs'), e) when a' = a && subs' = subs ->
-          Assign (Lvar r, e)
-      | Assign _ | Rotate _ -> s
-      | If (c, t, el) -> If (c, replace_write a subs r t, replace_write a subs r el)
-      | For l -> For { l with body = replace_write a subs r l.body })
-    body
-
-(** Insert [pre] at the start and [post] at the end of the body of the
-    spine loop named [index]. Shares unchanged subtrees, so an edit that
-    leaves the target body physically unchanged (e.g. a scan) returns
-    the input body itself. *)
+(** Apply [f] to the body of the spine loop named [index]. Shares
+    unchanged subtrees, so an edit that leaves the target body physically
+    unchanged (e.g. a scan) returns the input body itself. *)
 let rec edit_loop_body ~index f body =
   Ast.map_sharing
     (fun s ->
@@ -113,8 +93,99 @@ let rec edit_loop_body ~index f body =
       | Assign _ | Rotate _ -> s)
     body
 
-let insert_in_loop ~index ~pre ~post body =
-  edit_loop_body ~index (fun b -> pre @ b @ post) body
+(** A batch of replacements and inserts, applied in one rewrite walk and
+    one insert walk. The result is the kernel that replacing each member
+    and inserting its code one at a time produces: no two replacements
+    share an (array, subscripts) key, replacement subscripts hold no
+    array reads of the same batch, so inserted code is never matched,
+    and the inserts stack exactly as sequential ones do. *)
+type edits = {
+  repl : (string * expr list, replacement) Hashtbl.t;
+  mutable inserts : (string option * stmt list * stmt list) list;
+      (** (target loop index, [None] for the whole body; pre; post), in
+          reverse application order *)
+}
+
+and replacement = {
+  reg : string;
+  scope : string option;
+      (** replace only under a loop of this index; [None]: everywhere *)
+  writes : bool;  (** also turn [A[subs] = e] into [reg = e] *)
+}
+
+let new_edits () = { repl = Hashtbl.create 64; inserts = [] }
+
+let apply_edits (body : stmt list) (ed : edits) : stmt list =
+  let lookup stack a subs =
+    match Hashtbl.find_opt ed.repl (a, subs) with
+    | Some { scope = Some idx; _ } when not (List.mem idx stack) -> None
+    | r -> r
+  in
+  (* Bottom-up ([Ast.map_expr]), so a key is looked up on its rewritten
+     subscripts as the sequential replacements would have compared it. *)
+  let rw_expr stack =
+    Ast.map_expr (fun e ->
+        match e with
+        | Arr (a, subs) -> (
+            match lookup stack a subs with Some r -> Var r.reg | None -> e)
+        | _ -> e)
+  in
+  let rec rw_stmt stack s =
+    match s with
+    | Assign (lv, e) ->
+        let lv' =
+          match lv with
+          | Lvar _ -> lv
+          | Larr (a, subs) -> (
+              let subs' = Ast.map_sharing (rw_expr stack) subs in
+              match lookup stack a subs' with
+              | Some { reg; writes = true; _ } -> Lvar reg
+              | _ -> if subs' == subs then lv else Larr (a, subs'))
+        in
+        let e' = rw_expr stack e in
+        if lv' == lv && e' == e then s else Assign (lv', e')
+    | If (c, t, e) ->
+        let c' = rw_expr stack c in
+        let t' = Ast.map_sharing (rw_stmt stack) t in
+        let e' = Ast.map_sharing (rw_stmt stack) e in
+        if c' == c && t' == t && e' == e then s else If (c', t', e')
+    | For l ->
+        let body' = Ast.map_sharing (rw_stmt (l.index :: stack)) l.body in
+        if body' == l.body then s else For { l with body = body' }
+    | Rotate _ -> s
+  in
+  let body =
+    if Hashtbl.length ed.repl = 0 then body else Ast.map_sharing (rw_stmt []) body
+  in
+  (* Stack the inserts per target: one applied after another puts its
+     [pre] above and its [post] below the earlier ones. [ed.inserts] is
+     in reverse application order, so the first entry seen is the last
+     applied: its [pre] goes first and its [post] last. *)
+  let ins_tbl : (string option, stmt list * stmt list) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (fun (target, pre, post) ->
+      let cur_pre, cur_post =
+        Option.value ~default:([], []) (Hashtbl.find_opt ins_tbl target)
+      in
+      Hashtbl.replace ins_tbl target (cur_pre @ pre, post @ cur_post))
+    ed.inserts;
+  let rec ins_stmt s =
+    match s with
+    | For l -> (
+        let body' = Ast.map_sharing ins_stmt l.body in
+        match Hashtbl.find_opt ins_tbl (Some l.index) with
+        | Some (pre, post) -> For { l with body = pre @ body' @ post }
+        | None -> if body' == l.body then s else For { l with body = body' })
+    | If (c, t, e) ->
+        let t' = Ast.map_sharing ins_stmt t in
+        let e' = Ast.map_sharing ins_stmt e in
+        if t' == t && e' == e then s else If (c, t', e')
+    | Assign _ | Rotate _ -> s
+  in
+  let body = if ed.inserts = [] then body else Ast.map_sharing ins_stmt body in
+  match Hashtbl.find_opt ins_tbl None with
+  | Some (pre, post) -> pre @ body @ post
+  | None -> body
 
 (* ------------------------------------------------------------------ *)
 (* Pattern facts *)
@@ -235,18 +306,17 @@ type state = {
   mutable report : report;
   names : Names.t;
   mutable budget : int;
+  mutable decls : scalar_decl list;
+      (** registers declared so far, newest first; appended to the
+          kernel's scalars once, when [run] returns *)
 }
 
 let declare st base elem =
   let name = Names.fresh st.names base in
-  st.kernel <-
-    {
-      st.kernel with
-      k_scalars =
-        st.kernel.k_scalars
-        @ [ { s_name = name; s_elem = elem; s_kind = Register; s_span = None } ];
-    };
+  st.decls <- { s_name = name; s_elem = elem; s_kind = Register; s_span = None } :: st.decls;
   name
+
+let edit_body st ed = st.kernel <- { st.kernel with k_body = apply_edits st.kernel.k_body ed }
 
 (* ------------------------------------------------------------------ *)
 (* Case 1: hoist/sink *)
@@ -278,39 +348,30 @@ let try_hoist (k : kernel) (st : state) (p : pattern) (others : pattern list) =
   else begin
     (* Hoist each distinct member to just inside the deepest varying
        loop (or outside the whole nest when invariant everywhere). *)
-    let member_exprs =
-      List.rev
-        (List.fold_left
-           (fun acc (a : Access.t) ->
-             if List.exists (fun s -> s = a.Access.subs) acc then acc
-             else a.subs :: acc)
-           [] p.members)
+    let target =
+      if deepest_varying < 0 then None else Some (List.nth spine deepest_varying).index
     in
+    let ed = new_edits () in
     List.iter
-      (fun subs ->
-        let r = declare st (String.lowercase_ascii p.array ^ "_r") p.elem in
-        st.budget <- st.budget - 1;
-        let load = Assign (Lvar r, Arr (p.array, subs)) in
-        let store = Assign (Larr (p.array, subs), Var r) in
-        let pre = if p.has_reads || p.has_writes then [ load ] else [] in
-        let post = if p.has_writes then [ store ] else [] in
-        let body = st.kernel.k_body in
-        let body = replace_read p.array subs r body in
-        let body = replace_write p.array subs r body in
-        let body =
-          if deepest_varying < 0 then pre @ body @ post
-          else
-            let target = (List.nth spine deepest_varying).index in
-            insert_in_loop ~index:target ~pre ~post body
-        in
-        st.kernel <- { st.kernel with k_body = body };
-        st.report <-
-          {
-            st.report with
-            hoisted_members = st.report.hoisted_members + 1;
-            registers = st.report.registers + 1;
-          })
-      member_exprs
+      (fun (a : Access.t) ->
+        let subs = a.Access.subs in
+        if not (Hashtbl.mem ed.repl (p.array, subs)) then begin
+          let r = declare st (String.lowercase_ascii p.array ^ "_r") p.elem in
+          st.budget <- st.budget - 1;
+          Hashtbl.replace ed.repl (p.array, subs) { reg = r; scope = None; writes = true };
+          let load = Assign (Lvar r, Arr (p.array, subs)) in
+          let store = Assign (Larr (p.array, subs), Var r) in
+          let post = if p.has_writes then [ store ] else [] in
+          ed.inserts <- (target, [ load ], post) :: ed.inserts;
+          st.report <-
+            {
+              st.report with
+              hoisted_members = st.report.hoisted_members + 1;
+              registers = st.report.registers + 1;
+            }
+        end)
+      p.members;
+    edit_body st ed
   end
 
 (* ------------------------------------------------------------------ *)
@@ -379,13 +440,15 @@ let try_bank ~written (st : state) (p : pattern) =
       if not applicable then ()
       else begin
         let rot_loop = Option.get innermost_varying in
+        let ed = new_edits () in
         List.iteri
           (fun mi (a : Access.t) ->
             let base =
               Printf.sprintf "%s_%d" (String.lowercase_ascii p.array) mi
             in
-            let regs = List.init bank_n (fun j -> Printf.sprintf "%s_%d" base j) in
-            let regs = List.map (fun r -> declare st r p.elem) regs in
+            let regs =
+              List.init bank_n (fun j -> declare st (Printf.sprintf "%s_%d" base j) p.elem)
+            in
             st.budget <- st.budget - bank_n;
             let r0 = List.hd regs in
             let load =
@@ -394,18 +457,11 @@ let try_bank ~written (st : state) (p : pattern) =
                   [ Assign (Lvar r0, Arr (p.array, a.subs)) ],
                   [] )
             in
-            let body = st.kernel.k_body in
-            (* Replace uses first (the guarded load's own read must stay). *)
-            let body =
-              edit_loop_body ~index:carrier.index
-                (fun b -> replace_read p.array a.subs r0 b)
-                body
-            in
-            let rotate = if bank_n > 1 then [ Rotate regs ] else [] in
-            let body =
-              insert_in_loop ~index:rot_loop.index ~pre:[ load ] ~post:rotate body
-            in
-            st.kernel <- { st.kernel with k_body = body };
+            (* Uses inside the carrier read the bank; the guarded load's
+               own read stays (inserts are never rewritten). *)
+            Hashtbl.replace ed.repl (p.array, a.subs)
+              { reg = r0; scope = Some carrier.index; writes = false };
+            ed.inserts <- (Some rot_loop.index, [ load ], [ Rotate regs ]) :: ed.inserts;
             st.report <-
               {
                 st.report with
@@ -416,7 +472,8 @@ let try_bank ~written (st : state) (p : pattern) =
                      st.report.carriers
                    else carrier.index :: st.report.carriers);
               })
-          p.members
+          p.members;
+        edit_body st ed
       end
 
 (* ------------------------------------------------------------------ *)
@@ -481,57 +538,96 @@ let chain_key (inner : loop) (a : Access.t) : (int list * int) option =
 
 (** Partition a pattern's members into chain classes, each member paired
     with its distance to the class's first member. The fast path buckets
-    by {!chain_key} in linear time and verifies every multi-member class
-    against the dependence solver (one {!chain_distance} call per
-    chained member — coupled subscripts like FIR's [S[i+j]] fail the
-    check); on any disagreement the original pairwise solver scan runs
-    instead, so the result is the one the quadratic algorithm computes,
-    always. *)
+    by {!chain_key} with an insertion scan over the classes found so far
+    (O(members x classes)) and verifies every multi-member class against
+    the dependence solver (one {!chain_distance} call per chained
+    member). When the check fails — coupled subscripts like FIR's
+    [S[i+j]] or corr's [img[i+di][j+dj]] — the original pairwise solver
+    scan runs instead, so the result is the one the quadratic algorithm
+    computes, always. Solver answers are memoised for the call: for two
+    affine members {!chain_distance} depends only on each member's shape
+    (enclosing loops and linear subscript terms, interned once per
+    member) and the difference of their constant offsets, so the
+    pairwise scan over a uniformly generated set solves one system per
+    distinct offset difference rather than one per pair. *)
 let partition_chains (inner : loop) (members : Access.t list) :
     (Access.t * int) list list =
+  let shapes = Hashtbl.create 8 in
+  let intern (a : Access.t) =
+    if not (Access.is_affine a) then None
+    else begin
+      let affs = Access.affine_exn a in
+      let shape =
+        ( List.map (fun (l : loop) -> (l.index, l.lo, l.hi, l.step)) a.loops,
+          List.map (fun (f : Affine.t) -> f.terms) affs )
+      in
+      let id =
+        match Hashtbl.find_opt shapes shape with
+        | Some id -> id
+        | None ->
+            let id = Hashtbl.length shapes in
+            Hashtbl.replace shapes shape id;
+            id
+      in
+      Some (id, List.map Affine.const_part affs)
+    end
+  in
+  let memo = Hashtbl.create 64 in
+  let distance (a, sa) (b, sb) =
+    match (sa, sb) with
+    | Some (ia, ca), Some (ib, cb) when List.compare_lengths ca cb = 0 -> (
+        let key = (ia, ib, List.map2 ( - ) ca cb) in
+        match Hashtbl.find_opt memo key with
+        | Some d -> d
+        | None ->
+            let d = chain_distance inner a b in
+            Hashtbl.replace memo key d;
+            d)
+    | _ -> chain_distance inner a b
+  in
+  let interned = List.map (fun a -> (a, intern a)) members in
   let slow () =
-    let classes : (Access.t * Access.t list) list ref = ref [] in
+    let classes = ref [] in
     List.iter
-      (fun (a : Access.t) ->
+      (fun a ->
         let rec insert = function
           | [] -> [ (a, [ a ]) ]
           | (m, cls) :: rest -> (
-              match chain_distance inner m a with
+              match distance m a with
               | Some _ -> (m, a :: cls) :: rest
               | None -> (m, cls) :: insert rest)
         in
         classes := insert !classes)
-      members;
+      interned;
     List.map
       (fun (_, cls) ->
         match List.rev cls with
         | [] -> []
         | first :: _ as cls ->
             List.map
-              (fun a ->
-                (a, Option.value ~default:0 (chain_distance inner first a)))
+              (fun a -> (fst a, Option.value ~default:0 (distance first a)))
               cls)
       !classes
   in
   let trip = Ast.loop_trip inner in
-  let keyed = List.map (fun a -> (a, chain_key inner a)) members in
+  let keyed = List.map (fun ((a, _) as m) -> (m, chain_key inner a)) interned in
   if List.exists (fun (_, k) -> k = None) keyed then
     (* No inner variation (or a non-affine member): no pair admits a
        distance, every member is its own class. *)
-    List.map (fun (a, _) -> [ (a, 0) ]) keyed
+    List.map (fun ((a, _), _) -> [ (a, 0) ]) keyed
   else begin
     (* Insertion scan as in [slow], with the O(1) key test standing in
        for the solver: same residue, and the distance realizable within
        the trip count (the solver's own admissibility cut). *)
-    let classes : (int list * int * (Access.t * int) list) list ref = ref [] in
+    let classes = ref [] in
     List.iter
-      (fun (a, key) ->
+      (fun (m, key) ->
         let residue, idx = Option.get key in
         let rec insert = function
-          | [] -> [ (residue, idx, [ (a, 0) ]) ]
+          | [] -> [ (residue, idx, [ (m, 0) ]) ]
           | (res, ridx, cls) :: rest ->
               if res = residue && abs (ridx - idx) < trip then
-                (res, ridx, (a, ridx - idx) :: cls) :: rest
+                (res, ridx, (m, ridx - idx) :: cls) :: rest
               else (res, ridx, cls) :: insert rest
         in
         classes := insert !classes)
@@ -543,107 +639,14 @@ let partition_chains (inner : loop) (members : Access.t list) :
           match cls with
           | [] | [ _ ] -> true
           | (first, _) :: rest ->
-              List.for_all
-                (fun (a, d) -> chain_distance inner first a = Some d)
-                rest)
+              List.for_all (fun (m, d) -> distance first m = Some d) rest)
         classes
     in
-    if verified then classes else slow ()
+    if verified then List.map (List.map (fun ((a, _), d) -> (a, d))) classes
+    else slow ()
   end
 
-(** Batched tree edits of the chains phase: replacements and inserts
-    accumulated across all patterns, applied in one walk each. *)
-type chain_edits = {
-  repl : (string * expr list, string * string) Hashtbl.t;
-      (** (array, subscripts) -> (target inner-loop index, register) *)
-  mutable inserts : (string * stmt list * stmt list) list;
-      (** (inner-loop index, pre, post) in reverse application order *)
-}
-
-let apply_chain_edits (st : state) (ed : chain_edits) =
-  if Hashtbl.length ed.repl = 0 then ()
-  else begin
-    (* Replace member reads under every loop named by their class's
-       inner index — what per-class [edit_loop_body]+[replace_read]
-       did, composed. Inserted loads are untouched exactly as in the
-       sequential order (each class replaced before inserting, and no
-       two classes share a member's (array, subscripts)). *)
-    let rec rw_expr stack e =
-      match e with
-      | Arr (a, subs) -> (
-          let subs' = Ast.map_sharing (rw_expr stack) subs in
-          match Hashtbl.find_opt ed.repl (a, subs') with
-          | Some (idx, r) when List.mem idx stack -> Var r
-          | _ -> if subs' == subs then e else Arr (a, subs'))
-      | Int _ | Var _ -> e
-      | Bin (op, a, b) ->
-          let a' = rw_expr stack a and b' = rw_expr stack b in
-          if a' == a && b' == b then e else Bin (op, a', b')
-      | Un (op, a) ->
-          let a' = rw_expr stack a in
-          if a' == a then e else Un (op, a')
-      | Cond (c, t, e') ->
-          let c' = rw_expr stack c
-          and t' = rw_expr stack t
-          and e'' = rw_expr stack e' in
-          if c' == c && t' == t && e'' == e' then e else Cond (c', t', e'')
-    in
-    let rec rw_stmt stack s =
-      match s with
-      | Assign (lv, e) ->
-          let lv' =
-            match lv with
-            | Lvar _ -> lv
-            | Larr (a, subs) ->
-                let subs' = Ast.map_sharing (rw_expr stack) subs in
-                if subs' == subs then lv else Larr (a, subs')
-          in
-          let e' = rw_expr stack e in
-          if lv' == lv && e' == e then s else Assign (lv', e')
-      | If (c, t, e) ->
-          let c' = rw_expr stack c in
-          let t' = Ast.map_sharing (rw_stmt stack) t in
-          let e' = Ast.map_sharing (rw_stmt stack) e in
-          if c' == c && t' == t && e' == e then s else If (c', t', e')
-      | For l ->
-          let body' = Ast.map_sharing (rw_stmt (l.index :: stack)) l.body in
-          if body' == l.body then s else For { l with body = body' }
-      | Rotate _ -> s
-    in
-    let body = Ast.map_sharing (rw_stmt []) st.kernel.k_body in
-    (* Stack the per-class inserts: applying classes one at a time
-       prepends each later class's loads above the earlier ones and
-       appends its rotate below, per target loop. *)
-    let ins_tbl : (string, stmt list * stmt list) Hashtbl.t =
-      Hashtbl.create 8
-    in
-    List.iter
-      (fun (idx, pre, post) ->
-        (* [ed.inserts] is in reverse application order, so the first
-           entry seen here is the last class applied: its [pre] goes
-           outermost (first) and its [post] last. *)
-        let cur_pre, cur_post =
-          Option.value ~default:([], []) (Hashtbl.find_opt ins_tbl idx)
-        in
-        Hashtbl.replace ins_tbl idx (cur_pre @ pre, post @ cur_post))
-      ed.inserts;
-    let rec ins_stmt s =
-      match s with
-      | For l -> (
-          let body' = Ast.map_sharing ins_stmt l.body in
-          match Hashtbl.find_opt ins_tbl l.index with
-          | Some (pre, post) -> For { l with body = pre @ body' @ post }
-          | None -> if body' == l.body then s else For { l with body = body' })
-      | If (c, t, e) ->
-          let t' = Ast.map_sharing ins_stmt t in
-          let e' = Ast.map_sharing ins_stmt e in
-          if t' == t && e' == e then s else If (c, t', e')
-      | Assign _ | Rotate _ -> s
-    in
-    st.kernel <- { st.kernel with k_body = Ast.map_sharing ins_stmt body }
-  end
-
-let try_chains ~(config : config) ~written (st : state) (ed : chain_edits)
+let try_chains ~(config : config) ~written (st : state) (ed : edits)
     (p : pattern) =
   let innermost_varying =
     match List.rev p.varying with [] -> None | l :: _ -> Some l
@@ -711,10 +714,10 @@ let try_chains ~(config : config) ~written (st : state) (ed : chain_edits)
                   (fun (d, (a : Access.t)) ->
                     let delay = d - dmin in
                     Hashtbl.replace ed.repl (p.array, a.Access.subs)
-                      (inner.index, reg (span - delay)))
+                      { reg = reg (span - delay); scope = Some inner.index; writes = false })
                   with_d;
                 ed.inserts <-
-                  (inner.index, lead_load :: refills, [ Rotate regs ])
+                  (Some inner.index, lead_load :: refills, [ Rotate regs ])
                   :: ed.inserts;
                 st.report <-
                   {
@@ -904,6 +907,7 @@ let run ?(config = default_config) (k : kernel) : kernel * report =
       report = empty_report;
       names = Names.of_kernel k;
       budget = config.max_registers;
+      decls = [];
     }
   in
   (* Each phase wants the pattern facts of the current kernel; a phase
@@ -951,9 +955,13 @@ let run ?(config = default_config) (k : kernel) : kernel * report =
   if config.chains then begin
     let ps = patterns () in
     let written = Licm.arrays_written_in st.kernel.k_body in
-    let ed = { repl = Hashtbl.create 64; inserts = [] } in
+    let ed = new_edits () in
     List.iter (fun p -> try_chains ~config ~written st ed p) ps;
-    apply_chain_edits st ed
+    if Hashtbl.length ed.repl > 0 then edit_body st ed
   end;
   cse_loads st;
-  (st.kernel, st.report)
+  let k = st.kernel in
+  let k =
+    if st.decls = [] then k else { k with k_scalars = k.k_scalars @ List.rev st.decls }
+  in
+  (k, st.report)

@@ -50,3 +50,10 @@ type report = {
 
 val empty_report : report
 val run : ?config:config -> Ast.kernel -> Ast.kernel * report
+
+(** Exposed for tests. [partition_chains inner members] splits a
+    pattern's members into chain classes along loop [inner], each member
+    paired with its distance (in iterations of [inner]) from its class's
+    first member; the classes the pairwise dependence-solver scan finds. *)
+val partition_chains :
+  Ast.loop -> Analysis.Access.t list -> (Analysis.Access.t * int) list list

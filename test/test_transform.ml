@@ -281,6 +281,172 @@ let test_register_budget () =
     ~inputs:(Kernels.test_inputs (fir ()))
     ~reference:(fir ()) r.P.kernel "budget-limited semantics"
 
+(* Chain partition against the plain pairwise scan: every member joins
+   the first class whose first member the dependence solver puts at a
+   consistent inner-loop distance, with no keyed fast path and no memo. *)
+
+let reference_chain_distance (inner : Ast.loop) a b =
+  let module D = Analysis.Dependence in
+  match D.ug_distance_vector a b with
+  | D.Distance entries ->
+      let rec go loops entries acc =
+        match (loops, entries) with
+        | [], [] -> acc
+        | (l : Ast.loop) :: ls, e :: es -> (
+            match e with
+            | D.Exact d when l.Ast.index = inner.Ast.index ->
+                if acc = None then go ls es (Some d) else None
+            | D.Exact 0 | D.Any -> go ls es acc
+            | D.Exact _ | D.Coupled -> None)
+        | _ -> None
+      in
+      go (D.common_loops a b) entries None
+  | _ -> None
+
+let reference_partition inner members =
+  let classes =
+    List.fold_left
+      (fun classes a ->
+        let rec insert = function
+          | [] -> [ (a, [ a ]) ]
+          | (m, cls) :: rest ->
+              if reference_chain_distance inner m a <> None then (m, a :: cls) :: rest
+              else (m, cls) :: insert rest
+        in
+        insert classes)
+      [] members
+  in
+  List.map
+    (fun (first, cls) ->
+      List.rev_map
+        (fun a -> (a, Option.value ~default:0 (reference_chain_distance inner first a)))
+        cls)
+    classes
+
+(** Member sets of one array over loops [i], [j], [k] (inner [k]): a
+    random uniformly generated set (trip counts include primes, offsets
+    reach past them), a corr-style coupled set [img[i+di][j+dj]] with the
+    inner loop inside a coupled dimension, and a non-affine set. *)
+let gen_members =
+  let open QCheck2.Gen in
+  let loop index trip step =
+    { Ast.index; lo = 0; hi = trip * step; step; body = []; l_span = None }
+  in
+  let* trip = oneofl [ 3; 4; 8; 17; 29; 31 ] in
+  let* step = oneofl [ 1; 1; 2 ] in
+  let loops = [ loop "i" 5 1; loop "j" 7 1; loop "k" trip step ] in
+  let* shape = int_range 0 3 in
+  let* dims = int_range 1 2 in
+  let* coeffs = list_repeat dims (list_repeat 3 (int_range (-1) 2)) in
+  let* n = int_range 1 24 in
+  let* offsets = list_repeat n (list_repeat dims (int_range (-6) 40)) in
+  let offsets = List.sort_uniq compare offsets in
+  let vars = [ "i"; "j"; "k" ] in
+  let affine ?(extra = []) consts =
+    List.map2
+      (fun cs c -> Affine.to_expr (Affine.make (extra @ List.combine vars cs) c))
+      coeffs consts
+  in
+  let subs_of id consts =
+    match shape with
+    | 0 -> affine consts
+    | 3 ->
+        (* Every other member also reads a parameter [n]: two shapes,
+           and no consistent distance between them. *)
+        affine ~extra:(if id mod 2 = 0 then [] else [ ("n", 1) ]) consts
+    | 1 ->
+        (* i and k share the first dimension, j and k the last *)
+        List.mapi
+          (fun d c ->
+            Affine.to_expr
+              (Affine.make [ ((if d = 0 then "i" else "j"), 1); ("k", 1) ] c))
+          consts
+    | _ ->
+        List.map (fun c -> Ast.Bin (Ast.Add, Ast.Bin (Ast.Mul, Ast.Var "i", Ast.Var "k"), Ast.Int c)) consts
+  in
+  return
+    ( List.nth loops 2,
+      List.mapi
+        (fun id consts ->
+          let subs = subs_of id consts in
+          {
+            Analysis.Access.id;
+            array = "A";
+            kind = Analysis.Access.Read;
+            subs;
+            affine = List.map Affine.of_expr subs;
+            loops;
+            guarded = false;
+          })
+        offsets )
+
+let prop_partition_chains_matches_pairwise =
+  Helpers.qtest "partition_chains = pairwise reference" ~count:500 gen_members
+    (fun (inner, members) ->
+      let ids = List.map (List.map (fun ((a : Analysis.Access.t), d) -> (a.id, d))) in
+      ids (Transform.Scalar_replace.partition_chains inner members)
+      = ids (reference_partition inner members))
+
+(* ------------------------------------------------------------------ *)
+(* Fresh names *)
+
+(** The first free name of [base], [base_0], [base_1], ..., found by
+    scanning from [base_0] on every call. *)
+let scanning_fresh used base =
+  let name =
+    if not (Hashtbl.mem used base) then base
+    else
+      let rec go n =
+        let cand = Printf.sprintf "%s_%d" base n in
+        if Hashtbl.mem used cand then go (n + 1) else cand
+      in
+      go 0
+  in
+  Hashtbl.replace used name ();
+  name
+
+type names_op = Reserve of string | Fresh of string
+
+let run_names_ops ops =
+  let empty = { Ast.k_name = "k"; k_arrays = []; k_scalars = []; k_body = [] } in
+  let t = Transform.Names.of_kernel empty in
+  List.filter_map
+    (function
+      | Reserve n ->
+          Transform.Names.reserve t n;
+          None
+      | Fresh b -> Some (Transform.Names.fresh t b))
+    ops
+
+let test_fresh_skips_reserved () =
+  Alcotest.(check (list string)) "x, x_0, then past the reserved x_1"
+    [ "x"; "x_0"; "x_2" ]
+    (run_names_ops [ Reserve "x_1"; Fresh "x"; Fresh "x"; Fresh "x" ])
+
+let prop_fresh_matches_scan =
+  let open QCheck2.Gen in
+  let op =
+    frequency
+      [
+        (1, map (fun n -> Reserve n)
+              (oneofl [ "x"; "x_0"; "x_1"; "x_2"; "x_3"; "x_0_0"; "x_1_0"; "y"; "y_1" ]));
+        (2, map (fun b -> Fresh b) (oneofl [ "x"; "x_0"; "x_1"; "y" ]));
+      ]
+  in
+  Helpers.qtest "hinted fresh = scanning fresh" ~count:300 (list_size (int_range 0 40) op)
+    (fun ops ->
+      let used = Hashtbl.create 16 in
+      let expected =
+        List.filter_map
+          (function
+            | Reserve n ->
+                Hashtbl.replace used n ();
+                None
+            | Fresh b -> Some (scanning_fresh used b))
+          ops
+      in
+      run_names_ops ops = expected)
+
 (* ------------------------------------------------------------------ *)
 (* Tiling *)
 
@@ -410,6 +576,12 @@ let () =
           Alcotest.test_case "MM clean innermost" `Quick test_mm_inner_clean;
           Alcotest.test_case "JAC chains" `Quick test_jac_chains;
           Alcotest.test_case "register budget" `Quick test_register_budget;
+          prop_partition_chains_matches_pairwise;
+        ] );
+      ( "names",
+        [
+          Alcotest.test_case "fresh skips reserved names" `Quick test_fresh_skips_reserved;
+          prop_fresh_matches_scan;
         ] );
       ( "tiling",
         [
