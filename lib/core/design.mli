@@ -48,13 +48,6 @@ type stats = Engine.Store.stats = {
   mutable sched_memo_hits : int;
       (** blocks whose tri-schedule was served content-addressed from
           the fingerprint memo instead of being scheduled *)
-  mutable region_memo_hits : int;
-      (** blocks that missed the whole-block memo but restored a
-          statement-prefix scheduler snapshot and scheduled only the
-          tail *)
-  mutable delta_reuses : int;
-      (** design points whose transform pipeline reused a cached
-          outer-prefix unroll instead of unrolling from the source *)
   mutable checked_points : int;
       (** design points whose pipeline run was translation-validated
           ([--verify]) *)
@@ -106,11 +99,6 @@ type context = {
           {!Check.Validate}: the transformed result and every selection
           are bit-identical to an unverified run; error-severity
           findings bump [stats.verify_violations] *)
-  incremental : bool;
-      (** use the structure-sharing evaluation paths (DFG arena,
-          region-level schedule snapshots, delta transform cache);
-          [false] is the [--no-incremental] escape hatch. Either way the
-          results are field-for-field identical *)
   stats : stats;
       (** alias of [store.stats]; merged across domains on {!absorb} *)
 }
@@ -122,7 +110,6 @@ val context :
   ?pipeline:Transform.Pipeline.options ->
   ?profile:Hls.Estimate.profile ->
   ?verify:bool ->
-  ?incremental:bool ->
   ?capacity:int ->
   ?backend:Engine.Backend.t ->
   ?store:Engine.Store.t ->

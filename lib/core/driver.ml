@@ -37,12 +37,12 @@ let speedup (o : outcome) : float =
     {!Engine.run_many} for [cache_dir]/[cold]/[pool]/[jobs]; the sweep
     behind any reporting the caller does afterwards can reuse the
     returned contexts' stores. *)
-let run_many ?cache_dir ?cold ?pipeline ?profile ?verify ?incremental
-    ?capacity ?backend ?pool ?jobs ?search_config (tasks : Engine.task list) :
+let run_many ?cache_dir ?cold ?pipeline ?profile ?verify ?capacity ?backend
+    ?pool ?jobs ?search_config (tasks : Engine.task list) :
     summary =
   let summary =
-    Engine.run_many ?cache_dir ?cold ?pipeline ?profile ?verify ?incremental
-      ?capacity ?backend ?pool ?jobs
+    Engine.run_many ?cache_dir ?cold ?pipeline ?profile ?verify ?capacity
+      ?backend ?pool ?jobs
       ~explore:(fun ~env ~store ~pool:_ ->
         let ctx = Design.of_env ?backend ~store env in
         let search = Search.run ?config:search_config ctx in

@@ -39,7 +39,6 @@ val run_many :
   ?pipeline:Transform.Pipeline.options ->
   ?profile:Hls.Estimate.profile ->
   ?verify:bool ->
-  ?incremental:bool ->
   ?capacity:int ->
   ?backend:Engine.Backend.t ->
   ?pool:Engine.Pool.t ->

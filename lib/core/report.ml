@@ -75,11 +75,6 @@ let render fmt (r : t) =
     (1000.0 *. st.Design.layout_seconds)
     st.Design.sched_memo_hits (Design.sched_memo_size ctx)
     (Design.cache_size ctx);
-  if st.Design.region_memo_hits > 0 || st.Design.delta_reuses > 0 then
-    Format.fprintf fmt
-      "- incremental evaluation: %d region-prefix scheduler restores; %d \
-       delta transform reuses@.@."
-      st.Design.region_memo_hits st.Design.delta_reuses;
   if st.Design.checked_points > 0 then
     Format.fprintf fmt
       "- translation validation: %d design point(s) checked, %d violation(s)@.@."

@@ -13,17 +13,7 @@
     list is chunked over a work queue, each domain evaluates against a
     {!Design.fork} of the context, and the forks' caches and counters
     are merged back on join. The result order is deterministic and
-    identical to the sequential sweep regardless of [jobs].
-
-    With [~prune:true] the sweep runs two-tier: tier-1 lower bounds
-    ({!Design.quick}) are computed for the whole lattice first, points
-    are visited in ascending lower-bound order, and a point is skipped —
-    never generated, never estimated — when its bounds prove it cannot
-    fit the device or cannot come within [prune_slack] of the best
-    fitting design seen so far. Pruning is admissible: skipped points
-    can be neither {!best_fitting} nor {!smallest_comparable} (at the
-    default matching slack), so both selections are unchanged; only the
-    set of evaluated points shrinks. *)
+    identical to the sequential sweep regardless of [jobs]. *)
 
 open Ir
 
@@ -34,7 +24,6 @@ type sweep_point = {
 
 type t = {
   points : sweep_point list;  (** the divisor lattice, evaluated *)
-  pruned : int;  (** lattice points skipped on tier-1 lower bounds *)
   total_designs : int;  (** paper-style space size: product of trip counts *)
 }
 
@@ -92,106 +81,7 @@ let evaluate_parallel ?pool ~jobs (ctx : Design.context) (vectors : (string * in
 (** Number of domains a sweep uses when [jobs] is not given. *)
 let default_jobs () = max 1 (min 8 (Domain.recommended_domain_count () - 1))
 
-(* Two-tier sweep over [vecs] whose tier-1 bounds [q] are already known.
-   Points are visited in ascending lower-bound order so cheap designs
-   establish the incumbent early; results land at their original lattice
-   indices, so the surviving points come out in lattice order. The
-   incumbent only ever holds the true cycle count of a fitting evaluated
-   point, so a skip is justified no matter when it is read — with
-   several domains the *set* of pruned points may vary between runs
-   (a slower domain may evaluate a point a faster run would skip), but
-   the selected designs never do. *)
-let evaluate_pruned ?pool ~jobs ~prune_slack (ctx : Design.context)
-    (vecs : (string * int) list array) (q : Hls.Quick.t array) :
-    sweep_point option array =
-  let n = Array.length vecs in
-  let limit inc =
-    if inc = max_int then max_int
-    else int_of_float (Float.ceil (float_of_int inc *. (1.0 +. prune_slack)))
-  in
-  let results : sweep_point option array = Array.make n None in
-  if jobs <= 1 || n < 2 * jobs then begin
-    (* Sequentially, visit in *reverse* lattice order, deferring points
-       the gate would skip. Reversed, the high-unroll (fast) designs
-       come first, so the incumbent tightens immediately and the slow
-       low-unroll tail is gated — the same prunes the bound-ascending
-       permutation finds. Unlike that permutation, a reversed lattice
-       walk keeps consecutive points structurally adjacent (runs of
-       shared outer-unroll prefixes, shared schedule prefixes), which
-       is the locality the incremental caches feed on. Deferred points
-       are re-checked against the final incumbent, so late tightening
-       loses no prunes. *)
-    let incumbent = ref max_int in
-    let visit i =
-      let p = Design.evaluate ctx vecs.(i) in
-      results.(i) <- Some { vector = vecs.(i); point = p };
-      if Design.space p <= ctx.Design.capacity then
-        incumbent := min !incumbent (Design.cycles p)
-    in
-    let deferred = ref [] in
-    for i = n - 1 downto 0 do
-      let qi = q.(i) in
-      if qi.Hls.Quick.slices_lb > ctx.Design.capacity then
-        Design.note_pruned ctx
-      else if qi.Hls.Quick.cycles_lb > limit !incumbent then
-        deferred := i :: !deferred
-      else visit i
-    done;
-    List.iter
-      (fun i ->
-        if q.(i).Hls.Quick.cycles_lb > limit !incumbent then
-          Design.note_pruned ctx
-        else visit i)
-      !deferred
-  end
-  else begin
-    (* With several domains the forks do not share scratch caches, so
-       the bound-ascending order keeps its original value: it tightens
-       the shared incumbent as early as possible. *)
-    let order = Array.init n (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        compare (q.(a).Hls.Quick.cycles_lb, a) (q.(b).Hls.Quick.cycles_lb, b))
-      order;
-    let incumbent = Atomic.make max_int in
-    let rec lower_incumbent c =
-      let cur = Atomic.get incumbent in
-      if c < cur && not (Atomic.compare_and_set incumbent cur c) then
-        lower_incumbent c
-    in
-    let cursor = Atomic.make 0 in
-    let chunk = max 1 (n / (jobs * 8)) in
-    let forks = Array.init jobs (fun _ -> Design.fork ctx) in
-    let worker (fork : Design.context) () =
-      let rec loop () =
-        let start = Atomic.fetch_and_add cursor chunk in
-        if start < n then begin
-          for k = start to min (start + chunk) n - 1 do
-            let i = order.(k) in
-            let qi = q.(i) in
-            if
-              qi.Hls.Quick.slices_lb > ctx.Design.capacity
-              || qi.Hls.Quick.cycles_lb > limit (Atomic.get incumbent)
-            then Design.note_pruned fork
-            else begin
-              let p = Design.evaluate fork vecs.(i) in
-              results.(i) <- Some { vector = vecs.(i); point = p };
-              if Design.space p <= ctx.Design.capacity then
-                lower_incumbent (Design.cycles p)
-            end
-          done;
-          loop ()
-        end
-      in
-      loop ()
-    in
-    run_workers ?pool (Array.map worker forks);
-    Array.iter (fun fork -> Design.absorb ~into:ctx fork) forks
-  end;
-  results
-
-let sweep ?eligible ?(max_product = max_int) ?(prune = false)
-    ?(prune_slack = 0.05) ?jobs ?pool (ctx : Design.context) : t =
+let sweep ?eligible ?(max_product = max_int) ?jobs ?pool (ctx : Design.context) : t =
   let sat =
     lazy
       (Saturation.compute ~pipeline:ctx.Design.pipeline
@@ -210,63 +100,10 @@ let sweep ?eligible ?(max_product = max_int) ?(prune = false)
     | None, Some p -> Engine.Pool.size p
     | None, None -> default_jobs ()
   in
-  (* Tier-1 bounds for the whole lattice; unavailable (tiling) means the
-     sweep silently falls back to exhaustive evaluation. *)
-  let quicks =
-    if not prune then None
-    else
-      let qs = List.map (fun v -> Design.quick ctx v) vectors in
-      if List.exists Option.is_none qs then None
-      else Some (Array.of_list (List.map Option.get qs))
-  in
-  (* Pruning provably cannot skip a point when every lower bound fits
-     the device and lies within the slack band of the smallest bound:
-     the incumbent is the true cycle count of some fitting point, which
-     is at least the smallest bound, so the gate never fires. In that
-     case — and on lattices too small to amortize the sort — the
-     two-tier machinery only costs: the bound-ascending visit order
-     breaks the locality the incremental caches feed on (consecutive
-     lattice points share schedule-prefix and outer-unroll structure).
-     Fall back to the plain lattice-order sweep; the result is the same
-     point set either way. *)
-  let gate_worthwhile (q : Hls.Quick.t array) =
-    Array.length q >= 16
-    && (Array.exists
-          (fun (qi : Hls.Quick.t) ->
-            qi.Hls.Quick.slices_lb > ctx.Design.capacity)
-          q
-       ||
-       let min_lb =
-         Array.fold_left
-           (fun m (qi : Hls.Quick.t) -> min m qi.Hls.Quick.cycles_lb)
-           max_int q
-       in
-       let band =
-         if min_lb = max_int then max_int
-         else
-           int_of_float
-             (Float.ceil (float_of_int min_lb *. (1.0 +. prune_slack)))
-       in
-       Array.exists
-         (fun (qi : Hls.Quick.t) -> qi.Hls.Quick.cycles_lb > band)
-         q)
-  in
-  let points, pruned =
-    match quicks with
-    | Some q when gate_worthwhile q ->
-        let vecs = Array.of_list vectors in
-        let results = evaluate_pruned ?pool ~jobs ~prune_slack ctx vecs q in
-        let pts = List.filter_map (fun x -> x) (Array.to_list results) in
-        (pts, Array.length vecs - List.length pts)
-    | _ ->
-        let pts =
-          if jobs <= 1 || List.length vectors < 2 * jobs then
-            List.map (fun v -> { vector = v; point = Design.evaluate ctx v }) vectors
-          else
-            Array.to_list
-              (evaluate_parallel ?pool ~jobs ctx (Array.of_list vectors))
-        in
-        (pts, 0)
+  let points =
+    if jobs <= 1 || List.length vectors < 2 * jobs then
+      List.map (fun v -> { vector = v; point = Design.evaluate ctx v }) vectors
+    else Array.to_list (evaluate_parallel ?pool ~jobs ctx (Array.of_list vectors))
   in
   let total_designs =
     List.fold_left
@@ -274,7 +111,7 @@ let sweep ?eligible ?(max_product = max_int) ?(prune = false)
         if List.mem l.index eligible then acc * Ast.loop_trip l else acc)
       1 ctx.Design.spine
   in
-  { points; pruned; total_designs }
+  { points; total_designs }
 
 (** Best-performing design in the space that fits the device. *)
 let best_fitting (ctx : Design.context) (t : t) : sweep_point option =

@@ -14,7 +14,6 @@ type sweep_point = { vector : (string * int) list; point : Design.point }
 
 type t = {
   points : sweep_point list;  (** the divisor lattice, evaluated *)
-  pruned : int;  (** lattice points skipped on tier-1 lower bounds *)
   total_designs : int;  (** paper-style size: product of trip counts *)
 }
 
@@ -36,21 +35,6 @@ val default_jobs : unit -> int
     products; [jobs] is the number of evaluating domains ([jobs <= 1]
     forces the sequential path; the default is {!default_jobs}).
 
-    [prune] (default [false]) switches the sweep to two-tier: tier-1
-    lower bounds ({!Design.quick}) are computed for the whole lattice
-    first, points are visited in ascending lower-bound order, and a
-    point is skipped without synthesis when its bounds prove it cannot
-    fit the device or cannot come within [prune_slack] (default 0.05,
-    matching {!smallest_comparable}) of the best fitting design found
-    so far. Admissible: {!best_fitting} and {!smallest_comparable} (at
-    slacks up to [prune_slack]) select the same designs as the
-    exhaustive sweep; only [points] shrinks — skipped points are
-    counted in [pruned] and in [Design.stats.pruned]. With [jobs > 1]
-    the pruned *set* may vary between runs (domain timing decides
-    which points see the incumbent early), the selections never do.
-    When tier 1 does not apply (tiling pipelines) the sweep silently
-    falls back to exhaustive evaluation.
-
     [pool] runs the workers on a shared {!Engine.Pool} instead of
     spawning fresh domains — the multi-kernel session passes its pool so
     the domain-spawn cost is paid once per session, not once per sweep.
@@ -58,8 +42,6 @@ val default_jobs : unit -> int
 val sweep :
   ?eligible:string list ->
   ?max_product:int ->
-  ?prune:bool ->
-  ?prune_slack:float ->
   ?jobs:int ->
   ?pool:Engine.Pool.t ->
   Design.context ->

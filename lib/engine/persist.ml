@@ -41,8 +41,11 @@
    3: design points are keyed by full transform configurations
    (vector + tile + toggles) instead of bare unroll vectors, and the
    point record grew a [config] field; v2 point files no longer
+   unmarshal into it.
+   4: region-level table removed: the tri-schedule memo payload is the
+   bare fingerprint -> tri table again; v3 memo files no longer
    unmarshal into it. *)
-let schema_version = 3
+let schema_version = 4
 
 (* ------------------------------------------------------------------ *)
 (* Canonical configuration strings *)

@@ -61,13 +61,6 @@ type stats = {
   mutable sched_memo_hits : int;
       (** blocks whose tri-schedule was served content-addressed from
           the fingerprint memo instead of being scheduled *)
-  mutable region_memo_hits : int;
-      (** blocks that missed the whole-block memo but restored a
-          statement-prefix scheduler snapshot and scheduled only the
-          tail *)
-  mutable delta_reuses : int;
-      (** design points whose transform pipeline reused a cached
-          outer-prefix unroll instead of unrolling from the source *)
   mutable checked_points : int;
       (** design points whose pipeline run was translation-validated *)
   mutable verify_violations : int;
@@ -102,8 +95,6 @@ let fresh_stats () =
     schedule_seconds = 0.0;
     layout_seconds = 0.0;
     sched_memo_hits = 0;
-    region_memo_hits = 0;
-    delta_reuses = 0;
     checked_points = 0;
     verify_violations = 0;
     flow_builds = 0;
@@ -126,8 +117,6 @@ let reset_stats (s : stats) =
   s.schedule_seconds <- 0.0;
   s.layout_seconds <- 0.0;
   s.sched_memo_hits <- 0;
-  s.region_memo_hits <- 0;
-  s.delta_reuses <- 0;
   s.checked_points <- 0;
   s.verify_violations <- 0;
   s.flow_builds <- 0;
@@ -150,8 +139,6 @@ let stats_copy (s : stats) : stats =
     schedule_seconds = s.schedule_seconds;
     layout_seconds = s.layout_seconds;
     sched_memo_hits = s.sched_memo_hits;
-    region_memo_hits = s.region_memo_hits;
-    delta_reuses = s.delta_reuses;
     checked_points = s.checked_points;
     verify_violations = s.verify_violations;
     flow_builds = s.flow_builds;
@@ -175,8 +162,6 @@ let stats_add ~(into : stats) (from : stats) =
   into.schedule_seconds <- into.schedule_seconds +. from.schedule_seconds;
   into.layout_seconds <- into.layout_seconds +. from.layout_seconds;
   into.sched_memo_hits <- into.sched_memo_hits + from.sched_memo_hits;
-  into.region_memo_hits <- into.region_memo_hits + from.region_memo_hits;
-  into.delta_reuses <- into.delta_reuses + from.delta_reuses;
   into.checked_points <- into.checked_points + from.checked_points;
   into.verify_violations <- into.verify_violations + from.verify_violations;
   into.flow_builds <- into.flow_builds + from.flow_builds;
@@ -201,8 +186,6 @@ let stats_diff ~(before : stats) ~(after : stats) : stats =
     schedule_seconds = after.schedule_seconds -. before.schedule_seconds;
     layout_seconds = after.layout_seconds -. before.layout_seconds;
     sched_memo_hits = after.sched_memo_hits - before.sched_memo_hits;
-    region_memo_hits = after.region_memo_hits - before.region_memo_hits;
-    delta_reuses = after.delta_reuses - before.delta_reuses;
     checked_points = after.checked_points - before.checked_points;
     verify_violations = after.verify_violations - before.verify_violations;
     flow_builds = after.flow_builds - before.flow_builds;
@@ -224,14 +207,6 @@ type t = {
           session this table is physically shared between the kernels'
           stores (fingerprints are kernel-agnostic), so one kernel's
           block shapes warm another's *)
-  arena : Hls.Dfg.arena;
-      (** reusable DFG build arena — scratch state, never shared across
-          domains and never persisted; owning it here gives every
-          evaluation through this store the incremental build path *)
-  delta_cache : Transform.Unroll.cache;
-      (** staged-unroll delta cache — like [arena], per-store scratch:
-          consecutive sweep points sharing an outer unroll prefix rebuild
-          only the innermost axis *)
   stats : stats;
   mutable loaded_points : int;
       (** points warm-loaded from a persistent store at creation *)
@@ -244,8 +219,6 @@ let create ?sched_memo () : t =
       (match sched_memo with
       | Some m -> m
       | None -> Hls.Schedule.memo_create ());
-    arena = Hls.Dfg.arena ();
-    delta_cache = Transform.Unroll.cache ();
     stats = fresh_stats ();
     loaded_points = 0;
   }
@@ -264,8 +237,6 @@ let fork (t : t) : t =
   {
     points = Hashtbl.copy t.points;
     sched_memo = Hls.Schedule.memo_copy t.sched_memo;
-    arena = Hls.Dfg.arena ();
-    delta_cache = Transform.Unroll.cache ();
     stats = fresh_stats ();
     loaded_points = 0;
   }

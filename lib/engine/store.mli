@@ -46,13 +46,6 @@ type stats = {
   mutable schedule_seconds : float;
   mutable layout_seconds : float;
   mutable sched_memo_hits : int;
-  mutable region_memo_hits : int;
-      (** blocks that missed the whole-block memo but restored a
-          statement-prefix scheduler snapshot and scheduled only the
-          tail *)
-  mutable delta_reuses : int;
-      (** design points whose transform pipeline reused a cached
-          outer-prefix unroll instead of unrolling from the source *)
   mutable checked_points : int;
   mutable verify_violations : int;
   mutable flow_builds : int;
@@ -89,10 +82,6 @@ type t = {
   sched_memo : Hls.Schedule.memo;
       (** fingerprint-keyed tri-schedule table; physically shared
           between the kernels of a session *)
-  arena : Hls.Dfg.arena;
-      (** reusable DFG build arena; per-store scratch, never persisted *)
-  delta_cache : Transform.Unroll.cache;
-      (** staged-unroll delta cache; per-store scratch, never persisted *)
   stats : stats;
   mutable loaded_points : int;
       (** points warm-loaded from a persistent store at creation *)

@@ -18,13 +18,7 @@
     suppresses the write when the path is not taken. Register rotation is
     a free parallel register transfer. Subscript arithmetic is linearized
     into explicit address-computation nodes feeding the memory
-    operation.
-
-    Construction is {e append-only}: a node's content depends only on the
-    statements already consumed, never on later ones, so the graph of a
-    statement prefix of a block is literally an array prefix of the full
-    block's graph — the property the region-level schedule memo builds
-    on (see {!of_block_arena} and its statement marks). *)
+    operation. *)
 
 open Ir
 module Access = Analysis.Access
@@ -96,19 +90,15 @@ let pop_access cur array kind =
 
 let dummy_node = { id = -1; kind = Source (Const 0); preds = [] }
 
-(** Reusable construction scratch. One arena serves any number of
-    [of_block_arena] calls in sequence; the node storage, the scalar
-    environments and the per-kernel declaration tables persist across
-    blocks (and across design points, when the caller threads one arena
-    through a whole sweep), so steady-state construction allocates only
-    the nodes themselves.
-
-    The declaration tables matter as much as the storage: after scalar
-    replacement of a heavily unrolled body, [k_scalars] holds thousands
-    of compiler-introduced registers, and the [List.find_opt] behind
-    {!Ast.expr_type} turns every width query quadratic. The arena hashes
-    declarations once per kernel (refreshed on physical inequality). *)
-type arena = {
+(** Construction scratch for the blocks of one kernel: node storage,
+    the per-block scalar and memory-order environments, and the
+    kernel's declaration tables. The declaration tables matter as much
+    as the storage: after scalar replacement of a heavily unrolled body,
+    [k_scalars] holds thousands of compiler-introduced registers, and
+    the [List.find_opt] behind {!Ast.expr_type} turns every width query
+    quadratic. The scratch hashes the declarations once, when it is
+    created for its kernel. *)
+type scratch = {
   mutable buf : node array;  (* first [count] slots of the current block live *)
   fp_buf : Buffer.t;  (* fingerprint of the current block, built as nodes land *)
   defs0 : (string, int) Hashtbl.t;  (* scalar -> defining node *)
@@ -117,10 +107,16 @@ type arena = {
   loads_since : (string, int list) Hashtbl.t;  (* array -> loads after it *)
   stypes : (string, Dtype.t) Hashtbl.t;  (* declared scalar element types *)
   atypes : (string, Dtype.t * int list) Hashtbl.t;  (* array -> elem, dims *)
-  mutable typed_for : Ast.kernel option;  (* kernel the tables describe *)
 }
 
-let arena () =
+let scratch (k : Ast.kernel) =
+  let stypes = Hashtbl.create 64 and atypes = Hashtbl.create 8 in
+  List.iter
+    (fun (s : Ast.scalar_decl) -> Hashtbl.replace stypes s.s_name s.s_elem)
+    k.Ast.k_scalars;
+  List.iter
+    (fun (d : Ast.array_decl) -> Hashtbl.replace atypes d.a_name (d.a_elem, d.a_dims))
+    k.Ast.k_arrays;
   {
     buf = Array.make 256 dummy_node;
     fp_buf = Buffer.create 1024;
@@ -128,14 +124,12 @@ let arena () =
     inputs = Hashtbl.create 32;
     last_store = Hashtbl.create 8;
     loads_since = Hashtbl.create 8;
-    stypes = Hashtbl.create 64;
-    atypes = Hashtbl.create 8;
-    typed_for = None;
+    stypes;
+    atypes;
   }
 
 type builder = {
-  k : Ast.kernel;
-  a : arena;
+  a : scratch;
   mem_of : Access.t -> int;
   cur : cursor;
   mutable count : int;
@@ -229,24 +223,6 @@ let classify_bin (op : Ast.binop) (a : Ast.expr) (c : Ast.expr) :
       | _ -> Op_model.Shift_var)
   | Ast.Min | Ast.Max -> Op_model.Min_max
 
-(** Fill the declaration tables for [k] unless they already describe it.
-    Physical equality is the right test: one kernel value flows through
-    all blocks of one estimation, and a rebuilt kernel is a new value. *)
-let retype a (k : Ast.kernel) =
-  match a.typed_for with
-  | Some k0 when k0 == k -> ()
-  | _ ->
-      Hashtbl.reset a.stypes;
-      Hashtbl.reset a.atypes;
-      List.iter
-        (fun (s : Ast.scalar_decl) -> Hashtbl.replace a.stypes s.s_name s.s_elem)
-        k.Ast.k_scalars;
-      List.iter
-        (fun (d : Ast.array_decl) ->
-          Hashtbl.replace a.atypes d.a_name (d.a_elem, d.a_dims))
-        k.Ast.k_arrays;
-      a.typed_for <- Some k
-
 let scalar_type b v =
   match Hashtbl.find_opt b.a.stypes v with
   | Some ty -> ty
@@ -286,7 +262,7 @@ let order_preds_for_store b array =
    node id. The type is exactly {!Ast.expr_type} of the subtree (operand
    join for intermediates), computed bottom-up in one pass instead of by
    re-walking the subtree — and the declaration lookups behind the leaves
-   come from the arena's hash tables. *)
+   come from the scratch's hash tables. *)
 let rec build_expr b (e : Ast.expr) : int * Dtype.t =
   match e with
   | Ast.Int n -> (add b (Source (Const n)) [], Dtype.int32)
@@ -451,63 +427,42 @@ let rec build_stmt b (s : Ast.stmt) : unit =
         rs
   | Ast.For _ -> invalid_arg "Dfg.of_block: loops must be factored out"
 
-let builder_of arena ~kernel ~mem_of ~cursor =
-  retype arena kernel;
-  Hashtbl.reset arena.defs0;
-  Hashtbl.reset arena.inputs;
-  Hashtbl.reset arena.last_store;
-  Hashtbl.reset arena.loads_since;
-  Buffer.clear arena.fp_buf;
-  {
-    k = kernel;
-    a = arena;
-    mem_of;
-    cur = cursor;
-    count = 0;
-    defs = arena.defs0;
-    guards = [];
-  }
+let builder_of a ~mem_of ~cursor =
+  Hashtbl.reset a.defs0;
+  Hashtbl.reset a.inputs;
+  Hashtbl.reset a.last_store;
+  Hashtbl.reset a.loads_since;
+  Buffer.clear a.fp_buf;
+  { a; mem_of; cur = cursor; count = 0; defs = a.defs0; guards = [] }
 
-(** Build into [arena] and return a {e view}: [nodes] aliases the arena's
-    storage (slots at and beyond [len] are garbage), valid until the next
-    build that uses the same arena. The second component marks the
-    top-level statement boundaries of the block: entry [i] is
-    [(node_count, fp_bytes)] after statements [0..i], so the graph of
-    that statement prefix is exactly nodes [0 .. node_count - 1] and its
-    fingerprint is exactly the first [fp_bytes] bytes of [fp] — the keys
-    under which the region-level schedule memo stores its snapshots. *)
-let of_block_arena ~(arena : arena) ~(kernel : Ast.kernel)
-    ~(mem_of : Access.t -> int) ~(cursor : cursor) (stmts : Ast.stmt list) :
-    t * (int * int) array =
-  let b = builder_of arena ~kernel ~mem_of ~cursor in
-  let marks =
-    List.map
-      (fun s ->
-        build_stmt b s;
-        (b.count, Buffer.length arena.fp_buf))
-      stmts
-  in
-  ( { nodes = arena.buf; len = b.count; fp = Buffer.contents arena.fp_buf },
-    Array.of_list marks )
+(** A builder for the blocks of one kernel, sharing one scratch across
+    them: declarations are hashed once and the node storage is reused.
+    Each graph it returns is a view — [nodes] aliases the scratch's
+    storage (slots at and beyond [len] are garbage) and is valid until
+    the next call. *)
+let block_builder ~(kernel : Ast.kernel) ~(mem_of : Access.t -> int)
+    ~(cursor : cursor) : Ast.stmt list -> t =
+  let a = scratch kernel in
+  fun stmts ->
+    let b = builder_of a ~mem_of ~cursor in
+    List.iter (build_stmt b) stmts;
+    { nodes = a.buf; len = b.count; fp = Buffer.contents a.fp_buf }
 
 (** Build the DFG of a straight-line block. [cursor] advances past the
     block's accesses. The final scalar environment (scalar name -> node
     that holds its value at block exit) is returned alongside, for the
     simulator's write-back. The result owns its storage (safe to retain),
-    unlike {!of_block_arena}'s view. *)
+    unlike {!block_builder}'s views. *)
 let of_block_with_defs ~(kernel : Ast.kernel) ~(mem_of : Access.t -> int)
     ~(cursor : cursor) (stmts : Ast.stmt list) : t * (string * int) list =
-  let b = builder_of (arena ()) ~kernel ~mem_of ~cursor in
+  let a = scratch kernel in
+  let b = builder_of a ~mem_of ~cursor in
   List.iter (build_stmt b) stmts;
   let defs =
     Hashtbl.fold (fun v id acc -> (v, id) :: acc) b.defs []
     |> List.sort compare
   in
-  ( {
-      nodes = Array.sub b.a.buf 0 b.count;
-      len = b.count;
-      fp = Buffer.contents b.a.fp_buf;
-    },
+  ( { nodes = Array.sub a.buf 0 b.count; len = b.count; fp = Buffer.contents a.fp_buf },
     defs )
 
 let of_block ~kernel ~mem_of ~cursor stmts =

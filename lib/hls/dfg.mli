@@ -44,9 +44,9 @@ type node = { id : int; kind : node_kind; preds : int list }
     topological), and [fp] is the structural fingerprint, computed as the
     nodes were emitted (see {!fingerprint}). Results of {!of_block} /
     {!of_block_with_defs} own their storage and satisfy
-    [Array.length nodes = len]; results of {!of_block_arena} are views
-    whose [nodes] array is longer than [len] and is reused by the next
-    build on the same arena. *)
+    [Array.length nodes = len]; results of a {!block_builder} are views
+    whose [nodes] array may be longer than [len] and is reused by the
+    builder's next call. *)
 type t = { nodes : node array; len : int; fp : string }
 
 (** Cursor over the kernel-wide access list (from [Access.collect] on the
@@ -61,27 +61,17 @@ val cursor_of : Access.t list -> cursor
     walk. *)
 exception Desync of string
 
-(** Reusable construction scratch: node storage, scalar environments and
-    per-kernel declaration tables persist across {!of_block_arena} calls
-    (and across design points, when threaded through a sweep), so
-    steady-state construction allocates only the nodes. *)
-type arena
-
-val arena : unit -> arena
-
-(** Build into [arena] and return a view (see {!t}) plus the top-level
-    statement boundary marks: entry [i] is [(node_count, fp_bytes)] after
-    statements [0..i]. Construction is append-only, so the graph of the
-    statement prefix [0..i] is exactly nodes [0 .. node_count - 1] and
-    its fingerprint is exactly the first [fp_bytes] bytes of [fp] — the
-    keys of the region-level schedule memo. *)
-val of_block_arena :
-  arena:arena ->
+(** [block_builder ~kernel ~mem_of ~cursor] builds the blocks of one
+    kernel, in cursor order, over one shared construction scratch: the
+    kernel's declarations are hashed once and the node storage is
+    reused, so one estimation allocates little beyond the nodes. Each
+    returned graph is a view (see {!t}), valid until the next call. *)
+val block_builder :
   kernel:Ast.kernel ->
   mem_of:(Access.t -> int) ->
   cursor:cursor ->
   Ast.stmt list ->
-  t * (int * int) array
+  t
 
 (** Build the DFG of a straight-line block ([For] raises
     [Invalid_argument]); the cursor advances past the block's accesses.

@@ -66,7 +66,6 @@ type stage_timers = {
   mutable schedule_seconds : float;
   mutable layout_seconds : float;
   mutable sched_memo_hits : int;
-  mutable region_memo_hits : int;
 }
 
 let fresh_timers () =
@@ -75,7 +74,6 @@ let fresh_timers () =
     schedule_seconds = 0.0;
     layout_seconds = 0.0;
     sched_memo_hits = 0;
-    region_memo_hits = 0;
   }
 
 let now () = Unix.gettimeofday ()
@@ -96,8 +94,7 @@ let merge_usage acc u =
     u
 
 let estimate ?(sched_memo : Schedule.memo option)
-    ?(timers : stage_timers option) ?(arena : Dfg.arena option) (p : profile)
-    (kernel : Ast.kernel) : t =
+    ?(timers : stage_timers option) (p : profile) (kernel : Ast.kernel) : t =
   let sched_profile = { Schedule.device = p.device; mem = p.mem; chaining = p.chaining } in
   let accesses = Access.collect kernel.k_body in
   let t0 = now () in
@@ -108,7 +105,7 @@ let estimate ?(sched_memo : Schedule.memo option)
   | Some ts -> ts.layout_seconds <- ts.layout_seconds +. (now () -. t0)
   | None -> ());
   let mem_of a = Layout.memory_of layout a in
-  let cursor = Dfg.cursor_of accesses in
+  let build = Dfg.block_builder ~kernel ~mem_of ~cursor:(Dfg.cursor_of accesses) in
   let acc = { usage = Hashtbl.create 16; states = 0; loops = 0 } in
   let rec walk (body : Ast.stmt list) : int * int * int * int =
     (* Split into maximal straight-line chunks and loops. *)
@@ -117,31 +114,18 @@ let estimate ?(sched_memo : Schedule.memo option)
       | [] -> (j, m, c, b)
       | stmts ->
           let t0 = now () in
-          (* With an arena, build in place and collect the statement
-             marks that key the region-level schedule memo; without one
-             (the [--no-incremental] escape hatch, or one-shot callers)
-             build an owned graph and use only whole-block lookups. *)
-          let g, marks =
-            match arena with
-            | Some arena -> Dfg.of_block_arena ~arena ~kernel ~mem_of ~cursor stmts
-            | None -> (Dfg.of_block ~kernel ~mem_of ~cursor stmts, [||])
-          in
+          let g = build stmts in
           let t1 = now () in
-          let { Schedule.joint; mem_only = mem_res; comp_only = comp }, outcome =
+          let { Schedule.joint; mem_only = mem_res; comp_only = comp }, hit =
             match sched_memo with
-            | Some memo -> Schedule.run_tri_memo ~marks memo sched_profile g
-            | None -> (Schedule.run_tri sched_profile g, Schedule.Miss)
+            | Some memo -> Schedule.run_tri_cached memo sched_profile g
+            | None -> (Schedule.run_tri sched_profile g, false)
           in
           (match timers with
-          | Some ts -> (
+          | Some ts ->
               ts.dfg_seconds <- ts.dfg_seconds +. (t1 -. t0);
               ts.schedule_seconds <- ts.schedule_seconds +. (now () -. t1);
-              match outcome with
-              | Schedule.Whole_hit ->
-                  ts.sched_memo_hits <- ts.sched_memo_hits + 1
-              | Schedule.Region_hit _ ->
-                  ts.region_memo_hits <- ts.region_memo_hits + 1
-              | Schedule.Miss -> ())
+              if hit then ts.sched_memo_hits <- ts.sched_memo_hits + 1
           | None -> ());
           merge_usage acc joint.Schedule.usage;
           acc.states <- acc.states + joint.Schedule.cycles;

@@ -60,9 +60,6 @@ type stage_timers = {
   mutable schedule_seconds : float;
   mutable layout_seconds : float;
   mutable sched_memo_hits : int;
-  mutable region_memo_hits : int;
-      (** blocks that missed the whole-block table but restored a
-          statement-prefix snapshot and scheduled only their tail *)
 }
 
 val fresh_timers : unit -> stage_timers
@@ -71,16 +68,12 @@ val fresh_timers : unit -> stage_timers
     tri-schedule is looked up by {!Dfg.fingerprint} before scheduling —
     the memo is exact (same fingerprint, bit-identical schedule), so the
     result is field-for-field identical with and without it; an unrolled
-    nest then schedules each distinct block shape once. With [arena],
-    DFGs are built into the reusable arena (no per-block allocation in
-    steady state) and blocks additionally hit the memo's region level:
-    a block extending a previously seen statement prefix restores the
-    frozen scheduler state and schedules only the tail. With [timers],
-    per-stage wall time and memo hits are accumulated into the record. *)
+    nest then schedules each distinct block shape once. The blocks of
+    one call share one {!Dfg.block_builder}. With [timers], per-stage
+    wall time and memo hits are accumulated into the record. *)
 val estimate :
   ?sched_memo:Schedule.memo ->
   ?timers:stage_timers ->
-  ?arena:Dfg.arena ->
   profile ->
   Ast.kernel ->
   t

@@ -186,98 +186,28 @@ let run ?(mode : mode = `Joint) (p : profile) (g : Dfg.t) : result =
 type tri = { joint : result; mem_only : result; comp_only : result }
 
 (* ------------------------------------------------------------------ *)
-(* Content-addressed tri-schedule memo, at two granularities.
+(* Content-addressed tri-schedule memo.
 
    [run_tri] is a pure function of the graph's schedule-relevant
    projection and the profile; {!Dfg.fingerprint} is injective on that
    projection, so a fingerprint -> tri table keyed by it is an *exact*
    memo: a hit returns the very record a fresh run would compute.
 
-   The scheduler walks the node array in order and its whole state after
-   [m] nodes depends only on those [m] nodes — and DFG construction is
-   append-only, so a statement prefix of a block has exactly an array
-   prefix of its graph and a byte prefix of its fingerprint. The memo
-   therefore also stores {e snapshots} of the tri-state at statement
-   boundaries, keyed by the prefix fingerprint: a block that misses the
-   whole-block table but extends a previously seen region restores the
-   longest stored snapshot and schedules only the tail. Peeled copies,
-   guard-specialised bodies and neighbouring unroll factors share long
-   statement prefixes, which is where region hits come from.
-
    One table serves one profile (the {!Design} context that owns it
    fixes the profile for its lifetime); tables are copied into domain
    forks and merged back with {!memo_absorb}, never shared across
-   domains (snapshot records are immutable after creation, so forks may
-   share them). *)
+   domains. *)
 
-(* One mode's state frozen after [sn_count] nodes: the finish-time
-   prefix, private copies of the occupancy tables, and the counters. *)
-type mode_snap = {
-  ms_finish : float array;  (* length = snapshot node count *)
-  ms_busy : (int * int, unit) Hashtbl.t;
-  ms_hint : (int, int) Hashtbl.t;
-  ms_occ : (Op_model.op_class * int * int, int) Hashtbl.t;
-  ms_bits : int;
-  ms_reads : int;
-  ms_writes : int;
-}
+type memo = (string, tri) Hashtbl.t
 
-type snapshot = {
-  sn_count : int;  (* nodes already scheduled *)
-  sn_j : mode_snap;
-  sn_m : mode_snap;
-  sn_c : mode_snap;
-}
-
-type memo = {
-  whole : (string, tri) Hashtbl.t;
-  partial : (string, snapshot) Hashtbl.t;
-}
-
-let memo_create () : memo =
-  { whole = Hashtbl.create 256; partial = Hashtbl.create 256 }
-
-let memo_copy (m : memo) : memo =
-  { whole = Hashtbl.copy m.whole; partial = Hashtbl.copy m.partial }
-
-let memo_size (m : memo) : int = Hashtbl.length m.whole
+let memo_create () : memo = Hashtbl.create 256
+let memo_copy (m : memo) : memo = Hashtbl.copy m
+let memo_size (m : memo) : int = Hashtbl.length m
 
 let memo_absorb ~(into : memo) (forked : memo) : unit =
   Hashtbl.iter
-    (fun fp tri ->
-      if not (Hashtbl.mem into.whole fp) then Hashtbl.replace into.whole fp tri)
-    forked.whole;
-  Hashtbl.iter
-    (fun fp sn ->
-      if not (Hashtbl.mem into.partial fp) then
-        Hashtbl.replace into.partial fp sn)
-    forked.partial
-
-let snap_mode (st : state) count : mode_snap =
-  {
-    ms_finish = Array.sub st.finish 0 count;
-    ms_busy = Hashtbl.copy st.busy;
-    ms_hint = Hashtbl.copy st.hint;
-    ms_occ = Hashtbl.copy st.occupancy;
-    ms_bits = st.bits;
-    ms_reads = st.reads;
-    ms_writes = st.writes;
-  }
-
-let restore_mode ~(mode : mode) n (ms : mode_snap) : state =
-  let finish = Array.make n 0.0 in
-  Array.blit ms.ms_finish 0 finish 0 (Array.length ms.ms_finish);
-  {
-    use_mem = mode <> `Comp_only;
-    use_comp = mode <> `Mem_only;
-    finish;
-    busy = Hashtbl.copy ms.ms_busy;
-    hint = Hashtbl.copy ms.ms_hint;
-    occupancy = Hashtbl.copy ms.ms_occ;
-    bits = ms.ms_bits;
-    reads = ms.ms_reads;
-    writes = ms.ms_writes;
-  }
+    (fun fp tri -> if not (Hashtbl.mem into fp) then Hashtbl.replace into fp tri)
+    forked
 
 (* Advance all three modes over node [i] of [g]. One walk: the node kind
    is matched and the operator delay/bucket looked up once, then each
@@ -314,117 +244,13 @@ let run_tri (p : profile) (g : Dfg.t) : tri =
   done;
   { joint = finalize p j; mem_only = finalize p m; comp_only = finalize p c }
 
-type memo_outcome =
-  | Whole_hit  (** served from the whole-block table; nothing scheduled *)
-  | Region_hit of int
-      (** restored a statement-prefix snapshot covering this many nodes;
-          only the tail was scheduled *)
-  | Miss
-
-(* Statement boundaries worth keying snapshots under. Blocks can run to
-   hundreds of statements, so probing every boundary would cost more
-   string hashing than the skipped scheduling saves; keeping O(log
-   #stmts) boundaries bounds that. The boundaries must also be
-   {e shape-independent}: a block probes with its own marks, so two
-   blocks sharing a statement prefix only rendezvous at boundaries whose
-   statement count does not depend on either block's total length.
-   Boundaries at statement counts 1, 2, 4, 8, ... satisfy both — any two
-   blocks sharing at least [2^k] statements meet at [2^k] — and the last
-   interior boundary is added on top for the trailing-extension case
-   (peeled copies, guard-specialised bodies). Boundaries are
-   [(node_count, fp_bytes)] pairs; whole-block entries are excluded
-   (that is the [whole] table's job). Returned longest first.
-
-   Boundaries deeper than {!snap_cap} nodes are dropped entirely: a
-   snapshot copies the occupancy tables and the finish prefix, so its
-   cost grows with the prefix, while the chance that another block
-   shares a prefix that long shrinks — past a few hundred nodes the
-   unrolled bodies have long since diverged and deep snapshots are pure
-   copy cost that is never restored. *)
-let snap_cap = 512
-
-let candidate_marks (marks : (int * int) array) (n : int) : (int * int) list =
-  let len = Array.length marks in
-  let keep = ref [] in
-  let add ((count, _) as mk) =
-    if count > 0 && count < n && count <= snap_cap then
-      match !keep with
-      | (c0, _) :: _ when c0 = count -> ()
-      | _ -> keep := mk :: !keep
-  in
-  (* statement counts 1, 2, 4, ...: marks.(i) closes statement i+1 *)
-  let i = ref 1 in
-  while !i <= len - 1 do
-    add marks.(!i - 1);
-    i := !i * 2
-  done;
-  if len > 1 then add marks.(len - 2);
-  List.sort (fun (a, _) (b, _) -> compare b a) !keep
-
-(** Memoized {!run_tri}. A whole-fingerprint hit returns the stored
-    record (no scheduling); otherwise, when [marks] describes the
-    block's statement boundaries (see {!Dfg.of_block_arena}), the
-    longest stored prefix snapshot is restored and only the remaining
-    nodes are scheduled. Either way the result equals a fresh
-    {!run_tri} bit for bit — snapshots capture the scheduler's complete
-    state, and the state after [m] nodes depends on nothing else. *)
-let run_tri_memo ?(marks : (int * int) array = [||]) (memo : memo)
-    (p : profile) (g : Dfg.t) : tri * memo_outcome =
+(** Memoized {!run_tri}: the stored record on a fingerprint hit, a
+    fresh (and then stored) run otherwise. The flag reports the hit. *)
+let run_tri_cached (memo : memo) (p : profile) (g : Dfg.t) : tri * bool =
   let fp = Dfg.fingerprint g in
-  match Hashtbl.find_opt memo.whole fp with
-  | Some tri -> (tri, Whole_hit)
+  match Hashtbl.find_opt memo fp with
+  | Some tri -> (tri, true)
   | None ->
-      let n = g.Dfg.len in
-      let cands = candidate_marks marks n in
-      let restored =
-        List.find_map
-          (fun (count, off) ->
-            match Hashtbl.find_opt memo.partial (String.sub fp 0 off) with
-            | Some sn when sn.sn_count = count -> Some sn
-            | _ -> None)
-          cands
-      in
-      let j, m, c, start =
-        match restored with
-        | Some sn ->
-            ( restore_mode ~mode:`Joint n sn.sn_j,
-              restore_mode ~mode:`Mem_only n sn.sn_m,
-              restore_mode ~mode:`Comp_only n sn.sn_c,
-              sn.sn_count )
-        | None -> (make_state ~mode:`Joint n, make_state ~mode:`Mem_only n,
-                   make_state ~mode:`Comp_only n, 0)
-      in
-      (* Snapshot boundaries ahead of the walk, deepest last. *)
-      let to_snap =
-        List.filter
-          (fun (count, off) ->
-            count > start
-            && not (Hashtbl.mem memo.partial (String.sub fp 0 off)))
-          (List.rev cands)
-      in
-      let rec walk i to_snap =
-        let to_snap =
-          match to_snap with
-          | (count, off) :: rest when count = i ->
-              Hashtbl.replace memo.partial (String.sub fp 0 off)
-                {
-                  sn_count = count;
-                  sn_j = snap_mode j count;
-                  sn_m = snap_mode m count;
-                  sn_c = snap_mode c count;
-                };
-              rest
-          | ts -> ts
-        in
-        if i < n then begin
-          tri_step p j m c g.Dfg.nodes.(i);
-          walk (i + 1) to_snap
-        end
-      in
-      walk start to_snap;
-      let tri =
-        { joint = finalize p j; mem_only = finalize p m; comp_only = finalize p c }
-      in
-      Hashtbl.replace memo.whole fp tri;
-      ( tri,
-        match restored with Some sn -> Region_hit sn.sn_count | None -> Miss )
+      let tri = run_tri p g in
+      Hashtbl.replace memo fp tri;
+      (tri, false)

@@ -45,39 +45,25 @@ val run_tri : profile -> Dfg.t -> tri
     exactly — the estimator calls this once per block instead of [run]
     three times. *)
 
-(** Content-addressed tri-schedule table, keyed on {!Dfg.fingerprint} at
-    two granularities: whole blocks map to their {!tri} records, and
-    statement-boundary {e prefixes} of blocks map to frozen scheduler
-    states (region snapshots). Because the fingerprint is injective on
-    the schedule-relevant projection of a graph and {!run_tri} reads
-    nothing else, both tables are exact: a whole hit returns
-    bit-identically what a fresh run would compute, and a region hit
-    restores the exact mid-walk state and schedules only the tail.
-    One table must only ever serve one {!profile} (the owning context
-    fixes it); use {!memo_copy}/{!memo_absorb} to fork a private copy
-    per domain and merge it back — never share a table across domains. *)
+(** Content-addressed tri-schedule table keyed on {!Dfg.fingerprint}.
+    Because the fingerprint is injective on the schedule-relevant
+    projection of a graph and {!run_tri} reads nothing else, the table
+    is exact: a hit returns bit-identically what a fresh run would
+    compute. One table must only ever serve one {!profile} (the owning
+    context fixes it); use {!memo_copy}/{!memo_absorb} to fork a private
+    copy per domain and merge it back — never share a table across
+    domains. *)
 type memo
 
 val memo_create : unit -> memo
 val memo_copy : memo -> memo
 
-(** Number of distinct whole-block shapes scheduled so far. *)
+(** Number of distinct block shapes scheduled so far. *)
 val memo_size : memo -> int
 
 (** Merge a fork's entries into [into] (existing entries win). *)
 val memo_absorb : into:memo -> memo -> unit
 
-type memo_outcome =
-  | Whole_hit  (** served from the whole-block table; nothing scheduled *)
-  | Region_hit of int
-      (** restored a statement-prefix snapshot covering this many nodes;
-          only the tail was scheduled *)
-  | Miss
-
-(** Memoized {!run_tri}. Pass the block's statement-boundary [marks]
-    (from {!Dfg.of_block_arena}) to enable region-level lookup and
-    snapshotting; without them only the whole-block table is used — the
-    result is the same either way, the marks only change how much
-    scheduling work a partial overlap saves. *)
-val run_tri_memo :
-  ?marks:(int * int) array -> memo -> profile -> Dfg.t -> tri * memo_outcome
+(** Memoized {!run_tri}: the stored record on a fingerprint hit, a fresh
+    (and then stored) run otherwise. The flag is [true] on a hit. *)
+val run_tri_cached : memo -> profile -> Dfg.t -> tri * bool

@@ -98,10 +98,6 @@ type result = {
   kernel : Ast.kernel;
   report : Scalar_replace.report;
   options : options;
-  delta_reused : bool;
-      (** the unroll stage rebuilt only the innermost axis, reusing the
-          delta cache's outer-prefix body (always [false] without
-          [?delta]) *)
 }
 
 type stage = Tile | Unroll_jam | Scalar_replace | Peel | Licm | Simplify
@@ -129,7 +125,7 @@ let () =
              (stage_name stage) kernel message)
     | _ -> None)
 
-let apply ?observe ?delta (opts : options) (k : Ast.kernel) : result =
+let apply ?observe (opts : options) (k : Ast.kernel) : result =
   let kname = k.Ast.k_name in
   (* Run one stage: a [Failure]/[Invalid_argument] escaping a rewrite
      (e.g. a non-positive stride reaching [Ast.loop_trip] or a
@@ -174,18 +170,7 @@ let apply ?observe ?delta (opts : options) (k : Ast.kernel) : result =
           k
     | None -> k
   in
-  let delta_reused = ref false in
-  let k =
-    stage Unroll_jam
-      (fun k ->
-        match delta with
-        | Some cache ->
-            let k, reused = Unroll.run_delta ~cache opts.vector k in
-            if reused then delta_reused := true;
-            k
-        | None -> Unroll.run opts.vector k)
-      k
-  in
+  let k = stage Unroll_jam (Unroll.run opts.vector) k in
   let report = ref Scalar_replace.empty_report in
   let k =
     stage Scalar_replace
@@ -250,4 +235,4 @@ let apply ?observe ?delta (opts : options) (k : Ast.kernel) : result =
   in
   let k = if opts.licm then stage Licm Licm.run k else k in
   let k = stage Simplify Simplify.run k in
-  { kernel = k; report; options = opts; delta_reused = !delta_reused }
+  { kernel = k; report; options = opts }

@@ -23,28 +23,11 @@ val clamp : ?divisors_only:bool -> Ast.stmt list -> vector -> vector
     refuse. *)
 val jam_legal : Ast.kernel -> bool
 
-(** Single-entry staged-unroll cache for one source kernel: the jamming
-    legality verdict and the raw outer-prefix-unrolled body. Keyed by
-    physical equality on the source kernel, so it never serves stale
-    data across kernels; create one per evaluation store. *)
-type cache
-
-val cache : unit -> cache
-
 (** The vector {!run} would actually apply: clamped to trip counts and
-    reduced to the innermost loop when jamming is not provably legal.
-    With [cache], the legality verdict is reused across design points. *)
-val effective : ?cache:cache -> Ast.kernel -> vector -> vector
+    reduced to the innermost loop when jamming is not provably legal. *)
+val effective : Ast.kernel -> vector -> vector
 
 (** Apply a vector, then simplify back to canonical subscripts. When
     jamming is not provably legal, only the innermost spine loop is
     unrolled (plain unrolling never reorders a dependence). *)
 val run : vector -> Ast.kernel -> Ast.kernel
-
-(** Like {!run}, staged through [cache]: outer spine factors are applied
-    first and memoized raw, so a design point sharing the previous
-    point's outer prefix unrolls only the innermost axis. Staging is
-    exact (unrolling proceeds loop-by-loop outside-in either way, and
-    simplification runs once at the end in both paths), so the kernel is
-    the one {!run} returns. The boolean reports a prefix reuse. *)
-val run_delta : cache:cache -> vector -> Ast.kernel -> Ast.kernel * bool

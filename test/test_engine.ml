@@ -166,8 +166,7 @@ let test_merge_on_save () =
 (* Backend composition *)
 
 (* The tier-1 gate is admissible: with and without it, the search
-   selects the same design, and the pruned two-tier sweep agrees with
-   the exhaustive one on both selection criteria. *)
+   selects the same design. *)
 let test_backend_equivalence () =
   List.iter
     (fun name ->
@@ -180,18 +179,6 @@ let test_backend_equivalence () =
         true
         (Design.vector_equal rg.Search.selected.Design.vector
            rp.Search.selected.Design.vector);
-      let swg = Space.sweep ~max_product:16 ~prune:true ~jobs:1 gated in
-      let swp = Space.sweep ~max_product:16 ~jobs:1 plain in
-      let vec o = Option.map (fun (sp : Space.sweep_point) -> sp.Space.vector) o in
-      Alcotest.(check bool)
-        (name ^ ": best fitting unchanged by the gate")
-        true
-        (vec (Space.best_fitting gated swg) = vec (Space.best_fitting plain swp));
-      Alcotest.(check bool)
-        (name ^ ": smallest comparable unchanged by the gate")
-        true
-        (vec (Space.smallest_comparable gated swg)
-        = vec (Space.smallest_comparable plain swp));
       Alcotest.(check bool)
         (name ^ ": the gate only removes syntheses")
         true
@@ -428,6 +415,67 @@ let test_cli_cache_subcommand () =
     "store directory gone" false
     (Sys.file_exists (Filename.concat dir "v1"))
 
+(* Bad input ends in a one-line diagnostic on stderr and exit 1, never
+   an uncaught exception; removed options are unknown to the parser. *)
+let run_capture args =
+  let out = Filename.temp_file "defacto-cli" ".out" in
+  let err = Filename.temp_file "defacto-cli" ".err" in
+  let code =
+    Sys.command
+      (Filename.quote_command
+         (build_path "../bin/defacto.exe")
+         ~stdout:out ~stderr:err args)
+  in
+  let o = lines_of out and e = lines_of err in
+  Sys.remove out;
+  Sys.remove err;
+  (code, o, e)
+
+let check_rejected args diagnostic =
+  let what = String.concat " " args in
+  let code, _, err = run_capture args in
+  Alcotest.(check int) (what ^ ": exit code") 1 code;
+  Alcotest.(check string) (what ^ ": diagnostic") (diagnostic ^ "\n") err
+
+let test_cli_memories () =
+  let diagnostic = "defacto: --memories must be at least 1" in
+  List.iter
+    (fun args -> check_rejected args diagnostic)
+    [
+      [ "space"; "-k"; "fir"; "--memories"; "0" ];
+      [ "explore"; "-k"; "fir"; "--memories"; "0"; "-j"; "1" ];
+      [ "vhdl"; "-k"; "fir"; "--memories"; "0" ];
+      [ "estimate"; "-k"; "fir"; "--memories=-1" ];
+      [ "simulate"; "-k"; "fir"; "--memories"; "0" ];
+    ]
+
+let test_cli_unroll_components () =
+  List.iter
+    (fun (cmd, vec) ->
+      check_rejected [ cmd; "-k"; "fir"; "-u"; vec ]
+        "defacto: unroll component \"q\" names no loop of fir (loops: j, i)")
+    [ ("estimate", "q=2"); ("transform", "j=2,q=4"); ("vhdl", "q=2"); ("simulate", "q=2") ];
+  let code, out, _ = run_capture [ "estimate"; "-k"; "fir"; "-u"; "j=2" ] in
+  Alcotest.(check int) "a valid vector still estimates" 0 code;
+  Alcotest.(check bool) "the vector is applied" true
+    (String.starts_with ~prefix:"(j=2, i=1)" out)
+
+let test_cli_kernel_help () =
+  let code, help, _ = run_capture [ "estimate"; "--help=plain" ] in
+  Alcotest.(check int) "help exits 0" 0 code;
+  List.iter
+    (fun name ->
+      let rec mem i =
+        i + String.length name <= String.length help
+        && (String.sub help i (String.length name) = name || mem (i + 1))
+      in
+      Alcotest.(check bool) ("-k help names " ^ name) true (mem 0))
+    (Kernels.names @ Gallery.names)
+
+let test_cli_removed_options () =
+  let code, _, _ = run_capture [ "space"; "-k"; "fir"; "--prune" ] in
+  Alcotest.(check int) "space --prune: unknown option" 124 code
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -469,5 +517,11 @@ let () =
         [
           Alcotest.test_case "cold vs warm acceptance" `Quick test_cli_cold_warm;
           Alcotest.test_case "cache subcommand" `Quick test_cli_cache_subcommand;
+          Alcotest.test_case "--memories below 1 rejected" `Quick test_cli_memories;
+          Alcotest.test_case "-u components must name loops" `Quick
+            test_cli_unroll_components;
+          Alcotest.test_case "-k help lists every kernel" `Quick test_cli_kernel_help;
+          Alcotest.test_case "removed --prune is unknown" `Quick
+            test_cli_removed_options;
         ] );
     ]

@@ -1,8 +1,8 @@
 (** Two-tier estimation tests: the fused tri-mode scheduler must equal
     three independent single-mode runs, the analytical pre-estimator's
     lower bounds must be admissible (never exceed the full estimate),
-    and pruned sweeps/searches must select the same designs as their
-    exhaustive counterparts while synthesizing strictly fewer points. *)
+    and the search's tier-1 capacity gate must never change a
+    selection. *)
 
 open Ir
 module B = Builder
@@ -172,46 +172,6 @@ let test_quick_admissible_paper_kernels () =
     paper_kernels
 
 (* ------------------------------------------------------------------ *)
-(* Pruned sweep: same selections, strictly fewer syntheses *)
-
-let sweep_pair name ~max_product =
-  let k = Option.get (Kernels.find name) in
-  let full_ctx = Design.context k in
-  let full = Space.sweep ~max_product ~jobs:1 full_ctx in
-  let pruned_ctx = Design.context k in
-  let pruned = Space.sweep ~max_product ~prune:true ~jobs:1 pruned_ctx in
-  (full_ctx, full, pruned_ctx, pruned)
-
-let test_pruned_sweep name () =
-  let full_ctx, full, pruned_ctx, pruned = sweep_pair name ~max_product:256 in
-  (* accounting: every lattice point is either synthesized or pruned *)
-  Alcotest.(check int)
-    (name ^ " points partition")
-    (List.length full.Space.points)
-    (List.length pruned.Space.points + pruned.Space.pruned);
-  Alcotest.(check bool) (name ^ " some points pruned") true (pruned.Space.pruned > 0);
-  (* strictly fewer full syntheses than the exhaustive sweep *)
-  let full_evals = (Design.stats_snapshot full_ctx).Design.evaluations in
-  let pruned_evals = (Design.stats_snapshot pruned_ctx).Design.evaluations in
-  Alcotest.(check bool)
-    (Printf.sprintf "%s fewer syntheses (%d < %d)" name pruned_evals full_evals)
-    true
-    (pruned_evals < full_evals);
-  (* identical selections under both criteria *)
-  let vec = function
-    | Some (p : Space.sweep_point) -> Some p.Space.vector
-    | None -> None
-  in
-  Alcotest.(check bool)
-    (name ^ " same best fitting") true
-    (vec (Space.best_fitting full_ctx full)
-    = vec (Space.best_fitting pruned_ctx pruned));
-  Alcotest.(check bool)
-    (name ^ " same smallest comparable") true
-    (vec (Space.smallest_comparable full_ctx full)
-    = vec (Space.smallest_comparable pruned_ctx pruned))
-
-(* ------------------------------------------------------------------ *)
 (* Search: the tier-1 capacity gate *)
 
 let test_search_capacity_gate () =
@@ -293,13 +253,6 @@ let () =
             gen_kernel_and_vector prop_quick_admissible;
           Alcotest.test_case "paper kernels, full lattice" `Quick
             test_quick_admissible_paper_kernels;
-        ] );
-      ( "pruned sweep",
-        [
-          Alcotest.test_case "fir: same selection, fewer syntheses" `Quick
-            (test_pruned_sweep "fir");
-          Alcotest.test_case "mm: same selection, fewer syntheses" `Quick
-            (test_pruned_sweep "mm");
         ] );
       ( "search",
         [

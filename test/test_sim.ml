@@ -101,6 +101,28 @@ let test_sim_random_kernels =
         (fun (arr, data) -> List.assoc_opt arr sim.Hls.Sim.arrays = Some data)
         reference)
 
+(* The datapath of points evaluated in sequence through one context (so
+   every cache the evaluator keeps across points is warm) still computes
+   what the source does. *)
+let test_sim_unchanged () =
+  let k = Option.get (Kernels.find "jac") in
+  let profile = Hls.Estimate.default_profile () in
+  let ctx = Dse.Design.context ~profile k in
+  let inputs = Kernels.test_inputs ~seed:11 k in
+  let reference = Eval.observables (Eval.run ~inputs k) in
+  List.iter
+    (fun vector ->
+      let pt = Dse.Design.evaluate ctx vector in
+      let sim = Hls.Sim.run ~inputs profile pt.Dse.Design.kernel in
+      List.iter
+        (fun (arr, data) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "jac %s %s" (Helpers.vector_to_string vector) arr)
+            true
+            (List.assoc_opt arr sim.Hls.Sim.arrays = Some data))
+        reference)
+    [ []; [ ("i", 2) ]; [ ("i", 2); ("j", 2) ]; [ ("i", 4); ("j", 4) ] ]
+
 let () =
   Alcotest.run "sim"
     [
@@ -112,5 +134,6 @@ let () =
           Alcotest.test_case "guarded stores" `Quick test_guarded_stores_suppressed;
           Alcotest.test_case "dynamic access counts" `Quick test_dynamic_counts;
           test_sim_random_kernels;
+          Alcotest.test_case "datapath unchanged" `Quick test_sim_unchanged;
         ] );
     ]
