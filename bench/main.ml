@@ -68,7 +68,7 @@ let axes_of name =
 let figure ~id ~pipelined name =
   let axes = axes_of name in
   let c = ctx ~pipelined name in
-  let selected = (Search.run c).Search.selected.Design.vector in
+  let selected = (Search.run c).Search.selected.vector in
   Printf.printf
     "## %s: %s, %s memory -- balance / execution cycles / area(slices)\n" id
     (String.uppercase_ascii name)
@@ -161,7 +161,7 @@ let fraction () =
   let smhits = ref 0 in
   (* One pool of worker domains for all twenty sweeps: the domain-spawn
      cost is paid once per artifact, not once per sweep. *)
-  Engine.Pool.with_pool (Space.default_jobs ()) @@ fun pool ->
+  Engine.Pool.with_pool (Engine.Pool.default_size ()) @@ fun pool ->
   List.iter
     (fun pipelined ->
       List.iter
@@ -170,9 +170,9 @@ let fraction () =
           let r = Search.run c in
           let visited = Search.designs_evaluated r in
           let sp = Space.sweep ~max_product:(sweep_product ()) ~pool c in
-          evals := !evals + c.Design.stats.Design.evaluations;
-          hits := !hits + c.Design.stats.Design.cache_hits;
-          smhits := !smhits + c.Design.stats.Design.sched_memo_hits;
+          evals := !evals + c.Design.stats.evaluations;
+          hits := !hits + c.Design.stats.cache_hits;
+          smhits := !smhits + c.Design.stats.sched_memo_hits;
           let best = Option.get (Space.best_fitting c sp) in
           let ratio =
             float_of_int (Design.cycles r.Search.selected)
@@ -184,7 +184,7 @@ let fraction () =
             (if pipelined then "pipe" else "nonp")
             visited sp.Space.total_designs
             (100.0 *. Space.fraction_searched sp ~visited)
-            (vec_str r.Search.selected.Design.vector)
+            (vec_str r.Search.selected.vector)
             ratio)
         Kernels.names)
     [ true; false ];
@@ -237,52 +237,52 @@ let dse_json () =
   in
   let tasks =
     List.map
-      (fun name -> { Engine.name; kernel = Option.get (Kernels.find name) })
+      (fun name -> { Dse.Driver.name; kernel = Option.get (Kernels.find name) })
       Kernels.names
   in
   let cold_session =
-    Dse.Driver.run_many ~cache_dir:session_dir ~cold:true ~jobs:1 tasks
+    Dse.Driver.run_many ~cache_dir:session_dir ~cold:true tasks
   in
-  let warm_session = Dse.Driver.run_many ~cache_dir:session_dir ~jobs:1 tasks in
+  let warm_session = Dse.Driver.run_many ~cache_dir:session_dir tasks in
   if transient then ignore (Engine.Persist.clear ~cache_dir:session_dir);
   let session_extra =
     List.map2
       (fun (c : Dse.Driver.outcome) (w : Dse.Driver.outcome) ->
         let unchanged =
-          Design.vector_equal c.Dse.Driver.search.Search.selected.Design.vector
-            w.Dse.Driver.search.Search.selected.Design.vector
+          Design.vector_equal c.Dse.Driver.search.Search.selected.vector
+            w.Dse.Driver.search.Search.selected.vector
         in
         if !smoke then begin
-          if w.Dse.Driver.stats.Design.evaluations <> 0 then
+          if w.Dse.Driver.stats.evaluations <> 0 then
             failwith
               (Printf.sprintf
                  "warm session synthesized %d design(s) for %s (want 0)"
-                 w.Dse.Driver.stats.Design.evaluations
-                 c.Dse.Driver.task.Engine.name);
+                 w.Dse.Driver.stats.evaluations
+                 c.Dse.Driver.task.Dse.Driver.name);
           if not unchanged then
             failwith
               ("warm session selected a different design for "
-             ^ c.Dse.Driver.task.Engine.name)
+             ^ c.Dse.Driver.task.Dse.Driver.name)
         end;
-        ( c.Dse.Driver.task.Engine.name,
+        ( c.Dse.Driver.task.Dse.Driver.name,
           [
             ( "search_seconds_cold_session",
               Printf.sprintf "%.6f" c.Dse.Driver.wall_seconds );
             ( "search_seconds_warm",
               Printf.sprintf "%.6f" w.Dse.Driver.wall_seconds );
             ( "warm_syntheses",
-              string_of_int w.Dse.Driver.stats.Design.evaluations );
+              string_of_int w.Dse.Driver.stats.evaluations );
             ("warm_loaded_points", string_of_int w.Dse.Driver.loaded_points);
             ( "session_sched_memo_hits",
-              string_of_int c.Dse.Driver.stats.Design.sched_memo_hits );
+              string_of_int c.Dse.Driver.stats.sched_memo_hits );
             ("warm_selection_unchanged", if unchanged then "true" else "false");
           ] ))
       cold_session.Dse.Driver.outcomes warm_session.Dse.Driver.outcomes
   in
   Printf.printf
     "#  session: cold %d syntheses, warm %d; %d cross-kernel memo shapes\n"
-    cold_session.Dse.Driver.total.Design.evaluations
-    warm_session.Dse.Driver.total.Design.evaluations
+    cold_session.Dse.Driver.total.evaluations
+    warm_session.Dse.Driver.total.evaluations
     cold_session.Dse.Driver.sched_memo_shapes;
   Printf.printf "%-8s %10s %8s %12s %8s %11s %6s\n" "kernel" "search(ms)"
     "evals" "sweep(ms)" "smhits" "verify(ms)" "viol";
@@ -327,8 +327,8 @@ let dse_json () =
         let best_full = Option.get (Space.best_fitting c_full sp_full) in
         let best_verified = Option.get (Space.best_fitting c_verified sp_verified) in
         let sched_memo_hits =
-          c.Design.stats.Design.sched_memo_hits
-          + c_full.Design.stats.Design.sched_memo_hits
+          c.Design.stats.sched_memo_hits
+          + c_full.Design.stats.sched_memo_hits
         in
         let jb = Option.get (Space.joint_best c_joint jt) in
         let jb_cycles = Design.cycles jb.Space.point in
@@ -347,10 +347,10 @@ let dse_json () =
                name jb_cycles ub_cycles);
         Printf.printf "%-8s %10.1f %8d %12.1f %8d %11.1f %6d\n" name
           (1000.0 *. t_search)
-          r.Search.stats.Design.evaluations
+          r.Search.stats.evaluations
           (1000.0 *. t_full) sched_memo_hits
           (1000.0 *. t_verified)
-          c_verified.Design.stats.Design.verify_violations;
+          c_verified.Design.stats.verify_violations;
         Printf.printf
           "#  joint %-8s %d cfgs -> %d evald (%d illegal, %d redundant, %d \
            bound-pruned) in %.1f ms; best %s c=%d s=%d%s\n"
@@ -366,50 +366,50 @@ let dse_json () =
             ("kernel", Printf.sprintf "%S" name);
             ("search_seconds", Printf.sprintf "%.6f" t_search);
             ( "search_evaluations",
-              string_of_int r.Search.stats.Design.evaluations );
+              string_of_int r.Search.stats.evaluations );
             ( "selected_vector",
-              Printf.sprintf "%S" (vec_str r.Search.selected.Design.vector) );
+              Printf.sprintf "%S" (vec_str r.Search.selected.vector) );
             ( "selected_cycles",
               string_of_int (Design.cycles r.Search.selected) );
             ("sweep_max_product", string_of_int mp);
             ("sweep_points", string_of_int (List.length sp_full.Space.points));
             ("sweep_seconds_full", Printf.sprintf "%.6f" t_full);
             ( "sweep_evaluations_full",
-              string_of_int c_full.Design.stats.Design.evaluations );
+              string_of_int c_full.Design.stats.evaluations );
             ("sched_memo_hits", string_of_int sched_memo_hits);
             ( "search_sched_memo_hits",
-              string_of_int r.Search.stats.Design.sched_memo_hits );
+              string_of_int r.Search.stats.sched_memo_hits );
             ( "sweep_sched_memo_hits_full",
-              string_of_int c_full.Design.stats.Design.sched_memo_hits );
+              string_of_int c_full.Design.stats.sched_memo_hits );
             ( "sweep_sched_memo_shapes_full",
               string_of_int (Design.sched_memo_size c_full) );
             ( "sweep_dfg_seconds_full",
-              Printf.sprintf "%.6f" c_full.Design.stats.Design.dfg_seconds );
+              Printf.sprintf "%.6f" c_full.Design.stats.dfg_seconds );
             ( "sweep_schedule_seconds_full",
-              Printf.sprintf "%.6f" c_full.Design.stats.Design.schedule_seconds
+              Printf.sprintf "%.6f" c_full.Design.stats.schedule_seconds
             );
             ( "sweep_layout_seconds_full",
-              Printf.sprintf "%.6f" c_full.Design.stats.Design.layout_seconds );
+              Printf.sprintf "%.6f" c_full.Design.stats.layout_seconds );
             ( "sweep_transform_seconds_full",
               Printf.sprintf "%.6f"
-                c_full.Design.stats.Design.transform_seconds );
+                c_full.Design.stats.transform_seconds );
             ( "sweep_estimate_seconds_full",
-              Printf.sprintf "%.6f" c_full.Design.stats.Design.estimate_seconds
+              Printf.sprintf "%.6f" c_full.Design.stats.estimate_seconds
             );
             ("sweep_gc_minor_mwords_full", Printf.sprintf "%.3f" (gc_full /. 1e6));
             ( "best_cycles_full",
               string_of_int (Design.cycles best_full.Space.point) );
             ("sweep_seconds_verified", Printf.sprintf "%.6f" t_verified);
             ( "checked_points",
-              string_of_int c_verified.Design.stats.Design.checked_points );
+              string_of_int c_verified.Design.stats.checked_points );
             ( "verify_violations",
-              string_of_int c_verified.Design.stats.Design.verify_violations );
+              string_of_int c_verified.Design.stats.verify_violations );
             ( "flow_builds_verified",
-              string_of_int c_verified.Design.stats.Design.flow_builds );
+              string_of_int c_verified.Design.stats.flow_builds );
             ( "flow_solves_verified",
-              string_of_int c_verified.Design.stats.Design.flow_solves );
+              string_of_int c_verified.Design.stats.flow_solves );
             ( "flow_seconds_verified",
-              Printf.sprintf "%.6f" c_verified.Design.stats.Design.flow_seconds
+              Printf.sprintf "%.6f" c_verified.Design.stats.flow_seconds
             );
             ( "verified_selection_unchanged",
               if
@@ -481,9 +481,9 @@ let accuracy () =
       let c = ctx name in
       let r = Search.run c in
       let show label (p : Design.point) =
-        let impl = Hls.Lowlevel.place_and_route p.Design.estimate in
+        let impl = Hls.Lowlevel.place_and_route p.estimate in
         Printf.printf "%-8s %-22s %8d %8d %10.1f %9d %9d\n" name
-          (label ^ vec_str p.Design.vector)
+          (label ^ vec_str p.vector)
           (Design.cycles p) impl.Hls.Lowlevel.cycles
           impl.Hls.Lowlevel.achieved_clock_ns (Design.space p)
           impl.Hls.Lowlevel.actual_slices
@@ -551,7 +551,7 @@ let gallery () =
       let base = Design.evaluate c (Design.ubase c) in
       let sel = r.Search.selected in
       Printf.printf "%-12s %16s %10d %10d %10.3f %9.2fx\n" name
-        (vec_str sel.Design.vector) (Design.cycles sel) (Design.space sel)
+        (vec_str sel.vector) (Design.cycles sel) (Design.space sel)
         (Design.balance sel)
         (float_of_int (Design.cycles base) /. float_of_int (Design.cycles sel)))
     Gallery.names;

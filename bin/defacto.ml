@@ -242,20 +242,20 @@ let explore_kernels_arg =
   let doc =
     Printf.sprintf
       "Built-in kernel name (%s). Repeatable: several $(b,-k) flags run one \
-       batched session over all of them, sharing the tri-schedule memo, the \
-       worker domains and the persistent store."
+       batched session over all of them, sharing the tri-schedule memo and \
+       the persistent store."
       kernel_names
   in
   Arg.(value & opt_all string [] & info [ "k"; "kernel" ] ~docv:"NAME" ~doc)
 
 let explore_jobs_arg =
   let doc =
-    "Size of the session's worker-domain pool (1 disables parallel \
-     sweeps; the default scales with the host's cores)."
+    "Accepted and has no effect: the search evaluates its design points \
+     one at a time."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let load_tasks kernels file : Engine.task list =
+let load_tasks kernels file : Dse.Driver.task list =
   match (kernels, file) with
   | [], None ->
       prerr_endline "defacto: specify a kernel with -k or a source file with -f";
@@ -265,7 +265,7 @@ let load_tasks kernels file : Engine.task list =
         List.map
           (fun n ->
             let k = or_die (load_kernel (Some n) None) in
-            { Engine.name = n; kernel = k })
+            { Dse.Driver.name = n; kernel = k })
           names
       in
       let from_file =
@@ -273,12 +273,12 @@ let load_tasks kernels file : Engine.task list =
         | None -> []
         | Some _ ->
             let k = or_die (load_kernel None file) in
-            [ { Engine.name = k.Ir.Ast.k_name; kernel = k } ]
+            [ { Dse.Driver.name = k.Ir.Ast.k_name; kernel = k } ]
       in
       named @ from_file
 
 let explore kernels file non_pipelined memories capacity report prof verify
-    cache_dir cold backend_name jobs joint tile_candidates =
+    cache_dir cold backend_name _jobs joint tile_candidates =
   let tile_candidates = parse_tile_candidates tile_candidates in
   let tasks = load_tasks kernels file in
   let profile = make_profile ~non_pipelined ~memories in
@@ -287,7 +287,7 @@ let explore kernels file non_pipelined memories capacity report prof verify
   | Some dest ->
       let k =
         match tasks with
-        | [ t ] -> t.Engine.kernel
+        | [ t ] -> t.Dse.Driver.kernel
         | _ ->
             prerr_endline "defacto: --report takes exactly one kernel";
             exit 1
@@ -309,13 +309,13 @@ let explore kernels file non_pipelined memories capacity report prof verify
   | None -> ());
   let summary =
     Dse.Driver.run_many ?cache_dir ~cold ~profile ~verify ~capacity ~backend
-      ?jobs tasks
+      tasks
   in
   List.iter
     (fun (o : Dse.Driver.outcome) ->
       let r = o.Dse.Driver.search in
       Format.printf "kernel %s (%s memory, %d memories, capacity %d slices)@."
-        o.Dse.Driver.task.Engine.kernel.Ir.Ast.k_name
+        o.Dse.Driver.task.Dse.Driver.kernel.Ir.Ast.k_name
         (Hls.Memory_model.name profile.Hls.Estimate.mem)
         memories capacity;
       Format.printf "saturation: R=%d W=%d Psat=%d eligible=[%s]@."
@@ -335,8 +335,7 @@ let explore kernels file non_pipelined memories capacity report prof verify
           o.Dse.Driver.loaded_points;
       if verify then
         Format.printf "verify: %d design point(s) checked, %d violation(s)@."
-          o.Dse.Driver.stats.Dse.Design.checked_points
-          o.Dse.Driver.stats.Dse.Design.verify_violations;
+          o.Dse.Driver.stats.checked_points o.Dse.Driver.stats.verify_violations;
       if prof then begin
         Format.printf "profile: %a@." Dse.Design.pp_profile o.Dse.Driver.stats;
         Format.printf
@@ -376,8 +375,7 @@ let explore kernels file non_pipelined memories capacity report prof verify
   Format.printf
     "session: %d synthesized, %d cache hits, %d pruned, %d sched memo hits \
      over %d kernel(s); %d point(s) and %d tri-schedule(s) warm-loaded@."
-    t.Dse.Design.evaluations t.Dse.Design.cache_hits t.Dse.Design.pruned
-    t.Dse.Design.sched_memo_hits
+    t.evaluations t.cache_hits t.pruned t.sched_memo_hits
     (List.length summary.Dse.Driver.outcomes)
     (List.fold_left
        (fun acc (o : Dse.Driver.outcome) -> acc + o.Dse.Driver.loaded_points)
@@ -404,11 +402,11 @@ let estimate kernel file non_pipelined memories unroll =
   let profile = make_profile ~non_pipelined ~memories in
   let ctx = Dse.Design.context ~profile k in
   let p = Dse.Design.evaluate ctx (kernel_vector k unroll) in
-  Format.printf "%a@." Dse.Design.pp_vector p.Dse.Design.vector;
-  Format.printf "%a@." Hls.Estimate.pp p.Dse.Design.estimate;
+  Format.printf "%a@." Dse.Design.pp_vector p.vector;
+  Format.printf "%a@." Hls.Estimate.pp p.estimate;
   Format.printf "time at 40ns clock: %.1f us@."
-    (p.Dse.Design.estimate.Hls.Estimate.time_ns /. 1000.0);
-  let impl = Hls.Lowlevel.place_and_route p.Dse.Design.estimate in
+    (p.estimate.Hls.Estimate.time_ns /. 1000.0);
+  let impl = Hls.Lowlevel.place_and_route p.estimate in
   Format.printf
     "after P&R model: %d slices, achieved clock %.1f ns (%s)@."
     impl.Hls.Lowlevel.actual_slices impl.Hls.Lowlevel.achieved_clock_ns
@@ -442,13 +440,18 @@ let max_product_arg =
 
 let jobs_arg =
   let doc =
-    "Evaluate the sweep on $(docv) parallel domains (1 forces the \
-     sequential path; the default scales with the host's cores)."
+    "Evaluate the unroll sweep on $(docv) parallel domains (1 forces the \
+     sequential path; the default scales with the host's cores). The \
+     $(b,--joint) sweep is sequential and ignores it."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let space kernel file non_pipelined memories capacity max_product jobs verify
     cache_dir cold backend_name joint tile_candidates =
+  if max_product < 1 then begin
+    prerr_endline "defacto: --max-product must be at least 1";
+    exit 1
+  end;
   let tile_candidates = parse_tile_candidates tile_candidates in
   let k = or_die (load_kernel kernel file) in
   let profile = make_profile ~non_pipelined ~memories in
@@ -499,8 +502,8 @@ let space kernel file non_pipelined memories capacity max_product jobs verify
     print_joint_counters j;
     if verify then
       Format.printf "# verify: %d design point(s) checked, %d violation(s)@."
-        ctx.Dse.Design.stats.Dse.Design.checked_points
-        ctx.Dse.Design.stats.Dse.Design.verify_violations;
+        ctx.Dse.Design.stats.checked_points
+        ctx.Dse.Design.stats.verify_violations;
     Format.printf "# stats: %a@." Dse.Design.pp_stats ctx.Dse.Design.stats;
     exit 0
   end;
@@ -528,8 +531,8 @@ let space kernel file non_pipelined memories capacity max_product jobs verify
   | None -> Format.printf "# no fitting design@.");
   if verify then
     Format.printf "# verify: %d design point(s) checked, %d violation(s)@."
-      ctx.Dse.Design.stats.Dse.Design.checked_points
-      ctx.Dse.Design.stats.Dse.Design.verify_violations;
+      ctx.Dse.Design.stats.checked_points
+      ctx.Dse.Design.stats.verify_violations;
   Format.printf "# stats: %a@." Dse.Design.pp_stats ctx.Dse.Design.stats
 
 let space_cmd =
@@ -702,18 +705,18 @@ let simulate kernel file non_pipelined memories unroll =
   let ctx = Dse.Design.context ~profile k in
   let p = Dse.Design.evaluate ctx (kernel_vector k unroll) in
   let inputs = Kernels.test_inputs k in
-  let sim = Hls.Sim.run ~inputs profile p.Dse.Design.kernel in
+  let sim = Hls.Sim.run ~inputs profile p.kernel in
   let reference = Ir.Eval.observables (Ir.Eval.run ~inputs k) in
   let ok =
     List.for_all
       (fun (arr, data) -> List.assoc_opt arr sim.Hls.Sim.arrays = Some data)
       reference
   in
-  Format.printf "design %a@." Dse.Design.pp_vector p.Dse.Design.vector;
+  Format.printf "design %a@." Dse.Design.pp_vector p.vector;
   Format.printf
     "simulated %d cycles (estimator: %d); %d loads, %d stores issued (%d \
      suppressed by predication)@."
-    sim.Hls.Sim.cycles p.Dse.Design.estimate.Hls.Estimate.cycles
+    sim.Hls.Sim.cycles p.estimate.Hls.Estimate.cycles
     sim.Hls.Sim.dynamic_loads sim.Hls.Sim.dynamic_stores
     sim.Hls.Sim.stores_suppressed;
   Format.printf "datapath vs reference interpreter: %s@."

@@ -22,7 +22,7 @@ let () =
   let sel = res.selected in
   Format.printf "selected design for %s: %a@." name Dse.Design.pp_point sel;
   let vhdl =
-    Vhdl.Emit.emit_with_layout ~num_memories:4 sel.Dse.Design.kernel
+    Vhdl.Emit.emit_with_layout ~num_memories:4 sel.kernel
   in
   let path = name ^ "_selected.vhd" in
   Out_channel.with_open_text path (fun oc -> output_string oc vhdl);

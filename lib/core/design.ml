@@ -13,65 +13,12 @@
 
 open Ir
 
-type config = Engine.Store.config = {
-  vector : (string * int) list;  (** unroll factor per spine loop *)
-  tile : (string * int) option;  (** strip-mine this loop to this tile *)
-  scalar_replace : bool;
-  peel : bool;
-  licm : bool;
-}
+(** The transform configuration a design point is (see
+    {!Transform.Pipeline.config}); points and counters are the store's. *)
+type config = Engine.Store.config
 
-type point = Engine.Store.point = {
-  config : config;  (** the normalized configuration this point is *)
-  vector : (string * int) list;
-      (** [config.vector], kept as a field for vector-only call sites *)
-  kernel : Ast.kernel;  (** transformed code *)
-  estimate : Hls.Estimate.t;
-  report : Transform.Scalar_replace.report;
-}
-
-type stats = Engine.Store.stats = {
-  mutable evaluations : int;
-      (** cache misses: full [Generate; Synthesize] runs *)
-  mutable cache_hits : int;
-  mutable quick_estimates : int;
-      (** tier-1 analytical lower bounds computed ({!quick}) *)
-  mutable pruned : int;
-      (** full syntheses skipped because a lower bound disqualified
-          the point (over capacity or provably behind the incumbent) *)
-  mutable transform_seconds : float;  (** wall time in the transform pipeline *)
-  mutable estimate_seconds : float;  (** wall time in the synthesis estimator *)
-  mutable dfg_seconds : float;  (** estimator time building DFGs *)
-  mutable schedule_seconds : float;
-      (** estimator time in the tri-mode scheduler (memo hits pay only
-          the fingerprint) *)
-  mutable layout_seconds : float;  (** estimator time in the data layout *)
-  mutable sched_memo_hits : int;
-      (** blocks whose tri-schedule was served content-addressed from
-          the fingerprint memo instead of being scheduled *)
-  mutable checked_points : int;
-      (** design points whose pipeline run was translation-validated
-          ([--verify]) *)
-  mutable verify_violations : int;
-      (** error-severity validation findings across checked points *)
-  mutable flow_builds : int;
-      (** flow graphs the verified path's dataflow checks constructed *)
-  mutable flow_solves : int;  (** dataflow fixpoint solves run *)
-  mutable flow_seconds : float;
-      (** wall time building and solving flow graphs *)
-  mutable joint_configs : int;
-      (** configurations enumerated by joint sweeps (the joint space
-          size before any pruning) *)
-  mutable joint_pruned_illegal : int;
-      (** joint configurations dropped by the legality pre-pruner *)
-  mutable joint_pruned_redundant : int;
-      (** joint configurations dropped as duplicates of a canonical
-          configuration already enumerated *)
-  mutable joint_pruned_bound : int;
-      (** joint configurations skipped on tier-1 lower bounds *)
-}
-
-let fresh_stats = Engine.Store.fresh_stats
+type point = Engine.Store.point
+type stats = Engine.Store.stats
 
 type context = {
   source : Ast.kernel;  (** the input loop nest *)
@@ -117,11 +64,14 @@ let env (ctx : context) : Engine.Backend.env =
     verify = ctx.verify;
   }
 
-(** A context over an engine-built environment and an existing (possibly
-    warm-loaded) store — how the session driver hands evaluation state
-    to the search. *)
-let of_env ?(backend = Engine.Backend.default) ~(store : Engine.Store.t)
-    (env : Engine.Backend.env) : context =
+let context ?pipeline ?profile ?verify ?capacity
+    ?(backend = Engine.Backend.default) ?store (source : Ast.kernel) =
+  let store =
+    match store with Some s -> s | None -> Engine.Store.create ()
+  in
+  let env =
+    Engine.Backend.make_env ?pipeline ?profile ?verify ?capacity source
+  in
   {
     source = env.Engine.Backend.source;
     profile = env.Engine.Backend.profile;
@@ -135,14 +85,6 @@ let of_env ?(backend = Engine.Backend.default) ~(store : Engine.Store.t)
     verify = env.Engine.Backend.verify;
     stats = store.Engine.Store.stats;
   }
-
-let context ?pipeline ?profile ?verify ?capacity ?backend ?store
-    (source : Ast.kernel) =
-  let store =
-    match store with Some s -> s | None -> Engine.Store.create ()
-  in
-  of_env ?backend ~store
-    (Engine.Backend.make_env ?pipeline ?profile ?verify ?capacity source)
 
 let normalize_vector (ctx : context) (v : (string * int) list) :
     (string * int) list =
@@ -235,8 +177,6 @@ let cache_size (ctx : context) = Engine.Store.size ctx.store
 (** Distinct block shapes whose tri-schedule is memoized. *)
 let sched_memo_size (ctx : context) = Engine.Store.sched_memo_size ctx.store
 
-let reset_stats (ctx : context) = Engine.Store.reset_stats ctx.stats
-
 (** Immutable copy of the context's counters (for before/after deltas). *)
 let stats_snapshot (ctx : context) : stats = Engine.Store.stats_copy ctx.stats
 
@@ -263,7 +203,6 @@ let absorb ~(into : context) (forked : context) : unit =
 let balance (p : point) = p.estimate.Hls.Estimate.balance
 let space (p : point) = p.estimate.Hls.Estimate.slices
 let cycles (p : point) = p.estimate.Hls.Estimate.cycles
-let fits (ctx : context) (p : point) = space p <= ctx.capacity
 
 let pp_config = Transform.Pipeline.pp_config
 let config_to_string = Transform.Pipeline.config_to_string
@@ -272,7 +211,7 @@ let pp_vector fmt v =
   Format.fprintf fmt "(%s)"
     (String.concat ", " (List.map (fun (i, u) -> Printf.sprintf "%s=%d" i u) v))
 
-let pp_point fmt p =
+let pp_point fmt (p : point) =
   Format.fprintf fmt "%a: cycles=%d slices=%d balance=%.3f" pp_vector p.vector
     (cycles p) (space p) (balance p)
 
@@ -285,13 +224,7 @@ let pp_stats fmt (s : stats) =
     (1000.0 *. s.estimate_seconds);
   if s.checked_points > 0 then
     Format.fprintf fmt "; verified %d point(s), %d violation(s)"
-      s.checked_points s.verify_violations;
-  if s.joint_configs > 0 then
-    Format.fprintf fmt
-      "; joint space: %d config(s) enumerated, %d illegal, %d redundant, %d \
-       bound-pruned"
-      s.joint_configs s.joint_pruned_illegal s.joint_pruned_redundant
-      s.joint_pruned_bound
+      s.checked_points s.verify_violations
 
 (** Per-stage wall-time split of the estimator (the [--profile] view):
     DFG construction, scheduling, data layout, and whatever remains of

@@ -12,65 +12,12 @@
 
 open Ir
 
-type config = Engine.Store.config = {
-  vector : (string * int) list;  (** unroll factor per spine loop *)
-  tile : (string * int) option;  (** strip-mine this loop to this tile *)
-  scalar_replace : bool;
-  peel : bool;
-  licm : bool;
-}
+(** The transform configuration a design point is (see
+    {!Transform.Pipeline.config}); points and counters are the store's. *)
+type config = Engine.Store.config
 
-type point = Engine.Store.point = {
-  config : config;  (** the normalized configuration this point is *)
-  vector : (string * int) list;
-      (** [config.vector], kept as a field for vector-only call sites *)
-  kernel : Ast.kernel;  (** transformed code *)
-  estimate : Hls.Estimate.t;
-  report : Transform.Scalar_replace.report;
-}
-
-type stats = Engine.Store.stats = {
-  mutable evaluations : int;
-      (** cache misses: full [Generate; Synthesize] runs *)
-  mutable cache_hits : int;
-  mutable quick_estimates : int;
-      (** tier-1 analytical lower bounds computed ({!quick}) *)
-  mutable pruned : int;
-      (** full syntheses skipped because a tier-1 lower bound already
-          disqualified the point *)
-  mutable transform_seconds : float;  (** wall time in the transform pipeline *)
-  mutable estimate_seconds : float;  (** wall time in the synthesis estimator *)
-  mutable dfg_seconds : float;  (** estimator time building DFGs *)
-  mutable schedule_seconds : float;
-      (** estimator time in the tri-mode scheduler (memo hits pay only
-          the fingerprint) *)
-  mutable layout_seconds : float;  (** estimator time in the data layout *)
-  mutable sched_memo_hits : int;
-      (** blocks whose tri-schedule was served content-addressed from
-          the fingerprint memo instead of being scheduled *)
-  mutable checked_points : int;
-      (** design points whose pipeline run was translation-validated
-          ([--verify]) *)
-  mutable verify_violations : int;
-      (** error-severity validation findings across checked points *)
-  mutable flow_builds : int;
-      (** flow graphs the verified path's dataflow checks constructed *)
-  mutable flow_solves : int;  (** dataflow fixpoint solves run *)
-  mutable flow_seconds : float;
-      (** wall time building and solving flow graphs *)
-  mutable joint_configs : int;
-      (** configurations enumerated by joint sweeps (the joint space
-          size before any pruning) *)
-  mutable joint_pruned_illegal : int;
-      (** joint configurations dropped by the legality pre-pruner *)
-  mutable joint_pruned_redundant : int;
-      (** joint configurations dropped as duplicates of a canonical
-          configuration already enumerated *)
-  mutable joint_pruned_bound : int;
-      (** joint configurations skipped on tier-1 lower bounds *)
-}
-
-val fresh_stats : unit -> stats
+type point = Engine.Store.point
+type stats = Engine.Store.stats
 
 type context = {
   source : Ast.kernel;  (** the input loop nest *)
@@ -119,11 +66,6 @@ val context :
 (** The engine view of a context (cheap: one record allocation, shared
     quick-facts suspension). *)
 val env : context -> Engine.Backend.env
-
-(** A context over an engine-built environment and an existing store —
-    how the session driver hands evaluation state to the search. *)
-val of_env :
-  ?backend:Engine.Backend.t -> store:Engine.Store.t -> Engine.Backend.env -> context
 
 (** Cover every spine loop and clamp factors to divisors of the trip
     counts — the space the search explores (a non-divisor factor leaves
@@ -196,8 +138,6 @@ val cache_size : context -> int
 (** Number of distinct block shapes whose tri-schedule is memoized. *)
 val sched_memo_size : context -> int
 
-val reset_stats : context -> unit
-
 (** Immutable copy of the context's counters (for before/after deltas). *)
 val stats_snapshot : context -> stats
 
@@ -215,7 +155,6 @@ val absorb : into:context -> context -> unit
 val balance : point -> float
 val space : point -> int
 val cycles : point -> int
-val fits : context -> point -> bool
 val pp_vector : Format.formatter -> (string * int) list -> unit
 val pp_config : Format.formatter -> config -> unit
 val config_to_string : config -> string

@@ -55,7 +55,7 @@ let render fmt (r : t) =
   List.iter
     (fun (s : Search.step) ->
       Format.fprintf fmt "| %a | %d | %d | %.3f | %s |@." pp_vector
-        s.point.Design.vector (Design.cycles s.point) (Design.space s.point)
+        s.point.vector (Design.cycles s.point) (Design.space s.point)
         (Design.balance s.point) s.verdict)
     r.result.Search.steps;
   let st = r.result.Search.stats in
@@ -66,27 +66,25 @@ let render fmt (r : t) =
      estimate time: %.1f ms (dfg %.1f, schedule %.1f, layout %.1f)@.- \
      scheduler memo: %d block tri-schedules served content-addressed; %d \
      distinct shapes memoized@.- designs memoized in the context: %d@.@."
-    st.Design.evaluations st.Design.cache_hits st.Design.quick_estimates
-    st.Design.pruned
-    (1000.0 *. st.Design.transform_seconds)
-    (1000.0 *. st.Design.estimate_seconds)
-    (1000.0 *. st.Design.dfg_seconds)
-    (1000.0 *. st.Design.schedule_seconds)
-    (1000.0 *. st.Design.layout_seconds)
-    st.Design.sched_memo_hits (Design.sched_memo_size ctx)
+    st.evaluations st.cache_hits st.quick_estimates st.pruned
+    (1000.0 *. st.transform_seconds)
+    (1000.0 *. st.estimate_seconds)
+    (1000.0 *. st.dfg_seconds)
+    (1000.0 *. st.schedule_seconds)
+    (1000.0 *. st.layout_seconds)
+    st.sched_memo_hits (Design.sched_memo_size ctx)
     (Design.cache_size ctx);
-  if st.Design.checked_points > 0 then
+  if st.checked_points > 0 then
     Format.fprintf fmt
       "- translation validation: %d design point(s) checked, %d violation(s)@.@."
-      st.Design.checked_points st.Design.verify_violations;
-  if st.Design.flow_builds > 0 then
+      st.checked_points st.verify_violations;
+  if st.flow_builds > 0 then
     Format.fprintf fmt
       "- dataflow checks: %d flow graph(s) built, %d fixpoint solve(s), %.1f \
        ms@.@."
-      st.Design.flow_builds st.Design.flow_solves
-      (1000.0 *. st.Design.flow_seconds);
-  Format.fprintf fmt "## Selected design: %a@.@." pp_vector sel.Design.vector;
-  let e = sel.Design.estimate in
+      st.flow_builds st.flow_solves (1000.0 *. st.flow_seconds);
+  Format.fprintf fmt "## Selected design: %a@.@." pp_vector sel.vector;
+  let e = sel.estimate in
   Format.fprintf fmt
     "- execution: %d cycles (%.1f us at the target clock)@.- memory-only \
      bound: %d cycles; compute-only bound: %d cycles@.- balance B = F/C = \
@@ -113,7 +111,7 @@ let render fmt (r : t) =
       e.Hls.Estimate.usage;
     Format.fprintf fmt "@."
   end;
-  let rep = sel.Design.report in
+  let rep = sel.report in
   Format.fprintf fmt "### Scalar replacement@.@.";
   Format.fprintf fmt
     "- accumulators hoisted/sunk: %d@.- register banks: %s@.- chains: %s@.- \
@@ -132,10 +130,10 @@ let render fmt (r : t) =
     rep.Transform.Scalar_replace.cse_loads
     rep.Transform.Scalar_replace.registers;
   (* Data layout of the selected code. *)
-  let accesses = Analysis.Access.collect sel.Design.kernel.Ast.k_body in
+  let accesses = Analysis.Access.collect sel.kernel.Ast.k_body in
   let layout =
     Data_layout.Layout.assign ~num_memories:device.Hls.Device.num_memories
-      sel.Design.kernel accesses
+      sel.kernel accesses
   in
   Format.fprintf fmt "### Data layout@.@.```@.%a```@.@." Data_layout.Layout.pp
     layout;
@@ -143,13 +141,13 @@ let render fmt (r : t) =
   Format.fprintf fmt
     "| design | cycles | slices | balance |@.|---|---|---|---|@.";
   Format.fprintf fmt "| baseline %a | %d | %d | %.3f |@." pp_vector
-    r.baseline.Design.vector (Design.cycles r.baseline)
+    r.baseline.vector (Design.cycles r.baseline)
     (Design.space r.baseline) (Design.balance r.baseline);
   Format.fprintf fmt "| selected %a | %d | %d | %.3f |@.@." pp_vector
-    sel.Design.vector (Design.cycles sel) (Design.space sel)
+    sel.vector (Design.cycles sel) (Design.space sel)
     (Design.balance sel);
   Format.fprintf fmt "**Speedup over baseline: %.2fx**@.@." (speedup r);
   Format.fprintf fmt "## Generated code@.@.```c@.%s@.```@."
-    (Pretty.kernel_to_string sel.Design.kernel)
+    (Pretty.kernel_to_string sel.kernel)
 
 let to_string (r : t) = Format.asprintf "%a" render r

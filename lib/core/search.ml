@@ -271,7 +271,7 @@ let run ?(config = default_config) (ctx : Design.context) : result =
   done;
   let selected = evaluate !ucurr in
   (* Make sure the selected design appears in the step log. *)
-  if not (List.exists (fun s -> Design.vector_equal s.point.Design.vector !ucurr) !steps)
+  if not (List.exists (fun s -> Design.vector_equal s.point.vector !ucurr) !steps)
   then log selected "selected";
   let stats =
     Design.stats_diff ~before:stats_before ~after:(Design.stats_snapshot ctx)
@@ -280,5 +280,5 @@ let run ?(config = default_config) (ctx : Design.context) : result =
 
 (** Number of distinct designs synthesized during the search. *)
 let designs_evaluated (r : result) : int =
-  List.sort_uniq compare (List.map (fun s -> s.point.Design.vector) r.steps)
+  List.sort_uniq compare (List.map (fun s -> s.point.vector) r.steps)
   |> List.length

@@ -9,11 +9,12 @@
     every distinct generated design (a non-divisor factor leaves an
     epilogue that only degrades the design).
 
-    The sweep can run on several OCaml 5 domains ([jobs]): the vector
-    list is chunked over a work queue, each domain evaluates against a
-    {!Design.fork} of the context, and the forks' caches and counters
-    are merged back on join. The result order is deterministic and
-    identical to the sequential sweep regardless of [jobs]. *)
+    The sweep can run on several workers of an {!Engine.Pool} ([jobs]):
+    the vector list is chunked over a work queue, each worker evaluates
+    against a {!Design.fork} of the context, and the forks' caches and
+    counters are merged back when the batch drains. The result order is
+    deterministic and identical to the sequential sweep regardless of
+    [jobs]. *)
 
 open Ir
 
@@ -37,30 +38,18 @@ let divisor_vectors ?max_product (ctx : Design.context)
     ~(eligible : string list) : (string * int) list list =
   Util.divisor_vectors ?max_product ctx ~eligible
 
-(* Run one worker thunk per fork: on the caller's own spawned domains,
-   or on a shared {!Engine.Pool} when the session provides one (the
-   multi-kernel driver runs many sweeps; reusing its pool keeps the
-   domain-spawn cost per session instead of per sweep). Either way the
-   call returns only when every worker has drained the cursor. *)
-let run_workers ?pool (workers : (unit -> unit) array) =
-  match pool with
-  | Some p -> Engine.Pool.run p (Array.to_list workers)
-  | None ->
-      let domains = Array.map Domain.spawn workers in
-      Array.iter Domain.join domains
-
-(* Evaluate [vectors] on [jobs] workers. Work is handed out in chunks
-   from an atomic cursor; each worker writes its results at the vectors'
-   original indices, so the merged order matches the sequential order.
-   Every worker gets a {!Design.fork} seeded with the current cache, and
-   the forks are absorbed back after the join. *)
-let evaluate_parallel ?pool ~jobs (ctx : Design.context) (vectors : (string * int) list array) :
-    sweep_point array =
+(* Evaluate [vectors] on [jobs] workers of [pool]. Work is handed out in
+   chunks from an atomic cursor; each worker writes its results at the
+   vectors' original indices, so the merged order matches the sequential
+   order. Every worker gets a {!Design.fork} seeded with the current
+   cache, and the forks are absorbed back once the batch has drained. *)
+let evaluate_parallel pool ~jobs (ctx : Design.context)
+    (vectors : (string * int) list array) : sweep_point array =
   let n = Array.length vectors in
   let results : sweep_point option array = Array.make n None in
   let cursor = Atomic.make 0 in
   let chunk = max 1 (n / (jobs * 8)) in
-  let forks = Array.init jobs (fun _ -> Design.fork ctx) in
+  let forks = List.init jobs (fun _ -> Design.fork ctx) in
   let worker (fork : Design.context) () =
     let rec loop () =
       let start = Atomic.fetch_and_add cursor chunk in
@@ -74,12 +63,9 @@ let evaluate_parallel ?pool ~jobs (ctx : Design.context) (vectors : (string * in
     in
     loop ()
   in
-  run_workers ?pool (Array.map worker forks);
-  Array.iter (fun fork -> Design.absorb ~into:ctx fork) forks;
+  Engine.Pool.run pool (List.map worker forks);
+  List.iter (fun fork -> Design.absorb ~into:ctx fork) forks;
   Array.map (function Some sp -> sp | None -> assert false) results
-
-(** Number of domains a sweep uses when [jobs] is not given. *)
-let default_jobs () = max 1 (min 8 (Domain.recommended_domain_count () - 1))
 
 let sweep ?eligible ?(max_product = max_int) ?jobs ?pool (ctx : Design.context) : t =
   let sat =
@@ -98,12 +84,18 @@ let sweep ?eligible ?(max_product = max_int) ?jobs ?pool (ctx : Design.context) 
     match (jobs, pool) with
     | Some j, _ -> max 1 j
     | None, Some p -> Engine.Pool.size p
-    | None, None -> default_jobs ()
+    | None, None -> Engine.Pool.default_size ()
   in
   let points =
     if jobs <= 1 || List.length vectors < 2 * jobs then
       List.map (fun v -> { vector = v; point = Design.evaluate ctx v }) vectors
-    else Array.to_list (evaluate_parallel ?pool ~jobs ctx (Array.of_list vectors))
+    else
+      let run pool =
+        Array.to_list (evaluate_parallel pool ~jobs ctx (Array.of_list vectors))
+      in
+      match pool with
+      | Some p -> run p
+      | None -> Engine.Pool.with_pool jobs run
   in
   let total_designs =
     List.fold_left
@@ -214,7 +206,7 @@ let joint_tile_options (ctx : Design.context) ~(candidates : int list) :
    design the vector-only sweep would pick. *)
 let toggle_combos (ctx : Design.context) : (bool * bool * bool) list =
   let b = Design.base_config ctx [] in
-  let base = (b.Design.scalar_replace, b.Design.peel, b.Design.licm) in
+  let base = (b.scalar_replace, b.peel, b.licm) in
   let all =
     List.concat_map
       (fun sr ->
@@ -253,14 +245,8 @@ let sweep_joint ?eligible ?(max_product = max_int)
           List.iter
             (fun vector ->
               incr enumerated;
-              let c =
-                {
-                  Design.vector;
-                  tile;
-                  scalar_replace = sr;
-                  peel;
-                  licm;
-                }
+              let c : Design.config =
+                { vector; tile; scalar_replace = sr; peel; licm }
               in
               match
                 Check.Legality.config_verdict ~graph ctx.Design.source c
@@ -328,11 +314,6 @@ let sweep_joint ?eligible ?(max_product = max_int)
             if Design.space p <= ctx.Design.capacity then
               incumbent := min !incumbent (Design.cycles p))
     order;
-  let st = ctx.Design.stats in
-  st.Design.joint_configs <- st.Design.joint_configs + !enumerated;
-  st.Design.joint_pruned_illegal <- st.Design.joint_pruned_illegal + !ill;
-  st.Design.joint_pruned_redundant <- st.Design.joint_pruned_redundant + !red;
-  st.Design.joint_pruned_bound <- st.Design.joint_pruned_bound + !bound_pruned;
   let total_designs =
     List.fold_left
       (fun acc (l : Ast.loop) ->

@@ -6,9 +6,10 @@
     The space size follows the paper's accounting — all integer unroll
     factors for each explorable loop — while the exhaustive sweep
     evaluates the divisor sub-lattice, which contains every distinct
-    generated design. The sweep runs on several OCaml 5 domains (see
-    [jobs]) with per-domain forks of the evaluation cache merged back on
-    join; its result order is deterministic and independent of [jobs]. *)
+    generated design. The sweep runs on several {!Engine.Pool} workers
+    (see [jobs]) with per-worker forks of the evaluation cache merged
+    back afterwards; its result order is deterministic and independent
+    of [jobs]. *)
 
 type sweep_point = { vector : (string * int) list; point : Design.point }
 
@@ -26,19 +27,17 @@ val divisor_vectors :
   eligible:string list ->
   (string * int) list list
 
-(** Number of domains a sweep uses when [jobs] is not given: one per
-    recommended domain minus the joining domain, capped at 8. *)
-val default_jobs : unit -> int
-
 (** Evaluate the whole lattice. [eligible] defaults to the saturation
     analysis's loops; [max_product] skips points with larger unroll
-    products; [jobs] is the number of evaluating domains ([jobs <= 1]
-    forces the sequential path; the default is {!default_jobs}).
+    products; [jobs] is the number of evaluating workers (default
+    {!Engine.Pool.default_size}). [jobs <= 1], or a lattice smaller
+    than [2 * jobs], evaluates on the calling domain.
 
-    [pool] runs the workers on a shared {!Engine.Pool} instead of
-    spawning fresh domains — the multi-kernel session passes its pool so
-    the domain-spawn cost is paid once per session, not once per sweep.
-    With a pool, [jobs] defaults to the pool's size. *)
+    The workers run on [pool] when given — a caller running many sweeps
+    pays the domain-spawn cost once — and otherwise on a pool of [jobs]
+    domains created for this sweep. With a pool, [jobs] defaults to the
+    pool's size. A worker's exception is re-raised once the others have
+    drained. *)
 val sweep :
   ?eligible:string list ->
   ?max_product:int ->
@@ -103,8 +102,8 @@ val joint_tile_options :
     configurations whose bounds prove they cannot beat the incumbent or
     fit the device (admissible: the selection matches the exhaustive
     sweep's). [budget] caps the number of full evaluations ([truncated]
-    reports hitting it). Sequential; counters land in the context's
-    [joint_*] stats. *)
+    reports hitting it). Sequential; the pruning counters are returned
+    in the [joint] record. *)
 val sweep_joint :
   ?eligible:string list ->
   ?max_product:int ->

@@ -122,7 +122,7 @@ let normalize_vector (env : env) (v : (string * int) list) :
     from the base pipeline options — the design point the pre-refactor
     engine would have evaluated for [v]. *)
 let base_config (env : env) (v : (string * int) list) : Store.config =
-  { (Transform.Pipeline.config_of_options env.pipeline) with Store.vector = v }
+  { (Transform.Pipeline.config_of_options env.pipeline) with vector = v }
 
 (** Normalise a configuration to its canonical cache key: the vector is
     spine-normalized ({!normalize_vector}); a tile on a spine loop is
@@ -135,7 +135,7 @@ let base_config (env : env) (v : (string * int) list) : Store.config =
     synthesis of such a configuration fails loudly in the pipeline. *)
 let normalize_config (env : env) (c : Store.config) : Store.config =
   let tile =
-    match c.Store.tile with
+    match c.tile with
     | None -> None
     | Some (index, t) -> (
         match
@@ -154,14 +154,14 @@ let normalize_config (env : env) (c : Store.config) : Store.config =
             in
             if d <= 1 || d >= trip then None else Some (index, d))
   in
-  let vector = normalize_vector env c.Store.vector in
+  let vector = normalize_vector env c.vector in
   let vector =
     match tile with
     | Some (ti, _) ->
         List.map (fun (i, u) -> if i = ti then (i, 1) else (i, u)) vector
     | None -> vector
   in
-  { c with Store.vector; tile }
+  { c with vector; tile }
 
 type t = {
   name : string;
@@ -254,7 +254,7 @@ let full_synthesize (env : env) (store : Store.t) (c : Store.config) :
     stats.Store.sched_memo_hits + timers.Hls.Estimate.sched_memo_hits;
   {
     Store.config = c;
-    vector = c.Store.vector;
+    vector = c.vector;
     kernel = r.Transform.Pipeline.kernel;
     estimate;
     report = r.Transform.Pipeline.report;
@@ -298,10 +298,10 @@ let lowlevel : t =
 let quick_bound (env : env) (store : Store.t) (c : Store.config) :
     Hls.Quick.t option =
   let c = normalize_config env c in
-  let facts = env.quick_facts c.Store.tile in
+  let facts = env.quick_facts c.tile in
   store.Store.stats.Store.quick_estimates <-
     store.Store.stats.Store.quick_estimates + 1;
-  Some (Hls.Quick.bound facts ~vector:c.Store.vector)
+  Some (Hls.Quick.bound facts ~vector:c.vector)
 
 (** [quick_gate b] is [b] with the analytical pre-estimator as its
     tier-1 bound: the two-tier engine as backend composition. *)

@@ -2,8 +2,6 @@
     evaluated anywhere in the system.
 
     {v
-        Session   batched multi-kernel driver (run_many)
-           |
         Backend   fidelity levels as values: full, lowlevel,
            |      quick_gate composition (two-tier engine)
          Store    point cache + tri-schedule memo + counters,
@@ -11,7 +9,8 @@
           Hls     scheduling, estimation, P&R degradation
     v}
 
-    [Dse] (the search and the sweep) sits on top and never calls the
+    [Pool] runs the domains of a parallel sweep. [Dse] (the search, the
+    sweep and the multi-kernel driver) sits on top and never calls the
     estimator directly: every evaluation goes [Backend.evaluate] →
     [Store] → synthesis on miss. *)
 
@@ -20,4 +19,3 @@ module Store = Store
 module Backend = Backend
 module Persist = Persist
 module Pool = Pool
-include Session

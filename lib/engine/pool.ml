@@ -1,12 +1,12 @@
-(** A reusable worker-domain pool. Spawning a domain costs hundreds of
-    microseconds and the multi-kernel session runs one parallel sweep
-    per kernel per search step; reusing one set of domains across all of
-    them keeps that cost constant per session instead of per sweep.
+(** A reusable worker-domain pool, the one place the system spawns
+    domains. Spawning a domain costs hundreds of microseconds; a caller
+    that runs many parallel sweeps passes one pool to all of them and
+    pays that cost once.
 
     The pool runs batches of thunks: {!run} enqueues them all, workers
     drain the queue, and the call returns when every thunk has finished.
-    Only one batch runs at a time (the session driver is sequential
-    between sweeps); an exception raised by a thunk is stashed and
+    Only one batch runs at a time (callers are sequential between
+    sweeps); an exception raised by a thunk is stashed and
     re-raised in the caller after the batch drains, so no worker domain
     is ever lost to an exception. *)
 
@@ -115,6 +115,6 @@ let with_pool n f =
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (** One fewer than the recommended domain count, clamped to [1, 8] —
-    the same default the parallel sweep has always used. *)
+    the parallel sweep's default worker count. *)
 let default_size () =
   max 1 (min 8 (Domain.recommended_domain_count () - 1))

@@ -1,6 +1,6 @@
 (** A reusable worker-domain pool: spawn the domains once, run many
-    batches of thunks over them, join once at shutdown. The multi-kernel
-    session shares one pool across every parallel sweep it triggers. *)
+    batches of thunks over them, join once at shutdown. Every parallel
+    sweep runs on one, its caller's or its own. *)
 
 type t
 
@@ -25,5 +25,5 @@ val shutdown : t -> unit
 val with_pool : int -> (t -> 'a) -> 'a
 
 (** One fewer than the recommended domain count, clamped to [1, 8] —
-    the sweep's historical default parallelism. *)
+    the parallel sweep's default worker count. *)
 val default_size : unit -> int

@@ -19,18 +19,10 @@
 
 open Ir
 
-(** The design point's transform configuration — re-export of
-    {!Transform.Pipeline.config}, the cache key of the point table.
-    Since the joint-space refactor a design point is a full transform
-    configuration (unroll vector, tile, scalar-replace/peel/LICM
-    toggles), not just an unroll vector. *)
-type config = Transform.Pipeline.config = {
-  vector : (string * int) list;  (** unroll factor per spine loop *)
-  tile : (string * int) option;  (** strip-mine this loop to this tile *)
-  scalar_replace : bool;
-  peel : bool;
-  licm : bool;
-}
+(** The design point's transform configuration and the cache key of the
+    point table: unroll vector, tile, scalar-replace/peel/LICM toggles
+    ({!Transform.Pipeline.config}). *)
+type config = Transform.Pipeline.config
 
 type point = {
   config : config;  (** the normalized configuration this point is *)
@@ -70,17 +62,6 @@ type stats = {
   mutable flow_solves : int;  (** dataflow fixpoint solves run *)
   mutable flow_seconds : float;
       (** wall time building and solving flow graphs *)
-  mutable joint_configs : int;
-      (** configurations enumerated by joint sweeps (the joint space
-          size, pruned configurations included) *)
-  mutable joint_pruned_illegal : int;
-      (** joint configurations dropped by the legality pre-pruner
-          before any transform ran *)
-  mutable joint_pruned_redundant : int;
-      (** joint configurations dropped as duplicates of a canonical
-          configuration elsewhere in the space *)
-  mutable joint_pruned_bound : int;
-      (** joint configurations skipped on tier-1 lower bounds *)
 }
 
 let fresh_stats () =
@@ -100,55 +81,9 @@ let fresh_stats () =
     flow_builds = 0;
     flow_solves = 0;
     flow_seconds = 0.0;
-    joint_configs = 0;
-    joint_pruned_illegal = 0;
-    joint_pruned_redundant = 0;
-    joint_pruned_bound = 0;
   }
 
-let reset_stats (s : stats) =
-  s.evaluations <- 0;
-  s.cache_hits <- 0;
-  s.quick_estimates <- 0;
-  s.pruned <- 0;
-  s.transform_seconds <- 0.0;
-  s.estimate_seconds <- 0.0;
-  s.dfg_seconds <- 0.0;
-  s.schedule_seconds <- 0.0;
-  s.layout_seconds <- 0.0;
-  s.sched_memo_hits <- 0;
-  s.checked_points <- 0;
-  s.verify_violations <- 0;
-  s.flow_builds <- 0;
-  s.flow_solves <- 0;
-  s.flow_seconds <- 0.0;
-  s.joint_configs <- 0;
-  s.joint_pruned_illegal <- 0;
-  s.joint_pruned_redundant <- 0;
-  s.joint_pruned_bound <- 0
-
-let stats_copy (s : stats) : stats =
-  {
-    evaluations = s.evaluations;
-    cache_hits = s.cache_hits;
-    quick_estimates = s.quick_estimates;
-    pruned = s.pruned;
-    transform_seconds = s.transform_seconds;
-    estimate_seconds = s.estimate_seconds;
-    dfg_seconds = s.dfg_seconds;
-    schedule_seconds = s.schedule_seconds;
-    layout_seconds = s.layout_seconds;
-    sched_memo_hits = s.sched_memo_hits;
-    checked_points = s.checked_points;
-    verify_violations = s.verify_violations;
-    flow_builds = s.flow_builds;
-    flow_solves = s.flow_solves;
-    flow_seconds = s.flow_seconds;
-    joint_configs = s.joint_configs;
-    joint_pruned_illegal = s.joint_pruned_illegal;
-    joint_pruned_redundant = s.joint_pruned_redundant;
-    joint_pruned_bound = s.joint_pruned_bound;
-  }
+let stats_copy (s : stats) : stats = { s with evaluations = s.evaluations }
 
 (** Add [from]'s counters into [into] — the stats half of {!absorb}. *)
 let stats_add ~(into : stats) (from : stats) =
@@ -166,13 +101,7 @@ let stats_add ~(into : stats) (from : stats) =
   into.verify_violations <- into.verify_violations + from.verify_violations;
   into.flow_builds <- into.flow_builds + from.flow_builds;
   into.flow_solves <- into.flow_solves + from.flow_solves;
-  into.flow_seconds <- into.flow_seconds +. from.flow_seconds;
-  into.joint_configs <- into.joint_configs + from.joint_configs;
-  into.joint_pruned_illegal <-
-    into.joint_pruned_illegal + from.joint_pruned_illegal;
-  into.joint_pruned_redundant <-
-    into.joint_pruned_redundant + from.joint_pruned_redundant;
-  into.joint_pruned_bound <- into.joint_pruned_bound + from.joint_pruned_bound
+  into.flow_seconds <- into.flow_seconds +. from.flow_seconds
 
 let stats_diff ~(before : stats) ~(after : stats) : stats =
   {
@@ -191,12 +120,6 @@ let stats_diff ~(before : stats) ~(after : stats) : stats =
     flow_builds = after.flow_builds - before.flow_builds;
     flow_solves = after.flow_solves - before.flow_solves;
     flow_seconds = after.flow_seconds -. before.flow_seconds;
-    joint_configs = after.joint_configs - before.joint_configs;
-    joint_pruned_illegal =
-      after.joint_pruned_illegal - before.joint_pruned_illegal;
-    joint_pruned_redundant =
-      after.joint_pruned_redundant - before.joint_pruned_redundant;
-    joint_pruned_bound = after.joint_pruned_bound - before.joint_pruned_bound;
   }
 
 type t = {
@@ -227,8 +150,6 @@ let find (t : t) key = Hashtbl.find_opt t.points key
 let add (t : t) key p = Hashtbl.replace t.points key p
 let size (t : t) = Hashtbl.length t.points
 let sched_memo_size (t : t) = Hls.Schedule.memo_size t.sched_memo
-
-let iter_points (t : t) f = Hashtbl.iter f t.points
 
 (** A private copy for one domain of a parallel sweep: snapshots both
     caches and starts fresh counters, so no mutable state — counters

@@ -9,18 +9,10 @@
 
 open Ir
 
-(** The design point's transform configuration — re-export of
-    {!Transform.Pipeline.config} and the cache key of the point table.
-    Since the joint-space refactor a design point is a full transform
-    configuration (unroll vector, tile, scalar-replace/peel/LICM
-    toggles), not just an unroll vector. *)
-type config = Transform.Pipeline.config = {
-  vector : (string * int) list;  (** unroll factor per spine loop *)
-  tile : (string * int) option;  (** strip-mine this loop to this tile *)
-  scalar_replace : bool;
-  peel : bool;
-  licm : bool;
-}
+(** The design point's transform configuration and the cache key of the
+    point table: unroll vector, tile, scalar-replace/peel/LICM toggles
+    ({!Transform.Pipeline.config}). *)
+type config = Transform.Pipeline.config
 
 type point = {
   config : config;  (** the normalized configuration this point is *)
@@ -53,20 +45,9 @@ type stats = {
   mutable flow_solves : int;  (** dataflow fixpoint solves run *)
   mutable flow_seconds : float;
       (** wall time building and solving flow graphs *)
-  mutable joint_configs : int;
-      (** configurations enumerated by joint sweeps (the joint space
-          size, pruned configurations included) *)
-  mutable joint_pruned_illegal : int;
-      (** joint configurations dropped by the legality pre-pruner *)
-  mutable joint_pruned_redundant : int;
-      (** joint configurations dropped as duplicates of a canonical
-          configuration elsewhere in the space *)
-  mutable joint_pruned_bound : int;
-      (** joint configurations skipped on tier-1 lower bounds *)
 }
 
 val fresh_stats : unit -> stats
-val reset_stats : stats -> unit
 
 (** Immutable copy (for before/after deltas). *)
 val stats_copy : stats -> stats
@@ -97,7 +78,6 @@ val find : t -> config -> point option
 val add : t -> config -> point -> unit
 val size : t -> int
 val sched_memo_size : t -> int
-val iter_points : t -> (config -> point -> unit) -> unit
 
 (** A private copy for one domain of a parallel sweep: snapshots both
     caches and starts fresh counters — no mutable state, counters

@@ -74,8 +74,8 @@ let test_memo_normalizes () =
   let p1 = Design.evaluate c [ ("j", 4) ] in
   let p2 = Design.evaluate c [ ("j", 4); ("i", 1) ] in
   Alcotest.(check bool) "same point" true (estimates_equal p1 p2);
-  Alcotest.(check int) "one synthesis" 1 c.Design.stats.Design.evaluations;
-  Alcotest.(check int) "one cache hit" 1 c.Design.stats.Design.cache_hits;
+  Alcotest.(check int) "one synthesis" 1 c.Design.stats.evaluations;
+  Alcotest.(check int) "one cache hit" 1 c.Design.stats.cache_hits;
   Alcotest.(check int) "one memo entry" 1 (Design.cache_size c)
 
 (* ------------------------------------------------------------------ *)
@@ -89,10 +89,10 @@ let test_search_stats_consistent () =
       Alcotest.(check int)
         (name ^ ": evals = distinct designs in the trace")
         (Search.designs_evaluated r)
-        r.Search.stats.Design.evaluations;
+        r.Search.stats.evaluations;
       Alcotest.(check int)
         (name ^ ": evals = designs memoized")
-        (Design.cache_size c) r.Search.stats.Design.evaluations)
+        (Design.cache_size c) r.Search.stats.evaluations)
     Kernels.names
 
 let test_search_reuses_cache () =
@@ -100,10 +100,10 @@ let test_search_reuses_cache () =
   let r1 = Search.run c in
   let r2 = Search.run c in
   Alcotest.(check int) "second run synthesizes nothing" 0
-    r2.Search.stats.Design.evaluations;
+    r2.Search.stats.evaluations;
   Alcotest.(check bool) "same selection" true
-    (Design.vector_equal r1.Search.selected.Design.vector
-       r2.Search.selected.Design.vector)
+    (Design.vector_equal r1.Search.selected.vector
+       r2.Search.selected.vector)
 
 let test_sweep_reuses_search_points () =
   (* The bench `frac` pattern: a sweep after a search on the same
@@ -114,10 +114,10 @@ let test_sweep_reuses_search_points () =
   let sp = Space.sweep ~max_product:256 ~jobs:1 c in
   let d = Design.stats_diff ~before ~after:(Design.stats_snapshot c) in
   Alcotest.(check bool) "some points served from the cache" true
-    (d.Design.cache_hits >= Search.designs_evaluated r);
+    (d.cache_hits >= Search.designs_evaluated r);
   Alcotest.(check int) "every lattice point accounted for"
     (List.length sp.Space.points)
-    (d.Design.evaluations + d.Design.cache_hits)
+    (d.evaluations + d.cache_hits)
 
 (* ------------------------------------------------------------------ *)
 (* Lattice pruning and the parallel sweep *)
@@ -157,7 +157,7 @@ let test_parallel_sweep_merges_stats () =
   let sp = Space.sweep ~jobs:2 c in
   Alcotest.(check int) "all points synthesized once"
     (List.length sp.Space.points)
-    c.Design.stats.Design.evaluations;
+    c.Design.stats.evaluations;
   Alcotest.(check int) "forks merged into the shared cache"
     (List.length sp.Space.points)
     (Design.cache_size c)

@@ -46,10 +46,10 @@ let verified_lattice name k ~max_product =
   Alcotest.(check int)
     (name ^ " verified every lattice point")
     (List.length sp_verified.Space.points)
-    verified.Design.stats.Design.checked_points;
+    verified.Design.stats.checked_points;
   Alcotest.(check int)
     (name ^ " zero violations")
-    0 verified.Design.stats.Design.verify_violations;
+    0 verified.Design.stats.verify_violations;
   let best sp ctx = (Option.get (Space.best_fitting ctx sp)).Space.vector in
   Alcotest.(check bool)
     (name ^ " same selection verified/unverified")

@@ -28,20 +28,20 @@ let usage_to_string (u : ((Hls.Op_model.op_class * int) * int) list) =
        u)
 
 let line name model (p : Design.point) =
-  let e = p.Design.estimate in
+  let e = p.estimate in
   let md5 s = Digest.to_hex (Digest.string s) in
   Printf.sprintf
     "%s %s %s cycles=%d mem=%d comp=%d slices=%d regs=%d bits=%d states=%d \
      mems=%d reads=%d writes=%d usage=%s kernel=%s"
     name model
-    (Design.config_to_string p.Design.config)
+    (Design.config_to_string p.config)
     e.Hls.Estimate.cycles e.Hls.Estimate.mem_only_cycles
     e.Hls.Estimate.comp_only_cycles e.Hls.Estimate.slices
     e.Hls.Estimate.register_bits e.Hls.Estimate.bits_moved
     e.Hls.Estimate.states e.Hls.Estimate.memories_used e.Hls.Estimate.reads
     e.Hls.Estimate.writes
     (md5 (usage_to_string e.Hls.Estimate.usage))
-    (md5 (Pretty.kernel_to_string p.Design.kernel))
+    (md5 (Pretty.kernel_to_string p.kernel))
 
 let lines () =
   List.concat_map

@@ -108,7 +108,7 @@ let test_memory_bound_stops_at_uinit () =
   let c = ctx ~pipelined:false "jac" in
   let r = Search.run c in
   Alcotest.(check bool) "selected = Uinit" true
-    (Design.vector_equal r.Search.selected.Design.vector r.Search.uinit)
+    (Design.vector_equal r.Search.selected.vector r.Search.uinit)
 
 let test_capacity_constraint () =
   (* With a small device (between the baseline's and the saturation
@@ -125,8 +125,8 @@ let test_search_deterministic () =
   let r1 = Search.run (ctx "sobel") in
   let r2 = Search.run (ctx "sobel") in
   Alcotest.(check bool) "same selection" true
-    (Design.vector_equal r1.Search.selected.Design.vector
-       r2.Search.selected.Design.vector)
+    (Design.vector_equal r1.Search.selected.vector
+       r2.Search.selected.vector)
 
 (* ------------------------------------------------------------------ *)
 (* Space oracle and selection quality *)

@@ -61,9 +61,9 @@ let roundtrip_prop (k : Ir.Ast.kernel) =
   if loaded <> Store.size cold_ctx.Design.store then
     QCheck2.Test.fail_reportf "loaded %d of %d points" loaded
       (Store.size cold_ctx.Design.store);
-  if warm_ctx.Design.stats.Design.evaluations <> 0 then
+  if warm_ctx.Design.stats.evaluations <> 0 then
     QCheck2.Test.fail_reportf "warm sweep synthesized %d designs"
-      warm_ctx.Design.stats.Design.evaluations;
+      warm_ctx.Design.stats.evaluations;
   if warm.Space.points <> cold.Space.points then
     QCheck2.Test.fail_reportf "warm points differ from cold";
   true
@@ -177,13 +177,13 @@ let test_backend_equivalence () =
       Alcotest.(check bool)
         (name ^ ": gated and ungated searches select identically")
         true
-        (Design.vector_equal rg.Search.selected.Design.vector
-           rp.Search.selected.Design.vector);
+        (Design.vector_equal rg.Search.selected.vector
+           rp.Search.selected.vector);
       Alcotest.(check bool)
         (name ^ ": the gate only removes syntheses")
         true
-        (gated.Design.stats.Design.evaluations
-         <= plain.Design.stats.Design.evaluations))
+        (gated.Design.stats.evaluations
+         <= plain.Design.stats.evaluations))
     [ "fir"; "mm"; "jac" ]
 
 (* The lowlevel backend degrades area and wall time, never cycles. *)
@@ -197,8 +197,8 @@ let test_lowlevel_backend () =
   Alcotest.(check bool) "post-route area grows" true (Design.space pl >= Design.space pf);
   Alcotest.(check bool)
     "post-route time grows" true
-    (pl.Design.estimate.Hls.Estimate.time_ns
-     >= pf.Design.estimate.Hls.Estimate.time_ns)
+    (pl.estimate.Hls.Estimate.time_ns
+     >= pf.estimate.Hls.Estimate.time_ns)
 
 let test_backend_names () =
   List.iter
@@ -215,21 +215,21 @@ let test_backend_names () =
 (* Multi-kernel sessions *)
 
 let tasks names =
-  List.map (fun n -> { Engine.name = n; kernel = kernel n }) names
+  List.map (fun n -> { Dse.Driver.name = n; kernel = kernel n }) names
 
 (* One batched session selects exactly what sequential per-kernel
    searches select, kernel for kernel. *)
 let test_session_matches_sequential () =
   let names = [ "fir"; "mm"; "jac"; "pat"; "sobel" ] in
-  let summary = Dse.Driver.run_many ~profile ~jobs:1 (tasks names) in
+  let summary = Dse.Driver.run_many ~profile (tasks names) in
   List.iter2
     (fun name (o : Dse.Driver.outcome) ->
       let solo = Search.run (Design.context ~profile (kernel name)) in
       Alcotest.(check bool)
         (name ^ ": session selects like a sequential run")
         true
-        (Design.vector_equal o.Dse.Driver.search.Search.selected.Design.vector
-           solo.Search.selected.Design.vector))
+        (Design.vector_equal o.Dse.Driver.search.Search.selected.vector
+           solo.Search.selected.vector))
     names summary.Dse.Driver.outcomes
 
 (* Warm session over a persistent store: zero syntheses, identical
@@ -237,27 +237,27 @@ let test_session_matches_sequential () =
 let test_session_warm () =
   let names = [ "fir"; "mm" ] in
   let dir = fresh_dir () in
-  let cold = Dse.Driver.run_many ~cache_dir:dir ~jobs:1 ~profile (tasks names) in
-  let warm = Dse.Driver.run_many ~cache_dir:dir ~jobs:1 ~profile (tasks names) in
+  let cold = Dse.Driver.run_many ~cache_dir:dir ~profile (tasks names) in
+  let warm = Dse.Driver.run_many ~cache_dir:dir ~profile (tasks names) in
   rm_store dir;
   Alcotest.(check bool)
     "cold session synthesized" true
-    (cold.Dse.Driver.total.Design.evaluations > 0);
+    (cold.Dse.Driver.total.evaluations > 0);
   Alcotest.(check int)
     "warm session synthesized nothing" 0
-    warm.Dse.Driver.total.Design.evaluations;
+    warm.Dse.Driver.total.evaluations;
   Alcotest.(check bool)
     "warm session loaded the memo" true
     (warm.Dse.Driver.loaded_memo_shapes > 0);
   List.iter2
     (fun (c : Dse.Driver.outcome) (w : Dse.Driver.outcome) ->
       Alcotest.(check bool)
-        (c.Dse.Driver.task.Engine.name ^ ": warm selection identical")
+        (c.Dse.Driver.task.Dse.Driver.name ^ ": warm selection identical")
         true
         (c.Dse.Driver.search.Search.selected
         = w.Dse.Driver.search.Search.selected);
       Alcotest.(check bool)
-        (c.Dse.Driver.task.Engine.name ^ ": warm loaded points")
+        (c.Dse.Driver.task.Dse.Driver.name ^ ": warm loaded points")
         true
         (w.Dse.Driver.loaded_points > 0))
     cold.Dse.Driver.outcomes warm.Dse.Driver.outcomes
@@ -269,17 +269,17 @@ let test_session_shares_memo () =
      memo the first filled. *)
   let ts =
     [
-      { Engine.name = "a"; kernel = kernel "fir" };
-      { Engine.name = "b"; kernel = kernel "fir" };
+      { Dse.Driver.name = "a"; kernel = kernel "fir" };
+      { Dse.Driver.name = "b"; kernel = kernel "fir" };
     ]
   in
-  let summary = Dse.Driver.run_many ~profile ~jobs:1 ts in
+  let summary = Dse.Driver.run_many ~profile ts in
   match summary.Dse.Driver.outcomes with
   | [ first; second ] ->
       Alcotest.(check bool)
         "second kernel hits the shared memo" true
-        (second.Dse.Driver.stats.Design.sched_memo_hits
-         > first.Dse.Driver.stats.Design.sched_memo_hits)
+        (second.Dse.Driver.stats.sched_memo_hits
+         > first.Dse.Driver.stats.sched_memo_hits)
   | _ -> Alcotest.fail "expected two outcomes"
 
 (* ------------------------------------------------------------------ *)
@@ -298,17 +298,17 @@ let test_sweep_stats_deterministic () =
   Alcotest.(check int)
     "evaluations = lattice size (jobs=1)"
     (List.length sp1.Space.points)
-    st1.Design.evaluations;
+    st1.evaluations;
   Alcotest.(check int)
     "evaluations = lattice size (jobs=4)"
     (List.length sp4.Space.points)
-    st4.Design.evaluations;
-  Alcotest.(check int) "cache hits agree" st1.Design.cache_hits st4.Design.cache_hits
+    st4.evaluations;
+  Alcotest.(check int) "cache hits agree" st1.cache_hits st4.cache_hits
 
 let test_pool_reuse () =
   Engine.Pool.with_pool 3 @@ fun pool ->
   Alcotest.(check int) "pool size" 3 (Engine.Pool.size pool);
-  (* Two sweeps over the same pool: identical to fresh-domain sweeps. *)
+  (* Two sweeps over the same pool: identical to sequential sweeps. *)
   List.iter
     (fun name ->
       let k = kernel name in
@@ -334,6 +334,21 @@ let test_pool_exceptions () =
   (* The pool survives a failed batch. *)
   Engine.Pool.run pool [ (fun () -> Atomic.incr hits) ];
   Alcotest.(check int) "all non-failing tasks ran" 8 (Atomic.get hits)
+
+(* A synthesis failure inside a parallel sweep without a caller's pool
+   reaches the caller, and the sweep's own pool is shut down cleanly. *)
+let test_sweep_exceptions () =
+  let k = kernel "fir" in
+  let failing =
+    { Backend.full with synthesize = (fun _ _ _ -> failwith "synthesis failed") }
+  in
+  let sweep ctx = Space.sweep ~jobs:2 ~max_product:16 ctx in
+  (match sweep (Design.context ~profile ~backend:failing k) with
+  | _ -> Alcotest.fail "expected the synthesis failure to re-raise"
+  | exception Failure msg ->
+      Alcotest.(check string) "message" "synthesis failed" msg);
+  let healthy = sweep (Design.context ~profile k) in
+  Alcotest.(check bool) "a later sweep succeeds" true (healthy.Space.points <> [])
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end CLI acceptance: cold vs warm over the paper's kernels *)
@@ -449,6 +464,14 @@ let test_cli_memories () =
       [ "simulate"; "-k"; "fir"; "--memories"; "0" ];
     ]
 
+let test_cli_max_product () =
+  List.iter
+    (fun args -> check_rejected args "defacto: --max-product must be at least 1")
+    [
+      [ "space"; "-k"; "fir"; "--max-product"; "0" ];
+      [ "space"; "-k"; "fir"; "--joint"; "--max-product"; "0" ];
+    ]
+
 let test_cli_unroll_components () =
   List.iter
     (fun (cmd, vec) ->
@@ -512,12 +535,16 @@ let () =
           Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
           Alcotest.test_case "pool exception propagation" `Quick
             test_pool_exceptions;
+          Alcotest.test_case "sweep exception propagation" `Quick
+            test_sweep_exceptions;
         ] );
       ( "cli",
         [
           Alcotest.test_case "cold vs warm acceptance" `Quick test_cli_cold_warm;
           Alcotest.test_case "cache subcommand" `Quick test_cli_cache_subcommand;
           Alcotest.test_case "--memories below 1 rejected" `Quick test_cli_memories;
+          Alcotest.test_case "--max-product below 1 rejected" `Quick
+            test_cli_max_product;
           Alcotest.test_case "-u components must name loops" `Quick
             test_cli_unroll_components;
           Alcotest.test_case "-k help lists every kernel" `Quick test_cli_kernel_help;

@@ -145,16 +145,16 @@ let test_memo_exact_lattice () =
         Alcotest.(check bool)
           (name ^ ": the sweep hit the scheduler memo")
           true
-          (ctx.Design.stats.Design.sched_memo_hits > 0);
+          (ctx.Design.stats.sched_memo_hits > 0);
       List.iter
         (fun (pt : Space.sweep_point) ->
           let plain =
-            Hls.Estimate.estimate ctx.Design.profile pt.Space.point.Design.kernel
+            Hls.Estimate.estimate ctx.Design.profile pt.Space.point.kernel
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s %s" name (Helpers.vector_to_string pt.Space.vector))
             true
-            (estimates_identical plain pt.Space.point.Design.estimate))
+            (estimates_identical plain pt.Space.point.estimate))
         sp.Space.points)
     Kernels.names
 
@@ -196,7 +196,7 @@ let test_sim_unchanged_under_memo () =
           (* evaluate through the context, so the estimate comes out of
              the shared fingerprint memo *)
           let pt = Design.evaluate ctx vector in
-          let sim = Hls.Sim.run ~inputs profile pt.Design.kernel in
+          let sim = Hls.Sim.run ~inputs profile pt.kernel in
           Alcotest.(check bool)
             (Printf.sprintf "%s %s values" name (Helpers.vector_to_string vector))
             true
@@ -206,7 +206,7 @@ let test_sim_unchanged_under_memo () =
                reference);
           Alcotest.(check int)
             (Printf.sprintf "%s %s cycles" name (Helpers.vector_to_string vector))
-            pt.Design.estimate.Hls.Estimate.cycles sim.Hls.Sim.cycles)
+            pt.estimate.Hls.Estimate.cycles sim.Hls.Sim.cycles)
         [ []; [ ("i", 2) ]; [ ("i", 2); ("j", 2) ]; [ ("i", 4); ("j", 4) ] ])
     Kernels.names
 

@@ -20,7 +20,7 @@ let test_flow_correct () =
     (fun name ->
       let k, ctx, sel, inputs = flow name in
       Alcotest.(check bool) (name ^ " correct") true
-        (Helpers.equivalent ~inputs ~reference:k sel.Dse.Design.kernel);
+        (Helpers.equivalent ~inputs ~reference:k sel.kernel);
       Alcotest.(check bool) (name ^ " fits") true
         (Dse.Design.space sel <= ctx.Dse.Design.capacity);
       let base = Dse.Design.evaluate ctx (Dse.Design.ubase ctx) in
@@ -33,7 +33,7 @@ let test_flow_simulates () =
     (fun name ->
       let k, _, sel, inputs = flow name in
       let profile = Hls.Estimate.default_profile () in
-      let sim = Hls.Sim.run ~inputs profile sel.Dse.Design.kernel in
+      let sim = Hls.Sim.run ~inputs profile sel.kernel in
       let reference = Eval.observables (Eval.run ~inputs k) in
       Alcotest.(check bool) (name ^ " datapath correct") true
         (List.for_all

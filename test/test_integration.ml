@@ -18,7 +18,7 @@ let full_flow ?(pipelined = true) name src =
   (* the selected design's generated code is functionally the kernel *)
   let inputs = Kernels.test_inputs k in
   Alcotest.(check bool) (name ^ " selected code is correct") true
-    (Helpers.equivalent ~inputs ~reference:k sel.Dse.Design.kernel);
+    (Helpers.equivalent ~inputs ~reference:k sel.kernel);
   (* it fits and improves on the baseline *)
   Alcotest.(check bool) (name ^ " fits") true
     (Dse.Design.space sel <= ctx.Dse.Design.capacity);
@@ -26,7 +26,7 @@ let full_flow ?(pipelined = true) name src =
   Alcotest.(check bool) (name ^ " not slower than baseline") true
     (Dse.Design.cycles sel <= Dse.Design.cycles base);
   (* VHDL emission of the selected design succeeds *)
-  let vhdl = Vhdl.Emit.emit_with_layout ~num_memories:4 sel.Dse.Design.kernel in
+  let vhdl = Vhdl.Emit.emit_with_layout ~num_memories:4 sel.kernel in
   Alcotest.(check bool) (name ^ " vhdl") true (String.length vhdl > 500);
   (sel, base)
 

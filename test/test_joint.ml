@@ -164,7 +164,7 @@ let prune_soundness_prop (k, c) =
             (Helpers.kernel_print k)
       | _ ->
           let s = Design.stats_snapshot ctx in
-          s.Design.verify_violations = 0)
+          s.verify_violations = 0)
 
 let test_prune_soundness =
   Helpers.qtest "joint legality pruning is sound" ~count:150
@@ -178,14 +178,14 @@ let redundant_agrees_prop (k, c) =
       let ctx = Design.context ~profile k in
       let p = Design.evaluate_config ctx c in
       let p' = Design.evaluate_config ctx canonical in
-      if p.Design.estimate = p'.Design.estimate then true
+      if p.estimate = p'.estimate then true
       else
         QCheck2.Test.fail_reportf
           "redundant %s and canonical %s disagree (cycles %d vs %d) on:@.%s"
           (Pipeline.config_to_string c)
           (Pipeline.config_to_string canonical)
-          p.Design.estimate.Hls.Estimate.cycles
-          p'.Design.estimate.Hls.Estimate.cycles (Helpers.kernel_print k)
+          p.estimate.Hls.Estimate.cycles
+          p'.estimate.Hls.Estimate.cycles (Helpers.kernel_print k)
   | _ -> true
 
 let test_redundant_agrees =
@@ -287,15 +287,15 @@ let admissible_prop (k, c) =
                   (Pipeline.config_to_string c)
       | Some q ->
           if
-            q.Hls.Quick.cycles_lb <= p.Design.estimate.Hls.Estimate.cycles
-            && q.Hls.Quick.slices_lb <= p.Design.estimate.Hls.Estimate.slices
+            q.Hls.Quick.cycles_lb <= p.estimate.Hls.Estimate.cycles
+            && q.Hls.Quick.slices_lb <= p.estimate.Hls.Estimate.slices
           then true
           else
             QCheck2.Test.fail_reportf
               "bound exceeds estimate for %s: cycles %d>%d or slices %d>%d on:@.%s"
               (Pipeline.config_to_string c) q.Hls.Quick.cycles_lb
-              p.Design.estimate.Hls.Estimate.cycles q.Hls.Quick.slices_lb
-              p.Design.estimate.Hls.Estimate.slices (Helpers.kernel_print k))
+              p.estimate.Hls.Estimate.cycles q.Hls.Quick.slices_lb
+              p.estimate.Hls.Estimate.slices (Helpers.kernel_print k))
 
 let test_admissible =
   Helpers.qtest "quick bounds admissible over the joint space" ~count:150
@@ -311,18 +311,18 @@ let test_normalize () =
   (* The tiled loop's unroll factor is forced to 1. *)
   let c =
     Design.normalize_config ctx
-      { base with Design.vector = [ ("i", 2) ]; tile = Some ("i", 4) }
+      { base with vector = [ ("i", 2) ]; tile = Some ("i", 4) }
   in
   Alcotest.(check (option int)) "tiled loop pinned to factor 1" (Some 1)
-    (List.assoc_opt "i" c.Design.vector);
-  Alcotest.(check bool) "tile survives" true (c.Design.tile = Some ("i", 4));
+    (List.assoc_opt "i" c.vector);
+  Alcotest.(check bool) "tile survives" true (c.tile = Some ("i", 4));
   (* A non-divisor tile request is clamped to the divisor the
      strip-mine would use. *)
   let trip = Ast.loop_trip (List.hd ctx.Design.spine) in
   let c2 =
-    Design.normalize_config ctx { base with Design.tile = Some ("i", trip - 1) }
+    Design.normalize_config ctx { base with tile = Some ("i", trip - 1) }
   in
-  (match c2.Design.tile with
+  (match c2.tile with
   | Some ("i", t) ->
       Alcotest.(check bool) "clamped to a proper divisor" true
         (t > 1 && t < trip && trip mod t = 0)
@@ -332,12 +332,12 @@ let test_normalize () =
         | None -> "none"
         | Some (i, t) -> Printf.sprintf "%s:%d" i t));
   (* Degenerate tiles are dropped. *)
-  let c3 = Design.normalize_config ctx { base with Design.tile = Some ("i", 1) } in
-  Alcotest.(check bool) "tile 1 dropped" true (c3.Design.tile = None);
+  let c3 = Design.normalize_config ctx { base with tile = Some ("i", 1) } in
+  Alcotest.(check bool) "tile 1 dropped" true (c3.tile = None);
   let c4 =
-    Design.normalize_config ctx { base with Design.tile = Some ("i", trip) }
+    Design.normalize_config ctx { base with tile = Some ("i", trip) }
   in
-  Alcotest.(check bool) "full-trip tile dropped" true (c4.Design.tile = None)
+  Alcotest.(check bool) "full-trip tile dropped" true (c4.tile = None)
 
 (* The vector API is the base-configuration special case: evaluating a
    vector and then its [base_config] spelling is one cache entry. *)
@@ -349,9 +349,9 @@ let test_vector_config_agree () =
   let p' = Design.evaluate_config ctx (Design.base_config ctx [ ("i", 4) ]) in
   let after = Design.stats_snapshot ctx in
   Alcotest.(check bool) "same estimate" true
-    (p.Design.estimate = p'.Design.estimate);
+    (p.estimate = p'.estimate);
   Alcotest.(check int) "no extra synthesis"
-    before.Design.evaluations after.Design.evaluations
+    before.evaluations after.evaluations
 
 (* ------------------------------------------------------------------ *)
 (* Warm replay across the configuration-keyed schema: persist points for
@@ -369,10 +369,10 @@ let test_warm_replay_configs () =
   let base = Design.base_config ctx [] in
   let configs =
     [
-      { base with Design.vector = [ ("i", 2) ] };
-      { base with Design.vector = [ ("j", 2) ]; tile = Some ("k", 4) };
-      { base with Design.scalar_replace = false; peel = false };
-      { base with Design.licm = false; tile = Some ("k", 8) };
+      { base with vector = [ ("i", 2) ] };
+      { base with vector = [ ("j", 2) ]; tile = Some ("k", 4) };
+      { base with scalar_replace = false; peel = false };
+      { base with licm = false; tile = Some ("k", 8) };
     ]
   in
   let cold = List.map (Design.evaluate_config ctx) configs in
@@ -388,11 +388,11 @@ let test_warm_replay_configs () =
   let warm_ctx = Design.context ~profile ~store:warm_store k in
   let warm = List.map (Design.evaluate_config warm_ctx) configs in
   let s = Design.stats_snapshot warm_ctx in
-  Alcotest.(check int) "zero syntheses on replay" 0 s.Design.evaluations;
+  Alcotest.(check int) "zero syntheses on replay" 0 s.evaluations;
   List.iter2
     (fun (c : Design.point) (w : Design.point) ->
       Alcotest.(check bool) "warm estimate equals cold" true
-        (c.Design.estimate = w.Design.estimate))
+        (c.estimate = w.estimate))
     cold warm;
   ignore (Persist.clear ~cache_dir:dir)
 
@@ -411,8 +411,8 @@ let test_joint_dominates () =
       let j = Space.sweep_joint ~max_product:16 jctx in
       match (Space.best_fitting ctx sw, Space.joint_best jctx j) with
       | Some u, Some jb ->
-          let uc = u.Space.point.Design.estimate.Hls.Estimate.cycles in
-          let jc = jb.Space.point.Design.estimate.Hls.Estimate.cycles in
+          let uc = u.Space.point.estimate.Hls.Estimate.cycles in
+          let jc = jb.Space.point.estimate.Hls.Estimate.cycles in
           Alcotest.(check bool)
             (Printf.sprintf "%s: joint (%d) <= unroll-only (%d)" name jc uc)
             true (jc <= uc)
@@ -436,7 +436,7 @@ let test_best_first_matches_exhaustive () =
             (Printf.sprintf "%s: best-first selection matches exhaustive" name)
             true
             (Design.config_equal a.Space.config b.Space.config
-            && a.Space.point.Design.estimate = b.Space.point.Design.estimate)
+            && a.Space.point.estimate = b.Space.point.estimate)
       | None, None -> ()
       | _ -> Alcotest.failf "%s: sweeps disagree on having a selection" name)
     [ "fir"; "jac" ]

@@ -150,7 +150,7 @@ let prop_quick_admissible (k, v) =
   | None -> true
   | Some q ->
       let p = Design.evaluate ctx v in
-      admissible q p.Design.estimate
+      admissible q p.estimate
 
 let test_quick_admissible_paper_kernels () =
   List.iter
@@ -167,7 +167,7 @@ let test_quick_admissible_paper_kernels () =
                 (Printf.sprintf "%s %s admissible" name
                    (Helpers.vector_to_string pt.Space.vector))
                 true
-                (admissible q pt.Space.point.Design.estimate))
+                (admissible q pt.Space.point.estimate))
         sp.Space.points)
     paper_kernels
 
@@ -187,11 +187,11 @@ let test_search_capacity_gate () =
   in
   let ctx = { ctx with Design.capacity = floor - 1 } in
   let r = Search.run ctx in
-  Alcotest.(check bool) "points pruned" true (r.Search.stats.Design.pruned > 0);
+  Alcotest.(check bool) "points pruned" true (r.Search.stats.pruned > 0);
   Alcotest.(check bool) "falls back to ubase" true
-    (Design.vector_equal r.Search.selected.Design.vector (Design.ubase ctx));
+    (Design.vector_equal r.Search.selected.vector (Design.ubase ctx));
   Alcotest.(check int) "only the fallback synthesized" 1
-    r.Search.stats.Design.evaluations
+    r.Search.stats.evaluations
 
 let test_search_selection_unchanged_by_gate () =
   (* at the real device capacity the tier-1 gate may skip syntheses but

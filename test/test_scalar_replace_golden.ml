@@ -25,16 +25,16 @@ let configs (ctx : Design.context) =
   let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Design.spine in
   let vectors max_product = Space.divisor_vectors ~max_product ctx ~eligible in
   let base = Design.base_config ctx [] in
-  let unroll = List.map (fun vector -> { base with Design.vector }) (vectors 256) in
+  let unroll = List.map (fun vector -> { base with vector }) (vectors 256) in
   let tiled =
     List.concat_map
       (fun tile ->
-        List.map (fun vector -> { base with Design.vector; tile }) (vectors 64))
+        List.map (fun vector -> { base with vector; tile }) (vectors 64))
       (List.filter Option.is_some
          (Space.joint_tile_options ctx ~candidates:Space.default_tile_candidates))
   in
   let off =
-    List.map (fun vector -> { base with Design.vector; scalar_replace = false }) (vectors 16)
+    List.map (fun vector -> { base with vector; scalar_replace = false }) (vectors 16)
   in
   let seen = Hashtbl.create 256 in
   List.filter_map

@@ -113,7 +113,7 @@ let test_sim_unchanged () =
   List.iter
     (fun vector ->
       let pt = Dse.Design.evaluate ctx vector in
-      let sim = Hls.Sim.run ~inputs profile pt.Dse.Design.kernel in
+      let sim = Hls.Sim.run ~inputs profile pt.kernel in
       List.iter
         (fun (arr, data) ->
           Alcotest.(check bool)
