@@ -293,17 +293,17 @@ let dse_json () =
     List.map
       (fun name ->
         let c = ctx name in
-        let t0 = Dse.Util.now () in
+        let t0 = Ir.Clock.now () in
         let r = Search.run c in
-        let t_search = Dse.Util.now () -. t0 in
+        let t_search = Ir.Clock.now () -. t0 in
         (* Exhaustive sweep on a fresh context: cold caches, one
            domain, so wall time and synthesis count are comparable with
            the verified and joint sweeps below. *)
         let c_full = ctx name in
         let gc0 = Gc.minor_words () in
-        let t0 = Dse.Util.now () in
+        let t0 = Ir.Clock.now () in
         let sp_full = Space.sweep ~max_product:mp ~jobs:1 c_full in
-        let t_full = Dse.Util.now () -. t0 in
+        let t_full = Ir.Clock.now () -. t0 in
         let gc_full = Gc.minor_words () -. gc0 in
         (* Verified sweep: same lattice with per-point translation
            validation ([--verify]); selections must be bit-identical and
@@ -312,18 +312,18 @@ let dse_json () =
           let k = Option.get (Kernels.find name) in
           Design.context ~profile:(Estimate.default_profile ()) ~verify:true k
         in
-        let t0 = Dse.Util.now () in
+        let t0 = Ir.Clock.now () in
         let sp_verified = Space.sweep ~max_product:mp ~jobs:1 c_verified in
-        let t_verified = Dse.Util.now () -. t0 in
+        let t_verified = Ir.Clock.now () -. t0 in
         (* Joint configuration space: same product bound, fresh context,
            sequential — comparable with the sweeps above. The smoke
            asserts the joint winner is never behind the unroll-only
            winner (the joint space is a superset, and the pruning is
            admissible). *)
         let c_joint = ctx name in
-        let t0 = Dse.Util.now () in
+        let t0 = Ir.Clock.now () in
         let jt = Space.sweep_joint ~max_product:mp c_joint in
-        let t_joint = Dse.Util.now () -. t0 in
+        let t_joint = Ir.Clock.now () -. t0 in
         let best_full = Option.get (Space.best_fitting c_full sp_full) in
         let best_verified = Option.get (Space.best_fitting c_verified sp_verified) in
         let sched_memo_hits =

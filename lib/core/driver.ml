@@ -71,10 +71,10 @@ let run_many ?cache_dir ?(cold = false) ?pipeline ?profile ?verify ?capacity
           Design.context ?pipeline ?profile ?verify ?capacity ~backend ~store
             task.kernel
         in
-        let t0 = Util.now () in
+        let t0 = Ir.Clock.now () in
         let search = Search.run ?config:search_config ctx in
         let baseline = Design.evaluate ctx (Design.ubase ctx) in
-        let wall_seconds = Util.now () -. t0 in
+        let wall_seconds = Ir.Clock.now () -. t0 in
         {
           task;
           search;

@@ -1,5 +1,5 @@
 (** Small helpers shared by the design-space modules (and the bench
-    harness): timestamps, divisor arithmetic, and the unroll-vector
+    harness): divisor arithmetic, and the unroll-vector
     enumeration primitives that the search ([Search]) and the sweep
     ([Space]) both build on. The scalar helpers live in the engine
     library; the vector enumerators live here because they read the
@@ -10,9 +10,6 @@ open Ir
 (** Positive divisors of [n] in ascending order ([divisors 12] is
     [1; 2; 3; 4; 6; 12]). [n <= 0] has no positive divisors. *)
 let divisors = Engine.Util.divisors
-
-(** Wall-clock timestamp in seconds, for the evaluation statistics. *)
-let now = Engine.Util.now
 
 (* Divisor lists come from the context's precomputed [spine_divisors]
    tables: these helpers run on every Increase/SelectBetween move of the

@@ -1,14 +1,11 @@
 (** Small helpers shared by the design-space modules (and the bench
-    harness): timestamps, divisors, and the unroll-vector enumeration
+    harness): divisors, and the unroll-vector enumeration
     primitives used by both the search and the sweep. *)
 
 open Ir
 
 (** Positive divisors of [n] in ascending order; empty for [n <= 0]. *)
 val divisors : int -> int list
-
-(** Wall-clock timestamp in seconds. *)
-val now : unit -> float
 
 (** The context's precomputed ascending divisors of a spine loop's trip
     count (computed on the spot for a loop the table misses). *)

@@ -1,12 +1,9 @@
 (** Small helpers the evaluation engine shares with the design-space
     modules above it ([Dse.Util] re-exports these, so the divisor
-    enumeration and the wall clock still exist in exactly one place). *)
+    enumeration exists in exactly one place). *)
 
 (** Positive divisors of [n] in ascending order ([divisors 12] is
     [1; 2; 3; 4; 6; 12]). [n <= 0] has no positive divisors. *)
 let divisors n =
   if n <= 0 then []
   else List.filter (fun d -> n mod d = 0) (List.init n (fun i -> i + 1))
-
-(** Wall-clock timestamp in seconds, for the evaluation statistics. *)
-let now () = Unix.gettimeofday ()

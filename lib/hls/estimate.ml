@@ -76,8 +76,6 @@ let fresh_timers () =
     sched_memo_hits = 0;
   }
 
-let now () = Unix.gettimeofday ()
-
 (* Region walk: returns (joint, mem_only, comp_only, bits) as executed
    totals; mutates [usage], [states], [loops]. *)
 type acc = {
@@ -97,12 +95,12 @@ let estimate ?(sched_memo : Schedule.memo option)
     ?(timers : stage_timers option) (p : profile) (kernel : Ast.kernel) : t =
   let sched_profile = { Schedule.device = p.device; mem = p.mem; chaining = p.chaining } in
   let accesses = Access.collect kernel.k_body in
-  let t0 = now () in
+  let t0 = Clock.now () in
   let layout =
     Layout.assign ~num_memories:p.device.Device.num_memories kernel accesses
   in
   (match timers with
-  | Some ts -> ts.layout_seconds <- ts.layout_seconds +. (now () -. t0)
+  | Some ts -> ts.layout_seconds <- ts.layout_seconds +. (Clock.now () -. t0)
   | None -> ());
   let mem_of a = Layout.memory_of layout a in
   let build = Dfg.block_builder ~kernel ~mem_of ~cursor:(Dfg.cursor_of accesses) in
@@ -113,9 +111,9 @@ let estimate ?(sched_memo : Schedule.memo option)
       match List.rev chunk with
       | [] -> (j, m, c, b)
       | stmts ->
-          let t0 = now () in
+          let t0 = Clock.now () in
           let g = build stmts in
-          let t1 = now () in
+          let t1 = Clock.now () in
           let { Schedule.joint; mem_only = mem_res; comp_only = comp }, hit =
             match sched_memo with
             | Some memo -> Schedule.run_tri_cached memo sched_profile g
@@ -124,7 +122,7 @@ let estimate ?(sched_memo : Schedule.memo option)
           (match timers with
           | Some ts ->
               ts.dfg_seconds <- ts.dfg_seconds +. (t1 -. t0);
-              ts.schedule_seconds <- ts.schedule_seconds +. (now () -. t1);
+              ts.schedule_seconds <- ts.schedule_seconds +. (Clock.now () -. t1);
               if hit then ts.sched_memo_hits <- ts.sched_memo_hits + 1
           | None -> ());
           merge_usage acc joint.Schedule.usage;
