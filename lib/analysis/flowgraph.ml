@@ -23,7 +23,103 @@ let cost_add ~(into : cost) (c : cost) =
   into.build_seconds <- into.build_seconds +. c.build_seconds;
   into.solve_seconds <- into.solve_seconds +. c.solve_seconds
 
-let now () = Unix.gettimeofday ()
+(* ------------------------------------------------------------------ *)
+(* Abstract locations *)
+
+type loc = Scalar of string | Cell of string * Affine.t list | Whole of string
+
+(* Scalars first, then cells, then whole arrays; by name within each
+   kind, then by subscript forms. This is the order polymorphic
+   [compare] gives, spelled out so that set operations do not pay for a
+   generic traversal — and so that every [Cell] of one array sits in one
+   contiguous run of a [LocSet], starting at [Cell (a, [])]. *)
+let compare_loc (a : loc) (b : loc) =
+  match (a, b) with
+  | Scalar x, Scalar y | Whole x, Whole y -> String.compare x y
+  | Cell (x, fs), Cell (y, gs) ->
+      let c = String.compare x y in
+      if c <> 0 then c else List.compare Affine.compare fs gs
+  | Scalar _, (Cell _ | Whole _) | Cell _, Whole _ -> -1
+  | (Cell _ | Whole _), Scalar _ | Whole _, Cell _ -> 1
+
+let equal_loc a b = compare_loc a b = 0
+
+let pp_loc fmt = function
+  | Scalar s -> Format.pp_print_string fmt s
+  | Cell (a, fs) ->
+      Format.fprintf fmt "%s%s" a
+        (String.concat ""
+           (List.map (fun f -> "[" ^ Affine.to_string f ^ "]") fs))
+  | Whole a -> Format.fprintf fmt "%s[*]" a
+
+module LocSet = Set.Make (struct
+  type t = loc
+
+  let compare = compare_loc
+end)
+
+let may_alias (a : loc) (b : loc) =
+  match (a, b) with
+  | Scalar x, Scalar y -> String.equal x y
+  | Scalar _, (Cell _ | Whole _) | (Cell _ | Whole _), Scalar _ -> false
+  | (Cell (x, _) | Whole x), Whole y | Whole x, Cell (y, _) ->
+      String.equal x y
+  | Cell (x, fs), Cell (y, gs) ->
+      String.equal x y
+      && (List.length fs <> List.length gs
+         || not
+              (List.exists2
+                 (fun f g ->
+                   (* provably distinct cells across *all* iterations:
+                      both subscripts constant and different *)
+                   Affine.is_const f && Affine.is_const g
+                   && Affine.const_part f <> Affine.const_part g)
+                 fs gs))
+
+(* The members of [s] that may alias [l]. Only facts naming [l]'s
+   scalar or array can, so this visits [l]'s own scalar, or its array's
+   [Whole] fact and contiguous run of [Cell] facts — never the rest of
+   the set. *)
+let aliases (s : LocSet.t) (l : loc) : loc Seq.t =
+  match l with
+  | Scalar _ -> if LocSet.mem l s then Seq.return l else Seq.empty
+  | Cell (a, _) | Whole a ->
+      let cells =
+        LocSet.to_seq_from (Cell (a, [])) s
+        |> Seq.take_while (function
+             | Cell (b, _) -> String.equal a b
+             | Scalar _ | Whole _ -> false)
+        |> Seq.filter (fun f -> may_alias f l)
+      in
+      if LocSet.mem (Whole a) s then Seq.cons (Whole a) cells else cells
+
+(* The cell key of an access, valid at a node whose enclosing loop
+   indices are [indices]: affine in every dimension and mentioning only
+   those indices; otherwise the whole array. *)
+let loc_of_access indices (a : string) (subs : Ast.expr list) : loc =
+  let forms = List.map Affine.of_expr subs in
+  if
+    List.for_all
+      (function
+        | Some f -> List.for_all (fun v -> List.mem v indices) (Affine.vars f)
+        | None -> false)
+      forms
+  then Cell (a, List.map Option.get forms)
+  else Whole a
+
+let index_names loops = List.map (fun (l : Ast.loop) -> l.Ast.index) loops
+
+let rec expr_locs indices acc (e : Ast.expr) =
+  match e with
+  | Ast.Int _ -> acc
+  | Ast.Var v -> Scalar v :: acc
+  | Ast.Arr (a, subs) ->
+      let acc = List.fold_left (expr_locs indices) acc subs in
+      loc_of_access indices a subs :: acc
+  | Ast.Bin (_, x, y) -> expr_locs indices (expr_locs indices acc x) y
+  | Ast.Un (_, x) -> expr_locs indices acc x
+  | Ast.Cond (c, x, y) ->
+      expr_locs indices (expr_locs indices (expr_locs indices acc c) x) y
 
 (* ------------------------------------------------------------------ *)
 (* The graph *)
@@ -52,10 +148,38 @@ type t = {
   entry : int;
   exit_ : int;
   reachable : bool array;
+  node_uses : loc list array;
+  node_defs : loc list array;
 }
 
+let uses_of_node (nd : node) : loc list =
+  let indices = index_names nd.loops in
+  match nd.kind with
+  | Entry | Exit | Header _ -> []
+  | Branch c -> List.rev (expr_locs indices [] c)
+  | Rotate rs -> List.map (fun r -> Scalar r) rs
+  | Assign (lv, e) ->
+      let acc = expr_locs indices [] e in
+      let acc =
+        match lv with
+        | Ast.Lvar _ -> acc
+        | Ast.Larr (_, subs) ->
+            (* writing a cell reads its subscripts, not the cell *)
+            List.fold_left (expr_locs indices) acc subs
+      in
+      List.rev acc
+
+let defs_of_node (nd : node) : loc list =
+  match nd.kind with
+  | Entry | Exit | Branch _ -> []
+  | Header l -> [ Scalar l.Ast.index ]
+  | Rotate rs -> List.map (fun r -> Scalar r) rs
+  | Assign (Ast.Lvar s, _) -> [ Scalar s ]
+  | Assign (Ast.Larr (a, subs), _) ->
+      [ loc_of_access (index_names nd.loops) a subs ]
+
 let build ?cost (k : Ast.kernel) : t =
-  let t0 = now () in
+  let t0 = Clock.now () in
   let nodes = ref [] and count = ref 0 in
   let edges = ref [] in
   let add_node kind ~loops ~guarded ~span =
@@ -136,108 +260,27 @@ let build ?cost (k : Ast.kernel) : t =
     end
   in
   dfs entry;
+  let node_uses = Array.map uses_of_node node_arr in
+  let node_defs = Array.map defs_of_node node_arr in
   (match cost with
   | Some c ->
       c.builds <- c.builds + 1;
-      c.build_seconds <- c.build_seconds +. (now () -. t0)
+      c.build_seconds <- c.build_seconds +. (Clock.now () -. t0)
   | None -> ());
-  { kernel = k; nodes = node_arr; succ; pred; entry; exit_; reachable }
+  {
+    kernel = k;
+    nodes = node_arr;
+    succ;
+    pred;
+    entry;
+    exit_;
+    reachable;
+    node_uses;
+    node_defs;
+  }
 
-(* ------------------------------------------------------------------ *)
-(* Abstract locations *)
-
-type loc = Scalar of string | Cell of string * Affine.t list | Whole of string
-
-let compare_loc (a : loc) (b : loc) = compare a b
-let equal_loc a b = compare_loc a b = 0
-
-let pp_loc fmt = function
-  | Scalar s -> Format.pp_print_string fmt s
-  | Cell (a, fs) ->
-      Format.fprintf fmt "%s%s" a
-        (String.concat ""
-           (List.map (fun f -> "[" ^ Affine.to_string f ^ "]") fs))
-  | Whole a -> Format.fprintf fmt "%s[*]" a
-
-module LocSet = Set.Make (struct
-  type t = loc
-
-  let compare = compare_loc
-end)
-
-let may_alias (a : loc) (b : loc) =
-  match (a, b) with
-  | Scalar x, Scalar y -> String.equal x y
-  | Scalar _, (Cell _ | Whole _) | (Cell _ | Whole _), Scalar _ -> false
-  | (Cell (x, _) | Whole x), Whole y | Whole x, Cell (y, _) ->
-      String.equal x y
-  | Cell (x, fs), Cell (y, gs) ->
-      String.equal x y
-      && (List.length fs <> List.length gs
-         || not
-              (List.exists2
-                 (fun f g ->
-                   (* provably distinct cells across *all* iterations:
-                      both subscripts constant and different *)
-                   Affine.is_const f && Affine.is_const g
-                   && Affine.const_part f <> Affine.const_part g)
-                 fs gs))
-
-(* The cell key of an access, valid at a node whose enclosing loop
-   indices are [indices]: affine in every dimension and mentioning only
-   those indices; otherwise the whole array. *)
-let loc_of_access indices (a : string) (subs : Ast.expr list) : loc =
-  let forms = List.map Affine.of_expr subs in
-  if
-    List.for_all
-      (function
-        | Some f -> List.for_all (fun v -> List.mem v indices) (Affine.vars f)
-        | None -> false)
-      forms
-  then Cell (a, List.map Option.get forms)
-  else Whole a
-
-let index_names loops = List.map (fun (l : Ast.loop) -> l.Ast.index) loops
-
-let rec expr_locs indices acc (e : Ast.expr) =
-  match e with
-  | Ast.Int _ -> acc
-  | Ast.Var v -> Scalar v :: acc
-  | Ast.Arr (a, subs) ->
-      let acc = List.fold_left (expr_locs indices) acc subs in
-      loc_of_access indices a subs :: acc
-  | Ast.Bin (_, x, y) -> expr_locs indices (expr_locs indices acc x) y
-  | Ast.Un (_, x) -> expr_locs indices acc x
-  | Ast.Cond (c, x, y) ->
-      expr_locs indices (expr_locs indices (expr_locs indices acc c) x) y
-
-let uses (g : t) (i : int) : loc list =
-  let nd = g.nodes.(i) in
-  let indices = index_names nd.loops in
-  match nd.kind with
-  | Entry | Exit | Header _ -> []
-  | Branch c -> List.rev (expr_locs indices [] c)
-  | Rotate rs -> List.map (fun r -> Scalar r) rs
-  | Assign (lv, e) ->
-      let acc = expr_locs indices [] e in
-      let acc =
-        match lv with
-        | Ast.Lvar _ -> acc
-        | Ast.Larr (_, subs) ->
-            (* writing a cell reads its subscripts, not the cell *)
-            List.fold_left (expr_locs indices) acc subs
-      in
-      List.rev acc
-
-let defs_at (g : t) (i : int) : loc list =
-  let nd = g.nodes.(i) in
-  let indices = index_names nd.loops in
-  match nd.kind with
-  | Entry | Exit | Branch _ -> []
-  | Header l -> [ Scalar l.Ast.index ]
-  | Rotate rs -> List.map (fun r -> Scalar r) rs
-  | Assign (Ast.Lvar s, _) -> [ Scalar s ]
-  | Assign (Ast.Larr (a, subs), _) -> [ loc_of_access indices a subs ]
+let uses (g : t) (i : int) : loc list = g.node_uses.(i)
+let defs_at (g : t) (i : int) : loc list = g.node_defs.(i)
 
 (* ------------------------------------------------------------------ *)
 (* The monotone framework *)
@@ -256,7 +299,7 @@ type 'f spec = {
 type 'f solution = { before : 'f array; after : 'f array }
 
 let solve ?cost (g : t) (spec : 'f spec) : 'f solution =
-  let t0 = now () in
+  let t0 = Clock.now () in
   let n = Array.length g.nodes in
   let before = Array.make n spec.init and after = Array.make n spec.init in
   let inq = Array.make n false in
@@ -303,24 +346,27 @@ let solve ?cost (g : t) (spec : 'f spec) : 'f solution =
   | Some c ->
       c.solves <- c.solves + 1;
       c.steps <- c.steps + !steps;
-      c.solve_seconds <- c.solve_seconds +. (now () -. t0)
+      c.solve_seconds <- c.solve_seconds +. (Clock.now () -. t0)
   | None -> ());
   { before; after }
 
 (* Shared helpers for the location-set analyses. *)
 
-let is_const_cell = function
+(* A write to [d] provably overwrites location [d] itself (on any
+   execution reaching the program point, regardless of iteration) when
+   [d] is a scalar or an all-constant cell — and overwrites no other
+   location. *)
+let strongly_killable = function
+  | Scalar _ -> true
   | Cell (_, fs) -> List.for_all Affine.is_const fs
-  | Scalar _ | Whole _ -> false
-
-(* A write to [d] provably overwrites location [l] (on any execution
-   reaching the program point, regardless of iteration): scalars by
-   name, cells only when both sides are the same all-constant cell. *)
-let strongly_overwrites (d : loc) (l : loc) =
-  match d with
-  | Scalar _ -> equal_loc d l
-  | Cell _ -> is_const_cell d && equal_loc d l
   | Whole _ -> false
+
+module LocTbl = Hashtbl.Make (struct
+  type t = loc
+
+  let equal = equal_loc
+  let hash = Hashtbl.hash
+end)
 
 let mentions_index (idx : string) = function
   | Scalar _ | Whole _ -> false
@@ -352,21 +398,28 @@ let reaching ?cost (g : t) : reaching =
   let n = Array.length g.nodes in
   let gen = Array.make n IntSet.empty in
   Array.iter (fun d -> gen.(d.d_node) <- IntSet.add d.d_id gen.(d.d_node)) defs;
-  (* kill at a node: every site whose location the node's writes
-     strongly overwrite *)
-  let kill = Array.make n IntSet.empty in
-  Array.iteri
-    (fun i _ ->
-      let writes = defs_at g i in
-      if writes <> [] then
-        kill.(i) <-
-          Array.fold_left
-            (fun acc (d : def) ->
-              if List.exists (fun w -> strongly_overwrites w d.d_loc) writes
-              then IntSet.add d.d_id acc
-              else acc)
-            IntSet.empty defs)
-    g.nodes;
+  (* kill at a node: every site whose location one of the node's writes
+     strongly overwrites, i.e. the sites of its strongly killable
+     writes, collected once per location *)
+  let sites = LocTbl.create 64 in
+  Array.iter
+    (fun (d : def) ->
+      if strongly_killable d.d_loc then
+        LocTbl.replace sites d.d_loc
+          (IntSet.add d.d_id
+             (Option.value ~default:IntSet.empty
+                (LocTbl.find_opt sites d.d_loc))))
+    defs;
+  let kill =
+    Array.map
+      (List.fold_left
+         (fun acc w ->
+           match LocTbl.find_opt sites w with
+           | Some ids -> IntSet.union ids acc
+           | None -> acc)
+         IntSet.empty)
+      g.node_defs
+  in
   let spec =
     {
       dir = Forward;
@@ -412,29 +465,19 @@ let live ?cost (g : t) : LocSet.t solution =
             else LocSet.add f acc)
           out LocSet.empty
     | _ ->
-        let writes = defs_at g nd.id in
+        (* A scalar write kills its own fact; so does an exact cell
+           write, constant or not: facts survive headers only as Whole,
+           so an exact Cell fact here was generated in the same
+           iteration. *)
         let killed =
-          LocSet.filter
-            (fun f ->
-              not (List.exists (fun w -> strongly_overwrites w f) writes))
-            out
+          List.fold_left
+            (fun acc w ->
+              match w with
+              | Scalar _ | Cell _ -> LocSet.remove w acc
+              | Whole _ -> acc)
+            out g.node_defs.(nd.id)
         in
-        (* a same-iteration exact cell write also kills its own fact:
-           facts survive headers only as Whole, so an exact Cell fact
-           here was generated in the same iteration *)
-        let killed =
-          LocSet.filter
-            (fun f ->
-              not
-                (List.exists
-                   (fun w ->
-                     match (w, f) with
-                     | Cell _, Cell _ -> equal_loc w f
-                     | _ -> false)
-                   writes))
-            killed
-        in
-        List.fold_left (fun acc u -> LocSet.add u acc) killed (uses g nd.id)
+        List.fold_left (fun acc u -> LocSet.add u acc) killed g.node_uses.(nd.id)
   in
   solve ?cost g
     {
@@ -446,7 +489,7 @@ let live ?cost (g : t) : LocSet.t solution =
       transfer;
     }
 
-let live_at (s : LocSet.t) (l : loc) = LocSet.exists (fun f -> may_alias f l) s
+let live_at (s : LocSet.t) (l : loc) = not (Seq.is_empty (aliases s l))
 
 (* ------------------------------------------------------------------ *)
 (* Must-initialisation *)
@@ -487,7 +530,6 @@ let must_init ?cost (g : t) : LocSet.t option solution =
             let s = LocSet.filter (fun f -> not (mentions_index l.Ast.index f)) s in
             Some (LocSet.add (Scalar l.Ast.index) s)
         | _ ->
-            let writes = defs_at g nd.id in
             Some
               (List.fold_left
                  (fun acc w ->
@@ -495,7 +537,7 @@ let must_init ?cost (g : t) : LocSet.t option solution =
                    | Scalar _ -> LocSet.add w acc
                    | Cell _ -> LocSet.add w acc
                    | Whole _ -> acc (* writes one unknown cell *))
-                 s writes))
+                 s g.node_defs.(nd.id)))
   in
   solve ?cost g
     {
@@ -531,7 +573,6 @@ let anticipated ?cost (g : t) : LocSet.t option solution =
                  s)
         | _ ->
             (* before = (after ∪ must-writes) \ may-reads *)
-            let writes = defs_at g nd.id in
             let s =
               List.fold_left
                 (fun acc w ->
@@ -539,13 +580,12 @@ let anticipated ?cost (g : t) : LocSet.t option solution =
                   | Scalar _ -> LocSet.add w acc
                   | Cell _ -> LocSet.add w acc (* exact cell, same iteration *)
                   | Whole _ -> acc)
-                s writes
+                s g.node_defs.(nd.id)
             in
-            let reads = uses g nd.id in
             Some
-              (LocSet.filter
-                 (fun f -> not (List.exists (fun u -> may_alias f u) reads))
-                 s))
+              (List.fold_left
+                 (fun s u -> Seq.fold_left (Fun.flip LocSet.remove) s (aliases s u))
+                 s g.node_uses.(nd.id)))
   in
   solve ?cost g
     {
@@ -563,9 +603,33 @@ let anticipated ?cost (g : t) : LocSet.t option solution =
 type init_status = Initialized | Maybe_uninitialized | Uninitialized
 type use_site = { u_node : int; u_loc : loc; u_status : init_status }
 
+(* Does some definition of a location aliasing [u] reach node [n]?
+   Exactly when a node defining such a location reaches [n] by a path
+   of at least one edge: a kill on the path is a write of an equal,
+   hence also aliasing, location, so the last aliasing definition along
+   it always reaches [n]. This is what [reaching_defs_of r n u <> []]
+   answers, by a backward search from [n] that stops at the first
+   aliasing definition instead of a reaching-definitions solve. *)
+let reached_by_defs (g : t) : int -> loc -> bool =
+  let stamp = Array.make (Array.length g.nodes) 0 and query = ref 0 in
+  fun n u ->
+    incr query;
+    let q = !query in
+    let rec search = function
+      | [] -> false
+      | i :: rest ->
+          if stamp.(i) = q then search rest
+          else begin
+            stamp.(i) <- q;
+            List.exists (may_alias u) g.node_defs.(i)
+            || search (List.rev_append g.pred.(i) rest)
+          end
+    in
+    search g.pred.(n)
+
 let use_before_def ?cost (g : t) : use_site list =
-  let r = reaching ?cost g in
   let mi = must_init ?cost g in
+  let reached = reached_by_defs g in
   let sites = ref [] in
   Array.iter
     (fun nd ->
@@ -576,14 +640,14 @@ let use_before_def ?cost (g : t) : use_site list =
               match mi.before.(nd.id) with
               | Some s when initialized_in s u -> Initialized
               | _ ->
-                  if reaching_defs_of r nd.id u = [] then
+                  if reached nd.id u then Maybe_uninitialized
+                  else
                     (* nothing written in the kernel reaches; arrays and
                        Param scalars are host-initialised but those are
                        always must-init, so this is a genuine hole *)
                     Uninitialized
-                  else Maybe_uninitialized
             in
             sites := { u_node = nd.id; u_loc = u; u_status = status } :: !sites)
-          (uses g nd.id))
+          g.node_uses.(nd.id))
     g.nodes;
   List.rev !sites

@@ -41,6 +41,30 @@ val fresh_cost : unit -> cost
 (** Fold [extra] into [into] (all five fields added). *)
 val cost_add : into:cost -> cost -> unit
 
+(** {1 Abstract memory locations} *)
+
+(** What a dataflow fact talks about. A [Cell] carries one affine form
+    per dimension and is only used when every form is affine over the
+    node's enclosing loop indices; anything else widens to [Whole]
+    array. *)
+type loc =
+  | Scalar of string
+  | Cell of string * Affine.t list
+  | Whole of string  (** some unknown cell(s) of the array *)
+
+(** Scalars before cells before whole arrays; by name within a kind,
+    then by subscript forms (the order of polymorphic [compare]). *)
+val compare_loc : loc -> loc -> int
+val equal_loc : loc -> loc -> bool
+val pp_loc : Format.formatter -> loc -> unit
+
+module LocSet : Set.S with type elt = loc
+
+(** Conservative: can the two locations denote the same memory? Two
+    [Cell]s of one array are disjoint only when some dimension has two
+    distinct constant subscripts. *)
+val may_alias : loc -> loc -> bool
+
 (** {1 The graph} *)
 
 type kind =
@@ -72,6 +96,8 @@ type t = {
   exit_ : int;
   reachable : bool array;
       (** reachable from entry; zero-trip loop bodies are not *)
+  node_uses : loc list array;  (** {!uses} of each node, by [id] *)
+  node_defs : loc list array;  (** {!defs_at} of each node, by [id] *)
 }
 
 (** Build the CFG of a kernel. Nodes are allocated in a documented
@@ -79,30 +105,10 @@ type t = {
     loop's header before its body), exit last — so tests can align
     nodes with the AST positionally. Total on any well-typed kernel;
     a non-positive loop step (which {!Check.Wellformed} rejects) is
-    treated conservatively as "may run zero or more times". *)
+    treated conservatively as "may run zero or more times". Each node's
+    uses and definitions are resolved to locations here, once, so the
+    analyses never re-linearize a subscript. *)
 val build : ?cost:cost -> Ast.kernel -> t
-
-(** {1 Abstract memory locations} *)
-
-(** What a dataflow fact talks about. A [Cell] carries one affine form
-    per dimension and is only used when every form is affine over the
-    node's enclosing loop indices; anything else widens to [Whole]
-    array. *)
-type loc =
-  | Scalar of string
-  | Cell of string * Affine.t list
-  | Whole of string  (** some unknown cell(s) of the array *)
-
-val compare_loc : loc -> loc -> int
-val equal_loc : loc -> loc -> bool
-val pp_loc : Format.formatter -> loc -> unit
-
-module LocSet : Set.S with type elt = loc
-
-(** Conservative: can the two locations denote the same memory? Two
-    [Cell]s of one array are disjoint only when some dimension has two
-    distinct constant subscripts. *)
-val may_alias : loc -> loc -> bool
 
 (** Locations possibly read by a node ([Branch] conditions, RHS and
     subscript reads, [Rotate] sources). *)
