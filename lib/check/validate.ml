@@ -30,54 +30,6 @@ let pass = "validate"
 let diagf ?stage sev fmt = Diag.diagf ?stage sev ~pass fmt
 
 (* ------------------------------------------------------------------ *)
-(* Partial expression evaluation under known scalars / loop indices *)
-
-let rec peval env (e : Ast.expr) : int option =
-  match e with
-  | Ast.Int n -> Some n
-  | Ast.Var v -> Hashtbl.find_opt env v
-  | Ast.Arr _ -> None
-  | Ast.Un (op, a) -> (
-      match peval env a with
-      | None -> None
-      | Some va -> (
-          match op with
-          | Ast.Neg -> Some (-va)
-          | Ast.Not -> Some (if va = 0 then 1 else 0)
-          | Ast.Bnot -> Some (lnot va)
-          | Ast.Abs -> Some (abs va)))
-  | Ast.Bin (op, a, b) -> (
-      match (peval env a, peval env b) with
-      | Some va, Some vb -> (
-          let bool_ c = Some (if c then 1 else 0) in
-          match op with
-          | Ast.Add -> Some (va + vb)
-          | Ast.Sub -> Some (va - vb)
-          | Ast.Mul -> Some (va * vb)
-          | Ast.Div -> if vb = 0 then None else Some (va / vb)
-          | Ast.Mod -> if vb = 0 then None else Some (va mod vb)
-          | Ast.Lt -> bool_ (va < vb)
-          | Ast.Le -> bool_ (va <= vb)
-          | Ast.Gt -> bool_ (va > vb)
-          | Ast.Ge -> bool_ (va >= vb)
-          | Ast.Eq -> bool_ (va = vb)
-          | Ast.Ne -> bool_ (va <> vb)
-          | Ast.And -> bool_ (va <> 0 && vb <> 0)
-          | Ast.Or -> bool_ (va <> 0 || vb <> 0)
-          | Ast.Band -> Some (va land vb)
-          | Ast.Bor -> Some (va lor vb)
-          | Ast.Bxor -> Some (va lxor vb)
-          | Ast.Shl -> if vb < 0 || vb > 62 then None else Some (va lsl vb)
-          | Ast.Shr -> if vb < 0 || vb > 62 then None else Some (va asr vb)
-          | Ast.Min -> Some (min va vb)
-          | Ast.Max -> Some (max va vb))
-      | _ -> None)
-  | Ast.Cond (c, t, e') -> (
-      match peval env c with
-      | Some vc -> peval env (if vc <> 0 then t else e')
-      | None -> None)
-
-(* ------------------------------------------------------------------ *)
 (* Footprints *)
 
 type array_fp = {
@@ -115,12 +67,87 @@ let rec work_of_body body =
           1 + (trip * work_of_body l.Ast.body))
     0 body
 
-let footprint ?(max_points = default_max_points) (k : Ast.kernel) : t =
+(* ------------------------------------------------------------------ *)
+(* Slot-compiled kernels
+
+   The enumerator executes the body once per iteration point, so every
+   name is resolved before enumeration starts: a variable to an int
+   slot of the environment (a value plus a known flag), an array to its
+   footprint record. Partial evaluation tracks loop indices and
+   compile-time-known scalars; it raises [Unknown] where the value is
+   not known. *)
+
+exception Unknown
+
+type cexpr =
+  | C_int of int
+  | C_var of int  (** slot *)
+  | C_read  (** an array element: never known *)
+  | C_un of Ast.unop * cexpr
+  | C_bin of Ast.binop * cexpr * cexpr
+  | C_cond of cexpr * cexpr * cexpr
+
+type target =
+  | Declared of string * int list * array_fp  (** name, extents, footprint *)
+  | Undeclared of string
+
+(** One array access: where it lands and its subscripts. *)
+type access = { target : target; subs : cexpr list }
+
+(* Each statement carries the array reads it performs, in evaluation
+   order (subscripts before the element they index). *)
+type cstmt =
+  | C_set of access list * int * cexpr  (** scalar store to a slot *)
+  | C_store of access list * access  (** array store *)
+  | C_if of access list * cexpr * cstmt list * cstmt list
+  | C_for of int * Ast.loop * cstmt list  (** index slot *)
+  | C_rotate of int list
+
+let rec eval vals known (e : cexpr) : int =
+  match e with
+  | C_int n -> n
+  | C_var s -> if known.(s) then vals.(s) else raise Unknown
+  | C_read -> raise Unknown
+  | C_un (op, a) -> (
+      let va = eval vals known a in
+      match op with
+      | Ast.Neg -> -va
+      | Ast.Not -> if va = 0 then 1 else 0
+      | Ast.Bnot -> lnot va
+      | Ast.Abs -> abs va)
+  | C_bin (op, a, b) -> (
+      let va = eval vals known a in
+      let vb = eval vals known b in
+      let bool_ c = if c then 1 else 0 in
+      match op with
+      | Ast.Add -> va + vb
+      | Ast.Sub -> va - vb
+      | Ast.Mul -> va * vb
+      | Ast.Div -> if vb = 0 then raise Unknown else va / vb
+      | Ast.Mod -> if vb = 0 then raise Unknown else va mod vb
+      | Ast.Lt -> bool_ (va < vb)
+      | Ast.Le -> bool_ (va <= vb)
+      | Ast.Gt -> bool_ (va > vb)
+      | Ast.Ge -> bool_ (va >= vb)
+      | Ast.Eq -> bool_ (va = vb)
+      | Ast.Ne -> bool_ (va <> vb)
+      | Ast.And -> bool_ (va <> 0 && vb <> 0)
+      | Ast.Or -> bool_ (va <> 0 || vb <> 0)
+      | Ast.Band -> va land vb
+      | Ast.Bor -> va lor vb
+      | Ast.Bxor -> va lxor vb
+      | Ast.Shl -> if vb < 0 || vb > 62 then raise Unknown else va lsl vb
+      | Ast.Shr -> if vb < 0 || vb > 62 then raise Unknown else va asr vb
+      | Ast.Min -> min va vb
+      | Ast.Max -> max va vb)
+  | C_cond (c, t, e') ->
+      eval vals known (if eval vals known c <> 0 then t else e')
+
+(* Compile [k]'s body against fresh footprint records; returns the
+   compiled body, the slot count and the records by name (the last of
+   duplicate declarations wins). *)
+let compile (k : Ast.kernel) =
   let fps = Hashtbl.create 8 in
-  let skipped : (string, string) Hashtbl.t = Hashtbl.create 4 in
-  let skip a reason =
-    if not (Hashtbl.mem skipped a) then Hashtbl.add skipped a reason
-  in
   List.iter
     (fun (a : Ast.array_decl) ->
       let size = Ast.array_size a in
@@ -135,30 +162,80 @@ let footprint ?(max_points = default_max_points) (k : Ast.kernel) : t =
             oob_write = false;
           } ))
     k.Ast.k_arrays;
-  let env : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  (* Linearize row-major; [None] when a subscript is unevaluable, [Some
-     (-1)] when evaluable but outside the declared box. *)
-  let linear dims subs =
-    let rec go acc dims subs =
-      match (dims, subs) with
-      | [], [] -> Some acc
-      | d :: dims, s :: subs -> (
-          match peval env s with
-          | None -> None
-          | Some v ->
-              if v < 0 || v >= d then Some (-1)
-              else go ((acc * d) + v) dims subs)
-      | _ -> Some (-1) (* arity mismatch: treat as out of the box *)
-    in
-    go 0 dims subs
+  let slots = Hashtbl.create 64 in
+  let slot v =
+    match Hashtbl.find_opt slots v with
+    | Some s -> s
+    | None ->
+        let s = Hashtbl.length slots in
+        Hashtbl.add slots v s;
+        s
   in
-  let touch ~write ~certain a subs =
-    match Hashtbl.find_opt fps a with
-    | None -> skip a "not declared"
-    | Some (dims, fp) -> (
-        match linear dims subs with
-        | None -> skip a "unevaluable subscript"
-        | Some idx ->
+  let rec cexpr (e : Ast.expr) =
+    match e with
+    | Ast.Int n -> C_int n
+    | Ast.Var v -> C_var (slot v)
+    | Ast.Arr _ -> C_read
+    | Ast.Un (op, a) -> C_un (op, cexpr a)
+    | Ast.Bin (op, a, b) -> C_bin (op, cexpr a, cexpr b)
+    | Ast.Cond (c, t, e') -> C_cond (cexpr c, cexpr t, cexpr e')
+  in
+  let access a subs =
+    let target =
+      match Hashtbl.find_opt fps a with
+      | Some (dims, fp) -> Declared (a, dims, fp)
+      | None -> Undeclared a
+    in
+    { target; subs = List.map cexpr subs }
+  in
+  (* Array reads inside an expression, in evaluation order, prepended
+     to [acc] reversed. *)
+  let rec reads acc (e : Ast.expr) =
+    match e with
+    | Ast.Int _ | Ast.Var _ -> acc
+    | Ast.Arr (a, subs) -> access a subs :: List.fold_left reads acc subs
+    | Ast.Bin (_, a, b) -> reads (reads acc a) b
+    | Ast.Un (_, a) -> reads acc a
+    | Ast.Cond (c, t, e') -> reads (reads (reads acc c) t) e'
+  in
+  let reads_of es = List.rev (List.fold_left reads [] es) in
+  let rec cstmt (s : Ast.stmt) =
+    match s with
+    | Ast.Assign (Ast.Lvar v, e) -> C_set (reads_of [ e ], slot v, cexpr e)
+    | Ast.Assign (Ast.Larr (a, subs), e) ->
+        C_store (reads_of (subs @ [ e ]), access a subs)
+    | Ast.If (c, t, e) ->
+        C_if (reads_of [ c ], cexpr c, List.map cstmt t, List.map cstmt e)
+    | Ast.For l -> C_for (slot l.Ast.index, l, List.map cstmt l.Ast.body)
+    | Ast.Rotate rs -> C_rotate (List.map slot rs)
+  in
+  let body = List.map cstmt k.Ast.k_body in
+  (body, Hashtbl.length slots, fps)
+
+let footprint ?(max_points = default_max_points) (k : Ast.kernel) : t =
+  let body, nslots, fps = compile k in
+  let skipped : (string, string) Hashtbl.t = Hashtbl.create 4 in
+  let skip a reason =
+    if not (Hashtbl.mem skipped a) then Hashtbl.add skipped a reason
+  in
+  let vals = Array.make nslots 0 and known = Array.make nslots false in
+  (* Linearize row-major; raises [Unknown] when a subscript is
+     unevaluable, [-1] when evaluable but outside the declared box. *)
+  let rec linear acc dims subs =
+    match (dims, subs) with
+    | [], [] -> acc
+    | d :: dims, s :: subs ->
+        let v = eval vals known s in
+        if v < 0 || v >= d then -1 else linear ((acc * d) + v) dims subs
+    | _ -> -1 (* arity mismatch: treat as out of the box *)
+  in
+  let touch ~write ~certain { target; subs } =
+    match target with
+    | Undeclared a -> skip a "not declared"
+    | Declared (a, dims, fp) -> (
+        match linear 0 dims subs with
+        | exception Unknown -> skip a "unevaluable subscript"
+        | idx ->
             if idx < 0 then
               if write then fp.oob_write <- true else fp.oob_read <- true
             else if write then begin
@@ -167,22 +244,7 @@ let footprint ?(max_points = default_max_points) (k : Ast.kernel) : t =
             end
             else Bytes.set fp.may_read idx '\001')
   in
-  (* Record every array read inside an expression (subscripts first). *)
-  let rec reads_in e =
-    match e with
-    | Ast.Int _ | Ast.Var _ -> ()
-    | Ast.Arr (a, subs) ->
-        List.iter reads_in subs;
-        touch ~write:false ~certain:false a subs
-    | Ast.Bin (_, a, b) ->
-        reads_in a;
-        reads_in b
-    | Ast.Un (_, a) -> reads_in a
-    | Ast.Cond (c, t, e') ->
-        reads_in c;
-        reads_in t;
-        reads_in e'
-  in
+  let read acc = touch ~write:false ~certain:false acc in
   let budget = ref max_points in
   let spend () =
     decr budget;
@@ -192,41 +254,46 @@ let footprint ?(max_points = default_max_points) (k : Ast.kernel) : t =
   and stmt ~certain s =
     spend ();
     match s with
-    | Ast.Assign (Ast.Lvar v, e) ->
-        reads_in e;
-        (match (certain, peval env e) with
-        | true, Some n -> Hashtbl.replace env v n
-        | _ -> Hashtbl.remove env v)
-    | Ast.Assign (Ast.Larr (a, subs), e) ->
-        List.iter reads_in subs;
-        reads_in e;
-        touch ~write:true ~certain a subs
-    | Ast.If (c, t, e) -> (
-        reads_in c;
-        match peval env c with
-        | Some vc -> walk ~certain (if vc <> 0 then t else e)
-        | None ->
+    | C_set (rs, v, e) ->
+        List.iter read rs;
+        if not certain then known.(v) <- false
+        else begin
+          match eval vals known e with
+          | n ->
+              vals.(v) <- n;
+              known.(v) <- true
+          | exception Unknown -> known.(v) <- false
+        end
+    | C_store (rs, w) ->
+        List.iter read rs;
+        touch ~write:true ~certain w
+    | C_if (rs, c, t, e) -> (
+        List.iter read rs;
+        match eval vals known c with
+        | vc -> walk ~certain (if vc <> 0 then t else e)
+        | exception Unknown ->
             walk ~certain:false t;
             walk ~certain:false e)
-    | Ast.For l ->
+    | C_for (i, l, body) ->
         if l.Ast.step <= 0 then raise (Skip_all "non-positive loop stride");
-        let i = ref l.Ast.lo in
-        while !i < l.Ast.hi do
-          Hashtbl.replace env l.Ast.index !i;
-          walk ~certain l.Ast.body;
-          i := !i + l.Ast.step
+        let v = ref l.Ast.lo in
+        while !v < l.Ast.hi do
+          vals.(i) <- !v;
+          known.(i) <- true;
+          walk ~certain body;
+          v := !v + l.Ast.step
         done;
-        Hashtbl.remove env l.Ast.index
-    | Ast.Rotate rs ->
+        known.(i) <- false
+    | C_rotate rs ->
         (* Register values permute: forget anything we knew about them. *)
-        List.iter (Hashtbl.remove env) rs
+        List.iter (fun r -> known.(r) <- false) rs
   in
   (* Known [Param]/[Temp] scalars have no compile-time value: only loop
-     indices and scalars assigned evaluable expressions enter [env]. *)
+     indices and scalars assigned evaluable expressions are known. *)
   (try
      if work_of_body k.Ast.k_body > max_points then
        raise (Skip_all "iteration space exceeds the point budget");
-     walk ~certain:true k.Ast.k_body
+     walk ~certain:true body
    with Skip_all reason ->
      List.iter
        (fun (a : Ast.array_decl) -> skip a.Ast.a_name reason)
@@ -328,8 +395,8 @@ let violations (o : outcome) = Diag.errors o.diags
 
 (** Apply the pipeline with per-stage validation. The transformed result
     is bit-identical to [Transform.Pipeline.apply options k]. *)
-let run ?(options = Transform.Pipeline.default) ?max_points (k : Ast.kernel) :
-    outcome =
+let run ?(options = Transform.Pipeline.default) ?max_points ?source_footprint
+    (k : Ast.kernel) : outcome =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let skip_reported : (string, unit) Hashtbl.t = Hashtbl.create 4 in
@@ -345,8 +412,11 @@ let run ?(options = Transform.Pipeline.default) ?max_points (k : Ast.kernel) :
   in
   (* The pipeline threads each stage's output into the next stage, so
      the [before] kernel is physically the previous [after]: cache one
-     footprint to halve the enumeration work. *)
-  let cache : (Ast.kernel * t) option ref = ref None in
+     footprint to halve the enumeration work. The first stage's
+     [before] is [k] itself, whose footprint the caller may supply. *)
+  let cache : (Ast.kernel * t) option ref =
+    ref (Option.map (fun fp -> (k, fp)) source_footprint)
+  in
   let fp_of kk =
     match !cache with
     | Some (prev, fp) when prev == kk -> fp
@@ -359,7 +429,7 @@ let run ?(options = Transform.Pipeline.default) ?max_points (k : Ast.kernel) :
       (fun (d : Diag.t) ->
         if d.Diag.severity = Diag.Error then
           add { d with Diag.pass; stage = Some sname })
-      (Wellformed.check after);
+      (Wellformed.check ~min_severity:Diag.Error after);
     let pre = fp_of before in
     let post = footprint ?max_points after in
     cache := Some (after, post);

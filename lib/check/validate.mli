@@ -25,6 +25,8 @@ val default_max_points : int
 
 (** Per-array element footprint of a kernel, by enumeration with a
     partial evaluator (loop indices and compile-time-known scalars).
+    Names are resolved once, before enumeration: variables to slots of
+    an array environment, arrays to their footprint records.
     Arrays with unevaluable subscripts, and every array of a kernel
     whose iteration space exceeds [max_points], land in [skipped]. *)
 val footprint : ?max_points:int -> Ast.kernel -> t
@@ -42,9 +44,13 @@ type outcome = {
 val violations : outcome -> Diag.t list
 
 (** Apply the pipeline with per-stage validation. The transformed result
-    is bit-identical to [Transform.Pipeline.apply options k]. *)
+    is bit-identical to [Transform.Pipeline.apply options k].
+    [source_footprint], when given, must be [footprint ?max_points k]:
+    a caller validating many configurations of one kernel computes it
+    once instead of once per run. *)
 val run :
   ?options:Transform.Pipeline.options ->
   ?max_points:int ->
+  ?source_footprint:t ->
   Ast.kernel ->
   outcome

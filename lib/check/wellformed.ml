@@ -16,14 +16,46 @@ let diagf ?stage ?span sev fmt = Diag.diagf ?stage ?span sev ~pass fmt
 
 type env = {
   kernel : Ast.kernel;
+  scalars : (string, Ast.scalar_decl) Hashtbl.t;
+  arrays : (string, Ast.array_decl) Hashtbl.t;
+      (** declarations by name, hashed once per check: a transformed
+          kernel declares thousands of registers, and every variable use
+          looks one up. The first of duplicate declarations wins, as in
+          {!Ast.find_scalar}/{!Ast.find_array}. *)
+  min_severity : Diag.severity;  (** findings below it are never built *)
   mutable diags : Diag.t list;
   mutable bound : string list;  (** loop indices in scope, innermost first *)
 }
 
 let add env d = env.diags <- d :: env.diags
+let wants env sev = Diag.compare_severity sev env.min_severity >= 0
 
-let scalar_declared env v =
-  List.exists (fun (s : Ast.scalar_decl) -> s.s_name = v) env.kernel.Ast.k_scalars
+let index_first name decls =
+  let t = Hashtbl.create (List.length decls) in
+  List.iter
+    (fun d -> if not (Hashtbl.mem t (name d)) then Hashtbl.add t (name d) d)
+    decls;
+  t
+
+let make_env ~min_severity (k : Ast.kernel) =
+  {
+    kernel = k;
+    min_severity;
+    scalars = index_first (fun (s : Ast.scalar_decl) -> s.s_name) k.Ast.k_scalars;
+    arrays = index_first (fun (a : Ast.array_decl) -> a.a_name) k.Ast.k_arrays;
+    diags = [];
+    bound = [];
+  }
+
+let scalar_declared env v = Hashtbl.mem env.scalars v
+let find_scalar env v = Hashtbl.find_opt env.scalars v
+let find_array env a = Hashtbl.find_opt env.arrays a
+
+let result_type env e =
+  Ast.result_type_in
+    ~scalar:(fun v -> Option.map (fun (d : Ast.scalar_decl) -> d.s_elem) (find_scalar env v))
+    ~array:(fun a -> Option.map (fun (d : Ast.array_decl) -> d.a_elem) (find_array env a))
+    e
 
 (* ------------------------------------------------------------------ *)
 (* Declarations *)
@@ -68,7 +100,7 @@ let rec check_expr env ?span (e : Ast.expr) =
       if not (List.mem v env.bound || scalar_declared env v) then
         add env (diagf Error ?span "use of undeclared variable '%s'" v)
   | Ast.Arr (a, subs) ->
-      (match Ast.find_array env.kernel a with
+      (match find_array env a with
       | None -> add env (diagf Error ?span "use of undeclared array '%s'" a)
       | Some d ->
           let rank = List.length d.Ast.a_dims in
@@ -102,29 +134,27 @@ let rec check_stmt env ~under_if ?span (s : Ast.stmt) =
       (* Type consistency: flag narrowing stores as advisory findings
          only — accumulations routinely produce intermediate results
          wider than the stored element. *)
-      (match Ast.find_scalar env.kernel v with
-      | Some d
-        when Dtype.bits (Ast.result_type env.kernel e) > Dtype.bits d.Ast.s_elem
-        ->
-          add env
-            (diagf Info ?span
-               "store to '%s' narrows a %d-bit value to %d bits" v
-               (Dtype.bits (Ast.result_type env.kernel e))
-               (Dtype.bits d.Ast.s_elem))
-      | _ -> ())
+      (match find_scalar env v with
+      | Some d when wants env Info ->
+          let bits = Dtype.bits (result_type env e) in
+          if bits > Dtype.bits d.Ast.s_elem then
+            add env
+              (diagf Info ?span
+                 "store to '%s' narrows a %d-bit value to %d bits" v bits
+                 (Dtype.bits d.Ast.s_elem))
+      | Some _ | None -> ())
   | Ast.Assign (Ast.Larr (a, subs), e) ->
       check_expr env ?span (Ast.Arr (a, subs));
       check_expr env ?span e;
-      (match Ast.find_array env.kernel a with
-      | Some d
-        when Dtype.bits (Ast.result_type env.kernel e) > Dtype.bits d.Ast.a_elem
-        ->
-          add env
-            (diagf Info ?span
-               "store to '%s' narrows a %d-bit value to %d bits" a
-               (Dtype.bits (Ast.result_type env.kernel e))
-               (Dtype.bits d.Ast.a_elem))
-      | _ -> ())
+      (match find_array env a with
+      | Some d when wants env Info ->
+          let bits = Dtype.bits (result_type env e) in
+          if bits > Dtype.bits d.Ast.a_elem then
+            add env
+              (diagf Info ?span
+                 "store to '%s' narrows a %d-bit value to %d bits" a bits
+                 (Dtype.bits d.Ast.a_elem))
+      | Some _ | None -> ())
   | Ast.If (c, t, e) ->
       check_expr env ?span c;
       List.iter (check_stmt env ~under_if:true ?span) t;
@@ -141,7 +171,7 @@ let rec check_stmt env ~under_if ?span (s : Ast.stmt) =
         add env
           (diagf Error ?span "loop over '%s' has non-positive stride %d"
              l.Ast.index l.Ast.step)
-      else if Ast.loop_trip l = 0 then
+      else if wants env Warning && Ast.loop_trip l = 0 then
         add env
           (diagf Warning ?span "loop over '%s' has zero iterations (%d..%d)"
              l.Ast.index l.Ast.lo l.Ast.hi);
@@ -149,7 +179,7 @@ let rec check_stmt env ~under_if ?span (s : Ast.stmt) =
         add env
           (diagf Error ?span "loop index '%s' shadows an enclosing index"
              l.Ast.index)
-      else if scalar_declared env l.Ast.index then
+      else if wants env Warning && scalar_declared env l.Ast.index then
         add env
           (diagf Warning ?span
              "loop index '%s' shadows a declared scalar" l.Ast.index);
@@ -166,8 +196,8 @@ let rec check_stmt env ~under_if ?span (s : Ast.stmt) =
                  r))
         rs
 
-let check (k : Ast.kernel) : Diag.t list =
-  let env = { kernel = k; diags = []; bound = [] } in
+let check ?(min_severity = Diag.Info) (k : Ast.kernel) : Diag.t list =
+  let env = make_env ~min_severity k in
   check_decls env;
   List.iter (check_stmt env ~under_if:false) k.Ast.k_body;
   List.rev env.diags

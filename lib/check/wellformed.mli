@@ -6,4 +6,6 @@
 
 open Ir
 
-val check : Ast.kernel -> Diag.t list
+(** Every finding at [min_severity] (default [Info]) or above; the
+    advisory checks below it are skipped, not filtered. *)
+val check : ?min_severity:Diag.severity -> Ast.kernel -> Diag.t list

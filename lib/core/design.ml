@@ -45,6 +45,8 @@ type context = {
       (** translation-validate every uncached evaluation
           ({!Check.Validate}); selections are bit-identical, violations
           are counted in [stats] *)
+  source_footprint : Check.Validate.t option;
+      (** [Some] footprint of [source] when [verify], computed once *)
   stats : stats;  (** alias of [store.stats] — kept as a field so the
           historical [ctx.stats.evaluations] accesses keep working *)
 }
@@ -62,6 +64,7 @@ let env (ctx : context) : Engine.Backend.env =
     pipeline = ctx.pipeline;
     quick_facts = ctx.quick_facts;
     verify = ctx.verify;
+    source_footprint = ctx.source_footprint;
   }
 
 let context ?pipeline ?profile ?verify ?capacity
@@ -83,6 +86,7 @@ let context ?pipeline ?profile ?verify ?capacity
     store;
     quick_facts = env.Engine.Backend.quick_facts;
     verify = env.Engine.Backend.verify;
+    source_footprint = env.Engine.Backend.source_footprint;
     stats = store.Engine.Store.stats;
   }
 

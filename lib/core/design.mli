@@ -46,6 +46,11 @@ type context = {
           {!Check.Validate}: the transformed result and every selection
           are bit-identical to an unverified run; error-severity
           findings bump [stats.verify_violations] *)
+  source_footprint : Check.Validate.t option;
+      (** [Some] footprint of [source] when [verify], computed once by
+          {!context} and shared by every verified evaluation; like the
+          cached points it belongs to [source], so a context over
+          another kernel must be built fresh *)
   stats : stats;
       (** alias of [store.stats]; merged across domains on {!absorb} *)
 }

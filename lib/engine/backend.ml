@@ -42,6 +42,10 @@ type env = {
       (** translation-validate every uncached evaluation
           ({!Check.Validate}); selections are bit-identical, violations
           are counted in the store's stats *)
+  source_footprint : Check.Validate.t option;
+      (** the source kernel's footprint, the same at every point:
+          computed once, when the env is made with [verify] (eagerly —
+          [Lazy] is not domain-safe, and sweep workers share the env) *)
 }
 
 let make_env ?(pipeline = Transform.Pipeline.default)
@@ -95,6 +99,8 @@ let make_env ?(pipeline = Transform.Pipeline.default)
     pipeline;
     quick_facts;
     verify;
+    source_footprint =
+      (if verify then Some (Check.Validate.footprint source) else None);
   }
 
 (** Normalise a vector to cover every spine loop, with factors clamped to
@@ -184,7 +190,7 @@ let full_synthesize (env : env) (store : Store.t) (c : Store.config) :
   let c = normalize_config env c in
   let opts = Transform.Pipeline.apply_config ~base:env.pipeline c in
   let stats = store.Store.stats in
-  let t0 = Util.now () in
+  let t0 = Clock.now () in
   let r =
     if not env.verify then Transform.Pipeline.apply opts env.source
     else begin
@@ -196,7 +202,10 @@ let full_synthesize (env : env) (store : Store.t) (c : Store.config) :
          findings only bump the violation counter (the sweep itself is
          the paper's experiment — reporting stays the job of the
          drivers). *)
-      let outcome = Check.Validate.run ~options:opts env.source in
+      let outcome =
+        Check.Validate.run ~options:opts ?source_footprint:env.source_footprint
+          env.source
+      in
       stats.Store.checked_points <- stats.Store.checked_points + 1;
       stats.Store.verify_violations <-
         stats.Store.verify_violations
@@ -234,13 +243,13 @@ let full_synthesize (env : env) (store : Store.t) (c : Store.config) :
                   (Check.Validate.violations outcome)))
     end
   in
-  let t1 = Util.now () in
+  let t1 = Clock.now () in
   let timers = Hls.Estimate.fresh_timers () in
   let estimate =
     Hls.Estimate.estimate ~sched_memo:store.Store.sched_memo ~timers
       env.profile r.Transform.Pipeline.kernel
   in
-  let t2 = Util.now () in
+  let t2 = Clock.now () in
   stats.Store.evaluations <- stats.Store.evaluations + 1;
   stats.Store.transform_seconds <- stats.Store.transform_seconds +. (t1 -. t0);
   stats.Store.estimate_seconds <- stats.Store.estimate_seconds +. (t2 -. t1);

@@ -21,6 +21,9 @@ type env = {
           source, keeping the quick bounds admissible under tiling *)
   verify : bool;
       (** translation-validate every uncached evaluation *)
+  source_footprint : Check.Validate.t option;
+      (** [Some] footprint of [source] when [verify], computed once by
+          {!make_env} and shared by every verified evaluation *)
 }
 
 val make_env :

@@ -124,51 +124,58 @@ let find_scalar k name = List.find_opt (fun s -> s.s_name = name) k.k_scalars
 
 let array_size a = List.fold_left ( * ) 1 a.a_dims
 
-(** Element type of an expression under the kernel's declarations.
+(** Element type of an expression, with declared element types looked
+    up through [scalar] and [array] ([None] for an undeclared name).
     Intermediate expressions take the join of their operand types;
     comparisons and logical operators produce a 1-bit value that we widen
     back on use, so for area purposes we report the operand join. *)
-let rec expr_type k = function
+let rec expr_type_in ~scalar ~array = function
   | Int _ -> Dtype.int32
-  | Var v -> (
-      match find_scalar k v with Some s -> s.s_elem | None -> Dtype.int32)
-  | Arr (a, _) -> (
-      match find_array k a with Some d -> d.a_elem | None -> Dtype.int32)
-  | Bin (_, a, b) -> Dtype.join (expr_type k a) (expr_type k b)
-  | Un (_, e) -> expr_type k e
-  | Cond (_, t, e) -> Dtype.join (expr_type k t) (expr_type k e)
+  | Var v -> Option.value ~default:Dtype.int32 (scalar v)
+  | Arr (a, _) -> Option.value ~default:Dtype.int32 (array a)
+  | Bin (_, a, b) ->
+      Dtype.join (expr_type_in ~scalar ~array a) (expr_type_in ~scalar ~array b)
+  | Un (_, e) -> expr_type_in ~scalar ~array e
+  | Cond (_, t, e) ->
+      Dtype.join (expr_type_in ~scalar ~array t) (expr_type_in ~scalar ~array e)
 
 (** Type wide enough to hold the *full* result of the expression without
     overflow — the width synthesis would give the wire. A register
     declared at this width behaves exactly like the unmaterialised
     expression, which is what lets LICM introduce temporaries without
     changing wrap-around behaviour. *)
-let rec result_type k e =
+let rec result_type_in ~scalar ~array e =
   let wide bits signed = Dtype.make ~bits:(min bits 64) ~signed in
+  let rt = result_type_in ~scalar ~array in
   match e with
   | Int n ->
       let rec need b = if n >= -(1 lsl (b - 1)) && n < 1 lsl (b - 1) then b else need (b + 1) in
       wide (need 8) true
-  | Var _ | Arr _ -> expr_type k e
+  | Var _ | Arr _ -> expr_type_in ~scalar ~array e
   | Un (Neg, a) ->
-      let t = result_type k a in
+      let t = rt a in
       wide (Dtype.bits t + 1) true
-  | Un ((Not | Bnot | Abs), a) -> result_type k a
+  | Un ((Not | Bnot | Abs), a) -> rt a
   | Bin (Mul, a, b) ->
-      let ta = result_type k a and tb = result_type k b in
+      let ta = rt a and tb = rt b in
       wide (Dtype.bits ta + Dtype.bits tb) (Dtype.is_signed ta || Dtype.is_signed tb)
   | Bin ((Add | Sub), a, b) ->
-      let ta = result_type k a and tb = result_type k b in
+      let ta = rt a and tb = rt b in
       wide (max (Dtype.bits ta) (Dtype.bits tb) + 1) true
   | Bin (Shl, a, Int s) when s >= 0 && s < 32 ->
-      let ta = result_type k a in
+      let ta = rt a in
       wide (Dtype.bits ta + s) (Dtype.is_signed ta)
   | Bin ((Lt | Le | Gt | Ge | Eq | Ne | And | Or), _, _) ->
       Dtype.make ~bits:8 ~signed:false
   | Bin ((Div | Mod | Band | Bor | Bxor | Shr | Min | Max | Shl), a, b) ->
-      let ta = result_type k a and tb = result_type k b in
+      let ta = rt a and tb = rt b in
       Dtype.join ta tb
-  | Cond (_, t, e') -> Dtype.join (result_type k t) (result_type k e')
+  | Cond (_, t, e') -> Dtype.join (rt t) (rt e')
+
+let scalar_elem k v = Option.map (fun s -> s.s_elem) (find_scalar k v)
+let array_elem k a = Option.map (fun d -> d.a_elem) (find_array k a)
+let expr_type k = expr_type_in ~scalar:(scalar_elem k) ~array:(array_elem k)
+let result_type k = result_type_in ~scalar:(scalar_elem k) ~array:(array_elem k)
 
 (* ------------------------------------------------------------------ *)
 (* Traversals *)

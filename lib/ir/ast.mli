@@ -140,6 +140,16 @@ val expr_type : kernel -> expr -> Dtype.t
     changing wrap-around behaviour. *)
 val result_type : kernel -> expr -> Dtype.t
 
+(** {!expr_type} and {!result_type} with the declared element type of
+    each scalar and array name looked up through [scalar] and [array]
+    ([None] when undeclared), for callers that index a large kernel's
+    declarations once instead of scanning them per name. *)
+val expr_type_in :
+  scalar:(string -> Dtype.t option) -> array:(string -> Dtype.t option) -> expr -> Dtype.t
+
+val result_type_in :
+  scalar:(string -> Dtype.t option) -> array:(string -> Dtype.t option) -> expr -> Dtype.t
+
 (** Traversals. *)
 
 val fold_expr : ('a -> expr -> 'a) -> 'a -> expr -> 'a
