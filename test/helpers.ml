@@ -105,6 +105,72 @@ let gen_kernel : Ast.kernel QCheck2.Gen.t =
       k_body = nest;
     }
 
+(** Random kernels with scalars, guards, reductions, possibly-dead
+    temporaries and zero-trip loops — the shapes {!gen_kernel}
+    (scalar-free perfect nests) cannot produce. *)
+let gen_flow_kernel : Ast.kernel QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let mk_loop index hi body =
+    { Ast.index; lo = 0; hi; step = 1; body; l_span = None }
+  in
+  let* outer_trip = int_range 0 4 in
+  let* inner_trip = option (int_range 0 3) in
+  let* init_s = bool in
+  let* tail_read = bool in
+  let* guard_cut = int_range 0 3 in
+  let* n_stmts = int_range 1 3 in
+  let* picks = list_repeat n_stmts (pair (int_range 0 6) (int_range 0 2)) in
+  let i = Ast.Var "i" in
+  let sub kind =
+    match kind with
+    | 0 -> i
+    | 1 when inner_trip <> None -> Ast.Bin (Ast.Add, i, Ast.Var "j")
+    | _ -> Ast.Bin (Ast.Mul, Ast.Int 2, i)
+  in
+  let a s = Ast.Arr ("a", [ s ]) in
+  let stmt (kind, sk) =
+    let s = sub sk in
+    match kind with
+    | 0 -> Ast.Assign (Ast.Lvar "s", Ast.Bin (Ast.Add, Ast.Var "s", a s))
+    | 1 -> Ast.Assign (Ast.Lvar "s", a s)
+    | 2 -> Ast.Assign (Ast.Lvar "t", Ast.Bin (Ast.Add, a s, Ast.Int 1))
+    | 3 -> Ast.Assign (Ast.Larr ("out", [ i ]), Ast.Bin (Ast.Add, Ast.Var "s", Ast.Var "p"))
+    | 4 ->
+        Ast.Assign
+          (Ast.Larr ("out", [ i ]), Ast.Bin (Ast.Add, Ast.Arr ("out", [ i ]), a s))
+    | 5 ->
+        Ast.If
+          ( Ast.Bin (Ast.Lt, i, Ast.Int guard_cut),
+            [ Ast.Assign (Ast.Lvar "s", Ast.Bin (Ast.Add, Ast.Var "s", Ast.Int 1)) ],
+            [] )
+    | _ -> Ast.Assign (Ast.Lvar "s", Ast.Bin (Ast.Add, Ast.Bin (Ast.Mul, Ast.Var "s", Ast.Int 2), a s))
+  in
+  let inner = List.map stmt picks in
+  let loop_body =
+    match inner_trip with
+    | None -> inner
+    | Some t -> [ Ast.For (mk_loop "j" t inner) ]
+  in
+  let body =
+    (if init_s then [ Ast.Assign (Ast.Lvar "s", Ast.Int 0) ] else [])
+    @ [ Ast.For (mk_loop "i" outer_trip loop_body) ]
+    @
+    if tail_read then [ Ast.Assign (Ast.Larr ("out", [ Ast.Int 0 ]), Ast.Var "s") ]
+    else []
+  in
+  return
+    {
+      Ast.k_name = "flowgen";
+      k_arrays = [ Ast.array_decl "a" [ 8 ]; Ast.array_decl "out" [ 8 ] ];
+      k_scalars =
+        [
+          Ast.scalar_decl "s";
+          Ast.scalar_decl "t";
+          Ast.scalar_decl ~kind:Ast.Param "p";
+        ];
+      k_body = body;
+    }
+
 (** Deterministic inputs for a generated kernel. *)
 let inputs_for (k : Ast.kernel) = Kernels.test_inputs ~seed:7 k
 

@@ -1,0 +1,580 @@
+(** Reference implementations for the equivalence properties of
+    [test_reference_equiv.ml]: the straightforward flow analyses and
+    footprint interpreter the optimized library versions must agree
+    with, solution for solution and byte for byte. They recompute every
+    node's uses and definitions from the syntax on demand, build kill
+    sets by scanning all definitions, filter whole fact sets in the
+    transfer functions, and interpret footprints over a string-keyed
+    [Hashtbl] environment. Only the types ([loc], [LocSet], [def],
+    [solution], [array_fp], ...) are shared with the library. *)
+
+open Ir
+
+module Flow = struct
+  open Analysis.Flowgraph
+
+  let now = Clock.now
+
+  (* The cell key of an access, valid at a node whose enclosing loop
+     indices are [indices]: affine in every dimension and mentioning only
+     those indices; otherwise the whole array. *)
+  let loc_of_access indices (a : string) (subs : Ast.expr list) : loc =
+    let forms = List.map Affine.of_expr subs in
+    if
+      List.for_all
+        (function
+          | Some f -> List.for_all (fun v -> List.mem v indices) (Affine.vars f)
+          | None -> false)
+        forms
+    then Cell (a, List.map Option.get forms)
+    else Whole a
+
+  let index_names loops = List.map (fun (l : Ast.loop) -> l.Ast.index) loops
+
+  let rec expr_locs indices acc (e : Ast.expr) =
+    match e with
+    | Ast.Int _ -> acc
+    | Ast.Var v -> Scalar v :: acc
+    | Ast.Arr (a, subs) ->
+        let acc = List.fold_left (expr_locs indices) acc subs in
+        loc_of_access indices a subs :: acc
+    | Ast.Bin (_, x, y) -> expr_locs indices (expr_locs indices acc x) y
+    | Ast.Un (_, x) -> expr_locs indices acc x
+    | Ast.Cond (c, x, y) ->
+        expr_locs indices (expr_locs indices (expr_locs indices acc c) x) y
+
+  let uses (g : t) (i : int) : loc list =
+    let nd = g.nodes.(i) in
+    let indices = index_names nd.loops in
+    match nd.kind with
+    | Entry | Exit | Header _ -> []
+    | Branch c -> List.rev (expr_locs indices [] c)
+    | Rotate rs -> List.map (fun r -> Scalar r) rs
+    | Assign (lv, e) ->
+        let acc = expr_locs indices [] e in
+        let acc =
+          match lv with
+          | Ast.Lvar _ -> acc
+          | Ast.Larr (_, subs) ->
+              (* writing a cell reads its subscripts, not the cell *)
+              List.fold_left (expr_locs indices) acc subs
+        in
+        List.rev acc
+
+  let defs_at (g : t) (i : int) : loc list =
+    let nd = g.nodes.(i) in
+    let indices = index_names nd.loops in
+    match nd.kind with
+    | Entry | Exit | Branch _ -> []
+    | Header l -> [ Scalar l.Ast.index ]
+    | Rotate rs -> List.map (fun r -> Scalar r) rs
+    | Assign (Ast.Lvar s, _) -> [ Scalar s ]
+    | Assign (Ast.Larr (a, subs), _) -> [ loc_of_access indices a subs ]
+
+  let solve ?cost (g : t) (spec : 'f spec) : 'f solution =
+    let t0 = now () in
+    let n = Array.length g.nodes in
+    let before = Array.make n spec.init and after = Array.make n spec.init in
+    let inq = Array.make n false in
+    let q = Queue.create () in
+    let push i =
+      if not inq.(i) then begin
+        inq.(i) <- true;
+        Queue.push i q
+      end
+    in
+    (match spec.dir with
+    | Forward -> for i = 0 to n - 1 do push i done
+    | Backward -> for i = n - 1 downto 0 do push i done);
+    let steps = ref 0 in
+    while not (Queue.is_empty q) do
+      let i = Queue.pop q in
+      inq.(i) <- false;
+      incr steps;
+      match spec.dir with
+      | Forward ->
+          let inf =
+            let base = if i = g.entry then spec.boundary else spec.init in
+            List.fold_left (fun acc p -> spec.join acc after.(p)) base g.pred.(i)
+          in
+          before.(i) <- inf;
+          let out = spec.transfer g.nodes.(i) inf in
+          if not (spec.equal out after.(i)) then begin
+            after.(i) <- out;
+            List.iter push g.succ.(i)
+          end
+      | Backward ->
+          let outf =
+            let base = if i = g.exit_ then spec.boundary else spec.init in
+            List.fold_left (fun acc s -> spec.join acc before.(s)) base g.succ.(i)
+          in
+          after.(i) <- outf;
+          let inf = spec.transfer g.nodes.(i) outf in
+          if not (spec.equal inf before.(i)) then begin
+            before.(i) <- inf;
+            List.iter push g.pred.(i)
+          end
+    done;
+    (match cost with
+    | Some c ->
+        c.solves <- c.solves + 1;
+        c.steps <- c.steps + !steps;
+        c.solve_seconds <- c.solve_seconds +. (now () -. t0)
+    | None -> ());
+    { before; after }
+
+  let is_const_cell = function
+    | Cell (_, fs) -> List.for_all Affine.is_const fs
+    | Scalar _ | Whole _ -> false
+
+  (* A write to [d] provably overwrites location [l] (on any execution
+     reaching the program point, regardless of iteration): scalars by
+     name, cells only when both sides are the same all-constant cell. *)
+  let strongly_overwrites (d : loc) (l : loc) =
+    match d with
+    | Scalar _ -> equal_loc d l
+    | Cell _ -> is_const_cell d && equal_loc d l
+    | Whole _ -> false
+
+  let mentions_index (idx : string) = function
+    | Scalar _ | Whole _ -> false
+    | Cell (_, fs) -> List.exists (fun f -> List.mem idx (Affine.vars f)) fs
+
+  let def_sites (g : t) : def array =
+    let acc = ref [] and next = ref 0 in
+    Array.iter
+      (fun nd ->
+        List.iter
+          (fun l ->
+            acc := { d_id = !next; d_node = nd.id; d_loc = l } :: !acc;
+            incr next)
+          (defs_at g nd.id))
+      g.nodes;
+    Array.of_list (List.rev !acc)
+
+  let reaching ?cost (g : t) : reaching =
+    let defs = def_sites g in
+    let n = Array.length g.nodes in
+    let gen = Array.make n IntSet.empty in
+    Array.iter (fun d -> gen.(d.d_node) <- IntSet.add d.d_id gen.(d.d_node)) defs;
+    (* kill at a node: every site whose location the node's writes
+       strongly overwrite *)
+    let kill = Array.make n IntSet.empty in
+    Array.iteri
+      (fun i _ ->
+        let writes = defs_at g i in
+        if writes <> [] then
+          kill.(i) <-
+            Array.fold_left
+              (fun acc (d : def) ->
+                if List.exists (fun w -> strongly_overwrites w d.d_loc) writes
+                then IntSet.add d.d_id acc
+                else acc)
+              IntSet.empty defs)
+      g.nodes;
+    let spec =
+      {
+        dir = Forward;
+        boundary = IntSet.empty;
+        init = IntSet.empty;
+        join = IntSet.union;
+        equal = IntSet.equal;
+        transfer = (fun nd f -> IntSet.union gen.(nd.id) (IntSet.diff f kill.(nd.id)));
+      }
+    in
+    { r_defs = defs; r_sol = solve ?cost g spec }
+
+  let reaching_defs_of (r : reaching) (node : int) (l : loc) : def list =
+    IntSet.fold
+      (fun id acc ->
+        let d = r.r_defs.(id) in
+        if may_alias d.d_loc l then d :: acc else acc)
+      r.r_sol.before.(node) []
+    |> List.rev
+
+  (* ------------------------------------------------------------------ *)
+  (* Liveness *)
+
+  let live ?cost (g : t) : LocSet.t solution =
+    let boundary =
+      List.fold_left
+        (fun acc (a : Ast.array_decl) -> LocSet.add (Whole a.Ast.a_name) acc)
+        LocSet.empty g.kernel.Ast.k_arrays
+    in
+    let transfer nd out =
+      match nd.kind with
+      | Header l ->
+          (* The index changes here: cell facts that mention it name a
+             different cell each iteration — widen them; the index itself
+             is (re)defined. *)
+          LocSet.fold
+            (fun f acc ->
+              if equal_loc f (Scalar l.Ast.index) then acc
+              else if mentions_index l.Ast.index f then
+                match f with
+                | Cell (a, _) -> LocSet.add (Whole a) acc
+                | _ -> LocSet.add f acc
+              else LocSet.add f acc)
+            out LocSet.empty
+      | _ ->
+          let writes = defs_at g nd.id in
+          let killed =
+            LocSet.filter
+              (fun f ->
+                not (List.exists (fun w -> strongly_overwrites w f) writes))
+              out
+          in
+          (* a same-iteration exact cell write also kills its own fact:
+             facts survive headers only as Whole, so an exact Cell fact
+             here was generated in the same iteration *)
+          let killed =
+            LocSet.filter
+              (fun f ->
+                not
+                  (List.exists
+                     (fun w ->
+                       match (w, f) with
+                       | Cell _, Cell _ -> equal_loc w f
+                       | _ -> false)
+                     writes))
+              killed
+          in
+          List.fold_left (fun acc u -> LocSet.add u acc) killed (uses g nd.id)
+    in
+    solve ?cost g
+      {
+        dir = Backward;
+        boundary;
+        init = LocSet.empty;
+        join = LocSet.union;
+        equal = LocSet.equal;
+        transfer;
+      }
+
+  let live_at (s : LocSet.t) (l : loc) = LocSet.exists (fun f -> may_alias f l) s
+
+  let opt_must_join a b =
+    match (a, b) with
+    | None, x | x, None -> x
+    | Some a, Some b -> Some (LocSet.inter a b)
+
+  let opt_equal a b =
+    match (a, b) with
+    | None, None -> true
+    | Some a, Some b -> LocSet.equal a b
+    | _ -> false
+
+  let must_init ?cost (g : t) : LocSet.t option solution =
+    let boundary =
+      let s =
+        List.fold_left
+          (fun acc (a : Ast.array_decl) -> LocSet.add (Whole a.Ast.a_name) acc)
+          LocSet.empty g.kernel.Ast.k_arrays
+      in
+      let s =
+        List.fold_left
+          (fun acc (d : Ast.scalar_decl) ->
+            if d.Ast.s_kind = Ast.Param then LocSet.add (Scalar d.Ast.s_name) acc
+            else acc)
+          s g.kernel.Ast.k_scalars
+      in
+      Some s
+    in
+    let transfer nd f =
+      match f with
+      | None -> None
+      | Some s -> (
+          match nd.kind with
+          | Header l ->
+              let s = LocSet.filter (fun f -> not (mentions_index l.Ast.index f)) s in
+              Some (LocSet.add (Scalar l.Ast.index) s)
+          | _ ->
+              let writes = defs_at g nd.id in
+              Some
+                (List.fold_left
+                   (fun acc w ->
+                     match w with
+                     | Scalar _ -> LocSet.add w acc
+                     | Cell _ -> LocSet.add w acc
+                     | Whole _ -> acc (* writes one unknown cell *))
+                   s writes))
+    in
+    solve ?cost g
+      {
+        dir = Forward;
+        boundary;
+        init = None;
+        join = opt_must_join;
+        equal = opt_equal;
+        transfer;
+      }
+
+  let initialized_in (s : LocSet.t) (l : loc) =
+    match l with
+    | Scalar _ -> LocSet.mem l s
+    | Cell (a, _) -> LocSet.mem l s || LocSet.mem (Whole a) s
+    | Whole _ -> LocSet.mem l s
+
+  (* ------------------------------------------------------------------ *)
+  (* Anticipated overwrites *)
+
+  let anticipated ?cost (g : t) : LocSet.t option solution =
+    let transfer nd f =
+      match f with
+      | None -> None
+      | Some s -> (
+          match nd.kind with
+          | Header l ->
+              Some
+                (LocSet.filter
+                   (fun f ->
+                     (not (mentions_index l.Ast.index f))
+                     && not (equal_loc f (Scalar l.Ast.index)))
+                   s)
+          | _ ->
+              (* before = (after ∪ must-writes) \ may-reads *)
+              let writes = defs_at g nd.id in
+              let s =
+                List.fold_left
+                  (fun acc w ->
+                    match w with
+                    | Scalar _ -> LocSet.add w acc
+                    | Cell _ -> LocSet.add w acc (* exact cell, same iteration *)
+                    | Whole _ -> acc)
+                  s writes
+              in
+              let reads = uses g nd.id in
+              Some
+                (LocSet.filter
+                   (fun f -> not (List.exists (fun u -> may_alias f u) reads))
+                   s))
+    in
+    solve ?cost g
+      {
+        dir = Backward;
+        boundary = Some LocSet.empty;
+        init = None;
+        join = opt_must_join;
+        equal = opt_equal;
+        transfer;
+      }
+
+  let use_before_def ?cost (g : t) : use_site list =
+    let r = reaching ?cost g in
+    let mi = must_init ?cost g in
+    let sites = ref [] in
+    Array.iter
+      (fun nd ->
+        if g.reachable.(nd.id) then
+          List.iter
+            (fun u ->
+              let status =
+                match mi.before.(nd.id) with
+                | Some s when initialized_in s u -> Initialized
+                | _ ->
+                    if reaching_defs_of r nd.id u = [] then
+                      (* nothing written in the kernel reaches; arrays and
+                         Param scalars are host-initialised but those are
+                         always must-init, so this is a genuine hole *)
+                      Uninitialized
+                    else Maybe_uninitialized
+              in
+              sites := { u_node = nd.id; u_loc = u; u_status = status } :: !sites)
+            (uses g nd.id))
+      g.nodes;
+    List.rev !sites
+end
+
+module Footprint = struct
+  open Check.Validate
+
+  let rec peval env (e : Ast.expr) : int option =
+    match e with
+    | Ast.Int n -> Some n
+    | Ast.Var v -> Hashtbl.find_opt env v
+    | Ast.Arr _ -> None
+    | Ast.Un (op, a) -> (
+        match peval env a with
+        | None -> None
+        | Some va -> (
+            match op with
+            | Ast.Neg -> Some (-va)
+            | Ast.Not -> Some (if va = 0 then 1 else 0)
+            | Ast.Bnot -> Some (lnot va)
+            | Ast.Abs -> Some (abs va)))
+    | Ast.Bin (op, a, b) -> (
+        match (peval env a, peval env b) with
+        | Some va, Some vb -> (
+            let bool_ c = Some (if c then 1 else 0) in
+            match op with
+            | Ast.Add -> Some (va + vb)
+            | Ast.Sub -> Some (va - vb)
+            | Ast.Mul -> Some (va * vb)
+            | Ast.Div -> if vb = 0 then None else Some (va / vb)
+            | Ast.Mod -> if vb = 0 then None else Some (va mod vb)
+            | Ast.Lt -> bool_ (va < vb)
+            | Ast.Le -> bool_ (va <= vb)
+            | Ast.Gt -> bool_ (va > vb)
+            | Ast.Ge -> bool_ (va >= vb)
+            | Ast.Eq -> bool_ (va = vb)
+            | Ast.Ne -> bool_ (va <> vb)
+            | Ast.And -> bool_ (va <> 0 && vb <> 0)
+            | Ast.Or -> bool_ (va <> 0 || vb <> 0)
+            | Ast.Band -> Some (va land vb)
+            | Ast.Bor -> Some (va lor vb)
+            | Ast.Bxor -> Some (va lxor vb)
+            | Ast.Shl -> if vb < 0 || vb > 62 then None else Some (va lsl vb)
+            | Ast.Shr -> if vb < 0 || vb > 62 then None else Some (va asr vb)
+            | Ast.Min -> Some (min va vb)
+            | Ast.Max -> Some (max va vb))
+        | _ -> None)
+    | Ast.Cond (c, t, e') -> (
+        match peval env c with
+        | Some vc -> peval env (if vc <> 0 then t else e')
+        | None -> None)
+
+  exception Skip_all of string
+
+  (** Estimated statement executions, to refuse enormous nests upfront. *)
+  let rec work_of_body body =
+    List.fold_left
+      (fun acc s ->
+        acc
+        +
+        match s with
+        | Ast.Assign _ | Ast.Rotate _ -> 1
+        | Ast.If (_, t, e) -> 1 + work_of_body t + work_of_body e
+        | Ast.For l ->
+            let trip = if l.Ast.step <= 0 then 0 else Ast.loop_trip l in
+            1 + (trip * work_of_body l.Ast.body))
+      0 body
+
+  let footprint ?(max_points = default_max_points) (k : Ast.kernel) : t =
+    let fps = Hashtbl.create 8 in
+    let skipped : (string, string) Hashtbl.t = Hashtbl.create 4 in
+    let skip a reason =
+      if not (Hashtbl.mem skipped a) then Hashtbl.add skipped a reason
+    in
+    List.iter
+      (fun (a : Ast.array_decl) ->
+        let size = Ast.array_size a in
+        Hashtbl.replace fps a.Ast.a_name
+          ( a.Ast.a_dims,
+            {
+              size;
+              may_read = Bytes.make size '\000';
+              may_write = Bytes.make size '\000';
+              must_write = Bytes.make size '\000';
+              oob_read = false;
+              oob_write = false;
+            } ))
+      k.Ast.k_arrays;
+    let env : (string, int) Hashtbl.t = Hashtbl.create 16 in
+    (* Linearize row-major; [None] when a subscript is unevaluable, [Some
+       (-1)] when evaluable but outside the declared box. *)
+    let linear dims subs =
+      let rec go acc dims subs =
+        match (dims, subs) with
+        | [], [] -> Some acc
+        | d :: dims, s :: subs -> (
+            match peval env s with
+            | None -> None
+            | Some v ->
+                if v < 0 || v >= d then Some (-1)
+                else go ((acc * d) + v) dims subs)
+        | _ -> Some (-1) (* arity mismatch: treat as out of the box *)
+      in
+      go 0 dims subs
+    in
+    let touch ~write ~certain a subs =
+      match Hashtbl.find_opt fps a with
+      | None -> skip a "not declared"
+      | Some (dims, fp) -> (
+          match linear dims subs with
+          | None -> skip a "unevaluable subscript"
+          | Some idx ->
+              if idx < 0 then
+                if write then fp.oob_write <- true else fp.oob_read <- true
+              else if write then begin
+                Bytes.set fp.may_write idx '\001';
+                if certain then Bytes.set fp.must_write idx '\001'
+              end
+              else Bytes.set fp.may_read idx '\001')
+    in
+    (* Record every array read inside an expression (subscripts first). *)
+    let rec reads_in e =
+      match e with
+      | Ast.Int _ | Ast.Var _ -> ()
+      | Ast.Arr (a, subs) ->
+          List.iter reads_in subs;
+          touch ~write:false ~certain:false a subs
+      | Ast.Bin (_, a, b) ->
+          reads_in a;
+          reads_in b
+      | Ast.Un (_, a) -> reads_in a
+      | Ast.Cond (c, t, e') ->
+          reads_in c;
+          reads_in t;
+          reads_in e'
+    in
+    let budget = ref max_points in
+    let spend () =
+      decr budget;
+      if !budget < 0 then raise (Skip_all "iteration budget exceeded")
+    in
+    let rec walk ~certain stmts = List.iter (stmt ~certain) stmts
+    and stmt ~certain s =
+      spend ();
+      match s with
+      | Ast.Assign (Ast.Lvar v, e) ->
+          reads_in e;
+          (match (certain, peval env e) with
+          | true, Some n -> Hashtbl.replace env v n
+          | _ -> Hashtbl.remove env v)
+      | Ast.Assign (Ast.Larr (a, subs), e) ->
+          List.iter reads_in subs;
+          reads_in e;
+          touch ~write:true ~certain a subs
+      | Ast.If (c, t, e) -> (
+          reads_in c;
+          match peval env c with
+          | Some vc -> walk ~certain (if vc <> 0 then t else e)
+          | None ->
+              walk ~certain:false t;
+              walk ~certain:false e)
+      | Ast.For l ->
+          if l.Ast.step <= 0 then raise (Skip_all "non-positive loop stride");
+          let i = ref l.Ast.lo in
+          while !i < l.Ast.hi do
+            Hashtbl.replace env l.Ast.index !i;
+            walk ~certain l.Ast.body;
+            i := !i + l.Ast.step
+          done;
+          Hashtbl.remove env l.Ast.index
+      | Ast.Rotate rs ->
+          (* Register values permute: forget anything we knew about them. *)
+          List.iter (Hashtbl.remove env) rs
+    in
+    (* Known [Param]/[Temp] scalars have no compile-time value: only loop
+       indices and scalars assigned evaluable expressions enter [env]. *)
+    (try
+       if work_of_body k.Ast.k_body > max_points then
+         raise (Skip_all "iteration space exceeds the point budget");
+       walk ~certain:true k.Ast.k_body
+     with Skip_all reason ->
+       List.iter
+         (fun (a : Ast.array_decl) -> skip a.Ast.a_name reason)
+         k.Ast.k_arrays);
+    let arrays =
+      Hashtbl.fold
+        (fun name (_, fp) acc ->
+          if Hashtbl.mem skipped name then acc else (name, fp) :: acc)
+        fps []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+    in
+    let skipped =
+      Hashtbl.fold (fun name reason acc -> (name, reason) :: acc) skipped []
+      |> List.sort compare
+    in
+    { arrays; skipped }
+end

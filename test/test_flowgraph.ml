@@ -452,70 +452,9 @@ let soundness (k : Ast.kernel) : bool =
   end;
   true
 
-(* Random kernels with scalars, guards, reductions, possibly-dead
-   temporaries and zero-trip loops — the shapes Helpers.gen_kernel
-   (scalar-free perfect nests) cannot produce. *)
-let gen_flow_kernel : Ast.kernel QCheck2.Gen.t =
-  let open G in
-  let* outer_trip = int_range 0 4 in
-  let* inner_trip = option (int_range 0 3) in
-  let* init_s = bool in
-  let* tail_read = bool in
-  let* guard_cut = int_range 0 3 in
-  let* n_stmts = int_range 1 3 in
-  let* picks = list_repeat n_stmts (pair (int_range 0 6) (int_range 0 2)) in
-  let i = Ast.Var "i" in
-  let sub kind =
-    match kind with
-    | 0 -> i
-    | 1 when inner_trip <> None -> Ast.Bin (Ast.Add, i, Ast.Var "j")
-    | _ -> Ast.Bin (Ast.Mul, Ast.Int 2, i)
-  in
-  let a s = Ast.Arr ("a", [ s ]) in
-  let stmt (kind, sk) =
-    let s = sub sk in
-    match kind with
-    | 0 -> Ast.Assign (Ast.Lvar "s", Ast.Bin (Ast.Add, Ast.Var "s", a s))
-    | 1 -> Ast.Assign (Ast.Lvar "s", a s)
-    | 2 -> Ast.Assign (Ast.Lvar "t", Ast.Bin (Ast.Add, a s, Ast.Int 1))
-    | 3 -> Ast.Assign (Ast.Larr ("out", [ i ]), Ast.Bin (Ast.Add, Ast.Var "s", Ast.Var "p"))
-    | 4 ->
-        Ast.Assign
-          (Ast.Larr ("out", [ i ]), Ast.Bin (Ast.Add, Ast.Arr ("out", [ i ]), a s))
-    | 5 ->
-        Ast.If
-          ( Ast.Bin (Ast.Lt, i, Ast.Int guard_cut),
-            [ Ast.Assign (Ast.Lvar "s", Ast.Bin (Ast.Add, Ast.Var "s", Ast.Int 1)) ],
-            [] )
-    | _ -> Ast.Assign (Ast.Lvar "s", Ast.Bin (Ast.Add, Ast.Bin (Ast.Mul, Ast.Var "s", Ast.Int 2), a s))
-  in
-  let inner = List.map stmt picks in
-  let loop_body =
-    match inner_trip with
-    | None -> inner
-    | Some t -> [ Ast.For (mk_loop "j" t inner) ]
-  in
-  let body =
-    (if init_s then [ Ast.Assign (Ast.Lvar "s", Ast.Int 0) ] else [])
-    @ [ Ast.For (mk_loop "i" outer_trip loop_body) ]
-    @
-    if tail_read then [ Ast.Assign (Ast.Larr ("out", [ Ast.Int 0 ]), Ast.Var "s") ]
-    else []
-  in
-  return
-    (mk_kernel "flowgen"
-       ~arrays:[ Ast.array_decl "a" [ 8 ]; Ast.array_decl "out" [ 8 ] ]
-       ~scalars:
-         [
-           Ast.scalar_decl "s";
-           Ast.scalar_decl "t";
-           Ast.scalar_decl ~kind:Ast.Param "p";
-         ]
-       body)
-
 let test_soundness_random =
   Helpers.qtest "dataflow facts sound vs interpreter (random kernels)" ~count:300
-    gen_flow_kernel
+    Helpers.gen_flow_kernel
     (fun k -> soundness k)
 
 let test_soundness_scalar_free =
@@ -572,7 +511,7 @@ let test_jam_equiv_scalar_free =
 
 let test_jam_implies_dependence =
   Helpers.qtest "strengthened jam legality implies dependence legality" ~count:150
-    gen_flow_kernel
+    Helpers.gen_flow_kernel
     (fun k ->
       (not (Check.Legality.jam_unroll_legal k))
       || Check.Legality.jam_unroll_legal_dependence k)
@@ -801,7 +740,7 @@ let test_zero_trip_regression () =
 
 let test_run_sorted_deterministic =
   Helpers.qtest "Run.all output is deterministically sorted" ~count:100
-    gen_flow_kernel
+    Helpers.gen_flow_kernel
     (fun k ->
       let ds = Check.Run.all k in
       let rec sorted = function

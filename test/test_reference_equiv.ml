@@ -1,0 +1,340 @@
+(** The optimized flow analyses and footprint enumerator against the
+    straightforward references of [reference.ml]: every solution equal
+    node for node, every footprint equal byte for byte (oob flags and
+    skip reasons included, budget exhaustion too). Run on the random
+    kernel generators and on every stage output of the built-in and
+    gallery kernels. *)
+
+open Ir
+module F = Analysis.Flowgraph
+module V = Check.Validate
+module R = Reference
+module G = QCheck2.Gen
+
+let failf fmt = Printf.ksprintf failwith fmt
+
+(* ------------------------------------------------------------------ *)
+(* Comparisons *)
+
+let show_locs s = String.concat " " (List.map (Format.asprintf "%a" F.pp_loc) s)
+
+let same_solution name ~equal ~show (a : 'f F.solution) (b : 'f F.solution) =
+  let check side x y =
+    Array.iteri
+      (fun i fx ->
+        if not (equal fx y.(i)) then
+          failf "%s: %s facts differ at node %d: %s vs reference %s" name side i
+            (show fx) (show y.(i)))
+      x
+  in
+  check "before" a.F.before b.F.before;
+  check "after" a.F.after b.F.after
+
+let show_set s = show_locs (F.LocSet.elements s)
+
+let show_opt = function None -> "unreachable" | Some s -> show_set s
+
+let equal_opt a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> F.LocSet.equal a b
+  | _ -> false
+
+let show_ints s = String.concat " " (List.map string_of_int (F.IntSet.elements s))
+
+(** Every analysis of the library equals its reference on [k]. *)
+let flow_equivalent (k : Ast.kernel) =
+  let g = F.build k in
+  Array.iteri
+    (fun i _ ->
+      if F.uses g i <> R.Flow.uses g i then
+        failf "uses differ at node %d: %s vs %s" i (show_locs (F.uses g i))
+          (show_locs (R.Flow.uses g i));
+      if F.defs_at g i <> R.Flow.defs_at g i then
+        failf "defs differ at node %d: %s vs %s" i (show_locs (F.defs_at g i))
+          (show_locs (R.Flow.defs_at g i)))
+    g.F.nodes;
+  let r = F.reaching g and r' = R.Flow.reaching g in
+  if r.F.r_defs <> r'.F.r_defs then failf "definition sites differ";
+  same_solution "reaching" ~equal:F.IntSet.equal ~show:show_ints r.F.r_sol
+    r'.F.r_sol;
+  same_solution "live" ~equal:F.LocSet.equal ~show:show_set (F.live g)
+    (R.Flow.live g);
+  same_solution "must_init" ~equal:equal_opt ~show:show_opt (F.must_init g)
+    (R.Flow.must_init g);
+  same_solution "anticipated" ~equal:equal_opt ~show:show_opt
+    (F.anticipated g) (R.Flow.anticipated g);
+  (* [live_at] and [reaching_defs_of] over every fact set and use *)
+  let live = F.live g in
+  Array.iteri
+    (fun i _ ->
+      List.iter
+        (fun l ->
+          if F.live_at live.F.after.(i) l <> R.Flow.live_at live.F.after.(i) l
+          then failf "live_at differs at node %d" i;
+          if F.reaching_defs_of r i l <> R.Flow.reaching_defs_of r i l then
+            failf "reaching_defs_of differs at node %d" i)
+        (F.uses g i @ F.defs_at g i))
+    g.F.nodes;
+  if F.use_before_def g <> R.Flow.use_before_def g then
+    failf "use_before_def differs";
+  true
+
+let same_fp name (a : V.array_fp) (b : V.array_fp) =
+  if a.V.size <> b.V.size then failf "%s: size %d vs %d" name a.V.size b.V.size;
+  List.iter
+    (fun (what, x, y) ->
+      if not (Bytes.equal x y) then failf "%s: %s bytes differ" name what)
+    [
+      ("may_read", a.V.may_read, b.V.may_read);
+      ("may_write", a.V.may_write, b.V.may_write);
+      ("must_write", a.V.must_write, b.V.must_write);
+    ];
+  if a.V.oob_read <> b.V.oob_read then failf "%s: oob_read differs" name;
+  if a.V.oob_write <> b.V.oob_write then failf "%s: oob_write differs" name
+
+(** The slot-compiled footprint equals the interpreted one on [k]. *)
+let footprint_equivalent ?max_points (k : Ast.kernel) =
+  let a = V.footprint ?max_points k and b = R.Footprint.footprint ?max_points k in
+  let show sk = String.concat "; " (List.map (fun (n, r) -> n ^ ": " ^ r) sk) in
+  if a.V.skipped <> b.V.skipped then
+    failf "skipped differ: [%s] vs reference [%s]" (show a.V.skipped)
+      (show b.V.skipped);
+  if List.map fst a.V.arrays <> List.map fst b.V.arrays then
+    failf "enumerated arrays differ";
+  List.iter2 (fun (n, x) (_, y) -> same_fp n x y) a.V.arrays b.V.arrays;
+  true
+
+(* ------------------------------------------------------------------ *)
+(* A footprint-hostile generator: data-dependent, unevaluable and
+   out-of-box subscripts, undeclared arrays, arity mismatches, known
+   and unknown scalars (some updated from their own value), decidable
+   and undecidable guards, division by zero, rotations, zero-trip and
+   non-positive-stride loops, a duplicate array declaration. Arrays [c]
+   and [d] take mostly evaluable subscripts (constants, loop indices,
+   the scalar [u]), so they usually stay enumerated and their bytes are
+   compared; [a] takes arbitrary ones and is usually skipped. *)
+
+let gen_rough_kernel : Ast.kernel G.t =
+  let open G in
+  let scalar = oneofl [ "s"; "t"; "r0"; "r1"; "u" ] in
+  let bin sub =
+    map3
+      (fun op x y -> Ast.Bin (op, x, y))
+      (oneofl
+         Ast.
+           [
+             Add; Sub; Mul; Div; Mod; Lt; Le; Gt; Ge; Eq; Ne; And; Or; Band;
+             Bor; Bxor; Shl; Shr; Min; Max;
+           ])
+      sub sub
+  in
+  let cond sub = map3 (fun c x y -> Ast.Cond (c, x, y)) sub sub sub in
+  let rec clean depth =
+    let leaf =
+      frequency
+        [
+          (2, map (fun n -> Ast.Int n) (int_range (-1) 8));
+          (3, map (fun v -> Ast.Var v) (oneofl [ "i"; "j"; "u"; "r0" ]));
+        ]
+    in
+    if depth = 0 then leaf
+    else
+      let sub = clean (depth - 1) in
+      frequency [ (4, leaf); (2, bin sub); (1, cond sub) ]
+  in
+  let rec expr depth =
+    let leaf =
+      oneof
+        [
+          map (fun n -> Ast.Int n) (int_range (-2) 7);
+          map (fun v -> Ast.Var v) (oneofl [ "s"; "t"; "p"; "r0"; "r1"; "i"; "j"; "u" ]);
+        ]
+    in
+    if depth = 0 then leaf
+    else
+      let sub = expr (depth - 1) in
+      frequency
+        [
+          (3, leaf);
+          (3, map (fun x -> Ast.Arr ("c", [ x ])) (clean 1));
+          (2, map2 (fun x y -> Ast.Arr ("d", [ x; y ])) (clean 1) (clean 1));
+          (1, map (fun x -> Ast.Arr ("a", [ x ])) sub);
+          (1, map2 (fun x y -> Ast.Arr ("a", [ x; y ])) sub sub);
+          (1, map (fun x -> Ast.Arr ("nope", [ x ])) sub);
+          (3, bin sub);
+          (1, map2 (fun op x -> Ast.Un (op, x)) (oneofl Ast.[ Neg; Not; Bnot; Abs ]) sub);
+          (1, cond sub);
+        ]
+  in
+  let store target subs e = Ast.Assign (Ast.Larr (target, subs), e) in
+  let rec stmt depth =
+    let e = expr 2 in
+    let assign =
+      frequency
+        [
+          (3, map2 (fun v e -> Ast.Assign (Ast.Lvar v, e)) scalar e);
+          (* known values, and updates that read the scalar they write *)
+          (1, map2 (fun v n -> Ast.Assign (Ast.Lvar v, Ast.Int n)) scalar (int_range 0 4));
+          ( 1,
+            map2
+              (fun v n -> Ast.Assign (Ast.Lvar v, Ast.Bin (Ast.Add, Ast.Var v, Ast.Int n)))
+              scalar (int_range (-1) 2) );
+          (3, map2 (fun x e -> store "c" [ x ] e) (clean 2) e);
+          (2, map3 (fun x y e -> store "d" [ x; y ] e) (clean 1) (clean 1) e);
+          (1, map2 (fun x e -> store "d" [ x ] e) (clean 1) e);
+          (1, map2 (fun x e -> store "a" [ x ] e) (expr 1) e);
+          (1, map2 (fun x e -> store "nope" [ x ] e) (expr 1) e);
+          (1, return (Ast.Rotate [ "r0"; "r1" ]));
+        ]
+    in
+    if depth = 0 then assign
+    else
+      let body = list_size (int_range 0 3) (stmt (depth - 1)) in
+      frequency
+        [
+          (3, assign);
+          (1, map3 (fun c t e -> Ast.If (c, t, e)) (oneof [ clean 1; expr 1 ]) body body);
+          ( 3,
+            map3
+              (fun (index, lo) (hi, step) body ->
+                Ast.For { Ast.index; lo; hi; step; body; l_span = None })
+              (pair (oneofl [ "i"; "j" ]) (int_range 0 2))
+              (pair (int_range 0 6) (frequency [ (12, return 1); (4, return 2); (1, return 0); (1, return (-1)) ]))
+              body );
+        ]
+  in
+  let* u0 = int_range 0 3 in
+  let* body = list_size (int_range 1 6) (stmt 2) in
+  let* dup = bool in
+  return
+    {
+      Ast.k_name = "rough";
+      k_arrays =
+        [ Ast.array_decl "a" [ 6 ]; Ast.array_decl "c" [ 8 ]; Ast.array_decl "d" [ 3; 3 ] ]
+        @ if dup then [ Ast.array_decl "c" [ 5 ] ] else [];
+      k_scalars =
+        [
+          Ast.scalar_decl "s";
+          Ast.scalar_decl "t";
+          Ast.scalar_decl "u";
+          Ast.scalar_decl ~kind:Ast.Param "p";
+          Ast.scalar_decl ~kind:Ast.Register "r0";
+          Ast.scalar_decl ~kind:Ast.Register "r1";
+        ];
+      k_body = Ast.Assign (Ast.Lvar "u", Ast.Int u0) :: body;
+    }
+
+let gen_budget = G.(option (int_range 0 60))
+
+(* [u = 3; u = u + 1; a[u] = 0]: the update reads the value it
+   replaces, so [u] stays known and the store lands on a[4]. *)
+let test_self_update () =
+  let k =
+    {
+      Ast.k_name = "self_update";
+      k_arrays = [ Ast.array_decl "a" [ 6 ] ];
+      k_scalars = [ Ast.scalar_decl "u" ];
+      k_body =
+        [
+          Ast.Assign (Ast.Lvar "u", Ast.Int 3);
+          Ast.Assign (Ast.Lvar "u", Ast.Bin (Ast.Add, Ast.Var "u", Ast.Int 1));
+          Ast.Assign (Ast.Larr ("a", [ Ast.Var "u" ]), Ast.Int 0);
+        ];
+    }
+  in
+  ignore (footprint_equivalent k);
+  match (V.footprint k).V.arrays with
+  | [ ("a", fp) ] ->
+      Alcotest.(check string) "a[4] written" "\000\000\000\000\001\000"
+        (Bytes.to_string fp.V.must_write)
+  | _ -> Alcotest.fail "a not enumerated"
+
+(* ------------------------------------------------------------------ *)
+(* Built-in stage outputs *)
+
+let builtins () =
+  List.map (fun n -> (n, Option.get (Kernels.find n))) Kernels.names
+  @ List.map (fun n -> (n, Option.get (Gallery.find n))) Gallery.names
+
+(** The source and every stage output of [k] at each unroll vector of
+    product at most 8. *)
+let stage_outputs (k : Ast.kernel) =
+  let ctx = Dse.Design.context k in
+  let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.spine in
+  k
+  :: List.concat_map
+       (fun vector ->
+         let outs = ref [] in
+         ignore
+           (Transform.Pipeline.apply
+              ~observe:(fun _ ~before:_ ~after -> outs := after :: !outs)
+              { Transform.Pipeline.default with vector }
+              k);
+         List.rev !outs)
+       (Dse.Util.divisor_vectors ~max_product:8 ctx ~eligible)
+
+let test_builtin_stages () =
+  List.iter
+    (fun (name, k) ->
+      List.iteri
+        (fun i s ->
+          let where = Printf.sprintf "%s stage output %d" name i in
+          (try ignore (flow_equivalent s && footprint_equivalent s)
+           with Failure m -> Alcotest.failf "%s: %s" where m);
+          (* a budget below the kernel's size exhausts it *)
+          try ignore (footprint_equivalent ~max_points:50 s)
+          with Failure m -> Alcotest.failf "%s, budget 50: %s" where m)
+        (stage_outputs k))
+    (builtins ())
+
+(* A caller-supplied source footprint changes nothing. *)
+let test_primed_run =
+  Helpers.qtest "Validate.run with a primed source footprint" ~count:60
+    G.(Helpers.gen_kernel >>= fun k -> pair (return k) (Helpers.gen_vector_for k))
+    (fun (k, vector) ->
+      let options = { Transform.Pipeline.default with vector } in
+      let plain = V.run ~options k in
+      let primed = V.run ~options ~source_footprint:(V.footprint k) k in
+      List.map Check.Diag.render plain.V.diags
+      = List.map Check.Diag.render primed.V.diags
+      && Option.map (fun r -> r.Transform.Pipeline.kernel) plain.V.result
+         = Option.map (fun r -> r.Transform.Pipeline.kernel) primed.V.result)
+
+(* Skipping the advisory checks drops exactly the advisory findings. *)
+let test_wellformed_threshold =
+  Helpers.qtest "Wellformed ~min_severity:Error = its errors" ~count:200
+    gen_rough_kernel (fun k ->
+      Check.Wellformed.check ~min_severity:Check.Diag.Error k
+      = Check.Diag.errors (Check.Wellformed.check k))
+
+let () =
+  Alcotest.run "reference-equiv"
+    [
+      ( "flow",
+        [
+          Helpers.qtest "analyses = reference (flow kernels)" ~count:300
+            Helpers.gen_flow_kernel flow_equivalent;
+          Helpers.qtest "analyses = reference (array nests)" ~count:100
+            Helpers.gen_kernel flow_equivalent;
+          Helpers.qtest "analyses = reference (rough kernels)" ~count:300
+            gen_rough_kernel flow_equivalent;
+        ] );
+      ( "footprint",
+        [
+          Helpers.qtest "footprint = reference (array nests)" ~count:100
+            G.(pair Helpers.gen_kernel gen_budget)
+            (fun (k, max_points) -> footprint_equivalent ?max_points k);
+          Helpers.qtest "footprint = reference (flow kernels)" ~count:200
+            G.(pair Helpers.gen_flow_kernel gen_budget)
+            (fun (k, max_points) -> footprint_equivalent ?max_points k);
+          Helpers.qtest "footprint = reference (rough kernels)" ~count:500
+            G.(pair gen_rough_kernel gen_budget)
+            (fun (k, max_points) -> footprint_equivalent ?max_points k);
+          Alcotest.test_case "self-updating scalar stays known" `Quick test_self_update;
+          test_primed_run;
+          test_wellformed_threshold;
+        ] );
+      ( "built-ins",
+        [ Alcotest.test_case "every stage output" `Quick test_builtin_stages ] );
+    ]
