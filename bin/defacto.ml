@@ -440,9 +440,9 @@ let max_product_arg =
 
 let jobs_arg =
   let doc =
-    "Evaluate the unroll sweep on $(docv) parallel domains (1 forces the \
-     sequential path; the default scales with the host's cores). The \
-     $(b,--joint) sweep is sequential and ignores it."
+    "Evaluate the unroll sweep on $(docv) parallel domains, at least 1 \
+     (1 forces the sequential path; the default scales with the host's \
+     cores). The $(b,--joint) sweep is sequential and ignores it."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -450,6 +450,10 @@ let space kernel file non_pipelined memories capacity max_product jobs verify
     cache_dir cold backend_name joint tile_candidates =
   if max_product < 1 then begin
     prerr_endline "defacto: --max-product must be at least 1";
+    exit 1
+  end;
+  if Option.fold ~none:false ~some:(fun j -> j < 1) jobs then begin
+    prerr_endline "defacto: --jobs must be at least 1";
     exit 1
   end;
   let tile_candidates = parse_tile_candidates tile_candidates in

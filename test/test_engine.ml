@@ -472,6 +472,15 @@ let test_cli_max_product () =
       [ "space"; "-k"; "fir"; "--joint"; "--max-product"; "0" ];
     ]
 
+let test_cli_jobs () =
+  List.iter
+    (fun args -> check_rejected args "defacto: --jobs must be at least 1")
+    [
+      [ "space"; "-k"; "fir"; "--jobs"; "0" ];
+      [ "space"; "-k"; "fir"; "--jobs=-3" ];
+      [ "space"; "-k"; "fir"; "--joint"; "-j"; "0" ];
+    ]
+
 let test_cli_unroll_components () =
   List.iter
     (fun (cmd, vec) ->
@@ -545,6 +554,7 @@ let () =
           Alcotest.test_case "--memories below 1 rejected" `Quick test_cli_memories;
           Alcotest.test_case "--max-product below 1 rejected" `Quick
             test_cli_max_product;
+          Alcotest.test_case "--jobs below 1 rejected" `Quick test_cli_jobs;
           Alcotest.test_case "-u components must name loops" `Quick
             test_cli_unroll_components;
           Alcotest.test_case "-k help lists every kernel" `Quick test_cli_kernel_help;
