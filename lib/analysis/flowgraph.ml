@@ -314,6 +314,9 @@ let solve ?cost (g : t) (spec : 'f spec) : 'f solution =
   | Forward -> for i = 0 to n - 1 do push i done
   | Backward -> for i = n - 1 downto 0 do push i done);
   let steps = ref 0 in
+  (* A fact physically equal to the old one is unchanged without a
+     structural comparison: a transfer that touches nothing, or a join
+     over one neighbour, hands the same set back. *)
   while not (Queue.is_empty q) do
     let i = Queue.pop q in
     inq.(i) <- false;
@@ -326,7 +329,7 @@ let solve ?cost (g : t) (spec : 'f spec) : 'f solution =
         in
         before.(i) <- inf;
         let out = spec.transfer g.nodes.(i) inf in
-        if not (spec.equal out after.(i)) then begin
+        if not (out == after.(i) || spec.equal out after.(i)) then begin
           after.(i) <- out;
           List.iter push g.succ.(i)
         end
@@ -337,7 +340,7 @@ let solve ?cost (g : t) (spec : 'f spec) : 'f solution =
         in
         after.(i) <- outf;
         let inf = spec.transfer g.nodes.(i) outf in
-        if not (spec.equal inf before.(i)) then begin
+        if not (inf == before.(i) || spec.equal inf before.(i)) then begin
           before.(i) <- inf;
           List.iter push g.pred.(i)
         end

@@ -250,7 +250,11 @@ let footprint ?(max_points = default_max_points) (k : Ast.kernel) : t =
     decr budget;
     if !budget < 0 then raise (Skip_all "iteration budget exceeded")
   in
-  let rec walk ~certain stmts = List.iter (stmt ~certain) stmts
+  let rec walk ~certain = function
+    | [] -> ()
+    | s :: rest ->
+        stmt ~certain s;
+        walk ~certain rest
   and stmt ~certain s =
     spend ();
     match s with
