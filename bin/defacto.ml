@@ -101,15 +101,21 @@ let parse_vector (s : string) : (string * int) list =
 let kernel_vector (k : Ir.Ast.kernel) (unroll : string) : (string * int) list =
   let v = parse_vector unroll in
   let loops = Ir.Loop_nest.spine_indices k.Ir.Ast.k_body in
-  List.iter
-    (fun (i, _) ->
-      if not (List.mem i loops) then begin
-        prerr_endline
-          (Printf.sprintf "defacto: unroll component %S names no loop of %s (loops: %s)"
-             i k.Ir.Ast.k_name (String.concat ", " loops));
-        exit 1
-      end)
-    v;
+  let reject msg =
+    prerr_endline ("defacto: " ^ msg);
+    exit 1
+  in
+  ignore
+    (List.fold_left
+       (fun seen (i, _) ->
+         if not (List.mem i loops) then
+           reject
+             (Printf.sprintf "unroll component %S names no loop of %s (loops: %s)" i
+                k.Ir.Ast.k_name (String.concat ", " loops));
+         if List.mem i seen then
+           reject (Printf.sprintf "unroll vector names loop %S more than once" i);
+         i :: seen)
+       [] v);
   v
 
 let make_profile ~non_pipelined ~memories =
@@ -232,11 +238,10 @@ let parse_tile_candidates = function
 let print_joint_counters (j : Dse.Space.joint) =
   Format.printf
     "# joint space: %d config(s) enumerated, %d illegal, %d redundant, %d \
-     bound-pruned, %d evaluated%s@."
+     bound-pruned, %d evaluated@."
     j.Dse.Space.space_size j.Dse.Space.pruned_illegal
     j.Dse.Space.pruned_redundant j.Dse.Space.pruned_bound
     (List.length j.Dse.Space.points)
-    (if j.Dse.Space.truncated then " (budget exhausted)" else "")
 
 let explore_kernels_arg =
   let doc =

@@ -169,7 +169,6 @@ type joint = {
       (** dropped as another spelling of a configuration already
           enumerated (canonicalization + dedupe) *)
   pruned_bound : int;  (** skipped on tier-1 lower bounds *)
-  truncated : bool;  (** the evaluation [budget] ran out *)
   total_designs : int;
       (** paper-style accounting over the joint space: all integer
           unroll factors x tile options x toggles *)
@@ -219,7 +218,7 @@ let toggle_combos (ctx : Design.context) : (bool * bool * bool) list =
 
 let sweep_joint ?eligible ?(max_product = max_int)
     ?(tile_candidates = default_tile_candidates) ?(exhaustive_below = 64)
-    ?budget (ctx : Design.context) : joint =
+    (ctx : Design.context) : joint =
   let eligible =
     match eligible with
     | Some e -> e
@@ -288,8 +287,7 @@ let sweep_joint ?eligible ?(max_product = max_int)
   end;
   let results : joint_point option array = Array.make n None in
   let incumbent = ref max_int in
-  let bound_pruned = ref 0 and evaluated = ref 0 in
-  let truncated = ref false in
+  let bound_pruned = ref 0 in
   Array.iter
     (fun i ->
       let c = survivors.(i) in
@@ -304,15 +302,12 @@ let sweep_joint ?eligible ?(max_product = max_int)
         incr bound_pruned;
         Design.note_pruned ctx
       end
-      else
-        match budget with
-        | Some b when !evaluated >= b -> truncated := true
-        | _ ->
-            incr evaluated;
-            let p = Design.evaluate_config ctx c in
-            results.(i) <- Some { config = c; point = p };
-            if Design.space p <= ctx.Design.capacity then
-              incumbent := min !incumbent (Design.cycles p))
+      else begin
+        let p = Design.evaluate_config ctx c in
+        results.(i) <- Some { config = c; point = p };
+        if Design.space p <= ctx.Design.capacity then
+          incumbent := min !incumbent (Design.cycles p)
+      end)
     order;
   let total_designs =
     List.fold_left
@@ -327,7 +322,6 @@ let sweep_joint ?eligible ?(max_product = max_int)
     pruned_illegal = !ill;
     pruned_redundant = !red;
     pruned_bound = !bound_pruned;
-    truncated = !truncated;
     total_designs;
   }
 

@@ -76,7 +76,6 @@ type joint = {
       (** dropped as another spelling of a configuration already
           enumerated (canonicalization + dedupe) *)
   pruned_bound : int;  (** skipped on tier-1 lower bounds *)
-  truncated : bool;  (** the evaluation [budget] ran out *)
   total_designs : int;
       (** paper-style accounting over the joint space: all integer
           unroll factors x tile options x toggles *)
@@ -101,15 +100,13 @@ val joint_tile_options :
     sweep turns best-first — ascending tier-1 cycle bounds, skipping
     configurations whose bounds prove they cannot beat the incumbent or
     fit the device (admissible: the selection matches the exhaustive
-    sweep's). [budget] caps the number of full evaluations ([truncated]
-    reports hitting it). Sequential; the pruning counters are returned
-    in the [joint] record. *)
+    sweep's). Sequential; the pruning counters are returned in the
+    [joint] record. *)
 val sweep_joint :
   ?eligible:string list ->
   ?max_product:int ->
   ?tile_candidates:int list ->
   ?exhaustive_below:int ->
-  ?budget:int ->
   Design.context ->
   joint
 

@@ -40,14 +40,28 @@ type t = {
           metric B, usable to anticipate which side saturates first *)
 }
 
-(** Per-kernel precomputation: the mandatory memory footprint (one
-    budget-bounded walk of the iteration space), the structural area
-    floor, the declared-scalar register bits and the loop-control
-    skeleton. Computed once per (kernel, tile) pair; {!bound} then
-    evaluates any vector in time linear in the number of loops. *)
+(** Per-kernel precomputation: the mandatory memory footprint (see
+    {!footprint}), the structural area floor, the declared-scalar
+    register bits and the loop-control skeleton. Computed once per
+    (kernel, tile) pair; {!bound} then evaluates any vector in time
+    linear in the number of loops. *)
 type facts
 
 val facts : device:Device.t -> mem:Memory_model.t -> Ast.kernel -> facts
+
+(** The mandatory memory footprint of [k] as [(loads, stores)]: distinct
+    elements read from arrays [k] never writes, and distinct elements
+    written, by accesses outside conditional branches whose subscripts
+    evaluate from the enclosing loop indices alone. Each access is
+    compiled once and enumerates only the enclosing loops its subscripts
+    mention; touched elements are marked in one bitset per array over
+    its declared extents, with a hashed set for tuples outside them and
+    for undeclared arrays. An iteration whose subscript has no value
+    (division by zero, out-of-range shift) is skipped, an access under a
+    loop that runs no iteration counts nothing, and past 200 000
+    enumerated points the count stops early — a partial footprint is
+    still a lower bound. *)
+val footprint : Ast.kernel -> int * int
 
 (** Lower bounds for the design point at [vector] (unroll factors per
     loop index; missing indices mean 1). Monotone in nothing — call it

@@ -578,3 +578,113 @@ module Footprint = struct
     in
     { arrays; skipped }
 end
+
+(** [Hls.Quick]'s mandatory-footprint enumerator as it was before it
+    counted per access: one interpreted walk of the whole iteration
+    space over a [Hashtbl] environment, stopping after [budget] steps
+    with the partial count (200 000 by default, as in the library; pass
+    [max_int] for the exact count). *)
+module Quick_footprint = struct
+  (* Compile-time evaluation of a subscript under the loop-index
+     environment; [None] for anything data-dependent. *)
+  let rec eval env (e : Ast.expr) : int option =
+    match e with
+    | Ast.Int n -> Some n
+    | Ast.Var v -> Hashtbl.find_opt env v
+    | Ast.Arr _ | Ast.Cond _ -> None
+    | Ast.Un (op, x) -> (
+        match (op, eval env x) with
+        | Ast.Neg, Some a -> Some (-a)
+        | Ast.Abs, Some a -> Some (abs a)
+        | _ -> None)
+    | Ast.Bin (op, x, y) -> (
+        match (eval env x, eval env y) with
+        | Some a, Some b -> (
+            match op with
+            | Ast.Add -> Some (a + b)
+            | Ast.Sub -> Some (a - b)
+            | Ast.Mul -> Some (a * b)
+            | Ast.Div -> if b = 0 then None else Some (a / b)
+            | Ast.Mod -> if b = 0 then None else Some (a mod b)
+            | Ast.Min -> Some (min a b)
+            | Ast.Max -> Some (max a b)
+            | Ast.Shl -> if b < 0 || b > 62 then None else Some (a lsl b)
+            | Ast.Shr -> if b < 0 || b > 62 then None else Some (a asr b)
+            | _ -> None)
+        | _ -> None)
+
+  exception Out_of_budget
+
+  (* Distinct elements touched by mandatory accesses: reads of arrays the
+     kernel never writes, and all unguarded writes, keyed by evaluated
+     subscript tuple. Conditional branches contribute nothing. *)
+  let footprint ?(budget = 200_000) (k : Ast.kernel) =
+    let written : (string, unit) Hashtbl.t = Hashtbl.create 8 in
+    List.iter
+      (fun (a : Analysis.Access.t) ->
+        if Analysis.Access.is_write a then
+          Hashtbl.replace written a.Analysis.Access.array ())
+      (Analysis.Access.collect k.Ast.k_body);
+    let reads : (string * int list, unit) Hashtbl.t = Hashtbl.create 256 in
+    let writes : (string * int list, unit) Hashtbl.t = Hashtbl.create 256 in
+    let env : (string, int) Hashtbl.t = Hashtbl.create 8 in
+    let budget = ref budget in
+    let spend () =
+      decr budget;
+      if !budget < 0 then raise Out_of_budget
+    in
+    let subs_values subs =
+      let rec go acc = function
+        | [] -> Some (List.rev acc)
+        | s :: rest -> (
+            match eval env s with Some v -> go (v :: acc) rest | None -> None)
+      in
+      go [] subs
+    in
+    let record tbl name subs =
+      spend ();
+      match subs_values subs with
+      | Some vs -> Hashtbl.replace tbl (name, vs) ()
+      | None -> ()
+    in
+    (* Reads anywhere in an unconditionally evaluated expression, including
+       reads nested inside other subscripts. *)
+    let rec expr_reads (e : Ast.expr) =
+      match e with
+      | Ast.Int _ | Ast.Var _ -> ()
+      | Ast.Arr (name, subs) ->
+          List.iter expr_reads subs;
+          if not (Hashtbl.mem written name) then record reads name subs
+      | Ast.Bin (_, a, b) ->
+          expr_reads a;
+          expr_reads b
+      | Ast.Un (_, a) -> expr_reads a
+      | Ast.Cond (c, _, _) -> expr_reads c (* branches evaluate conditionally *)
+    in
+    let rec walk (s : Ast.stmt) =
+      match s with
+      | Ast.Assign (lv, e) -> (
+          expr_reads e;
+          match lv with
+          | Ast.Lvar _ -> ()
+          | Ast.Larr (name, subs) ->
+              List.iter expr_reads subs;
+              record writes name subs)
+      | Ast.If (c, _, _) -> expr_reads c (* guarded bodies are optional *)
+      | Ast.Rotate _ -> ()
+      | Ast.For l ->
+          let saved = Hashtbl.find_opt env l.Ast.index in
+          let v = ref l.Ast.lo in
+          while !v < l.Ast.hi do
+            spend ();
+            Hashtbl.replace env l.Ast.index !v;
+            List.iter walk l.Ast.body;
+            v := !v + l.Ast.step
+          done;
+          (match saved with
+          | Some x -> Hashtbl.replace env l.Ast.index x
+          | None -> Hashtbl.remove env l.Ast.index)
+    in
+    let finished = (try List.iter walk k.Ast.k_body; true with Out_of_budget -> false) in
+    ((Hashtbl.length reads, Hashtbl.length writes), finished)
+end

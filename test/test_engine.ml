@@ -487,6 +487,16 @@ let test_cli_unroll_components () =
       check_rejected [ cmd; "-k"; "fir"; "-u"; vec ]
         "defacto: unroll component \"q\" names no loop of fir (loops: j, i)")
     [ ("estimate", "q=2"); ("transform", "j=2,q=4"); ("vhdl", "q=2"); ("simulate", "q=2") ];
+  List.iter
+    (fun (cmd, vec) ->
+      check_rejected [ cmd; "-k"; "fir"; "-u"; vec ]
+        "defacto: unroll vector names loop \"j\" more than once")
+    [
+      ("estimate", "j=2,j=4");
+      ("estimate", "j=4,j=2");
+      ("simulate", "j=2,i=2,j=2");
+      ("transform", "j=4,j=2");
+    ];
   let code, out, _ = run_capture [ "estimate"; "-k"; "fir"; "-u"; "j=2" ] in
   Alcotest.(check int) "a valid vector still estimates" 0 code;
   Alcotest.(check bool) "the vector is applied" true

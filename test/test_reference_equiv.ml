@@ -1,9 +1,10 @@
-(** The optimized flow analyses and footprint enumerator against the
+(** The optimized flow analyses and footprint enumerators against the
     straightforward references of [reference.ml]: every solution equal
-    node for node, every footprint equal byte for byte (oob flags and
-    skip reasons included, budget exhaustion too). Run on the random
-    kernel generators and on every stage output of the built-in and
-    gallery kernels. *)
+    node for node, every validation footprint equal byte for byte (oob
+    flags and skip reasons included, budget exhaustion too), and every
+    tier-1 footprint count equal wherever the reference walk finishes.
+    Run on the random kernel generators, on every stage output of the
+    built-in and gallery kernels, and on their strip-mined sources. *)
 
 open Ir
 module F = Analysis.Flowgraph
@@ -103,6 +104,16 @@ let footprint_equivalent ?max_points (k : Ast.kernel) =
   if List.map fst a.V.arrays <> List.map fst b.V.arrays then
     failf "enumerated arrays differ";
   List.iter2 (fun (n, x) (_, y) -> same_fp n x y) a.V.arrays b.V.arrays;
+  true
+
+(** The tier-1 footprint count equals the interpreted walk on [k]
+    wherever the walk finishes within its budget. *)
+let quick_footprint_equivalent (k : Ast.kernel) =
+  let counts, finished = R.Quick_footprint.footprint k in
+  let l, s = Hls.Quick.footprint k in
+  if finished && counts <> (l, s) then
+    failf "quick footprint (%d, %d) vs reference (%d, %d)" l s (fst counts)
+      (snd counts);
   true
 
 (* ------------------------------------------------------------------ *)
@@ -280,13 +291,63 @@ let test_builtin_stages () =
       List.iteri
         (fun i s ->
           let where = Printf.sprintf "%s stage output %d" name i in
-          (try ignore (flow_equivalent s && footprint_equivalent s)
+          (try
+             ignore
+               (flow_equivalent s && footprint_equivalent s
+              && quick_footprint_equivalent s)
            with Failure m -> Alcotest.failf "%s: %s" where m);
           (* a budget below the kernel's size exhausts it *)
           try ignore (footprint_equivalent ~max_points:50 s)
           with Failure m -> Alcotest.failf "%s, budget 50: %s" where m)
         (stage_outputs k))
     (builtins ())
+
+(* Every built-in and gallery kernel, strip-mined for each tile option
+   of the joint sweep — the sources tier-1 facts are computed from. *)
+let test_builtin_tiles () =
+  List.iter
+    (fun (name, k) ->
+      let ctx = Dse.Design.context k in
+      List.iter
+        (fun tile ->
+          let src, where =
+            match tile with
+            | None -> (k, name)
+            | Some (index, t) ->
+                ( Transform.Tiling.tile_for_registers ~index ~tile:t k,
+                  Printf.sprintf "%s tiled %s=%d" name index t )
+          in
+          try ignore (quick_footprint_equivalent src)
+          with Failure m -> Alcotest.failf "%s: %s" where m)
+        (Dse.Space.joint_tile_options ctx
+           ~candidates:Dse.Space.default_tile_candidates))
+    (builtins ())
+
+(* Past the walk's step budget the per-access count stays exact: the
+   [j] loop multiplies the walk's steps but not the points of [a[i]] or
+   [c[i]], which never mention it. *)
+let test_past_budget () =
+  let k =
+    Builder.(
+      kernel "past_budget"
+        ~arrays:[ Ast.array_decl "a" [ 600 ]; Ast.array_decl "b" [ 400 ]; Ast.array_decl "c" [ 600 ] ]
+        [
+          for_ "i" 0 600 (fun i ->
+              [
+                for_ "j" 0 400 (fun j ->
+                    [ store1 "c" i (arr1 "c" i + (arr1 "a" i * arr1 "b" j)) ]);
+              ]);
+        ])
+  in
+  let partial, finished = R.Quick_footprint.footprint k in
+  Alcotest.(check bool) "the reference runs out of budget" false finished;
+  let exact, finished = R.Quick_footprint.footprint ~budget:max_int k in
+  Alcotest.(check bool) "an unlimited reference finishes" true finished;
+  let counts = Hls.Quick.footprint k in
+  Alcotest.(check (pair int int)) "exact count" exact counts;
+  Alcotest.(check (pair int int)) "a[], b[] loads and c[] stores" (1000, 600) counts;
+  Alcotest.(check bool) "at least the partial count" true
+    (fst counts >= fst partial && snd counts >= snd partial)
 
 (* A caller-supplied source footprint changes nothing. *)
 let test_primed_run =
@@ -334,6 +395,17 @@ let () =
           Alcotest.test_case "self-updating scalar stays known" `Quick test_self_update;
           test_primed_run;
           test_wellformed_threshold;
+        ] );
+      ( "quick footprint",
+        [
+          Helpers.qtest "quick footprint = reference (array nests)" ~count:200
+            Helpers.gen_kernel quick_footprint_equivalent;
+          Helpers.qtest "quick footprint = reference (flow kernels)" ~count:300
+            Helpers.gen_flow_kernel quick_footprint_equivalent;
+          Helpers.qtest "quick footprint = reference (rough kernels)" ~count:500
+            gen_rough_kernel quick_footprint_equivalent;
+          Alcotest.test_case "every tile option's source" `Quick test_builtin_tiles;
+          Alcotest.test_case "exact past the walk's budget" `Quick test_past_budget;
         ] );
       ( "built-ins",
         [ Alcotest.test_case "every stage output" `Quick test_builtin_stages ] );
