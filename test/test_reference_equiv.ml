@@ -396,13 +396,13 @@ let () =
           test_primed_run;
           test_wellformed_threshold;
         ] );
-      ( "quick footprint",
+      ( "quick",
         [
-          Helpers.qtest "quick footprint = reference (array nests)" ~count:200
+          Helpers.qtest "footprint = reference (array nests)" ~count:200
             Helpers.gen_kernel quick_footprint_equivalent;
-          Helpers.qtest "quick footprint = reference (flow kernels)" ~count:300
+          Helpers.qtest "footprint = reference (flow kernels)" ~count:300
             Helpers.gen_flow_kernel quick_footprint_equivalent;
-          Helpers.qtest "quick footprint = reference (rough kernels)" ~count:500
+          Helpers.qtest "footprint = reference (rough kernels)" ~count:500
             gen_rough_kernel quick_footprint_equivalent;
           Alcotest.test_case "every tile option's source" `Quick test_builtin_tiles;
           Alcotest.test_case "exact past the walk's budget" `Quick test_past_budget;
