@@ -240,10 +240,13 @@ let dse_json () =
       (fun name -> { Dse.Driver.name; kernel = Option.get (Kernels.find name) })
       Kernels.names
   in
-  let cold_session =
-    Dse.Driver.run_many ~cache_dir:session_dir ~cold:true tasks
+  let session ?cold () =
+    let s = Dse.Driver.run_many ~cache_dir:session_dir ?cold tasks in
+    Result.iter_error failwith (Dse.Driver.save s);
+    s
   in
-  let warm_session = Dse.Driver.run_many ~cache_dir:session_dir tasks in
+  let cold_session = session ~cold:true () in
+  let warm_session = session () in
   if transient then ignore (Engine.Persist.clear ~cache_dir:session_dir);
   let session_extra =
     List.map2
@@ -281,9 +284,9 @@ let dse_json () =
   in
   Printf.printf
     "#  session: cold %d syntheses, warm %d; %d cross-kernel memo shapes\n"
-    cold_session.Dse.Driver.total.evaluations
-    warm_session.Dse.Driver.total.evaluations
-    cold_session.Dse.Driver.sched_memo_shapes;
+    (Dse.Driver.total cold_session).evaluations
+    (Dse.Driver.total warm_session).evaluations
+    (Hls.Schedule.memo_size cold_session.Dse.Driver.memo);
   Printf.printf "%-8s %10s %8s %12s %8s %11s %6s\n" "kernel" "search(ms)"
     "evals" "sweep(ms)" "smhits" "verify(ms)" "viol";
   (* Kernels on which the joint configuration sweep beat the unroll-only

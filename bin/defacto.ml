@@ -282,6 +282,16 @@ let load_tasks kernels file : Dse.Driver.task list =
       in
       named @ from_file
 
+(* The single end-of-command save: results are already printed, so an
+   unwritable store costs only the store. *)
+let save_or_die dir = function
+  | Ok () -> ()
+  | Error msg ->
+      Format.print_flush ();
+      prerr_endline
+        (Printf.sprintf "defacto: cannot save the store under %s: %s" dir msg);
+      exit 1
+
 let explore kernels file non_pipelined memories capacity report prof verify
     cache_dir cold backend_name _jobs joint tile_candidates =
   let tile_candidates = parse_tile_candidates tile_candidates in
@@ -376,7 +386,7 @@ let explore kernels file non_pipelined memories capacity report prof verify
         print_joint_counters j
       end)
     summary.Dse.Driver.outcomes;
-  let t = summary.Dse.Driver.total in
+  let t = Dse.Driver.total summary in
   Format.printf
     "session: %d synthesized, %d cache hits, %d pruned, %d sched memo hits \
      over %d kernel(s); %d point(s) and %d tri-schedule(s) warm-loaded@."
@@ -385,10 +395,12 @@ let explore kernels file non_pipelined memories capacity report prof verify
     (List.fold_left
        (fun acc (o : Dse.Driver.outcome) -> acc + o.Dse.Driver.loaded_points)
        0 summary.Dse.Driver.outcomes)
-    summary.Dse.Driver.loaded_memo_shapes;
-  match summary.Dse.Driver.saved_to with
-  | Some dir -> Format.printf "session: store saved to %s@." dir
-  | None -> ()
+    (Hls.Schedule.memo_loaded summary.Dse.Driver.memo);
+  Option.iter
+    (fun dir ->
+      save_or_die dir (Dse.Driver.save summary);
+      Format.printf "session: store saved to %s@." dir)
+    summary.Dse.Driver.cache_dir
 
 let explore_cmd =
   let doc = "Run the balance-guided design space exploration (Figure 2)." in
@@ -474,21 +486,21 @@ let space kernel file non_pipelined memories capacity max_product jobs verify
   (match cache_dir with
   | Some dir when not cold ->
       ignore (Engine.Persist.load_points ~cache_dir:dir ~config ~kernel_key store);
-      ignore
-        (Engine.Persist.load_memo ~cache_dir:dir ~config
-           store.Engine.Store.sched_memo)
+      Engine.Persist.load_memo ~cache_dir:dir ~config store.Engine.Store.sched_memo
   | _ -> ());
+  let save () =
+    Option.iter
+      (fun dir ->
+        save_or_die dir
+          (Engine.Persist.save ~cache_dir:dir ~config
+             ~memo:store.Engine.Store.sched_memo [ (k, store) ]))
+      cache_dir
+  in
   let ctx =
     Dse.Design.context ~profile ~verify ~capacity ~backend ~store k
   in
   if joint then begin
     let j = Dse.Space.sweep_joint ~max_product ~tile_candidates ctx in
-    (match cache_dir with
-    | Some dir ->
-        Engine.Persist.save_points ~cache_dir:dir ~config ~kernel_key store;
-        Engine.Persist.save_memo ~cache_dir:dir ~config
-          store.Engine.Store.sched_memo
-    | None -> ());
     Format.printf "# %-40s %10s %10s %10s %8s@." "config" "cycles" "slices"
       "balance" "fits";
     List.iter
@@ -514,15 +526,10 @@ let space kernel file non_pipelined memories capacity max_product jobs verify
         ctx.Dse.Design.stats.checked_points
         ctx.Dse.Design.stats.verify_violations;
     Format.printf "# stats: %a@." Dse.Design.pp_stats ctx.Dse.Design.stats;
+    save ();
     exit 0
   end;
   let sp = Dse.Space.sweep ~max_product ?jobs ctx in
-  (match cache_dir with
-  | Some dir ->
-      Engine.Persist.save_points ~cache_dir:dir ~config ~kernel_key store;
-      Engine.Persist.save_memo ~cache_dir:dir ~config
-        store.Engine.Store.sched_memo
-  | None -> ());
   Format.printf "# %-24s %10s %10s %10s %8s@." "vector" "cycles" "slices"
     "balance" "fits";
   List.iter
@@ -542,7 +549,8 @@ let space kernel file non_pipelined memories capacity max_product jobs verify
     Format.printf "# verify: %d design point(s) checked, %d violation(s)@."
       ctx.Dse.Design.stats.checked_points
       ctx.Dse.Design.stats.verify_violations;
-  Format.printf "# stats: %a@." Dse.Design.pp_stats ctx.Dse.Design.stats
+  Format.printf "# stats: %a@." Dse.Design.pp_stats ctx.Dse.Design.stats;
+  save ()
 
 let space_cmd =
   let doc = "Exhaustively sweep the (divisor) design space and report every point." in

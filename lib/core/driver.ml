@@ -20,13 +20,9 @@ type outcome = {
 
 type summary = {
   outcomes : outcome list;
-  total : Design.stats;  (** sum over all kernels *)
-  loaded_memo_shapes : int;
-      (** tri-schedules warm-loaded from the persistent store *)
-  sched_memo_shapes : int;
-      (** distinct block shapes in the shared memo after the session *)
+  memo : Hls.Schedule.memo;  (** the tri-schedule memo the kernels share *)
   config : string;  (** the persistence configuration string *)
-  saved_to : string option;  (** cache directory written, if any *)
+  cache_dir : string option;  (** where {!save} writes, if anywhere *)
 }
 
 let speedup (o : outcome) : float =
@@ -50,11 +46,9 @@ let run_many ?cache_dir ?(cold = false) ?pipeline ?profile ?verify ?capacity
   in
   let warm = match cache_dir with Some dir when not cold -> Some dir | _ -> None in
   let sched_memo = Hls.Schedule.memo_create () in
-  let loaded_memo_shapes =
-    match warm with
-    | Some dir -> Engine.Persist.load_memo ~cache_dir:dir ~config sched_memo
-    | None -> 0
-  in
+  Option.iter
+    (fun dir -> Engine.Persist.load_memo ~cache_dir:dir ~config sched_memo)
+    warm;
   let outcomes =
     List.map
       (fun task ->
@@ -86,26 +80,18 @@ let run_many ?cache_dir ?(cold = false) ?pipeline ?profile ?verify ?capacity
         })
       tasks
   in
-  let total = Engine.Store.fresh_stats () in
-  List.iter (fun o -> Engine.Store.stats_add ~into:total o.stats) outcomes;
-  let saved_to =
-    match cache_dir with
-    | Some dir when tasks <> [] ->
-        Engine.Persist.save_memo ~cache_dir:dir ~config sched_memo;
-        List.iter
-          (fun o ->
-            Engine.Persist.save_points ~cache_dir:dir ~config
-              ~kernel_key:(Engine.Persist.kernel_key o.task.kernel)
-              o.ctx.Design.store)
-          outcomes;
-        Some dir
-    | _ -> None
-  in
-  {
-    outcomes;
-    total;
-    loaded_memo_shapes;
-    sched_memo_shapes = Hls.Schedule.memo_size sched_memo;
-    config;
-    saved_to;
-  }
+  { outcomes; memo = sched_memo; config; cache_dir }
+
+let total (s : summary) : Design.stats =
+  let t = Engine.Store.fresh_stats () in
+  List.iter (fun o -> Engine.Store.stats_add ~into:t o.ctx.Design.stats) s.outcomes;
+  t
+
+let save (s : summary) : (unit, string) result =
+  match s.cache_dir with
+  | None -> Ok ()
+  | Some dir ->
+      Engine.Persist.save ~cache_dir:dir ~config:s.config ~memo:s.memo
+        (List.map
+           (fun o -> (o.task.kernel, o.ctx.Design.store))
+           s.outcomes)

@@ -17,13 +17,11 @@ type outcome = {
 
 type summary = {
   outcomes : outcome list;
-  total : Design.stats;  (** sum over all kernels *)
-  loaded_memo_shapes : int;
-      (** tri-schedules warm-loaded from the persistent store *)
-  sched_memo_shapes : int;
-      (** distinct block shapes in the shared memo after the session *)
+  memo : Hls.Schedule.memo;
+      (** the tri-schedule memo the kernels share; with a warm store,
+          {!Hls.Schedule.memo_loaded} counts the shapes actually read *)
   config : string;  (** the persistence configuration string *)
-  saved_to : string option;  (** cache directory written, if any *)
+  cache_dir : string option;  (** where {!save} writes, if anywhere *)
 }
 
 (** Cycles of the baseline over cycles of the selected design. *)
@@ -35,10 +33,11 @@ val speedup : outcome -> float
     fingerprints are kernel-agnostic, so one kernel's block shapes warm
     the next kernel's.
 
-    With [cache_dir], each kernel's point cache and the shared memo are
-    warm-loaded before exploring and saved (merged with the directory's
-    prior contents) afterwards; [cold] skips the loads but still saves,
-    refreshing the cache from scratch. Warm stores only short-circuit
+    With [cache_dir], each kernel's point cache is warm-loaded before
+    exploring and the shared memo is attached, to be read only if a
+    block must be scheduled; [cold] skips both. Nothing is saved: the
+    caller runs whatever else the command does on the outcomes'
+    contexts, then calls {!save} once. Warm stores only short-circuit
     evaluations that would have produced bit-identical points, so
     selections are the same cold and warm, batched and sequential. *)
 val run_many :
@@ -52,3 +51,12 @@ val run_many :
   ?search_config:Search.config ->
   task list ->
   summary
+
+(** The kernels' counters summed, read from their live contexts, so work
+    run on an outcome's context after {!run_many} (a joint sweep) counts. *)
+val total : summary -> Design.stats
+
+(** Persist every kernel's store and the shared memo under the
+    session's [cache_dir] ({!Engine.Persist.save}: stores and a memo
+    that gained nothing are not rewritten); [Ok ()] without one. *)
+val save : summary -> (unit, string) result

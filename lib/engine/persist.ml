@@ -200,54 +200,68 @@ let load_points ~cache_dir ~config ~kernel_key (store : Store.t) : int =
 
 (** Write the kernel's point cache, merged with whatever an earlier run
     already persisted (the store's entries win; under one configuration
-    both are bit-identical anyway). *)
+    both are bit-identical anyway). A store that gained no point since
+    it was created or loaded writes, and reads, nothing. *)
 let save_points ~cache_dir ~config ~kernel_key (store : Store.t) : unit =
-  let dir = config_dir ~cache_dir ~config in
-  let merged = Hashtbl.copy store.Store.points in
-  (match
-     ( read_payload (points_file dir ~kernel_key) ~config
-       : points_payload option )
-   with
-  | None -> ()
-  | Some entries ->
-      Array.iter
-        (fun (k, p) ->
-          if not (Hashtbl.mem merged k) then Hashtbl.replace merged k p)
-        entries);
-  let payload : points_payload =
-    Array.of_seq (Seq.map (fun (k, p) -> (k, p)) (Hashtbl.to_seq merged))
-  in
-  write_payload (points_file dir ~kernel_key) ~config payload;
-  (* Keep the configuration readable next to its hash for diagnosis. *)
-  let cfg = Filename.concat dir "CONFIG" in
-  if not (Sys.file_exists cfg) then
-    atomic_write cfg (fun oc -> output_string oc (config ^ "\n"))
+  if store.Store.added_points > 0 then begin
+    let dir = config_dir ~cache_dir ~config in
+    let merged = Hashtbl.copy store.Store.points in
+    (match
+       ( read_payload (points_file dir ~kernel_key) ~config
+         : points_payload option )
+     with
+    | None -> ()
+    | Some entries ->
+        Array.iter
+          (fun (k, p) ->
+            if not (Hashtbl.mem merged k) then Hashtbl.replace merged k p)
+          entries);
+    let payload : points_payload = Array.of_seq (Hashtbl.to_seq merged) in
+    write_payload (points_file dir ~kernel_key) ~config payload;
+    (* Keep the configuration readable next to its hash for diagnosis. *)
+    let cfg = Filename.concat dir "CONFIG" in
+    if not (Sys.file_exists cfg) then
+      atomic_write cfg (fun oc -> output_string oc (config ^ "\n"))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Tri-schedule memo *)
 
-(** Merge the persisted tri-schedule memo into [memo]; returns how many
-    distinct block shapes arrived. *)
-let load_memo ~cache_dir ~config (memo : Hls.Schedule.memo) : int =
-  let dir = config_dir ~cache_dir ~config in
-  match
-    (read_payload (memo_file dir) ~config : Hls.Schedule.memo option)
-  with
-  | None -> 0
-  | Some disk ->
-      let before = Hls.Schedule.memo_size memo in
-      Hls.Schedule.memo_absorb ~into:memo disk;
-      Hls.Schedule.memo_size memo - before
+(** Attach the persisted tri-schedule memo to [memo]. The file is read
+    and merged in only when [memo] is first consulted (see
+    {!Hls.Schedule.memo_attach}), so a run that schedules no block never
+    reads it. *)
+let load_memo ~cache_dir ~config (memo : Hls.Schedule.memo) : unit =
+  let file = memo_file (config_dir ~cache_dir ~config) in
+  if Sys.file_exists file then
+    Hls.Schedule.memo_attach memo (fun () ->
+        (read_payload file ~config : Hls.Schedule.table option))
 
+(** Write the memo merged with the persisted one (in-memory entries
+    win). A memo that holds no shape beyond those it read from disk
+    writes, and reads, nothing. *)
 let save_memo ~cache_dir ~config (memo : Hls.Schedule.memo) : unit =
-  let dir = config_dir ~cache_dir ~config in
-  let merged = Hls.Schedule.memo_copy memo in
-  (match
-     (read_payload (memo_file dir) ~config : Hls.Schedule.memo option)
-   with
-  | None -> ()
-  | Some disk -> Hls.Schedule.memo_absorb ~into:merged disk);
-  write_payload (memo_file dir) ~config merged
+  if Hls.Schedule.memo_added memo > 0 then begin
+    let file = memo_file (config_dir ~cache_dir ~config) in
+    let merged = Hls.Schedule.memo_copy memo in
+    Hls.Schedule.memo_attach merged (fun () -> read_payload file ~config);
+    write_payload file ~config (Hls.Schedule.memo_table merged)
+  end
+
+(** One command's save: the shared memo, then every kernel's store. *)
+let save ~cache_dir ~config ~memo (stores : (Ir.Ast.kernel * Store.t) list) :
+    (unit, string) result =
+  try
+    save_memo ~cache_dir ~config memo;
+    List.iter
+      (fun (k, store) ->
+        save_points ~cache_dir ~config ~kernel_key:(kernel_key k) store)
+      stores;
+    Ok ()
+  with
+  | Unix.Unix_error (e, _, "") -> Error (Unix.error_message e)
+  | Unix.Unix_error (e, _, arg) -> Error (arg ^ ": " ^ Unix.error_message e)
+  | Sys_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
 (* Cache directory diagnosis and removal (defacto cache stats/clear) *)
@@ -314,10 +328,9 @@ let stats ~cache_dir : dir_stats =
                      }
                    else if f = "schedmemo.bin" then
                      match
-                       (read_with_own_header path : Hls.Schedule.memo option)
+                       (read_with_own_header path : Hls.Schedule.table option)
                      with
-                     | Some m ->
-                         { cs with cs_memo_shapes = Hls.Schedule.memo_size m }
+                     | Some m -> { cs with cs_memo_shapes = Hashtbl.length m }
                      | None -> { cs with cs_invalid = cs.cs_invalid + 1 }
                    else if
                      String.length f > 7

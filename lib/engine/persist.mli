@@ -47,15 +47,31 @@ val load_points :
   cache_dir:string -> config:string -> kernel_key:string -> Store.t -> int
 
 (** Persist a kernel's point cache, merged with what is already on disk
-    (the in-memory entries win). Creates the directory as needed. *)
+    (the in-memory entries win). Creates the directory as needed. Does
+    nothing, reading included, when the store gained no point since it
+    was created or loaded ([store.added_points = 0]). *)
 val save_points :
   cache_dir:string -> config:string -> kernel_key:string -> Store.t -> unit
 
-(** Merge the persisted tri-schedule memo into [memo]; returns the
-    number of new block shapes. *)
-val load_memo : cache_dir:string -> config:string -> Hls.Schedule.memo -> int
+(** Attach the persisted tri-schedule memo to [memo]; the file is read
+    only when the memo is first consulted ({!Hls.Schedule.memo_attach}),
+    and {!Hls.Schedule.memo_loaded} then counts the shapes it brought. *)
+val load_memo : cache_dir:string -> config:string -> Hls.Schedule.memo -> unit
 
+(** Persist the memo merged with what is already on disk. Does nothing,
+    reading included, when the memo holds no shape beyond those it read
+    from disk ({!Hls.Schedule.memo_added} is [0]). *)
 val save_memo : cache_dir:string -> config:string -> Hls.Schedule.memo -> unit
+
+(** A command's single save: the shared [memo], then each kernel's
+    store, each skipped when it gained nothing. [Error] carries the
+    I/O failure (e.g. a cache directory that cannot be created). *)
+val save :
+  cache_dir:string ->
+  config:string ->
+  memo:Hls.Schedule.memo ->
+  (Ir.Ast.kernel * Store.t) list ->
+  (unit, string) result
 
 (** {2 Diagnosis and removal — [defacto cache stats|clear]} *)
 

@@ -133,6 +133,11 @@ type t = {
   stats : stats;
   mutable loaded_points : int;
       (** points warm-loaded from a persistent store at creation *)
+  mutable added_points : int;
+      (** points that reached the table other than by a warm load: new
+          keys of {!add} and {!absorb}. [0] means the table holds
+          nothing its persisted form lacks, so [Persist] skips the
+          save *)
 }
 
 let create ?sched_memo () : t =
@@ -144,10 +149,14 @@ let create ?sched_memo () : t =
       | None -> Hls.Schedule.memo_create ());
     stats = fresh_stats ();
     loaded_points = 0;
+    added_points = 0;
   }
 
 let find (t : t) key = Hashtbl.find_opt t.points key
-let add (t : t) key p = Hashtbl.replace t.points key p
+
+let add (t : t) key p =
+  if not (Hashtbl.mem t.points key) then t.added_points <- t.added_points + 1;
+  Hashtbl.replace t.points key p
 let size (t : t) = Hashtbl.length t.points
 let sched_memo_size (t : t) = Hls.Schedule.memo_size t.sched_memo
 
@@ -160,14 +169,14 @@ let fork (t : t) : t =
     sched_memo = Hls.Schedule.memo_copy t.sched_memo;
     stats = fresh_stats ();
     loaded_points = 0;
+    added_points = 0;
   }
 
 (** Merge a fork's cache entries, tri-schedule memo and counters back
     into [into] (entries already present in [into] are kept as-is). *)
 let absorb ~(into : t) (forked : t) : unit =
   Hashtbl.iter
-    (fun k p ->
-      if not (Hashtbl.mem into.points k) then Hashtbl.replace into.points k p)
+    (fun k p -> if not (Hashtbl.mem into.points k) then add into k p)
     forked.points;
   Hls.Schedule.memo_absorb ~into:into.sched_memo forked.sched_memo;
   stats_add ~into:into.stats forked.stats

@@ -66,6 +66,10 @@ type t = {
   stats : stats;
   mutable loaded_points : int;
       (** points warm-loaded from a persistent store at creation *)
+  mutable added_points : int;
+      (** points that reached the table other than by a warm load: new
+          keys of {!add} and {!absorb}. [0] means the table holds
+          nothing its persisted form lacks *)
 }
 
 (** A fresh, empty store. Pass [sched_memo] to share one tri-schedule

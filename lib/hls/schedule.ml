@@ -196,18 +196,62 @@ type tri = { joint : result; mem_only : result; comp_only : result }
    One table serves one profile (the {!Design} context that owns it
    fixes the profile for its lifetime); tables are copied into domain
    forks and merged back with {!memo_absorb}, never shared across
-   domains. *)
+   domains.
 
-type memo = (string, tri) Hashtbl.t
+   A persisted table is attached unread ([pending]) and merged in only
+   when the memo is first consulted, copied or absorbed, so a run that
+   schedules nothing never reads it. [loaded] counts the shapes that
+   merge brought in; every other entry was scheduled (or absorbed) by
+   this process. *)
 
-let memo_create () : memo = Hashtbl.create 256
-let memo_copy (m : memo) : memo = Hashtbl.copy m
-let memo_size (m : memo) : int = Hashtbl.length m
+type table = (string, tri) Hashtbl.t
+
+type memo = {
+  table : table;
+  mutable pending : (unit -> table option) option;
+  mutable loaded : int;
+}
+
+let memo_create () : memo =
+  { table = Hashtbl.create 256; pending = None; loaded = 0 }
+
+let merge_into (into : table) (from : table) : int =
+  Hashtbl.fold
+    (fun fp tri n ->
+      if Hashtbl.mem into fp then n
+      else begin
+        Hashtbl.replace into fp tri;
+        n + 1
+      end)
+    from 0
+
+let force (m : memo) =
+  match m.pending with
+  | None -> ()
+  | Some read ->
+      m.pending <- None;
+      Option.iter (fun t -> m.loaded <- m.loaded + merge_into m.table t) (read ())
+
+let memo_attach (m : memo) read =
+  force m;
+  m.pending <- Some read
+
+let memo_copy (m : memo) : memo =
+  force m;
+  { table = Hashtbl.copy m.table; pending = None; loaded = m.loaded }
+
+let memo_size (m : memo) : int = Hashtbl.length m.table
+let memo_loaded (m : memo) : int = m.loaded
+let memo_added (m : memo) : int = Hashtbl.length m.table - m.loaded
+
+let memo_table (m : memo) : table =
+  force m;
+  m.table
 
 let memo_absorb ~(into : memo) (forked : memo) : unit =
-  Hashtbl.iter
-    (fun fp tri -> if not (Hashtbl.mem into fp) then Hashtbl.replace into fp tri)
-    forked
+  force into;
+  force forked;
+  ignore (merge_into into.table forked.table)
 
 (* Advance all three modes over node [i] of [g]. One walk: the node kind
    is matched and the operator delay/bucket looked up once, then each
@@ -247,10 +291,11 @@ let run_tri (p : profile) (g : Dfg.t) : tri =
 (** Memoized {!run_tri}: the stored record on a fingerprint hit, a
     fresh (and then stored) run otherwise. The flag reports the hit. *)
 let run_tri_cached (memo : memo) (p : profile) (g : Dfg.t) : tri * bool =
+  force memo;
   let fp = Dfg.fingerprint g in
-  match Hashtbl.find_opt memo fp with
+  match Hashtbl.find_opt memo.table fp with
   | Some tri -> (tri, true)
   | None ->
       let tri = run_tri p g in
-      Hashtbl.replace memo fp tri;
+      Hashtbl.replace memo.table fp tri;
       (tri, false)

@@ -52,14 +52,40 @@ val run_tri : profile -> Dfg.t -> tri
     compute. One table must only ever serve one {!profile} (the owning
     context fixes it); use {!memo_copy}/{!memo_absorb} to fork a private
     copy per domain and merge it back — never share a table across
-    domains. *)
+    domains.
+
+    A persisted table can be attached with {!memo_attach}; it is read
+    and merged in (entries already present win) only when the memo is
+    first consulted, copied, absorbed or listed. *)
 type memo
 
+(** The persisted form of a memo: fingerprint -> tri-schedule. *)
+type table = (string, tri) Hashtbl.t
+
 val memo_create : unit -> memo
+
+(** Attach a persisted table, read by the given function on first need
+    ([None] reads as empty). The read runs on the domain that first
+    consults the memo; {!memo_copy} and {!memo_absorb} run it before
+    copying, so forks never share a pending read. *)
+val memo_attach : memo -> (unit -> table option) -> unit
+
 val memo_copy : memo -> memo
 
-(** Number of distinct block shapes scheduled so far. *)
+(** Number of distinct block shapes in memory: an attached table not
+    yet read counts nothing. *)
 val memo_size : memo -> int
+
+(** Shapes the attached table brought in when it was read. *)
+val memo_loaded : memo -> int
+
+(** Shapes beyond those the attached table brought in: scheduled by
+    this process or absorbed from its forks. [0] means the memo holds
+    nothing its persisted form lacks. *)
+val memo_added : memo -> int
+
+(** The memo's entries, attached table merged in. *)
+val memo_table : memo -> table
 
 (** Merge a fork's entries into [into] (existing entries win). *)
 val memo_absorb : into:memo -> memo -> unit

@@ -232,23 +232,54 @@ let test_session_matches_sequential () =
            solo.Search.selected.vector))
     names summary.Dse.Driver.outcomes
 
+(* Every file under [dir] with its inode and contents, in path order: a
+   save replaces a file by renaming a new one into place, so a rewrite
+   shows even when it writes the same bytes. *)
+let rec snapshot dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun f ->
+         let path = Filename.concat dir f in
+         if Sys.is_directory path then snapshot path
+         else
+           [
+             ( path,
+               ((Unix.stat path).Unix.st_ino,
+                In_channel.with_open_bin path In_channel.input_all) );
+           ])
+
+let check_unchanged what before dir =
+  let after = snapshot dir in
+  Alcotest.(check (list string))
+    (what ^ ": same store files") (List.map fst before) (List.map fst after);
+  Alcotest.(check bool) (what ^ ": store files neither rewritten nor changed") true
+    (before = after)
+
+let session dir names =
+  let s = Dse.Driver.run_many ~cache_dir:dir ~profile (tasks names) in
+  (match Dse.Driver.save s with Ok () -> () | Error e -> Alcotest.fail e);
+  s
+
 (* Warm session over a persistent store: zero syntheses, identical
-   selections, and the store reports what it loaded. *)
+   selections, the stores report what they loaded, and a run that
+   synthesizes nothing neither reads the schedule memo nor rewrites a
+   store file. *)
 let test_session_warm () =
   let names = [ "fir"; "mm" ] in
   let dir = fresh_dir () in
-  let cold = Dse.Driver.run_many ~cache_dir:dir ~profile (tasks names) in
-  let warm = Dse.Driver.run_many ~cache_dir:dir ~profile (tasks names) in
+  let cold = session dir names in
+  let before = snapshot dir in
+  let warm = session dir names in
+  check_unchanged "warm session" before dir;
   rm_store dir;
   Alcotest.(check bool)
     "cold session synthesized" true
-    (cold.Dse.Driver.total.evaluations > 0);
+    ((Dse.Driver.total cold).evaluations > 0);
   Alcotest.(check int)
     "warm session synthesized nothing" 0
-    warm.Dse.Driver.total.evaluations;
-  Alcotest.(check bool)
-    "warm session loaded the memo" true
-    (warm.Dse.Driver.loaded_memo_shapes > 0);
+    (Dse.Driver.total warm).evaluations;
+  Alcotest.(check int)
+    "warm session read no memo" 0
+    (Hls.Schedule.memo_size warm.Dse.Driver.memo);
   List.iter2
     (fun (c : Dse.Driver.outcome) (w : Dse.Driver.outcome) ->
       Alcotest.(check bool)
@@ -261,6 +292,74 @@ let test_session_warm () =
         true
         (w.Dse.Driver.loaded_points > 0))
     cold.Dse.Driver.outcomes warm.Dse.Driver.outcomes
+
+(* A warm session that must synthesize (mm's points are gone, the memo
+   still holds its block shapes) reads the memo, is served from it, and
+   saves mm's points again. *)
+let test_session_warm_reads_memo () =
+  let dir = fresh_dir () in
+  let cold = session dir [ "fir"; "mm" ] in
+  let cfg_dir =
+    Filename.concat (Filename.concat dir "v1")
+      (Digest.to_hex (Digest.string cold.Dse.Driver.config))
+  in
+  Sys.remove
+    (Filename.concat cfg_dir ("points-" ^ Persist.kernel_key (kernel "mm") ^ ".bin"));
+  let warm = session dir [ "fir"; "mm" ] in
+  let again = Store.create () in
+  let reloaded =
+    Persist.load_points ~cache_dir:dir ~config:cold.Dse.Driver.config
+      ~kernel_key:(Persist.kernel_key (kernel "mm")) again
+  in
+  rm_store dir;
+  match warm.Dse.Driver.outcomes with
+  | [ fir; mm ] ->
+      Alcotest.(check int) "fir served from its points" 0
+        fir.Dse.Driver.stats.evaluations;
+      Alcotest.(check bool) "mm synthesized" true (mm.Dse.Driver.stats.evaluations > 0);
+      Alcotest.(check bool) "the memo was read" true
+        (Hls.Schedule.memo_loaded warm.Dse.Driver.memo > 0);
+      Alcotest.(check int) "every mm block shape came from the memo" 0
+        (Hls.Schedule.memo_added warm.Dse.Driver.memo);
+      Alcotest.(check bool) "mm hit the loaded memo" true
+        (mm.Dse.Driver.stats.sched_memo_hits > 0);
+      Alcotest.(check int) "mm's points saved again" (Store.size mm.Dse.Driver.ctx.Design.store)
+        reloaded
+  | _ -> Alcotest.fail "expected two outcomes"
+
+(* [space --joint] against a warm store, as the CLI runs it: no
+   synthesis, no memo read, no store file rewritten. *)
+let test_joint_warm_unchanged () =
+  let k = kernel "fir" in
+  let dir = fresh_dir () in
+  let cfg = config () in
+  let run () =
+    let store = Store.create () in
+    ignore
+      (Persist.load_points ~cache_dir:dir ~config:cfg
+         ~kernel_key:(Persist.kernel_key k) store);
+    Persist.load_memo ~cache_dir:dir ~config:cfg store.Store.sched_memo;
+    let ctx = Design.context ~profile ~store k in
+    let j = Space.sweep_joint ~max_product:16 ctx in
+    (match
+       Persist.save ~cache_dir:dir ~config:cfg ~memo:store.Store.sched_memo
+         [ (k, store) ]
+     with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    (j, ctx)
+  in
+  let cold, _ = run () in
+  let before = snapshot dir in
+  let warm, ctx = run () in
+  check_unchanged "warm joint sweep" before dir;
+  rm_store dir;
+  Alcotest.(check int) "warm joint sweep synthesized nothing" 0
+    ctx.Design.stats.evaluations;
+  Alcotest.(check int) "warm joint sweep read no memo" 0
+    (Hls.Schedule.memo_size ctx.Design.store.Store.sched_memo);
+  Alcotest.(check bool) "warm joint points identical" true
+    (cold.Space.points = warm.Space.points)
 
 (* The shared schedule memo carries across the kernels of a session:
    later kernels hit tri-schedules the earlier ones created. *)
@@ -452,6 +551,63 @@ let check_rejected args diagnostic =
   Alcotest.(check int) (what ^ ": exit code") 1 code;
   Alcotest.(check string) (what ^ ": diagnostic") (diagnostic ^ "\n") err
 
+(* [explore --joint --cache-dir] saves the joint sweep's points with the
+   search's, so a second run synthesizes nothing and rewrites no file. *)
+let test_cli_joint_warm () =
+  let dir = fresh_dir () in
+  let args = [ "explore"; "-k"; "fir"; "--joint"; "--cache-dir"; dir ] in
+  let code, cold, _ = run_capture args in
+  Alcotest.(check int) "cold run exits 0" 0 code;
+  let before = snapshot dir in
+  let code, warm, _ = run_capture args in
+  Alcotest.(check int) "warm run exits 0" 0 code;
+  check_unchanged "warm joint explore" before dir;
+  let _, stats, _ = run_capture [ "cache"; "stats"; "--cache-dir"; dir ] in
+  rm_store dir;
+  let joint t = grep_lines "joint selection:" t @ grep_lines "# joint space:" t in
+  Alcotest.(check (list string)) "joint results identical" (joint cold) (joint warm);
+  (match grep_lines "session:" warm with
+  | l :: _ ->
+      Alcotest.(check bool)
+        (Printf.sprintf "warm joint session is all cache (%s)" l)
+        true
+        (String.starts_with ~prefix:"session: 0 synthesized" l)
+  | [] -> Alcotest.fail "no session line in warm output");
+  let points =
+    List.find_map
+      (fun l -> Scanf.sscanf_opt l " %_s %d point(s)" Fun.id)
+      (String.split_on_char '\n' stats)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "the store holds the joint points (%s)" stats)
+    true
+    (Option.fold ~none:false ~some:(fun n -> n > 100) points)
+
+(* A --cache-dir that cannot be created costs only the store: results
+   are printed, then a one-line diagnostic and exit 1. *)
+let test_cli_unwritable_cache_dir () =
+  let file = Filename.temp_file "defacto-not-a-dir" "" in
+  List.iter
+    (fun (args, result) ->
+      let what = String.concat " " args in
+      let code, out, err = run_capture (args @ [ "--cache-dir"; file ]) in
+      Alcotest.(check int) (what ^ ": exit code") 1 code;
+      Alcotest.(check bool) (what ^ ": results printed") true
+        (grep_lines result out <> []);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: diagnostic (%s)" what err)
+        true
+        (String.starts_with
+           ~prefix:(Printf.sprintf "defacto: cannot save the store under %s: " file)
+           err
+        && List.length (String.split_on_char '\n' (String.trim err)) = 1))
+    [
+      ([ "explore"; "-k"; "fir" ], "selected:");
+      ([ "space"; "-k"; "fir"; "--max-product"; "8" ], "# best fitting:");
+      ([ "space"; "-k"; "fir"; "--joint"; "--max-product"; "8" ], "# best fitting:");
+    ];
+  Sys.remove file
+
 let test_cli_memories () =
   let diagnostic = "defacto: --memories must be at least 1" in
   List.iter
@@ -544,6 +700,10 @@ let () =
           Alcotest.test_case "matches sequential searches" `Quick
             test_session_matches_sequential;
           Alcotest.test_case "warm run is all cache" `Quick test_session_warm;
+          Alcotest.test_case "warm run that synthesizes reads the memo" `Quick
+            test_session_warm_reads_memo;
+          Alcotest.test_case "warm joint sweep rewrites nothing" `Quick
+            test_joint_warm_unchanged;
           Alcotest.test_case "kernels share the schedule memo" `Quick
             test_session_shares_memo;
         ] );
@@ -570,5 +730,9 @@ let () =
           Alcotest.test_case "-k help lists every kernel" `Quick test_cli_kernel_help;
           Alcotest.test_case "removed --prune is unknown" `Quick
             test_cli_removed_options;
+          Alcotest.test_case "warm --joint explore is all cache" `Quick
+            test_cli_joint_warm;
+          Alcotest.test_case "unwritable --cache-dir" `Quick
+            test_cli_unwritable_cache_dir;
         ] );
     ]
