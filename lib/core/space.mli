@@ -96,12 +96,13 @@ val joint_tile_options :
     shared flow graph of the source — illegal and redundant
     configurations are dropped before any transform runs) and canonical
     dedupe. Below [exhaustive_below] surviving configurations (default
-    64) every survivor is evaluated in enumeration order; above it the
-    sweep turns best-first — ascending tier-1 cycle bounds, skipping
-    configurations whose bounds prove they cannot beat the incumbent or
-    fit the device (admissible: the selection matches the exhaustive
-    sweep's). Sequential; the pruning counters are returned in the
-    [joint] record. *)
+    64) the sweep evaluates, in enumeration order, every survivor whose
+    tier-1 area bound fits the device (the others are counted in
+    [pruned_bound]); above it the sweep turns best-first — ascending
+    tier-1 cycle bounds, skipping configurations whose bounds prove they
+    cannot beat the incumbent or fit the device (admissible: the
+    selection matches the exhaustive sweep's). Sequential; the pruning
+    counters are returned in the [joint] record. *)
 val sweep_joint :
   ?eligible:string list ->
   ?max_product:int ->

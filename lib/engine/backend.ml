@@ -79,7 +79,8 @@ let make_env ?(pipeline = Transform.Pipeline.default)
               in
               let f =
                 Hls.Quick.facts ~device:profile.Hls.Estimate.device
-                  ~mem:profile.Hls.Estimate.mem k
+                  ~mem:profile.Hls.Estimate.mem
+                  ~chaining:profile.Hls.Estimate.chaining k
               in
               Hashtbl.replace memo tile f;
               f)
@@ -310,7 +311,9 @@ let quick_bound (env : env) (store : Store.t) (c : Store.config) :
   let facts = env.quick_facts c.tile in
   store.Store.stats.Store.quick_estimates <-
     store.Store.stats.Store.quick_estimates + 1;
-  Some (Hls.Quick.bound facts ~vector:c.vector)
+  Some
+    (Hls.Quick.bound ~scalar_replace:c.scalar_replace ~peel:c.peel facts
+       ~vector:c.vector)
 
 (** [quick_gate b] is [b] with the analytical pre-estimator as its
     tier-1 bound: the two-tier engine as backend composition. *)

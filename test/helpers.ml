@@ -171,6 +171,33 @@ let gen_flow_kernel : Ast.kernel QCheck2.Gen.t =
       k_body = body;
     }
 
+(* ------------------------------------------------------------------ *)
+(* Tier-1 admissibility *)
+
+(** [None] when the tier-1 bound [q] is admissible for the estimate [e]
+    of the same design point — each of its cycles, memory-only cycles,
+    compute-only cycles and slices is at most the estimate's — else the
+    four bound/estimate pairs, printed. *)
+let bound_violation (q : Hls.Quick.t) (e : Hls.Estimate.t) : string option =
+  let pairs =
+    [
+      ("cycles", q.Hls.Quick.cycles_lb, e.Hls.Estimate.cycles);
+      ("mem", q.Hls.Quick.mem_cycles_lb, e.Hls.Estimate.mem_only_cycles);
+      ("comp", q.Hls.Quick.comp_cycles_lb, e.Hls.Estimate.comp_only_cycles);
+      ("slices", q.Hls.Quick.slices_lb, e.Hls.Estimate.slices);
+    ]
+  in
+  if List.for_all (fun (_, lb, v) -> lb <= v) pairs then None
+  else
+    Some
+      (String.concat " "
+         (List.map
+            (fun (n, lb, v) ->
+              Printf.sprintf "%s %d%s%d" n lb (if lb <= v then "<=" else ">") v)
+            pairs))
+
+let admissible q e = bound_violation q e = None
+
 (** Deterministic inputs for a generated kernel. *)
 let inputs_for (k : Ast.kernel) = Kernels.test_inputs ~seed:7 k
 
@@ -181,7 +208,7 @@ let gen_vector_for (k : Ast.kernel) : (string * int) list QCheck2.Gen.t =
   let gens =
     List.map
       (fun (l : Ast.loop) ->
-        let* u = int_range 1 (Ast.loop_trip l) in
+        let* u = int_range 1 (max 1 (Ast.loop_trip l)) in
         return (l.index, u))
       spine
   in

@@ -5,10 +5,12 @@
     operator usage and the MD5 digest of the printed transformed kernel.
     The configurations are those [Space.sweep ~max_product:64] evaluates
     on one context per (kernel, memory model), over the 14 built-in and
-    gallery kernels and both memory models, followed by those
-    [Space.sweep_joint ~max_product:16] evaluates on a fresh pipelined
-    context. Points are evaluated in sweep order, so any state an
-    evaluation path carries from one point to the next is exercised.
+    gallery kernels and both memory models, followed by every survivor
+    of [Space.sweep_joint ~max_product:16] on a fresh pipelined context
+    (the exhaustive mode, so the listing does not depend on how tight
+    the tier-1 bound is). Points are evaluated in sweep order, so any
+    state an evaluation path carries from one point to the next is
+    exercised.
     [golden/design_points.txt] holds the lines the evaluator must keep
     reproducing. *)
 
@@ -54,7 +56,10 @@ let lines () =
         List.map (fun (sp : Space.sweep_point) -> line name model sp.Space.point) t.Space.points
       in
       let joint =
-        let j = Space.sweep_joint ~max_product:16 (context true) in
+        let j =
+          Space.sweep_joint ~max_product:16 ~exhaustive_below:max_int
+            (context true)
+        in
         List.map (fun (jp : Space.joint_point) -> line name "joint" jp.Space.point) j.Space.points
       in
       swept true "pipelined" @ swept false "non-pipelined" @ joint)

@@ -276,30 +276,118 @@ let test_unknown_tile_raises () =
    quick bounds never exceed the synthesized estimate for any accepted
    configuration. *)
 
-let admissible_prop (k, c) =
+let admissible_prop ((k, c), (pipelined, chaining)) =
   match Check.Legality.config_verdict k c with
   | Check.Legality.Config_illegal _ -> true
   | _ -> (
+      let profile = Hls.Estimate.default_profile ~pipelined ~chaining () in
       let ctx = Design.context ~profile k in
       let p = Design.evaluate_config ctx c in
       match Design.quick_config ctx c with
       | None -> QCheck2.Test.fail_reportf "no quick bound for %s"
                   (Pipeline.config_to_string c)
-      | Some q ->
-          if
-            q.Hls.Quick.cycles_lb <= p.estimate.Hls.Estimate.cycles
-            && q.Hls.Quick.slices_lb <= p.estimate.Hls.Estimate.slices
-          then true
-          else
-            QCheck2.Test.fail_reportf
-              "bound exceeds estimate for %s: cycles %d>%d or slices %d>%d on:@.%s"
-              (Pipeline.config_to_string c) q.Hls.Quick.cycles_lb
-              p.estimate.Hls.Estimate.cycles q.Hls.Quick.slices_lb
-              p.estimate.Hls.Estimate.slices (Helpers.kernel_print k))
+      | Some q -> (
+          match Helpers.bound_violation q p.estimate with
+          | None -> true
+          | Some pairs ->
+              QCheck2.Test.fail_reportf
+                "bound exceeds estimate for %s: %s on:@.%s"
+                (Pipeline.config_to_string c) pairs (Helpers.kernel_print k)))
+
+(* Either memory model, with or without operator chaining. *)
+let gen_profile = QCheck2.Gen.(pair bool bool)
 
 let test_admissible =
   Helpers.qtest "quick bounds admissible over the joint space" ~count:150
-    gen_kernel_and_config admissible_prop
+    (QCheck2.Gen.pair gen_kernel_and_config gen_profile)
+    admissible_prop
+
+(* The flow generator's scalars, guards, reductions and zero-trip loops
+   are what the compute-path and traffic terms read. *)
+let test_admissible_flow =
+  Helpers.qtest "flow kernels: joint bounds admissible" ~count:150
+    QCheck2.Gen.(
+      pair
+        (let* k = Helpers.gen_flow_kernel in
+         let* c = gen_config_for k in
+         return (k, c))
+        gen_profile)
+    admissible_prop
+
+(* Every survivor of the joint space of every built-in and gallery
+   kernel at unroll product 16, under both memory models, and of the
+   paper's fir/mm/jac/sobel at product 64, pipelined: the exhaustive
+   sweep evaluates each one, and its bounds must not exceed its
+   estimate. *)
+let all_kernels =
+  List.map (fun n -> (n, kernel n)) Kernels.names
+  @ List.map (fun n -> (n, Option.get (Gallery.find n))) Gallery.names
+
+let check_joint_survivors name ~pipelined ~max_product k =
+  let ctx =
+    Design.context ~profile:(Hls.Estimate.default_profile ~pipelined ()) k
+  in
+  let j = Space.sweep_joint ~max_product ~exhaustive_below:max_int ctx in
+  List.iter
+    (fun (jp : Space.joint_point) ->
+      match Design.quick_config ctx jp.Space.config with
+      | None -> Alcotest.failf "%s: no quick bound" name
+      | Some q -> (
+          match Helpers.bound_violation q jp.Space.point.estimate with
+          | None -> ()
+          | Some pairs ->
+              Alcotest.failf "%s %s product %d %s: %s" name
+                (if pipelined then "pipelined" else "non-pipelined")
+                max_product
+                (Pipeline.config_to_string jp.Space.config)
+                pairs))
+    j.Space.points
+
+let test_admissible_builtins () =
+  List.iter
+    (fun (name, k) ->
+      check_joint_survivors name ~pipelined:true ~max_product:16 k;
+      check_joint_survivors name ~pipelined:false ~max_product:16 k)
+    all_kernels;
+  List.iter
+    (fun name ->
+      check_joint_survivors name ~pipelined:true ~max_product:64 (kernel name))
+    [ "fir"; "mm"; "jac"; "sobel" ]
+
+(* Shapes the bound must not over-count. Without scalar replacement,
+   LICM hoists the two identical reads of [a[i]] out of the [j] loop
+   into one temporary once [i] is fully unrolled; an accumulation whose
+   term does not vary with its carrier adds the same value on each
+   unrolled copy; a repeated term in a sum may cancel once its
+   reads become registers; nothing under a zero-trip loop runs. *)
+let shapes =
+  [
+    ( "hoisted duplicates",
+      {|int a[8]; int s;
+        for (i = 0; i < 3; i++)
+          for (j = 0; j < 2; j++) { s = s + a[i]; s = s + a[i]; }|} );
+    ( "invariant accumulation",
+      {|int a[8]; int b[8]; int c[8];
+        for (i = 0; i < 4; i++)
+          for (j = 0; j < 4; j++) c[j] = c[j] + a[j] * b[j];|} );
+    ( "cancelling sum",
+      {|int a[16]; int b[16]; int c[16];
+        for (i = 0; i < 8; i++)
+          c[i] = ((a[i] + b[i]) - a[i]) - b[i];|} );
+    ( "zero-trip loop",
+      {|int a[8]; int c[8];
+        for (i = 0; i < 0; i++) c[i] = c[i] + a[i] * a[i + 1];|} );
+  ]
+
+let test_admissible_shapes () =
+  List.iter
+    (fun (name, src) ->
+      match Frontend.Parser.kernel_of_string_res ~name src with
+      | Error msg -> Alcotest.failf "%s: %s" name msg
+      | Ok k ->
+          check_joint_survivors name ~pipelined:true ~max_product:16 k;
+          check_joint_survivors name ~pipelined:false ~max_product:16 k)
+    shapes
 
 (* ------------------------------------------------------------------ *)
 (* Configuration normalization. *)
@@ -420,26 +508,35 @@ let test_joint_dominates () =
       | _, None -> Alcotest.failf "%s: no joint selection" name)
     Kernels.names
 
-(* The exhaustive and best-first joint sweeps agree on the selection:
-   the bound-guided prune is admissible. *)
+(* The exhaustive and best-first joint sweeps agree on the selection,
+   configuration and estimate, on every kernel under both memory
+   models: the bound-guided prune is admissible. *)
 let test_best_first_matches_exhaustive () =
   List.iter
-    (fun name ->
-      let k = kernel name in
-      let cx = Design.context ~profile k in
-      let ex = Space.sweep_joint ~max_product:8 ~exhaustive_below:max_int cx in
-      let cb = Design.context ~profile k in
-      let bf = Space.sweep_joint ~max_product:8 ~exhaustive_below:0 cb in
-      match (Space.joint_best cx ex, Space.joint_best cb bf) with
-      | Some a, Some b ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: best-first selection matches exhaustive" name)
-            true
-            (Design.config_equal a.Space.config b.Space.config
-            && a.Space.point.estimate = b.Space.point.estimate)
-      | None, None -> ()
-      | _ -> Alcotest.failf "%s: sweeps disagree on having a selection" name)
-    [ "fir"; "jac" ]
+    (fun (name, k) ->
+      List.iter
+        (fun pipelined ->
+          let profile = Hls.Estimate.default_profile ~pipelined () in
+          let cx = Design.context ~profile k in
+          let ex =
+            Space.sweep_joint ~max_product:16 ~exhaustive_below:max_int cx
+          in
+          let cb = Design.context ~profile k in
+          let bf = Space.sweep_joint ~max_product:16 ~exhaustive_below:0 cb in
+          match (Space.joint_best cx ex, Space.joint_best cb bf) with
+          | Some a, Some b ->
+              Alcotest.(check bool)
+                (Printf.sprintf
+                   "%s (%s): best-first selection matches exhaustive" name
+                   (Hls.Memory_model.name profile.Hls.Estimate.mem))
+                true
+                (Design.config_equal a.Space.config b.Space.config
+                && a.Space.point.estimate = b.Space.point.estimate)
+          | None, None -> ()
+          | _ ->
+              Alcotest.failf "%s: sweeps disagree on having a selection" name)
+        [ true; false ])
+    all_kernels
 
 let () =
   Alcotest.run "joint"
@@ -465,6 +562,11 @@ let () =
       ( "bounds",
         [
           test_admissible;
+          test_admissible_flow;
+          Alcotest.test_case "every built-in survivor admissible" `Quick
+            test_admissible_builtins;
+          Alcotest.test_case "hand-written shapes admissible" `Quick
+            test_admissible_shapes;
           Alcotest.test_case "best-first matches exhaustive" `Quick
             test_best_first_matches_exhaustive;
         ] );

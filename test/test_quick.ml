@@ -138,19 +138,13 @@ let prop_tri_random_blocks stmts =
 (* ------------------------------------------------------------------ *)
 (* Admissibility: quick lower bounds never exceed the full estimate *)
 
-let admissible (q : Quick.t) (e : Estimate.t) : bool =
-  q.Quick.cycles_lb <= e.Estimate.cycles
-  && q.Quick.mem_cycles_lb <= e.Estimate.mem_only_cycles
-  && q.Quick.comp_cycles_lb <= e.Estimate.comp_only_cycles
-  && q.Quick.slices_lb <= e.Estimate.slices
-
 let prop_quick_admissible (k, v) =
   let ctx = Design.context k in
   match Design.quick ctx v with
   | None -> true
   | Some q ->
       let p = Design.evaluate ctx v in
-      admissible q p.estimate
+      Helpers.admissible q p.estimate
 
 let test_quick_admissible_paper_kernels () =
   List.iter
@@ -167,7 +161,7 @@ let test_quick_admissible_paper_kernels () =
                 (Printf.sprintf "%s %s admissible" name
                    (Helpers.vector_to_string pt.Space.vector))
                 true
-                (admissible q pt.Space.point.estimate))
+                (Helpers.admissible q pt.Space.point.estimate))
         sp.Space.points)
     paper_kernels
 
