@@ -397,52 +397,97 @@ type outcome = {
 
 let violations (o : outcome) = Diag.errors o.diags
 
-(** Apply the pipeline with per-stage validation. The transformed result
-    is bit-identical to [Transform.Pipeline.apply options k]. *)
-let run ?(options = Transform.Pipeline.default) ?max_points ?source_footprint
-    (k : Ast.kernel) : outcome =
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  let skip_reported : (string, unit) Hashtbl.t = Hashtbl.create 4 in
-  let report_skips (fp : t) stage =
+(* One validation run's state. The pipeline threads each stage's output
+   into the next stage, so the [before] kernel is physically the
+   previous [after]: [last] caches one footprint to halve the
+   enumeration work. The first stage's [before] is the source kernel,
+   whose footprint the caller may supply. *)
+type session = {
+  max_points : int option;
+  mutable diags : Diag.t list;  (* newest first *)
+  skip_reported : (string, unit) Hashtbl.t;
+      (* arrays whose Info skip is already reported: once per run *)
+  mutable last : (Ast.kernel * t) option;
+}
+
+let add_diag s d = s.diags <- d :: s.diags
+
+let observe s stage ~before ~after =
+  let sname = Transform.Pipeline.stage_name stage in
+  let report_skips (fp : t) =
     List.iter
       (fun (name, reason) ->
-        if not (Hashtbl.mem skip_reported name) then begin
-          Hashtbl.add skip_reported name ();
-          add
-            (diagf Info ~stage "array '%s' not validated: %s" name reason)
+        if not (Hashtbl.mem s.skip_reported name) then begin
+          Hashtbl.add s.skip_reported name ();
+          add_diag s
+            (diagf Info ~stage:sname "array '%s' not validated: %s" name
+               reason)
         end)
       fp.skipped
   in
-  (* The pipeline threads each stage's output into the next stage, so
-     the [before] kernel is physically the previous [after]: cache one
-     footprint to halve the enumeration work. The first stage's
-     [before] is [k] itself, whose footprint the caller may supply. *)
-  let cache : (Ast.kernel * t) option ref =
-    ref (Option.map (fun fp -> (k, fp)) source_footprint)
-  in
+  (* Structural re-verification of the stage output. *)
+  List.iter
+    (fun (d : Diag.t) ->
+      if d.Diag.severity = Diag.Error then
+        add_diag s { d with Diag.pass; stage = Some sname })
+    (Wellformed.check ~min_severity:Diag.Error after);
   let fp_of kk =
-    match !cache with
+    match s.last with
     | Some (prev, fp) when prev == kk -> fp
-    | _ -> footprint ?max_points kk
+    | _ -> footprint ?max_points:s.max_points kk
   in
-  let observe stage ~before ~after =
-    let sname = Transform.Pipeline.stage_name stage in
-    (* Structural re-verification of the stage output. *)
-    List.iter
-      (fun (d : Diag.t) ->
-        if d.Diag.severity = Diag.Error then
-          add { d with Diag.pass; stage = Some sname })
-      (Wellformed.check ~min_severity:Diag.Error after);
-    let pre = fp_of before in
-    let post = footprint ?max_points after in
-    cache := Some (after, post);
-    report_skips pre sname;
-    report_skips post sname;
-    List.iter add (compare_footprints ~stage:sname ~pre ~post)
+  let pre = fp_of before in
+  let post = footprint ?max_points:s.max_points after in
+  s.last <- Some (after, post);
+  report_skips pre;
+  report_skips post;
+  List.iter (add_diag s) (compare_footprints ~stage:sname ~pre ~post)
+
+let stage_failed s ~stage ~kernel message =
+  add_diag s (Diag.of_stage_error ~stage ~kernel message)
+
+type front = {
+  built : Transform.Pipeline.front option;
+      (* [None] when a front stage raised; [state.diags] then ends with
+         the failure *)
+  state : session;  (* never mutated once the front is built *)
+}
+
+let front ?(options = Transform.Pipeline.default) ?max_points
+    ?source_footprint (k : Ast.kernel) : front =
+  let state =
+    {
+      max_points;
+      diags = [];
+      skip_reported = Hashtbl.create 4;
+      last = Option.map (fun fp -> (k, fp)) source_footprint;
+    }
   in
-  match Transform.Pipeline.apply ~observe options k with
-  | r -> { result = Some r; diags = List.rev !diags }
+  match Transform.Pipeline.front ~observe:(observe state) options k with
+  | f -> { built = Some f; state }
   | exception Transform.Pipeline.Stage_error { stage; kernel; message } ->
-      add (Diag.of_stage_error ~stage ~kernel message);
-      { result = None; diags = List.rev !diags }
+      stage_failed state ~stage ~kernel message;
+      { built = None; state }
+
+let run ?(options = Transform.Pipeline.default) ?max_points ?source_footprint
+    ?front:shared (k : Ast.kernel) : outcome =
+  let f =
+    match shared with
+    | Some f -> f
+    | None -> front ~options ?max_points ?source_footprint k
+  in
+  match f.built with
+  | None -> { result = None; diags = List.rev f.state.diags }
+  | Some pf -> (
+      (* A private copy of the front's state: the front serves every
+         configuration that shares it. *)
+      let s =
+        { f.state with skip_reported = Hashtbl.copy f.state.skip_reported }
+      in
+      match
+        Transform.Pipeline.apply ~observe:(observe s) ~front:pf options k
+      with
+      | r -> { result = Some r; diags = List.rev s.diags }
+      | exception Transform.Pipeline.Stage_error { stage; kernel; message } ->
+          stage_failed s ~stage ~kernel message;
+          { result = None; diags = List.rev s.diags })

@@ -43,14 +43,36 @@ type outcome = {
 (** Error-severity findings only. *)
 val violations : outcome -> Diag.t list
 
+(** The validated front of one configuration: {!Transform.Pipeline.front}
+    run under the validator, with the findings of its stages. *)
+type front
+
+(** [front ~options ?max_points ?source_footprint k] builds and
+    validates the first three pipeline stages (tile, unroll-and-jam,
+    scalar replacement). A stage failure is recorded, not raised: every
+    {!run} from this front then reports it. *)
+val front :
+  ?options:Transform.Pipeline.options ->
+  ?max_points:int ->
+  ?source_footprint:t ->
+  Ast.kernel ->
+  front
+
 (** Apply the pipeline with per-stage validation. The transformed result
     is bit-identical to [Transform.Pipeline.apply options k].
     [source_footprint], when given, must be [footprint ?max_points k]:
     a caller validating many configurations of one kernel computes it
-    once instead of once per run. *)
+    once instead of once per run.
+
+    With [front] (from {!front} with the same [k] and [max_points]),
+    only the stages after the front are run and validated; the outcome,
+    diagnostics included, equals the run without it. A front built for
+    another tile, vector or scalar-replacement setting raises
+    [Invalid_argument]. *)
 val run :
   ?options:Transform.Pipeline.options ->
   ?max_points:int ->
   ?source_footprint:t ->
+  ?front:front ->
   Ast.kernel ->
   outcome

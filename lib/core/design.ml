@@ -149,9 +149,9 @@ let config_equal (a : config) (b : config) =
   && a.peel = b.peel && a.licm = b.licm
 
 (** Cached evaluation of one joint configuration (normalized before the
-    cache lookup, like {!evaluate}). *)
-let evaluate_config (ctx : context) (c : config) : point =
-  Engine.Backend.evaluate_config (env ctx) ctx.backend ctx.store c
+    cache lookup, like {!evaluate}); a miss synthesizes from [fronts]. *)
+let evaluate_config ?fronts (ctx : context) (c : config) : point =
+  Engine.Backend.evaluate_config ?fronts (env ctx) ctx.backend ctx.store c
 
 (** The backend's tier-1 bound for a joint configuration. *)
 let quick_config (ctx : context) (c : config) : Hls.Quick.t option =
@@ -221,9 +221,9 @@ let pp_point fmt (p : point) =
 
 let pp_stats fmt (s : stats) =
   Format.fprintf fmt
-    "%d synthesized, %d cache hits, %d quick estimates, %d pruned, %d sched \
-     memo hits (transform %.1f ms, estimate %.1f ms)"
-    s.evaluations s.cache_hits s.quick_estimates s.pruned s.sched_memo_hits
+    "%d synthesized, %d front(s), %d cache hits, %d quick estimates, %d \
+     pruned, %d sched memo hits (transform %.1f ms, estimate %.1f ms)"
+    s.evaluations s.fronts s.cache_hits s.quick_estimates s.pruned s.sched_memo_hits
     (1000.0 *. s.transform_seconds)
     (1000.0 *. s.estimate_seconds);
   if s.checked_points > 0 then

@@ -112,8 +112,11 @@ val normalize_config : context -> config -> config
 val config_equal : config -> config -> bool
 
 (** Cached evaluation of one joint configuration (normalized before the
-    cache lookup, like {!evaluate}). *)
-val evaluate_config : context -> config -> point
+    cache lookup, like {!evaluate}). On a cache miss the synthesis takes
+    its pipeline front from [fronts] and adds the fronts it builds
+    there ({!Engine.Backend.fronts}); a hit builds none. *)
+val evaluate_config :
+  ?fronts:Engine.Backend.fronts -> context -> config -> point
 
 (** The backend's tier-1 bound for a joint configuration ({!quick} over
     the full knob set). *)

@@ -285,6 +285,28 @@ let sweep_joint ?eligible ?(max_product = max_int)
     in
     Array.sort (fun a b -> compare (lb a, a) (lb b, b)) order
   end;
+  (* Survivors that differ only in their peel and LICM toggles share one
+     pipeline front (tile, unroll-and-jam, scalar replacement): the
+     first synthesis of a front key builds it into [fronts], the others
+     finish from it. [pending] counts each key's survivors still to be
+     visited; a front is dropped with its key's last survivor, evaluated
+     or pruned, so the table holds only live fronts. *)
+  let fronts : Engine.Backend.fronts = Hashtbl.create 64 in
+  let pending : (Engine.Backend.front_key, int) Hashtbl.t = Hashtbl.create 64 in
+  Array.iter
+    (fun c ->
+      let key = Engine.Backend.front_key c in
+      Hashtbl.replace pending key
+        (1 + Option.value ~default:0 (Hashtbl.find_opt pending key)))
+    survivors;
+  let visited c =
+    let key = Engine.Backend.front_key c in
+    match Hashtbl.find pending key with
+    | 1 ->
+        Hashtbl.remove pending key;
+        Hashtbl.remove fronts key
+    | left -> Hashtbl.replace pending key (left - 1)
+  in
   let results : joint_point option array = Array.make n None in
   let incumbent = ref max_int in
   let bound_pruned = ref 0 in
@@ -303,11 +325,12 @@ let sweep_joint ?eligible ?(max_product = max_int)
         Design.note_pruned ctx
       end
       else begin
-        let p = Design.evaluate_config ctx c in
+        let p = Design.evaluate_config ~fronts ctx c in
         results.(i) <- Some { config = c; point = p };
         if Design.space p <= ctx.Design.capacity then
           incumbent := min !incumbent (Design.cycles p)
-      end)
+      end;
+      visited c)
     order;
   let total_designs =
     List.fold_left

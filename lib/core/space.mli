@@ -102,7 +102,16 @@ val joint_tile_options :
     tier-1 cycle bounds, skipping configurations whose bounds prove they
     cannot beat the incumbent or fit the device (admissible: the
     selection matches the exhaustive sweep's). Sequential; the pruning
-    counters are returned in the [joint] record. *)
+    counters are returned in the [joint] record.
+
+    Survivors that differ only in their peel and LICM toggles share one
+    pipeline front ({!Transform.Pipeline.front}: tile, unroll-and-jam,
+    scalar replacement), keyed on {!Engine.Backend.front_key}. The
+    first synthesis of a key builds the front into a table the sweep
+    owns and the others finish from it; a cache hit builds none. A
+    front is dropped as soon as the last survivor of its key has been
+    evaluated or pruned, so the table holds only live fronts. Points
+    are bit-identical to unshared evaluation. *)
 val sweep_joint :
   ?eligible:string list ->
   ?max_product:int ->

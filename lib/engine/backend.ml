@@ -170,6 +170,25 @@ let normalize_config (env : env) (c : Store.config) : Store.config =
   in
   { c with vector; tile }
 
+(* ------------------------------------------------------------------ *)
+(* Shared pipeline fronts *)
+
+type front_key = (string * int) option * (string * int) list * bool
+
+(** The front key of a normalized configuration: its tile, vector and
+    scalar-replacement toggle — everything the pipeline's first three
+    stages read. *)
+let front_key (c : Store.config) : front_key =
+  (c.tile, c.vector, c.scalar_replace)
+
+(* A front as the synthesis path needs it: plain, or built under the
+   translation validator when the env verifies. *)
+type front =
+  | Plain of Transform.Pipeline.front
+  | Checked of Check.Validate.front
+
+type fronts = (front_key, front) Hashtbl.t
+
 type t = {
   name : string;
       (** stable identifier; part of the persistent store key, so two
@@ -178,7 +197,8 @@ type t = {
       (** admissible lower bounds for a configuration, or [None] when
           this backend offers no tier-1 gate (then callers must
           synthesize) *)
-  synthesize : env -> Store.t -> Store.config -> Store.point;
+  synthesize :
+    ?fronts:fronts -> env -> Store.t -> Store.config -> Store.point;
       (** full evaluation of one configuration, bypassing the point
           cache (neither read nor written); bumps the store's counters *)
 }
@@ -186,63 +206,79 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Full behavioral synthesis *)
 
-let full_synthesize (env : env) (store : Store.t) (c : Store.config) :
+let full_synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
     Store.point =
   let c = normalize_config env c in
   let opts = Transform.Pipeline.apply_config ~base:env.pipeline c in
   let stats = store.Store.stats in
   let t0 = Clock.now () in
+  (* The front from the caller's table, or built here (and added to the
+     table) on the table's first miss for this key. *)
+  let front =
+    let key = front_key c in
+    match Option.bind fronts (fun t -> Hashtbl.find_opt t key) with
+    | Some f -> f
+    | None ->
+        let f =
+          if env.verify then
+            Checked
+              (Check.Validate.front ~options:opts
+                 ?source_footprint:env.source_footprint env.source)
+          else Plain (Transform.Pipeline.front opts env.source)
+        in
+        stats.Store.fronts <- stats.Store.fronts + 1;
+        Option.iter (fun t -> Hashtbl.replace t key f) fronts;
+        f
+  in
   let r =
-    if not env.verify then Transform.Pipeline.apply opts env.source
-    else begin
-      (* Verified evaluation: same pipeline, instrumented per stage by
-         the translation validator, plus the flow-graph dataflow checks
-         (uninit/deadstore) over the transformed kernel — the pipeline
-         must never manufacture an uninitialized read or a dead store.
-         The transformed result is bit-identical; error-severity
-         findings only bump the violation counter (the sweep itself is
-         the paper's experiment — reporting stays the job of the
-         drivers). *)
-      let outcome =
-        Check.Validate.run ~options:opts ?source_footprint:env.source_footprint
-          env.source
-      in
-      stats.Store.checked_points <- stats.Store.checked_points + 1;
-      stats.Store.verify_violations <-
-        stats.Store.verify_violations
-        + List.length (Check.Validate.violations outcome);
-      (match outcome.Check.Validate.result with
-      | Some r ->
-          let cost = Analysis.Flowgraph.fresh_cost () in
-          let graph =
-            Analysis.Flowgraph.build ~cost r.Transform.Pipeline.kernel
-          in
-          let flow_diags =
-            Check.Uninit.check ~graph ~cost r.Transform.Pipeline.kernel
-            @ Check.Deadstore.check ~graph ~cost r.Transform.Pipeline.kernel
-          in
-          stats.Store.verify_violations <-
-            stats.Store.verify_violations
-            + List.length (Check.Diag.errors flow_diags);
-          stats.Store.flow_builds <-
-            stats.Store.flow_builds + cost.Analysis.Flowgraph.builds;
-          stats.Store.flow_solves <-
-            stats.Store.flow_solves + cost.Analysis.Flowgraph.solves;
-          stats.Store.flow_seconds <-
-            stats.Store.flow_seconds
-            +. cost.Analysis.Flowgraph.build_seconds
-            +. cost.Analysis.Flowgraph.solve_seconds
-      | None -> ());
-      match outcome.Check.Validate.result with
-      | Some r -> r
-      | None ->
-          (* The pipeline raised mid-stage; surface it like the
-             unverified path would. *)
-          failwith
-            (String.concat "; "
-               (List.map Check.Diag.render
-                  (Check.Validate.violations outcome)))
-    end
+    match front with
+    | Plain front -> Transform.Pipeline.apply ~front opts env.source
+    | Checked front -> (
+        (* Verified evaluation: same pipeline, instrumented per stage by
+           the translation validator, plus the flow-graph dataflow checks
+           (uninit/deadstore) over the transformed kernel — the pipeline
+           must never manufacture an uninitialized read or a dead store.
+           The transformed result is bit-identical; error-severity
+           findings only bump the violation counter (the sweep itself is
+           the paper's experiment — reporting stays the job of the
+           drivers). The front's stages were validated once, when it was
+           built; its findings are part of every outcome run from it. *)
+        let outcome = Check.Validate.run ~options:opts ~front env.source in
+        stats.Store.checked_points <- stats.Store.checked_points + 1;
+        stats.Store.verify_violations <-
+          stats.Store.verify_violations
+          + List.length (Check.Validate.violations outcome);
+        (match outcome.Check.Validate.result with
+        | Some r ->
+            let cost = Analysis.Flowgraph.fresh_cost () in
+            let graph =
+              Analysis.Flowgraph.build ~cost r.Transform.Pipeline.kernel
+            in
+            let flow_diags =
+              Check.Uninit.check ~graph ~cost r.Transform.Pipeline.kernel
+              @ Check.Deadstore.check ~graph ~cost r.Transform.Pipeline.kernel
+            in
+            stats.Store.verify_violations <-
+              stats.Store.verify_violations
+              + List.length (Check.Diag.errors flow_diags);
+            stats.Store.flow_builds <-
+              stats.Store.flow_builds + cost.Analysis.Flowgraph.builds;
+            stats.Store.flow_solves <-
+              stats.Store.flow_solves + cost.Analysis.Flowgraph.solves;
+            stats.Store.flow_seconds <-
+              stats.Store.flow_seconds
+              +. cost.Analysis.Flowgraph.build_seconds
+              +. cost.Analysis.Flowgraph.solve_seconds
+        | None -> ());
+        match outcome.Check.Validate.result with
+        | Some r -> r
+        | None ->
+            (* The pipeline raised mid-stage; surface it like the
+               unverified path would. *)
+            failwith
+              (String.concat "; "
+                 (List.map Check.Diag.render
+                    (Check.Validate.violations outcome))))
   in
   let t1 = Clock.now () in
   let timers = Hls.Estimate.fresh_timers () in
@@ -272,7 +308,12 @@ let full_synthesize (env : env) (store : Store.t) (c : Store.config) :
 
 let no_bound _env _store _c = None
 
-let full : t = { name = "full"; bound = no_bound; synthesize = full_synthesize }
+let full : t =
+  {
+    name = "full";
+    bound = no_bound;
+    synthesize = (fun ?fronts -> full_synthesize ?fronts);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* P&R degradation *)
@@ -282,8 +323,8 @@ let lowlevel : t =
     name = "lowlevel";
     bound = no_bound;
     synthesize =
-      (fun env store c ->
-        let p = full_synthesize env store c in
+      (fun ?fronts env store c ->
+        let p = full_synthesize ?fronts env store c in
         let impl =
           Hls.Lowlevel.place_and_route
             ~device:env.profile.Hls.Estimate.device p.Store.estimate
@@ -346,8 +387,8 @@ let known_names = [ "full"; "quick+full"; "lowlevel"; "quick+lowlevel" ]
 (** Cached [Generate; Synthesize] through [store]: configurations are
     normalized before the cache lookup, so any two spellings of the same
     design share one synthesis run. *)
-let evaluate_config (env : env) (b : t) (store : Store.t) (c : Store.config) :
-    Store.point =
+let evaluate_config ?fronts (env : env) (b : t) (store : Store.t)
+    (c : Store.config) : Store.point =
   let key = normalize_config env c in
   match Store.find store key with
   | Some p ->
@@ -355,7 +396,7 @@ let evaluate_config (env : env) (b : t) (store : Store.t) (c : Store.config) :
         store.Store.stats.Store.cache_hits + 1;
       p
   | None ->
-      let p = b.synthesize env store key in
+      let p = b.synthesize ?fronts env store key in
       Store.add store key p;
       p
 

@@ -51,6 +51,28 @@ val base_config : env -> (string * int) list -> Store.config
     configuration fails loudly in the pipeline. *)
 val normalize_config : env -> Store.config -> Store.config
 
+(** {2 Shared pipeline fronts}
+
+    A front ({!Transform.Pipeline.front}) is the pipeline's output after
+    tile, unroll-and-jam and scalar replacement. Configurations that
+    differ only in their peel and LICM toggles share it, so a sweep can
+    build it once and finish each of them from it. *)
+
+(** Tile, unroll vector and scalar-replacement toggle of a normalized
+    configuration: what the front's stages read. *)
+type front_key = (string * int) option * (string * int) list * bool
+
+val front_key : Store.config -> front_key
+
+(** A front, built under the translation validator when the env
+    verifies. *)
+type front
+
+(** A table of fronts owned by one sweep over one env. Synthesis reads
+    it and adds the fronts it builds; the owner removes a front once no
+    configuration left to visit needs it. *)
+type fronts = (front_key, front) Hashtbl.t
+
 type t = {
   name : string;
       (** stable identifier; part of the persistent store key, so two
@@ -58,9 +80,13 @@ type t = {
   bound : env -> Store.t -> Store.config -> Hls.Quick.t option;
       (** admissible lower bounds for a configuration, or [None] when
           this backend offers no tier-1 gate *)
-  synthesize : env -> Store.t -> Store.config -> Store.point;
+  synthesize :
+    ?fronts:fronts -> env -> Store.t -> Store.config -> Store.point;
       (** full evaluation of one configuration, bypassing the point
-          cache (neither read nor written); bumps the store's counters *)
+          cache (neither read nor written); bumps the store's counters.
+          The front comes from [fronts] when it holds one for the
+          configuration's key; otherwise it is built (counted in the
+          store's [fronts]) and added to [fronts] when given *)
 }
 
 (** The paper's [Generate; Synthesize]: transform pipeline, DFG, fused
@@ -91,8 +117,10 @@ val known_names : string list
 
 (** Cached [Generate; Synthesize] through the store: configurations are
     normalized before the cache lookup, so any two spellings of the
-    same design share one synthesis run. *)
-val evaluate_config : env -> t -> Store.t -> Store.config -> Store.point
+    same design share one synthesis run. A cache hit reads no front;
+    a miss synthesizes with [fronts]. *)
+val evaluate_config :
+  ?fronts:fronts -> env -> t -> Store.t -> Store.config -> Store.point
 
 (** {!evaluate_config} at the env's base configuration — the historical
     vector-only entry point. *)

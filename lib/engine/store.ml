@@ -37,6 +37,11 @@ type point = {
 type stats = {
   mutable evaluations : int;
       (** cache misses: full [Generate; Synthesize] runs *)
+  mutable fronts : int;
+      (** pipeline fronts (tile, unroll-and-jam, scalar replacement)
+          built: one per synthesis, except where a joint sweep shares a
+          front among configurations that differ only in their peel and
+          LICM toggles *)
   mutable cache_hits : int;
   mutable quick_estimates : int;
       (** tier-1 analytical lower bounds computed *)
@@ -67,6 +72,7 @@ type stats = {
 let fresh_stats () =
   {
     evaluations = 0;
+    fronts = 0;
     cache_hits = 0;
     quick_estimates = 0;
     pruned = 0;
@@ -88,6 +94,7 @@ let stats_copy (s : stats) : stats = { s with evaluations = s.evaluations }
 (** Add [from]'s counters into [into] — the stats half of {!absorb}. *)
 let stats_add ~(into : stats) (from : stats) =
   into.evaluations <- into.evaluations + from.evaluations;
+  into.fronts <- into.fronts + from.fronts;
   into.cache_hits <- into.cache_hits + from.cache_hits;
   into.quick_estimates <- into.quick_estimates + from.quick_estimates;
   into.pruned <- into.pruned + from.pruned;
@@ -106,6 +113,7 @@ let stats_add ~(into : stats) (from : stats) =
 let stats_diff ~(before : stats) ~(after : stats) : stats =
   {
     evaluations = after.evaluations - before.evaluations;
+    fronts = after.fronts - before.fronts;
     cache_hits = after.cache_hits - before.cache_hits;
     quick_estimates = after.quick_estimates - before.quick_estimates;
     pruned = after.pruned - before.pruned;

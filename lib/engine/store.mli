@@ -26,6 +26,11 @@ type point = {
 type stats = {
   mutable evaluations : int;
       (** cache misses: full [Generate; Synthesize] runs *)
+  mutable fronts : int;
+      (** pipeline fronts built ({!Transform.Pipeline.front}): one per
+          synthesis, except where a joint sweep shares a front among
+          configurations that differ only in their peel and LICM
+          toggles *)
   mutable cache_hits : int;
   mutable quick_estimates : int;
       (** tier-1 analytical lower bounds computed *)

@@ -125,24 +125,32 @@ let () =
              (stage_name stage) kernel message)
     | _ -> None)
 
-let apply ?observe (opts : options) (k : Ast.kernel) : result =
-  let kname = k.Ast.k_name in
-  (* Run one stage: a [Failure]/[Invalid_argument] escaping a rewrite
-     (e.g. a non-positive stride reaching [Ast.loop_trip] or a
-     [Loop_nest.validate] rejection) is re-raised as a [Stage_error]
-     naming the stage and kernel; the checker's post-hoc validation hook
-     sees every stage boundary through [observe]. *)
-  let stage tag f k =
-    let k' =
-      try f k
-      with Failure msg | Invalid_argument msg ->
-        raise (Stage_error { stage = tag; kernel = kname; message = msg })
-    in
-    (match observe with
-    | Some obs -> obs tag ~before:k ~after:k'
-    | None -> ());
-    k'
+(* Run one stage: a [Failure]/[Invalid_argument] escaping a rewrite
+   (e.g. a non-positive stride reaching [Ast.loop_trip] or a
+   [Loop_nest.validate] rejection) is re-raised as a [Stage_error]
+   naming the stage and kernel; the checker's post-hoc validation hook
+   sees every stage boundary through [observe]. *)
+let run_stage ?observe kname tag f k =
+  let k' =
+    try f k
+    with Failure msg | Invalid_argument msg ->
+      raise (Stage_error { stage = tag; kernel = kname; message = msg })
   in
+  (match observe with
+  | Some obs -> obs tag ~before:k ~after:k'
+  | None -> ());
+  k'
+
+type front = {
+  tile : (string * int) option;
+  vector : Unroll.vector;
+  scalar : Scalar_replace.config;
+  kernel : Ast.kernel;  (** the kernel after scalar replacement *)
+  report : Scalar_replace.report;
+}
+
+let front ?observe (opts : options) (k : Ast.kernel) : front =
+  let stage = run_stage ?observe k.Ast.k_name in
   let k =
     match opts.tile with
     | Some (index, tile) ->
@@ -180,7 +188,31 @@ let apply ?observe (opts : options) (k : Ast.kernel) : result =
         k)
       k
   in
-  let report = !report in
+  {
+    tile = opts.tile;
+    vector = opts.vector;
+    scalar = opts.scalar;
+    kernel = k;
+    report = !report;
+  }
+
+let apply ?observe ?front:shared (opts : options) (k : Ast.kernel) : result =
+  let f =
+    match shared with
+    | None -> front ?observe opts k
+    | Some (f : front) ->
+        if
+          f.tile <> opts.tile || f.vector <> opts.vector
+          || f.scalar <> opts.scalar
+        then
+          invalid_arg
+            "Transform.Pipeline.apply: the front was built for another \
+             tile, vector or scalar-replacement setting";
+        f
+  in
+  let stage = run_stage ?observe k.Ast.k_name in
+  let report = f.report in
+  let k = f.kernel in
   let k =
     if
       (not opts.peel)

@@ -69,12 +69,38 @@ val stage_name : stage -> string
 exception
   Stage_error of { stage : stage; kernel : string; message : string }
 
-(** [apply ?observe opts k] runs the pipeline. When given, [observe] is
-    called after every executed stage with the kernel before and after
-    that stage — the hook the checker's translation validation uses. The
-    returned kernel is bit-identical whether or not it is passed. *)
+(** A front: the pipeline's output after its first three stages (tile,
+    unroll-and-jam, scalar replacement) for one kernel, with the
+    scalar-replacement report. The stages after it (peel, LICM,
+    simplify) read nothing else, so every configuration that differs
+    only in its peel and LICM toggles can be finished from one front.
+    A front remembers the tile, vector and scalar-replacement settings
+    it was built with — its key. *)
+type front
+
+(** [front ?observe opts k] runs the first three stages. [observe] sees
+    each of them exactly as under {!apply}; a stage failure raises
+    {!Stage_error}. *)
+val front :
+  ?observe:(stage -> before:Ast.kernel -> after:Ast.kernel -> unit) ->
+  options ->
+  Ast.kernel ->
+  front
+
+(** [apply ?observe ?front opts k] runs the pipeline. When given,
+    [observe] is called after every executed stage with the kernel
+    before and after that stage — the hook the checker's translation
+    validation uses. The returned kernel is bit-identical whether or not
+    it is passed.
+
+    With [front] (built by {!front} from the same [k]), [apply] starts at
+    the peel stage and [observe] sees only the stages after the front;
+    the result is bit-identical to [apply opts k]. A front whose tile,
+    vector or scalar-replacement configuration differs from [opts]'s
+    raises [Invalid_argument]. *)
 val apply :
   ?observe:(stage -> before:Ast.kernel -> after:Ast.kernel -> unit) ->
+  ?front:front ->
   options ->
   Ast.kernel ->
   result

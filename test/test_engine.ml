@@ -439,7 +439,10 @@ let test_pool_exceptions () =
 let test_sweep_exceptions () =
   let k = kernel "fir" in
   let failing =
-    { Backend.full with synthesize = (fun _ _ _ -> failwith "synthesis failed") }
+    {
+      Backend.full with
+      synthesize = (fun ?fronts:_ _ _ _ -> failwith "synthesis failed");
+    }
   in
   let sweep ctx = Space.sweep ~jobs:2 ~max_product:16 ctx in
   (match sweep (Design.context ~profile ~backend:failing k) with

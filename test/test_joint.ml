@@ -5,7 +5,8 @@
     translation validation), tier-1 admissibility over the joint space
     (tiling included), configuration normalization, and the joint
     sweep's dominance over the unroll-only sweep on the built-in
-    kernels. *)
+    kernels, and the shared pipeline fronts the sweep finishes its
+    configurations from. *)
 
 open Ir
 module Design = Dse.Design
@@ -538,6 +539,201 @@ let test_best_first_matches_exhaustive () =
         [ true; false ])
     all_kernels
 
+(* ------------------------------------------------------------------ *)
+(* Shared pipeline fronts: finishing a configuration from the front of
+   its tile, vector and scalar-replacement setting gives the pipeline's
+   own result, plain and under translation validation. *)
+
+let shared_front_prop (k, c) =
+  let o = Pipeline.apply_config ~base:Pipeline.default c in
+  let outcome f = match f () with r -> Ok r | exception e -> Error e in
+  let plain = outcome (fun () -> Pipeline.apply o k) in
+  let shared =
+    outcome (fun () -> Pipeline.apply ~front:(Pipeline.front o k) o k)
+  in
+  let checked v =
+    ( v.Check.Validate.result,
+      List.map Check.Diag.render v.Check.Validate.diags )
+  in
+  let vplain = checked (Check.Validate.run ~options:o k) in
+  let vshared =
+    checked
+      (Check.Validate.run ~options:o
+         ~front:(Check.Validate.front ~options:o k)
+         k)
+  in
+  let same =
+    match (plain, shared) with
+    | Ok a, Ok b -> a = b
+    | Error a, Error b -> Printexc.to_string a = Printexc.to_string b
+    | _ -> false
+  in
+  if same && vplain = vshared then true
+  else
+    QCheck2.Test.fail_reportf "%s finishes differently from its front on:@.%s"
+      (Pipeline.config_to_string c)
+      (Helpers.kernel_print k)
+
+let test_shared_front =
+  Helpers.qtest "front + finish = apply" ~count:150
+    QCheck2.Gen.(
+      let* k = oneof [ Helpers.gen_kernel; Helpers.gen_flow_kernel ] in
+      let* c = gen_config_for k in
+      return (k, c))
+    shared_front_prop
+
+(* Every joint survivor of every built-in and gallery kernel at product
+   16, under both memory models: the point the sharing sweep stores
+   carries the kernel and report of an unshared pipeline run, and the
+   sweep built exactly one front per front key it synthesized. *)
+let test_shared_front_builtins () =
+  List.iter
+    (fun (name, k) ->
+      List.iter
+        (fun pipelined ->
+          let ctx =
+            Design.context
+              ~profile:(Hls.Estimate.default_profile ~pipelined ())
+              k
+          in
+          let j =
+            Space.sweep_joint ~max_product:16 ~exhaustive_below:max_int ctx
+          in
+          List.iter
+            (fun (jp : Space.joint_point) ->
+              let r =
+                Pipeline.apply
+                  (Pipeline.apply_config ~base:ctx.Design.pipeline
+                     jp.Space.config)
+                  k
+              in
+              if
+                r.Pipeline.kernel <> jp.Space.point.kernel
+                || r.Pipeline.report <> jp.Space.point.report
+              then
+                Alcotest.failf "%s %s: %s differs from the unshared pipeline"
+                  name
+                  (if pipelined then "pipelined" else "non-pipelined")
+                  (Pipeline.config_to_string jp.Space.config))
+            j.Space.points;
+          let keys =
+            List.sort_uniq compare
+              (List.map
+                 (fun (jp : Space.joint_point) ->
+                   Backend.front_key jp.Space.config)
+                 j.Space.points)
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s: one front per key" name)
+            (List.length keys) ctx.Design.stats.fronts)
+        [ true; false ])
+    all_kernels
+
+(* The validator's findings from a shared front equal those of a full
+   validated run, for every configuration finished from it, on every
+   built-in and gallery kernel (histogram's data-dependent subscripts
+   make the front stages report a skipped array, which the stages after
+   it must not report again). *)
+let test_validated_front_builtins () =
+  List.iter
+    (fun (name, k) ->
+      let ctx = Design.context ~profile k in
+      let j = Space.sweep_joint ~max_product:4 ~exhaustive_below:max_int ctx in
+      let fronts = Hashtbl.create 16 in
+      List.iter
+        (fun (jp : Space.joint_point) ->
+          let options =
+            Pipeline.apply_config ~base:ctx.Design.pipeline jp.Space.config
+          in
+          let key = Backend.front_key jp.Space.config in
+          let front =
+            match Hashtbl.find_opt fronts key with
+            | Some f -> f
+            | None ->
+                let f = Check.Validate.front ~options k in
+                Hashtbl.replace fronts key f;
+                f
+          in
+          let view (o : Check.Validate.outcome) =
+            ( o.Check.Validate.result,
+              List.map Check.Diag.render o.Check.Validate.diags )
+          in
+          if
+            view (Check.Validate.run ~options ~front k)
+            <> view (Check.Validate.run ~options k)
+          then
+            Alcotest.failf "%s %s: validated front differs from a full run"
+              name
+              (Pipeline.config_to_string jp.Space.config))
+        j.Space.points)
+    all_kernels
+
+(* A front answers for one tile, vector and scalar-replacement setting;
+   finishing other options from it is a caller error. *)
+let test_front_key_mismatch () =
+  let k = kernel "fir" in
+  let base = Pipeline.apply_config ~base:Pipeline.default in
+  let c =
+    {
+      Pipeline.vector = [ ("j", 2); ("i", 1) ];
+      tile = None;
+      scalar_replace = true;
+      peel = true;
+      licm = true;
+    }
+  in
+  let front = Pipeline.front (base c) k in
+  List.iter
+    (fun (what, c') ->
+      Alcotest.check_raises what
+        (Invalid_argument
+           "Transform.Pipeline.apply: the front was built for another tile, \
+            vector or scalar-replacement setting")
+        (fun () -> ignore (Pipeline.apply ~front (base c') k)))
+    [
+      ("other vector", { c with vector = [ ("j", 4); ("i", 1) ] });
+      ("other tile", { c with tile = Some ("i", 4) });
+      ("replacement off", { c with scalar_replace = false });
+    ];
+  (* The toggles after the front are free. *)
+  let c' = { c with peel = false; licm = false } in
+  Alcotest.(check bool)
+    "peel and LICM toggles finish from the front" true
+    (Pipeline.apply ~front (base c') k = Pipeline.apply (base c') k)
+
+(* A verified joint sweep shares fronts through the same path: it
+   stores the unverified sweep's points and checks each one. *)
+let test_verified_shares_fronts () =
+  List.iter
+    (fun name ->
+      let k = kernel name in
+      let plain = Design.context ~profile k in
+      let verified = Design.context ~profile ~verify:true k in
+      let jp = Space.sweep_joint ~max_product:16 plain in
+      let jv = Space.sweep_joint ~max_product:16 verified in
+      let view (j : Space.joint) =
+        List.map
+          (fun (p : Space.joint_point) ->
+            ( p.Space.config,
+              p.Space.point.estimate,
+              p.Space.point.kernel,
+              p.Space.point.report ))
+          j.Space.points
+      in
+      Alcotest.(check bool)
+        (name ^ ": verified sweep stores the same points")
+        true
+        (view jp = view jv);
+      let s = verified.Design.stats in
+      Alcotest.(check int)
+        (name ^ ": every evaluated point checked")
+        (List.length jv.Space.points) s.checked_points;
+      Alcotest.(check int) (name ^ ": no violation") 0 s.verify_violations;
+      Alcotest.(check int)
+        (name ^ ": fronts shared as in the unverified sweep")
+        plain.Design.stats.fronts s.fronts)
+    [ "fir"; "jac" ]
+
 let () =
   Alcotest.run "joint"
     [
@@ -580,5 +776,17 @@ let () =
         [
           Alcotest.test_case "joint dominates unroll-only" `Quick
             test_joint_dominates;
+        ] );
+      ( "fronts",
+        [
+          test_shared_front;
+          Alcotest.test_case "every built-in survivor" `Quick
+            test_shared_front_builtins;
+          Alcotest.test_case "validated front = full run" `Quick
+            test_validated_front_builtins;
+          Alcotest.test_case "front for another key raises" `Quick
+            test_front_key_mismatch;
+          Alcotest.test_case "verified sweep shares fronts" `Quick
+            test_verified_shares_fronts;
         ] );
     ]
