@@ -388,10 +388,10 @@ let explore kernels file non_pipelined memories capacity report prof verify
     summary.Dse.Driver.outcomes;
   let t = Dse.Driver.total summary in
   Format.printf
-    "session: %d synthesized, %d front(s), %d cache hits, %d pruned, %d \
-     sched memo hits over %d kernel(s); %d point(s) and %d tri-schedule(s) \
-     warm-loaded@."
-    t.evaluations t.fronts t.cache_hits t.pruned t.sched_memo_hits
+    "session: %d synthesized, %d front(s), %d reused, %d cache hits, %d \
+     pruned, %d sched memo hits over %d kernel(s); %d point(s) and %d \
+     tri-schedule(s) warm-loaded@."
+    t.evaluations t.fronts t.reused t.cache_hits t.pruned t.sched_memo_hits
     (List.length summary.Dse.Driver.outcomes)
     (List.fold_left
        (fun acc (o : Dse.Driver.outcome) -> acc + o.Dse.Driver.loaded_points)

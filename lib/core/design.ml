@@ -221,9 +221,10 @@ let pp_point fmt (p : point) =
 
 let pp_stats fmt (s : stats) =
   Format.fprintf fmt
-    "%d synthesized, %d front(s), %d cache hits, %d quick estimates, %d \
-     pruned, %d sched memo hits (transform %.1f ms, estimate %.1f ms)"
-    s.evaluations s.fronts s.cache_hits s.quick_estimates s.pruned s.sched_memo_hits
+    "%d synthesized, %d front(s), %d reused, %d cache hits, %d quick \
+     estimates, %d pruned, %d sched memo hits (transform %.1f ms, estimate \
+     %.1f ms)"
+    s.evaluations s.fronts s.reused s.cache_hits s.quick_estimates s.pruned s.sched_memo_hits
     (1000.0 *. s.transform_seconds)
     (1000.0 *. s.estimate_seconds);
   if s.checked_points > 0 then

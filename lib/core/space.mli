@@ -110,8 +110,10 @@ val joint_tile_options :
     first synthesis of a key builds the front into a table the sweep
     owns and the others finish from it; a cache hit builds none. A
     front is dropped as soon as the last survivor of its key has been
-    evaluated or pruned, so the table holds only live fronts. Points
-    are bit-identical to unshared evaluation. *)
+    evaluated or pruned, so the table holds only live fronts, and with
+    it the front's memo of finishing stages and estimates: a survivor
+    whose toggles changed nothing reuses its sibling's kernel and
+    estimate. Points are bit-identical to unshared evaluation. *)
 val sweep_joint :
   ?eligible:string list ->
   ?max_product:int ->

@@ -182,10 +182,17 @@ let front_key (c : Store.config) : front_key =
   (c.tile, c.vector, c.scalar_replace)
 
 (* A front as the synthesis path needs it: plain, or built under the
-   translation validator when the env verifies. *)
-type front =
+   translation validator when the env verifies, with the finished
+   kernels of the configurations synthesized from it and their
+   estimates. *)
+type built =
   | Plain of Transform.Pipeline.front
   | Checked of Check.Validate.front
+
+type front = {
+  built : built;
+  mutable estimated : (Ast.kernel * Hls.Estimate.t) list;
+}
 
 type fronts = (front_key, front) Hashtbl.t
 
@@ -213,78 +220,100 @@ let full_synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
   let stats = store.Store.stats in
   let t0 = Clock.now () in
   (* The front from the caller's table, or built here (and added to the
-     table) on the table's first miss for this key. *)
-  let front =
-    let key = front_key c in
-    match Option.bind fronts (fun t -> Hashtbl.find_opt t key) with
-    | Some f -> f
-    | None ->
-        let f =
-          if env.verify then
-            Checked
-              (Check.Validate.front ~options:opts
-                 ?source_footprint:env.source_footprint env.source)
-          else Plain (Transform.Pipeline.front opts env.source)
-        in
-        stats.Store.fronts <- stats.Store.fronts + 1;
-        Option.iter (fun t -> Hashtbl.replace t key f) fronts;
-        f
+     table) on the table's first miss for this key. Without a table the
+     pipeline builds its own front and keeps no finishing memo. *)
+  let entry =
+    Option.map
+      (fun table ->
+        let key = front_key c in
+        match Hashtbl.find_opt table key with
+        | Some e -> e
+        | None ->
+            let built =
+              if env.verify then
+                Checked
+                  (Check.Validate.front ~options:opts
+                     ?source_footprint:env.source_footprint env.source)
+              else Plain (Transform.Pipeline.front opts env.source)
+            in
+            let e = { built; estimated = [] } in
+            stats.Store.fronts <- stats.Store.fronts + 1;
+            Hashtbl.replace table key e;
+            e)
+      fronts
   in
-  let r =
-    match front with
-    | Plain front -> Transform.Pipeline.apply ~front opts env.source
-    | Checked front -> (
-        (* Verified evaluation: same pipeline, instrumented per stage by
-           the translation validator, plus the flow-graph dataflow checks
-           (uninit/deadstore) over the transformed kernel — the pipeline
-           must never manufacture an uninitialized read or a dead store.
-           The transformed result is bit-identical; error-severity
-           findings only bump the violation counter (the sweep itself is
-           the paper's experiment — reporting stays the job of the
-           drivers). The front's stages were validated once, when it was
-           built; its findings are part of every outcome run from it. *)
-        let outcome = Check.Validate.run ~options:opts ~front env.source in
-        stats.Store.checked_points <- stats.Store.checked_points + 1;
+  if Option.is_none entry then stats.Store.fronts <- stats.Store.fronts + 1;
+  (* Verified evaluation: same pipeline, instrumented per stage by the
+     translation validator, plus the flow-graph dataflow checks
+     (uninit/deadstore) over the transformed kernel — the pipeline must
+     never manufacture an uninitialized read or a dead store. The
+     transformed result is bit-identical; error-severity findings only
+     bump the violation counter (the sweep itself is the paper's
+     experiment — reporting stays the job of the drivers). A shared
+     front's stages were validated once, when it was built; its findings
+     are part of every outcome run from it. *)
+  let verified (outcome : Check.Validate.outcome) =
+    stats.Store.checked_points <- stats.Store.checked_points + 1;
+    stats.Store.verify_violations <-
+      stats.Store.verify_violations
+      + List.length (Check.Validate.violations outcome);
+    match outcome.Check.Validate.result with
+    | Some r ->
+        let cost = Analysis.Flowgraph.fresh_cost () in
+        let graph = Analysis.Flowgraph.build ~cost r.Transform.Pipeline.kernel in
+        let flow_diags =
+          Check.Uninit.check ~graph ~cost r.Transform.Pipeline.kernel
+          @ Check.Deadstore.check ~graph ~cost r.Transform.Pipeline.kernel
+        in
         stats.Store.verify_violations <-
           stats.Store.verify_violations
-          + List.length (Check.Validate.violations outcome);
-        (match outcome.Check.Validate.result with
-        | Some r ->
-            let cost = Analysis.Flowgraph.fresh_cost () in
-            let graph =
-              Analysis.Flowgraph.build ~cost r.Transform.Pipeline.kernel
-            in
-            let flow_diags =
-              Check.Uninit.check ~graph ~cost r.Transform.Pipeline.kernel
-              @ Check.Deadstore.check ~graph ~cost r.Transform.Pipeline.kernel
-            in
-            stats.Store.verify_violations <-
-              stats.Store.verify_violations
-              + List.length (Check.Diag.errors flow_diags);
-            stats.Store.flow_builds <-
-              stats.Store.flow_builds + cost.Analysis.Flowgraph.builds;
-            stats.Store.flow_solves <-
-              stats.Store.flow_solves + cost.Analysis.Flowgraph.solves;
-            stats.Store.flow_seconds <-
-              stats.Store.flow_seconds
-              +. cost.Analysis.Flowgraph.build_seconds
-              +. cost.Analysis.Flowgraph.solve_seconds
-        | None -> ());
-        match outcome.Check.Validate.result with
-        | Some r -> r
-        | None ->
-            (* The pipeline raised mid-stage; surface it like the
-               unverified path would. *)
-            failwith
-              (String.concat "; "
-                 (List.map Check.Diag.render
-                    (Check.Validate.violations outcome))))
+          + List.length (Check.Diag.errors flow_diags);
+        stats.Store.flow_builds <-
+          stats.Store.flow_builds + cost.Analysis.Flowgraph.builds;
+        stats.Store.flow_solves <-
+          stats.Store.flow_solves + cost.Analysis.Flowgraph.solves;
+        stats.Store.flow_seconds <-
+          stats.Store.flow_seconds
+          +. cost.Analysis.Flowgraph.build_seconds
+          +. cost.Analysis.Flowgraph.solve_seconds;
+        r
+    | None ->
+        (* The pipeline raised mid-stage; surface it like the unverified
+           path would. *)
+        failwith
+          (String.concat "; "
+             (List.map Check.Diag.render (Check.Validate.violations outcome)))
+  in
+  let r =
+    match Option.map (fun e -> e.built) entry with
+    | Some (Plain front) -> Transform.Pipeline.apply ~front opts env.source
+    | Some (Checked front) ->
+        verified (Check.Validate.run ~options:opts ~front env.source)
+    | None when env.verify ->
+        verified
+          (Check.Validate.run ~options:opts
+             ?source_footprint:env.source_footprint env.source)
+    | None -> Transform.Pipeline.apply opts env.source
   in
   let t1 = Clock.now () in
   let timers = Hls.Estimate.fresh_timers () in
+  let kernel = r.Transform.Pipeline.kernel in
+  (* A sibling whose finishing stages the front's memo served got the
+     physically same kernel back: its estimate is the sibling's. *)
   let estimate =
-    Hls.Estimate.estimate ~sched_memo:store.Store.sched_memo ~timers
-      env.profile r.Transform.Pipeline.kernel
+    match Option.bind entry (fun e -> List.assq_opt kernel e.estimated) with
+    | Some estimate ->
+        stats.Store.reused <- stats.Store.reused + 1;
+        estimate
+    | None ->
+        let estimate =
+          Hls.Estimate.estimate ~sched_memo:store.Store.sched_memo ~timers
+            env.profile kernel
+        in
+        Option.iter
+          (fun e -> e.estimated <- (kernel, estimate) :: e.estimated)
+          entry;
+        estimate
   in
   let t2 = Clock.now () in
   stats.Store.evaluations <- stats.Store.evaluations + 1;
@@ -301,7 +330,7 @@ let full_synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
   {
     Store.config = c;
     vector = c.vector;
-    kernel = r.Transform.Pipeline.kernel;
+    kernel;
     estimate;
     report = r.Transform.Pipeline.report;
   }

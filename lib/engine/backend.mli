@@ -65,7 +65,12 @@ type front_key = (string * int) option * (string * int) list * bool
 val front_key : Store.config -> front_key
 
 (** A front, built under the translation validator when the env
-    verifies. *)
+    verifies. It also keeps the finished kernel and estimate of each
+    configuration synthesized from it: when the pipeline hands a
+    sibling back the physically same kernel (its peel and LICM toggles
+    changed nothing, see {!Transform.Pipeline.front}), the sibling gets
+    that estimate without running the estimator, and the store counts
+    it in [reused]. *)
 type front
 
 (** A table of fronts owned by one sweep over one env. Synthesis reads
@@ -86,7 +91,8 @@ type t = {
           cache (neither read nor written); bumps the store's counters.
           The front comes from [fronts] when it holds one for the
           configuration's key; otherwise it is built (counted in the
-          store's [fronts]) and added to [fronts] when given *)
+          store's [fronts]) and added to [fronts] when given. Without
+          [fronts] the synthesis keeps no finishing memo *)
 }
 
 (** The paper's [Generate; Synthesize]: transform pipeline, DFG, fused

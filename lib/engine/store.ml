@@ -42,6 +42,11 @@ type stats = {
           built: one per synthesis, except where a joint sweep shares a
           front among configurations that differ only in their peel and
           LICM toggles *)
+  mutable reused : int;
+      (** syntheses served from a sibling of the same shared front: its
+          finishing stages ended in the physically same kernel, so the
+          final simplify and the estimator were skipped. Each is also
+          counted in [evaluations] *)
   mutable cache_hits : int;
   mutable quick_estimates : int;
       (** tier-1 analytical lower bounds computed *)
@@ -73,6 +78,7 @@ let fresh_stats () =
   {
     evaluations = 0;
     fronts = 0;
+    reused = 0;
     cache_hits = 0;
     quick_estimates = 0;
     pruned = 0;
@@ -95,6 +101,7 @@ let stats_copy (s : stats) : stats = { s with evaluations = s.evaluations }
 let stats_add ~(into : stats) (from : stats) =
   into.evaluations <- into.evaluations + from.evaluations;
   into.fronts <- into.fronts + from.fronts;
+  into.reused <- into.reused + from.reused;
   into.cache_hits <- into.cache_hits + from.cache_hits;
   into.quick_estimates <- into.quick_estimates + from.quick_estimates;
   into.pruned <- into.pruned + from.pruned;
@@ -114,6 +121,7 @@ let stats_diff ~(before : stats) ~(after : stats) : stats =
   {
     evaluations = after.evaluations - before.evaluations;
     fronts = after.fronts - before.fronts;
+    reused = after.reused - before.reused;
     cache_hits = after.cache_hits - before.cache_hits;
     quick_estimates = after.quick_estimates - before.quick_estimates;
     pruned = after.pruned - before.pruned;

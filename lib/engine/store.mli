@@ -31,6 +31,11 @@ type stats = {
           synthesis, except where a joint sweep shares a front among
           configurations that differ only in their peel and LICM
           toggles *)
+  mutable reused : int;
+      (** syntheses served from a sibling of the same shared front
+          ({!Transform.Pipeline.apply} handed back the physically same
+          finished kernel), which skip the final simplify and the
+          estimator. Each is also counted in [evaluations] *)
   mutable cache_hits : int;
   mutable quick_estimates : int;
       (** tier-1 analytical lower bounds computed *)

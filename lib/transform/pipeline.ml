@@ -147,6 +147,9 @@ type front = {
   scalar : Scalar_replace.config;
   kernel : Ast.kernel;  (** the kernel after scalar replacement *)
   report : Scalar_replace.report;
+  mutable finished : (stage * Ast.kernel * Ast.kernel) list;
+      (** the finishing-stage runs (stage, input, output) of the
+          configurations finished from this front so far *)
 }
 
 let front ?observe (opts : options) (k : Ast.kernel) : front =
@@ -194,7 +197,23 @@ let front ?observe (opts : options) (k : Ast.kernel) : front =
     scalar = opts.scalar;
     kernel = k;
     report = !report;
+    finished = [];
   }
+
+(* The output of an earlier run of [tag] on an input equal to [input]:
+   physically first, then structurally. Structural equality is the
+   polymorphic [compare], which also compares the spans
+   [Ast.equal_kernel] ignores — the recalled output must be the one
+   [input] itself would give — and skips the subtrees siblings share. *)
+let recall (f : front) tag input =
+  let find eq =
+    List.find_map
+      (fun (t, i, o) -> if t = tag && eq i input then Some o else None)
+      f.finished
+  in
+  match find ( == ) with
+  | Some _ as hit -> hit
+  | None -> find (fun a b -> compare a b = 0)
 
 let apply ?observe ?front:shared (opts : options) (k : Ast.kernel) : result =
   let f =
@@ -211,6 +230,23 @@ let apply ?observe ?front:shared (opts : options) (k : Ast.kernel) : result =
         f
   in
   let stage = run_stage ?observe k.Ast.k_name in
+  (* Siblings finished from one shared front run each finishing stage
+     once per distinct input: peel once, LICM and simplify once per
+     input kernel, so siblings whose toggles changed nothing get the
+     physically same kernel back. Under [observe] every stage runs and
+     is seen. *)
+  let stage =
+    match shared with
+    | Some f when Option.is_none observe -> (
+        fun tag run input ->
+          match recall f tag input with
+          | Some output -> output
+          | None ->
+              let output = stage tag run input in
+              f.finished <- (tag, input, output) :: f.finished;
+              output)
+    | _ -> stage
+  in
   let report = f.report in
   let k = f.kernel in
   let k =

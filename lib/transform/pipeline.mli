@@ -75,7 +75,15 @@ exception
     simplify) read nothing else, so every configuration that differs
     only in its peel and LICM toggles can be finished from one front.
     A front remembers the tile, vector and scalar-replacement settings
-    it was built with — its key. *)
+    it was built with — its key.
+
+    A front also remembers the finishing stages run from it: siblings
+    finished through {!apply} without [observe] run peel once, and LICM
+    and the final simplify once per input kernel (compared physically,
+    then structurally with spans included). A sibling whose toggles
+    changed nothing therefore gets back the physically same kernel as
+    the earlier sibling. The memo lives and dies with the front; a
+    front is not safe to share across domains. *)
 type front
 
 (** [front ?observe opts k] runs the first three stages. [observe] sees
@@ -95,9 +103,12 @@ val front :
 
     With [front] (built by {!front} from the same [k]), [apply] starts at
     the peel stage and [observe] sees only the stages after the front;
-    the result is bit-identical to [apply opts k]. A front whose tile,
-    vector or scalar-replacement configuration differs from [opts]'s
-    raises [Invalid_argument]. *)
+    the result is bit-identical to [apply opts k]. Without [observe] it
+    reuses the front's earlier finishing-stage runs on equal inputs and
+    records its own; with [observe] it bypasses that memo, so every
+    stage runs and is seen. Without [front] nothing is memoized. A
+    front whose tile, vector or scalar-replacement configuration
+    differs from [opts]'s raises [Invalid_argument]. *)
 val apply :
   ?observe:(stage -> before:Ast.kernel -> after:Ast.kernel -> unit) ->
   ?front:front ->

@@ -544,12 +544,33 @@ let test_best_first_matches_exhaustive () =
    its tile, vector and scalar-replacement setting gives the pipeline's
    own result, plain and under translation validation. *)
 
-let shared_front_prop (k, c) =
-  let o = Pipeline.apply_config ~base:Pipeline.default c in
+(* The four configurations that share [c]'s front: its peel and LICM
+   toggles in every combination. *)
+let siblings (c : Pipeline.config) =
+  List.map
+    (fun (peel, licm) -> { c with Pipeline.peel; licm })
+    [ (true, true); (true, false); (false, true); (false, false) ]
+
+let shared_front_prop (k, c, order) =
+  let options c = Pipeline.apply_config ~base:Pipeline.default c in
+  let o = options c in
   let outcome f = match f () with r -> Ok r | exception e -> Error e in
-  let plain = outcome (fun () -> Pipeline.apply o k) in
-  let shared =
-    outcome (fun () -> Pipeline.apply ~front:(Pipeline.front o k) o k)
+  let same a b =
+    match (a, b) with
+    | Ok a, Ok b -> a = b
+    | Error a, Error b -> Printexc.to_string a = Printexc.to_string b
+    | _ -> false
+  in
+  (* One front finishes all four siblings, in [order]: each equals its
+     own unshared run, whichever siblings the front finished before. *)
+  let front = outcome (fun () -> Pipeline.front o k) in
+  let finished_alike c' =
+    let shared =
+      match front with
+      | Ok front -> outcome (fun () -> Pipeline.apply ~front (options c') k)
+      | Error e -> Error e
+    in
+    same (outcome (fun () -> Pipeline.apply (options c') k)) shared
   in
   let checked v =
     ( v.Check.Validate.result,
@@ -562,16 +583,12 @@ let shared_front_prop (k, c) =
          ~front:(Check.Validate.front ~options:o k)
          k)
   in
-  let same =
-    match (plain, shared) with
-    | Ok a, Ok b -> a = b
-    | Error a, Error b -> Printexc.to_string a = Printexc.to_string b
-    | _ -> false
-  in
-  if same && vplain = vshared then true
+  if List.for_all finished_alike order && vplain = vshared then true
   else
-    QCheck2.Test.fail_reportf "%s finishes differently from its front on:@.%s"
+    QCheck2.Test.fail_reportf
+      "%s finishes differently from its front (siblings in order %s) on:@.%s"
       (Pipeline.config_to_string c)
+      (String.concat ", " (List.map Pipeline.config_to_string order))
       (Helpers.kernel_print k)
 
 let test_shared_front =
@@ -579,8 +596,39 @@ let test_shared_front =
     QCheck2.Gen.(
       let* k = oneof [ Helpers.gen_kernel; Helpers.gen_flow_kernel ] in
       let* c = gen_config_for k in
-      return (k, c))
+      let* order = shuffle_l (siblings c) in
+      return (k, c, order))
     shared_front_prop
+
+(* The exhaustive joint sweep at product 16 of every built-in and
+   gallery kernel under both memory models, each survivor paired with a
+   fresh unshared pipeline run of its configuration: computed once for
+   the tests that compare the two. *)
+let builtin_sweeps =
+  lazy
+    (List.concat_map
+       (fun (name, k) ->
+         List.map
+           (fun pipelined ->
+             let profile = Hls.Estimate.default_profile ~pipelined () in
+             let ctx = Design.context ~profile k in
+             let j =
+               Space.sweep_joint ~max_product:16 ~exhaustive_below:max_int ctx
+             in
+             let fresh (jp : Space.joint_point) =
+               ( jp,
+                 Pipeline.apply
+                   (Pipeline.apply_config ~base:ctx.Design.pipeline
+                      jp.Space.config)
+                   k )
+             in
+             ( Printf.sprintf "%s %s" name
+                 (if pipelined then "pipelined" else "non-pipelined"),
+               profile,
+               ctx,
+               List.map fresh j.Space.points ))
+           [ true; false ])
+       all_kernels)
 
 (* Every joint survivor of every built-in and gallery kernel at product
    16, under both memory models: the point the sharing sweep stores
@@ -588,46 +636,81 @@ let test_shared_front =
    sweep built exactly one front per front key it synthesized. *)
 let test_shared_front_builtins () =
   List.iter
-    (fun (name, k) ->
+    (fun (name, _, ctx, points) ->
       List.iter
-        (fun pipelined ->
-          let ctx =
-            Design.context
-              ~profile:(Hls.Estimate.default_profile ~pipelined ())
-              k
-          in
-          let j =
-            Space.sweep_joint ~max_product:16 ~exhaustive_below:max_int ctx
-          in
-          List.iter
-            (fun (jp : Space.joint_point) ->
-              let r =
-                Pipeline.apply
-                  (Pipeline.apply_config ~base:ctx.Design.pipeline
-                     jp.Space.config)
-                  k
-              in
-              if
-                r.Pipeline.kernel <> jp.Space.point.kernel
-                || r.Pipeline.report <> jp.Space.point.report
-              then
-                Alcotest.failf "%s %s: %s differs from the unshared pipeline"
-                  name
-                  (if pipelined then "pipelined" else "non-pipelined")
-                  (Pipeline.config_to_string jp.Space.config))
-            j.Space.points;
-          let keys =
-            List.sort_uniq compare
-              (List.map
-                 (fun (jp : Space.joint_point) ->
-                   Backend.front_key jp.Space.config)
-                 j.Space.points)
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "%s: one front per key" name)
-            (List.length keys) ctx.Design.stats.fronts)
-        [ true; false ])
-    all_kernels
+        (fun ((jp : Space.joint_point), (r : Pipeline.result)) ->
+          if
+            r.Pipeline.kernel <> jp.Space.point.kernel
+            || r.Pipeline.report <> jp.Space.point.report
+          then
+            Alcotest.failf "%s: %s differs from the unshared pipeline" name
+              (Pipeline.config_to_string jp.Space.config))
+        points;
+      let keys =
+        List.sort_uniq compare
+          (List.map
+             (fun ((jp : Space.joint_point), _) ->
+               Backend.front_key jp.Space.config)
+             points)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: one front per key" name)
+        (List.length keys) ctx.Design.stats.fronts)
+    (Lazy.force builtin_sweeps)
+
+(* Siblings finish once: the sharing sweep runs peel, LICM, simplify
+   and the estimator once per distinct input within a front, yet every
+   joint survivor of every built-in and gallery kernel at product 16,
+   under both memory models, carries the kernel (spans included) and
+   the estimate of a fresh unshared pipeline run and estimator. On jac
+   and sobel some siblings are served from another. *)
+let test_siblings_finish_once () =
+  let bytes (k : Ast.kernel) = Marshal.to_string k [ Marshal.No_sharing ] in
+  List.iter
+    (fun (name, profile, ctx, points) ->
+      List.iter
+        (fun ((jp : Space.joint_point), (r : Pipeline.result)) ->
+          if bytes r.Pipeline.kernel <> bytes jp.Space.point.kernel then
+            Alcotest.failf "%s: %s kernel differs from a fresh run" name
+              (Pipeline.config_to_string jp.Space.config);
+          if
+            Hls.Estimate.estimate profile r.Pipeline.kernel
+            <> jp.Space.point.estimate
+          then
+            Alcotest.failf "%s: %s estimate differs from a fresh run" name
+              (Pipeline.config_to_string jp.Space.config))
+        points;
+      if
+        List.exists
+          (fun k -> String.starts_with ~prefix:(k ^ " ") name)
+          [ "jac"; "sobel" ]
+      then
+        Alcotest.(check bool)
+          (name ^ ": some siblings reused")
+          true
+          (ctx.Design.stats.reused > 0))
+    (Lazy.force builtin_sweeps)
+
+(* The finishing memo lives only in the joint sweep's shared fronts: an
+   unroll-only sweep of every built-in and gallery kernel and an explore
+   session reuse nothing. *)
+let test_no_reuse_unshared () =
+  List.iter
+    (fun (name, k) ->
+      let ctx = Design.context ~profile k in
+      ignore (Space.sweep ~max_product:16 ~jobs:1 ctx);
+      Alcotest.(check int)
+        (name ^ ": unroll-only sweep reuses nothing")
+        0 ctx.Design.stats.reused)
+    all_kernels;
+  let summary =
+    Dse.Driver.run_many ~profile
+      (List.map
+         (fun name -> { Dse.Driver.name; kernel = kernel name })
+         [ "fir"; "jac" ])
+  in
+  Alcotest.(check int)
+    "explore session reuses nothing" 0 (Dse.Driver.total summary).reused
 
 (* The validator's findings from a shared front equal those of a full
    validated run, for every configuration finished from it, on every
@@ -728,10 +811,59 @@ let test_verified_shares_fronts () =
       Alcotest.(check int)
         (name ^ ": every evaluated point checked")
         (List.length jv.Space.points) s.checked_points;
+      Alcotest.(check int)
+        (name ^ ": every synthesis checked")
+        s.evaluations s.checked_points;
       Alcotest.(check int) (name ^ ": no violation") 0 s.verify_violations;
       Alcotest.(check int)
         (name ^ ": fronts shared as in the unverified sweep")
-        plain.Design.stats.fronts s.fronts)
+        plain.Design.stats.fronts s.fronts;
+      (* The finishing memo skips no validation: once a front has
+         finished every sibling, finishing them again under [observe]
+         still runs and shows peel (where it applies), LICM (where on)
+         and simplify for every configuration. *)
+      let options c = Pipeline.apply_config ~base:verified.Design.pipeline c in
+      let fronts = Hashtbl.create 16 in
+      let front_of (c : Pipeline.config) =
+        let key = Backend.front_key c in
+        match Hashtbl.find_opt fronts key with
+        | Some f -> f
+        | None ->
+            let f = Pipeline.front (options c) k in
+            Hashtbl.replace fronts key f;
+            f
+      in
+      List.iter
+        (fun (p : Space.joint_point) ->
+          let c = p.Space.config in
+          ignore (Pipeline.apply ~front:(front_of c) (options c) k))
+        jv.Space.points;
+      List.iter
+        (fun (p : Space.joint_point) ->
+          let c = p.Space.config in
+          let seen = ref [] in
+          let r =
+            Pipeline.apply
+              ~observe:(fun stage ~before:_ ~after:_ -> seen := stage :: !seen)
+              ~front:(front_of c) (options c) k
+          in
+          let report = r.Pipeline.report in
+          let peels =
+            c.Pipeline.peel
+            && (report.Transform.Scalar_replace.innermost_peels > 0
+               || report.Transform.Scalar_replace.carriers <> [])
+          in
+          let want =
+            (if peels then [ Pipeline.Peel ] else [])
+            @ (if c.Pipeline.licm then [ Pipeline.Licm ] else [])
+            @ [ Pipeline.Simplify ]
+          in
+          if List.rev !seen <> want then
+            Alcotest.failf "%s: %s observed %s" name
+              (Pipeline.config_to_string c)
+              (String.concat ", "
+                 (List.rev_map Pipeline.stage_name !seen)))
+        jv.Space.points)
     [ "fir"; "jac" ]
 
 let () =
@@ -782,6 +914,10 @@ let () =
           test_shared_front;
           Alcotest.test_case "every built-in survivor" `Quick
             test_shared_front_builtins;
+          Alcotest.test_case "siblings finish once" `Quick
+            test_siblings_finish_once;
+          Alcotest.test_case "no reuse outside shared fronts" `Quick
+            test_no_reuse_unshared;
           Alcotest.test_case "validated front = full run" `Quick
             test_validated_front_builtins;
           Alcotest.test_case "front for another key raises" `Quick
