@@ -622,8 +622,8 @@ let builtin_sweeps =
                       jp.Space.config)
                    k )
              in
-             ( Printf.sprintf "%s %s" name
-                 (if pipelined then "pipelined" else "non-pipelined"),
+             ( name,
+               (if pipelined then "pipelined" else "non-pipelined"),
                profile,
                ctx,
                List.map fresh j.Space.points ))
@@ -636,14 +636,15 @@ let builtin_sweeps =
    sweep built exactly one front per front key it synthesized. *)
 let test_shared_front_builtins () =
   List.iter
-    (fun (name, _, ctx, points) ->
+    (fun (name, model, _, ctx, points) ->
       List.iter
         (fun ((jp : Space.joint_point), (r : Pipeline.result)) ->
           if
             r.Pipeline.kernel <> jp.Space.point.kernel
             || r.Pipeline.report <> jp.Space.point.report
           then
-            Alcotest.failf "%s: %s differs from the unshared pipeline" name
+            Alcotest.failf "%s %s: %s differs from the unshared pipeline" name
+              model
               (Pipeline.config_to_string jp.Space.config))
         points;
       let keys =
@@ -667,26 +668,24 @@ let test_shared_front_builtins () =
 let test_siblings_finish_once () =
   let bytes (k : Ast.kernel) = Marshal.to_string k [ Marshal.No_sharing ] in
   List.iter
-    (fun (name, profile, ctx, points) ->
+    (fun (name, model, profile, ctx, points) ->
       List.iter
         (fun ((jp : Space.joint_point), (r : Pipeline.result)) ->
           if bytes r.Pipeline.kernel <> bytes jp.Space.point.kernel then
-            Alcotest.failf "%s: %s kernel differs from a fresh run" name
+            Alcotest.failf "%s %s: %s kernel differs from a fresh run" name
+              model
               (Pipeline.config_to_string jp.Space.config);
           if
             Hls.Estimate.estimate profile r.Pipeline.kernel
             <> jp.Space.point.estimate
           then
-            Alcotest.failf "%s: %s estimate differs from a fresh run" name
+            Alcotest.failf "%s %s: %s estimate differs from a fresh run" name
+              model
               (Pipeline.config_to_string jp.Space.config))
         points;
-      if
-        List.exists
-          (fun k -> String.starts_with ~prefix:(k ^ " ") name)
-          [ "jac"; "sobel" ]
-      then
+      if List.mem name [ "jac"; "sobel" ] then
         Alcotest.(check bool)
-          (name ^ ": some siblings reused")
+          (Printf.sprintf "%s %s: some siblings reused" name model)
           true
           (ctx.Design.stats.reused > 0))
     (Lazy.force builtin_sweeps)
