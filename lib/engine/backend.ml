@@ -298,10 +298,17 @@ let full_synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
   let t1 = Clock.now () in
   let timers = Hls.Estimate.fresh_timers () in
   let kernel = r.Transform.Pipeline.kernel in
-  (* A sibling whose finishing stages the front's memo served got the
-     physically same kernel back: its estimate is the sibling's. *)
+  (* A sibling that finished in an equal kernel has the sibling's
+     estimate. Plain fronts hand such siblings the physically same
+     kernel; verified ones run every stage under the validator and
+     build a fresh one, so the lookup is physical, then structural with
+     spans included, as {!Transform.Pipeline.front}'s memo compares. *)
+  let same k = k == kernel || compare k kernel = 0 in
   let estimate =
-    match Option.bind entry (fun e -> List.assq_opt kernel e.estimated) with
+    match
+      Option.bind entry (fun e ->
+          List.find_map (fun (k, est) -> if same k then Some est else None) e.estimated)
+    with
     | Some estimate ->
         stats.Store.reused <- stats.Store.reused + 1;
         estimate

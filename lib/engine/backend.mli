@@ -66,11 +66,14 @@ val front_key : Store.config -> front_key
 
 (** A front, built under the translation validator when the env
     verifies. It also keeps the finished kernel and estimate of each
-    configuration synthesized from it: when the pipeline hands a
-    sibling back the physically same kernel (its peel and LICM toggles
-    changed nothing, see {!Transform.Pipeline.front}), the sibling gets
-    that estimate without running the estimator, and the store counts
-    it in [reused]. *)
+    configuration synthesized from it: a sibling whose finished kernel
+    equals one of those (its peel and LICM toggles changed nothing, see
+    {!Transform.Pipeline.front}) gets that estimate without running the
+    estimator, and the store counts it in [reused]. Kernels are compared
+    physically, then structurally with spans included: a plain front
+    hands such a sibling the physically same kernel, while a verified
+    one runs every finishing stage under the validator and builds an
+    equal but fresh one. *)
 type front
 
 (** A table of fronts owned by one sweep over one env. Synthesis reads

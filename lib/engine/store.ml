@@ -43,10 +43,10 @@ type stats = {
           front among configurations that differ only in their peel and
           LICM toggles *)
   mutable reused : int;
-      (** syntheses served from a sibling of the same shared front: its
-          finishing stages ended in the physically same kernel, so the
-          final simplify and the estimator were skipped. Each is also
-          counted in [evaluations] *)
+      (** syntheses served from a sibling of the same shared front: the
+          finished kernel equals the sibling's (physically on a plain
+          front, structurally on a verified one), so the estimator was
+          skipped. Each is also counted in [evaluations] *)
   mutable cache_hits : int;
   mutable quick_estimates : int;
       (** tier-1 analytical lower bounds computed *)

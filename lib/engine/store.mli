@@ -32,10 +32,12 @@ type stats = {
           configurations that differ only in their peel and LICM
           toggles *)
   mutable reused : int;
-      (** syntheses served from a sibling of the same shared front
-          ({!Transform.Pipeline.apply} handed back the physically same
-          finished kernel), which skip the final simplify and the
-          estimator. Each is also counted in [evaluations] *)
+      (** syntheses served from a sibling of the same shared front: the
+          finished kernel equals the sibling's (physically on a plain
+          front, where {!Transform.Pipeline.apply} also skipped the
+          final simplify; structurally on a verified one, where every
+          stage ran under the validator), so the estimator was skipped.
+          Each is also counted in [evaluations] *)
   mutable cache_hits : int;
   mutable quick_estimates : int;
       (** tier-1 analytical lower bounds computed *)

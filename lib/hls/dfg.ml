@@ -141,41 +141,54 @@ type builder = {
 
 (** Append one node's canonical encoding (see {!fingerprint}'s contract
     below) to the running fingerprint. *)
-let rec add_digits buf n =
-  if n >= 10 then add_digits buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+let rec add_uvarint buf u =
+  (* 7 bits per byte, least significant first; the high bit marks a
+     continuation *)
+  if u land lnot 0x7f = 0 then Buffer.add_uint8 buf u
+  else begin
+    Buffer.add_uint8 buf (u land 0x7f lor 0x80);
+    add_uvarint buf (u lsr 7)
+  end
 
-let encode_fp buf kind preds =
-  (* decimal digits written directly: [string_of_int] would allocate a
-     string per predecessor of every node of every block *)
-  let int n =
-    if n < 0 then begin
-      Buffer.add_char buf '-';
-      add_digits buf (-n)
-    end
-    else add_digits buf n;
-    Buffer.add_char buf ','
-  in
+let add_varint buf n = add_uvarint buf ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
+
+let class_code : Op_model.op_class -> int = function
+  | Add -> 0
+  | Mul -> 1
+  | Div -> 2
+  | Cmp -> 3
+  | Logic -> 4
+  | Shift_const -> 5
+  | Shift_var -> 6
+  | Mux -> 7
+  | Abs_op -> 8
+  | Min_max -> 9
+
+let rec encode_fp buf id kind preds =
   (match kind with
-  | Source _ -> Buffer.add_char buf 's'
-  | Op { cls; width; _ } ->
-      Buffer.add_char buf 'o';
-      Buffer.add_string buf (Op_model.class_name cls);
-      Buffer.add_char buf ':';
-      int width
+  | Source _ -> Buffer.add_uint8 buf 0
   | Load { mem; width; _ } ->
-      Buffer.add_char buf 'l';
-      int mem;
-      int width
+      Buffer.add_uint8 buf 1;
+      add_varint buf mem;
+      add_varint buf width
   | Store { mem; width; _ } ->
-      Buffer.add_char buf 't';
-      int mem;
-      int width
-  | Move _ -> Buffer.add_char buf 'm'
-  | Move_out _ -> Buffer.add_char buf 'x'
-  | Reg_write _ -> Buffer.add_char buf 'r');
-  List.iter int preds;
-  Buffer.add_char buf ';'
+      Buffer.add_uint8 buf 2;
+      add_varint buf mem;
+      add_varint buf width
+  | Move _ -> Buffer.add_uint8 buf 3
+  | Move_out _ -> Buffer.add_uint8 buf 4
+  | Reg_write _ -> Buffer.add_uint8 buf 5
+  | Op { cls; width; _ } ->
+      Buffer.add_uint8 buf (16 + class_code cls);
+      add_varint buf width);
+  add_varint buf (List.length preds);
+  add_deltas buf id preds
+
+and add_deltas buf id = function
+  | [] -> ()
+  | p :: rest ->
+      add_varint buf (id - p);
+      add_deltas buf id rest
 
 let add b kind preds =
   let id = b.count in
@@ -186,7 +199,7 @@ let add b kind preds =
   end;
   b.a.buf.(id) <- { id; kind; preds };
   b.count <- id + 1;
-  encode_fp b.a.fp_buf kind preds;
+  encode_fp b.a.fp_buf id kind preds;
   id
 
 let scalar_input b v =
@@ -468,19 +481,26 @@ let of_block_with_defs ~(kernel : Ast.kernel) ~(mem_of : Access.t -> int)
 let of_block ~kernel ~mem_of ~cursor stmts =
   fst (of_block_with_defs ~kernel ~mem_of ~cursor stmts)
 
-(* The fingerprint contract (kept bit-compatible with the former
-   after-the-fact encoder, and realised incrementally by {!encode_fp}):
-   a compact, unambiguous encoding of exactly the schedule-relevant
-   projection of every node — the kind tag, operator class and width for
-   [Op], memory id and width for [Load]/[Store], and the predecessor
-   ids. Scalar and array names, constant values, semantic operations and
-   store guard polarities are deliberately excluded (the {!Schedule}
-   walker never reads them), so copies of a block differing only by
-   scalar renaming or by iteration-shifted address constants collide,
-   while two graphs with the same fingerprint schedule identically under
-   every profile. Every integer field is comma-terminated and fields
-   occupy fixed positions after the kind tag, so the encoding is
-   injective on the projection. *)
+(* The fingerprint contract (realised incrementally by {!encode_fp}):
+   a compact, unambiguous binary encoding of exactly the
+   schedule-relevant projection of every node — the kind tag, operator
+   class and width for [Op], memory id and width for [Load]/[Store],
+   and the predecessors. Scalar and array names, constant values,
+   semantic operations and store guard polarities are deliberately
+   excluded (the {!Schedule} walker never reads them), so copies of a
+   block differing only by scalar renaming or by iteration-shifted
+   address constants collide, while two graphs with the same
+   fingerprint schedule identically under every profile.
+
+   Each node is one tag byte (the kind, with the operator class folded
+   into [Op]'s), its integer fields as zigzag varints, then the number
+   of predecessors and each one as the varint delta [id - pred]. The
+   tag fixes how many fields follow, a varint's last byte is the one
+   without the high bit, and a node's id is its position, so the
+   encoding is injective on the projection: two blocks share a
+   fingerprint exactly when they would have shared the former decimal
+   one ([test/test_fingerprint.ml] checks this on every block of the
+   built-in sweeps). *)
 
 let n_loads (g : t) =
   let acc = ref 0 in

@@ -32,7 +32,7 @@ let default_profile ?(pipelined = true) ?(chaining = false) () =
    stores are keyed on it, so a stale bump silently serves wrong
    estimates while a missed bump only costs a cold start: when in doubt,
    bump. *)
-let version = "1"
+let version = "2"
 
 type t = {
   cycles : int;  (** total execution cycles of the whole nest *)

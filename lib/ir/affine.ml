@@ -31,17 +31,20 @@ let const_part t = t.const
 let coeff t v = try List.assoc v t.terms with Not_found -> 0
 let vars t = List.map fst t.terms
 
-let rec merge f a b =
+(* Two normalized term lists merge into a sorted, duplicate-free list
+   without a re-sort; only coefficients that cancel drop out. *)
+let rec merge a b =
   match (a, b) with
-  | [], rest | rest, [] -> List.map (fun (v, c) -> (v, f c 0)) rest
-  | (va, ca) :: ta, (vb, cb) :: tb ->
+  | [], rest | rest, [] -> rest
+  | ((va, ca) as ta) :: ra, ((vb, cb) as tb) :: rb ->
       let cmp = String.compare va vb in
-      if cmp = 0 then (va, f ca cb) :: merge f ta tb
-      else if cmp < 0 then (va, f ca 0) :: merge f ta ((vb, cb) :: tb)
-      else (vb, f 0 cb) :: merge f ((va, ca) :: ta) tb
+      if cmp = 0 then
+        let c = ca + cb in
+        if c = 0 then merge ra rb else (va, c) :: merge ra rb
+      else if cmp < 0 then ta :: merge ra b
+      else tb :: merge a rb
 
-let add a b =
-  { terms = normalize (merge ( + ) a.terms b.terms); const = a.const + b.const }
+let add a b = { terms = merge a.terms b.terms; const = a.const + b.const }
 
 let neg a =
   { terms = List.map (fun (v, c) -> (v, -c)) a.terms; const = -a.const }
@@ -57,6 +60,13 @@ let scale k a =
 let mul a b =
   if is_const a then Some (scale a.const b)
   else if is_const b then Some (scale b.const a)
+  else None
+
+(** Exact division by a constant: [None] unless [d] is nonzero and
+    divides every coefficient and the constant. *)
+let div a d =
+  if d <> 0 && a.const mod d = 0 && List.for_all (fun (_, c) -> c mod d = 0) a.terms
+  then Some { terms = List.map (fun (v, c) -> (v, c / d)) a.terms; const = a.const / d }
   else None
 
 (** Linearize an AST expression into an affine form over the variables it
@@ -79,18 +89,7 @@ let rec of_expr (e : Ast.expr) : t option =
       | _ -> None)
   | Bin (Div, a, b) -> (
       match (of_expr a, of_expr b) with
-      | Some fa, Some fb when is_const fb && fb.const <> 0 ->
-          let d = fb.const in
-          let divides =
-            fa.const mod d = 0 && List.for_all (fun (_, c) -> c mod d = 0) fa.terms
-          in
-          if divides then
-            Some
-              {
-                terms = List.map (fun (v, c) -> (v, c / d)) fa.terms;
-                const = fa.const / d;
-              }
-          else None
+      | Some fa, Some fb when is_const fb -> div fa fb.const
       | _ -> None)
   | _ -> None
 

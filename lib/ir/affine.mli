@@ -40,6 +40,10 @@ val scale : int -> t -> t
 (** Product, affine only when one side is constant. *)
 val mul : t -> t -> t option
 
+(** Exact division by a constant: [None] unless the divisor is nonzero
+    and divides every coefficient and the constant. *)
+val div : t -> int -> t option
+
 (** Linearize an AST expression. [None] for non-affine expressions
     (products of variables, array reads, conditionals, inexact
     division). *)

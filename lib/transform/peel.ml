@@ -105,6 +105,3 @@ let peel_last ~index (body : stmt list) : stmt list =
     if !changed then body' else body
   in
   go body
-
-let run ~index (k : kernel) : kernel =
-  Simplify.run { k with k_body = peel_first ~index k.k_body }

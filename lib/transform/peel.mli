@@ -15,6 +15,3 @@ val peel_first : index:string -> Ast.stmt list -> Ast.stmt list
 
 (** Peel the last iteration instead (store sinking epilogues). *)
 val peel_last : index:string -> Ast.stmt list -> Ast.stmt list
-
-(** [peel_first] on the kernel, followed by simplification. *)
-val run : index:string -> Ast.kernel -> Ast.kernel

@@ -70,16 +70,66 @@ let rec fold_expr (e : expr) : expr =
       | Sub, Bin (Sub, x, Int c1), Int c2 -> fold_expr (Bin (Sub, x, Int (c1 + c2)))
       | _ -> if a == a0 && b == b0 then e else Bin (op, a, b))
 
+(* ------------------------------------------------------------------ *)
+(* Canonical affine spellings *)
+
+(* [terms_ok e ~bounded ~below] holds when [e] spells a nonempty term
+   list the way [Affine.to_expr] does — first term [v], [-v] or [c*v]
+   with [c] not in {-1, 0, 1}, then [+ v], [- v], [+ c*v] or [- c*v]
+   with [c >= 2] — in strictly increasing variable order, every
+   variable below [below] when [bounded]. Allocation-free. *)
+let rec terms_ok e ~bounded ~below =
+  match e with
+  | Var v | Un (Neg, Var v) -> fits v ~bounded ~below
+  | Bin (Mul, Int c, Var v) -> c <> 0 && c <> 1 && c <> -1 && fits v ~bounded ~below
+  | Bin ((Add | Sub), p, Var v) ->
+      fits v ~bounded ~below && terms_ok p ~bounded:true ~below:v
+  | Bin ((Add | Sub), p, Bin (Mul, Int c, Var v)) ->
+      c >= 2 && fits v ~bounded ~below && terms_ok p ~bounded:true ~below:v
+  | _ -> false
+
+and fits v ~bounded ~below = (not bounded) || String.compare v below < 0
+
+(** [e] is spelled [Affine.to_expr] of its form. *)
+let canonical e =
+  match e with
+  | Int _ -> true
+  | Bin ((Add | Sub), p, Int c) -> c > 0 && terms_ok p ~bounded:false ~below:""
+  | _ -> terms_ok e ~bounded:false ~below:""
+
+(* The form of a canonical spelling, read off its left spine in one
+   walk: the spine ends at the first term, so consing from the root
+   yields the terms already sorted. *)
+let decode (e : expr) : Affine.t =
+  let rec terms e acc =
+    match e with
+    | Var v -> (v, 1) :: acc
+    | Un (Neg, Var v) -> (v, -1) :: acc
+    | Bin (Mul, Int c, Var v) -> (v, c) :: acc
+    | Bin (Add, p, Var v) -> terms p ((v, 1) :: acc)
+    | Bin (Add, p, Bin (Mul, Int c, Var v)) -> terms p ((v, c) :: acc)
+    | Bin (Sub, p, Var v) -> terms p ((v, -1) :: acc)
+    | Bin (Sub, p, Bin (Mul, Int c, Var v)) -> terms p ((v, -c) :: acc)
+    | _ -> invalid_arg "Simplify.decode: not a canonical affine spelling"
+  in
+  match e with
+  | Int n -> Affine.const n
+  | Bin (Add, p, Int c) -> { Affine.terms = terms p []; const = c }
+  | Bin (Sub, p, Int c) -> { Affine.terms = terms p []; const = -c }
+  | _ -> { Affine.terms = terms e []; const = 0 }
+
 (** Normalise an expression through its affine form when possible — the
     canonical shape later passes compare syntactically. Returns the
     input physically unchanged when it is already in canonical form. *)
 let canon_expr e =
   let e' = fold_expr e in
-  match Affine.of_expr e' with
-  | None -> e'
-  | Some f ->
-      let c = Affine.to_expr f in
-      if c = e then e else c
+  if e' == e && canonical e then e
+  else
+    match Affine.of_expr e' with
+    | None -> e'
+    | Some f ->
+        let c = Affine.to_expr f in
+        if c = e then e else c
 
 (* [fold_expr] restricted to the root: operands are assumed already
    folded, so only the node's own arms apply. Re-association arms
@@ -134,62 +184,166 @@ let rec fold1 (e : expr) : expr =
       | Sub, Bin (Sub, x, Int c1), Int c2 -> fold1 (Bin (Sub, x, Int (c1 + c2)))
       | _ -> e)
 
+(* ------------------------------------------------------------------ *)
+(* One bottom-up canonicalization pass *)
+
+(* What [canon] reports about the expression it returns, in place of a
+   re-walk: whether it is affine (what [Affine.of_expr] accepts) and, if
+   so, its constant part and whether it has variable terms, the last
+   (greatest) of which is [last]. An affine result is always spelled
+   [Affine.to_expr] of its form, so [aff] also means "canonical". One
+   record serves a whole pass: each call overwrites it for its caller,
+   which copies what it needs into locals before the next call. *)
+type summary = {
+  mutable aff : bool;
+  mutable const : int;
+  mutable has_terms : bool;
+  mutable last : string;
+}
+
+let not_affine st e =
+  st.aff <- false;
+  e
+
+let affine_const st n e =
+  st.aff <- true;
+  st.const <- n;
+  st.has_terms <- false;
+  e
+
+let affine_terms st ~const ~last e =
+  st.aff <- true;
+  st.const <- const;
+  st.has_terms <- true;
+  st.last <- last;
+  e
+
+(* A fresh canonical spelling of [f]. *)
+let finish st (f : Affine.t) =
+  let rec last = function [ (v, _) ] -> v | _ :: tl -> last tl | [] -> "" in
+  st.aff <- true;
+  st.const <- f.const;
+  st.has_terms <- f.terms <> [];
+  st.last <- last f.terms;
+  Affine.to_expr f
+
+(* An [Add]/[Sub]/[Mul]/[Div] node over affine operands that is not
+   already canonical, with a constant factor or divisor: respelled from
+   its operands' forms, or left as it is when the division is inexact. *)
+let arith_node st op a b e =
+  match op with
+  | Add -> finish st (Affine.add (decode a) (decode b))
+  | Sub -> finish st (Affine.sub (decode a) (decode b))
+  | Mul -> finish st (Option.get (Affine.mul (decode a) (decode b)))
+  | Div -> (
+      match Affine.div (decode a) (decode b).const with
+      | Some f -> finish st f
+      | None -> not_affine st e)
+  | _ -> not_affine st e
+
 (** [map_expr canon_expr] applies {!canon_expr} at every node, and each
     application re-walks its whole subtree ([fold_expr] and
     [Affine.of_expr] both recurse) — quadratic on the long accumulation
-    chains unrolling builds. [canon_rec] computes the same result in one
+    chains unrolling builds. [canon] computes the same result in one
     bottom-up pass: operands are canonicalized exactly once, folding at
-    a node assumes folded operands ({!fold1}), and the affine attempt is
-    skipped outright when an operand is already known non-affine. The
-    boolean tracks "may be affine" — exactly the shapes
-    [Affine.of_expr] accepts — so it never skips a node the original
-    would have normalised. *)
-let rec canon_rec (e0 : expr) : expr * bool =
-  let e, cap =
-    match e0 with
-    | Int _ | Var _ -> (e0, true)
-    | Arr (a, subs) ->
-        let subs' = Ast.map_sharing (fun s -> fst (canon_rec s)) subs in
-        ((if subs' == subs then e0 else Arr (a, subs')), false)
-    | Un (op, a) ->
-        let a', ca = canon_rec a in
-        ((if a' == a then e0 else Un (op, a')), op = Neg && ca)
-    | Bin (op, a, b) ->
-        let a', ca = canon_rec a and b', cb = canon_rec b in
-        ( (if a' == a && b' == b then e0 else Bin (op, a', b')),
-          (match op with Add | Sub | Mul | Div -> ca && cb | _ -> false) )
-    | Cond (c, t, el) ->
-        let c', _ = canon_rec c
-        and t', _ = canon_rec t
-        and el', _ = canon_rec el in
-        ( (if c' == c && t' == t && el' == el then e0
-           else Cond (c', t', el')),
-          false )
-  in
-  let e' = fold1 e in
-  if e' == e then
-    if not cap then (e, false)
-    else
-      match Affine.of_expr e with
-      | None -> (e, false)
-      | Some f ->
-          let c = Affine.to_expr f in
-          ((if c = e then e else c), true)
-  else begin
-    (* An arm fired: the result is a constant, an already-canonical
-       operand, or a small rebuilt node — finish it the way [canon_expr]
-       would, with walks bounded by that result. *)
-    let r = fold_expr e' in
-    match Affine.of_expr r with
-    | None -> (r, false)
-    | Some f ->
-        let c = Affine.to_expr f in
-        ((if c = e then e else c), true)
-  end
+    a node assumes folded operands ({!fold1}), and each operand's
+    {!summary} decides the node from its root alone.
 
-let canon_deep e = fst (canon_rec e)
+    - An affine node whose operands are canonical is itself canonical
+      exactly when its root continues their spelling: [p + v] or
+      [p - v] with [p] constant-free and ending below [v], [p + c] or
+      [p - c] with [c > 0] after a constant-free [p], [c*v] with [c]
+      not in {-1, 0, 1}, [-v]. Such a node comes back physically
+      unchanged, in O(1) and without allocating.
+    - Any other affine node is respelled from its operands' forms,
+      {!decode}d from their canonical spellings (one walk of each
+      operand's term spine, never of a non-affine operand).
+    - When a folding arm fires, an affine result is respelled fresh and
+      a non-affine one returned as folded: the folded node is already a
+      {!fold_expr} fixpoint, because its parts are.
 
-let rec simpl_stmt (s : stmt) : stmt list =
+    The result, its sharing included, is the one
+    [canon_expr]-at-every-node gives. *)
+let rec canon st (e0 : expr) : expr =
+  match e0 with
+  | Int n -> affine_const st n e0
+  | Var v -> affine_terms st ~const:0 ~last:v e0
+  | Arr (a, subs) ->
+      let subs' = canon_list st subs in
+      not_affine st (if subs' == subs then e0 else Arr (a, subs'))
+  | Un (op, a0) -> (
+      let a = canon st a0 in
+      let aa = st.aff in
+      let e = if a == a0 then e0 else Un (op, a) in
+      match (op, a) with
+      | Neg, Int n -> finish st (Affine.const (-n))
+      | Not, Int n -> finish st (Affine.const (if n = 0 then 1 else 0))
+      | Bnot, Int n -> finish st (Affine.const (lnot n))
+      | Abs, Int n -> finish st (Affine.const (abs n))
+      | Neg, Un (Neg, x) ->
+          (* [x] is affine exactly when [a] is, and then a variable *)
+          if aa then finish st (decode x) else not_affine st x
+      | Neg, Var v -> affine_terms st ~const:0 ~last:v e
+      | Neg, _ when aa -> finish st (Affine.neg (decode a))
+      | _ -> not_affine st e)
+  | Cond (c0, t0, el0) -> (
+      let c = canon st c0 in
+      let t = canon st t0 in
+      let ta = st.aff in
+      let el = canon st el0 in
+      match c with
+      | Int 0 -> if st.aff then finish st (decode el) else el
+      | Int _ -> if ta then finish st (decode t) else not_affine st t
+      | _ ->
+          not_affine st
+            (if c == c0 && t == t0 && el == el0 then e0 else Cond (c, t, el)))
+  | Bin (op, a0, b0) ->
+      let a = canon st a0 in
+      let aa = st.aff and ac = st.const and at = st.has_terms and al = st.last in
+      let b = canon st b0 in
+      let ba = st.aff and bt = st.has_terms in
+      let e = if a == a0 && b == b0 then e0 else Bin (op, a, b) in
+      let e' = fold1 e in
+      if e' != e then
+        if e' == a then if aa then finish st (decode a) else not_affine st a
+        else if e' == b then if ba then finish st (decode b) else not_affine st b
+        else
+          match e' with
+          | Int n -> finish st (Affine.const n)
+          | _ ->
+              (* a re-associated constant chain [x + c1 + c2]: affine
+                 exactly when [a = x + c1] is, with [a + b]'s form *)
+              if aa && ba then arith_node st op a b e' else not_affine st e'
+      else if not (aa && ba) then not_affine st e
+      else begin
+        match (op, a, b) with
+        | (Add | Sub), _, Var v when ac = 0 && at && String.compare al v < 0 ->
+            affine_terms st ~const:0 ~last:v e
+        | (Add | Sub), _, Bin (Mul, Int c, Var v)
+          when c >= 2 && ac = 0 && at && String.compare al v < 0 ->
+            affine_terms st ~const:0 ~last:v e
+        | Add, _, Int c when c > 0 && ac = 0 && at -> affine_terms st ~const:c ~last:al e
+        | Sub, _, Int c when c > 0 && ac = 0 && at ->
+            affine_terms st ~const:(-c) ~last:al e
+        | Mul, Int c, Var v when c <> 0 && c <> 1 && c <> -1 ->
+            affine_terms st ~const:0 ~last:v e
+        | Mul, _, _ when at && bt -> not_affine st e
+        | Div, _, _ when bt -> not_affine st e
+        | _ -> arith_node st op a b e
+      end
+
+and canon_list st l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+      let x' = canon st x in
+      let rest' = canon_list st rest in
+      if x' == x && rest' == rest then l else x' :: rest'
+
+(* Statement results: [Same] keeps the statement, allocating nothing. *)
+type change = Same | Changed of stmt list
+
+let rec simpl_stmt st (s : stmt) : change =
   match s with
   | Assign (lv, e) ->
       let lv' =
@@ -199,40 +353,42 @@ let rec simpl_stmt (s : stmt) : stmt list =
             let subs' = Ast.map_sharing canon_expr subs in
             if subs' == subs then lv else Larr (a, subs')
       in
-      let e' = canon_deep e in
-      if lv' == lv && e' == e then [ s ] else [ Assign (lv', e') ]
+      let e' = canon st e in
+      if lv' == lv && e' == e then Same else Changed [ Assign (lv', e') ]
   | If (c, t, el) -> (
-      let c' = canon_deep c in
-      let t' = simpl_body t and el' = simpl_body el in
+      let c' = canon st c in
+      let t' = simpl_body_st st t and el' = simpl_body_st st el in
       match c' with
-      | Int 0 -> el'
-      | Int _ -> t'
+      | Int 0 -> Changed el'
+      | Int _ -> Changed t'
       | _ ->
-          if t' = [] && el' = [] then []
-          else if c' == c && t' == t && el' == el then [ s ]
-          else [ If (c', t', el') ])
+          if t' = [] && el' = [] then Changed []
+          else if c' == c && t' == t && el' == el then Same
+          else Changed [ If (c', t', el') ])
   | For l ->
       let trip = Ast.loop_trip l in
-      if trip = 0 then []
+      if trip = 0 then Changed []
       else if trip = 1 then
         (* Single-iteration loops are inlined so that analyses see their
            body's subscripts as constants in the index. *)
-        simpl_body (Ast.subst_var l.index (Int l.lo) l.body)
+        Changed (simpl_body_st st (Ast.subst_var l.index (Int l.lo) l.body))
       else
-        let body' = simpl_body l.body in
-        if body' == l.body then [ s ] else [ For { l with body = body' } ]
-  | Rotate _ -> [ s ]
+        let body' = simpl_body_st st l.body in
+        if body' == l.body then Same else Changed [ For { l with body = body' } ]
+  | Rotate _ -> Same
 
-and simpl_body body =
+and simpl_body_st st body =
   match body with
   | [] -> []
   | s :: rest -> (
-      let ss = simpl_stmt s in
-      let rest' = simpl_body rest in
+      let ss = simpl_stmt st s in
+      let rest' = simpl_body_st st rest in
       match ss with
-      | [ s' ] when s' == s && rest' == rest -> body
-      | _ -> ss @ rest')
+      | Same -> if rest' == rest then body else s :: rest'
+      | Changed ss -> ss @ rest')
 
+let fresh_summary () = { aff = false; const = 0; has_terms = false; last = "" }
+let simpl_body body = simpl_body_st (fresh_summary ()) body
 let run (k : Ast.kernel) : Ast.kernel = { k with k_body = simpl_body k.k_body }
 
 (* ------------------------------------------------------------------ *)

@@ -1,12 +1,15 @@
 (** Reference implementations for the equivalence properties of
-    [test_reference_equiv.ml]: the straightforward flow analyses and
-    footprint interpreter the optimized library versions must agree
-    with, solution for solution and byte for byte. They recompute every
+    [test_reference_equiv.ml] and [test_fingerprint.ml]: the
+    straightforward flow analyses, footprint interpreter, simplifier and
+    fingerprint encoder the optimized library versions must agree with,
+    solution for solution and byte for byte. They recompute every
     node's uses and definitions from the syntax on demand, build kill
     sets by scanning all definitions, filter whole fact sets in the
-    transfer functions, and interpret footprints over a string-keyed
-    [Hashtbl] environment. Only the types ([loc], [LocSet], [def],
-    [solution], [array_fp], ...) are shared with the library. *)
+    transfer functions, interpret footprints over a string-keyed
+    [Hashtbl] environment, re-derive every affine form from the syntax
+    and encode fingerprints as decimal text. Only the types ([loc],
+    [LocSet], [def], [solution], [array_fp], ...) and the simplifier's
+    unchanged [fold_expr] are shared with the library. *)
 
 open Ir
 
@@ -687,4 +690,223 @@ module Quick_footprint = struct
     in
     let finished = (try List.iter walk k.Ast.k_body; true with Out_of_budget -> false) in
     ((Hashtbl.length reads, Hashtbl.length writes), finished)
+end
+
+(** [Transform.Simplify]'s canonicalization as it was before each result
+    carried a summary of its affine form: at every affine node it
+    re-derives the form with [Affine.of_expr] (a walk of the whole
+    subtree), respells it with [Affine.to_expr] and compares the
+    spelling structurally with the node; when a folding arm fires it
+    refolds the result with [fold_expr] first. *)
+module Simplify = struct
+  open Ast
+
+  (* [fold_expr] itself is unchanged; sharing it keeps the constant
+     nodes it builds the same physical blocks on both sides. *)
+  let fold_expr = Transform.Simplify.fold_expr
+
+  (** Normalise an expression through its affine form when possible — the
+      canonical shape later passes compare syntactically. Returns the
+      input physically unchanged when it is already in canonical form. *)
+  let canon_expr e =
+    let e' = fold_expr e in
+    match Affine.of_expr e' with
+    | None -> e'
+    | Some f ->
+        let c = Affine.to_expr f in
+        if c = e then e else c
+
+  (* [fold_expr] restricted to the root: operands are assumed already
+     folded, so only the node's own arms apply. Re-association arms
+     recurse on the node they rebuild (depth bounded by the constant
+     chain), never into operands. *)
+  let rec fold1 (e : expr) : expr =
+    match e with
+    | Int _ | Var _ | Arr _ -> e
+    | Un (op, a) -> (
+        match (op, a) with
+        | Neg, Int n -> Int (-n)
+        | Not, Int n -> Int (if n = 0 then 1 else 0)
+        | Bnot, Int n -> Int (lnot n)
+        | Abs, Int n -> Int (abs n)
+        | Neg, Un (Neg, x) -> x
+        | _ -> e)
+    | Cond (c, t, el) -> ( match c with Int 0 -> el | Int _ -> t | _ -> e)
+    | Bin (op, a, b) -> (
+        match (op, a, b) with
+        | Add, Int x, Int y -> Int (x + y)
+        | Sub, Int x, Int y -> Int (x - y)
+        | Mul, Int x, Int y -> Int (x * y)
+        | Div, Int x, Int y when y <> 0 -> Int (x / y)
+        | Mod, Int x, Int y when y <> 0 -> Int (x mod y)
+        | Lt, Int x, Int y -> Int (if x < y then 1 else 0)
+        | Le, Int x, Int y -> Int (if x <= y then 1 else 0)
+        | Gt, Int x, Int y -> Int (if x > y then 1 else 0)
+        | Ge, Int x, Int y -> Int (if x >= y then 1 else 0)
+        | Eq, Int x, Int y -> Int (if x = y then 1 else 0)
+        | Ne, Int x, Int y -> Int (if x <> y then 1 else 0)
+        | And, Int x, Int y -> Int (if x <> 0 && y <> 0 then 1 else 0)
+        | Or, Int x, Int y -> Int (if x <> 0 || y <> 0 then 1 else 0)
+        | Band, Int x, Int y -> Int (x land y)
+        | Bor, Int x, Int y -> Int (x lor y)
+        | Bxor, Int x, Int y -> Int (x lxor y)
+        | Shl, Int x, Int y when y >= 0 -> Int (x lsl y)
+        | Shr, Int x, Int y when y >= 0 -> Int (x asr y)
+        | Min, Int x, Int y -> Int (min x y)
+        | Max, Int x, Int y -> Int (max x y)
+        | Add, x, Int 0 | Add, Int 0, x -> x
+        | Sub, x, Int 0 -> x
+        | Mul, _, Int 0 | Mul, Int 0, _ -> Int 0
+        | Mul, x, Int 1 | Mul, Int 1, x -> x
+        | Div, x, Int 1 -> x
+        | And, x, Int n when n <> 0 -> x
+        | And, Int n, x when n <> 0 -> x
+        | And, _, Int 0 | And, Int 0, _ -> Int 0
+        | Or, x, Int 0 | Or, Int 0, x -> x
+        | Add, Bin (Add, x, Int c1), Int c2 -> fold1 (Bin (Add, x, Int (c1 + c2)))
+        | Add, Bin (Sub, x, Int c1), Int c2 -> fold1 (Bin (Add, x, Int (c2 - c1)))
+        | Sub, Bin (Add, x, Int c1), Int c2 -> fold1 (Bin (Add, x, Int (c1 - c2)))
+        | Sub, Bin (Sub, x, Int c1), Int c2 -> fold1 (Bin (Sub, x, Int (c1 + c2)))
+        | _ -> e)
+
+  (** [map_expr canon_expr] applies {!canon_expr} at every node, and each
+      application re-walks its whole subtree ([fold_expr] and
+      [Affine.of_expr] both recurse) — quadratic on the long accumulation
+      chains unrolling builds. [canon_rec] computes the same result in one
+      bottom-up pass: operands are canonicalized exactly once, folding at
+      a node assumes folded operands ({!fold1}), and the affine attempt is
+      skipped outright when an operand is already known non-affine. The
+      boolean tracks "may be affine" — exactly the shapes
+      [Affine.of_expr] accepts — so it never skips a node the original
+      would have normalised. *)
+  let rec canon_rec (e0 : expr) : expr * bool =
+    let e, cap =
+      match e0 with
+      | Int _ | Var _ -> (e0, true)
+      | Arr (a, subs) ->
+          let subs' = Ast.map_sharing (fun s -> fst (canon_rec s)) subs in
+          ((if subs' == subs then e0 else Arr (a, subs')), false)
+      | Un (op, a) ->
+          let a', ca = canon_rec a in
+          ((if a' == a then e0 else Un (op, a')), op = Neg && ca)
+      | Bin (op, a, b) ->
+          let a', ca = canon_rec a and b', cb = canon_rec b in
+          ( (if a' == a && b' == b then e0 else Bin (op, a', b')),
+            (match op with Add | Sub | Mul | Div -> ca && cb | _ -> false) )
+      | Cond (c, t, el) ->
+          let c', _ = canon_rec c
+          and t', _ = canon_rec t
+          and el', _ = canon_rec el in
+          ( (if c' == c && t' == t && el' == el then e0
+             else Cond (c', t', el')),
+            false )
+    in
+    let e' = fold1 e in
+    if e' == e then
+      if not cap then (e, false)
+      else
+        match Affine.of_expr e with
+        | None -> (e, false)
+        | Some f ->
+            let c = Affine.to_expr f in
+            ((if c = e then e else c), true)
+    else begin
+      (* An arm fired: the result is a constant, an already-canonical
+         operand, or a small rebuilt node — finish it the way [canon_expr]
+         would, with walks bounded by that result. *)
+      let r = fold_expr e' in
+      match Affine.of_expr r with
+      | None -> (r, false)
+      | Some f ->
+          let c = Affine.to_expr f in
+          ((if c = e then e else c), true)
+    end
+
+  let canon_deep e = fst (canon_rec e)
+
+  let rec simpl_stmt (s : stmt) : stmt list =
+    match s with
+    | Assign (lv, e) ->
+        let lv' =
+          match lv with
+          | Lvar _ -> lv
+          | Larr (a, subs) ->
+              let subs' = Ast.map_sharing canon_expr subs in
+              if subs' == subs then lv else Larr (a, subs')
+        in
+        let e' = canon_deep e in
+        if lv' == lv && e' == e then [ s ] else [ Assign (lv', e') ]
+    | If (c, t, el) -> (
+        let c' = canon_deep c in
+        let t' = simpl_body t and el' = simpl_body el in
+        match c' with
+        | Int 0 -> el'
+        | Int _ -> t'
+        | _ ->
+            if t' = [] && el' = [] then []
+            else if c' == c && t' == t && el' == el then [ s ]
+            else [ If (c', t', el') ])
+    | For l ->
+        let trip = Ast.loop_trip l in
+        if trip = 0 then []
+        else if trip = 1 then
+          (* Single-iteration loops are inlined so that analyses see their
+             body's subscripts as constants in the index. *)
+          simpl_body (Ast.subst_var l.index (Int l.lo) l.body)
+        else
+          let body' = simpl_body l.body in
+          if body' == l.body then [ s ] else [ For { l with body = body' } ]
+    | Rotate _ -> [ s ]
+
+  and simpl_body body =
+    match body with
+    | [] -> []
+    | s :: rest -> (
+        let ss = simpl_stmt s in
+        let rest' = simpl_body rest in
+        match ss with
+        | [ s' ] when s' == s && rest' == rest -> body
+        | _ -> ss @ rest')
+
+  let run (k : Ast.kernel) : Ast.kernel = { k with k_body = simpl_body k.k_body }
+end
+
+(** [Hls.Dfg]'s fingerprint as it was encoded in decimal text: per
+    node, a kind letter ([o] followed by the operator class name, a
+    colon and the width for an [Op]; memory id and width after [l] and
+    [t]), every integer comma-terminated, then the predecessors'
+    absolute ids, then a semicolon. *)
+module Fingerprint = struct
+  open Hls.Dfg
+
+  let decimal (g : t) : string =
+    let buf = Buffer.create 1024 in
+    let int n =
+      Buffer.add_string buf (string_of_int n);
+      Buffer.add_char buf ','
+    in
+    for i = 0 to g.len - 1 do
+      let node = g.nodes.(i) in
+      (match node.kind with
+      | Source _ -> Buffer.add_char buf 's'
+      | Op { cls; width; _ } ->
+          Buffer.add_char buf 'o';
+          Buffer.add_string buf (Hls.Op_model.class_name cls);
+          Buffer.add_char buf ':';
+          int width
+      | Load { mem; width; _ } ->
+          Buffer.add_char buf 'l';
+          int mem;
+          int width
+      | Store { mem; width; _ } ->
+          Buffer.add_char buf 't';
+          int mem;
+          int width
+      | Move _ -> Buffer.add_char buf 'm'
+      | Move_out _ -> Buffer.add_char buf 'x'
+      | Reg_write _ -> Buffer.add_char buf 'r');
+      List.iter int node.preds;
+      Buffer.add_char buf ';'
+    done;
+    Buffer.contents buf
 end

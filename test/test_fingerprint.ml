@@ -77,7 +77,92 @@ let test_fingerprint_separates () =
         B.store1 "x" (B.int 1) (B.var "s");
       ]
   in
-  Alcotest.(check bool) "extra store separates" false (base = fp_of wider)
+  Alcotest.(check bool) "extra store separates" false (base = fp_of wider);
+  (* operator width alone: a scalar product, no memory access *)
+  let product elem =
+    B.kernel "blk"
+      ~scalars:
+        [ Ast.scalar_decl ~elem "a"; Ast.scalar_decl ~elem "b"; Ast.scalar_decl ~elem "s" ]
+      [ B.set "s" B.(var "a" * var "b") ]
+  in
+  Alcotest.(check bool) "different operator width separates" false
+    (fp_of (product Dtype.int16) = fp_of (product Dtype.int32))
+
+(* Every block the estimator builds for [k] under [profile], in its
+   order: the maximal straight-line chunks of each statement list, loop
+   bodies included. Each pair is the block's fingerprint and its former
+   decimal encoding. *)
+let block_fingerprints (profile : Hls.Estimate.profile) (k : Ast.kernel) =
+  let accesses = Analysis.Access.collect k.Ast.k_body in
+  let layout =
+    Data_layout.Layout.assign
+      ~num_memories:profile.Hls.Estimate.device.Hls.Device.num_memories k accesses
+  in
+  let build =
+    Hls.Dfg.block_builder ~kernel:k
+      ~mem_of:(Data_layout.Layout.memory_of layout)
+      ~cursor:(Hls.Dfg.cursor_of accesses)
+  in
+  let out = ref [] in
+  let rec walk body =
+    let flush chunk =
+      match List.rev chunk with
+      | [] -> ()
+      | stmts ->
+          let g = build stmts in
+          out := (Hls.Dfg.fingerprint g, Reference.Fingerprint.decimal g) :: !out
+    in
+    let rec go chunk = function
+      | [] -> flush chunk
+      | Ast.For l :: rest ->
+          flush chunk;
+          walk l.Ast.body;
+          go [] rest
+      | s :: rest -> go (s :: chunk) rest
+    in
+    go [] body
+  in
+  walk k.Ast.k_body;
+  List.rev !out
+
+(* Two blocks share a fingerprint exactly when they share the decimal
+   one, over every block of every built-in and gallery kernel's
+   product-64 sweep under both memory models: the memo collides where
+   it always did. *)
+let test_fingerprint_matches_reference () =
+  let fwd = Hashtbl.create 4096 and bwd = Hashtbl.create 4096 in
+  let blocks = ref 0 in
+  let agree tbl key value what =
+    match Hashtbl.find_opt tbl key with
+    | None -> Hashtbl.replace tbl key value
+    | Some v ->
+        if v <> value then Alcotest.failf "two blocks share a %s fingerprint only" what
+  in
+  List.iter
+    (fun pipelined ->
+      let profile = Hls.Estimate.default_profile ~pipelined () in
+      List.iter
+        (fun k ->
+          let ctx = Design.context ~profile k in
+          let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Design.spine in
+          List.iter
+            (fun vector ->
+              let r =
+                Transform.Pipeline.apply { Transform.Pipeline.default with vector } k
+              in
+              List.iter
+                (fun (fp, decimal) ->
+                  incr blocks;
+                  agree fwd fp decimal "new";
+                  agree bwd decimal fp "decimal")
+                (block_fingerprints profile r.Transform.Pipeline.kernel))
+            (Dse.Util.divisor_vectors ~max_product:64 ctx ~eligible))
+        (List.map (fun n -> Option.get (Kernels.find n)) Kernels.names
+        @ List.map (fun n -> Option.get (Gallery.find n)) Gallery.names))
+    [ true; false ];
+  Alcotest.(check bool) "blocks were compared" true (!blocks > 0);
+  Alcotest.(check int) "as many distinct fingerprints as decimal ones"
+    (Hashtbl.length bwd) (Hashtbl.length fwd)
 
 (* ------------------------------------------------------------------ *)
 (* Exactness: memoized estimate = plain estimate, field for field *)
@@ -219,6 +304,8 @@ let () =
             test_fingerprint_collides;
           Alcotest.test_case "structural differences separate" `Quick
             test_fingerprint_separates;
+          Alcotest.test_case "same collisions as decimal" `Quick
+            test_fingerprint_matches_reference;
         ] );
       ( "memo-exactness",
         [

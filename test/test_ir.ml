@@ -110,6 +110,29 @@ let prop_affine_eval_linear =
       let env = function "i" -> vi | "j" -> vj | _ -> 0 in
       Affine.eval ~env (Affine.add f g) = Affine.eval ~env f + Affine.eval ~env g)
 
+(* [add] merges two normalized term lists without re-sorting them; it
+   must equal normalizing their concatenation. Unsorted names, repeated
+   variables and cancelling coefficients included. *)
+let prop_affine_add_merge =
+  Helpers.qtest "add = make of the concatenation" ~count:500
+    QCheck2.Gen.(
+      let gen_aff =
+        let* terms =
+          list_size (int_range 0 5)
+            (pair (oneofl [ "k"; "b"; "z"; "a"; "i"; "j" ]) (int_range (-3) 3))
+        in
+        let* const = int_range (-10) 10 in
+        return (Affine.make terms const)
+      in
+      pair gen_aff gen_aff)
+    (fun (a, b) ->
+      Affine.equal (Affine.add a b)
+        (Affine.make (a.Affine.terms @ b.Affine.terms) (a.Affine.const + b.Affine.const))
+      && Affine.equal (Affine.sub a b)
+           (Affine.make
+              (a.Affine.terms @ List.map (fun (v, c) -> (v, -c)) b.Affine.terms)
+              (a.Affine.const - b.Affine.const)))
+
 (* ------------------------------------------------------------------ *)
 (* Loop nest utilities *)
 
@@ -291,6 +314,7 @@ let () =
           Alcotest.test_case "uniformly generated" `Quick test_uniformly_generated;
           prop_affine_roundtrip;
           prop_affine_eval_linear;
+          prop_affine_add_merge;
         ] );
       ( "loop_nest",
         [

@@ -785,6 +785,27 @@ let test_front_key_mismatch () =
 
 (* A verified joint sweep shares fronts through the same path: it
    stores the unverified sweep's points and checks each one. *)
+(* A verified sibling runs every finishing stage under the validator
+   and so gets a fresh kernel, yet one equal to a sibling's finished
+   kernel reuses that sibling's estimate. *)
+let test_verified_reuses_estimates () =
+  let k = kernel "jac" in
+  let plain = Design.context ~profile k in
+  let verified = Design.context ~profile ~verify:true k in
+  let jp = Space.sweep_joint ~max_product:64 plain in
+  let jv = Space.sweep_joint ~max_product:64 verified in
+  let view (j : Space.joint) =
+    List.map
+      (fun (p : Space.joint_point) ->
+        (p.Space.config, p.Space.point.estimate, p.Space.point.kernel, p.Space.point.report))
+      j.Space.points
+  in
+  Alcotest.(check bool) "verified sweep stores the same points" true (view jp = view jv);
+  let s = verified.Design.stats in
+  Alcotest.(check int) "every synthesis checked" s.evaluations s.checked_points;
+  Alcotest.(check int) "no violation" 0 s.verify_violations;
+  Alcotest.(check bool) "verified siblings reuse estimates" true (s.reused > 0)
+
 let test_verified_shares_fronts () =
   List.iter
     (fun name ->
@@ -923,5 +944,7 @@ let () =
             test_front_key_mismatch;
           Alcotest.test_case "verified sweep shares fronts" `Quick
             test_verified_shares_fronts;
+          Alcotest.test_case "verified siblings reuse" `Quick
+            test_verified_reuses_estimates;
         ] );
     ]

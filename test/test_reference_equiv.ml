@@ -369,6 +369,169 @@ let test_wellformed_threshold =
       Check.Wellformed.check ~min_severity:Check.Diag.Error k
       = Check.Diag.errors (Check.Wellformed.check k))
 
+(* ------------------------------------------------------------------ *)
+(* Simplification *)
+
+(* [a1], [a2] are two runs of one implementation on the same input and
+   [b1], [b2] two runs of the other. A block is carried over from the
+   input exactly when both runs of its implementation return the same
+   physical block (fresh blocks differ from run to run), so the two
+   implementations agree structurally and in sharing when at every
+   position either both carry over the very same block or both build a
+   fresh one whose fields agree in turn. Strings are compared by value. *)
+let rec same_sharing (a1 : Obj.t) a2 (b1 : Obj.t) b2 =
+  if Obj.is_int a1 || Obj.is_int b1 then a1 == b1
+  else if Obj.tag a1 = Obj.string_tag || Obj.tag b1 = Obj.string_tag then
+    Obj.tag a1 = Obj.tag b1 && (Obj.obj a1 : string) = Obj.obj b1
+  else
+    let kept_a = a1 == a2 and kept_b = b1 == b2 in
+    if kept_a || kept_b then kept_a && kept_b && a1 == b1
+    else
+      Obj.tag a1 = Obj.tag b1
+      && Obj.size a1 = Obj.size b1
+      &&
+      if Obj.tag a1 >= Obj.no_scan_tag then compare a1 b1 = 0
+      else
+        let rec fields i =
+          i >= Obj.size a1
+          || same_sharing (Obj.field a1 i) (Obj.field a2 i) (Obj.field b1 i)
+               (Obj.field b2 i)
+             && fields (i + 1)
+        in
+        fields 0
+
+(** [Simplify.run] equals the reference on [k], structurally and in
+    which blocks come back physically unchanged, and a second run
+    changes nothing. *)
+let simplify_equivalent (k : Ast.kernel) =
+  let run = Transform.Simplify.run and run_ref = R.Simplify.run in
+  let a1 = run k and a2 = run k and b1 = run_ref k and b2 = run_ref k in
+  if a1 <> b1 then
+    failf "differs from the reference:\n%s\nreference:\n%s"
+      (Pretty.kernel_to_string a1) (Pretty.kernel_to_string b1);
+  if not (same_sharing (Obj.repr a1) (Obj.repr a2) (Obj.repr b1) (Obj.repr b2))
+  then failf "shares differently from the reference";
+  if (run a1).Ast.k_body != a1.Ast.k_body then failf "a second run changes the body";
+  true
+
+(* Scalar chains in unsorted name order with coefficients of +-1 and
+   +-k, nested constants, negations, products by constants on either
+   side, division by dividing and non-dividing constants (zero and one
+   included), conditionals, comparisons and array reads, used as right-
+   hand sides, stored-to subscripts, branch conditions and inside a
+   single-iteration loop. *)
+let gen_simplify_kernel : Ast.kernel G.t =
+  let open G in
+  let names = [ "k"; "b"; "z"; "a"; "i"; "j" ] in
+  let var = map (fun v -> Ast.Var v) (oneofl names) in
+  let int = map (fun n -> Ast.Int n) (oneofl [ 0; 1; -1; 2; 3; -4; 6 ]) in
+  let term =
+    map3
+      (fun c v left ->
+        if c = 1 then v
+        else if left then Ast.Bin (Ast.Mul, Ast.Int c, v)
+        else Ast.Bin (Ast.Mul, v, Ast.Int c))
+      (oneofl [ 1; -1; 2; -2; 3; -3; 0 ])
+      var bool
+  in
+  let chain =
+    let* first = term in
+    let* rest =
+      list_size (int_range 0 4)
+        (pair (oneofl [ Ast.Add; Ast.Sub ]) (frequency [ (3, term); (1, int) ]))
+    in
+    return (List.fold_left (fun acc (op, t) -> Ast.Bin (op, acc, t)) first rest)
+  in
+  let rec expr depth =
+    if depth = 0 then frequency [ (3, chain); (1, var); (1, int) ]
+    else
+      let sub = expr (depth - 1) in
+      frequency
+        [
+          (3, chain);
+          (1, int);
+          ( 3,
+            map3
+              (fun op x y -> Ast.Bin (op, x, y))
+              (oneofl [ Ast.Add; Ast.Sub; Ast.Mul ])
+              sub sub );
+          ( 2,
+            map2
+              (fun op (x, n) -> Ast.Bin (op, x, Ast.Int n))
+              (oneofl [ Ast.Add; Ast.Sub ])
+              (pair sub (int_range (-3) 3)) );
+          (2, map2 (fun x d -> Ast.Bin (Ast.Div, x, Ast.Int d)) sub (oneofl [ 0; 1; 2; 3; -2; 9 ]));
+          (1, map (fun x -> Ast.Un (Ast.Neg, x)) sub);
+          (1, map2 (fun op x -> Ast.Un (op, x)) (oneofl Ast.[ Not; Bnot; Abs ]) sub);
+          ( 1,
+            map3
+              (fun c t e -> Ast.Cond (c, t, e))
+              (frequency [ (1, int); (2, sub) ])
+              sub sub );
+          ( 1,
+            map3
+              (fun op x y -> Ast.Bin (op, x, y))
+              (oneofl Ast.[ Lt; Eq; Mod; And; Or; Min ])
+              sub sub );
+          (1, map (fun x -> Ast.Arr ("x", [ x ])) sub);
+        ]
+  in
+  let e = expr 3 in
+  let* rhs = list_size (int_range 1 3) e in
+  let* sub = e and* stored = e and* cond = e and* inner = e in
+  return
+    {
+      Ast.k_name = "simplify";
+      k_arrays = [ Ast.array_decl "x" [ 64 ]; Ast.array_decl "y" [ 64 ] ];
+      k_scalars = List.map Ast.scalar_decl ("s" :: names);
+      k_body =
+        List.map (fun e -> Ast.Assign (Ast.Lvar "s", e)) rhs
+        @ [
+            Ast.Assign (Ast.Larr ("y", [ sub ]), stored);
+            Ast.If (cond, [ Ast.Assign (Ast.Lvar "s", stored) ], []);
+            Ast.For
+              {
+                Ast.index = "i";
+                lo = 2;
+                hi = 3;
+                step = 1;
+                body = [ Ast.Assign (Ast.Larr ("y", [ inner ]), Ast.Var "i") ];
+                l_span = None;
+              };
+          ];
+    }
+
+(* Every stage input and output of every built-in and gallery kernel
+   over its product-64 lattice, peel and LICM each on and off. *)
+let test_simplify_stages () =
+  List.iter
+    (fun (name, k) ->
+      let ctx = Dse.Design.context k in
+      let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.spine in
+      List.iter
+        (fun vector ->
+          let seen = ref [] in
+          let check (kernel : Ast.kernel) =
+            if not (List.memq kernel !seen) then begin
+              seen := kernel :: !seen;
+              try ignore (simplify_equivalent kernel)
+              with Failure m ->
+                Alcotest.failf "%s %s: %s" name (Helpers.vector_to_string vector) m
+            end
+          in
+          List.iter
+            (fun (peel, licm) ->
+              ignore
+                (Transform.Pipeline.apply
+                   ~observe:(fun _ ~before ~after ->
+                     check before;
+                     check after)
+                   { Transform.Pipeline.default with vector; peel; licm }
+                   k))
+            [ (true, true); (true, false); (false, true); (false, false) ])
+        (Dse.Util.divisor_vectors ~max_product:64 ctx ~eligible))
+    (builtins ())
+
 let () =
   Alcotest.run "reference-equiv"
     [
@@ -406,6 +569,14 @@ let () =
             gen_rough_kernel quick_footprint_equivalent;
           Alcotest.test_case "every tile option's source" `Quick test_builtin_tiles;
           Alcotest.test_case "exact past the walk's budget" `Quick test_past_budget;
+        ] );
+      ( "simplify",
+        [
+          Helpers.qtest "run = reference (expressions)" ~count:500
+            gen_simplify_kernel simplify_equivalent;
+          Helpers.qtest "run = reference (array nests)" ~count:100
+            Helpers.gen_kernel simplify_equivalent;
+          Alcotest.test_case "every stage boundary" `Quick test_simplify_stages;
         ] );
       ( "built-ins",
         [ Alcotest.test_case "every stage output" `Quick test_builtin_stages ] );
