@@ -137,6 +137,7 @@ type builder = {
       (* starts as [a.defs0]; the [If] merge snapshots/restores it with
          [Hashtbl.copy] (branches are rare; statements are not) *)
   mutable guards : (int * bool) list;  (* active predication context *)
+  mutable ty : Dtype.t;  (* element type of the expression built last *)
 }
 
 (** Append one node's canonical encoding (see {!fingerprint}'s contract
@@ -151,18 +152,6 @@ let rec add_uvarint buf u =
   end
 
 let add_varint buf n = add_uvarint buf ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
-
-let class_code : Op_model.op_class -> int = function
-  | Add -> 0
-  | Mul -> 1
-  | Div -> 2
-  | Cmp -> 3
-  | Logic -> 4
-  | Shift_const -> 5
-  | Shift_var -> 6
-  | Mux -> 7
-  | Abs_op -> 8
-  | Min_max -> 9
 
 let rec encode_fp buf id kind preds =
   (match kind with
@@ -179,7 +168,7 @@ let rec encode_fp buf id kind preds =
   | Move_out _ -> Buffer.add_uint8 buf 4
   | Reg_write _ -> Buffer.add_uint8 buf 5
   | Op { cls; width; _ } ->
-      Buffer.add_uint8 buf (16 + class_code cls);
+      Buffer.add_uint8 buf (16 + Op_model.class_index cls);
       add_varint buf width);
   add_varint buf (List.length preds);
   add_deltas buf id preds
@@ -203,9 +192,9 @@ let add b kind preds =
   id
 
 let scalar_input b v =
-  match Hashtbl.find_opt b.a.inputs v with
-  | Some id -> id
-  | None ->
+  match Hashtbl.find b.a.inputs v with
+  | id -> id
+  | exception Not_found ->
       let id = add b (Source (Scalar v)) [] in
       Hashtbl.replace b.a.inputs v id;
       id
@@ -236,58 +225,62 @@ let classify_bin (op : Ast.binop) (a : Ast.expr) (c : Ast.expr) :
       | _ -> Op_model.Shift_var)
   | Ast.Min | Ast.Max -> Op_model.Min_max
 
-let scalar_type b v =
-  match Hashtbl.find_opt b.a.stypes v with
-  | Some ty -> ty
-  | None -> Dtype.int32
+(* The lookups below run once or more per node, so they use
+   [Hashtbl.find] and match [Not_found] rather than allocate an option. *)
 
-let array_info b name =
-  match Hashtbl.find_opt b.a.atypes name with
-  | Some (elem, dims) -> (Dtype.bits elem, dims)
-  | None -> (32, [ 0 ])
+let scalar_type b v =
+  match Hashtbl.find b.a.stypes v with ty -> ty | exception Not_found -> Dtype.int32
 
 let array_elem b name =
-  match Hashtbl.find_opt b.a.atypes name with
-  | Some (elem, _) -> elem
-  | None -> Dtype.int32
+  match Hashtbl.find b.a.atypes name with
+  | elem, _ -> elem
+  | exception Not_found -> Dtype.int32
+
+let array_dims b name =
+  match Hashtbl.find b.a.atypes name with
+  | _, dims -> dims
+  | exception Not_found -> [ 0 ]
+
+let array_width b name =
+  match Hashtbl.find b.a.atypes name with
+  | elem, _ -> Dtype.bits elem
+  | exception Not_found -> 32
+
+let loads_since b array =
+  match Hashtbl.find b.a.loads_since array with
+  | l -> l
+  | exception Not_found -> []
 
 let note_load b array id =
-  let cur =
-    Option.value ~default:[] (Hashtbl.find_opt b.a.loads_since array)
-  in
-  Hashtbl.replace b.a.loads_since array (id :: cur)
+  Hashtbl.replace b.a.loads_since array (id :: loads_since b array)
 
 let order_preds_for_load b array =
-  match Hashtbl.find_opt b.a.last_store array with Some s -> [ s ] | None -> []
+  match Hashtbl.find b.a.last_store array with s -> [ s ] | exception Not_found -> []
 
 let order_preds_for_store b array =
-  let loads =
-    Option.value ~default:[] (Hashtbl.find_opt b.a.loads_since array)
-  in
-  let st =
-    match Hashtbl.find_opt b.a.last_store array with
-    | Some s -> [ s ]
-    | None -> []
-  in
-  loads @ st
+  match Hashtbl.find b.a.last_store array with
+  | s -> loads_since b array @ [ s ]
+  | exception Not_found -> loads_since b array
 
-(* [build_expr] threads the expression's element type up alongside the
-   node id. The type is exactly {!Ast.expr_type} of the subtree (operand
-   join for intermediates), computed bottom-up in one pass instead of by
-   re-walking the subtree — and the declaration lookups behind the leaves
-   come from the scratch's hash tables. *)
-let rec build_expr b (e : Ast.expr) : int * Dtype.t =
+(* [build_expr] returns the expression's node and leaves its element
+   type in [b.ty]. The type is exactly {!Ast.expr_type} of the subtree
+   (operand join for intermediates), computed bottom-up in one pass
+   instead of by re-walking the subtree — and the declaration lookups
+   behind the leaves come from the scratch's hash tables. *)
+let rec build_expr b (e : Ast.expr) : int =
   match e with
-  | Ast.Int n -> (add b (Source (Const n)) [], Dtype.int32)
+  | Ast.Int n ->
+      b.ty <- Dtype.int32;
+      add b (Source (Const n)) []
   | Ast.Var v -> (
-      let ty = scalar_type b v in
-      match Hashtbl.find_opt b.defs v with
-      | Some id -> (id, ty)
-      | None -> (scalar_input b v, ty))
+      b.ty <- scalar_type b v;
+      match Hashtbl.find b.defs v with
+      | id -> id
+      | exception Not_found -> scalar_input b v)
   | Ast.Arr (array, subs) ->
       let addr = build_address b array subs in
       let access = pop_access b.cur array Access.Read in
-      let width, _ = array_info b array in
+      let width = array_width b array in
       let mem = b.mem_of access in
       let id =
         add b
@@ -295,31 +288,33 @@ let rec build_expr b (e : Ast.expr) : int * Dtype.t =
           (addr :: order_preds_for_load b array)
       in
       note_load b array id;
-      (id, array_elem b array)
+      b.ty <- array_elem b array;
+      id
   | Ast.Bin (op, x, y) ->
-      let nx, tx = build_expr b x in
-      let ny, ty = build_expr b y in
-      let t = Dtype.join tx ty in
+      let nx = build_expr b x in
+      let tx = b.ty in
+      let ny = build_expr b y in
+      let t = Dtype.join tx b.ty in
       let cls = classify_bin op x y in
-      (add b (Op { sem = Sbin op; cls; width = Dtype.bits t }) [ nx; ny ], t)
+      b.ty <- t;
+      add b (Op { sem = Sbin op; cls; width = Dtype.bits t }) [ nx; ny ]
   | Ast.Un (op, x) ->
-      let nx, t = build_expr b x in
+      let nx = build_expr b x in
       let cls =
         match op with
         | Ast.Neg -> Op_model.Add
         | Ast.Not | Ast.Bnot -> Op_model.Logic
         | Ast.Abs -> Op_model.Abs_op
       in
-      (add b (Op { sem = Sun op; cls; width = Dtype.bits t }) [ nx ], t)
+      add b (Op { sem = Sun op; cls; width = Dtype.bits b.ty }) [ nx ]
   | Ast.Cond (c, t, el) ->
-      let nc, _ = build_expr b c in
-      let nt, tt = build_expr b t in
-      let ne, te = build_expr b el in
-      let ty = Dtype.join tt te in
-      ( add b
-          (Op { sem = Smux; cls = Op_model.Mux; width = Dtype.bits ty })
-          [ nc; nt; ne ],
-        ty )
+      let nc = build_expr b c in
+      let nt = build_expr b t in
+      let tt = b.ty in
+      let ne = build_expr b el in
+      let ty = Dtype.join tt b.ty in
+      b.ty <- ty;
+      add b (Op { sem = Smux; cls = Op_model.Mux; width = Dtype.bits ty }) [ nc; nt; ne ]
 
 (** Row-major address computation, Horner style:
     [((s0 * d1 + s1) * d2 + s2) ...] — one constant multiply (usually a
@@ -327,16 +322,16 @@ let rec build_expr b (e : Ast.expr) : int * Dtype.t =
     synthesis emits for a linearized array. Returns the node holding the
     flat index. *)
 and build_address b array subs : int =
-  let _, dims = array_info b array in
-  let sub_nodes = List.map (fun s -> (s, fst (build_expr b s))) subs in
+  let dims = array_dims b array in
+  let sub_nodes = List.map (build_expr b) subs in
   match (sub_nodes, dims) with
-  | [ (_, n) ], _ -> n
+  | [ n ], _ -> n
   | [], _ -> add b (Source (Const 0)) []
-  | (_, first) :: rest, _ :: rest_dims ->
+  | first :: rest, _ :: rest_dims ->
       let rec go acc rest rest_dims =
         match (rest, rest_dims) with
         | [], _ | _, [] -> acc
-        | (_, n) :: more, d :: more_dims ->
+        | n :: more, d :: more_dims ->
             let cd = add b (Source (Const d)) [] in
             let scaled =
               add b
@@ -362,14 +357,14 @@ and build_address b array subs : int =
 let rec build_stmt b (s : Ast.stmt) : unit =
   match s with
   | Ast.Assign (Ast.Lvar v, e) ->
-      let n, _ = build_expr b e in
+      let n = build_expr b e in
       let w = add b (Reg_write { scalar = v; value = n }) [ n ] in
       Hashtbl.replace b.defs v w
   | Ast.Assign (Ast.Larr (array, subs), e) ->
-      let n, _ = build_expr b e in
+      let n = build_expr b e in
       let addr = build_address b array subs in
       let access = pop_access b.cur array Access.Write in
-      let width, _ = array_info b array in
+      let width = array_width b array in
       let mem = b.mem_of access in
       let id =
         add b
@@ -379,7 +374,7 @@ let rec build_stmt b (s : Ast.stmt) : unit =
       Hashtbl.replace b.a.last_store array id;
       Hashtbl.remove b.a.loads_since array
   | Ast.If (c, t, el) ->
-      let nc, _ = build_expr b c in
+      let nc = build_expr b c in
       let before = b.defs in
       let outer_guards = b.guards in
       b.defs <- Hashtbl.copy before;
@@ -446,7 +441,7 @@ let builder_of a ~mem_of ~cursor =
   Hashtbl.reset a.last_store;
   Hashtbl.reset a.loads_since;
   Buffer.clear a.fp_buf;
-  { a; mem_of; cur = cursor; count = 0; defs = a.defs0; guards = [] }
+  { a; mem_of; cur = cursor; count = 0; defs = a.defs0; guards = []; ty = Dtype.int32 }
 
 (** A builder for the blocks of one kernel, sharing one scratch across
     them: declarations are hashed once and the node storage is reused.

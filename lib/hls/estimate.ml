@@ -104,6 +104,7 @@ let estimate ?(sched_memo : Schedule.memo option)
   | None -> ());
   let mem_of a = Layout.memory_of layout a in
   let build = Dfg.block_builder ~kernel ~mem_of ~cursor:(Dfg.cursor_of accesses) in
+  let scratch = Schedule.scratch () in
   let acc = { usage = Hashtbl.create 16; states = 0; loops = 0 } in
   let rec walk (body : Ast.stmt list) : int * int * int * int =
     (* Split into maximal straight-line chunks and loops. *)
@@ -116,8 +117,8 @@ let estimate ?(sched_memo : Schedule.memo option)
           let t1 = Clock.now () in
           let { Schedule.joint; mem_only = mem_res; comp_only = comp }, hit =
             match sched_memo with
-            | Some memo -> Schedule.run_tri_cached memo sched_profile g
-            | None -> (Schedule.run_tri sched_profile g, false)
+            | Some memo -> Schedule.run_tri_cached ~scratch memo sched_profile g
+            | None -> (Schedule.run_tri ~scratch sched_profile g, false)
           in
           (match timers with
           | Some ts ->

@@ -21,6 +21,24 @@ type op_class =
   | Abs_op
   | Min_max
 
+(** Position of a class in declaration order, which is the order
+    [compare] sorts classes in. *)
+let class_index = function
+  | Add -> 0
+  | Mul -> 1
+  | Div -> 2
+  | Cmp -> 3
+  | Logic -> 4
+  | Shift_const -> 5
+  | Shift_var -> 6
+  | Mux -> 7
+  | Abs_op -> 8
+  | Min_max -> 9
+
+(** Every class, at its {!class_index}. *)
+let classes =
+  [| Add; Mul; Div; Cmp; Logic; Shift_const; Shift_var; Mux; Abs_op; Min_max |]
+
 let class_name = function
   | Add -> "add"
   | Mul -> "mul"
@@ -65,5 +83,9 @@ let delay_ns (c : op_class) ~width =
   | Min_max -> 8.0 +. (0.30 *. w)
 
 (** Bucket widths so that operator sharing treats near-equal widths as
-    compatible (synthesis widens the narrower operand). *)
-let width_bucket w = if w <= 8 then 8 else if w <= 16 then 16 else 32
+    compatible (synthesis widens the narrower operand). [buckets] lists
+    them in ascending order; [bucket_index w] is the position of [w]'s. *)
+let buckets = [| 8; 16; 32 |]
+
+let bucket_index w = if w <= 8 then 0 else if w <= 16 then 1 else 2
+let width_bucket w = buckets.(bucket_index w)

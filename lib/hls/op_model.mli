@@ -16,6 +16,13 @@ type op_class =
   | Abs_op
   | Min_max
 
+(** Position of a class in declaration order, which is the order
+    [compare] sorts classes in. *)
+val class_index : op_class -> int
+
+(** Every class, at its {!class_index}. *)
+val classes : op_class array
+
 val class_name : op_class -> string
 
 (** Area in slices of one operator instance. *)
@@ -27,3 +34,9 @@ val delay_ns : op_class -> width:int -> float
 (** Bucket widths so operator sharing treats near-equal widths as
     compatible. *)
 val width_bucket : int -> int
+
+(** Every bucket width, ascending. *)
+val buckets : int array
+
+(** Position of {!width_bucket}[ w] in {!buckets}. *)
+val bucket_index : int -> int

@@ -14,7 +14,16 @@
     produces them in a single walk over the node array (one traversal,
     one operator-class/delay lookup per node) instead of three separate
     {!run} calls. Both entry points share the same per-node scheduling
-    helpers, so their results are identical by construction. *)
+    helpers, so their results are identical by construction.
+
+    The per-node path allocates nothing. Each mode's state is flat
+    arrays (finish times, busy cycles per memory, operator counts per
+    cycle and slot) kept in a {!scratch} that the estimator reuses for
+    every block of a kernel and resets between them. Times stay float
+    nanoseconds, compared with the same [eps]; the helpers that take or
+    return them are marked [@inline], so no float is boxed (without
+    flambda, OCaml boxes every float that crosses a call it does not
+    inline). *)
 
 type mode = [ `Joint | `Mem_only | `Comp_only ]
 
@@ -40,74 +49,161 @@ type result = {
 
 let eps = 1e-6
 
+(* Operator slots: one per operator class and width bucket, numbered in
+   the order [compare] sorts [(class, bucket)] keys, so [finalize] lists
+   [usage] by walking the slots upwards. *)
+let n_buckets = Array.length Op_model.buckets
+let n_slots = Array.length Op_model.classes * n_buckets
+let slot cls width = (Op_model.class_index cls * n_buckets) + Op_model.bucket_index width
+
 (* One mode's scheduling state: finish times plus the memory-occupancy
    and operator-concurrency tables its constraints need. The three modes
    never share state, which is what lets [run_tri] advance all of them
-   through a single node-array walk. *)
+   through a single node-array walk. Every table is a flat array that
+   only grows; [reset] clears the part the previous block used, so a
+   state serves every block of a kernel.
+
+   - [busy.(m)] holds one byte per cycle, 1 when memory [m] is taken;
+     [busy_hi.(m)] is one past the last cycle set since [reset], and
+     [hint.(m)] the earliest cycle that may still be free (keeps the
+     all-ready-at-zero relaxed schedules linear). Memory ids are
+     non-negative.
+   - [occupancy.(s)] counts slot [s]'s operators busy in each cycle,
+     up to [occ_hi.(s)]; [peak.(s)] is the largest count so far, which
+     is all [finalize] needs. *)
 type state = {
   use_mem : bool;
   use_comp : bool;
-  finish : float array;
-  (* Memory occupancy as a busy-cycle set per memory, with a per-memory
-     hint for the earliest cycle that may still be free (keeps the
-     all-ready-at-zero relaxed schedules linear). *)
-  busy : (int * int, unit) Hashtbl.t;
-  hint : (int, int) Hashtbl.t;
-  (* Operator concurrency per cycle. *)
-  occupancy : (Op_model.op_class * int * int, int) Hashtbl.t;
+  mutable finish : float array;
+  mutable busy : Bytes.t array;
+  mutable busy_hi : int array;
+  mutable hint : int array;
+  occupancy : int array array;
+  occ_hi : int array;
+  peak : int array;
   mutable bits : int;
   mutable reads : int;
   mutable writes : int;
 }
 
-let make_state ~(mode : mode) n =
+let make_state ~(mode : mode) =
   {
     use_mem = mode <> `Comp_only;
     use_comp = mode <> `Mem_only;
-    finish = Array.make n 0.0;
-    busy = Hashtbl.create 256;
-    hint = Hashtbl.create 8;
-    occupancy = Hashtbl.create 64;
+    finish = [||];
+    busy = [||];
+    busy_hi = [||];
+    hint = [||];
+    occupancy = Array.make n_slots [||];
+    occ_hi = Array.make n_slots 0;
+    peak = Array.make n_slots 0;
     bits = 0;
     reads = 0;
     writes = 0;
   }
 
-let find_slot st memid c0 occ =
-  let h = Option.value ~default:0 (Hashtbl.find_opt st.hint memid) in
-  let free c =
-    let rec go k = k >= occ || ((not (Hashtbl.mem st.busy (memid, c + k))) && go (k + 1)) in
-    go 0
-  in
-  let rec search c = if free c then c else search (c + 1) in
-  let c = search (max c0 h) in
-  for k = 0 to occ - 1 do
-    Hashtbl.replace st.busy (memid, c + k) ()
+(* Ready [st] for a block of [n] nodes. *)
+let reset st n =
+  if Array.length st.finish < n then
+    st.finish <- Array.make (max n (2 * Array.length st.finish)) 0.0;
+  for m = 0 to Array.length st.busy - 1 do
+    Bytes.fill st.busy.(m) 0 st.busy_hi.(m) '\000';
+    st.busy_hi.(m) <- 0;
+    st.hint.(m) <- 0
   done;
+  for s = 0 to n_slots - 1 do
+    Array.fill st.occupancy.(s) 0 st.occ_hi.(s) 0;
+    st.occ_hi.(s) <- 0;
+    st.peak.(s) <- 0
+  done;
+  st.bits <- 0;
+  st.reads <- 0;
+  st.writes <- 0
+
+(* Make room for memory [m]'s cycles below [hi]. *)
+let grow_busy st m hi =
+  let mems = Array.length st.busy in
+  if m >= mems then begin
+    let n = max (m + 1) (2 * mems) in
+    let extend a x = Array.append a (Array.make (n - mems) x) in
+    st.busy <- extend st.busy Bytes.empty;
+    st.busy_hi <- extend st.busy_hi 0;
+    st.hint <- extend st.hint 0
+  end;
+  let b = st.busy.(m) in
+  if Bytes.length b < hi then begin
+    let bigger = Bytes.make (max hi (2 * Bytes.length b)) '\000' in
+    Bytes.blit b 0 bigger 0 (Bytes.length b);
+    st.busy.(m) <- bigger
+  end
+
+(* Are cycles [c, c + occ) of a busy table all free? Cycles past its end
+   are. *)
+let rec is_free b c occ =
+  occ <= 0
+  || ((c >= Bytes.length b || Bytes.get b c = '\000') && is_free b (c + 1) (occ - 1))
+
+let find_slot st m c0 occ =
+  grow_busy st m 0;
+  let h = st.hint.(m) in
+  let c = ref (max c0 h) in
+  while not (is_free st.busy.(m) !c occ) do
+    incr c
+  done;
+  let c = !c in
+  grow_busy st m (c + occ);
+  let b = st.busy.(m) in
+  Bytes.fill b c occ '\001';
+  if c + occ > st.busy_hi.(m) then st.busy_hi.(m) <- c + occ;
   (* advance the hint past any now-full prefix when this fill touched it *)
   if c = h then begin
-    let rec bump c = if Hashtbl.mem st.busy (memid, c) then bump (c + 1) else c in
-    Hashtbl.replace st.hint memid (bump h)
+    let h = ref h in
+    while !h < Bytes.length b && Bytes.get b !h <> '\000' do
+      incr h
+    done;
+    st.hint.(m) <- !h
   end;
   c
 
-let occupy st cls bucket c0 c1 =
+let occupy st s c0 c1 =
+  let a = st.occupancy.(s) in
+  let a =
+    if Array.length a > c1 then a
+    else begin
+      let bigger = Array.make (max (c1 + 1) (2 * Array.length a)) 0 in
+      Array.blit a 0 bigger 0 (Array.length a);
+      st.occupancy.(s) <- bigger;
+      bigger
+    end
+  in
   for c = c0 to c1 do
-    let key = (cls, bucket, c) in
-    Hashtbl.replace st.occupancy key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt st.occupancy key))
-  done
+    let n = a.(c) + 1 in
+    a.(c) <- n;
+    if n > st.peak.(s) then st.peak.(s) <- n
+  done;
+  if c1 >= st.occ_hi.(s) then st.occ_hi.(s) <- c1 + 1
 
-let ready st preds =
-  List.fold_left (fun acc p -> Float.max acc st.finish.(p)) 0.0 preds
+(* The latest finish among [preds]; 0 for none. Finish times are never
+   NaN, so [>] picks what [Float.max] would. *)
+let[@inline] ready (finish : float array) preds =
+  let r = ref 0.0 and rest = ref preds in
+  while !rest != [] do
+    match !rest with
+    | p :: tl ->
+        let f = finish.(p) in
+        if f > !r then r := f;
+        rest := tl
+    | [] -> ()
+  done;
+  !r
 
-let boundary clk t =
+let[@inline] boundary clk t =
   Float.of_int (int_of_float (Float.ceil ((t -. eps) /. clk))) *. clk
 
 (* Per-node scheduling of one mode, shared verbatim by [run] and
    [run_tri]. Each takes the node's ready time [r] under that mode. *)
 
-let sched_op (p : profile) st id cls ~d ~bucket r =
+let[@inline] sched_op (p : profile) st id ~slot ~d r =
   if not st.use_comp then st.finish.(id) <- r
   else begin
     let clk = p.device.Device.clock_ns in
@@ -128,11 +224,11 @@ let sched_op (p : profile) st id cls ~d ~bucket r =
     if d > 0.5 then begin
       let c0 = int_of_float (start /. clk) in
       let c1 = int_of_float ((f -. eps) /. clk) in
-      occupy st cls bucket c0 (max c0 c1)
+      occupy st slot c0 (max c0 c1)
     end
   end
 
-let sched_mem (p : profile) st id ~mem ~width ~is_read r =
+let[@inline] sched_mem (p : profile) st id ~mem ~width ~is_read r =
   let clk = p.device.Device.clock_ns in
   if is_read then st.reads <- st.reads + 1 else st.writes <- st.writes + 1;
   st.bits <- st.bits + width;
@@ -147,41 +243,86 @@ let sched_mem (p : profile) st id ~mem ~width ~is_read r =
     st.finish.(id) <- Float.of_int (c + lat) *. clk
   end
 
-let finalize (p : profile) st : result =
+(* The result of the block of [n] nodes [st] has scheduled. *)
+let finalize (p : profile) st n : result =
   let clk = p.device.Device.clock_ns in
-  let max_finish = Array.fold_left Float.max 0.0 st.finish in
-  let cycles = int_of_float (Float.ceil ((max_finish -. eps) /. clk)) in
-  (* Fold per-cycle occupancy into per-operator maxima. *)
-  let usage : ((Op_model.op_class * int) * int) list =
-    let tbl = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun (cls, bucket, _) count ->
-        let key = (cls, bucket) in
-        let cur = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
-        Hashtbl.replace tbl key (max cur count))
-      st.occupancy;
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort compare
-  in
-  { cycles = max cycles 0; bits_moved = st.bits; usage; reads = st.reads; writes = st.writes }
+  let max_finish = ref 0.0 in
+  for i = 0 to n - 1 do
+    let f = st.finish.(i) in
+    if f > !max_finish then max_finish := f
+  done;
+  let cycles = int_of_float (Float.ceil ((!max_finish -. eps) /. clk)) in
+  let usage = ref [] in
+  for s = n_slots - 1 downto 0 do
+    if st.peak.(s) > 0 then
+      let cls = Op_model.classes.(s / n_buckets) in
+      usage := ((cls, Op_model.buckets.(s mod n_buckets)), st.peak.(s)) :: !usage
+  done;
+  {
+    cycles = max cycles 0;
+    bits_moved = st.bits;
+    usage = !usage;
+    reads = st.reads;
+    writes = st.writes;
+  }
 
-let step (p : profile) st (node : Dfg.node) =
-  let r = ready st node.preds in
+(* Operator delays by class and width up to 64 bits (every width
+   [Dtype] allows), read from a flat float array so that no delay comes
+   back boxed per node. Built by the first scratch, so a process that
+   schedules nothing pays nothing; domains that race to build it build
+   equal tables, so whichever one is kept is right. *)
+let max_table_width = 64
+
+let delay_table : float array Atomic.t = Atomic.make [||]
+
+let delays () =
+  match Atomic.get delay_table with
+  | [||] ->
+      let t =
+        Array.init
+          (Array.length Op_model.classes * (max_table_width + 1))
+          (fun i ->
+            Op_model.delay_ns Op_model.classes.(i / (max_table_width + 1))
+              ~width:(i mod (max_table_width + 1)))
+      in
+      Atomic.set delay_table t;
+      t
+  | t -> t
+
+(** Scheduling scratch for the blocks of one kernel: the three modes'
+    states and the delay table. *)
+type scratch = { j : state; m : state; c : state; delays : float array }
+
+let scratch () =
+  {
+    j = make_state ~mode:`Joint;
+    m = make_state ~mode:`Mem_only;
+    c = make_state ~mode:`Comp_only;
+    delays = delays ();
+  }
+
+let[@inline] delay sc cls width =
+  if width < 0 || width > max_table_width then Op_model.delay_ns cls ~width
+  else sc.delays.((Op_model.class_index cls * (max_table_width + 1)) + width)
+
+let step (p : profile) sc st (node : Dfg.node) =
+  let r = ready st.finish node.preds in
   match node.kind with
   | Dfg.Source _ | Dfg.Move _ | Dfg.Move_out _ | Dfg.Reg_write _ ->
       st.finish.(node.id) <- r
   | Dfg.Op { cls; width; _ } ->
-      sched_op p st node.id cls ~d:(Op_model.delay_ns cls ~width)
-        ~bucket:(Op_model.width_bucket width) r
+      sched_op p st node.id ~slot:(slot cls width) ~d:(delay sc cls width) r
   | Dfg.Load { mem; width; _ } -> sched_mem p st node.id ~mem ~width ~is_read:true r
   | Dfg.Store { mem; width; _ } -> sched_mem p st node.id ~mem ~width ~is_read:false r
 
 let run ?(mode : mode = `Joint) (p : profile) (g : Dfg.t) : result =
-  let st = make_state ~mode g.Dfg.len in
+  let sc = scratch () in
+  let st = match mode with `Joint -> sc.j | `Mem_only -> sc.m | `Comp_only -> sc.c in
+  reset st g.Dfg.len;
   for i = 0 to g.Dfg.len - 1 do
-    step p st g.Dfg.nodes.(i)
+    step p sc st g.Dfg.nodes.(i)
   done;
-  finalize p st
+  finalize p st g.Dfg.len
 
 type tri = { joint : result; mem_only : result; comp_only : result }
 
@@ -253,49 +394,55 @@ let memo_absorb ~(into : memo) (forked : memo) : unit =
   force forked;
   ignore (merge_into into.table forked.table)
 
-(* Advance all three modes over node [i] of [g]. One walk: the node kind
-   is matched and the operator delay/bucket looked up once, then each
-   mode advances on its own state (ready times genuinely differ per
-   mode, so they are computed per state). *)
-let tri_step (p : profile) j m c (node : Dfg.node) =
+(* Advance all three modes over one node. One walk: the node kind is
+   matched and the operator delay/slot looked up once, then each mode
+   advances on its own state (ready times genuinely differ per mode, so
+   they are computed per state). *)
+let tri_step (p : profile) sc (node : Dfg.node) =
+  let { j; m; c; _ } = sc and id = node.id and preds = node.preds in
   match node.kind with
   | Dfg.Source _ | Dfg.Move _ | Dfg.Move_out _ | Dfg.Reg_write _ ->
-      j.finish.(node.id) <- ready j node.preds;
-      m.finish.(node.id) <- ready m node.preds;
-      c.finish.(node.id) <- ready c node.preds
+      j.finish.(id) <- ready j.finish preds;
+      m.finish.(id) <- ready m.finish preds;
+      c.finish.(id) <- ready c.finish preds
   | Dfg.Op { cls; width; _ } ->
-      let d = Op_model.delay_ns cls ~width in
-      let bucket = Op_model.width_bucket width in
-      sched_op p j node.id cls ~d ~bucket (ready j node.preds);
-      m.finish.(node.id) <- ready m node.preds;
-      sched_op p c node.id cls ~d ~bucket (ready c node.preds)
+      let d = delay sc cls width in
+      let slot = slot cls width in
+      sched_op p j id ~slot ~d (ready j.finish preds);
+      m.finish.(id) <- ready m.finish preds;
+      sched_op p c id ~slot ~d (ready c.finish preds)
   | Dfg.Load { mem; width; _ } ->
-      sched_mem p j node.id ~mem ~width ~is_read:true (ready j node.preds);
-      sched_mem p m node.id ~mem ~width ~is_read:true (ready m node.preds);
-      sched_mem p c node.id ~mem ~width ~is_read:true (ready c node.preds)
+      sched_mem p j id ~mem ~width ~is_read:true (ready j.finish preds);
+      sched_mem p m id ~mem ~width ~is_read:true (ready m.finish preds);
+      sched_mem p c id ~mem ~width ~is_read:true (ready c.finish preds)
   | Dfg.Store { mem; width; _ } ->
-      sched_mem p j node.id ~mem ~width ~is_read:false (ready j node.preds);
-      sched_mem p m node.id ~mem ~width ~is_read:false (ready m node.preds);
-      sched_mem p c node.id ~mem ~width ~is_read:false (ready c node.preds)
+      sched_mem p j id ~mem ~width ~is_read:false (ready j.finish preds);
+      sched_mem p m id ~mem ~width ~is_read:false (ready m.finish preds);
+      sched_mem p c id ~mem ~width ~is_read:false (ready c.finish preds)
 
-let run_tri (p : profile) (g : Dfg.t) : tri =
+let run_tri ?scratch:sc (p : profile) (g : Dfg.t) : tri =
+  let sc = match sc with Some sc -> sc | None -> scratch () in
   let n = g.Dfg.len in
-  let j = make_state ~mode:`Joint n in
-  let m = make_state ~mode:`Mem_only n in
-  let c = make_state ~mode:`Comp_only n in
+  reset sc.j n;
+  reset sc.m n;
+  reset sc.c n;
   for i = 0 to n - 1 do
-    tri_step p j m c g.Dfg.nodes.(i)
+    tri_step p sc g.Dfg.nodes.(i)
   done;
-  { joint = finalize p j; mem_only = finalize p m; comp_only = finalize p c }
+  {
+    joint = finalize p sc.j n;
+    mem_only = finalize p sc.m n;
+    comp_only = finalize p sc.c n;
+  }
 
 (** Memoized {!run_tri}: the stored record on a fingerprint hit, a
     fresh (and then stored) run otherwise. The flag reports the hit. *)
-let run_tri_cached (memo : memo) (p : profile) (g : Dfg.t) : tri * bool =
+let run_tri_cached ~scratch (memo : memo) (p : profile) (g : Dfg.t) : tri * bool =
   force memo;
   let fp = Dfg.fingerprint g in
   match Hashtbl.find_opt memo.table fp with
   | Some tri -> (tri, true)
   | None ->
-      let tri = run_tri p g in
+      let tri = run_tri ~scratch p g in
       Hashtbl.replace memo.table fp tri;
       (tri, false)

@@ -34,10 +34,18 @@ val run : ?mode:mode -> profile -> Dfg.t -> result
 
 type tri = { joint : result; mem_only : result; comp_only : result }
 
-val run_tri : profile -> Dfg.t -> tri
+(** Scheduling state for the blocks of one kernel: flat arrays that only
+    grow, reset for each block. One scratch serves one domain. *)
+type scratch
+
+val scratch : unit -> scratch
+
+val run_tri : ?scratch:scratch -> profile -> Dfg.t -> tri
 (** All three schedules of one graph in a single walk over the node
     array: the node kind is matched and the operator delay looked up
-    once per node, then each mode advances on its own state. Shares the
+    once per node, then each mode advances on its own state. With
+    [scratch], the states are that scratch's, reset first; without, a
+    fresh one. The per-node path allocates nothing. Shares the
     per-node scheduling helpers with {!run}, so
     [run_tri p g = {joint = run ~mode:`Joint p g;
                     mem_only = run ~mode:`Mem_only p g;
@@ -91,5 +99,6 @@ val memo_table : memo -> table
 val memo_absorb : into:memo -> memo -> unit
 
 (** Memoized {!run_tri}: the stored record on a fingerprint hit, a fresh
-    (and then stored) run otherwise. The flag is [true] on a hit. *)
-val run_tri_cached : memo -> profile -> Dfg.t -> tri * bool
+    (and then stored) run on [scratch] otherwise. The flag is [true] on
+    a hit. *)
+val run_tri_cached : scratch:scratch -> memo -> profile -> Dfg.t -> tri * bool

@@ -135,7 +135,8 @@ let subst t v by =
 
 (** Two forms are uniformly generated (Section 4 of the paper) when their
     variable coefficients agree; they then differ only by a constant. *)
-let uniformly_generated a b = equal { a with const = 0 } { b with const = 0 }
+let uniformly_generated a b =
+  List.equal (fun (v, c) (w, d) -> String.equal v w && c = d) a.terms b.terms
 
 (** Constant difference [b - a] of two uniformly generated forms. *)
 let ug_distance a b =

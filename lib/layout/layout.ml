@@ -37,72 +37,87 @@ type t = {
   num_memories : int;
   banks : (string * int) list;  (** array -> total number of virtual banks *)
   shapes : (string * int list) list;  (** array -> per-dimension factors *)
-  vids : (int * int) list;  (** access id -> virtual id within its array *)
   phys : ((string * int) * int) list;  (** (array, vid) -> physical memory *)
-  vid_tbl : (int, int) Hashtbl.t;
-      (** [vids] as a table — {!memory_of} runs once per load/store node
-          of every DFG build, so the lookup must not scan the access list *)
-  mem_tbl : (string * int, int) Hashtbl.t;  (** [phys] as a table *)
+  memory : int array;
+      (** access id -> physical memory: {!memory_of} runs once per
+          load/store node of every DFG build, so it is one array read *)
 }
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
-(** Per-dimension stride modulus of an access: gcd of [coefficient * step]
-    over its enclosing loops. A bank factor dividing this keeps the
-    access's bank constant in that dimension. [None] when non-affine. *)
-let dim_modulus (a : Access.t) (d : int) : int option =
-  match List.nth a.affine d with
-  | None -> None
-  | Some f ->
-      Some
-        (List.fold_left
-           (fun acc (l : Ast.loop) ->
-             let c = Affine.coeff f l.index in
-             if c = 0 then acc else gcd acc (c * l.step))
-           0 a.loops)
+(** Per-dimension stride moduli of an access, one per subscript: gcd
+    of [coefficient * step] over its enclosing loops. A bank factor
+    dividing this keeps the access's bank constant in that dimension.
+    [Some 0] for a constant subscript, [None] for a non-affine one. *)
+let moduli (a : Access.t) : int option array =
+  Array.of_list
+    (List.map
+       (Option.map (fun f ->
+            List.fold_left
+              (fun acc (l : Ast.loop) ->
+                let c = Affine.coeff f l.index in
+                if c = 0 then acc else gcd acc (c * l.step))
+              0 a.loops))
+       a.affine)
 
-(** Per-dimension constant offset (subscript at the loop lower bounds). *)
-let dim_offset (a : Access.t) (d : int) : int =
-  match List.nth a.affine d with
-  | None -> 0
-  | Some f ->
-      let env v =
-        match List.find_opt (fun (l : Ast.loop) -> l.index = v) a.loops with
-        | Some l -> l.lo
-        | None -> 0
-      in
-      Affine.eval ~env f
+(* Lower bound of loop index [v] among [loops]; 0 if none binds it. *)
+let rec lo_of v = function
+  | [] -> 0
+  | (l : Ast.loop) :: rest -> if l.index = v then l.lo else lo_of v rest
 
-(** Accesses grouped by loop context: only same-context accesses can be
-    co-scheduled in one block. *)
-let context_groups (of_array : Access.t list) : Access.t list list =
-  let tbl : (string list, Access.t list) Hashtbl.t = Hashtbl.create 8 in
+(* [acc] plus the terms of an affine form at the loops' lower bounds. *)
+let rec at_lower_bounds loops acc = function
+  | [] -> acc
+  | (v, c) :: rest -> at_lower_bounds loops (acc + (c * lo_of v loops)) rest
+
+(** Per-dimension constant offsets (subscripts at the loop lower
+    bounds; 0 for a non-affine one), one per subscript. Computed once
+    per access: every candidate shape's virtual ids derive from them. *)
+let offsets (a : Access.t) : int array =
+  Array.of_list
+    (List.map
+       (function
+         | None -> 0
+         | Some (f : Affine.t) -> at_lower_bounds a.loops f.const f.terms)
+       a.affine)
+
+(** Accesses (with their offsets) grouped by loop context: only
+    same-context accesses can be co-scheduled in one block. *)
+let context_groups (of_array : (Access.t * int array) list) :
+    (Access.t * int array) list list =
+  let tbl = Hashtbl.create 8 in
   let order = ref [] in
   List.iter
-    (fun (a : Access.t) ->
+    (fun ((a : Access.t), _ as e) ->
       let key = Access.indices a in
-      (match Hashtbl.find_opt tbl key with
-      | None -> order := key :: !order
-      | Some _ -> ());
-      Hashtbl.replace tbl key
-        (a :: Option.value ~default:[] (Hashtbl.find_opt tbl key)))
+      let rest =
+        match Hashtbl.find_opt tbl key with
+        | Some l -> l
+        | None ->
+            order := key :: !order;
+            []
+      in
+      Hashtbl.replace tbl key (e :: rest))
     of_array;
   List.rev_map (fun k -> List.rev (Hashtbl.find tbl k)) !order
 
 (** Uniform generation within a context, per dimension. *)
-let group_uniform (group : Access.t list) ~dims : bool =
+let group_uniform (group : (Access.t * int array) list) ~dims : bool =
   match group with
   | [] | [ _ ] -> true
-  | first :: rest ->
+  | (first, _) :: rest ->
+      (* the first [dims] subscripts pairwise uniformly generated *)
+      let rec same d fs gs =
+        d = dims
+        ||
+        match (fs, gs) with
+        | Some f :: fs, Some g :: gs ->
+            Affine.uniformly_generated f g && same (d + 1) fs gs
+        | _ -> false
+      in
       List.for_all
-        (fun (a : Access.t) ->
-          List.length a.affine = dims
-          && List.for_all
-               (fun d ->
-                 match (List.nth first.affine d, List.nth a.affine d) with
-                 | Some f, Some g -> Affine.uniformly_generated f g
-                 | _ -> false)
-               (List.init dims Fun.id))
+        (fun ((a : Access.t), _) ->
+          List.length a.affine = dims && same 0 first.affine a.affine)
         rest
 
 (** Candidate per-dimension bank shapes (powers of two per dimension)
@@ -116,74 +131,106 @@ let shapes_for ~dims ~n : int list list =
   List.filter (fun s -> List.fold_left ( * ) 1 s <= n) (go dims)
   |> List.sort_uniq compare
 
-(** A shape is legal for an access when each dimension is either constant
-    residue ([b_d] divides the stride modulus) or covered by the
-    steady-state regime (checked per context by the caller). *)
-let shape_constant_ok (a : Access.t) (shape : int list) : bool =
-  List.for_all2
-    (fun b d ->
-      b = 1
-      ||
-      match dim_modulus a d with
-      | None -> false
-      | Some 0 -> true (* constant subscript in this dimension *)
-      | Some g -> g mod b = 0)
-    shape
-    (List.init (List.length shape) Fun.id)
+(** A shape is legal for an access with stride moduli [m] when each
+    dimension is either constant residue ([b_d] divides the stride
+    modulus) or covered by the steady-state regime (checked per context
+    by the caller). *)
+let shape_constant_ok (m : int option array) (shape : int list) : bool =
+  let rec go d = function
+    | [] -> true
+    | b :: rest ->
+        (b = 1
+        ||
+        match m.(d) with
+        | None -> false
+        | Some 0 -> true (* constant subscript in this dimension *)
+        | Some g -> g mod b = 0)
+        && go (d + 1) rest
+  in
+  go 0 shape
 
-let vid_of ~shape (a : Access.t) : int =
+(** Virtual id of an access with offsets [offs] under a bank shape. *)
+let vid_of shape (offs : int array) : int =
   let rec go shape d acc =
     match shape with
     | [] -> acc
     | b :: rest ->
-        let off = dim_offset a d in
-        let r = ((off mod b) + b) mod b in
+        let r = ((offs.(d) mod b) + b) mod b in
         go rest (d + 1) ((acc * b) + r)
   in
   go shape 0 0
 
-(** Choose the bank shape of one array: among legal shapes, maximise the
-    number of distinct virtual ids among co-scheduled accesses (summed
-    over contexts), preferring fewer banks on ties. *)
+let product shape = List.fold_left ( * ) 1 shape
+
+(** Choose the bank shape of one array from its accesses, each paired
+    with its {!offsets}: among legal shapes, maximise the number of
+    distinct virtual ids among co-scheduled accesses (summed over
+    contexts), preferring fewer banks on ties. [seen] marks the ids of
+    one context (they lie below the shape's product, at most
+    [num_memories]) and is cleared after it. *)
 let choose_shape ~num_memories (decl : Ast.array_decl)
-    (of_array : Access.t list) : int list =
+    (of_array : (Access.t * int array) list) : int list =
   let dims = List.length decl.a_dims in
   let default = List.init dims (fun _ -> 1) in
-  if List.exists (fun a -> not (Access.is_affine a)) of_array then default
+  if List.exists (fun (a, _) -> not (Access.is_affine a)) of_array then default
   else begin
     let groups = context_groups of_array in
     let uniform = List.for_all (fun g -> group_uniform g ~dims) groups in
-    let legal shape =
-      uniform || List.for_all (fun a -> shape_constant_ok a shape) of_array
+    let legal =
+      if uniform then fun _ -> true
+      else
+        let m = List.map (fun (a, _) -> moduli a) of_array in
+        fun shape -> List.for_all (fun m -> shape_constant_ok m shape) m
     in
+    let seen = Bytes.make (max 1 num_memories) '\000' in
     let score shape =
       List.fold_left
         (fun acc group ->
-          acc
-          + List.length
-              (List.sort_uniq compare (List.map (vid_of ~shape) group)))
+          let distinct =
+            List.fold_left
+              (fun n (_, offs) ->
+                let v = vid_of shape offs in
+                if Bytes.get seen v <> '\000' then n
+                else begin
+                  Bytes.set seen v '\001';
+                  n + 1
+                end)
+              0 group
+          in
+          Bytes.fill seen 0 (product shape) '\000';
+          acc + distinct)
         0 groups
     in
-    let candidates = List.filter legal (shapes_for ~dims ~n:num_memories) in
-    match candidates with
+    match List.filter legal (shapes_for ~dims ~n:num_memories) with
     | [] -> default
+    | [ c ] -> c
     | c :: rest ->
-        List.fold_left
-          (fun best s ->
-            let sb = score best and ss = score s in
-            let pb = List.fold_left ( * ) 1 best
-            and ps = List.fold_left ( * ) 1 s in
-            if ss > sb || (ss = sb && ps < pb) then s else best)
-          c rest
+        (* each candidate scored once; ties keep fewer banks, then the
+           earlier candidate *)
+        let best, _, _ =
+          List.fold_left
+            (fun ((_, sb, pb) as best) s ->
+              let ss = score s and ps = product s in
+              if ss > sb || (ss = sb && ps < pb) then (s, ss, ps) else best)
+            (c, score c, product c)
+            rest
+        in
+        best
   end
 
 (** Compute the full layout for a kernel given its collected accesses
     (use the same [Access.collect] result the scheduler consumes, so the
     access ids agree). *)
 let assign ~num_memories (k : Ast.kernel) (accesses : Access.t list) : t =
+  (* each array's accesses with their offsets, in collection order *)
+  let by_array = Hashtbl.create 8 in
+  List.iter
+    (fun (a : Access.t) ->
+      let rest = try Hashtbl.find by_array a.array with Not_found -> [] in
+      Hashtbl.replace by_array a.array ((a, offsets a) :: rest))
+    accesses;
   let arrays =
-    List.sort_uniq String.compare
-      (List.map (fun (a : Access.t) -> a.Access.array) accesses)
+    List.sort String.compare (Hashtbl.fold (fun ar _ l -> ar :: l) by_array [])
   in
   let shapes =
     List.map
@@ -191,56 +238,46 @@ let assign ~num_memories (k : Ast.kernel) (accesses : Access.t list) : t =
         match Ast.find_array k ar with
         | None -> (ar, [ 1 ])
         | Some decl ->
-            let of_array =
-              List.filter (fun (a : Access.t) -> a.array = ar) accesses
-            in
+            let of_array = List.rev (Hashtbl.find by_array ar) in
             (ar, choose_shape ~num_memories decl of_array))
       arrays
   in
-  let banks =
-    List.map (fun (ar, s) -> (ar, List.fold_left ( * ) 1 s)) shapes
-  in
-  let vid_tbl = Hashtbl.create (List.length accesses) in
-  let vids =
-    List.map
-      (fun (a : Access.t) ->
-        let shape = List.assoc a.array shapes in
-        let vid =
-          if List.length a.affine = List.length shape && Access.is_affine a
-          then vid_of ~shape a
-          else 0
-        in
-        Hashtbl.replace vid_tbl a.id vid;
-        (a.id, vid))
-      accesses
-  in
+  let banks = List.map (fun (ar, s) -> (ar, product s)) shapes in
+  let ids = 1 + List.fold_left (fun m (a : Access.t) -> max m a.id) (-1) accesses in
+  let vids = Array.make ids 0 in
+  List.iter
+    (fun (ar, shape) ->
+      List.iter
+        (fun ((a : Access.t), offs) ->
+          if List.length a.affine = List.length shape && Access.is_affine a then
+            vids.(a.id) <- vid_of shape offs)
+        (Hashtbl.find by_array ar))
+    shapes;
   (* Physical binding: distinct (array, vid) pairs in first-read order,
      then first-write order, round-robin over the memories. *)
   let phys = ref [] in
   let mem_tbl = Hashtbl.create 16 in
-  let next = ref 0 in
+  let memory = Array.make ids 0 in
   let bind (a : Access.t) =
-    let vid = Hashtbl.find vid_tbl a.id in
-    let key = (a.array, vid) in
-    if not (Hashtbl.mem mem_tbl key) then begin
-      let m = !next mod num_memories in
-      phys := (key, m) :: !phys;
-      Hashtbl.replace mem_tbl key m;
-      incr next
-    end
+    let key = (a.array, vids.(a.id)) in
+    let m =
+      match Hashtbl.find_opt mem_tbl key with
+      | Some m -> m
+      | None ->
+          let m = Hashtbl.length mem_tbl mod num_memories in
+          phys := (key, m) :: !phys;
+          Hashtbl.replace mem_tbl key m;
+          m
+    in
+    memory.(a.id) <- m
   in
   List.iter (fun a -> if Access.is_read a then bind a) accesses;
   List.iter (fun a -> if Access.is_write a then bind a) accesses;
-  { num_memories; banks; shapes; vids; phys = List.rev !phys; vid_tbl; mem_tbl }
+  { num_memories; banks; shapes; phys = List.rev !phys; memory }
 
 (** Physical memory of an access (by its id from the shared collection). *)
 let memory_of (t : t) (a : Access.t) : int =
-  match Hashtbl.find_opt t.vid_tbl a.id with
-  | None -> 0
-  | Some vid -> (
-      match Hashtbl.find_opt t.mem_tbl (a.array, vid) with
-      | Some m -> m
-      | None -> 0)
+  if a.id >= 0 && a.id < Array.length t.memory then t.memory.(a.id) else 0
 
 let pp fmt (t : t) =
   Format.fprintf fmt "@[<v>";

@@ -24,27 +24,11 @@ type t = {
   num_memories : int;
   banks : (string * int) list;  (** array -> total virtual banks *)
   shapes : (string * int list) list;  (** array -> per-dimension factors *)
-  vids : (int * int) list;  (** access id -> virtual id within its array *)
   phys : ((string * int) * int) list;  (** (array, vid) -> physical memory *)
-  vid_tbl : (int, int) Hashtbl.t;
-      (** [vids] as a table; {!memory_of} is on the DFG-build hot path *)
-  mem_tbl : (string * int, int) Hashtbl.t;  (** [phys] as a table *)
+  memory : int array;
+      (** access id -> physical memory; {!memory_of} is on the DFG-build
+          hot path *)
 }
-
-(** Per-dimension stride modulus of an access: gcd of
-    [coefficient * step] over its enclosing loops. [Some 0] for constant
-    subscripts, [None] when non-affine. *)
-val dim_modulus : Access.t -> int -> int option
-
-(** Per-dimension constant offset (subscript at the loop lower bounds). *)
-val dim_offset : Access.t -> int -> int
-
-(** Virtual id of an access under a bank shape. *)
-val vid_of : shape:int list -> Access.t -> int
-
-(** Choose the bank shape of one array given all its accesses. *)
-val choose_shape :
-  num_memories:int -> Ast.array_decl -> Access.t list -> int list
 
 (** Compute the full layout for a kernel given its collected accesses
     (pass the same [Access.collect] result the scheduler consumes so the

@@ -1,15 +1,18 @@
 (** Reference implementations for the equivalence properties of
     [test_reference_equiv.ml] and [test_fingerprint.ml]: the
-    straightforward flow analyses, footprint interpreter, simplifier and
-    fingerprint encoder the optimized library versions must agree with,
-    solution for solution and byte for byte. They recompute every
-    node's uses and definitions from the syntax on demand, build kill
-    sets by scanning all definitions, filter whole fact sets in the
-    transfer functions, interpret footprints over a string-keyed
-    [Hashtbl] environment, re-derive every affine form from the syntax
-    and encode fingerprints as decimal text. Only the types ([loc],
-    [LocSet], [def], [solution], [array_fp], ...) and the simplifier's
-    unchanged [fold_expr] are shared with the library. *)
+    straightforward flow analyses, footprint interpreter, simplifier,
+    fingerprint encoder, scheduler and data layout the optimized library
+    versions must agree with, solution for solution and byte for byte.
+    They recompute every node's uses and definitions from the syntax on
+    demand, build kill sets by scanning all definitions, filter whole
+    fact sets in the transfer functions, interpret footprints over a
+    string-keyed [Hashtbl] environment, re-derive every affine form
+    from the syntax, encode fingerprints as decimal text, keep schedule
+    state in tuple-keyed [Hashtbl]s and rescore bank shapes at every
+    comparison. Only the types ([loc], [LocSet], [def], [solution],
+    [array_fp], the schedule's [profile], [result] and [tri], ...) and
+    the simplifier's unchanged [fold_expr] are shared with the
+    library. *)
 
 open Ir
 
@@ -909,4 +912,343 @@ module Fingerprint = struct
       Buffer.add_char buf ';'
     done;
     Buffer.contents buf
+end
+
+(** [Hls.Schedule]'s per-mode state as it was before it became flat
+    arrays: busy memory cycles as a [(memory, cycle)]-keyed [Hashtbl]
+    with a per-memory hint table, operator concurrency as a
+    [(class, bucket, cycle)]-keyed count table folded into per-operator
+    maxima and sorted by [finalize], and ready times folded over the
+    predecessor list with [Float.max]. Only the [profile], [result] and
+    [tri] types are shared with the library. *)
+module Schedule = struct
+  open Hls
+  open Hls.Schedule
+
+  let eps = 1e-6
+
+  type state = {
+    use_mem : bool;
+    use_comp : bool;
+    finish : float array;
+    busy : (int * int, unit) Hashtbl.t;
+    hint : (int, int) Hashtbl.t;
+    occupancy : (Op_model.op_class * int * int, int) Hashtbl.t;
+    mutable bits : int;
+    mutable reads : int;
+    mutable writes : int;
+  }
+
+  let make_state ~(mode : mode) n =
+    {
+      use_mem = mode <> `Comp_only;
+      use_comp = mode <> `Mem_only;
+      finish = Array.make n 0.0;
+      busy = Hashtbl.create 256;
+      hint = Hashtbl.create 8;
+      occupancy = Hashtbl.create 64;
+      bits = 0;
+      reads = 0;
+      writes = 0;
+    }
+
+  let find_slot st memid c0 occ =
+    let h = Option.value ~default:0 (Hashtbl.find_opt st.hint memid) in
+    let free c =
+      let rec go k = k >= occ || ((not (Hashtbl.mem st.busy (memid, c + k))) && go (k + 1)) in
+      go 0
+    in
+    let rec search c = if free c then c else search (c + 1) in
+    let c = search (max c0 h) in
+    for k = 0 to occ - 1 do
+      Hashtbl.replace st.busy (memid, c + k) ()
+    done;
+    if c = h then begin
+      let rec bump c = if Hashtbl.mem st.busy (memid, c) then bump (c + 1) else c in
+      Hashtbl.replace st.hint memid (bump h)
+    end;
+    c
+
+  let occupy st cls bucket c0 c1 =
+    for c = c0 to c1 do
+      let key = (cls, bucket, c) in
+      Hashtbl.replace st.occupancy key
+        (1 + Option.value ~default:0 (Hashtbl.find_opt st.occupancy key))
+    done
+
+  let ready st preds =
+    List.fold_left (fun acc p -> Float.max acc st.finish.(p)) 0.0 preds
+
+  let boundary clk t =
+    Float.of_int (int_of_float (Float.ceil ((t -. eps) /. clk))) *. clk
+
+  let sched_op (p : profile) st id cls ~d ~bucket r =
+    if not st.use_comp then st.finish.(id) <- r
+    else begin
+      let clk = p.device.Device.clock_ns in
+      let free = d <= 1.0 in
+      let start =
+        if free then r
+        else if not p.chaining then boundary clk r
+        else if d >= clk then boundary clk r
+        else begin
+          let cyc_start = Float.of_int (int_of_float (r /. clk)) *. clk in
+          if r +. d <= cyc_start +. clk +. eps then r else boundary clk r
+        end
+      in
+      let f = start +. d in
+      st.finish.(id) <- f;
+      if d > 0.5 then begin
+        let c0 = int_of_float (start /. clk) in
+        let c1 = int_of_float ((f -. eps) /. clk) in
+        occupy st cls bucket c0 (max c0 c1)
+      end
+    end
+
+  let sched_mem (p : profile) st id ~mem ~width ~is_read r =
+    let clk = p.device.Device.clock_ns in
+    if is_read then st.reads <- st.reads + 1 else st.writes <- st.writes + 1;
+    st.bits <- st.bits + width;
+    if not st.use_mem then st.finish.(id) <- r
+    else begin
+      let occ, lat =
+        if is_read then (p.mem.Memory_model.read_occupancy, p.mem.Memory_model.read_latency)
+        else (p.mem.Memory_model.write_occupancy, p.mem.Memory_model.write_latency)
+      in
+      let c0 = int_of_float (Float.ceil ((r -. eps) /. clk)) in
+      let c = find_slot st mem c0 occ in
+      st.finish.(id) <- Float.of_int (c + lat) *. clk
+    end
+
+  let finalize (p : profile) st : result =
+    let clk = p.device.Device.clock_ns in
+    let max_finish = Array.fold_left Float.max 0.0 st.finish in
+    let cycles = int_of_float (Float.ceil ((max_finish -. eps) /. clk)) in
+    let usage : ((Op_model.op_class * int) * int) list =
+      let tbl = Hashtbl.create 16 in
+      Hashtbl.iter
+        (fun (cls, bucket, _) count ->
+          let key = (cls, bucket) in
+          let cur = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
+          Hashtbl.replace tbl key (max cur count))
+        st.occupancy;
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
+    in
+    { cycles = max cycles 0; bits_moved = st.bits; usage; reads = st.reads; writes = st.writes }
+
+  let step (p : profile) st (node : Dfg.node) =
+    let r = ready st node.preds in
+    match node.kind with
+    | Dfg.Source _ | Dfg.Move _ | Dfg.Move_out _ | Dfg.Reg_write _ ->
+        st.finish.(node.id) <- r
+    | Dfg.Op { cls; width; _ } ->
+        sched_op p st node.id cls ~d:(Op_model.delay_ns cls ~width)
+          ~bucket:(Op_model.width_bucket width) r
+    | Dfg.Load { mem; width; _ } -> sched_mem p st node.id ~mem ~width ~is_read:true r
+    | Dfg.Store { mem; width; _ } -> sched_mem p st node.id ~mem ~width ~is_read:false r
+
+  let run ?(mode : mode = `Joint) (p : profile) (g : Dfg.t) : result =
+    let st = make_state ~mode g.Dfg.len in
+    for i = 0 to g.Dfg.len - 1 do
+      step p st g.Dfg.nodes.(i)
+    done;
+    finalize p st
+
+  let run_tri (p : profile) (g : Dfg.t) : tri =
+    {
+      joint = run ~mode:`Joint p g;
+      mem_only = run ~mode:`Mem_only p g;
+      comp_only = run ~mode:`Comp_only p g;
+    }
+end
+
+(** [Data_layout.Layout]'s bank-shape choice and memory binding as they
+    were before each access's offsets were computed once: every score
+    of a candidate shape re-derives each access's per-dimension offset
+    through [List.nth] and [List.find_opt], the running best's score is
+    recomputed at every comparison, and distinct virtual ids are
+    counted with [List.sort_uniq]. *)
+module Layout = struct
+  module Access = Analysis.Access
+
+  type t = {
+    banks : (string * int) list;
+    shapes : (string * int list) list;
+    phys : ((string * int) * int) list;
+    vid_tbl : (int, int) Hashtbl.t;
+    mem_tbl : (string * int, int) Hashtbl.t;
+  }
+
+  let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
+
+  let dim_modulus (a : Access.t) (d : int) : int option =
+    match List.nth a.affine d with
+    | None -> None
+    | Some f ->
+        Some
+          (List.fold_left
+             (fun acc (l : Ast.loop) ->
+               let c = Affine.coeff f l.index in
+               if c = 0 then acc else gcd acc (c * l.step))
+             0 a.loops)
+
+  let dim_offset (a : Access.t) (d : int) : int =
+    match List.nth a.affine d with
+    | None -> 0
+    | Some f ->
+        let env v =
+          match List.find_opt (fun (l : Ast.loop) -> l.index = v) a.loops with
+          | Some l -> l.lo
+          | None -> 0
+        in
+        Affine.eval ~env f
+
+  let context_groups (of_array : Access.t list) : Access.t list list =
+    let tbl : (string list, Access.t list) Hashtbl.t = Hashtbl.create 8 in
+    let order = ref [] in
+    List.iter
+      (fun (a : Access.t) ->
+        let key = Access.indices a in
+        (match Hashtbl.find_opt tbl key with
+        | None -> order := key :: !order
+        | Some _ -> ());
+        Hashtbl.replace tbl key
+          (a :: Option.value ~default:[] (Hashtbl.find_opt tbl key)))
+      of_array;
+    List.rev_map (fun k -> List.rev (Hashtbl.find tbl k)) !order
+
+  let group_uniform (group : Access.t list) ~dims : bool =
+    match group with
+    | [] | [ _ ] -> true
+    | first :: rest ->
+        List.for_all
+          (fun (a : Access.t) ->
+            List.length a.affine = dims
+            && List.for_all
+                 (fun d ->
+                   match (List.nth first.affine d, List.nth a.affine d) with
+                   | Some f, Some g -> Affine.uniformly_generated f g
+                   | _ -> false)
+                 (List.init dims Fun.id))
+          rest
+
+  let shapes_for ~dims ~n : int list list =
+    let opts = List.filter (fun b -> b <= n) [ 1; 2; 4; 8 ] in
+    let rec go d =
+      if d = 0 then [ [] ]
+      else List.concat_map (fun tl -> List.map (fun b -> b :: tl) opts) (go (d - 1))
+    in
+    List.filter (fun s -> List.fold_left ( * ) 1 s <= n) (go dims)
+    |> List.sort_uniq compare
+
+  let shape_constant_ok (a : Access.t) (shape : int list) : bool =
+    List.for_all2
+      (fun b d ->
+        b = 1
+        ||
+        match dim_modulus a d with
+        | None -> false
+        | Some 0 -> true
+        | Some g -> g mod b = 0)
+      shape
+      (List.init (List.length shape) Fun.id)
+
+  let vid_of ~shape (a : Access.t) : int =
+    let rec go shape d acc =
+      match shape with
+      | [] -> acc
+      | b :: rest ->
+          let off = dim_offset a d in
+          let r = ((off mod b) + b) mod b in
+          go rest (d + 1) ((acc * b) + r)
+    in
+    go shape 0 0
+
+  let choose_shape ~num_memories (decl : Ast.array_decl)
+      (of_array : Access.t list) : int list =
+    let dims = List.length decl.a_dims in
+    let default = List.init dims (fun _ -> 1) in
+    if List.exists (fun a -> not (Access.is_affine a)) of_array then default
+    else begin
+      let groups = context_groups of_array in
+      let uniform = List.for_all (fun g -> group_uniform g ~dims) groups in
+      let legal shape =
+        uniform || List.for_all (fun a -> shape_constant_ok a shape) of_array
+      in
+      let score shape =
+        List.fold_left
+          (fun acc group ->
+            acc
+            + List.length
+                (List.sort_uniq compare (List.map (vid_of ~shape) group)))
+          0 groups
+      in
+      let candidates = List.filter legal (shapes_for ~dims ~n:num_memories) in
+      match candidates with
+      | [] -> default
+      | c :: rest ->
+          List.fold_left
+            (fun best s ->
+              let sb = score best and ss = score s in
+              let pb = List.fold_left ( * ) 1 best
+              and ps = List.fold_left ( * ) 1 s in
+              if ss > sb || (ss = sb && ps < pb) then s else best)
+            c rest
+    end
+
+  let assign ~num_memories (k : Ast.kernel) (accesses : Access.t list) : t =
+    let arrays =
+      List.sort_uniq String.compare
+        (List.map (fun (a : Access.t) -> a.Access.array) accesses)
+    in
+    let shapes =
+      List.map
+        (fun ar ->
+          match Ast.find_array k ar with
+          | None -> (ar, [ 1 ])
+          | Some decl ->
+              let of_array =
+                List.filter (fun (a : Access.t) -> a.array = ar) accesses
+              in
+              (ar, choose_shape ~num_memories decl of_array))
+        arrays
+    in
+    let banks =
+      List.map (fun (ar, s) -> (ar, List.fold_left ( * ) 1 s)) shapes
+    in
+    let vid_tbl = Hashtbl.create (List.length accesses) in
+    List.iter
+      (fun (a : Access.t) ->
+        let shape = List.assoc a.array shapes in
+        let vid =
+          if List.length a.affine = List.length shape && Access.is_affine a
+          then vid_of ~shape a
+          else 0
+        in
+        Hashtbl.replace vid_tbl a.id vid)
+      accesses;
+    let phys = ref [] in
+    let mem_tbl = Hashtbl.create 16 in
+    let next = ref 0 in
+    let bind (a : Access.t) =
+      let vid = Hashtbl.find vid_tbl a.id in
+      let key = (a.array, vid) in
+      if not (Hashtbl.mem mem_tbl key) then begin
+        let m = !next mod num_memories in
+        phys := (key, m) :: !phys;
+        Hashtbl.replace mem_tbl key m;
+        incr next
+      end
+    in
+    List.iter (fun a -> if Access.is_read a then bind a) accesses;
+    List.iter (fun a -> if Access.is_write a then bind a) accesses;
+    { banks; shapes; phys = List.rev !phys; vid_tbl; mem_tbl }
+
+  let memory_of (t : t) (a : Access.t) : int =
+    match Hashtbl.find_opt t.vid_tbl a.id with
+    | None -> 0
+    | Some vid -> (
+        match Hashtbl.find_opt t.mem_tbl (a.array, vid) with
+        | Some m -> m
+        | None -> 0)
 end

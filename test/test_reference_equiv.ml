@@ -532,6 +532,150 @@ let test_simplify_stages () =
         (Dse.Util.divisor_vectors ~max_product:64 ctx ~eligible))
     (builtins ())
 
+(* ------------------------------------------------------------------ *)
+(* Scheduler and data layout *)
+
+(* Both memory models, chaining off and on. *)
+let sched_profiles =
+  List.concat_map
+    (fun pipelined ->
+      List.map
+        (fun chaining ->
+          let p = Hls.Estimate.default_profile ~pipelined ~chaining () in
+          ( Printf.sprintf "pipelined=%b chaining=%b" pipelined chaining,
+            { Hls.Schedule.device = p.Hls.Estimate.device; mem = p.Hls.Estimate.mem; chaining } ))
+        [ false; true ])
+    [ true; false ]
+
+(* Hand [f] every block the estimator builds for [k], in its order (the
+   maximal straight-line chunks of each statement list, loop bodies
+   included), while the block's view is valid. *)
+let iter_blocks (k : Ast.kernel) f =
+  let accesses = Analysis.Access.collect k.Ast.k_body in
+  let layout = Data_layout.Layout.assign ~num_memories:4 k accesses in
+  let build =
+    Hls.Dfg.block_builder ~kernel:k
+      ~mem_of:(Data_layout.Layout.memory_of layout)
+      ~cursor:(Hls.Dfg.cursor_of accesses)
+  in
+  let rec walk body =
+    let flush chunk = match List.rev chunk with [] -> () | stmts -> f (build stmts) in
+    let rec go chunk = function
+      | [] -> flush chunk
+      | Ast.For l :: rest ->
+          flush chunk;
+          walk l.Ast.body;
+          go [] rest
+      | s :: rest -> go (s :: chunk) rest
+    in
+    go [] body
+  in
+  walk k.Ast.k_body
+
+(* One scratch for every block of the run: each block starts from what
+   the previous ones, of other kernels and profiles, left behind. *)
+let sched_scratch = Hls.Schedule.scratch ()
+
+let modes = [ ("joint", `Joint); ("mem_only", `Mem_only); ("comp_only", `Comp_only) ]
+
+(** [run_tri], on the shared scratch and on a fresh one, and [run] in
+    every mode equal the reference on every block of [k], under every
+    profile. *)
+let schedule_equivalent (k : Ast.kernel) =
+  iter_blocks k (fun g ->
+      List.iter
+        (fun (what, p) ->
+          let r = R.Schedule.run_tri p g in
+          if Hls.Schedule.run_tri ~scratch:sched_scratch p g <> r then
+            failf "run_tri on the shared scratch differs (%s)" what;
+          if Hls.Schedule.run_tri p g <> r then failf "run_tri differs (%s)" what;
+          List.iter
+            (fun (name, mode) ->
+              if Hls.Schedule.run ~mode p g <> R.Schedule.run ~mode p g then
+                failf "run ~mode:%s differs (%s)" name what)
+            modes)
+        sched_profiles);
+  true
+
+(** [Layout.assign] equals the reference on [k]'s accesses for 1, 2, 4
+    and 8 memories: shapes, banks, physical binding, and every access's
+    memory. *)
+let layout_equivalent (k : Ast.kernel) =
+  let module L = Data_layout.Layout in
+  let accesses = Analysis.Access.collect k.Ast.k_body in
+  List.iter
+    (fun num_memories ->
+      let a = L.assign ~num_memories k accesses
+      and b = R.Layout.assign ~num_memories k accesses in
+      if a.L.shapes <> b.R.Layout.shapes then failf "%d memories: shapes differ" num_memories;
+      if a.L.banks <> b.R.Layout.banks then failf "%d memories: banks differ" num_memories;
+      if a.L.phys <> b.R.Layout.phys then failf "%d memories: phys differs" num_memories;
+      List.iter
+        (fun (acc : Analysis.Access.t) ->
+          if L.memory_of a acc <> R.Layout.memory_of b acc then
+            failf "%d memories: access %d's memory differs" num_memories acc.id)
+        accesses)
+    [ 1; 2; 4; 8 ];
+  true
+
+(* [check] on every point of every built-in and gallery kernel's
+   product-64 unroll sweep. *)
+let on_builtin_sweeps check () =
+  List.iter
+    (fun (name, k) ->
+      let ctx = Dse.Design.context k in
+      let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.spine in
+      List.iter
+        (fun vector ->
+          let r = Transform.Pipeline.apply { Transform.Pipeline.default with vector } k in
+          try ignore (check r.Transform.Pipeline.kernel)
+          with Failure m ->
+            Alcotest.failf "%s %s: %s" name (Helpers.vector_to_string vector) m)
+        (Dse.Util.divisor_vectors ~max_product:64 ctx ~eligible))
+    (builtins ())
+
+(* Accesses that only the stride-modulus legality check tells apart:
+   coefficients 0-3 on two indices (constant subscripts included), loop
+   steps 1-3 and lower bounds 0-2, several reads of one array with
+   different coefficients in one context, and sometimes a second
+   context that leaves out the inner loop. *)
+let gen_layout_kernel : Ast.kernel G.t =
+  let open G in
+  let sub =
+    map3
+      (fun ci cj c -> Affine.to_expr (Affine.make [ ("i", ci); ("j", cj) ] c))
+      (int_range 0 3) (int_range 0 3) (int_range 0 4)
+  in
+  let loop index (lo, step) body =
+    Ast.For { Ast.index; lo; hi = lo + 8; step; body; l_span = None }
+  in
+  let bounds = pair (int_range 0 2) (int_range 1 3) in
+  let* reads = list_size (int_range 1 4) (map2 (fun x y -> Ast.Arr ("a", [ x; y ])) sub sub) in
+  let* x = sub and* y = sub and* li = bounds and* lj = bounds and* second = bool in
+  let body =
+    [
+      Ast.Assign
+        ( Ast.Larr ("b", [ x; y ]),
+          List.fold_left (fun acc r -> Ast.Bin (Ast.Add, acc, r)) (Ast.Int 0) reads );
+    ]
+  in
+  return
+    {
+      Ast.k_name = "layout";
+      k_arrays = [ Ast.array_decl "a" [ 64; 64 ]; Ast.array_decl "b" [ 64; 64 ] ];
+      k_scalars = [];
+      k_body = loop "i" li [ loop "j" lj body ] :: (if second then [ loop "i" li body ] else []);
+    }
+
+(* A generated kernel, unroll-and-jammed by a generated vector. *)
+let gen_transformed =
+  G.(
+    Helpers.gen_kernel >>= fun k ->
+    Helpers.gen_vector_for k >>= fun vector ->
+    return
+      (Transform.Pipeline.apply { Transform.Pipeline.default with vector } k)
+        .Transform.Pipeline.kernel)
+
 let () =
   Alcotest.run "reference-equiv"
     [
@@ -580,4 +724,24 @@ let () =
         ] );
       ( "built-ins",
         [ Alcotest.test_case "every stage output" `Quick test_builtin_stages ] );
+      ( "schedule",
+        [
+          Alcotest.test_case "every block of the built-in sweeps" `Quick
+            (on_builtin_sweeps schedule_equivalent);
+          Helpers.qtest "run_tri = reference (array nests)" ~count:100 gen_transformed
+            schedule_equivalent;
+          Helpers.qtest "run_tri = reference (flow kernels)" ~count:200
+            Helpers.gen_flow_kernel schedule_equivalent;
+        ] );
+      ( "layout",
+        [
+          Alcotest.test_case "every access of the built-in sweeps" `Quick
+            (on_builtin_sweeps layout_equivalent);
+          Helpers.qtest "assign = reference (array nests)" ~count:200 gen_transformed
+            layout_equivalent;
+          Helpers.qtest "assign = reference (flow kernels)" ~count:200
+            Helpers.gen_flow_kernel layout_equivalent;
+          Helpers.qtest "assign = reference (strided)" ~count:500 gen_layout_kernel
+            layout_equivalent;
+        ] );
     ]
