@@ -20,7 +20,6 @@ type t = {
 }
 
 let indices a = List.map (fun (l : Ast.loop) -> l.index) a.loops
-let depth a = List.length a.loops
 let is_read a = a.kind = Read
 let is_write a = a.kind = Write
 
@@ -35,30 +34,39 @@ let affine_exn a =
     a.affine
 
 (** Collect accesses in execution order. Reads nested inside subscripts of
-    other accesses are collected as their own accesses. *)
+    other accesses are collected as their own accesses. The enclosing-loop
+    list is built once per loop and shared by every access in that loop's
+    own body, so accesses of one context have physically equal [loops]. *)
 let collect (body : Ast.stmt list) : t list =
   let acc = ref [] in
   let next_id = ref 0 in
+  (* The form of each variable met as a whole subscript: [v] and
+     [v + c] subscripts share its term list. *)
+  let units = ref [] in
+  let rec unit v = function
+    | [] ->
+        let f = { Affine.terms = [ (v, 1) ]; const = 0 } in
+        units := (v, f) :: !units;
+        f
+    | (w, f) :: rest -> if w == v || String.equal w v then f else unit v rest
+  in
+  let affine (sub : Ast.expr) =
+    match sub with
+    | Ast.Var v -> Some (unit v !units)
+    | Ast.Bin (Ast.Add, Ast.Var v, Ast.Int c) -> Some { (unit v !units) with const = c }
+    | Ast.Bin (Ast.Sub, Ast.Var v, Ast.Int c) -> Some { (unit v !units) with const = -c }
+    | _ -> Affine.of_expr sub
+  in
   let push ~loops ~guarded array kind subs =
-    let affine = List.map Affine.of_expr subs in
-    incr next_id;
-    acc :=
-      {
-        id = !next_id - 1;
-        array;
-        kind;
-        subs;
-        affine;
-        loops = List.rev loops;
-        guarded;
-      }
-      :: !acc
+    let affine = List.map affine subs in
+    acc := { id = !next_id; array; kind; subs; affine; loops; guarded } :: !acc;
+    incr next_id
   in
   let rec expr ~loops ~guarded (e : Ast.expr) =
     match e with
     | Ast.Int _ | Ast.Var _ -> ()
     | Ast.Arr (a, subs) ->
-        List.iter (expr ~loops ~guarded) subs;
+        exprs ~loops ~guarded subs;
         push ~loops ~guarded a Read subs
     | Ast.Bin (_, a, b) ->
         expr ~loops ~guarded a;
@@ -68,24 +76,37 @@ let collect (body : Ast.stmt list) : t list =
         expr ~loops ~guarded c;
         expr ~loops ~guarded:true t;
         expr ~loops ~guarded:true e'
+  and exprs ~loops ~guarded = function
+    | [] -> ()
+    | e :: rest ->
+        expr ~loops ~guarded e;
+        exprs ~loops ~guarded rest
   in
-  let rec stmt ~loops ~guarded (s : Ast.stmt) =
+  (* [stack] is [loops] reversed: innermost first *)
+  let rec stmts ~stack ~loops ~guarded = function
+    | [] -> ()
+    | s :: rest ->
+        stmt ~stack ~loops ~guarded s;
+        stmts ~stack ~loops ~guarded rest
+  and stmt ~stack ~loops ~guarded (s : Ast.stmt) =
     match s with
     | Ast.Assign (lv, e) -> (
         expr ~loops ~guarded e;
         match lv with
         | Ast.Lvar _ -> ()
         | Ast.Larr (a, subs) ->
-            List.iter (expr ~loops ~guarded) subs;
+            exprs ~loops ~guarded subs;
             push ~loops ~guarded a Write subs)
     | Ast.If (c, t, e) ->
         expr ~loops ~guarded c;
-        List.iter (stmt ~loops ~guarded:true) t;
-        List.iter (stmt ~loops ~guarded:true) e
-    | Ast.For l -> List.iter (stmt ~loops:(l :: loops) ~guarded) l.body
+        stmts ~stack ~loops ~guarded:true t;
+        stmts ~stack ~loops ~guarded:true e
+    | Ast.For l ->
+        let stack = l :: stack in
+        stmts ~stack ~loops:(List.rev stack) ~guarded l.body
     | Ast.Rotate _ -> ()
   in
-  List.iter (stmt ~loops:[] ~guarded:false) body;
+  stmts ~stack:[] ~loops:[] ~guarded:false body;
   List.rev !acc
 
 let reads accesses = List.filter is_read accesses
@@ -119,12 +140,16 @@ let linearized (decl : Ast.array_decl) (a : t) : Affine.t option =
 (** Does the access vary with loop index [v]? Exact for affine accesses,
     conservative (true) for non-affine ones that mention [v]. *)
 let varies_with (a : t) v =
-  List.exists2
-    (fun sub aff ->
-      match aff with
-      | Some f -> Affine.coeff f v <> 0
-      | None -> Loop_nest.expr_uses_var v sub)
-    a.subs a.affine
+  let rec go v subs affs =
+    match (subs, affs) with
+    | sub :: subs, aff :: affs ->
+        (match aff with
+        | Some f -> Affine.coeff f v <> 0
+        | None -> Loop_nest.expr_uses_var v sub)
+        || go v subs affs
+    | _ -> false
+  in
+  go v a.subs a.affine
 
 (** Loop indices (from the access's own context) the access varies with. *)
 let varying_indices a = List.filter (varies_with a) (indices a)

@@ -24,7 +24,6 @@ type t = {
 }
 
 val indices : t -> string list
-val depth : t -> int
 val is_read : t -> bool
 val is_write : t -> bool
 val is_affine : t -> bool
@@ -34,7 +33,9 @@ val is_affine : t -> bool
 val affine_exn : t -> Affine.t list
 
 (** Collect accesses in execution (document) order. Reads nested inside
-    subscripts of other accesses are collected as accesses too. *)
+    subscripts of other accesses are collected as accesses too. Accesses
+    in the body of one loop (outside its inner loops) share one
+    physical [loops] list. *)
 val collect : Ast.stmt list -> t list
 
 val reads : t list -> t list

@@ -12,69 +12,89 @@ type group = {
   members : Access.t list;  (** in execution order *)
 }
 
+(* Equal coefficients of [fa] and [fb] on every index. *)
+let rec same_coeffs fa fb = function
+  | [] -> true
+  | v :: rest -> Affine.coeff fa v = Affine.coeff fb v && same_coeffs fa fb rest
+
 (** Same coefficients on every dimension over the given index set. *)
 let same_pattern indices (a : Access.t) (b : Access.t) =
-  Access.is_affine a && Access.is_affine b
-  && List.length a.affine = List.length b.affine
-  && List.for_all2
-       (fun fa fb ->
-         match (fa, fb) with
-         | Some fa, Some fb ->
-             List.for_all (fun v -> Affine.coeff fa v = Affine.coeff fb v) indices
-         | _ -> false)
-       a.affine b.affine
+  let rec dims indices fas fbs =
+    match (fas, fbs) with
+    | [], [] -> true
+    | Some fa :: fas, Some fb :: fbs -> same_coeffs fa fb indices && dims indices fas fbs
+    | _ -> false
+  in
+  dims indices a.affine b.affine
 
-(** Structural key of an access's per-dimension coefficient vectors over
-    [indices]: uniform generation is equality of these keys, which lets
-    grouping run in linear time instead of pairwise comparison. *)
-let pattern_key indices (a : Access.t) : string option =
-  if not (Access.is_affine a) then None
-  else
-    Some
-      (String.concat "|"
-         (List.map
-            (fun f ->
-              match f with
-              | Some f ->
-                  String.concat ","
-                    (List.map (fun v -> string_of_int (Affine.coeff f v)) indices)
-              | None -> "?")
-            a.affine))
+(** Hash of an affine access's array and per-dimension coefficient
+    vectors over [indices], kind left out: accesses with the same
+    pattern hash equally, so grouping buckets on this integer and
+    confirms with {!same_pattern}. *)
+let pattern_hash indices (a : Access.t) =
+  let rec coeffs h f = function
+    | [] -> h
+    | v :: rest -> coeffs ((h * 31) + Affine.coeff f v) f rest
+  in
+  let rec dims indices h = function
+    | [] -> h
+    | Some f :: rest -> dims indices (coeffs ((h * 17) + 1) f indices) rest
+    | None :: rest -> dims indices (h * 17) rest
+  in
+  dims indices (Hashtbl.hash a.array) a.affine
+
+(* A group being built: its members in reverse execution order. *)
+type building = { first : Access.t; mutable rev_members : Access.t list }
+
+(** {!groups} over already collected accesses, uniform generation taken
+    over [indices]. *)
+let group_accesses indices (accesses : Access.t list) : group list =
+  let tbl : (int, building list) Hashtbl.t = Hashtbl.create 32 in
+  let order = ref [] in
+  let singles = ref [] in
+  let rec find (a : Access.t) = function
+    | [] -> None
+    | b :: rest ->
+        if
+          b.first.kind = a.kind
+          && String.equal b.first.array a.array
+          && same_pattern indices b.first a
+        then Some b
+        else find a rest
+  in
+  List.iter
+    (fun (a : Access.t) ->
+      if not (Access.is_affine a) then
+        singles := { array = a.array; kind = a.kind; members = [ a ] } :: !singles
+      else begin
+        let h = (2 * pattern_hash indices a) + if a.kind = Access.Read then 0 else 1 in
+        let bucket = try Hashtbl.find tbl h with Not_found -> [] in
+        match find a bucket with
+        | Some b -> b.rev_members <- a :: b.rev_members
+        | None ->
+            let b = { first = a; rev_members = [ a ] } in
+            order := b :: !order;
+            Hashtbl.replace tbl h (b :: bucket)
+      end)
+    accesses;
+  List.rev_map
+    (fun b -> { array = b.first.array; kind = b.first.kind; members = List.rev b.rev_members })
+    !order
+  @ List.rev !singles
 
 (** Partition accesses into uniformly generated sets, reads and writes
     separately. Non-affine accesses land in singleton groups. *)
 let groups (body : Ast.stmt list) : group list =
-  let indices = Loop_nest.spine_indices body in
-  let accesses = Access.collect body in
-  let tbl : (string * Access.kind * string, Access.t list) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let order = ref [] in
-  let singles = ref [] in
-  List.iter
-    (fun (a : Access.t) ->
-      match pattern_key indices a with
-      | None -> singles := { array = a.array; kind = a.kind; members = [ a ] } :: !singles
-      | Some key ->
-          let k = (a.array, a.kind, key) in
-          (match Hashtbl.find_opt tbl k with
-          | None ->
-              order := k :: !order;
-              Hashtbl.replace tbl k [ a ]
-          | Some ms -> Hashtbl.replace tbl k (a :: ms)))
-    accesses;
-  List.rev_map
-    (fun ((array, kind, _) as k) ->
-      { array; kind; members = List.rev (Hashtbl.find tbl k) })
-    !order
-  @ List.rev !singles
+  group_accesses (Loop_nest.spine_indices body) (Access.collect body)
 
 let read_sets body = List.filter (fun g -> g.kind = Access.Read) (groups body)
-let write_sets body = List.filter (fun g -> g.kind = Access.Write) (groups body)
 
 (** R and W of the saturation-point formula: the number of uniformly
     generated read and write sets of the body. *)
-let set_counts body = (List.length (read_sets body), List.length (write_sets body))
+let set_counts body =
+  List.fold_left
+    (fun (r, w) g -> if g.kind = Access.Read then (r + 1, w) else (r, w + 1))
+    (0, 0) (groups body)
 
 (** Distinct subscript-expression members of a group (members that appear
     several times syntactically count once — a single load serves all). *)

@@ -16,13 +16,22 @@ type group = {
 (** Same coefficients on every dimension over the given index set. *)
 val same_pattern : string list -> Access.t -> Access.t -> bool
 
+(** Hash of an affine access's array and per-dimension coefficient
+    vectors over the indices, kind left out: equal patterns hash
+    equally. *)
+val pattern_hash : string list -> Access.t -> int
+
 (** Partition accesses into uniformly generated sets, reads and writes
-    separately (linear time, hash-bucketed on the coefficient vectors).
-    Non-affine accesses land in singleton groups. *)
+    separately (linear time, bucketed on {!pattern_hash}). Groups are in
+    the order of their first member, then the non-affine accesses, each
+    in a singleton group. *)
 val groups : Ast.stmt list -> group list
 
+(** {!groups} over accesses already collected from a body, uniform
+    generation taken over the given indices. *)
+val group_accesses : string list -> Access.t list -> group list
+
 val read_sets : Ast.stmt list -> group list
-val write_sets : Ast.stmt list -> group list
 
 (** R and W of the saturation-point formula. *)
 val set_counts : Ast.stmt list -> int * int

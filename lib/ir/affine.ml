@@ -28,7 +28,11 @@ let zero = const 0
 let var ?(coeff = 1) v = make [ (v, coeff) ] 0
 let is_const t = t.terms = []
 let const_part t = t.const
-let coeff t v = try List.assoc v t.terms with Not_found -> 0
+let rec coeff_in v = function
+  | [] -> 0
+  | (w, c) :: rest -> if String.equal w v then c else coeff_in v rest
+
+let coeff t v = coeff_in v t.terms
 let vars t = List.map fst t.terms
 
 (* Two normalized term lists merge into a sorted, duplicate-free list
@@ -69,34 +73,96 @@ let div a d =
   then Some { terms = List.map (fun (v, c) -> (v, c / d)) a.terms; const = a.const / d }
   else None
 
-(** Linearize an AST expression into an affine form over the variables it
-    mentions. Returns [None] for non-affine expressions (products of
-    variables, divisions by non-constants, modulus, array reads,
-    conditionals...). Division by a constant is accepted only when it
-    divides the form exactly (all coefficients and the constant), which
-    keeps the result exact. *)
-let rec of_expr (e : Ast.expr) : t option =
+(* Bottom-up linearization: each operand's form first, then {!add},
+   {!scale}, {!mul} or {!div}. Where a variable occurs more than once,
+   the form keeps the name of the occurrence that [merge] keeps. *)
+let rec of_expr_tree (e : Ast.expr) : t option =
   let open Ast in
   match e with
   | Int n -> Some (const n)
   | Var v -> Some (var v)
-  | Un (Neg, a) -> Option.map neg (of_expr a)
+  | Un (Neg, a) -> Option.map neg (of_expr_tree a)
   | Bin (Add, a, b) -> map2 add a b
   | Bin (Sub, a, b) -> map2 sub a b
   | Bin (Mul, a, b) -> (
-      match (of_expr a, of_expr b) with
+      match (of_expr_tree a, of_expr_tree b) with
       | Some fa, Some fb -> mul fa fb
       | _ -> None)
   | Bin (Div, a, b) -> (
-      match (of_expr a, of_expr b) with
+      match (of_expr_tree a, of_expr_tree b) with
       | Some fa, Some fb when is_const fb -> div fa fb.const
       | _ -> None)
   | _ -> None
 
 and map2 f a b =
-  match (of_expr a, of_expr b) with
+  match (of_expr_tree a, of_expr_tree b) with
   | Some fa, Some fb -> Some (f fa fb)
   | _ -> None
+
+exception Repeated
+
+(* [c*v] added to a sorted term list that does not mention [v]. *)
+let rec insert v c = function
+  | [] -> [ (v, c) ]
+  | ((w, _) as t) :: rest as l ->
+      let cmp = String.compare v w in
+      if cmp = 0 then raise_notrace Repeated
+      else if cmp < 0 then (v, c) :: l
+      else t :: insert v c rest
+
+(* The constant part of [k*e]; [Exit] when [e] is not affine. *)
+let rec const_of k (e : Ast.expr) =
+  match e with
+  | Int n -> k * n
+  | Var _ -> 0
+  | Un (Neg, a) -> const_of (-k) a
+  | Bin (Add, a, b) -> const_of k a + const_of k b
+  | Bin (Sub, a, b) -> const_of k a + const_of (-k) b
+  | Bin (Mul, Int c, b) -> const_of (k * c) b
+  | Bin (Mul, a, Int c) -> const_of (k * c) a
+  | Bin ((Mul | Div), _, _) -> (
+      match of_expr_tree e with Some f -> k * f.const | None -> raise_notrace Exit)
+  | _ -> raise_notrace Exit
+
+(* [acc] plus the terms of [k*e], for an affine [e]; [Repeated] when a
+   variable occurs twice. *)
+let rec terms_of k (e : Ast.expr) acc =
+  match e with
+  | Int _ -> acc
+  | Var v -> if k = 0 then acc else insert v k acc
+  | Un (Neg, a) -> terms_of (-k) a acc
+  | Bin (Add, a, b) -> terms_of k b (terms_of k a acc)
+  | Bin (Sub, a, b) -> terms_of (-k) b (terms_of k a acc)
+  | Bin (Mul, Int c, b) -> terms_of (k * c) b acc
+  | Bin (Mul, a, Int c) -> terms_of (k * c) a acc
+  | _ -> (
+      match of_expr_tree e with
+      | Some f ->
+          List.fold_left
+            (fun acc (v, c) -> if k * c = 0 then acc else insert v (k * c) acc)
+            acc f.terms
+      | None -> acc)
+
+(** Linearize an AST expression into an affine form over the variables it
+    mentions. Returns [None] for non-affine expressions (products of
+    variables, divisions by non-constants, modulus, array reads,
+    conditionals...). Division by a constant is accepted only when it
+    divides the form exactly (all coefficients and the constant), which
+    keeps the result exact.
+
+    Two walks, one for the constant and one for the terms, add [k*e]
+    for each subexpression [e] at scale [k] straight into the result, so
+    sums, negations and products by a literal build no intermediate
+    form. A general product or a division, and an expression naming a
+    variable twice, take the bottom-up path instead; without repeated
+    variables both paths give the same form, variable names included. *)
+let of_expr (e : Ast.expr) : t option =
+  match const_of 1 e with
+  | const -> (
+      match terms_of 1 e [] with
+      | terms -> Some { terms; const }
+      | exception Repeated -> of_expr_tree e)
+  | exception Exit -> None
 
 (** Reconstruct a compact AST expression, e.g. [2*i + j - 3]. *)
 let to_expr t : Ast.expr =

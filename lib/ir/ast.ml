@@ -222,24 +222,27 @@ let rec map_sharing f l =
       if x' == x && rest' == rest then l else x' :: rest'
 
 (** Bottom-up expression rewriting; shares unchanged subtrees. *)
-let rec map_expr f e =
-  let e' =
-    match e with
-    | Int _ | Var _ -> e
-    | Arr (a, subs) ->
-        let subs' = map_sharing (map_expr f) subs in
-        if subs' == subs then e else Arr (a, subs')
-    | Bin (op, a, b) ->
-        let a' = map_expr f a and b' = map_expr f b in
-        if a' == a && b' == b then e else Bin (op, a', b')
-    | Un (op, a) ->
-        let a' = map_expr f a in
-        if a' == a then e else Un (op, a')
-    | Cond (c, t, el) ->
-        let c' = map_expr f c and t' = map_expr f t and el' = map_expr f el in
-        if c' == c && t' == t && el' == el then e else Cond (c', t', el')
+let map_expr f e =
+  let rec go e =
+    let e' =
+      match e with
+      | Int _ | Var _ -> e
+      | Arr (a, subs) ->
+          let subs' = map_sharing go subs in
+          if subs' == subs then e else Arr (a, subs')
+      | Bin (op, a, b) ->
+          let a' = go a and b' = go b in
+          if a' == a && b' == b then e else Bin (op, a', b')
+      | Un (op, a) ->
+          let a' = go a in
+          if a' == a then e else Un (op, a')
+      | Cond (c, t, el) ->
+          let c' = go c and t' = go t and el' = go el in
+          if c' == c && t' == t && el' == el then e else Cond (c', t', el')
+    in
+    f e'
   in
-  f e'
+  go e
 
 (** Rewrite every expression (including lvalue subscripts) in a
     statement; shares unchanged subtrees. *)

@@ -81,25 +81,37 @@ let offsets (a : Access.t) : int array =
          | Some (f : Affine.t) -> at_lower_bounds a.loops f.const f.terms)
        a.affine)
 
-(** Accesses (with their offsets) grouped by loop context: only
-    same-context accesses can be co-scheduled in one block. *)
+(** Accesses (with their offsets) grouped by loop context, the indices
+    of the loops around them: only same-context accesses can be
+    co-scheduled in one block. Groups are in first-appearance order.
+    Accesses of one loop body share one physical loop list
+    ({!Access.collect}), so an access usually finds its group by
+    physical equality with the newest group's list. *)
 let context_groups (of_array : (Access.t * int array) list) :
     (Access.t * int array) list list =
-  let tbl = Hashtbl.create 8 in
-  let order = ref [] in
+  let rec same_indices (a : Ast.loop list) (b : Ast.loop list) =
+    a == b
+    ||
+    match (a, b) with
+    | [], [] -> true
+    | x :: a, y :: b -> String.equal x.index y.index && same_indices a b
+    | _ -> false
+  in
+  let rec find loops = function
+    | [] -> None
+    | ((l, _) as g) :: rest -> if same_indices l loops then Some g else find loops rest
+  in
+  let groups = ref [] in
   List.iter
     (fun ((a : Access.t), _ as e) ->
-      let key = Access.indices a in
-      let rest =
-        match Hashtbl.find_opt tbl key with
-        | Some l -> l
-        | None ->
-            order := key :: !order;
-            []
-      in
-      Hashtbl.replace tbl key (e :: rest))
+      match !groups with
+      | (l, members) :: _ when l == a.loops -> members := e :: !members
+      | gs -> (
+          match find a.loops gs with
+          | Some (_, members) -> members := e :: !members
+          | None -> groups := (a.loops, ref [ e ]) :: gs))
     of_array;
-  List.rev_map (fun k -> List.rev (Hashtbl.find tbl k)) !order
+  List.rev_map (fun (_, members) -> List.rev !members) !groups
 
 (** Uniform generation within a context, per dimension. *)
 let group_uniform (group : (Access.t * int array) list) ~dims : bool =
@@ -254,22 +266,22 @@ let assign ~num_memories (k : Ast.kernel) (accesses : Access.t list) : t =
         (Hashtbl.find by_array ar))
     shapes;
   (* Physical binding: distinct (array, vid) pairs in first-read order,
-     then first-write order, round-robin over the memories. *)
+     then first-write order, round-robin over the memories. [bound] maps
+     each array's vids (below its bank count) to their memory, -1 while
+     unbound. *)
   let phys = ref [] in
-  let mem_tbl = Hashtbl.create 16 in
+  let bound = Hashtbl.create 8 in
+  List.iter (fun (ar, banks) -> Hashtbl.replace bound ar (Array.make banks (-1))) banks;
+  let n_bound = ref 0 in
   let memory = Array.make ids 0 in
   let bind (a : Access.t) =
-    let key = (a.array, vids.(a.id)) in
-    let m =
-      match Hashtbl.find_opt mem_tbl key with
-      | Some m -> m
-      | None ->
-          let m = Hashtbl.length mem_tbl mod num_memories in
-          phys := (key, m) :: !phys;
-          Hashtbl.replace mem_tbl key m;
-          m
-    in
-    memory.(a.id) <- m
+    let of_array = Hashtbl.find bound a.array and vid = vids.(a.id) in
+    if of_array.(vid) < 0 then begin
+      of_array.(vid) <- !n_bound mod num_memories;
+      incr n_bound;
+      phys := ((a.array, vid), of_array.(vid)) :: !phys
+    end;
+    memory.(a.id) <- of_array.(vid)
   in
   List.iter (fun a -> if Access.is_read a then bind a) accesses;
   List.iter (fun a -> if Access.is_write a then bind a) accesses;

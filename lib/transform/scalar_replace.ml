@@ -101,6 +101,9 @@ let rec edit_loop_body ~index f body =
     and the inserts stack exactly as sequential ones do. *)
 type edits = {
   repl : (string * expr list, replacement) Hashtbl.t;
+  replaced : (string, unit) Hashtbl.t;
+      (** arrays with a replacement: the rewrite looks up only their
+          accesses *)
   mutable inserts : (string option * stmt list * stmt list) list;
       (** (target loop index, [None] for the whole body; pre; post), in
           reverse application order *)
@@ -113,13 +116,19 @@ and replacement = {
   writes : bool;  (** also turn [A[subs] = e] into [reg = e] *)
 }
 
-let new_edits () = { repl = Hashtbl.create 64; inserts = [] }
+let new_edits () = { repl = Hashtbl.create 64; replaced = Hashtbl.create 8; inserts = [] }
+
+let replace ed ((array, _) as key) r =
+  Hashtbl.replace ed.replaced array ();
+  Hashtbl.replace ed.repl key r
 
 let apply_edits (body : stmt list) (ed : edits) : stmt list =
   let lookup stack a subs =
-    match Hashtbl.find_opt ed.repl (a, subs) with
-    | Some { scope = Some idx; _ } when not (List.mem idx stack) -> None
-    | r -> r
+    if not (Hashtbl.mem ed.replaced a) then None
+    else
+      match Hashtbl.find_opt ed.repl (a, subs) with
+      | Some { scope = Some idx; _ } when not (List.mem idx stack) -> None
+      | r -> r
   in
   (* Bottom-up ([Ast.map_expr]), so a key is looked up on its rewritten
      subscripts as the sequential replacements would have compared it. *)
@@ -161,14 +170,22 @@ let apply_edits (body : stmt list) (ed : edits) : stmt list =
      [pre] above and its [post] below the earlier ones. [ed.inserts] is
      in reverse application order, so the first entry seen is the last
      applied: its [pre] goes first and its [post] last. *)
-  let ins_tbl : (string option, stmt list * stmt list) Hashtbl.t = Hashtbl.create 8 in
+  let stacked : (string option, stmt list list * stmt list list) Hashtbl.t =
+    Hashtbl.create 8
+  in
   List.iter
     (fun (target, pre, post) ->
-      let cur_pre, cur_post =
-        Option.value ~default:([], []) (Hashtbl.find_opt ins_tbl target)
-      in
-      Hashtbl.replace ins_tbl target (cur_pre @ pre, post @ cur_post))
+      let pres, posts = Option.value ~default:([], []) (Hashtbl.find_opt stacked target) in
+      Hashtbl.replace stacked target (pre :: pres, post :: posts))
     ed.inserts;
+  (* Concatenated once per target: every [pre] list but the first
+     applied, and every [post] list, is copied, as appending them one at
+     a time would; only without the quadratic intermediate copies. *)
+  let ins_tbl : (string option, stmt list * stmt list) Hashtbl.t = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun target (pres, posts) ->
+      Hashtbl.replace ins_tbl target (List.concat (List.rev pres), List.concat (posts @ [ [] ])))
+    stacked;
   let rec ins_stmt s =
     match s with
     | For l -> (
@@ -207,83 +224,106 @@ type pattern = {
           the pattern ineligible for register promotion *)
 }
 
-let patterns_of (k : kernel) : pattern list =
+(** One access walk of a kernel: its patterns and the accesses behind
+    them. *)
+type walk = {
+  walked : kernel;
+  patterns : pattern list;
+  accesses : Access.t list;
+  indirect : bool;
+      (** some subscript reads an array: replacing that array's reads
+          then changes another array's subscripts *)
+}
+
+let rec reads_array (e : expr) =
+  match e with
+  | Arr _ -> true
+  | Int _ | Var _ -> false
+  | Bin (_, a, b) -> reads_array a || reads_array b
+  | Un (_, a) -> reads_array a
+  | Cond (c, t, e) -> reads_array c || reads_array t || reads_array e
+
+(* Every loop around [a] that [a] varies with is named in [spine]. *)
+let varies_on_spine_only spine_names (a : Access.t) =
+  let rec go = function
+    | [] -> true
+    | (l : loop) :: rest ->
+        (List.mem l.index spine_names || not (Access.varies_with a l.index)) && go rest
+  in
+  go a.loops
+
+let walk (k : kernel) : walk =
   let spine = Loop_nest.spine k.k_body in
-  let groups = Analysis.Reuse.groups k.k_body in
+  let spine_names = List.map (fun (l : loop) -> l.index) spine in
+  let accesses = Access.collect k.k_body in
+  let groups = Analysis.Reuse.group_accesses spine_names accesses in
   (* Merge the read group and write group of the same array+pattern so
-     hoist/sink treats them together. *)
-  let same_pat (a : Access.t) (b : Access.t) =
-    a.array = b.array
-    && Analysis.Reuse.same_pattern (List.map (fun (l : loop) -> l.index) spine) a b
-  in
-  let merged : Access.t list list =
-    List.fold_left
-      (fun acc (g : Analysis.Reuse.group) ->
-        match g.members with
-        | [] -> acc
-        | m :: _ ->
-            let rec insert = function
-              | [] -> [ g.members ]
-              | (n :: _ as grp) :: rest when same_pat m n ->
-                  (grp @ g.members) :: rest
-              | grp :: rest -> grp :: insert rest
-            in
-            insert acc)
-      [] groups
-  in
-  List.filter_map
-    (fun (members : Access.t list) ->
+     hoist/sink treats them together: the first group's members, then the
+     second's. Non-affine accesses stay alone. *)
+  let buckets = Hashtbl.create 16 in
+  let merged = ref [] in
+  List.iter
+    (fun (g : Analysis.Reuse.group) ->
+      match g.members with
+      | [] -> ()
+      | m :: _ when not (Access.is_affine m) -> merged := ref g.members :: !merged
+      | m :: _ -> (
+          let h = Analysis.Reuse.pattern_hash spine_names m in
+          let bucket = try Hashtbl.find buckets h with Not_found -> [] in
+          match
+            List.find_opt
+              (fun ((n : Access.t), _) ->
+                String.equal n.array m.array
+                && Analysis.Reuse.same_pattern spine_names n m)
+              bucket
+          with
+          | Some (_, members) -> members := !members @ g.members
+          | None ->
+              let members = ref g.members in
+              Hashtbl.replace buckets h ((m, members) :: bucket);
+              merged := members :: !merged))
+    groups;
+  let pattern (members : Access.t list) =
+    let m = List.hd members in
+    let elem =
+      match Ast.find_array k m.array with Some d -> d.a_elem | None -> Dtype.int32
+    in
+    let distinct =
       match members with
-      | [] -> None
-      | m :: _ ->
-          let elem =
-            match Ast.find_array k m.array with
-            | Some d -> d.a_elem
-            | None -> Dtype.int32
-          in
-          let distinct =
-            let seen = Hashtbl.create 16 in
-            List.rev
-              (List.fold_left
-                 (fun acc (a : Access.t) ->
-                   let key = (a.subs, a.kind) in
-                   if Hashtbl.mem seen key then acc
-                   else begin
-                     Hashtbl.replace seen key ();
-                     a :: acc
-                   end)
-                 [] members)
-          in
-          let varying =
-            List.filter
-              (fun (l : loop) ->
-                List.exists (fun a -> Access.varies_with a l.index) members)
-              spine
-          in
-          let spine_names = List.map (fun (l : loop) -> l.index) spine in
-          let spine_only =
-            List.for_all
-              (fun (a : Access.t) ->
-                List.for_all
-                  (fun idx ->
-                    List.mem idx spine_names
-                    || not (Access.varies_with a idx))
-                  (Access.indices a))
-              members
-          in
-          Some
-            {
-              array = m.array;
-              elem;
-              members = distinct;
-              has_reads = List.exists Access.is_read members;
-              has_writes = List.exists Access.is_write members;
-              any_guarded = List.exists (fun (a : Access.t) -> a.guarded) members;
-              varying;
-              spine;
-              spine_only;
-            })
-    merged
+      | [ _ ] -> members
+      | _ ->
+          let seen = Hashtbl.create 16 in
+          List.filter
+            (fun (a : Access.t) ->
+              let key = (a.subs, a.kind) in
+              if Hashtbl.mem seen key then false
+              else begin
+                Hashtbl.replace seen key ();
+                true
+              end)
+            members
+    in
+    {
+      array = m.array;
+      elem;
+      members = distinct;
+      has_reads = List.exists Access.is_read members;
+      has_writes = List.exists Access.is_write members;
+      any_guarded = List.exists (fun (a : Access.t) -> a.guarded) members;
+      varying =
+        List.filter
+          (fun (l : loop) -> List.exists (fun a -> Access.varies_with a l.index) members)
+          spine;
+      spine;
+      spine_only = List.for_all (varies_on_spine_only spine_names) members;
+    }
+  in
+  {
+    walked = k;
+    patterns = List.rev_map (fun members -> pattern !members) !merged;
+    accesses;
+    indirect = List.exists (fun (a : Access.t) -> List.exists reads_array a.subs) accesses;
+  }
 
 (** Another pattern of the same array may alias this one (no proven
     independence between any cross pair). *)
@@ -321,12 +361,16 @@ let edit_body st ed = st.kernel <- { st.kernel with k_body = apply_edits st.kern
 (* ------------------------------------------------------------------ *)
 (* Case 1: hoist/sink *)
 
-let try_hoist (k : kernel) (st : state) (p : pattern) (others : pattern list) =
+let try_hoist (k : kernel) (st : state) (p : pattern) (ps : pattern list) =
   let spine = p.spine in
   let innermost_spine =
     match List.rev spine with [] -> None | l :: _ -> Some l
   in
-  let aliasing = List.exists (fun q -> may_alias k p q) others in
+  (* another pattern of the array may alias this one: asked last, it
+     runs the dependence test on every cross pair *)
+  let aliasing () =
+    List.exists (fun q -> q != p && String.equal q.array p.array && may_alias k p q) ps
+  in
   let deepest_varying =
     (* position of the deepest spine loop the pattern varies with *)
     let rec go i best = function
@@ -341,8 +385,9 @@ let try_hoist (k : kernel) (st : state) (p : pattern) (others : pattern list) =
     && (match innermost_spine with
        | Some l -> not (List.memq l p.varying)
        | None -> false)
-    && (not p.any_guarded) && not aliasing
+    && (not p.any_guarded)
     && st.budget >= List.length p.members
+    && not (aliasing ())
   in
   if not applicable then ()
   else begin
@@ -358,7 +403,7 @@ let try_hoist (k : kernel) (st : state) (p : pattern) (others : pattern list) =
         if not (Hashtbl.mem ed.repl (p.array, subs)) then begin
           let r = declare st (String.lowercase_ascii p.array ^ "_r") p.elem in
           st.budget <- st.budget - 1;
-          Hashtbl.replace ed.repl (p.array, subs) { reg = r; scope = None; writes = true };
+          replace ed (p.array, subs) { reg = r; scope = None; writes = true };
           let load = Assign (Lvar r, Arr (p.array, subs)) in
           let store = Assign (Larr (p.array, subs), Var r) in
           let post = if p.has_writes then [ store ] else [] in
@@ -377,7 +422,8 @@ let try_hoist (k : kernel) (st : state) (p : pattern) (others : pattern list) =
 (* ------------------------------------------------------------------ *)
 (* Case 2: register banks across an outer carrier loop *)
 
-let try_bank ~written (st : state) (p : pattern) =
+(** Whether the pattern got a bank. *)
+let try_bank ~written (st : state) (p : pattern) : bool =
   let spine = p.spine in
   (* Outermost spine loop the pattern is invariant to, with varying loops
      strictly inside it. *)
@@ -394,7 +440,7 @@ let try_bank ~written (st : state) (p : pattern) =
     go spine
   in
   match carrier with
-  | None -> ()
+  | None -> false
   | Some carrier ->
       let inner_of_carrier =
         let rec drop = function
@@ -437,7 +483,7 @@ let try_bank ~written (st : state) (p : pattern) =
         && innermost_varying <> None
         && st.budget >= n_regs
       in
-      if not applicable then ()
+      if not applicable then false
       else begin
         let rot_loop = Option.get innermost_varying in
         let ed = new_edits () in
@@ -459,7 +505,7 @@ let try_bank ~written (st : state) (p : pattern) =
             in
             (* Uses inside the carrier read the bank; the guarded load's
                own read stays (inserts are never rewritten). *)
-            Hashtbl.replace ed.repl (p.array, a.subs)
+            replace ed (p.array, a.subs)
               { reg = r0; scope = Some carrier.index; writes = false };
             ed.inserts <- (Some rot_loop.index, [ load ], [ Rotate regs ]) :: ed.inserts;
             st.report <-
@@ -473,7 +519,8 @@ let try_bank ~written (st : state) (p : pattern) =
                    else carrier.index :: st.report.carriers);
               })
           p.members;
-        edit_body st ed
+        edit_body st ed;
+        true
       end
 
 (* ------------------------------------------------------------------ *)
@@ -508,141 +555,220 @@ let fdiv x y =
   let q = x / y and r = x mod y in
   if r <> 0 && r < 0 <> (y < 0) then q - 1 else q
 
-(** Cheap chain-class key of a member: the canonical residue of its
-    subscript constants modulo the inner-loop shift vector [g]
-    (per-dimension coefficient of the inner index times its step), plus
-    the member's position [idx] along [g]. Two members of one uniformly
-    generated pattern admit a consistent inner-loop distance exactly
-    when their residues agree (the distance is then the [idx]
-    difference) — the dependence-system view of {!chain_distance}
-    restricted to shifts along the inner direction. [None] when the
-    member does not vary with the inner loop (no chain possible). *)
-let chain_key (inner : loop) (a : Access.t) : (int list * int) option =
-  if not (Access.is_affine a) then None
-  else begin
-    let affs = Access.affine_exn a in
-    let g = List.map (fun f -> Affine.coeff f inner.index * inner.step) affs in
-    let c = List.map Affine.const_part affs in
-    let rec first_nz gs cs =
-      match (gs, cs) with
-      | gk :: _, ck :: _ when gk <> 0 -> Some (gk, ck)
-      | _ :: gs, _ :: cs -> first_nz gs cs
-      | _ -> None
-    in
-    match first_nz g c with
-    | None -> None
-    | Some (gk0, ck0) ->
-        let idx = fdiv ck0 gk0 in
-        Some (List.map2 (fun ck gk -> ck - (idx * gk)) c g, idx)
-  end
+(** A member of a chain partition, with the cheap chain-class key of
+    {!partition_chains}: the canonical residue of its subscript constants
+    modulo the inner-loop shift vector [g] (per-dimension coefficient of
+    the inner index times its step), and its position [pos] along [g].
+    Two members of one uniformly generated pattern admit a consistent
+    inner-loop distance exactly when their residues agree (the distance
+    is then the [pos] difference) — the dependence-system view of
+    {!chain_distance} restricted to shifts along the inner direction. *)
+type member = {
+  acc : Access.t;
+  shape : int;
+      (** interned enclosing loops and linear subscript terms: for two
+          affine members, {!chain_distance} depends only on their shapes
+          and the difference of their constants *)
+  consts : int array;  (** per-dimension constant parts *)
+  shift : int array;  (** [g] *)
+  pos : int;
+}
+
+let residue m d = m.consts.(d) - (m.pos * m.shift.(d))
+
+let residue_hash m =
+  let h = ref (Array.length m.consts) in
+  for d = 0 to Array.length m.consts - 1 do
+    h := (!h * 31) + residue m d
+  done;
+  !h
+
+let rec same_residue_from a b d =
+  d = Array.length a.consts || (residue a d = residue b d && same_residue_from a b (d + 1))
+
+let same_residue a b =
+  Array.length a.consts = Array.length b.consts && same_residue_from a b 0
+
+let shape_hash (a : Access.t) =
+  let rec loops h = function
+    | [] -> h
+    | (l : loop) :: rest ->
+        loops ((((((((h * 31) + Hashtbl.hash l.index) * 31) + l.lo) * 31) + l.hi) * 31) + l.step) rest
+  in
+  let rec dims h = function
+    | [] -> h
+    | Some (f : Affine.t) :: rest -> dims ((h * 31) + Hashtbl.hash f.terms) rest
+    | None :: rest -> dims h rest
+  in
+  dims (loops 0 a.loops) a.affine
+
+let same_shape (a : Access.t) (b : Access.t) =
+  let rec loops (la : loop list) (lb : loop list) =
+    la == lb
+    ||
+    match (la, lb) with
+    | [], [] -> true
+    | x :: la, y :: lb ->
+        String.equal x.index y.index && x.lo = y.lo && x.hi = y.hi && x.step = y.step
+        && loops la lb
+    | _ -> false
+  in
+  let rec dims fa fb =
+    match (fa, fb) with
+    | [], [] -> true
+    | Some (f : Affine.t) :: fa, Some (g : Affine.t) :: fb -> f.terms = g.terms && dims fa fb
+    | _ -> false
+  in
+  loops a.loops b.loops && dims a.affine b.affine
+
+(** A solver answer for two shapes and one difference of constants. *)
+type solved = { sa : int; sb : int; diff : int array; dist : int option }
+
+let solved_hash a b =
+  let h = ref ((a.shape * 65599) + b.shape) in
+  for d = 0 to Array.length a.consts - 1 do
+    h := (!h * 31) + (a.consts.(d) - b.consts.(d))
+  done;
+  !h
+
+let rec same_diff s a b d =
+  d = Array.length s.diff || (s.diff.(d) = a.consts.(d) - b.consts.(d) && same_diff s a b (d + 1))
+
+let rec find_solved a b = function
+  | [] -> raise_notrace Not_found
+  | s :: rest ->
+      if s.sa = a.shape && s.sb = b.shape && same_diff s a b 0 then s else find_solved a b rest
+
+(** A chain class being built: its first member and every member with
+    its distance to the first, in reverse order. *)
+type chain_class = { first : member; mutable rev : (member * int) list }
 
 (** Partition a pattern's members into chain classes, each member paired
-    with its distance to the class's first member. The fast path buckets
-    by {!chain_key} with an insertion scan over the classes found so far
-    (O(members x classes)) and verifies every multi-member class against
-    the dependence solver (one {!chain_distance} call per chained
-    member). When the check fails — coupled subscripts like FIR's
-    [S[i+j]] or corr's [img[i+di][j+dj]] — the original pairwise solver
-    scan runs instead, so the result is the one the quadratic algorithm
-    computes, always. Solver answers are memoised for the call: for two
-    affine members {!chain_distance} depends only on each member's shape
-    (enclosing loops and linear subscript terms, interned once per
-    member) and the difference of their constant offsets, so the
-    pairwise scan over a uniformly generated set solves one system per
-    distinct offset difference rather than one per pair. *)
+    with its distance to the class's first member. The fast path puts
+    each member in the first class of its residue whose first member
+    lies within the trip count (a hash table keyed on the residue finds
+    it) and verifies every multi-member class against the dependence
+    solver (one {!chain_distance} call per chained member). When the
+    check fails — coupled subscripts like FIR's [S[i+j]] or corr's
+    [img[i+di][j+dj]] — the original pairwise solver scan runs instead,
+    so the result is the one the quadratic algorithm computes, always.
+    Solver answers are memoised for the call on the two members' shapes
+    and the difference of their constants, so the pairwise scan over a
+    uniformly generated set solves one system per distinct offset
+    difference rather than one per pair, and a repeated question
+    allocates nothing. *)
 let partition_chains (inner : loop) (members : Access.t list) :
     (Access.t * int) list list =
-  let shapes = Hashtbl.create 8 in
-  let intern (a : Access.t) =
-    if not (Access.is_affine a) then None
-    else begin
-      let affs = Access.affine_exn a in
-      let shape =
-        ( List.map (fun (l : loop) -> (l.index, l.lo, l.hi, l.step)) a.loops,
-          List.map (fun (f : Affine.t) -> f.terms) affs )
-      in
-      let id =
-        match Hashtbl.find_opt shapes shape with
-        | Some id -> id
-        | None ->
-            let id = Hashtbl.length shapes in
-            Hashtbl.replace shapes shape id;
-            id
-      in
-      Some (id, List.map Affine.const_part affs)
-    end
+  let shift_of (f : Affine.t) = Affine.coeff f inner.index * inner.step in
+  let rec moves = function
+    | [] -> false
+    | Some f :: rest -> shift_of f <> 0 || moves rest
+    | None :: _ -> false
   in
-  let memo = Hashtbl.create 64 in
-  let distance (a, sa) (b, sb) =
-    match (sa, sb) with
-    | Some (ia, ca), Some (ib, cb) when List.compare_lengths ca cb = 0 -> (
-        let key = (ia, ib, List.map2 ( - ) ca cb) in
-        match Hashtbl.find_opt memo key with
-        | Some d -> d
-        | None ->
-            let d = chain_distance inner a b in
-            Hashtbl.replace memo key d;
-            d)
-    | _ -> chain_distance inner a b
-  in
-  let interned = List.map (fun a -> (a, intern a)) members in
-  let slow () =
-    let classes = ref [] in
-    List.iter
-      (fun a ->
-        let rec insert = function
-          | [] -> [ (a, [ a ]) ]
-          | (m, cls) :: rest -> (
-              match distance m a with
-              | Some _ -> (m, a :: cls) :: rest
-              | None -> (m, cls) :: insert rest)
-        in
-        classes := insert !classes)
-      interned;
-    List.map
-      (fun (_, cls) ->
-        match List.rev cls with
-        | [] -> []
-        | first :: _ as cls ->
-            List.map
-              (fun a -> (fst a, Option.value ~default:0 (distance first a)))
-              cls)
-      !classes
-  in
-  let trip = Ast.loop_trip inner in
-  let keyed = List.map (fun ((a, _) as m) -> (m, chain_key inner a)) interned in
-  if List.exists (fun (_, k) -> k = None) keyed then
+  if not (List.for_all (fun (a : Access.t) -> Access.is_affine a && moves a.affine) members)
+  then
     (* No inner variation (or a non-affine member): no pair admits a
        distance, every member is its own class. *)
-    List.map (fun ((a, _), _) -> [ (a, 0) ]) keyed
+    List.map (fun a -> [ (a, 0) ]) members
   else begin
-    (* Insertion scan as in [slow], with the O(1) key test standing in
+    let shapes = Hashtbl.create 8 in
+    let intern (a : Access.t) =
+      let h = shape_hash a in
+      let bucket = try Hashtbl.find shapes h with Not_found -> [] in
+      match List.find_opt (fun (b, _) -> same_shape a b) bucket with
+      | Some (_, id) -> id
+      | None ->
+          let id = Hashtbl.length shapes in
+          Hashtbl.replace shapes h ((a, id) :: bucket);
+          id
+    in
+    let member (a : Access.t) =
+      let n = List.length a.affine in
+      let consts = Array.make n 0 and shift = Array.make n 0 in
+      List.iteri
+        (fun d f ->
+          let f = Option.get f in
+          consts.(d) <- Affine.const_part f;
+          shift.(d) <- shift_of f)
+        a.affine;
+      let rec first_moving d = if shift.(d) <> 0 then d else first_moving (d + 1) in
+      let d0 = first_moving 0 in
+      { acc = a; shape = intern a; consts; shift; pos = fdiv consts.(d0) shift.(d0) }
+    in
+    let members = List.map member members in
+    let memo = Hashtbl.create 64 in
+    let distance a b =
+      if Array.length a.consts <> Array.length b.consts then chain_distance inner a.acc b.acc
+      else begin
+        let h = solved_hash a b in
+        let bucket = try Hashtbl.find memo h with Not_found -> [] in
+        match find_solved a b bucket with
+        | s -> s.dist
+        | exception Not_found ->
+            let dist = chain_distance inner a.acc b.acc in
+            let diff = Array.mapi (fun d c -> c - b.consts.(d)) a.consts in
+            Hashtbl.replace memo h ({ sa = a.shape; sb = b.shape; diff; dist } :: bucket);
+            dist
+      end
+    in
+    let slow () =
+      (* classes in creation order; each member joins the first class
+         whose first member it has a distance from *)
+      let classes = Array.make (List.length members) { first = List.hd members; rev = [] } in
+      let n = ref 0 in
+      List.iter
+        (fun m ->
+          let rec join i =
+            if i = !n then begin
+              classes.(i) <- { first = m; rev = [ (m, 0) ] };
+              incr n
+            end
+            else
+              let c = classes.(i) in
+              match distance c.first m with
+              | Some _ -> c.rev <- (m, 0) :: c.rev
+              | None -> join (i + 1)
+          in
+          join 0)
+        members;
+      List.init !n (fun i ->
+          let c = classes.(i) in
+          List.rev_map
+            (fun (m, _) -> (m.acc, Option.value ~default:0 (distance c.first m)))
+            c.rev)
+    in
+    (* The insertion scan of [slow], with the O(1) key test standing in
        for the solver: same residue, and the distance realizable within
        the trip count (the solver's own admissibility cut). *)
+    let trip = Ast.loop_trip inner in
+    let by_residue = Hashtbl.create 16 in
     let classes = ref [] in
     List.iter
-      (fun (m, key) ->
-        let residue, idx = Option.get key in
-        let rec insert = function
-          | [] -> [ (residue, idx, [ (m, 0) ]) ]
-          | (res, ridx, cls) :: rest ->
-              if res = residue && abs (ridx - idx) < trip then
-                (res, ridx, (m, ridx - idx) :: cls) :: rest
-              else (res, ridx, cls) :: insert rest
-        in
-        classes := insert !classes)
-      keyed;
-    let classes = List.map (fun (_, _, cls) -> List.rev cls) !classes in
-    let verified =
-      List.for_all
-        (fun cls ->
-          match cls with
-          | [] | [ _ ] -> true
-          | (first, _) :: rest ->
-              List.for_all (fun (m, d) -> distance first m = Some d) rest)
-        classes
+      (fun m ->
+        let h = residue_hash m in
+        let bucket = try Hashtbl.find by_residue h with Not_found -> [] in
+        match
+          List.find_opt
+            (fun c -> same_residue c.first m && abs (c.first.pos - m.pos) < trip)
+            bucket
+        with
+        | Some c -> c.rev <- (m, c.first.pos - m.pos) :: c.rev
+        | None ->
+            let c = { first = m; rev = [ (m, 0) ] } in
+            Hashtbl.replace by_residue h (bucket @ [ c ]);
+            classes := c :: !classes)
+      members;
+    let verified c =
+      match c.rev with
+      | [] | [ _ ] -> true
+      | _ ->
+          List.for_all
+            (fun (m, d) ->
+              m == c.first || match distance c.first m with Some d' -> d' = d | None -> false)
+            c.rev
     in
-    if verified then List.map (List.map (fun ((a, _), d) -> (a, d))) classes
+    if List.for_all verified !classes then
+      List.rev_map (fun c -> List.rev_map (fun (m, d) -> (m.acc, d)) c.rev) !classes
     else slow ()
   end
 
@@ -688,7 +814,7 @@ let try_chains ~(config : config) ~written (st : state) (ed : edits)
                       declare st (Printf.sprintf "%s%d" base j) p.elem)
                 in
                 st.budget <- st.budget - n_regs;
-                let reg j = List.nth regs j in
+                let reg = Array.get (Array.of_list regs) in
                 (* Loads at the top of the innermost body: lead first,
                    then guarded refills for trailing members. *)
                 let lead_load =
@@ -713,7 +839,7 @@ let try_chains ~(config : config) ~written (st : state) (ed : edits)
                 List.iter
                   (fun (d, (a : Access.t)) ->
                     let delay = d - dmin in
-                    Hashtbl.replace ed.repl (p.array, a.Access.subs)
+                    replace ed (p.array, a.Access.subs)
                       { reg = reg (span - delay); scope = Some inner.index; writes = false })
                   with_d;
                 ed.inserts <-
@@ -740,23 +866,63 @@ let try_chains ~(config : config) ~written (st : state) (ed : edits)
    once, accumulate in the register, and store once at the end of the
    body — the within-body face of redundant-write elimination. *)
 
-(** All accesses of [array] anywhere in the body belong to one uniformly
-    generated pattern, so distinct constant offsets address distinct
-    elements and same-element groups are exact. *)
-let array_single_pattern (st : state) array =
-  let accesses = Access.collect st.kernel.k_body in
-  let of_array = List.filter (fun (a : Access.t) -> a.Access.array = array) accesses in
-  let indices =
-    List.sort_uniq String.compare (List.concat_map Access.indices of_array)
-  in
+(** All accesses of [array] among [accesses] (one walk of the body)
+    belong to one uniformly generated pattern over the loops around them,
+    so distinct constant offsets address distinct elements and
+    same-element groups are exact. *)
+let single_pattern (accesses : Access.t list) array =
+  let of_array = List.filter (fun (a : Access.t) -> String.equal a.array array) accesses in
+  (* the loop indices around the array's accesses; accesses of one loop
+     share their loop list, so each list is read once per run of them *)
+  let indices = ref [] and last = ref [] in
+  List.iter
+    (fun (a : Access.t) ->
+      if a.loops != !last then begin
+        last := a.loops;
+        List.iter
+          (fun (l : loop) -> if not (List.mem l.index !indices) then indices := l.index :: !indices)
+          a.loops
+      end)
+    of_array;
   match of_array with
   | [] -> true
   | first :: rest ->
       Access.is_affine first
-      && List.for_all (fun a -> Analysis.Reuse.same_pattern indices first a) rest
+      && List.for_all (fun a -> Analysis.Reuse.same_pattern !indices first a) rest
 
-let cse_loads (st : state) =
-  let written = Licm.arrays_written_in st.kernel.k_body in
+(* Scalars the body assigns or rotates, and the indices of its loops. *)
+let assigned_scalars (body : stmt list) =
+  let tbl = Hashtbl.create 8 in
+  let rec stmt = function
+    | Assign (Lvar v, _) -> Hashtbl.replace tbl v ()
+    | Assign (Larr _, _) -> ()
+    | If (_, t, e) ->
+        List.iter stmt t;
+        List.iter stmt e
+    | For l ->
+        Hashtbl.replace tbl l.index ();
+        List.iter stmt l.body
+    | Rotate rs -> List.iter (fun r -> Hashtbl.replace tbl r ()) rs
+  in
+  List.iter stmt body;
+  tbl
+
+let rec mentions tbl (e : expr) =
+  match e with
+  | Var v -> Hashtbl.mem tbl v
+  | Int _ -> false
+  | Arr (_, subs) -> List.exists (mentions tbl) subs
+  | Bin (_, a, b) -> mentions tbl a || mentions tbl b
+  | Un (_, a) -> mentions tbl a
+  | Cond (c, t, e) -> mentions tbl c || mentions tbl t || mentions tbl e
+
+(** A repeated element of the innermost body: occurrence count, whether
+    any occurrence writes it, whether the first is an unguarded write. *)
+type element = { mutable count : int; mutable has_w : bool; first_w : bool }
+
+(** [single_pattern a] answers {!single_pattern} for array [a] on the
+    current kernel; [written] are the arrays it writes. *)
+let cse_loads ~written ~single_pattern (st : state) =
   let spine = Loop_nest.spine st.kernel.k_body in
   let loop_free =
     not
@@ -767,23 +933,18 @@ let cse_loads (st : state) =
   match (List.rev spine, loop_free) with
   | [], false -> ()
   | target, _ ->
-      (* Scan the innermost body in document order, recording for each
-         (array, subs) element: occurrence count, writes, whether the
-         first occurrence is an unguarded write, guarded uses. *)
-      let stats : (string * expr list, int * bool * bool * bool) Hashtbl.t =
-        Hashtbl.create 16
-      in
+      (* Scan the innermost body in document order, recording each
+         (array, subs) element's facts. *)
+      let stats : (string * expr list, element) Hashtbl.t = Hashtbl.create 16 in
       let order : (string * expr list) list ref = ref [] in
       let note key ~write ~guarded =
-        let count, has_w, first_w, any_g =
-          Option.value ~default:(0, false, false, false) (Hashtbl.find_opt stats key)
-        in
-        if count = 0 then order := key :: !order;
-        Hashtbl.replace stats key
-          ( count + 1,
-            has_w || write,
-            (if count = 0 then write && not guarded else first_w),
-            any_g || guarded )
+        match Hashtbl.find stats key with
+        | e ->
+            e.count <- e.count + 1;
+            e.has_w <- e.has_w || write
+        | exception Not_found ->
+            order := key :: !order;
+            Hashtbl.add stats key { count = 1; has_w = write; first_w = write && not guarded }
       in
       let rec scan_expr guarded e =
         match e with
@@ -827,9 +988,12 @@ let cse_loads (st : state) =
               | [] -> f st.kernel.k_body (* loop-free kernel: one block *));
           }
       in
+      let assigned = ref None in
       apply_inner (fun body ->
           List.iter (scan_stmt false) body;
+          assigned := Some (assigned_scalars body);
           body);
+      let assigned = Option.get !assigned in
       (* Decide all replacements first (caching the per-array pattern
          check), then rewrite the body in a single pass. *)
       let single_pattern_cache = Hashtbl.create 8 in
@@ -837,7 +1001,7 @@ let cse_loads (st : state) =
         match Hashtbl.find_opt single_pattern_cache a with
         | Some v -> v
         | None ->
-            let v = array_single_pattern st a in
+            let v = single_pattern a in
             Hashtbl.replace single_pattern_cache a v;
             v
       in
@@ -847,10 +1011,15 @@ let cse_loads (st : state) =
       let pre = ref [] and post = ref [] in
       List.iter
         (fun ((a, subs) as key) ->
-          let count, has_w, first_is_write, _any_g = Hashtbl.find stats key in
+          let { count; has_w; first_w = first_is_write } = Hashtbl.find stats key in
           let worth = count > 1 && st.budget > 0 in
+          (* A subscript naming a scalar the body assigns (a chain
+             register loaded from an indirect subscript's array, say)
+             names a different element before and after that
+             assignment: the element's load cannot move to the top. *)
           let safe =
-            if has_w then single_pattern a else not (List.mem a written)
+            (if has_w then single_pattern a else not (List.mem a written))
+            && not (List.exists (mentions assigned) subs)
           in
           if worth && safe then begin
             let elem =
@@ -910,30 +1079,24 @@ let run ?(config = default_config) (k : kernel) : kernel * report =
       decls = [];
     }
   in
-  (* Each phase wants the pattern facts of the current kernel; a phase
-     that made no edits leaves [st.kernel] physically unchanged, so the
-     previous phase's patterns (and the access walk behind them) are
-     still exact and can be reused. *)
-  let cached : (kernel * pattern list) option ref = ref None in
-  let patterns () =
-    match !cached with
-    | Some (k, ps) when k == st.kernel -> ps
-    | _ ->
-        let ps = patterns_of st.kernel in
-        cached := Some (st.kernel, ps);
-        ps
-  in
+  (* Each phase reads the pattern facts of one access walk. Hoist/sink
+     may edit any array, so a hoist that edits forces a second walk.
+     Banks and chains only replace reads of arrays the kernel never
+     writes and insert loads of those arrays: every other array's
+     accesses, and so its patterns, stay as the walk found them, unless
+     a subscript reads a replaced array. Without such indirect
+     subscripts, chains read the walk that banks read (a banked pattern
+     gains guarded loads and never chains) and element CSE reads the
+     written arrays' facts from the last walk. *)
+  let w = ref (walk k) in
   (* Hoist/sink first: it removes accumulator traffic and its aliasing
      checks see the original access set. *)
-  let ps = patterns () in
-  List.iter
-    (fun p ->
-      let others = List.filter (fun q -> q != p && q.array = p.array) ps in
-      try_hoist k st p others)
-    ps;
+  let ps = !w.patterns in
+  List.iter (fun p -> try_hoist k st p ps) ps;
+  if st.kernel != !w.walked then w := walk st.kernel;
+  let written = Licm.arrays_written_in st.kernel.k_body in
+  let banked = ref [] in
   if config.across_loops then begin
-    let ps = patterns () in
-    let written = Licm.arrays_written_in st.kernel.k_body in
     (* Smallest banks first, to fit more of them in the budget. *)
     let with_est =
       List.map
@@ -946,20 +1109,30 @@ let run ?(config = default_config) (k : kernel) : kernel * report =
               p.spine
           in
           (est, p))
-        ps
+        !w.patterns
     in
     List.iter
-      (fun (_, p) -> try_bank ~written st p)
+      (fun (_, p) -> if try_bank ~written st p then banked := p :: !banked)
       (List.sort (fun (a, _) (b, _) -> compare a b) with_est)
   end;
   if config.chains then begin
-    let ps = patterns () in
-    let written = Licm.arrays_written_in st.kernel.k_body in
+    let ps =
+      if !banked = [] then !w.patterns
+      else if !w.indirect then begin
+        w := walk st.kernel;
+        !w.patterns
+      end
+      else List.filter (fun p -> not (List.memq p !banked)) !w.patterns
+    in
     let ed = new_edits () in
     List.iter (fun p -> try_chains ~config ~written st ed p) ps;
     if Hashtbl.length ed.repl > 0 then edit_body st ed
   end;
-  cse_loads st;
+  let accesses =
+    if st.kernel == !w.walked || not !w.indirect then Lazy.from_val !w.accesses
+    else lazy (Access.collect st.kernel.k_body)
+  in
+  cse_loads ~written ~single_pattern:(fun a -> single_pattern (Lazy.force accesses) a) st;
   let k = st.kernel in
   let k =
     if st.decls = [] then k else { k with k_scalars = k.k_scalars @ List.rev st.decls }

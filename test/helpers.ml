@@ -220,3 +220,45 @@ let kernel_print k = Pretty.kernel_to_string k
 let qtest name ?(count = 100) gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count gen prop)
+
+(* ------------------------------------------------------------------ *)
+(* Scaling *)
+
+(* Each doubling of the code may grow the count by this factor at most:
+   linear work with fixed costs stays under 2, a quadratic term soon
+   passes 2.3. *)
+let max_doubling = 2.3
+
+let doublings_ok what counts =
+  let rec go = function
+    | (a, wa) :: ((b, wb) :: _ as rest) ->
+        if wb > max_doubling *. wa then
+          Alcotest.failf
+            "%s: %s -> %s grows the minor words %.0f -> %.0f (%.2fx)" what a
+            b wa wb (wb /. wa);
+        go rest
+    | _ -> ()
+  in
+  go counts;
+  true
+
+let replace_all ~sub ~by s =
+  let n = String.length sub in
+  let b = Buffer.create (String.length s) in
+  let rec go i =
+    if i > String.length s - n then
+      Buffer.add_string b (String.sub s i (String.length s - i))
+    else if String.sub s i n = sub then (Buffer.add_string b by; go (i + n))
+    else (Buffer.add_char b s.[i]; go (i + 1))
+  in
+  go 0;
+  Buffer.contents b
+
+(* The built-in Sobel stencil over a 66x66 image: trip counts of 64, so
+   that unroll products 8, 16, 32 and 64 are divisor vectors. *)
+let sobel64 =
+  lazy
+    (Result.get_ok
+       (Frontend.Parser.kernel_of_string_res ~name:"sobel64"
+          (replace_all ~sub:"< 31" ~by:"< 65"
+             (replace_all ~sub:"[32][32]" ~by:"[66][66]" Kernels.sobel_src))))

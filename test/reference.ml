@@ -1,8 +1,9 @@
 (** Reference implementations for the equivalence properties of
     [test_reference_equiv.ml] and [test_fingerprint.ml]: the
     straightforward flow analyses, footprint interpreter, simplifier,
-    fingerprint encoder, scheduler and data layout the optimized library
-    versions must agree with, solution for solution and byte for byte.
+    fingerprint encoder, scheduler, data layout and scalar replacement
+    the optimized library versions must agree with, solution for
+    solution and byte for byte.
     They recompute every node's uses and definitions from the syntax on
     demand, build kill sets by scanning all definitions, filter whole
     fact sets in the transfer functions, interpret footprints over a
@@ -10,9 +11,10 @@
     from the syntax, encode fingerprints as decimal text, keep schedule
     state in tuple-keyed [Hashtbl]s and rescore bank shapes at every
     comparison. Only the types ([loc], [LocSet], [def], [solution],
-    [array_fp], the schedule's [profile], [result] and [tri], ...) and
-    the simplifier's unchanged [fold_expr] are shared with the
-    library. *)
+    [array_fp], the schedule's [profile], [result] and [tri], the
+    access record, ...), the simplifier's unchanged [fold_expr] and, for
+    scalar replacement, the dependence tests and fresh names are shared
+    with the library. *)
 
 open Ir
 
@@ -1251,4 +1253,1034 @@ module Layout = struct
         match Hashtbl.find_opt t.mem_tbl (a.array, vid) with
         | Some m -> m
         | None -> 0)
+end
+
+
+(** [Transform.Scalar_replace] as it was before its analysis side became
+    linear, with the element-CSE refusal of subscripts naming an assigned
+    scalar added: every subscript's affine form re-derived bottom-up,
+    uniformly generated sets keyed on decimal strings, a fresh access
+    walk for every phase and for element CSE's single-pattern check,
+    chain classes found by rebuilding the class list per member and a
+    solver memo keyed on allocated lists. The report and config types
+    are the library's. *)
+module Scalar_replace = struct
+  open Ast
+  module Access = Analysis.Access
+
+  let coeff (f : Affine.t) v = try List.assoc v f.terms with Not_found -> 0
+
+  let rec of_expr (e : Ast.expr) : Affine.t option =
+    match e with
+    | Int n -> Some (Affine.const n)
+    | Var v -> Some (Affine.var v)
+    | Un (Neg, a) -> Option.map Affine.neg (of_expr a)
+    | Bin (Add, a, b) -> map2 Affine.add a b
+    | Bin (Sub, a, b) -> map2 Affine.sub a b
+    | Bin (Mul, a, b) -> (
+        match (of_expr a, of_expr b) with Some fa, Some fb -> Affine.mul fa fb | _ -> None)
+    | Bin (Div, a, b) -> (
+        match (of_expr a, of_expr b) with
+        | Some fa, Some fb when Affine.is_const fb -> Affine.div fa fb.const
+        | _ -> None)
+    | _ -> None
+
+  and map2 f a b =
+    match (of_expr a, of_expr b) with Some fa, Some fb -> Some (f fa fb) | _ -> None
+
+  let collect (body : stmt list) : Access.t list =
+    let acc = ref [] in
+    let next_id = ref 0 in
+    let push ~loops ~guarded array kind subs =
+      let affine = List.map of_expr subs in
+      incr next_id;
+      acc :=
+        { Access.id = !next_id - 1; array; kind; subs; affine; loops = List.rev loops; guarded }
+        :: !acc
+    in
+    let rec expr ~loops ~guarded (e : expr) =
+      match e with
+      | Int _ | Var _ -> ()
+      | Arr (a, subs) ->
+          List.iter (expr ~loops ~guarded) subs;
+          push ~loops ~guarded a Access.Read subs
+      | Bin (_, a, b) ->
+          expr ~loops ~guarded a;
+          expr ~loops ~guarded b
+      | Un (_, a) -> expr ~loops ~guarded a
+      | Cond (c, t, e') ->
+          expr ~loops ~guarded c;
+          expr ~loops ~guarded:true t;
+          expr ~loops ~guarded:true e'
+    in
+    let rec stmt ~loops ~guarded (s : stmt) =
+      match s with
+      | Assign (lv, e) -> (
+          expr ~loops ~guarded e;
+          match lv with
+          | Lvar _ -> ()
+          | Larr (a, subs) ->
+              List.iter (expr ~loops ~guarded) subs;
+              push ~loops ~guarded a Access.Write subs)
+      | If (c, t, e) ->
+          expr ~loops ~guarded c;
+          List.iter (stmt ~loops ~guarded:true) t;
+          List.iter (stmt ~loops ~guarded:true) e
+      | For l -> List.iter (stmt ~loops:(l :: loops) ~guarded) l.body
+      | Rotate _ -> ()
+    in
+    List.iter (stmt ~loops:[] ~guarded:false) body;
+    List.rev !acc
+
+  let varies_with (a : Access.t) v =
+    List.exists2
+      (fun sub aff ->
+        match aff with Some f -> coeff f v <> 0 | None -> Loop_nest.expr_uses_var v sub)
+      a.subs a.affine
+
+  let same_pattern indices (a : Access.t) (b : Access.t) =
+    Access.is_affine a && Access.is_affine b
+    && List.length a.affine = List.length b.affine
+    && List.for_all2
+         (fun fa fb ->
+           match (fa, fb) with
+           | Some fa, Some fb -> List.for_all (fun v -> coeff fa v = coeff fb v) indices
+           | _ -> false)
+         a.affine b.affine
+
+  let pattern_key indices (a : Access.t) : string option =
+    if not (Access.is_affine a) then None
+    else
+      Some
+        (String.concat "|"
+           (List.map
+              (function
+                | Some f -> String.concat "," (List.map (fun v -> string_of_int (coeff f v)) indices)
+                | None -> "?")
+              a.affine))
+
+  let groups (body : stmt list) : Analysis.Reuse.group list =
+    let indices = Loop_nest.spine_indices body in
+    let tbl = Hashtbl.create 32 in
+    let order = ref [] in
+    let singles = ref [] in
+    List.iter
+      (fun (a : Access.t) ->
+        match pattern_key indices a with
+        | None ->
+            singles :=
+              { Analysis.Reuse.array = a.array; kind = a.kind; members = [ a ] } :: !singles
+        | Some key -> (
+            let k = (a.array, a.kind, key) in
+            match Hashtbl.find_opt tbl k with
+            | None ->
+                order := k :: !order;
+                Hashtbl.replace tbl k [ a ]
+            | Some ms -> Hashtbl.replace tbl k (a :: ms)))
+      (collect body);
+    List.rev_map
+      (fun ((array, kind, _) as k) ->
+        { Analysis.Reuse.array; kind; members = List.rev (Hashtbl.find tbl k) })
+      !order
+    @ List.rev !singles
+
+  type config = Transform.Scalar_replace.config = {
+    across_loops : bool;
+    chains : bool;
+    max_chain_span : int;
+    max_registers : int;
+  }
+
+  let default_config = Transform.Scalar_replace.default_config
+
+  type report = Transform.Scalar_replace.report = {
+    hoisted_members : int;
+    banks : (string * int) list;
+    chain_lengths : (string * int) list;
+    cse_loads : int;
+    registers : int;
+    carriers : string list;
+    innermost_peels : int;
+  }
+
+  let empty_report = Transform.Scalar_replace.empty_report
+
+  (* ------------------------------------------------------------------ *)
+  (* Tree-edit helpers, all keyed by spine-loop index *)
+
+  let rec edit_loop_body ~index f body =
+    Ast.map_sharing
+      (fun s ->
+        match s with
+        | For l when l.index = index ->
+            let b' = f l.body in
+            if b' == l.body then s else For { l with body = b' }
+        | For l ->
+            let b' = edit_loop_body ~index f l.body in
+            if b' == l.body then s else For { l with body = b' }
+        | If (c, t, e) ->
+            let t' = edit_loop_body ~index f t
+            and e' = edit_loop_body ~index f e in
+            if t' == t && e' == e then s else If (c, t', e')
+        | Assign _ | Rotate _ -> s)
+      body
+
+  type edits = {
+    repl : (string * expr list, replacement) Hashtbl.t;
+    mutable inserts : (string option * stmt list * stmt list) list;
+        (* (target loop index, [None] for the whole body; pre; post), in
+            reverse application order *)
+  }
+
+  and replacement = {
+    reg : string;
+    scope : string option;
+        (* replace only under a loop of this index; [None]: everywhere *)
+    writes : bool;  (* also turn [A[subs] = e] into [reg = e] *)
+  }
+
+  let new_edits () = { repl = Hashtbl.create 64; inserts = [] }
+
+  let apply_edits (body : stmt list) (ed : edits) : stmt list =
+    let lookup stack a subs =
+      match Hashtbl.find_opt ed.repl (a, subs) with
+      | Some { scope = Some idx; _ } when not (List.mem idx stack) -> None
+      | r -> r
+    in
+    (* Bottom-up ([Ast.map_expr]), so a key is looked up on its rewritten
+       subscripts as the sequential replacements would have compared it. *)
+    let rw_expr stack =
+      Ast.map_expr (fun e ->
+          match e with
+          | Arr (a, subs) -> (
+              match lookup stack a subs with Some r -> Var r.reg | None -> e)
+          | _ -> e)
+    in
+    let rec rw_stmt stack s =
+      match s with
+      | Assign (lv, e) ->
+          let lv' =
+            match lv with
+            | Lvar _ -> lv
+            | Larr (a, subs) -> (
+                let subs' = Ast.map_sharing (rw_expr stack) subs in
+                match lookup stack a subs' with
+                | Some { reg; writes = true; _ } -> Lvar reg
+                | _ -> if subs' == subs then lv else Larr (a, subs'))
+          in
+          let e' = rw_expr stack e in
+          if lv' == lv && e' == e then s else Assign (lv', e')
+      | If (c, t, e) ->
+          let c' = rw_expr stack c in
+          let t' = Ast.map_sharing (rw_stmt stack) t in
+          let e' = Ast.map_sharing (rw_stmt stack) e in
+          if c' == c && t' == t && e' == e then s else If (c', t', e')
+      | For l ->
+          let body' = Ast.map_sharing (rw_stmt (l.index :: stack)) l.body in
+          if body' == l.body then s else For { l with body = body' }
+      | Rotate _ -> s
+    in
+    let body =
+      if Hashtbl.length ed.repl = 0 then body else Ast.map_sharing (rw_stmt []) body
+    in
+    (* Stack the inserts per target: one applied after another puts its
+       [pre] above and its [post] below the earlier ones. [ed.inserts] is
+       in reverse application order, so the first entry seen is the last
+       applied: its [pre] goes first and its [post] last. *)
+    let ins_tbl : (string option, stmt list * stmt list) Hashtbl.t = Hashtbl.create 8 in
+    List.iter
+      (fun (target, pre, post) ->
+        let cur_pre, cur_post =
+          Option.value ~default:([], []) (Hashtbl.find_opt ins_tbl target)
+        in
+        Hashtbl.replace ins_tbl target (cur_pre @ pre, post @ cur_post))
+      ed.inserts;
+    let rec ins_stmt s =
+      match s with
+      | For l -> (
+          let body' = Ast.map_sharing ins_stmt l.body in
+          match Hashtbl.find_opt ins_tbl (Some l.index) with
+          | Some (pre, post) -> For { l with body = pre @ body' @ post }
+          | None -> if body' == l.body then s else For { l with body = body' })
+      | If (c, t, e) ->
+          let t' = Ast.map_sharing ins_stmt t in
+          let e' = Ast.map_sharing ins_stmt e in
+          if t' == t && e' == e then s else If (c, t', e')
+      | Assign _ | Rotate _ -> s
+    in
+    let body = if ed.inserts = [] then body else Ast.map_sharing ins_stmt body in
+    match Hashtbl.find_opt ins_tbl None with
+    | Some (pre, post) -> pre @ body @ post
+    | None -> body
+
+  (* ------------------------------------------------------------------ *)
+  (* Pattern facts *)
+
+  type pattern = {
+    array : string;
+    elem : Dtype.t;
+    members : Access.t list;  (* distinct; execution order *)
+    has_reads : bool;
+    has_writes : bool;
+    any_guarded : bool;
+    varying : Ast.loop list;  (* spine loops the pattern varies with, outer first *)
+    spine : Ast.loop list;
+    spine_only : bool;
+        (* every loop the members vary with is on the spine; off-spine
+            variation (epilogue loops of a non-divisor unroll factor) makes
+            the pattern ineligible for register promotion *)
+  }
+
+  let patterns_of (k : kernel) : pattern list =
+    let spine = Loop_nest.spine k.k_body in
+    let groups = groups k.k_body in
+    (* Merge the read group and write group of the same array+pattern so
+       hoist/sink treats them together. *)
+    let same_pat (a : Access.t) (b : Access.t) =
+      a.array = b.array
+      && same_pattern (List.map (fun (l : loop) -> l.index) spine) a b
+    in
+    let merged : Access.t list list =
+      List.fold_left
+        (fun acc (g : Analysis.Reuse.group) ->
+          match g.members with
+          | [] -> acc
+          | m :: _ ->
+              let rec insert = function
+                | [] -> [ g.members ]
+                | (n :: _ as grp) :: rest when same_pat m n ->
+                    (grp @ g.members) :: rest
+                | grp :: rest -> grp :: insert rest
+              in
+              insert acc)
+        [] groups
+    in
+    List.filter_map
+      (fun (members : Access.t list) ->
+        match members with
+        | [] -> None
+        | m :: _ ->
+            let elem =
+              match Ast.find_array k m.array with
+              | Some d -> d.a_elem
+              | None -> Dtype.int32
+            in
+            let distinct =
+              let seen = Hashtbl.create 16 in
+              List.rev
+                (List.fold_left
+                   (fun acc (a : Access.t) ->
+                     let key = (a.subs, a.kind) in
+                     if Hashtbl.mem seen key then acc
+                     else begin
+                       Hashtbl.replace seen key ();
+                       a :: acc
+                     end)
+                   [] members)
+            in
+            let varying =
+              List.filter
+                (fun (l : loop) ->
+                  List.exists (fun a -> varies_with a l.index) members)
+                spine
+            in
+            let spine_names = List.map (fun (l : loop) -> l.index) spine in
+            let spine_only =
+              List.for_all
+                (fun (a : Access.t) ->
+                  List.for_all
+                    (fun idx ->
+                      List.mem idx spine_names
+                      || not (varies_with a idx))
+                    (Access.indices a))
+                members
+            in
+            Some
+              {
+                array = m.array;
+                elem;
+                members = distinct;
+                has_reads = List.exists Access.is_read members;
+                has_writes = List.exists Access.is_write members;
+                any_guarded = List.exists (fun (a : Access.t) -> a.guarded) members;
+                varying;
+                spine;
+                spine_only;
+              })
+      merged
+
+  let may_alias (k : kernel) (p : pattern) (q : pattern) =
+    let decl = Ast.find_array k p.array in
+    List.exists
+      (fun a ->
+        List.exists
+          (fun b ->
+            match Analysis.Dependence.test ?decl a b with
+            | Analysis.Dependence.Independent -> false
+            | _ -> true)
+          q.members)
+      p.members
+
+  (* ------------------------------------------------------------------ *)
+
+  type state = {
+    mutable kernel : kernel;
+    mutable report : report;
+    names : Transform.Names.t;
+    mutable budget : int;
+    mutable decls : scalar_decl list;
+        (* registers declared so far, newest first; appended to the
+            kernel's scalars once, when [run] returns *)
+  }
+
+  let declare st base elem =
+    let name = Transform.Names.fresh st.names base in
+    st.decls <- { s_name = name; s_elem = elem; s_kind = Register; s_span = None } :: st.decls;
+    name
+
+  let edit_body st ed = st.kernel <- { st.kernel with k_body = apply_edits st.kernel.k_body ed }
+
+  (* ------------------------------------------------------------------ *)
+  (* Case 1: hoist/sink *)
+
+  let try_hoist (k : kernel) (st : state) (p : pattern) (others : pattern list) =
+    let spine = p.spine in
+    let innermost_spine =
+      match List.rev spine with [] -> None | l :: _ -> Some l
+    in
+    let aliasing = List.exists (fun q -> may_alias k p q) others in
+    let deepest_varying =
+      (* position of the deepest spine loop the pattern varies with *)
+      let rec go i best = function
+        | [] -> best
+        | (l : loop) :: rest ->
+            go (i + 1) (if List.memq l p.varying then i else best) rest
+      in
+      go 0 (-1) spine
+    in
+    let applicable =
+      spine <> [] && p.spine_only
+      && (match innermost_spine with
+         | Some l -> not (List.memq l p.varying)
+         | None -> false)
+      && (not p.any_guarded) && not aliasing
+      && st.budget >= List.length p.members
+    in
+    if not applicable then ()
+    else begin
+      (* Hoist each distinct member to just inside the deepest varying
+         loop (or outside the whole nest when invariant everywhere). *)
+      let target =
+        if deepest_varying < 0 then None else Some (List.nth spine deepest_varying).index
+      in
+      let ed = new_edits () in
+      List.iter
+        (fun (a : Access.t) ->
+          let subs = a.Access.subs in
+          if not (Hashtbl.mem ed.repl (p.array, subs)) then begin
+            let r = declare st (String.lowercase_ascii p.array ^ "_r") p.elem in
+            st.budget <- st.budget - 1;
+            Hashtbl.replace ed.repl (p.array, subs) { reg = r; scope = None; writes = true };
+            let load = Assign (Lvar r, Arr (p.array, subs)) in
+            let store = Assign (Larr (p.array, subs), Var r) in
+            let post = if p.has_writes then [ store ] else [] in
+            ed.inserts <- (target, [ load ], post) :: ed.inserts;
+            st.report <-
+              {
+                st.report with
+                hoisted_members = st.report.hoisted_members + 1;
+                registers = st.report.registers + 1;
+              }
+          end)
+        p.members;
+      edit_body st ed
+    end
+
+  (* ------------------------------------------------------------------ *)
+  (* Case 2: register banks across an outer carrier loop *)
+
+  let try_bank ~written (st : state) (p : pattern) =
+    let spine = p.spine in
+    (* Outermost spine loop the pattern is invariant to, with varying loops
+       strictly inside it. *)
+    let carrier =
+      let rec go = function
+        | [] -> None
+        | (l : loop) :: rest ->
+            if
+              (not (List.memq l p.varying))
+              && List.exists (fun v -> List.memq v rest) p.varying
+            then Some l
+            else go rest
+      in
+      go spine
+    in
+    match carrier with
+    | None -> ()
+    | Some carrier ->
+        let inner_of_carrier =
+          let rec drop = function
+            | (l : loop) :: rest -> if l.index = carrier.index then rest else drop rest
+            | [] -> []
+          in
+          drop spine
+        in
+        let varying_inside = List.filter (fun l -> List.memq l p.varying) inner_of_carrier in
+        (* Varying loops must be contiguous on the spine below the carrier:
+           a non-varying loop *between* two varying ones desynchronises the
+           rotation count from the bank size. Non-varying loops below the
+           deepest varying loop only repeat full cycles and are fine. *)
+        let contiguous =
+          let rec check seen_varying = function
+            | [] -> true
+            | (l : loop) :: rest ->
+                let v = List.memq l p.varying in
+                if v then check true rest
+                else if not seen_varying then check false rest
+                else
+                  (* non-varying after a varying loop: legal only if no
+                     varying loop follows *)
+                  List.for_all (fun m -> not (List.memq m p.varying)) rest
+          in
+          check false inner_of_carrier
+        in
+        let bank_n =
+          List.fold_left (fun acc l -> acc * Ast.loop_trip l) 1 varying_inside
+        in
+        let innermost_varying =
+          match List.rev varying_inside with [] -> None | l :: _ -> Some l
+        in
+        let n_regs = bank_n * List.length p.members in
+        let applicable =
+          p.has_reads && (not p.has_writes) && p.spine_only
+          && (not (List.mem p.array written))
+          && (not p.any_guarded)
+          && contiguous && bank_n > 1
+          && innermost_varying <> None
+          && st.budget >= n_regs
+        in
+        if not applicable then ()
+        else begin
+          let rot_loop = Option.get innermost_varying in
+          let ed = new_edits () in
+          List.iteri
+            (fun mi (a : Access.t) ->
+              let base =
+                Printf.sprintf "%s_%d" (String.lowercase_ascii p.array) mi
+              in
+              let regs =
+                List.init bank_n (fun j -> declare st (Printf.sprintf "%s_%d" base j) p.elem)
+              in
+              st.budget <- st.budget - bank_n;
+              let r0 = List.hd regs in
+              let load =
+                If
+                  ( Bin (Eq, Var carrier.index, Int carrier.lo),
+                    [ Assign (Lvar r0, Arr (p.array, a.subs)) ],
+                    [] )
+              in
+              (* Uses inside the carrier read the bank; the guarded load's
+                 own read stays (inserts are never rewritten). *)
+              Hashtbl.replace ed.repl (p.array, a.subs)
+                { reg = r0; scope = Some carrier.index; writes = false };
+              ed.inserts <- (Some rot_loop.index, [ load ], [ Rotate regs ]) :: ed.inserts;
+              st.report <-
+                {
+                  st.report with
+                  banks = (p.array, bank_n) :: st.report.banks;
+                  registers = st.report.registers + bank_n;
+                  carriers =
+                    (if List.mem carrier.index st.report.carriers then
+                       st.report.carriers
+                     else carrier.index :: st.report.carriers);
+                })
+            p.members;
+          edit_body st ed
+        end
+
+  (* ------------------------------------------------------------------ *)
+  (* Case 3: chains along the innermost varying loop *)
+
+  let chain_distance (inner : loop) (a : Access.t) (b : Access.t) : int option =
+    match Analysis.Dependence.ug_distance_vector a b with
+    | Analysis.Dependence.Distance entries ->
+        let loops = Analysis.Dependence.common_loops a b in
+        let rec go loops entries acc =
+          match (loops, entries) with
+          | [], [] -> acc
+          | (l : loop) :: ls, e :: es -> (
+              match e with
+              | Analysis.Dependence.Exact d when l.index = inner.index ->
+                  if acc = None then go ls es (Some d) else None
+              | Analysis.Dependence.Exact 0 -> go ls es acc
+              | Analysis.Dependence.Any -> go ls es acc
+              | Analysis.Dependence.Exact _ | Analysis.Dependence.Coupled -> None)
+          | _ -> None
+        in
+        go loops entries None
+    | _ -> None
+
+  (* Floor division (exact linearity in the divisor direction:
+     [fdiv (x + d*g) g = fdiv x g + d] for any integers, which makes the
+     residue below a canonical class key). *)
+  let fdiv x y =
+    let q = x / y and r = x mod y in
+    if r <> 0 && r < 0 <> (y < 0) then q - 1 else q
+
+  let chain_key (inner : loop) (a : Access.t) : (int list * int) option =
+    if not (Access.is_affine a) then None
+    else begin
+      let affs = Access.affine_exn a in
+      let g = List.map (fun f -> coeff f inner.index * inner.step) affs in
+      let c = List.map Affine.const_part affs in
+      let rec first_nz gs cs =
+        match (gs, cs) with
+        | gk :: _, ck :: _ when gk <> 0 -> Some (gk, ck)
+        | _ :: gs, _ :: cs -> first_nz gs cs
+        | _ -> None
+      in
+      match first_nz g c with
+      | None -> None
+      | Some (gk0, ck0) ->
+          let idx = fdiv ck0 gk0 in
+          Some (List.map2 (fun ck gk -> ck - (idx * gk)) c g, idx)
+    end
+
+  let partition_chains (inner : loop) (members : Access.t list) :
+      (Access.t * int) list list =
+    let shapes = Hashtbl.create 8 in
+    let intern (a : Access.t) =
+      if not (Access.is_affine a) then None
+      else begin
+        let affs = Access.affine_exn a in
+        let shape =
+          ( List.map (fun (l : loop) -> (l.index, l.lo, l.hi, l.step)) a.loops,
+            List.map (fun (f : Affine.t) -> f.terms) affs )
+        in
+        let id =
+          match Hashtbl.find_opt shapes shape with
+          | Some id -> id
+          | None ->
+              let id = Hashtbl.length shapes in
+              Hashtbl.replace shapes shape id;
+              id
+        in
+        Some (id, List.map Affine.const_part affs)
+      end
+    in
+    let memo = Hashtbl.create 64 in
+    let distance (a, sa) (b, sb) =
+      match (sa, sb) with
+      | Some (ia, ca), Some (ib, cb) when List.compare_lengths ca cb = 0 -> (
+          let key = (ia, ib, List.map2 ( - ) ca cb) in
+          match Hashtbl.find_opt memo key with
+          | Some d -> d
+          | None ->
+              let d = chain_distance inner a b in
+              Hashtbl.replace memo key d;
+              d)
+      | _ -> chain_distance inner a b
+    in
+    let interned = List.map (fun a -> (a, intern a)) members in
+    let slow () =
+      let classes = ref [] in
+      List.iter
+        (fun a ->
+          let rec insert = function
+            | [] -> [ (a, [ a ]) ]
+            | (m, cls) :: rest -> (
+                match distance m a with
+                | Some _ -> (m, a :: cls) :: rest
+                | None -> (m, cls) :: insert rest)
+          in
+          classes := insert !classes)
+        interned;
+      List.map
+        (fun (_, cls) ->
+          match List.rev cls with
+          | [] -> []
+          | first :: _ as cls ->
+              List.map
+                (fun a -> (fst a, Option.value ~default:0 (distance first a)))
+                cls)
+        !classes
+    in
+    let trip = Ast.loop_trip inner in
+    let keyed = List.map (fun ((a, _) as m) -> (m, chain_key inner a)) interned in
+    if List.exists (fun (_, k) -> k = None) keyed then
+      (* No inner variation (or a non-affine member): no pair admits a
+         distance, every member is its own class. *)
+      List.map (fun ((a, _), _) -> [ (a, 0) ]) keyed
+    else begin
+      (* Insertion scan as in [slow], with the O(1) key test standing in
+         for the solver: same residue, and the distance realizable within
+         the trip count (the solver's own admissibility cut). *)
+      let classes = ref [] in
+      List.iter
+        (fun (m, key) ->
+          let residue, idx = Option.get key in
+          let rec insert = function
+            | [] -> [ (residue, idx, [ (m, 0) ]) ]
+            | (res, ridx, cls) :: rest ->
+                if res = residue && abs (ridx - idx) < trip then
+                  (res, ridx, (m, ridx - idx) :: cls) :: rest
+                else (res, ridx, cls) :: insert rest
+          in
+          classes := insert !classes)
+        keyed;
+      let classes = List.map (fun (_, _, cls) -> List.rev cls) !classes in
+      let verified =
+        List.for_all
+          (fun cls ->
+            match cls with
+            | [] | [ _ ] -> true
+            | (first, _) :: rest ->
+                List.for_all (fun (m, d) -> distance first m = Some d) rest)
+          classes
+      in
+      if verified then List.map (List.map (fun ((a, _), d) -> (a, d))) classes
+      else slow ()
+    end
+
+  let try_chains ~(config : config) ~written (st : state) (ed : edits)
+      (p : pattern) =
+    let innermost_varying =
+      match List.rev p.varying with [] -> None | l :: _ -> Some l
+    in
+    let spine_innermost =
+      match List.rev p.spine with [] -> None | l :: _ -> Some l
+    in
+    match (innermost_varying, spine_innermost) with
+    | Some inner, Some spine_inner
+      when inner.index = spine_inner.index
+           && p.spine_only
+           && p.has_reads && (not p.has_writes)
+           && (not (List.mem p.array written))
+           && not p.any_guarded ->
+        let classes = partition_chains inner p.members in
+        List.iter
+          (fun cls ->
+            match cls with
+            | [] | [ _ ] -> () (* single member: CSE handles duplicates *)
+            | _ ->
+                (* Distance d of member m relative to the first member: m
+                   touches the first member's element d iterations later.
+                   The member with minimal d reads the *newest* data each
+                   iteration and leads the chain; a member at delay k reads
+                   what the lead read k iterations ago. *)
+                let with_d = List.map (fun (a, d) -> (d, a)) cls in
+                let with_d = List.sort (fun (x, _) (y, _) -> compare x y) with_d in
+                let dmin = fst (List.hd with_d) in
+                let dmax = fst (List.nth with_d (List.length with_d - 1)) in
+                let span = dmax - dmin in
+                let lead = snd (List.hd with_d) in
+                let n_regs = span + 1 in
+                if span <= 0 || span > config.max_chain_span || st.budget < n_regs
+                then ()
+                else begin
+                  let base = String.lowercase_ascii p.array ^ "_h" in
+                  let regs =
+                    List.init n_regs (fun j ->
+                        declare st (Printf.sprintf "%s%d" base j) p.elem)
+                  in
+                  st.budget <- st.budget - n_regs;
+                  let reg j = List.nth regs j in
+                  (* Loads at the top of the innermost body: lead first,
+                     then guarded refills for trailing members. *)
+                  let lead_load =
+                    Assign (Lvar (reg span), Arr (p.array, lead.Access.subs))
+                  in
+                  let refills =
+                    List.filter_map
+                      (fun (d, (a : Access.t)) ->
+                        let delay = d - dmin in
+                        if delay = 0 then None
+                        else
+                          Some
+                            (If
+                               ( Bin
+                                   ( Lt,
+                                     Var inner.index,
+                                     Int (inner.lo + (delay * inner.step)) ),
+                                 [ Assign (Lvar (reg (span - delay)), Arr (p.array, a.subs)) ],
+                                 [] )))
+                      with_d
+                  in
+                  List.iter
+                    (fun (d, (a : Access.t)) ->
+                      let delay = d - dmin in
+                      Hashtbl.replace ed.repl (p.array, a.Access.subs)
+                        { reg = reg (span - delay); scope = Some inner.index; writes = false })
+                    with_d;
+                  ed.inserts <-
+                    (Some inner.index, lead_load :: refills, [ Rotate regs ])
+                    :: ed.inserts;
+                  st.report <-
+                    {
+                      st.report with
+                      chain_lengths = (p.array, n_regs) :: st.report.chain_lengths;
+                      registers = st.report.registers + n_regs;
+                      innermost_peels = max st.report.innermost_peels span;
+                    }
+                end)
+          classes
+    | _ -> ()
+
+  (* ------------------------------------------------------------------ *)
+  (* Case 4: element replacement within the innermost body.
+
+     Accesses to one array element (same canonical subscripts) repeated in
+     the innermost body collapse onto a register: read-only groups load
+     once (the paper's loop-independent [S_0] of FIR); read-modify-write
+     groups (an accumulator whose carrying loop was fully unrolled) load
+     once, accumulate in the register, and store once at the end of the
+     body — the within-body face of redundant-write elimination. *)
+
+  let array_single_pattern (st : state) array =
+    let accesses = collect st.kernel.k_body in
+    let of_array = List.filter (fun (a : Access.t) -> a.Access.array = array) accesses in
+    let indices =
+      List.sort_uniq String.compare (List.concat_map Access.indices of_array)
+    in
+    match of_array with
+    | [] -> true
+    | first :: rest ->
+        Access.is_affine first
+        && List.for_all (fun a -> same_pattern indices first a) rest
+
+  let cse_loads (st : state) =
+    let written = Transform.Licm.arrays_written_in st.kernel.k_body in
+    let spine = Loop_nest.spine st.kernel.k_body in
+    let loop_free =
+      not
+        (List.exists
+           (function Ast.For _ -> true | _ -> false)
+           st.kernel.k_body)
+    in
+    match (List.rev spine, loop_free) with
+    | [], false -> ()
+    | target, _ ->
+        (* Scan the innermost body in document order, recording for each
+           (array, subs) element: occurrence count, writes, whether the
+           first occurrence is an unguarded write, guarded uses. *)
+        let stats : (string * expr list, int * bool * bool * bool) Hashtbl.t =
+          Hashtbl.create 16
+        in
+        let order : (string * expr list) list ref = ref [] in
+        let note key ~write ~guarded =
+          let count, has_w, first_w, any_g =
+            Option.value ~default:(0, false, false, false) (Hashtbl.find_opt stats key)
+          in
+          if count = 0 then order := key :: !order;
+          Hashtbl.replace stats key
+            ( count + 1,
+              has_w || write,
+              (if count = 0 then write && not guarded else first_w),
+              any_g || guarded )
+        in
+        let rec scan_expr guarded e =
+          match e with
+          | Arr (a, subs) ->
+              List.iter (scan_expr guarded) subs;
+              note (a, subs) ~write:false ~guarded
+          | Bin (_, x, y) ->
+              scan_expr guarded x;
+              scan_expr guarded y
+          | Un (_, x) -> scan_expr guarded x
+          | Cond (c, t, e') ->
+              scan_expr guarded c;
+              scan_expr true t;
+              scan_expr true e'
+          | Int _ | Var _ -> ()
+        in
+        let rec scan_stmt guarded s =
+          match s with
+          | Assign (lv, e) -> (
+              scan_expr guarded e;
+              match lv with
+              | Larr (a, subs) ->
+                  List.iter (scan_expr guarded) subs;
+                  note (a, subs) ~write:true ~guarded
+              | Lvar _ -> ())
+          | If (c, t, e) ->
+              scan_expr guarded c;
+              List.iter (scan_stmt true) t;
+              List.iter (scan_stmt true) e
+          | For _ -> ()
+          | Rotate _ -> ()
+        in
+        let apply_inner f =
+          st.kernel <-
+            {
+              st.kernel with
+              k_body =
+                (match target with
+                | inner :: _ ->
+                    edit_loop_body ~index:inner.Ast.index f st.kernel.k_body
+                | [] -> f st.kernel.k_body (* loop-free kernel: one block *));
+            }
+        in
+        (* Refuse elements whose subscripts name a scalar the body
+           assigns or rotates (the one change from the former pass). *)
+        let assigned = Hashtbl.create 8 in
+        let rec note_assigned = function
+          | Assign (Lvar v, _) -> Hashtbl.replace assigned v ()
+          | Assign (Larr _, _) -> ()
+          | If (_, t, e) ->
+              List.iter note_assigned t;
+              List.iter note_assigned e
+          | For l ->
+              Hashtbl.replace assigned l.index ();
+              List.iter note_assigned l.body
+          | Rotate rs -> List.iter (fun r -> Hashtbl.replace assigned r ()) rs
+        in
+        let rec mentions_assigned e =
+          match e with
+          | Var v -> Hashtbl.mem assigned v
+          | Int _ -> false
+          | Arr (_, subs) -> List.exists mentions_assigned subs
+          | Bin (_, a, b) -> mentions_assigned a || mentions_assigned b
+          | Un (_, a) -> mentions_assigned a
+          | Cond (c, t, e) -> mentions_assigned c || mentions_assigned t || mentions_assigned e
+        in
+        apply_inner (fun body ->
+            List.iter (scan_stmt false) body;
+            List.iter note_assigned body;
+            body);
+        (* Decide all replacements first (caching the per-array pattern
+           check), then rewrite the body in a single pass. *)
+        let single_pattern_cache = Hashtbl.create 8 in
+        let single_pattern a =
+          match Hashtbl.find_opt single_pattern_cache a with
+          | Some v -> v
+          | None ->
+              let v = array_single_pattern st a in
+              Hashtbl.replace single_pattern_cache a v;
+              v
+        in
+        let chosen : (string * expr list, string * bool * bool) Hashtbl.t =
+          Hashtbl.create 16
+        in
+        let pre = ref [] and post = ref [] in
+        List.iter
+          (fun ((a, subs) as key) ->
+            let count, has_w, first_is_write, _any_g = Hashtbl.find stats key in
+            let worth = count > 1 && st.budget > 0 in
+            let safe =
+              (if has_w then single_pattern a else not (List.mem a written))
+              && not (List.exists mentions_assigned subs)
+            in
+            if worth && safe then begin
+              let elem =
+                match Ast.find_array st.kernel a with
+                | Some d -> d.a_elem
+                | None -> Dtype.int32
+              in
+              let r = declare st (String.lowercase_ascii a ^ "_s") elem in
+              st.budget <- st.budget - 1;
+              Hashtbl.replace chosen key (r, has_w, first_is_write);
+              if not first_is_write then
+                pre := Assign (Lvar r, Arr (a, subs)) :: !pre;
+              if has_w then post := Assign (Larr (a, subs), Var r) :: !post;
+              st.report <-
+                {
+                  st.report with
+                  cse_loads = st.report.cse_loads + 1;
+                  registers = st.report.registers + 1;
+                }
+            end)
+          (List.rev !order);
+        if Hashtbl.length chosen > 0 then
+          apply_inner (fun body ->
+              let rw_read e =
+                match e with
+                | Arr (a, subs) -> (
+                    match Hashtbl.find_opt chosen (a, subs) with
+                    | Some (r, _, _) -> Var r
+                    | None -> e)
+                | e -> e
+              in
+              let rec rw_stmt s =
+                match s with
+                | Assign (Larr (a, subs), e) -> (
+                    let subs = List.map (map_expr rw_read) subs in
+                    let e = map_expr rw_read e in
+                    match Hashtbl.find_opt chosen (a, subs) with
+                    | Some (r, true, _) -> Assign (Lvar r, e)
+                    | _ -> Assign (Larr (a, subs), e))
+                | Assign (Lvar v, e) -> Assign (Lvar v, map_expr rw_read e)
+                | If (c, t, e) ->
+                    If (map_expr rw_read c, List.map rw_stmt t, List.map rw_stmt e)
+                | For l -> For { l with body = List.map rw_stmt l.body }
+                | Rotate rs -> Rotate rs
+              in
+              List.rev !pre @ List.map rw_stmt body @ List.rev !post)
+
+  (* ------------------------------------------------------------------ *)
+
+  let run ?(config = default_config) (k : kernel) : kernel * report =
+    let st =
+      {
+        kernel = k;
+        report = empty_report;
+        names = Transform.Names.of_kernel k;
+        budget = config.max_registers;
+        decls = [];
+      }
+    in
+    (* Each phase wants the pattern facts of the current kernel; a phase
+       that made no edits leaves [st.kernel] physically unchanged, so the
+       previous phase's patterns (and the access walk behind them) are
+       still exact and can be reused. *)
+    let cached : (kernel * pattern list) option ref = ref None in
+    let patterns () =
+      match !cached with
+      | Some (k, ps) when k == st.kernel -> ps
+      | _ ->
+          let ps = patterns_of st.kernel in
+          cached := Some (st.kernel, ps);
+          ps
+    in
+    (* Hoist/sink first: it removes accumulator traffic and its aliasing
+       checks see the original access set. *)
+    let ps = patterns () in
+    List.iter
+      (fun p ->
+        let others = List.filter (fun q -> q != p && q.array = p.array) ps in
+        try_hoist k st p others)
+      ps;
+    if config.across_loops then begin
+      let ps = patterns () in
+      let written = Transform.Licm.arrays_written_in st.kernel.k_body in
+      (* Smallest banks first, to fit more of them in the budget. *)
+      let with_est =
+        List.map
+          (fun p ->
+            let est =
+              List.fold_left
+                (fun acc (l : loop) ->
+                  if List.memq l p.varying then acc * Ast.loop_trip l else acc)
+                (List.length p.members)
+                p.spine
+            in
+            (est, p))
+          ps
+      in
+      List.iter
+        (fun (_, p) -> try_bank ~written st p)
+        (List.sort (fun (a, _) (b, _) -> compare a b) with_est)
+    end;
+    if config.chains then begin
+      let ps = patterns () in
+      let written = Transform.Licm.arrays_written_in st.kernel.k_body in
+      let ed = new_edits () in
+      List.iter (fun p -> try_chains ~config ~written st ed p) ps;
+      if Hashtbl.length ed.repl > 0 then edit_body st ed
+    end;
+    cse_loads st;
+    let k = st.kernel in
+    let k =
+      if st.decls = [] then k else { k with k_scalars = k.k_scalars @ List.rev st.decls }
+    in
+    (k, st.report)
 end

@@ -676,6 +676,207 @@ let gen_transformed =
       (Transform.Pipeline.apply { Transform.Pipeline.default with vector } k)
         .Transform.Pipeline.kernel)
 
+(* ------------------------------------------------------------------ *)
+(* Scalar replacement *)
+
+(** [Scalar_replace.run] equals the former pass on [k]: the kernel and
+    the report. *)
+let sr_equivalent ?config (k : Ast.kernel) =
+  let k1, r1 = Transform.Scalar_replace.run ?config k
+  and k2, r2 = R.Scalar_replace.run ?config k in
+  if k1 <> k2 then
+    failf "kernel differs from the reference:\n%s\nreference:\n%s"
+      (Helpers.kernel_print k1) (Helpers.kernel_print k2);
+  if r1 <> r2 then failf "report differs from the reference";
+  true
+
+(* The input of the scalar-replacement stage under [opts], and the
+   configuration it runs with. *)
+let sr_input (opts : Transform.Pipeline.options) k =
+  let input = ref None in
+  ignore
+    (Transform.Pipeline.front
+       ~observe:(fun stage ~before ~after:_ ->
+         if stage = Transform.Pipeline.Scalar_replace then input := Some before)
+       opts k);
+  (Option.get !input, opts.Transform.Pipeline.scalar)
+
+(* Every front of every built-in and gallery kernel's product-64 joint
+   lattice: each tile option and unroll vector, replacement on and off. *)
+let test_sr_fronts () =
+  List.iter
+    (fun (name, k) ->
+      let ctx = Dse.Design.context k in
+      let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.spine in
+      List.iter
+        (fun tile ->
+          List.iter
+            (fun vector ->
+              List.iter
+                (fun scalar_replace ->
+                  let opts =
+                    Transform.Pipeline.apply_config ~base:Transform.Pipeline.default
+                      { Transform.Pipeline.vector; tile; scalar_replace; peel = true; licm = true }
+                  in
+                  let input, config = sr_input opts k in
+                  try ignore (sr_equivalent ~config input)
+                  with Failure m ->
+                    Alcotest.failf "%s %s: %s" name
+                      (Transform.Pipeline.config_to_string
+                         (Transform.Pipeline.config_of_options opts))
+                      m)
+                [ true; false ])
+            (Dse.Util.divisor_vectors ~max_product:64 ctx ~eligible))
+        (Dse.Space.joint_tile_options ctx ~candidates:Dse.Space.default_tile_candidates))
+    (builtins ())
+
+(* Budgets from none to plenty, chain spans 1-4, banks and chains each
+   on or off. *)
+let gen_sr_config : Transform.Scalar_replace.config G.t =
+  G.(
+    map4
+      (fun across_loops chains max_chain_span max_registers ->
+        { Transform.Scalar_replace.across_loops; chains; max_chain_span; max_registers })
+      bool bool (int_range 1 4)
+      (oneofl [ 0; 1; 2; 3; 5; 8; 13; 60; 2048 ]))
+
+(* A generated kernel unroll-and-jammed by a generated vector, with a
+   generated replacement configuration. *)
+let gen_sr_case gen_kernel =
+  G.(
+    gen_kernel >>= fun k ->
+    Helpers.gen_vector_for k >>= fun vector ->
+    gen_sr_config >>= fun config ->
+    return (fst (sr_input { Transform.Pipeline.default with vector } k), config))
+
+let sr_case_equivalent (k, config) = sr_equivalent ~config k
+
+(* Two loops over arrays read at several offsets of one coupled pattern
+   [a*i + b*j + c] (one or two dimensions): members whose residues agree
+   but whose dependence system has a free variable, so the fast chain
+   partition fails its check and the pairwise scan decides. The result
+   sometimes accumulates, read and written at different offsets of one
+   pattern. *)
+let gen_coupled_kernel : Ast.kernel G.t =
+  let open G in
+  let* ti = int_range 2 8 and* tj = int_range 2 8 in
+  let* a = int_range 0 2 and* b = int_range 1 2 in
+  let* two_d = bool in
+  let* offsets = list_size (int_range 2 6) (pair (int_range 0 3) (int_range 0 3)) in
+  let* accumulate = bool and* cw = int_range 0 2 and* cr = int_range 0 2 in
+  let lin c = Affine.to_expr (Affine.make [ ("i", a); ("j", b) ] c) in
+  let read (c, d) =
+    if two_d then
+      Ast.Arr ("s", [ Affine.to_expr (Affine.make [ ("i", 1); ("j", 1) ] c); lin d ])
+    else Ast.Arr ("s", [ lin (c + d) ])
+  in
+  let rhs =
+    List.fold_left (fun acc o -> Ast.Bin (Ast.Add, acc, read o)) (read (List.hd offsets))
+      (List.tl offsets)
+  in
+  let out c = [ Ast.Bin (Ast.Add, Ast.Var "i", Ast.Int c) ] in
+  let rhs = if accumulate then Ast.Bin (Ast.Add, Ast.Arr ("out", out cr), rhs) else rhs in
+  let n = (2 * ti) + (2 * tj) + 8 in
+  let loop index hi body = Ast.For { Ast.index; lo = 0; hi; step = 1; body; l_span = None } in
+  return
+    {
+      Ast.k_name = "coupled";
+      k_arrays =
+        [
+          (if two_d then Ast.array_decl "s" [ n; n ] else Ast.array_decl "s" [ n ]);
+          Ast.array_decl "out" [ ti + 2 ];
+        ];
+      k_scalars = [];
+      k_body = [ loop "i" ti [ loop "j" tj [ Ast.Assign (Ast.Larr ("out", out cw), rhs) ] ] ];
+    }
+
+(* Subscripts that read arrays, in a nest of one to three loops: a
+   histogram [h[x[..]]], reads of a read-only table [t] through [x],
+   [x] itself read at several offsets of one loop's index (so it chains
+   along the innermost loop, or banks across an outer one), [t] read at
+   [x[..]] plus the innermost index and 0 or 1 (affine once [x]'s read
+   becomes a register), and a scalar loaded from [x] and used as a subscript. *)
+let gen_indirect_kernel : Ast.kernel G.t =
+  let open G in
+  let* depth = int_range 1 3 in
+  let indices = List.filteri (fun n _ -> n < depth) [ "i"; "j"; "k" ] in
+  let* trips = list_repeat depth (int_range 1 5) in
+  let* along = oneofl indices in
+  let innermost = List.nth indices (depth - 1) in
+  let x o = Ast.Arr ("x", [ Ast.Bin (Ast.Add, Ast.Var along, Ast.Int o) ]) in
+  let* offs = list_size (int_range 1 3) (int_range 0 3) in
+  let out = Ast.Arr ("out", [ Ast.Var (List.hd indices) ]) in
+  let stmt kind o =
+    match kind with
+    | 0 -> Ast.Assign (Ast.Larr ("h", [ x o ]), Ast.Bin (Ast.Add, Ast.Arr ("h", [ x o ]), Ast.Int 1))
+    | 1 -> Ast.Assign (Ast.Larr ("out", [ Ast.Var along ]), Ast.Bin (Ast.Add, x o, Ast.Arr ("t", [ x o ])))
+    | 2 -> Ast.Assign (Ast.Larr ("out", [ Ast.Var (List.hd indices) ]), Ast.Bin (Ast.Add, out, x o))
+    | 3 -> Ast.Assign (Ast.Lvar "v", x o)
+    | 4 | 5 ->
+        let sub = Ast.Bin (Ast.Add, x o, Ast.Bin (Ast.Add, Ast.Var innermost, Ast.Int (kind - 4))) in
+        Ast.Assign (Ast.Larr ("out", [ Ast.Var (List.hd indices) ]), Ast.Bin (Ast.Add, out, Ast.Arr ("t", [ sub ])))
+    | _ ->
+        Ast.Assign
+          (Ast.Larr ("h", [ Ast.Var "v" ]), Ast.Bin (Ast.Add, Ast.Arr ("h", [ Ast.Var "v" ]), Ast.Int 1))
+  in
+  let* kinds = list_size (int_range 1 4) (int_range 0 6) in
+  let body = List.mapi (fun n kind -> stmt kind (List.nth offs (n mod List.length offs))) kinds in
+  let nest =
+    List.fold_right2
+      (fun index hi inner -> [ Ast.For { Ast.index; lo = 0; hi; step = 1; body = inner; l_span = None } ])
+      indices trips body
+  in
+  return
+    {
+      Ast.k_name = "indirect";
+      k_arrays =
+        [
+          Ast.array_decl ~elem:Dtype.uint8 "x" [ 9 ];
+          Ast.array_decl ~elem:Dtype.int16 "h" [ 256 ];
+          Ast.array_decl ~elem:Dtype.int16 "t" [ 260 ];
+          Ast.array_decl ~elem:Dtype.int32 "out" [ 5 ];
+        ];
+      k_scalars = [ Ast.scalar_decl ~elem:Dtype.uint8 "v" ];
+      k_body = nest;
+    }
+
+(* Subscripts that turn affine when a bank or a chain replaces the read
+   inside them, on every unroll vector: [t]'s reads through [x[j]]
+   become [t[x_0_0 + j]] once [x] banks across [i], and [hist]'s element
+   names a chain register of [img], which makes [hist]'s accesses look
+   like one pattern to element CSE. *)
+let test_sr_indirect () =
+  List.iter
+    (fun (name, src) ->
+      let k = Frontend.Parser.kernel_of_string ~name src in
+      let ctx = Dse.Design.context k in
+      let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.spine in
+      List.iter
+        (fun vector ->
+          let input, config = sr_input { Transform.Pipeline.default with vector } k in
+          try ignore (sr_equivalent ~config input)
+          with Failure m -> Alcotest.failf "%s %s: %s" name (Helpers.vector_to_string vector) m)
+        (Dse.Util.divisor_vectors ~max_product:16 ctx ~eligible))
+    [
+      ( "banked_index",
+        {|unsigned char x[9]; short t[300]; int out[5];
+          for (i = 0; i < 3; i++) for (j = 0; j < 4; j++)
+            out[i] = out[i] + t[x[j] + j] + t[x[j] + j + 1];|} );
+      ( "chained_index",
+        {|unsigned char img[66]; short hist[256]; short out[64];
+          for (i = 0; i < 64; i++) {
+            out[i] = img[i] + img[i + 2];
+            hist[img[i + 2]] = hist[img[i + 2]] + 1;
+          }|} );
+      ( "chained_index_and_constant",
+        {|unsigned char img[66]; short hist[256]; short out[64];
+          for (i = 0; i < 64; i++) {
+            out[i] = img[i] + img[i + 2];
+            hist[img[i + 2]] = hist[img[i + 2]] + 1;
+            hist[7] = hist[7] + 1;
+          }|} );
+    ]
+
 let () =
   Alcotest.run "reference-equiv"
     [
@@ -743,5 +944,18 @@ let () =
             Helpers.gen_flow_kernel layout_equivalent;
           Helpers.qtest "assign = reference (strided)" ~count:500 gen_layout_kernel
             layout_equivalent;
+        ] );
+      ( "scalar",
+        [
+          Alcotest.test_case "every front of the built-in joint lattices" `Quick test_sr_fronts;
+          Helpers.qtest "run = reference (array nests)" ~count:300
+            (gen_sr_case Helpers.gen_kernel) sr_case_equivalent;
+          Helpers.qtest "run = reference (flow kernels)" ~count:300
+            (gen_sr_case Helpers.gen_flow_kernel) sr_case_equivalent;
+          Helpers.qtest "run = reference (coupled subscripts)" ~count:300
+            (gen_sr_case gen_coupled_kernel) sr_case_equivalent;
+          Helpers.qtest "run = reference (indirect subscripts)" ~count:300
+            (gen_sr_case gen_indirect_kernel) sr_case_equivalent;
+          Alcotest.test_case "subscripts through replaced reads" `Quick test_sr_indirect;
         ] );
     ]

@@ -387,6 +387,93 @@ let prop_partition_chains_matches_pairwise =
       ids (Transform.Scalar_replace.partition_chains inner members)
       = ids (reference_partition inner members))
 
+(* Element CSE once chains replace the reads inside a subscript: the
+   chain turns [img[i + 2]] into a register the body assigns, so
+   [hist]'s element names a different element before and after that
+   load and must keep its memory accesses. *)
+let hist2 () =
+  Frontend.Parser.kernel_of_string ~name:"hist2"
+    {|unsigned char img[66]; short hist[256]; short out[64];
+      for (i = 0; i < 64; i++) {
+        out[i] = img[i] + img[i + 2];
+        hist[img[i + 2]] = hist[img[i + 2]] + 1;
+      }|}
+
+let test_cse_indirect_subscript () =
+  let k = hist2 () in
+  let ctx = Dse.Design.context k in
+  List.iter
+    (fun u ->
+      let where = Printf.sprintf "i=%d" u in
+      let p = Dse.Design.evaluate ctx [ ("i", u) ] in
+      List.iter
+        (fun seed ->
+          Helpers.check_equiv ~inputs:(Kernels.test_inputs ~seed k) ~reference:k
+            p.Engine.Store.kernel
+            (Printf.sprintf "%s, inputs %d: interpreter = transformed" where seed))
+        [ 1; 2; 3; 7; 11 ];
+      (* what [defacto simulate] checks: the datapath against the
+         interpreter *)
+      let inputs = Kernels.test_inputs k in
+      let sim = Hls.Sim.run ~inputs ctx.Dse.Design.profile p.Engine.Store.kernel in
+      List.iter
+        (fun (arr, data) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: simulated %s identical" where arr)
+            true
+            (List.assoc_opt arr sim.Hls.Sim.arrays = Some data))
+        (Eval.observables (Eval.run ~inputs k)))
+    [ 1; 2; 4 ]
+
+(* Minor words one [Scalar_replace.run] allocates on this domain. *)
+let sr_words (k : Ast.kernel) =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Transform.Scalar_replace.run k));
+  Gc.minor_words () -. w0
+
+(* The scalar-replacement input of [k] unrolled by [vector]. *)
+let sr_input vector k =
+  let input = ref None in
+  ignore
+    (P.front
+       ~observe:(fun stage ~before ~after:_ ->
+         if stage = P.Scalar_replace then input := Some before)
+       { P.default with P.vector } k);
+  Option.get !input
+
+(* Unroll products 16 to 256 of corr (coupled [img[i+di][j+dj]] reads:
+   the pairwise chain scan) and of Sobel over a 66x66 image. *)
+let test_sr_scaling () =
+  List.iter
+    (fun (what, k) ->
+      ignore
+        (Helpers.doublings_ok what
+           (List.map
+              (fun vector -> (Helpers.vector_to_string vector, sr_words (sr_input vector k)))
+              [
+                [ ("i", 4); ("j", 4) ];
+                [ ("i", 4); ("j", 8) ];
+                [ ("i", 8); ("j", 8) ];
+                [ ("i", 8); ("j", 16) ];
+                [ ("i", 16); ("j", 16) ];
+              ])))
+    [ ("corr", Option.get (Gallery.find "corr")); ("sobel", Lazy.force Helpers.sobel64) ]
+
+(* A generated nest with its innermost body repeated 8, 16, 32 and 64
+   times. *)
+let prop_sr_scaling_random =
+  Helpers.qtest "minor words linear (scalar replacement, nests)" ~count:30 Helpers.gen_kernel
+    (fun k ->
+      let rec repeat n = function
+        | [ Ast.For l ] -> [ Ast.For { l with Ast.body = repeat n l.Ast.body } ]
+        | body -> List.concat (List.init n (fun _ -> body))
+      in
+      Helpers.doublings_ok "generated nest"
+        (List.map
+           (fun n ->
+             (Printf.sprintf "%d copies" n, sr_words { k with Ast.k_body = repeat n k.Ast.k_body }))
+           [ 8; 16; 32; 64 ]))
+
 (* ------------------------------------------------------------------ *)
 (* Fresh names *)
 
@@ -577,6 +664,10 @@ let () =
           Alcotest.test_case "JAC chains" `Quick test_jac_chains;
           Alcotest.test_case "register budget" `Quick test_register_budget;
           prop_partition_chains_matches_pairwise;
+          Alcotest.test_case "element CSE on indirect subscripts" `Quick
+            test_cse_indirect_subscript;
+          Alcotest.test_case "minor words linear (scalar replacement)" `Quick test_sr_scaling;
+          prop_sr_scaling_random;
         ] );
       ( "names",
         [
