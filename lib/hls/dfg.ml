@@ -18,7 +18,14 @@
     suppresses the write when the path is not taken. Register rotation is
     a free parallel register transfer. Subscript arithmetic is linearized
     into explicit address-computation nodes feeding the memory
-    operation. *)
+    operation.
+
+    The estimator builds a graph per block per design point, so the
+    graph is stored flat: one array per node field, a single pool of
+    predecessor ids, and a table of guard contexts, all kept in a
+    {!scratch} that only grows. Building a node writes array slots and
+    allocates nothing; the record form ({!node}) is decoded on demand
+    for the simulator and the tests. *)
 
 open Ir
 module Access = Analysis.Access
@@ -57,9 +64,143 @@ type node_kind =
 
 type node = { id : int; kind : node_kind; preds : int list }
 
-type t = { nodes : node array; len : int; fp : string }
+type tag =
+  | K_const
+  | K_scalar
+  | K_op
+  | K_load
+  | K_store
+  | K_move
+  | K_move_out
+  | K_reg_write
+
+type t = {
+  len : int;
+  fp : string;
+  tag : tag array;
+  cls : Op_model.op_class array;
+  width : int array;
+  mem : int array;
+  payload : int array;
+  name : string array;
+  pred_off : int array;
+  preds : int array;
+  guard_up : int array;
+  guard_cond : int array;
+}
 
 let fingerprint (g : t) : string = g.fp
+
+(* ------------------------------------------------------------------ *)
+(* Semantic operations as payload codes: binary operators at their
+   declaration index, unary ones after them, the mux last. *)
+
+let binops =
+  Ast.
+    [|
+      Add; Sub; Mul; Div; Mod; Lt; Le; Gt; Ge; Eq; Ne; And; Or; Band; Bor; Bxor;
+      Shl; Shr; Min; Max;
+    |]
+
+let unops = Ast.[| Neg; Not; Bnot; Abs |]
+
+let binop_code : Ast.binop -> int = function
+  | Ast.Add -> 0
+  | Ast.Sub -> 1
+  | Ast.Mul -> 2
+  | Ast.Div -> 3
+  | Ast.Mod -> 4
+  | Ast.Lt -> 5
+  | Ast.Le -> 6
+  | Ast.Gt -> 7
+  | Ast.Ge -> 8
+  | Ast.Eq -> 9
+  | Ast.Ne -> 10
+  | Ast.And -> 11
+  | Ast.Or -> 12
+  | Ast.Band -> 13
+  | Ast.Bor -> 14
+  | Ast.Bxor -> 15
+  | Ast.Shl -> 16
+  | Ast.Shr -> 17
+  | Ast.Min -> 18
+  | Ast.Max -> 19
+
+let unop_code : Ast.unop -> int = function
+  | Ast.Neg -> 20
+  | Ast.Not -> 21
+  | Ast.Bnot -> 22
+  | Ast.Abs -> 23
+
+let mux_code = 24
+
+let sem_of_code c =
+  if c = mux_code then Smux
+  else if c >= Array.length binops then Sun unops.(c - Array.length binops)
+  else Sbin binops.(c)
+
+(* ------------------------------------------------------------------ *)
+(* Decoding *)
+
+let preds_of (g : t) i =
+  let rec go k acc = if k < g.pred_off.(i) then acc else go (k - 1) (g.preds.(k) :: acc) in
+  go (g.pred_off.(i + 1) - 1) []
+
+let pred (g : t) i k = g.preds.(g.pred_off.(i) + k)
+
+let rec guards_of (g : t) c =
+  if c < 0 then []
+  else
+    let cond = g.guard_cond.(c) in
+    (cond lsr 1, cond land 1 = 1) :: guards_of g g.guard_up.(c)
+
+let node (g : t) i : node =
+  if i < 0 || i >= g.len then invalid_arg "Dfg.node";
+  let kind =
+    match g.tag.(i) with
+    | K_const -> Source (Const g.payload.(i))
+    | K_scalar -> Source (Scalar g.name.(i))
+    | K_op -> Op { sem = sem_of_code g.payload.(i); cls = g.cls.(i); width = g.width.(i) }
+    | K_load -> Load { array = g.name.(i); mem = g.mem.(i); width = g.width.(i); addr = pred g i 0 }
+    | K_store ->
+        Store
+          {
+            array = g.name.(i);
+            mem = g.mem.(i);
+            width = g.width.(i);
+            addr = pred g i 1;
+            value = pred g i 0;
+            guards = guards_of g g.payload.(i);
+          }
+    | K_move ->
+        let n = g.pred_off.(i + 1) - g.pred_off.(i) in
+        Move { regs = List.init n (fun k -> g.name.(i + 1 + k)); pre = preds_of g i }
+    | K_move_out -> Move_out { move = pred g i 0; index = g.payload.(i) }
+    | K_reg_write -> Reg_write { scalar = g.name.(i); value = pred g i 0 }
+  in
+  { id = i; kind; preds = preds_of g i }
+
+let nodes (g : t) = Array.init g.len (node g)
+
+let copy (g : t) : t =
+  let n = g.len and np = g.pred_off.(g.len) in
+  {
+    len = n;
+    fp = g.fp;
+    tag = Array.sub g.tag 0 n;
+    cls = Array.sub g.cls 0 n;
+    width = Array.sub g.width 0 n;
+    mem = Array.sub g.mem 0 n;
+    payload = Array.sub g.payload 0 n;
+    name = Array.sub g.name 0 n;
+    pred_off = Array.sub g.pred_off 0 (n + 1);
+    preds = Array.sub g.preds 0 np;
+    guard_up = Array.copy g.guard_up;
+    guard_cond = Array.copy g.guard_cond;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Construction *)
 
 (** Cursor over the kernel-wide access list (from [Access.collect] on the
     full body, in document order); the builder consumes accesses in the
@@ -88,45 +229,131 @@ let pop_access cur array kind =
               a.Access.array))
   | [] -> raise (Desync ("cursor exhausted at " ^ array))
 
-let dummy_node = { id = -1; kind = Source (Const 0); preds = [] }
+let no_kernel = { Ast.k_name = ""; k_arrays = []; k_scalars = []; k_body = [] }
 
-(** Construction scratch for the blocks of one kernel: node storage,
-    the per-block scalar and memory-order environments, and the
-    kernel's declaration tables. The declaration tables matter as much
-    as the storage: after scalar replacement of a heavily unrolled body,
-    [k_scalars] holds thousands of compiler-introduced registers, and
-    the [List.find_opt] behind {!Ast.expr_type} turns every width query
-    quadratic. The scratch hashes the declarations once, when it is
-    created for its kernel. *)
+(** Construction storage. The node arrays are those of {!t}; the rest
+    is what building needs and no graph keeps:
+
+    - [prev_load.(i)]: for a load, the load of the same array issued
+      before it since that array's last store, or [-1], so a store's
+      memory-order predecessors are a walk down this chain from
+      [last_load] instead of a list consed per load;
+    - [subs]: a stack of subscript nodes, so an address's subscripts
+      are built before its linearization without a list per access;
+    - the per-block scalar environments and the per-array last store and
+      last load, by array number;
+    - the declaration tables of the kernel [decls]: scalar widths by
+      name, array numbers by name, and each array's element width and
+      dimensions by number. After scalar replacement of a heavily
+      unrolled body the kernel declares thousands of registers, and the
+      [List.find_opt] behind {!Ast.expr_type} would turn every width
+      query quadratic; the tables are filled once per kernel. *)
 type scratch = {
-  mutable buf : node array;  (* first [count] slots of the current block live *)
+  mutable tag_a : tag array;
+  mutable cls_a : Op_model.op_class array;
+  mutable width_a : int array;
+  mutable mem_a : int array;
+  mutable payload_a : int array;
+  mutable name_a : string array;
+  mutable prev_load : int array;
+  mutable pred_off_a : int array;  (* one slot more than the node arrays *)
+  mutable preds_a : int array;
+  mutable npreds : int;
+  mutable guard_up_a : int array;
+  mutable guard_cond_a : int array;
+  mutable nguards : int;
+  mutable subs : int array;
+  mutable nsubs : int;
   fp_buf : Buffer.t;  (* fingerprint of the current block, built as nodes land *)
   defs0 : (string, int) Hashtbl.t;  (* scalar -> defining node *)
   inputs : (string, int) Hashtbl.t;  (* scalar -> shared Source node *)
-  last_store : (string, int) Hashtbl.t;  (* array -> last store node *)
-  loads_since : (string, int list) Hashtbl.t;  (* array -> loads after it *)
-  stypes : (string, Dtype.t) Hashtbl.t;  (* declared scalar element types *)
-  atypes : (string, Dtype.t * int list) Hashtbl.t;  (* array -> elem, dims *)
+  mutable decls : Ast.kernel;
+  scalar_bits : (string, int) Hashtbl.t;
+  array_ids : (string, int) Hashtbl.t;
+  mutable n_arrays : int;
+  mutable elem_bits : int array;
+  mutable dims : int list array;
+  mutable last_store : int array;
+  mutable last_load : int array;
 }
 
-let scratch (k : Ast.kernel) =
-  let stypes = Hashtbl.create 64 and atypes = Hashtbl.create 8 in
-  List.iter
-    (fun (s : Ast.scalar_decl) -> Hashtbl.replace stypes s.s_name s.s_elem)
-    k.Ast.k_scalars;
-  List.iter
-    (fun (d : Ast.array_decl) -> Hashtbl.replace atypes d.a_name (d.a_elem, d.a_dims))
-    k.Ast.k_arrays;
+let scratch () =
+  let n = 256 in
   {
-    buf = Array.make 256 dummy_node;
+    tag_a = Array.make n K_const;
+    cls_a = Array.make n Op_model.Add;
+    width_a = Array.make n 0;
+    mem_a = Array.make n 0;
+    payload_a = Array.make n 0;
+    name_a = Array.make n "";
+    prev_load = Array.make n (-1);
+    pred_off_a = Array.make (n + 1) 0;
+    preds_a = Array.make (2 * n) 0;
+    npreds = 0;
+    guard_up_a = Array.make 8 (-1);
+    guard_cond_a = Array.make 8 0;
+    nguards = 0;
+    subs = Array.make 8 0;
+    nsubs = 0;
     fp_buf = Buffer.create 1024;
     defs0 = Hashtbl.create 64;
     inputs = Hashtbl.create 32;
-    last_store = Hashtbl.create 8;
-    loads_since = Hashtbl.create 8;
-    stypes;
-    atypes;
+    decls = no_kernel;
+    scalar_bits = Hashtbl.create 64;
+    array_ids = Hashtbl.create 8;
+    n_arrays = 0;
+    elem_bits = Array.make 8 32;
+    dims = Array.make 8 [ 0 ];
+    last_store = Array.make 8 (-1);
+    last_load = Array.make 8 (-1);
   }
+
+let grow a n x =
+  let bigger = Array.make (max n (2 * Array.length a)) x in
+  Array.blit a 0 bigger 0 (Array.length a);
+  bigger
+
+(* Number a new array, with the defaults an undeclared array gets: a
+   32-bit element and one dimension. *)
+let new_array a name =
+  let id = a.n_arrays in
+  if id = Array.length a.elem_bits then begin
+    a.elem_bits <- grow a.elem_bits (id + 1) 32;
+    a.dims <- grow a.dims (id + 1) [ 0 ];
+    a.last_store <- grow a.last_store (id + 1) (-1);
+    a.last_load <- grow a.last_load (id + 1) (-1)
+  end;
+  a.elem_bits.(id) <- 32;
+  a.dims.(id) <- [ 0 ];
+  a.last_store.(id) <- -1;
+  a.last_load.(id) <- -1;
+  Hashtbl.replace a.array_ids name id;
+  a.n_arrays <- id + 1;
+  id
+
+(* Fill the declaration tables for [k], unless they already describe it.
+   Later declarations of one name win, as they did in the former
+   [Hashtbl.replace]-filled tables. *)
+let load_decls a (k : Ast.kernel) =
+  if a.decls != k then begin
+    a.decls <- k;
+    Hashtbl.clear a.scalar_bits;
+    Hashtbl.clear a.array_ids;
+    a.n_arrays <- 0;
+    List.iter
+      (fun (s : Ast.scalar_decl) -> Hashtbl.replace a.scalar_bits s.s_name (Dtype.bits s.s_elem))
+      k.Ast.k_scalars;
+    List.iter
+      (fun (d : Ast.array_decl) ->
+        let id =
+          match Hashtbl.find a.array_ids d.a_name with
+          | id -> id
+          | exception Not_found -> new_array a d.a_name
+        in
+        a.elem_bits.(id) <- Dtype.bits d.a_elem;
+        a.dims.(id) <- d.a_dims)
+      k.Ast.k_arrays
+  end
 
 type builder = {
   a : scratch;
@@ -136,8 +363,8 @@ type builder = {
   mutable defs : (string, int) Hashtbl.t;
       (* starts as [a.defs0]; the [If] merge snapshots/restores it with
          [Hashtbl.copy] (branches are rare; statements are not) *)
-  mutable guards : (int * bool) list;  (* active predication context *)
-  mutable ty : Dtype.t;  (* element type of the expression built last *)
+  mutable guard : int;  (* active guard context, [-1] for none *)
+  mutable bits : int;  (* element width of the expression built last *)
 }
 
 (** Append one node's canonical encoding (see {!fingerprint}'s contract
@@ -153,69 +380,109 @@ let rec add_uvarint buf u =
 
 let add_varint buf n = add_uvarint buf ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
 
-let rec encode_fp buf id kind preds =
-  (match kind with
-  | Source _ -> Buffer.add_uint8 buf 0
-  | Load { mem; width; _ } ->
+let encode_fp a id =
+  let buf = a.fp_buf in
+  (match a.tag_a.(id) with
+  | K_const | K_scalar -> Buffer.add_uint8 buf 0
+  | K_load ->
       Buffer.add_uint8 buf 1;
-      add_varint buf mem;
-      add_varint buf width
-  | Store { mem; width; _ } ->
+      add_varint buf a.mem_a.(id);
+      add_varint buf a.width_a.(id)
+  | K_store ->
       Buffer.add_uint8 buf 2;
-      add_varint buf mem;
-      add_varint buf width
-  | Move _ -> Buffer.add_uint8 buf 3
-  | Move_out _ -> Buffer.add_uint8 buf 4
-  | Reg_write _ -> Buffer.add_uint8 buf 5
-  | Op { cls; width; _ } ->
-      Buffer.add_uint8 buf (16 + Op_model.class_index cls);
-      add_varint buf width);
-  add_varint buf (List.length preds);
-  add_deltas buf id preds
+      add_varint buf a.mem_a.(id);
+      add_varint buf a.width_a.(id)
+  | K_move -> Buffer.add_uint8 buf 3
+  | K_move_out -> Buffer.add_uint8 buf 4
+  | K_reg_write -> Buffer.add_uint8 buf 5
+  | K_op ->
+      Buffer.add_uint8 buf (16 + Op_model.class_index a.cls_a.(id));
+      add_varint buf a.width_a.(id));
+  let lo = a.pred_off_a.(id) and hi = a.pred_off_a.(id + 1) in
+  add_varint buf (hi - lo);
+  for k = lo to hi - 1 do
+    add_varint buf (id - a.preds_a.(k))
+  done
 
-and add_deltas buf id = function
-  | [] -> ()
-  | p :: rest ->
-      add_varint buf (id - p);
-      add_deltas buf id rest
+(* A node is built in two steps: its predecessors are pushed onto the
+   pool, then [emit] writes its fields and closes its predecessor range.
+   Every operand is built before the first push, so the pushes of one
+   node are never interleaved with another node's. *)
+let push b p =
+  let a = b.a in
+  if a.npreds = Array.length a.preds_a then a.preds_a <- grow a.preds_a (a.npreds + 1) 0;
+  a.preds_a.(a.npreds) <- p;
+  a.npreds <- a.npreds + 1
 
-let add b kind preds =
+let emit b tag ~cls ~width ~mem ~payload ~name =
+  let a = b.a in
   let id = b.count in
-  if id = Array.length b.a.buf then begin
-    let bigger = Array.make (2 * id) dummy_node in
-    Array.blit b.a.buf 0 bigger 0 id;
-    b.a.buf <- bigger
+  if id = Array.length a.tag_a then begin
+    let n = id + 1 in
+    a.tag_a <- grow a.tag_a n K_const;
+    a.cls_a <- grow a.cls_a n Op_model.Add;
+    a.width_a <- grow a.width_a n 0;
+    a.mem_a <- grow a.mem_a n 0;
+    a.payload_a <- grow a.payload_a n 0;
+    a.name_a <- grow a.name_a n "";
+    a.prev_load <- grow a.prev_load n (-1);
+    a.pred_off_a <- grow a.pred_off_a (Array.length a.tag_a + 1) 0
   end;
-  b.a.buf.(id) <- { id; kind; preds };
+  a.tag_a.(id) <- tag;
+  a.cls_a.(id) <- cls;
+  a.width_a.(id) <- width;
+  a.mem_a.(id) <- mem;
+  a.payload_a.(id) <- payload;
+  a.name_a.(id) <- name;
+  a.pred_off_a.(id + 1) <- a.npreds;
   b.count <- id + 1;
-  encode_fp b.a.fp_buf id kind preds;
+  encode_fp a id;
   id
+
+let const b n = emit b K_const ~cls:Op_model.Add ~width:0 ~mem:0 ~payload:n ~name:""
+
+let emit_op b code cls width = emit b K_op ~cls ~width ~mem:0 ~payload:code ~name:""
+
+let push_guard b ~up cond polarity =
+  let a = b.a in
+  let c = a.nguards in
+  if c = Array.length a.guard_up_a then begin
+    a.guard_up_a <- grow a.guard_up_a (c + 1) (-1);
+    a.guard_cond_a <- grow a.guard_cond_a (c + 1) 0
+  end;
+  a.guard_up_a.(c) <- up;
+  a.guard_cond_a.(c) <- (2 * cond) + if polarity then 1 else 0;
+  a.nguards <- c + 1;
+  c
 
 let scalar_input b v =
   match Hashtbl.find b.a.inputs v with
   | id -> id
   | exception Not_found ->
-      let id = add b (Source (Scalar v)) [] in
+      let id = emit b K_scalar ~cls:Op_model.Add ~width:0 ~mem:0 ~payload:0 ~name:v in
       Hashtbl.replace b.a.inputs v id;
       id
+
+let def_of b v =
+  match Hashtbl.find b.defs v with id -> id | exception Not_found -> scalar_input b v
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
 let classify_bin (op : Ast.binop) (a : Ast.expr) (c : Ast.expr) :
     Op_model.op_class =
-  let const_operand =
-    match (a, c) with Ast.Int n, _ | _, Ast.Int n -> Some n | _ -> None
-  in
   match op with
   | Ast.Add | Ast.Sub -> Op_model.Add
   | Ast.Mul -> (
-      match const_operand with
-      | Some n when is_pow2 (abs n) -> Op_model.Shift_const
-      | Some _ -> Op_model.Add (* shift-add decomposition *)
-      | None -> Op_model.Mul)
+      match (a, c) with
+      | Ast.Int n, _ | _, Ast.Int n ->
+          (* a constant multiplier is a shift, or a shift-add
+             decomposition *)
+          if is_pow2 (abs n) then Op_model.Shift_const else Op_model.Add
+      | _ -> Op_model.Mul)
   | Ast.Div | Ast.Mod -> (
-      match const_operand with
-      | Some n when is_pow2 (abs n) -> Op_model.Shift_const
+      match (a, c) with
+      | Ast.Int n, _ | _, Ast.Int n ->
+          if is_pow2 (abs n) then Op_model.Shift_const else Op_model.Div
       | _ -> Op_model.Div)
   | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne -> Op_model.Cmp
   | Ast.And | Ast.Or | Ast.Band | Ast.Bor | Ast.Bxor -> Op_model.Logic
@@ -228,163 +495,166 @@ let classify_bin (op : Ast.binop) (a : Ast.expr) (c : Ast.expr) :
 (* The lookups below run once or more per node, so they use
    [Hashtbl.find] and match [Not_found] rather than allocate an option. *)
 
-let scalar_type b v =
-  match Hashtbl.find b.a.stypes v with ty -> ty | exception Not_found -> Dtype.int32
+let scalar_bits b v =
+  match Hashtbl.find b.a.scalar_bits v with w -> w | exception Not_found -> 32
 
-let array_elem b name =
-  match Hashtbl.find b.a.atypes name with
-  | elem, _ -> elem
-  | exception Not_found -> Dtype.int32
-
-let array_dims b name =
-  match Hashtbl.find b.a.atypes name with
-  | _, dims -> dims
-  | exception Not_found -> [ 0 ]
-
-let array_width b name =
-  match Hashtbl.find b.a.atypes name with
-  | elem, _ -> Dtype.bits elem
-  | exception Not_found -> 32
-
-let loads_since b array =
-  match Hashtbl.find b.a.loads_since array with
-  | l -> l
-  | exception Not_found -> []
-
-let note_load b array id =
-  Hashtbl.replace b.a.loads_since array (id :: loads_since b array)
-
-let order_preds_for_load b array =
-  match Hashtbl.find b.a.last_store array with s -> [ s ] | exception Not_found -> []
-
-let order_preds_for_store b array =
-  match Hashtbl.find b.a.last_store array with
-  | s -> loads_since b array @ [ s ]
-  | exception Not_found -> loads_since b array
+let array_id b name =
+  match Hashtbl.find b.a.array_ids name with
+  | id -> id
+  | exception Not_found -> new_array b.a name
 
 (* [build_expr] returns the expression's node and leaves its element
-   type in [b.ty]. The type is exactly {!Ast.expr_type} of the subtree
+   width in [b.bits]: the width of {!Ast.expr_type} of the subtree
    (operand join for intermediates), computed bottom-up in one pass
    instead of by re-walking the subtree — and the declaration lookups
    behind the leaves come from the scratch's hash tables. *)
 let rec build_expr b (e : Ast.expr) : int =
   match e with
   | Ast.Int n ->
-      b.ty <- Dtype.int32;
-      add b (Source (Const n)) []
-  | Ast.Var v -> (
-      b.ty <- scalar_type b v;
-      match Hashtbl.find b.defs v with
-      | id -> id
-      | exception Not_found -> scalar_input b v)
+      b.bits <- 32;
+      const b n
+  | Ast.Var v ->
+      b.bits <- scalar_bits b v;
+      def_of b v
   | Ast.Arr (array, subs) ->
       let addr = build_address b array subs in
       let access = pop_access b.cur array Access.Read in
-      let width = array_width b array in
+      let a = b.a and ai = array_id b array in
       let mem = b.mem_of access in
-      let id =
-        add b
-          (Load { array; mem; width; addr })
-          (addr :: order_preds_for_load b array)
-      in
-      note_load b array id;
-      b.ty <- array_elem b array;
+      push b addr;
+      let s = a.last_store.(ai) in
+      if s >= 0 then push b s;
+      let width = a.elem_bits.(ai) in
+      let id = emit b K_load ~cls:Op_model.Add ~width ~mem ~payload:0 ~name:array in
+      a.prev_load.(id) <- a.last_load.(ai);
+      a.last_load.(ai) <- id;
+      b.bits <- width;
       id
   | Ast.Bin (op, x, y) ->
       let nx = build_expr b x in
-      let tx = b.ty in
+      let wx = b.bits in
       let ny = build_expr b y in
-      let t = Dtype.join tx b.ty in
-      let cls = classify_bin op x y in
-      b.ty <- t;
-      add b (Op { sem = Sbin op; cls; width = Dtype.bits t }) [ nx; ny ]
-  | Ast.Un (op, x) ->
+      let w = max wx b.bits in
+      b.bits <- w;
+      push b nx;
+      push b ny;
+      emit_op b (binop_code op) (classify_bin op x y) w
+  | Ast.Un (o, x) ->
       let nx = build_expr b x in
       let cls =
-        match op with
+        match o with
         | Ast.Neg -> Op_model.Add
         | Ast.Not | Ast.Bnot -> Op_model.Logic
         | Ast.Abs -> Op_model.Abs_op
       in
-      add b (Op { sem = Sun op; cls; width = Dtype.bits b.ty }) [ nx ]
+      push b nx;
+      emit_op b (unop_code o) cls b.bits
   | Ast.Cond (c, t, el) ->
       let nc = build_expr b c in
       let nt = build_expr b t in
-      let tt = b.ty in
+      let wt = b.bits in
       let ne = build_expr b el in
-      let ty = Dtype.join tt b.ty in
-      b.ty <- ty;
-      add b (Op { sem = Smux; cls = Op_model.Mux; width = Dtype.bits ty }) [ nc; nt; ne ]
+      let w = max wt b.bits in
+      b.bits <- w;
+      push b nc;
+      push b nt;
+      push b ne;
+      emit_op b mux_code Op_model.Mux w
 
 (** Row-major address computation, Horner style:
     [((s0 * d1 + s1) * d2 + s2) ...] — one constant multiply (usually a
     shift or shift-add) and one add per extra dimension, matching what
-    synthesis emits for a linearized array. Returns the node holding the
-    flat index. *)
+    synthesis emits for a linearized array. Every subscript is built
+    first, onto the scratch's subscript stack, then linearized. Returns
+    the node holding the flat index. *)
 and build_address b array subs : int =
-  let dims = array_dims b array in
-  let sub_nodes = List.map (build_expr b) subs in
-  match (sub_nodes, dims) with
-  | [ n ], _ -> n
-  | [], _ -> add b (Source (Const 0)) []
-  | first :: rest, _ :: rest_dims ->
-      let rec go acc rest rest_dims =
-        match (rest, rest_dims) with
-        | [], _ | _, [] -> acc
-        | n :: more, d :: more_dims ->
-            let cd = add b (Source (Const d)) [] in
-            let scaled =
-              add b
-                (Op
-                   {
-                     sem = Sbin Ast.Mul;
-                     cls =
-                       (if is_pow2 d then Op_model.Shift_const else Op_model.Add);
-                     width = 16;
-                   })
-                [ acc; cd ]
-            in
-            let sum =
-              add b
-                (Op { sem = Sbin Ast.Add; cls = Op_model.Add; width = 16 })
-                [ scaled; n ]
-            in
-            go sum more more_dims
+  let a = b.a in
+  let base = a.nsubs in
+  build_subs b subs;
+  let n_subs = a.nsubs - base in
+  let result =
+    if n_subs = 1 then a.subs.(base)
+    else if n_subs = 0 then const b 0
+    else
+      match a.dims.(array_id b array) with
+      | [] -> const b 0
+      | _ :: rest_dims -> horner b base n_subs a.subs.(base) 1 rest_dims
+  in
+  a.nsubs <- base;
+  result
+
+(* Build each subscript onto the subscript stack. *)
+and build_subs b = function
+  | [] -> ()
+  | s :: rest ->
+      let n = build_expr b s in
+      let a = b.a in
+      let top = a.nsubs in
+      if top = Array.length a.subs then a.subs <- grow a.subs (top + 1) 0;
+      a.subs.(top) <- n;
+      a.nsubs <- top + 1;
+      build_subs b rest
+
+(* Fold subscripts [k ..] of the stack into [acc], one dimension each,
+   while both last. *)
+and horner b base n_subs acc k dims =
+  match dims with
+  | d :: more when k < n_subs ->
+      let cd = const b d in
+      push b acc;
+      push b cd;
+      let scaled =
+        emit_op b (binop_code Ast.Mul)
+          (if is_pow2 d then Op_model.Shift_const else Op_model.Add)
+          16
       in
-      go first rest rest_dims
-  | _ :: _ :: _, [] -> add b (Source (Const 0)) []
+      push b scaled;
+      push b b.a.subs.(base + k);
+      horner b base n_subs (emit_op b (binop_code Ast.Add) Op_model.Add 16) (k + 1) more
+  | _ -> acc
 
 let rec build_stmt b (s : Ast.stmt) : unit =
   match s with
   | Ast.Assign (Ast.Lvar v, e) ->
       let n = build_expr b e in
-      let w = add b (Reg_write { scalar = v; value = n }) [ n ] in
+      push b n;
+      let w = emit b K_reg_write ~cls:Op_model.Add ~width:0 ~mem:0 ~payload:0 ~name:v in
       Hashtbl.replace b.defs v w
   | Ast.Assign (Ast.Larr (array, subs), e) ->
       let n = build_expr b e in
       let addr = build_address b array subs in
       let access = pop_access b.cur array Access.Write in
-      let width = array_width b array in
+      let a = b.a and ai = array_id b array in
       let mem = b.mem_of access in
+      push b n;
+      push b addr;
+      (* memory order: every load of the array since its last store,
+         latest first, then that store *)
+      let l = ref a.last_load.(ai) in
+      while !l >= 0 do
+        push b !l;
+        l := a.prev_load.(!l)
+      done;
+      let s = a.last_store.(ai) in
+      if s >= 0 then push b s;
       let id =
-        add b
-          (Store { array; mem; width; addr; value = n; guards = b.guards })
-          (n :: addr :: order_preds_for_store b array)
+        emit b K_store ~cls:Op_model.Add ~width:a.elem_bits.(ai) ~mem ~payload:b.guard
+          ~name:array
       in
-      Hashtbl.replace b.a.last_store array id;
-      Hashtbl.remove b.a.loads_since array
+      a.last_store.(ai) <- id;
+      a.last_load.(ai) <- -1
   | Ast.If (c, t, el) ->
       let nc = build_expr b c in
       let before = b.defs in
-      let outer_guards = b.guards in
+      let outer = b.guard in
       b.defs <- Hashtbl.copy before;
-      b.guards <- (nc, true) :: outer_guards;
+      b.guard <- push_guard b ~up:outer nc true;
       List.iter (build_stmt b) t;
       let after_then = b.defs in
       b.defs <- Hashtbl.copy before;
-      b.guards <- (nc, false) :: outer_guards;
+      b.guard <- push_guard b ~up:outer nc false;
       List.iter (build_stmt b) el;
-      b.guards <- outer_guards;
+      b.guard <- outer;
       let after_else = b.defs in
       (* Merge scalar definitions through muxes. Sorted, so the mux
          emission order (hence node numbering) is deterministic. *)
@@ -412,49 +682,67 @@ let rec build_stmt b (s : Ast.stmt) : unit =
             match Hashtbl.find_opt after_else v with Some id -> id | None -> old ()
           in
           if th <> el' then begin
-            let w = Dtype.bits (scalar_type b v) in
-            let m =
-              add b
-                (Op { sem = Smux; cls = Op_model.Mux; width = w })
-                [ nc; th; el' ]
-            in
-            Hashtbl.replace b.defs v m
+            push b nc;
+            push b th;
+            push b el';
+            Hashtbl.replace b.defs v (emit_op b mux_code Op_model.Mux (scalar_bits b v))
           end)
         assigned
   | Ast.Rotate rs ->
-      let pre = List.map (fun r ->
-          match Hashtbl.find_opt b.defs r with
-          | Some id -> id
-          | None -> scalar_input b r) rs
-      in
-      let mid = add b (Move { regs = rs; pre }) pre in
+      (* every register's value first: a missing one is a new input *)
+      List.iter (fun r -> ignore (def_of b r)) rs;
+      List.iter (fun r -> push b (def_of b r)) rs;
+      let mid = emit b K_move ~cls:Op_model.Add ~width:0 ~mem:0 ~payload:0 ~name:"" in
       List.iteri
         (fun i r ->
-          let out = add b (Move_out { move = mid; index = i }) [ mid ] in
+          push b mid;
+          let out = emit b K_move_out ~cls:Op_model.Add ~width:0 ~mem:0 ~payload:i ~name:r in
           Hashtbl.replace b.defs r out)
         rs
   | Ast.For _ -> invalid_arg "Dfg.of_block: loops must be factored out"
 
-let builder_of a ~mem_of ~cursor =
-  Hashtbl.reset a.defs0;
-  Hashtbl.reset a.inputs;
-  Hashtbl.reset a.last_store;
-  Hashtbl.reset a.loads_since;
+let builder_of a ~kernel ~mem_of ~cursor =
+  load_decls a kernel;
+  Hashtbl.clear a.defs0;
+  Hashtbl.clear a.inputs;
+  Array.fill a.last_store 0 a.n_arrays (-1);
+  Array.fill a.last_load 0 a.n_arrays (-1);
   Buffer.clear a.fp_buf;
-  { a; mem_of; cur = cursor; count = 0; defs = a.defs0; guards = []; ty = Dtype.int32 }
+  a.pred_off_a.(0) <- 0;
+  a.npreds <- 0;
+  a.nguards <- 0;
+  a.nsubs <- 0;
+  { a; mem_of; cur = cursor; count = 0; defs = a.defs0; guard = -1; bits = 32 }
 
-(** A builder for the blocks of one kernel, sharing one scratch across
-    them: declarations are hashed once and the node storage is reused.
-    Each graph it returns is a view — [nodes] aliases the scratch's
-    storage (slots at and beyond [len] are garbage) and is valid until
-    the next call. *)
-let block_builder ~(kernel : Ast.kernel) ~(mem_of : Access.t -> int)
+let view b =
+  let a = b.a in
+  {
+    len = b.count;
+    fp = Buffer.contents a.fp_buf;
+    tag = a.tag_a;
+    cls = a.cls_a;
+    width = a.width_a;
+    mem = a.mem_a;
+    payload = a.payload_a;
+    name = a.name_a;
+    pred_off = a.pred_off_a;
+    preds = a.preds_a;
+    guard_up = a.guard_up_a;
+    guard_cond = a.guard_cond_a;
+  }
+
+let build a ~kernel ~mem_of ~cursor stmts =
+  let b = builder_of a ~kernel ~mem_of ~cursor in
+  List.iter (build_stmt b) stmts;
+  b
+
+(** A builder for the blocks of one kernel on [scratch]. Each graph it
+    returns is a view — its arrays alias the scratch's storage (slots at
+    and beyond [len] are garbage) and are valid until the next block
+    built on the scratch. *)
+let block_builder ~(scratch : scratch) ~(kernel : Ast.kernel) ~(mem_of : Access.t -> int)
     ~(cursor : cursor) : Ast.stmt list -> t =
-  let a = scratch kernel in
-  fun stmts ->
-    let b = builder_of a ~mem_of ~cursor in
-    List.iter (build_stmt b) stmts;
-    { nodes = a.buf; len = b.count; fp = Buffer.contents a.fp_buf }
+ fun stmts -> view (build scratch ~kernel ~mem_of ~cursor stmts)
 
 (** Build the DFG of a straight-line block. [cursor] advances past the
     block's accesses. The final scalar environment (scalar name -> node
@@ -463,15 +751,12 @@ let block_builder ~(kernel : Ast.kernel) ~(mem_of : Access.t -> int)
     unlike {!block_builder}'s views. *)
 let of_block_with_defs ~(kernel : Ast.kernel) ~(mem_of : Access.t -> int)
     ~(cursor : cursor) (stmts : Ast.stmt list) : t * (string * int) list =
-  let a = scratch kernel in
-  let b = builder_of a ~mem_of ~cursor in
-  List.iter (build_stmt b) stmts;
+  let b = build (scratch ()) ~kernel ~mem_of ~cursor stmts in
   let defs =
     Hashtbl.fold (fun v id acc -> (v, id) :: acc) b.defs []
     |> List.sort compare
   in
-  ( { nodes = Array.sub a.buf 0 b.count; len = b.count; fp = Buffer.contents a.fp_buf },
-    defs )
+  (copy (view b), defs)
 
 let of_block ~kernel ~mem_of ~cursor stmts =
   fst (of_block_with_defs ~kernel ~mem_of ~cursor stmts)
@@ -497,16 +782,12 @@ let of_block ~kernel ~mem_of ~cursor stmts =
    one ([test/test_fingerprint.ml] checks this on every block of the
    built-in sweeps). *)
 
-let n_loads (g : t) =
+let count_tag (g : t) tag =
   let acc = ref 0 in
   for i = 0 to g.len - 1 do
-    match g.nodes.(i).kind with Load _ -> incr acc | _ -> ()
+    if g.tag.(i) = tag then incr acc
   done;
   !acc
 
-let n_stores (g : t) =
-  let acc = ref 0 in
-  for i = 0 to g.len - 1 do
-    match g.nodes.(i).kind with Store _ -> incr acc | _ -> ()
-  done;
-  !acc
+let n_loads g = count_tag g K_load
+let n_stores g = count_tag g K_store

@@ -7,7 +7,11 @@
     build, scalar targets merge through muxes, loads issue
     unconditionally (the paper's conditional memory accesses), stores
     carry their guard conditions. Register rotation is a free parallel
-    transfer; subscripts linearize into explicit address nodes. *)
+    transfer; subscripts linearize into explicit address nodes.
+
+    A graph is stored flat, one array per field, so that building one
+    allocates nothing per node; {!node} decodes one node into the
+    record form below for the consumers that want it. *)
 
 open Ir
 module Access = Analysis.Access
@@ -38,16 +42,69 @@ type node_kind =
   | Reg_write of { scalar : string; value : int }
       (** scalar commit: truncates to the declared width; free *)
 
+(** One node, decoded. *)
 type node = { id : int; kind : node_kind; preds : int list }
 
-(** A built graph: the live nodes are [nodes.(0 .. len - 1)] (ids are
-    topological), and [fp] is the structural fingerprint, computed as the
-    nodes were emitted (see {!fingerprint}). Results of {!of_block} /
-    {!of_block_with_defs} own their storage and satisfy
-    [Array.length nodes = len]; results of a {!block_builder} are views
-    whose [nodes] array may be longer than [len] and is reused by the
-    builder's next call. *)
-type t = { nodes : node array; len : int; fp : string }
+(** The kind of a stored node. *)
+type tag =
+  | K_const
+  | K_scalar
+  | K_op
+  | K_load
+  | K_store
+  | K_move
+  | K_move_out
+  | K_reg_write
+
+(** A built graph: nodes [0 .. len - 1] (ids are topological), one array
+    per field, of which only the first [len] slots are meaningful.
+
+    - [cls] and [width] hold an [Op]'s class and width; [width] also
+      a [Load]'s or [Store]'s element width, and [mem] their memory.
+    - [payload] holds a [Const]'s value, an [Op]'s semantic operation
+      (see {!node}), a [Store]'s guard context and a [Move_out]'s
+      register index.
+    - [name] holds a [Scalar] source's or [Reg_write]'s scalar, a
+      [Load]'s or [Store]'s array and a [Move_out]'s register.
+    - Node [i]'s predecessors are [preds.(pred_off.(i))] up to
+      [preds.(pred_off.(i + 1) - 1)], in the order {!node} lists them:
+      a [Load]'s address first, a [Store]'s value then address, a
+      [Move]'s pre-rotation values (its registers are the names of the
+      [Move_out] nodes that follow it).
+    - Guard context [c] is the condition node [guard_cond.(c) / 2],
+      taken when its truth equals [guard_cond.(c) mod 2 = 1], inside
+      the context [guard_up.(c)]; [-1] is no guard.
+
+    [fp] is the structural fingerprint (see {!fingerprint}).
+
+    {b Lifetime.} A graph returned by a {!block_builder} is a view of
+    its scratch's storage: it is valid until the next block built on
+    that scratch, so the estimator's views last until the next block
+    built on the same domain. {!of_block} and {!of_block_with_defs}
+    return owned copies, safe to retain. *)
+type t = {
+  len : int;
+  fp : string;
+  tag : tag array;
+  cls : Op_model.op_class array;
+  width : int array;
+  mem : int array;
+  payload : int array;
+  name : string array;
+  pred_off : int array;
+  preds : int array;
+  guard_up : int array;
+  guard_cond : int array;
+}
+
+(** Node [i] of a graph, decoded. *)
+val node : t -> int -> node
+
+(** Every node of a graph, decoded. *)
+val nodes : t -> node array
+
+(** An owned copy of a graph, its node arrays trimmed to [len]. *)
+val copy : t -> t
 
 (** Cursor over the kernel-wide access list (from [Access.collect] on the
     full body, in document order); the builder consumes accesses in the
@@ -61,12 +118,21 @@ val cursor_of : Access.t list -> cursor
     walk. *)
 exception Desync of string
 
-(** [block_builder ~kernel ~mem_of ~cursor] builds the blocks of one
-    kernel, in cursor order, over one shared construction scratch: the
-    kernel's declarations are hashed once and the node storage is
-    reused, so one estimation allocates little beyond the nodes. Each
-    returned graph is a view (see {!t}), valid until the next call. *)
+(** Construction storage: the node arrays, the per-block environments
+    and the declaration tables of the kernel last built from. It only
+    grows. One scratch serves one domain; the estimator keeps one per
+    domain for every block it builds. *)
+type scratch
+
+val scratch : unit -> scratch
+
+(** [block_builder ~scratch ~kernel ~mem_of ~cursor] builds the blocks
+    of one kernel, in cursor order, on [scratch]: the kernel's
+    declarations are hashed once per kernel and the node storage is
+    reused, so a block allocates little beyond its fingerprint. Each
+    returned graph is a view (see {!t}). *)
 val block_builder :
+  scratch:scratch ->
   kernel:Ast.kernel ->
   mem_of:(Access.t -> int) ->
   cursor:cursor ->

@@ -84,6 +84,14 @@ type acc = {
   mutable loops : int;
 }
 
+(* The construction and scheduling storage of one domain, shared by every
+   estimate it runs: both only grow, so after the first large block an
+   estimate allocates no storage at all. *)
+type scratch = { dfg : Dfg.scratch; sched : Schedule.scratch }
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { dfg = Dfg.scratch (); sched = Schedule.scratch () })
+
 let merge_usage acc u =
   List.iter
     (fun (key, n) ->
@@ -103,8 +111,8 @@ let estimate ?(sched_memo : Schedule.memo option)
   | Some ts -> ts.layout_seconds <- ts.layout_seconds +. (Clock.now () -. t0)
   | None -> ());
   let mem_of a = Layout.memory_of layout a in
-  let build = Dfg.block_builder ~kernel ~mem_of ~cursor:(Dfg.cursor_of accesses) in
-  let scratch = Schedule.scratch () in
+  let { dfg; sched = scratch } = Domain.DLS.get scratch_key in
+  let build = Dfg.block_builder ~scratch:dfg ~kernel ~mem_of ~cursor:(Dfg.cursor_of accesses) in
   let acc = { usage = Hashtbl.create 16; states = 0; loops = 0 } in
   let rec walk (body : Ast.stmt list) : int * int * int * int =
     (* Split into maximal straight-line chunks and loops. *)
@@ -154,8 +162,11 @@ let estimate ?(sched_memo : Schedule.memo option)
   in
   let cycles, mem_only, comp_only, bits = walk kernel.k_body in
   (* Static read/write sites (after transformation). *)
-  let reads = List.length (List.filter Access.is_read accesses) in
-  let writes = List.length (List.filter Access.is_write accesses) in
+  let rec count r w = function
+    | [] -> (r, w)
+    | a :: rest -> if Access.is_read a then count (r + 1) w rest else count r (w + 1) rest
+  in
+  let reads, writes = count 0 0 accesses in
   (* Area. *)
   let usage =
     Hashtbl.fold (fun k v l -> (k, v) :: l) acc.usage [] |> List.sort compare

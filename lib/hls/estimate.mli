@@ -69,7 +69,9 @@ val fresh_timers : unit -> stage_timers
     the memo is exact (same fingerprint, bit-identical schedule), so the
     result is field-for-field identical with and without it; an unrolled
     nest then schedules each distinct block shape once. The blocks of
-    one call share one {!Dfg.block_builder}. With [timers], per-stage
+    one call share one {!Dfg.block_builder}, and every call on one
+    domain shares that domain's DFG and scheduling storage, so the views
+    it builds never outlive the call. With [timers], per-stage
     wall time and memo hits are accumulated into the record. *)
 val estimate :
   ?sched_memo:Schedule.memo ->

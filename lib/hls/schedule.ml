@@ -11,7 +11,7 @@
     the datapath could consume it).
 
     The estimator needs all three schedules of every block; {!run_tri}
-    produces them in a single walk over the node array (one traversal,
+    produces them in a single walk over the graph's arrays (one traversal,
     one operator-class/delay lookup per node) instead of three separate
     {!run} calls. Both entry points share the same per-node scheduling
     helpers, so their results are identical by construction.
@@ -19,7 +19,7 @@
     The per-node path allocates nothing. Each mode's state is flat
     arrays (finish times, busy cycles per memory, operator counts per
     cycle and slot) kept in a {!scratch} that the estimator reuses for
-    every block of a kernel and resets between them. Times stay float
+    every block its domain schedules and resets between them. Times stay float
     nanoseconds, compared with the same [eps]; the helpers that take or
     return them are marked [@inline], so no float is boxed (without
     flambda, OCaml boxes every float that crosses a call it does not
@@ -183,17 +183,13 @@ let occupy st s c0 c1 =
   done;
   if c1 >= st.occ_hi.(s) then st.occ_hi.(s) <- c1 + 1
 
-(* The latest finish among [preds]; 0 for none. Finish times are never
-   NaN, so [>] picks what [Float.max] would. *)
-let[@inline] ready (finish : float array) preds =
-  let r = ref 0.0 and rest = ref preds in
-  while !rest != [] do
-    match !rest with
-    | p :: tl ->
-        let f = finish.(p) in
-        if f > !r then r := f;
-        rest := tl
-    | [] -> ()
+(* The latest finish among node [i]'s predecessors in [g]; 0 for none.
+   Finish times are never NaN, so [>] picks what [Float.max] would. *)
+let[@inline] ready (finish : float array) (g : Dfg.t) i =
+  let r = ref 0.0 in
+  for k = g.Dfg.pred_off.(i) to g.Dfg.pred_off.(i + 1) - 1 do
+    let f = finish.(g.Dfg.preds.(k)) in
+    if f > !r then r := f
   done;
   !r
 
@@ -289,7 +285,7 @@ let delays () =
       t
   | t -> t
 
-(** Scheduling scratch for the blocks of one kernel: the three modes'
+(** Scheduling scratch, reused from block to block: the three modes'
     states and the delay table. *)
 type scratch = { j : state; m : state; c : state; delays : float array }
 
@@ -305,22 +301,25 @@ let[@inline] delay sc cls width =
   if width < 0 || width > max_table_width then Op_model.delay_ns cls ~width
   else sc.delays.((Op_model.class_index cls * (max_table_width + 1)) + width)
 
-let step (p : profile) sc st (node : Dfg.node) =
-  let r = ready st.finish node.preds in
-  match node.kind with
-  | Dfg.Source _ | Dfg.Move _ | Dfg.Move_out _ | Dfg.Reg_write _ ->
-      st.finish.(node.id) <- r
-  | Dfg.Op { cls; width; _ } ->
-      sched_op p st node.id ~slot:(slot cls width) ~d:(delay sc cls width) r
-  | Dfg.Load { mem; width; _ } -> sched_mem p st node.id ~mem ~width ~is_read:true r
-  | Dfg.Store { mem; width; _ } -> sched_mem p st node.id ~mem ~width ~is_read:false r
+let step (p : profile) sc st (g : Dfg.t) id =
+  let r = ready st.finish g id in
+  match g.Dfg.tag.(id) with
+  | Dfg.K_op ->
+      let cls = g.Dfg.cls.(id) and width = g.Dfg.width.(id) in
+      sched_op p st id ~slot:(slot cls width) ~d:(delay sc cls width) r
+  | Dfg.K_load ->
+      sched_mem p st id ~mem:g.Dfg.mem.(id) ~width:g.Dfg.width.(id) ~is_read:true r
+  | Dfg.K_store ->
+      sched_mem p st id ~mem:g.Dfg.mem.(id) ~width:g.Dfg.width.(id) ~is_read:false r
+  | Dfg.K_const | Dfg.K_scalar | Dfg.K_move | Dfg.K_move_out | Dfg.K_reg_write ->
+      st.finish.(id) <- r
 
 let run ?(mode : mode = `Joint) (p : profile) (g : Dfg.t) : result =
   let sc = scratch () in
   let st = match mode with `Joint -> sc.j | `Mem_only -> sc.m | `Comp_only -> sc.c in
   reset st g.Dfg.len;
   for i = 0 to g.Dfg.len - 1 do
-    step p sc st g.Dfg.nodes.(i)
+    step p sc st g i
   done;
   finalize p st g.Dfg.len
 
@@ -398,27 +397,30 @@ let memo_absorb ~(into : memo) (forked : memo) : unit =
    matched and the operator delay/slot looked up once, then each mode
    advances on its own state (ready times genuinely differ per mode, so
    they are computed per state). *)
-let tri_step (p : profile) sc (node : Dfg.node) =
-  let { j; m; c; _ } = sc and id = node.id and preds = node.preds in
-  match node.kind with
-  | Dfg.Source _ | Dfg.Move _ | Dfg.Move_out _ | Dfg.Reg_write _ ->
-      j.finish.(id) <- ready j.finish preds;
-      m.finish.(id) <- ready m.finish preds;
-      c.finish.(id) <- ready c.finish preds
-  | Dfg.Op { cls; width; _ } ->
+let tri_step (p : profile) sc (g : Dfg.t) id =
+  let { j; m; c; _ } = sc in
+  match g.Dfg.tag.(id) with
+  | Dfg.K_op ->
+      let cls = g.Dfg.cls.(id) and width = g.Dfg.width.(id) in
       let d = delay sc cls width in
       let slot = slot cls width in
-      sched_op p j id ~slot ~d (ready j.finish preds);
-      m.finish.(id) <- ready m.finish preds;
-      sched_op p c id ~slot ~d (ready c.finish preds)
-  | Dfg.Load { mem; width; _ } ->
-      sched_mem p j id ~mem ~width ~is_read:true (ready j.finish preds);
-      sched_mem p m id ~mem ~width ~is_read:true (ready m.finish preds);
-      sched_mem p c id ~mem ~width ~is_read:true (ready c.finish preds)
-  | Dfg.Store { mem; width; _ } ->
-      sched_mem p j id ~mem ~width ~is_read:false (ready j.finish preds);
-      sched_mem p m id ~mem ~width ~is_read:false (ready m.finish preds);
-      sched_mem p c id ~mem ~width ~is_read:false (ready c.finish preds)
+      sched_op p j id ~slot ~d (ready j.finish g id);
+      m.finish.(id) <- ready m.finish g id;
+      sched_op p c id ~slot ~d (ready c.finish g id)
+  | Dfg.K_load ->
+      let mem = g.Dfg.mem.(id) and width = g.Dfg.width.(id) in
+      sched_mem p j id ~mem ~width ~is_read:true (ready j.finish g id);
+      sched_mem p m id ~mem ~width ~is_read:true (ready m.finish g id);
+      sched_mem p c id ~mem ~width ~is_read:true (ready c.finish g id)
+  | Dfg.K_store ->
+      let mem = g.Dfg.mem.(id) and width = g.Dfg.width.(id) in
+      sched_mem p j id ~mem ~width ~is_read:false (ready j.finish g id);
+      sched_mem p m id ~mem ~width ~is_read:false (ready m.finish g id);
+      sched_mem p c id ~mem ~width ~is_read:false (ready c.finish g id)
+  | Dfg.K_const | Dfg.K_scalar | Dfg.K_move | Dfg.K_move_out | Dfg.K_reg_write ->
+      j.finish.(id) <- ready j.finish g id;
+      m.finish.(id) <- ready m.finish g id;
+      c.finish.(id) <- ready c.finish g id
 
 let run_tri ?scratch:sc (p : profile) (g : Dfg.t) : tri =
   let sc = match sc with Some sc -> sc | None -> scratch () in
@@ -427,7 +429,7 @@ let run_tri ?scratch:sc (p : profile) (g : Dfg.t) : tri =
   reset sc.m n;
   reset sc.c n;
   for i = 0 to n - 1 do
-    tri_step p sc g.Dfg.nodes.(i)
+    tri_step p sc g i
   done;
   {
     joint = finalize p sc.j n;

@@ -34,8 +34,9 @@ val run : ?mode:mode -> profile -> Dfg.t -> result
 
 type tri = { joint : result; mem_only : result; comp_only : result }
 
-(** Scheduling state for the blocks of one kernel: flat arrays that only
-    grow, reset for each block. One scratch serves one domain. *)
+(** Scheduling state: flat arrays that only grow, reset for each block.
+    One scratch serves one domain; the estimator keeps one per domain
+    for every block it schedules. *)
 type scratch
 
 val scratch : unit -> scratch

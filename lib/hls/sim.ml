@@ -32,7 +32,7 @@ type result = {
 (* Static structure: blocks with prebuilt graphs and schedule lengths. *)
 type region =
   | Block of {
-      graph : Dfg.t;
+      nodes : Dfg.node array;  (** the block's graph, decoded once *)
       defs : (string * int) list;  (** scalar -> node at block exit *)
       len : int;  (** joint schedule length in cycles *)
     }
@@ -59,7 +59,7 @@ let build_regions (p : Estimate.profile) (kernel : Ast.kernel) : region list =
             Dfg.of_block_with_defs ~kernel ~mem_of ~cursor stmts
           in
           let len = (Schedule.run ~mode:`Joint sched_profile graph).Schedule.cycles in
-          Block { graph; defs; len } :: acc
+          Block { nodes = Dfg.nodes graph; defs; len } :: acc
     in
     let rec go chunk acc = function
       | [] -> List.rev (flush chunk acc)
@@ -124,8 +124,8 @@ let eval_un (op : Ast.unop) a =
   | Ast.Abs -> abs a
 
 (** Execute one block instance under the current state. *)
-let exec_block st (graph : Dfg.t) (defs : (string * int) list) =
-  let n = graph.Dfg.len in
+let exec_block st (nodes : Dfg.node array) (defs : (string * int) list) =
+  let n = Array.length nodes in
   let values = Array.make (max n 1) 0 in
   for node_i = 0 to n - 1 do
     (fun (node : Dfg.node) ->
@@ -177,7 +177,7 @@ let exec_block st (graph : Dfg.t) (defs : (string * int) list) =
               | _ -> 0)
         | Dfg.Move _ -> 0
         | Dfg.Move_out { move; index } -> (
-            match graph.Dfg.nodes.(move).Dfg.kind with
+            match nodes.(move).Dfg.kind with
             | Dfg.Move { pre; _ } ->
                 let m = List.length pre in
                 values.(List.nth pre ((index + 1) mod m))
@@ -186,7 +186,7 @@ let exec_block st (graph : Dfg.t) (defs : (string * int) list) =
             Dtype.wrap (scalar_type st scalar) values.(value)
       in
       values.(node.Dfg.id) <- v)
-      graph.Dfg.nodes.(node_i)
+      nodes.(node_i)
   done;
   (* Commit scalar state at block exit. *)
   List.iter (fun (v, node) -> Hashtbl.replace st.scalars v values.(node)) defs
@@ -195,9 +195,9 @@ let rec exec_regions st rs =
   List.iter
     (fun r ->
       match r with
-      | Block { graph; defs; len } ->
+      | Block { nodes; defs; len } ->
           st.cycles <- st.cycles + len;
-          exec_block st graph defs
+          exec_block st nodes defs
       | Loop (l, inner) ->
           let i = ref l.Ast.lo in
           while !i < l.Ast.hi do

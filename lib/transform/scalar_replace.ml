@@ -222,6 +222,11 @@ type pattern = {
       (** every loop the members vary with is on the spine; off-spine
           variation (epilogue loops of a non-divisor unroll factor) makes
           the pattern ineligible for register promotion *)
+  scalar_subs : bool;
+      (** some member's subscript names a scalar the nest assigns other
+          than a loop index (a register, a loaded value): the element it
+          addresses changes where no loop index does, so the pattern is
+          ineligible for hoisting, banks and chains *)
 }
 
 (** One access walk of a kernel: its patterns and the accesses behind
@@ -251,6 +256,36 @@ let varies_on_spine_only spine_names (a : Access.t) =
         (List.mem l.index spine_names || not (Access.varies_with a l.index)) && go rest
   in
   go a.loops
+
+(* Scalars the body assigns or rotates, and with [indices] the indices
+   of its loops. *)
+let assigned_scalars ~indices (body : stmt list) =
+  let tbl = Hashtbl.create 8 in
+  let rec stmt = function
+    | Assign (Lvar v, _) -> Hashtbl.replace tbl v ()
+    | Assign (Larr _, _) -> ()
+    | If (_, t, e) ->
+        List.iter stmt t;
+        List.iter stmt e
+    | For l ->
+        if indices then Hashtbl.replace tbl l.index ();
+        List.iter stmt l.body
+    | Rotate rs -> List.iter (fun r -> Hashtbl.replace tbl r ()) rs
+  in
+  List.iter stmt body;
+  tbl
+
+let rec mentions tbl (e : expr) =
+  match e with
+  | Var v -> Hashtbl.mem tbl v
+  | Int _ -> false
+  | Arr (_, subs) -> List.exists (mentions tbl) subs
+  | Bin (_, a, b) -> mentions tbl a || mentions tbl b
+  | Un (_, a) -> mentions tbl a
+  | Cond (c, t, e) -> mentions tbl c || mentions tbl t || mentions tbl e
+
+(* Some subscript of [a] names a scalar in [tbl]. *)
+let subscript_mentions tbl (a : Access.t) = List.exists (mentions tbl) a.subs
 
 let walk (k : kernel) : walk =
   let spine = Loop_nest.spine k.k_body in
@@ -283,6 +318,7 @@ let walk (k : kernel) : walk =
               Hashtbl.replace buckets h ((m, members) :: bucket);
               merged := members :: !merged))
     groups;
+  let assigned = assigned_scalars ~indices:false k.k_body in
   let pattern (members : Access.t list) =
     let m = List.hd members in
     let elem =
@@ -316,6 +352,7 @@ let walk (k : kernel) : walk =
           spine;
       spine;
       spine_only = List.for_all (varies_on_spine_only spine_names) members;
+      scalar_subs = List.exists (subscript_mentions assigned) members;
     }
   in
   {
@@ -381,7 +418,7 @@ let try_hoist (k : kernel) (st : state) (p : pattern) (ps : pattern list) =
     go 0 (-1) spine
   in
   let applicable =
-    spine <> [] && p.spine_only
+    spine <> [] && p.spine_only && (not p.scalar_subs)
     && (match innermost_spine with
        | Some l -> not (List.memq l p.varying)
        | None -> false)
@@ -476,7 +513,7 @@ let try_bank ~written (st : state) (p : pattern) : bool =
       in
       let n_regs = bank_n * List.length p.members in
       let applicable =
-        p.has_reads && (not p.has_writes) && p.spine_only
+        p.has_reads && (not p.has_writes) && p.spine_only && (not p.scalar_subs)
         && (not (List.mem p.array written))
         && (not p.any_guarded)
         && contiguous && bank_n > 1
@@ -783,7 +820,7 @@ let try_chains ~(config : config) ~written (st : state) (ed : edits)
   match (innermost_varying, spine_innermost) with
   | Some inner, Some spine_inner
     when inner.index = spine_inner.index
-         && p.spine_only
+         && p.spine_only && (not p.scalar_subs)
          && p.has_reads && (not p.has_writes)
          && (not (List.mem p.array written))
          && not p.any_guarded ->
@@ -868,9 +905,10 @@ let try_chains ~(config : config) ~written (st : state) (ed : edits)
 
 (** All accesses of [array] among [accesses] (one walk of the body)
     belong to one uniformly generated pattern over the loops around them,
-    so distinct constant offsets address distinct elements and
-    same-element groups are exact. *)
-let single_pattern (accesses : Access.t list) array =
+    and none of their subscripts names a scalar in [assigned] (the
+    non-index scalars the nest assigns), so distinct constant offsets
+    address distinct elements and same-element groups are exact. *)
+let single_pattern ~assigned (accesses : Access.t list) array =
   let of_array = List.filter (fun (a : Access.t) -> String.equal a.array array) accesses in
   (* the loop indices around the array's accesses; accesses of one loop
      share their loop list, so each list is read once per run of them *)
@@ -889,32 +927,7 @@ let single_pattern (accesses : Access.t list) array =
   | first :: rest ->
       Access.is_affine first
       && List.for_all (fun a -> Analysis.Reuse.same_pattern !indices first a) rest
-
-(* Scalars the body assigns or rotates, and the indices of its loops. *)
-let assigned_scalars (body : stmt list) =
-  let tbl = Hashtbl.create 8 in
-  let rec stmt = function
-    | Assign (Lvar v, _) -> Hashtbl.replace tbl v ()
-    | Assign (Larr _, _) -> ()
-    | If (_, t, e) ->
-        List.iter stmt t;
-        List.iter stmt e
-    | For l ->
-        Hashtbl.replace tbl l.index ();
-        List.iter stmt l.body
-    | Rotate rs -> List.iter (fun r -> Hashtbl.replace tbl r ()) rs
-  in
-  List.iter stmt body;
-  tbl
-
-let rec mentions tbl (e : expr) =
-  match e with
-  | Var v -> Hashtbl.mem tbl v
-  | Int _ -> false
-  | Arr (_, subs) -> List.exists (mentions tbl) subs
-  | Bin (_, a, b) -> mentions tbl a || mentions tbl b
-  | Un (_, a) -> mentions tbl a
-  | Cond (c, t, e) -> mentions tbl c || mentions tbl t || mentions tbl e
+      && not (List.exists (subscript_mentions assigned) of_array)
 
 (** A repeated element of the innermost body: occurrence count, whether
     any occurrence writes it, whether the first is an unguarded write. *)
@@ -991,7 +1004,7 @@ let cse_loads ~written ~single_pattern (st : state) =
       let assigned = ref None in
       apply_inner (fun body ->
           List.iter (scan_stmt false) body;
-          assigned := Some (assigned_scalars body);
+          assigned := Some (assigned_scalars ~indices:true body);
           body);
       let assigned = Option.get !assigned in
       (* Decide all replacements first (caching the per-array pattern
@@ -1132,7 +1145,11 @@ let run ?(config = default_config) (k : kernel) : kernel * report =
     if st.kernel == !w.walked || not !w.indirect then Lazy.from_val !w.accesses
     else lazy (Access.collect st.kernel.k_body)
   in
-  cse_loads ~written ~single_pattern:(fun a -> single_pattern (Lazy.force accesses) a) st;
+  let assigned = lazy (assigned_scalars ~indices:false st.kernel.k_body) in
+  cse_loads ~written
+    ~single_pattern:(fun a ->
+      single_pattern ~assigned:(Lazy.force assigned) (Lazy.force accesses) a)
+    st;
   let k = st.kernel in
   let k =
     if st.decls = [] then k else { k with k_scalars = k.k_scalars @ List.rev st.decls }

@@ -99,7 +99,7 @@ let block_fingerprints (profile : Hls.Estimate.profile) (k : Ast.kernel) =
       ~num_memories:profile.Hls.Estimate.device.Hls.Device.num_memories k accesses
   in
   let build =
-    Hls.Dfg.block_builder ~kernel:k
+    Hls.Dfg.block_builder ~scratch:(Hls.Dfg.scratch ()) ~kernel:k
       ~mem_of:(Data_layout.Layout.memory_of layout)
       ~cursor:(Hls.Dfg.cursor_of accesses)
   in
@@ -110,7 +110,7 @@ let block_fingerprints (profile : Hls.Estimate.profile) (k : Ast.kernel) =
       | [] -> ()
       | stmts ->
           let g = build stmts in
-          out := (Hls.Dfg.fingerprint g, Reference.Fingerprint.decimal g) :: !out
+          out := (Hls.Dfg.fingerprint g, Reference.Fingerprint.decimal (Hls.Dfg.nodes g)) :: !out
     in
     let rec go chunk = function
       | [] -> flush chunk

@@ -791,6 +791,50 @@ let test_fail_on_threshold () =
   Alcotest.(check int) "clean kernel stays 0 under --fail-on=warning" 0
     (Check.Run.exit_code ~fail_on:Diag.Warning (Check.Run.all fir))
 
+(* ------------------------------------------------------------------ *)
+(* Scaling: the flow analyses' work is linear in the code they check *)
+
+(* Minor words of the flow checks [--verify] runs per point: the graph
+   built once, then the uninitialised-read and dead-store analyses on
+   it. This domain only, so the count repeats exactly. *)
+let flow_words (k : Ast.kernel) =
+  let w0 = Gc.minor_words () in
+  let graph = F.build k in
+  ignore (Sys.opaque_identity (Check.Uninit.check ~graph k));
+  ignore (Sys.opaque_identity (Check.Deadstore.check ~graph k));
+  Gc.minor_words () -. w0
+
+let test_flow_scaling_sobel () =
+  let k = Lazy.force Helpers.sobel64 in
+  ignore
+    (Helpers.doublings_ok "sobel"
+       (List.map
+          (fun vector ->
+            let r = Transform.Pipeline.apply { Transform.Pipeline.default with vector } k in
+            (Helpers.vector_to_string vector, flow_words r.Transform.Pipeline.kernel))
+          [
+            [ ("i", 2); ("j", 4) ];
+            [ ("i", 4); ("j", 4) ];
+            [ ("i", 4); ("j", 8) ];
+            [ ("i", 8); ("j", 8) ];
+            [ ("i", 8); ("j", 16) ];
+          ]))
+
+(* A generated nest with its innermost body repeated 8, 16, 32 and 64
+   times. *)
+let test_flow_scaling_random =
+  Helpers.qtest "minor words linear (nests)" ~count:30 Helpers.gen_kernel (fun k ->
+      let rec repeat n = function
+        | [ Ast.For l ] -> [ Ast.For { l with Ast.body = repeat n l.Ast.body } ]
+        | body -> List.concat (List.init n (fun _ -> body))
+      in
+      Helpers.doublings_ok "generated nest"
+        (List.map
+           (fun n ->
+             ( Printf.sprintf "%d copies" n,
+               flow_words { k with Ast.k_body = repeat n k.Ast.k_body } ))
+           [ 8; 16; 32; 64 ]))
+
 let () =
   Alcotest.run "flowgraph"
     [
@@ -830,5 +874,10 @@ let () =
           Alcotest.test_case "zero-trip regression" `Quick test_zero_trip_regression;
           test_run_sorted_deterministic;
           Alcotest.test_case "--fail-on threshold" `Quick test_fail_on_threshold;
+        ] );
+      ( "scaling",
+        [
+          Alcotest.test_case "minor words linear (sobel)" `Quick test_flow_scaling_sobel;
+          test_flow_scaling_random;
         ] );
     ]

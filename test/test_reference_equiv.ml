@@ -547,19 +547,48 @@ let sched_profiles =
         [ false; true ])
     [ true; false ]
 
+(* One DFG scratch for every block of the run, as the estimator keeps
+   one per domain: each block is built over what the previous ones, of
+   other kernels, left behind. *)
+let dfg_scratch = Hls.Dfg.scratch ()
+
 (* Hand [f] every block the estimator builds for [k], in its order (the
    maximal straight-line chunks of each statement list, loop bodies
-   included), while the block's view is valid. *)
-let iter_blocks (k : Ast.kernel) f =
+   included): the library's graph, while its view is valid, and the
+   reference builder's. Memories come from the data layout unless
+   [mem_of] says otherwise. *)
+let iter_blocks ?mem_of (k : Ast.kernel) f =
   let accesses = Analysis.Access.collect k.Ast.k_body in
-  let layout = Data_layout.Layout.assign ~num_memories:4 k accesses in
-  let build =
-    Hls.Dfg.block_builder ~kernel:k
-      ~mem_of:(Data_layout.Layout.memory_of layout)
-      ~cursor:(Hls.Dfg.cursor_of accesses)
+  let mem_of =
+    match mem_of with
+    | Some m -> m
+    | None ->
+        Data_layout.Layout.memory_of (Data_layout.Layout.assign ~num_memories:4 k accesses)
   in
+  let build =
+    Hls.Dfg.block_builder ~scratch:dfg_scratch ~kernel:k ~mem_of
+      ~cursor:(Hls.Dfg.cursor_of accesses)
+  and build_ref = R.Dfg.block_builder ~kernel:k ~mem_of ~cursor:(R.Dfg.cursor_of accesses) in
   let rec walk body =
-    let flush chunk = match List.rev chunk with [] -> () | stmts -> f (build stmts) in
+    let flush chunk =
+      match List.rev chunk with
+      | [] -> ()
+      | stmts -> (
+          match build_ref stmts with
+          | r -> f (build stmts) r
+          | exception ((Invalid_argument _ | Hls.Dfg.Desync _) as e) ->
+              (* a block the estimator never sees: the library must
+                 refuse it the same way, and the cursors are spent *)
+              let same =
+                match (build stmts, e) with
+                | _ -> false
+                | exception Invalid_argument m -> e = Invalid_argument m
+                | exception Hls.Dfg.Desync _ -> (
+                    match e with Hls.Dfg.Desync _ -> true | _ -> false)
+              in
+              if not same then failf "the reference raises %s" (Printexc.to_string e);
+              raise_notrace Exit)
+    in
     let rec go chunk = function
       | [] -> flush chunk
       | Ast.For l :: rest ->
@@ -570,7 +599,7 @@ let iter_blocks (k : Ast.kernel) f =
     in
     go [] body
   in
-  walk k.Ast.k_body
+  try walk k.Ast.k_body with Exit -> ()
 
 (* One scratch for every block of the run: each block starts from what
    the previous ones, of other kernels and profiles, left behind. *)
@@ -582,18 +611,41 @@ let modes = [ ("joint", `Joint); ("mem_only", `Mem_only); ("comp_only", `Comp_on
     every mode equal the reference on every block of [k], under every
     profile. *)
 let schedule_equivalent (k : Ast.kernel) =
-  iter_blocks k (fun g ->
+  iter_blocks k (fun g g_ref ->
       List.iter
         (fun (what, p) ->
-          let r = R.Schedule.run_tri p g in
+          let r = R.Schedule.run_tri p g_ref in
           if Hls.Schedule.run_tri ~scratch:sched_scratch p g <> r then
             failf "run_tri on the shared scratch differs (%s)" what;
           if Hls.Schedule.run_tri p g <> r then failf "run_tri differs (%s)" what;
           List.iter
             (fun (name, mode) ->
-              if Hls.Schedule.run ~mode p g <> R.Schedule.run ~mode p g then
+              if Hls.Schedule.run ~mode p g <> R.Schedule.run ~mode p g_ref then
                 failf "run ~mode:%s differs (%s)" name what)
             modes)
+        sched_profiles);
+  true
+
+(** The flat graph of every block of [k] decodes to the reference
+    builder's nodes, has its fingerprint, and its owned copy decodes
+    and schedules alike. *)
+let dfg_equivalent ?mem_of (k : Ast.kernel) =
+  iter_blocks ?mem_of k (fun g g_ref ->
+      if g.Hls.Dfg.len <> g_ref.R.Dfg.len then
+        failf "%d nodes, reference %d" g.Hls.Dfg.len g_ref.R.Dfg.len;
+      let nodes = Hls.Dfg.nodes g in
+      Array.iteri
+        (fun i n ->
+          if n <> g_ref.R.Dfg.nodes.(i) then failf "node %d differs from the reference" i)
+        nodes;
+      if Hls.Dfg.fingerprint g <> g_ref.R.Dfg.fp then failf "fingerprint differs";
+      let c = Hls.Dfg.copy g in
+      if Hls.Dfg.nodes c <> nodes || Hls.Dfg.fingerprint c <> g_ref.R.Dfg.fp then
+        failf "the copy differs";
+      List.iter
+        (fun (what, p) ->
+          if Hls.Schedule.run_tri ~scratch:sched_scratch p g <> R.Schedule.run_tri p g_ref
+          then failf "run_tri differs (%s)" what)
         sched_profiles);
   true
 
@@ -933,6 +985,19 @@ let () =
             schedule_equivalent;
           Helpers.qtest "run_tri = reference (flow kernels)" ~count:200
             Helpers.gen_flow_kernel schedule_equivalent;
+        ] );
+      ( "dfg",
+        [
+          Alcotest.test_case "every block of the built-in sweeps" `Quick
+            (on_builtin_sweeps dfg_equivalent);
+          Helpers.qtest "build = reference (array nests)" ~count:100 gen_transformed
+            dfg_equivalent;
+          Helpers.qtest "build = reference (flow kernels)" ~count:200
+            Helpers.gen_flow_kernel dfg_equivalent;
+          (* no data layout: it refuses subscript counts that disagree
+             with the declaration, which the builder must still take *)
+          Helpers.qtest "build = reference (rough kernels)" ~count:500 gen_rough_kernel
+            (dfg_equivalent ~mem_of:(fun a -> a.Analysis.Access.id mod 4));
         ] );
       ( "layout",
         [

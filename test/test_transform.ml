@@ -425,6 +425,64 @@ let test_cse_indirect_subscript () =
         (Eval.observables (Eval.run ~inputs k)))
     [ 1; 2; 4 ]
 
+(* Subscripts naming a scalar the nest assigns: a chain register
+   ([hist[img_h2]] next to [hist[7]]), a banked register that changes
+   with an outer loop ([t[k + x_r]]) and a chained load inside another
+   array's subscript ([t[x[j] + j]]). Each address moves where no loop
+   index does, so those patterns are neither hoisted, banked, chained
+   nor element-CSEd; the three kernels once simulated a MISMATCH. *)
+let assigned_subscript_kernels =
+  [
+    ( "hist7",
+      {|unsigned char img[66]; short hist[256]; short out[64];
+        for (i = 0; i < 64; i++) {
+          out[i] = img[i] + img[i + 2];
+          hist[img[i + 2]] = hist[img[i + 2]] + 1;
+          hist[7] = hist[7] + 1;
+        }|},
+      [ [ ("i", 1) ]; [ ("i", 2) ]; [ ("i", 4) ] ] );
+    ( "xk",
+      {|unsigned char x[5]; int t[300]; int out[3];
+        for (i = 0; i < 3; i++)
+          for (j = 0; j < 4; j++)
+            for (k = 0; k < 4; k++)
+              out[i] = out[i] + t[x[j + 1] + k];|},
+      [ []; [ ("k", 2) ]; [ ("j", 2); ("k", 2) ] ] );
+    ( "xj",
+      {|unsigned char x[5]; int t[300]; int out[3];
+        for (i = 0; i < 3; i++)
+          for (j = 0; j < 4; j++)
+            out[i] = out[i] + t[x[j] + j] + t[x[j] + j + 1];|},
+      [ []; [ ("j", 2) ] ] );
+  ]
+
+let test_assigned_subscripts () =
+  List.iter
+    (fun (name, src, vectors) ->
+      let k = Frontend.Parser.kernel_of_string ~name src in
+      let ctx = Dse.Design.context k in
+      List.iter
+        (fun vector ->
+          let where = Printf.sprintf "%s %s" name (Helpers.vector_to_string vector) in
+          let p = Dse.Design.evaluate ctx vector in
+          List.iter
+            (fun seed ->
+              Helpers.check_equiv ~inputs:(Kernels.test_inputs ~seed k) ~reference:k
+                p.Engine.Store.kernel
+                (Printf.sprintf "%s, inputs %d: interpreter = transformed" where seed))
+            [ 1; 2; 3 ];
+          let inputs = Kernels.test_inputs k in
+          let sim = Hls.Sim.run ~inputs ctx.Dse.Design.profile p.Engine.Store.kernel in
+          List.iter
+            (fun (arr, data) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: simulated %s identical" where arr)
+                true
+                (List.assoc_opt arr sim.Hls.Sim.arrays = Some data))
+            (Eval.observables (Eval.run ~inputs k)))
+        vectors)
+    assigned_subscript_kernels
+
 (* Minor words one [Scalar_replace.run] allocates on this domain. *)
 let sr_words (k : Ast.kernel) =
   let w0 = Gc.minor_words () in
@@ -666,6 +724,8 @@ let () =
           prop_partition_chains_matches_pairwise;
           Alcotest.test_case "element CSE on indirect subscripts" `Quick
             test_cse_indirect_subscript;
+          Alcotest.test_case "subscripts naming assigned scalars" `Quick
+            test_assigned_subscripts;
           Alcotest.test_case "minor words linear (scalar replacement)" `Quick test_sr_scaling;
           prop_sr_scaling_random;
         ] );
