@@ -77,7 +77,10 @@ let figure ~id ~pipelined name =
     "#  rows: outer loop %s unroll; columns: inner loop %s unroll\n\
      #  (*) = design selected by the search; '-' = over capacity (%d slices)\n"
     axes.outer axes.inner capacity;
-  let eval uo ui = Design.evaluate c [ (axes.outer, uo); (axes.inner, ui) ] in
+  let eval uo ui =
+    Design.evaluate c
+      (Design.base_config c [ (axes.outer, uo); (axes.inner, ui) ])
+  in
   let points =
     List.map
       (fun uo -> (uo, List.map (fun ui -> (ui, eval uo ui)) axes.inner_vals))
@@ -138,7 +141,9 @@ let table2 () =
       let speedup pipelined =
         let c = ctx ~pipelined name in
         let r = Search.run c in
-        let base = Design.evaluate c (Design.ubase c) in
+        let base =
+          Design.evaluate c (Design.base_config c (Design.ubase c))
+        in
         float_of_int (Design.cycles base)
         /. float_of_int (Design.cycles r.Search.selected)
       in
@@ -173,10 +178,10 @@ let fraction () =
           evals := !evals + c.Design.stats.evaluations;
           hits := !hits + c.Design.stats.cache_hits;
           smhits := !smhits + c.Design.stats.sched_memo_hits;
-          let best = Option.get (Space.best_fitting c sp) in
+          let best = Option.get (Space.best c sp) in
           let ratio =
             float_of_int (Design.cycles r.Search.selected)
-            /. float_of_int (Design.cycles best.Space.point)
+            /. float_of_int (Design.cycles best)
           in
           total := !total + visited;
           totsp := !totsp + sp.Space.total_designs;
@@ -325,19 +330,22 @@ let dse_json () =
            admissible). *)
         let c_joint = ctx name in
         let t0 = Ir.Clock.now () in
-        let jt = Space.sweep_joint ~max_product:mp c_joint in
+        let jt =
+          Space.sweep ~max_product:mp ~joint:Space.default_tile_candidates
+            ~jobs:1 c_joint
+        in
         let t_joint = Ir.Clock.now () -. t0 in
-        let best_full = Option.get (Space.best_fitting c_full sp_full) in
-        let best_verified = Option.get (Space.best_fitting c_verified sp_verified) in
+        let best_full = Option.get (Space.best c_full sp_full) in
+        let best_verified = Option.get (Space.best c_verified sp_verified) in
         let sched_memo_hits =
           c.Design.stats.sched_memo_hits
           + c_full.Design.stats.sched_memo_hits
         in
-        let jb = Option.get (Space.joint_best c_joint jt) in
-        let jb_cycles = Design.cycles jb.Space.point in
-        let jb_slices = Design.space jb.Space.point in
-        let ub_cycles = Design.cycles best_full.Space.point in
-        let ub_slices = Design.space best_full.Space.point in
+        let jb = Option.get (Space.best c_joint jt) in
+        let jb_cycles = Design.cycles jb in
+        let jb_slices = Design.space jb in
+        let ub_cycles = Design.cycles best_full in
+        let ub_slices = Design.space best_full in
         let joint_strictly_better =
           jb_cycles < ub_cycles || (jb_cycles = ub_cycles && jb_slices < ub_slices)
         in
@@ -361,7 +369,7 @@ let dse_json () =
           (List.length jt.Space.points)
           jt.Space.pruned_illegal jt.Space.pruned_redundant
           jt.Space.pruned_bound (1000.0 *. t_joint)
-          (Design.config_to_string jb.Space.config)
+          (Design.config_to_string jb.config)
           jb_cycles jb_slices
           (if joint_strictly_better then " (beats unroll-only)" else "");
         json_of_fields
@@ -401,7 +409,7 @@ let dse_json () =
             );
             ("sweep_gc_minor_mwords_full", Printf.sprintf "%.3f" (gc_full /. 1e6));
             ( "best_cycles_full",
-              string_of_int (Design.cycles best_full.Space.point) );
+              string_of_int (Design.cycles best_full) );
             ("sweep_seconds_verified", Printf.sprintf "%.6f" t_verified);
             ( "checked_points",
               string_of_int c_verified.Design.stats.checked_points );
@@ -416,8 +424,7 @@ let dse_json () =
             );
             ( "verified_selection_unchanged",
               if
-                Design.vector_equal best_full.Space.vector
-                  best_verified.Space.vector
+                Design.vector_equal best_full.vector best_verified.vector
               then "true"
               else "false" );
             ("joint_space_size", string_of_int jt.Space.space_size);
@@ -428,7 +435,7 @@ let dse_json () =
             ("joint_evaluated", string_of_int (List.length jt.Space.points));
             ("joint_seconds", Printf.sprintf "%.6f" t_joint);
             ( "joint_selection",
-              Printf.sprintf "%S" (Design.config_to_string jb.Space.config) );
+              Printf.sprintf "%S" (Design.config_to_string jb.config) );
             ("joint_selection_cycles", string_of_int jb_cycles);
             ("joint_selection_slices", string_of_int jb_slices);
             ("unroll_selection_cycles", string_of_int ub_cycles);
@@ -444,23 +451,24 @@ let dse_json () =
   if !joint_wins = 0 then begin
     let c_u = ctx "fir" in
     let su = Space.sweep ~max_product:128 ~jobs:1 c_u in
-    let bu = Option.get (Space.best_fitting c_u su) in
+    let bu = Option.get (Space.best c_u su) in
     let c_j = ctx "fir" in
-    let jt = Space.sweep_joint ~max_product:128 c_j in
-    let jb = Option.get (Space.joint_best c_j jt) in
+    let jt =
+      Space.sweep ~max_product:128 ~joint:Space.default_tile_candidates
+        ~jobs:1 c_j
+    in
+    let jb = Option.get (Space.best c_j jt) in
     let better =
-      Design.cycles jb.Space.point < Design.cycles bu.Space.point
-      || Design.cycles jb.Space.point = Design.cycles bu.Space.point
-         && Design.space jb.Space.point < Design.space bu.Space.point
+      Design.cycles jb < Design.cycles bu
+      || Design.cycles jb = Design.cycles bu
+         && Design.space jb < Design.space bu
     in
     Printf.printf
       "#  joint fir @ product<=128: best %s c=%d s=%d vs unroll-only c=%d \
        s=%d\n"
-      (Design.config_to_string jb.Space.config)
-      (Design.cycles jb.Space.point)
-      (Design.space jb.Space.point)
-      (Design.cycles bu.Space.point)
-      (Design.space bu.Space.point);
+      (Design.config_to_string jb.config)
+      (Design.cycles jb) (Design.space jb) (Design.cycles bu)
+      (Design.space bu);
     if better then incr joint_wins
   end;
   if !smoke && !joint_wins = 0 then
@@ -491,14 +499,16 @@ let accuracy () =
           impl.Hls.Lowlevel.achieved_clock_ns (Design.space p)
           impl.Hls.Lowlevel.actual_slices
       in
-      show "baseline" (Design.evaluate c (Design.ubase c));
+      show "baseline"
+        (Design.evaluate c (Design.base_config c (Design.ubase c)));
       show "selected" r.Search.selected;
       let big =
         Design.evaluate c
-          (List.map
-             (fun (l : Ir.Ast.loop) ->
-               (l.Ir.Ast.index, min 16 (Ir.Ast.loop_trip l)))
-             c.Design.spine)
+          (Design.base_config c
+             (List.map
+                (fun (l : Ir.Ast.loop) ->
+                  (l.Ir.Ast.index, min 16 (Ir.Ast.loop_trip l)))
+                c.Design.spine))
       in
       show "large" big)
     Kernels.names;
@@ -551,7 +561,9 @@ let gallery () =
       let profile = Estimate.default_profile () in
       let c = Design.context ~profile k in
       let r = Search.run c in
-      let base = Design.evaluate c (Design.ubase c) in
+      let base =
+        Design.evaluate c (Design.base_config c (Design.ubase c))
+      in
       let sel = r.Search.selected in
       Printf.printf "%-12s %16s %10d %10d %10.3f %9.2fx\n" name
         (vec_str sel.vector) (Design.cycles sel) (Design.space sel)

@@ -235,7 +235,7 @@ let parse_tile_candidates = function
                    ("defacto: --tile-candidates: bad tile size '" ^ x ^ "'");
                  exit 1)
 
-let print_joint_counters (j : Dse.Space.joint) =
+let print_joint_counters (j : Dse.Space.t) =
   Format.printf
     "# joint space: %d config(s) enumerated, %d illegal, %d redundant, %d \
      bound-pruned, %d evaluated@."
@@ -361,27 +361,23 @@ let explore kernels file non_pipelined memories capacity report prof verify
         (* The joint sweep reuses the outcome's context, so the search's
            warm point cache serves the unroll-only sub-space. *)
         let ctx = o.Dse.Driver.ctx in
-        let j = Dse.Space.sweep_joint ~tile_candidates ctx in
-        (match Dse.Space.joint_best ctx j with
+        let j = Dse.Space.sweep ~joint:tile_candidates ~jobs:1 ctx in
+        (match Dse.Space.best ctx j with
         | Some b ->
             Format.printf "joint selection: %a: cycles=%d slices=%d@."
-              Dse.Design.pp_config b.Dse.Space.config
-              (Dse.Design.cycles b.Dse.Space.point)
-              (Dse.Design.space b.Dse.Space.point);
+              Dse.Design.pp_config b.config (Dse.Design.cycles b)
+              (Dse.Design.space b);
             let sel = r.Dse.Search.selected in
             if
-              Dse.Design.cycles b.Dse.Space.point
-              < Dse.Design.cycles sel
-              || Dse.Design.cycles b.Dse.Space.point = Dse.Design.cycles sel
-                 && Dse.Design.space b.Dse.Space.point < Dse.Design.space sel
+              Dse.Design.cycles b < Dse.Design.cycles sel
+              || Dse.Design.cycles b = Dse.Design.cycles sel
+                 && Dse.Design.space b < Dse.Design.space sel
             then
               Format.printf
                 "joint selection beats the unroll-only search (%d vs %d \
                  cycles, %d vs %d slices)@."
-                (Dse.Design.cycles b.Dse.Space.point)
-                (Dse.Design.cycles sel)
-                (Dse.Design.space b.Dse.Space.point)
-                (Dse.Design.space sel)
+                (Dse.Design.cycles b) (Dse.Design.cycles sel)
+                (Dse.Design.space b) (Dse.Design.space sel)
         | None -> Format.printf "joint selection: no fitting configuration@.");
         print_joint_counters j
       end)
@@ -419,7 +415,9 @@ let estimate kernel file non_pipelined memories unroll =
   let k = or_die (load_kernel kernel file) in
   let profile = make_profile ~non_pipelined ~memories in
   let ctx = Dse.Design.context ~profile k in
-  let p = Dse.Design.evaluate ctx (kernel_vector k unroll) in
+  let p =
+    Dse.Design.evaluate ctx (Dse.Design.base_config ctx (kernel_vector k unroll))
+  in
   Format.printf "%a@." Dse.Design.pp_vector p.vector;
   Format.printf "%a@." Hls.Estimate.pp p.estimate;
   Format.printf "time at 40ns clock: %.1f us@."
@@ -458,9 +456,11 @@ let max_product_arg =
 
 let jobs_arg =
   let doc =
-    "Evaluate the unroll sweep on $(docv) parallel domains, at least 1 \
+    "Evaluate an exhaustive sweep on $(docv) parallel domains, at least 1 \
      (1 forces the sequential path; the default scales with the host's \
-     cores). The $(b,--joint) sweep is sequential and ignores it."
+     cores). A $(b,--joint) space with more than 64 surviving \
+     configurations is swept best-first, which is sequential and ignores \
+     it."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -500,52 +500,32 @@ let space kernel file non_pipelined memories capacity max_product jobs verify
   let ctx =
     Dse.Design.context ~profile ~verify ~capacity ~backend ~store k
   in
-  if joint then begin
-    let j = Dse.Space.sweep_joint ~max_product ~tile_candidates ctx in
-    Format.printf "# %-40s %10s %10s %10s %8s@." "config" "cycles" "slices"
-      "balance" "fits";
-    List.iter
-      (fun (jp : Dse.Space.joint_point) ->
-        Format.printf "%-42s %10d %10d %10.3f %8s@."
-          (Dse.Design.config_to_string jp.Dse.Space.config)
-          (Dse.Design.cycles jp.Dse.Space.point)
-          (Dse.Design.space jp.Dse.Space.point)
-          (Dse.Design.balance jp.Dse.Space.point)
-          (if Dse.Design.space jp.Dse.Space.point <= capacity then "yes"
-           else "no"))
-      j.Dse.Space.points;
-    (match Dse.Space.joint_best ctx j with
-    | Some b ->
-        Format.printf "# best fitting: %a: cycles=%d slices=%d@."
-          Dse.Design.pp_config b.Dse.Space.config
-          (Dse.Design.cycles b.Dse.Space.point)
-          (Dse.Design.space b.Dse.Space.point)
-    | None -> Format.printf "# no fitting design@.");
-    print_joint_counters j;
-    if verify then
-      Format.printf "# verify: %d design point(s) checked, %d violation(s)@."
-        ctx.Dse.Design.stats.checked_points
-        ctx.Dse.Design.stats.verify_violations;
-    Format.printf "# stats: %a@." Dse.Design.pp_stats ctx.Dse.Design.stats;
-    save ();
-    exit 0
-  end;
-  let sp = Dse.Space.sweep ~max_product ?jobs ctx in
-  Format.printf "# %-24s %10s %10s %10s %8s@." "vector" "cycles" "slices"
-    "balance" "fits";
+  let sp =
+    Dse.Space.sweep ~max_product
+      ?joint:(if joint then Some tile_candidates else None)
+      ?jobs ctx
+  in
+  (* Joint points are labelled by their configuration, unroll-only
+     points by their vector. *)
+  let width, heading = if joint then (42, "config") else (26, "vector") in
+  Format.printf "# %-*s %10s %10s %10s %8s@." (width - 2) heading "cycles"
+    "slices" "balance" "fits";
   List.iter
-    (fun (sp : Dse.Space.sweep_point) ->
-      Format.printf "%-26s %10d %10d %10.3f %8s@."
-        (Format.asprintf "%a" Dse.Design.pp_vector sp.Dse.Space.vector)
-        (Dse.Design.cycles sp.Dse.Space.point)
-        (Dse.Design.space sp.Dse.Space.point)
-        (Dse.Design.balance sp.Dse.Space.point)
-        (if Dse.Design.space sp.Dse.Space.point <= capacity then "yes" else "no"))
+    (fun (p : Dse.Design.point) ->
+      Format.printf "%-*s %10d %10d %10.3f %8s@." width
+        (if joint then Dse.Design.config_to_string p.config
+         else Format.asprintf "%a" Dse.Design.pp_vector p.vector)
+        (Dse.Design.cycles p) (Dse.Design.space p) (Dse.Design.balance p)
+        (if Dse.Design.space p <= capacity then "yes" else "no"))
     sp.Dse.Space.points;
-  (match Dse.Space.best_fitting ctx sp with
-  | Some best ->
-      Format.printf "# best fitting: %a@." Dse.Design.pp_point best.Dse.Space.point
+  (match Dse.Space.best ctx sp with
+  | Some b when joint ->
+      Format.printf "# best fitting: %a: cycles=%d slices=%d@."
+        Dse.Design.pp_config b.config (Dse.Design.cycles b)
+        (Dse.Design.space b)
+  | Some b -> Format.printf "# best fitting: %a@." Dse.Design.pp_point b
   | None -> Format.printf "# no fitting design@.");
+  if joint then print_joint_counters sp;
   if verify then
     Format.printf "# verify: %d design point(s) checked, %d violation(s)@."
       ctx.Dse.Design.stats.checked_points
@@ -721,10 +701,30 @@ let simulate kernel file non_pipelined memories unroll =
   let k = or_die (load_kernel kernel file) in
   let profile = make_profile ~non_pipelined ~memories in
   let ctx = Dse.Design.context ~profile k in
-  let p = Dse.Design.evaluate ctx (kernel_vector k unroll) in
+  let p =
+    Dse.Design.evaluate ctx (Dse.Design.base_config ctx (kernel_vector k unroll))
+  in
   let inputs = Kernels.test_inputs k in
-  let sim = Hls.Sim.run ~inputs profile p.kernel in
-  let reference = Ir.Eval.observables (Ir.Eval.run ~inputs k) in
+  (* A kernel that faults at run time (an out-of-bounds subscript on the
+     test inputs, a division by zero) is the input's error, reported
+     with the error exit [check] uses. *)
+  let fault msg =
+    prerr_endline
+      (Printf.sprintf "defacto: %s: %s"
+         (Option.value file ~default:k.Ir.Ast.k_name)
+         msg);
+    exit 2
+  in
+  let sim, reference =
+    try
+      ( Hls.Sim.run ~inputs profile p.kernel,
+        Ir.Eval.observables (Ir.Eval.run ~inputs k) )
+    with
+    | Ir.Eval.Out_of_bounds msg -> fault ("out-of-bounds access: " ^ msg)
+    | Ir.Eval.Division_by_zero divisor ->
+        fault ("division by zero (divisor " ^ divisor ^ ")")
+    | Ir.Eval.Unbound what -> fault ("unbound " ^ what)
+  in
   let ok =
     List.for_all
       (fun (arr, data) -> List.assoc_opt arr sim.Hls.Sim.arrays = Some data)

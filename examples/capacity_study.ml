@@ -11,7 +11,10 @@ let () =
   Format.printf "%10s %16s %10s %10s %10s@." "capacity" "selected" "slices"
     "cycles" "speedup";
   let base_ctx = Dse.Design.context ~profile kernel in
-  let base = Dse.Design.evaluate base_ctx (Dse.Design.ubase base_ctx) in
+  let base =
+    Dse.Design.evaluate base_ctx
+      (Dse.Design.base_config base_ctx (Dse.Design.ubase base_ctx))
+  in
   List.iter
     (fun capacity ->
       let ctx = { base_ctx with Dse.Design.capacity } in

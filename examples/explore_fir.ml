@@ -62,7 +62,10 @@ let () =
         (fun (s : Dse.Search.step) ->
           Format.printf "  %a [%s]@." Dse.Design.pp_point s.point s.verdict)
         res.steps;
-      let base = Dse.Design.evaluate ctx (Dse.Design.ubase ctx) in
+      let base =
+        Dse.Design.evaluate ctx
+          (Dse.Design.base_config ctx (Dse.Design.ubase ctx))
+      in
       Format.printf "selected %a@."
         Dse.Design.pp_point res.selected;
       Format.printf "speedup over baseline: %.2fx@."

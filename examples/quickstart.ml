@@ -44,7 +44,9 @@ let () =
   Format.printf "Estimates: %a@." Hls.Estimate.pp sel.estimate;
 
   (* 5. Compare against the no-unrolling baseline. *)
-  let base = Dse.Design.evaluate ctx (Dse.Design.ubase ctx) in
+  let base =
+    Dse.Design.evaluate ctx (Dse.Design.base_config ctx (Dse.Design.ubase ctx))
+  in
   Format.printf "Baseline:  %a@." Dse.Design.pp_point base;
   Format.printf "Speedup: %.2fx@."
     (float_of_int (Dse.Design.cycles base)

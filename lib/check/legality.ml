@@ -371,21 +371,22 @@ let rec body_has_loop index body =
       | Ast.Assign _ | Ast.Rotate _ -> false)
     body
 
-(** Whether [c] asks for an actual unroll-and-jam: a factor above 1 on a
-    spine loop that is not the innermost (innermost-only unrolling never
-    reorders anything). *)
-let wants_jam (k : Ast.kernel) (c : Transform.Pipeline.config) : bool =
-  let spine = Loop_nest.spine k.Ast.k_body in
+(* Whether [vector] unrolls a spine loop other than the innermost: an
+   actual unroll-and-jam (innermost-only unrolling never reorders
+   anything). *)
+let jams (spine : Ast.loop list) (vector : (string * int) list) : bool =
   let innermost =
     match List.rev spine with l :: _ -> Some l.Ast.index | [] -> None
   in
   List.exists
     (fun (index, factor) ->
-      factor > 1 && Some index <> innermost && spine_loop k index <> None)
-    c.Transform.Pipeline.vector
+      factor > 1
+      && Some index <> innermost
+      && List.exists (fun (l : Ast.loop) -> l.Ast.index = index) spine)
+    vector
 
-(** Pre-enumeration verdict on one joint configuration, before any
-    transform runs (the joint sweep's pruner):
+(** Pre-enumeration verdicts on the joint configurations of [k], before
+    any transform runs (the sweep's pruner):
 
     - [Config_illegal]: evaluating [c] either raises
       [Transform.Pipeline.Stage_error] (a tile index naming no loop of
@@ -399,32 +400,27 @@ let wants_jam (k : Ast.kernel) (c : Transform.Pipeline.config) : bool =
       same design as the canonical [canon] (an inapplicable tile
       request; an unroll factor above 1 on a loop the tile renames; a
       peel request with scalar replacement off, which peels nothing).
-    - [Config_legal] otherwise. *)
-let config_verdict ?graph ?cost (k : Ast.kernel)
-    (c : Transform.Pipeline.config) : config_verdict =
-  let illegal_tile =
+    - [Config_legal] otherwise.
+
+    The dependence test and the scalar-hazard analysis depend on the
+    kernel alone: they run once, when the verdict function is made. *)
+let config_verdict (k : Ast.kernel) :
+    Transform.Pipeline.config -> config_verdict =
+  let spine = Loop_nest.spine k.Ast.k_body in
+  let jam_reorders_scalar =
+    jam_unroll_legal_dependence k
+    && scalar_jam_hazard (Flowgraph.build k) <> None
+  in
+  fun c ->
     match c.Transform.Pipeline.tile with
     | Some (index, _) when not (body_has_loop index k.Ast.k_body) ->
-        Some
+        Config_illegal
           (Printf.sprintf "tile index '%s' names no loop of the kernel" index)
-    | _ -> None
-  in
-  match illegal_tile with
-  | Some why -> Config_illegal why
-  | None ->
-      if
-        wants_jam k c
-        && jam_unroll_legal_dependence k
-        &&
-        let g =
-          match graph with Some g -> g | None -> Flowgraph.build ?cost k
-        in
-        scalar_jam_hazard ?cost g <> None
-      then
+    | _ when jam_reorders_scalar && jams spine c.Transform.Pipeline.vector ->
         Config_illegal
           "unroll-and-jam at this vector reorders a loop-carried scalar \
            recurrence the dependence test cannot see"
-      else begin
+    | _ ->
         (* Canonicalize the redundant spellings. *)
         let tile =
           match c.Transform.Pipeline.tile with
@@ -451,7 +447,6 @@ let config_verdict ?graph ?cost (k : Ast.kernel)
         in
         let canon = { c with Transform.Pipeline.tile; vector; peel } in
         if canon = c then Config_legal else Config_redundant canon
-      end
 
 (* ------------------------------------------------------------------ *)
 
@@ -463,9 +458,6 @@ let check ?graph ?cost ?(options : Transform.Pipeline.options option)
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let spine = Loop_nest.spine k.Ast.k_body in
-  let innermost =
-    match List.rev spine with l :: _ -> Some l.Ast.index | [] -> None
-  in
   let jam_dep_ok = jam_unroll_legal_dependence k in
   let hazard = scalar_jam_hazard ?cost graph in
   (* Unroll-and-jam. *)
@@ -502,13 +494,7 @@ let check ?graph ?cost ?(options : Transform.Pipeline.options option)
                   ignores it"
                  index))
         opts.Transform.Pipeline.vector;
-      let wants_jam =
-        List.exists
-          (fun (index, factor) ->
-            factor > 1 && Some index <> innermost
-            && spine_loop k index <> None)
-          opts.Transform.Pipeline.vector
-      in
+      let wants_jam = jams spine opts.Transform.Pipeline.vector in
       if wants_jam && not jam_dep_ok then
         add
           (diagf Warning

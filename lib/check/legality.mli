@@ -69,8 +69,8 @@ val tiling_applicable : Ast.kernel -> index:string -> tile:int -> bool
 (** [index] names a spine loop with at least one iteration. *)
 val peeling_applicable : Ast.kernel -> index:string -> bool
 
-(** Pre-enumeration verdict on one joint transform configuration — the
-    joint sweep's pruner. *)
+(** Pre-enumeration verdict on one transform configuration — the
+    sweep's pruner. *)
 type config_verdict =
   | Config_legal
   | Config_redundant of Transform.Pipeline.config
@@ -81,18 +81,12 @@ type config_verdict =
           (tile index naming no loop) or silently changes results (a
           jam reordering a non-reduction scalar recurrence) *)
 
-(** Whether the configuration asks for an actual unroll-and-jam: a
-    factor above 1 on a non-innermost spine loop. *)
-val wants_jam : Ast.kernel -> Transform.Pipeline.config -> bool
-
-(** Verdict for one configuration, before any transform runs. [graph]
-    reuses an already-built flow graph of the source kernel. *)
+(** [config_verdict k] is the verdict function for [k]'s
+    configurations, applied before any transform runs. The kernel-only
+    analyses it needs (the array dependence test and the scalar-hazard
+    flow analysis) run once, when the function is made. *)
 val config_verdict :
-  ?graph:Analysis.Flowgraph.t ->
-  ?cost:Analysis.Flowgraph.cost ->
-  Ast.kernel ->
-  Transform.Pipeline.config ->
-  config_verdict
+  Ast.kernel -> Transform.Pipeline.config -> config_verdict
 
 (** Diagnostics for the kernel, optionally against the concrete pipeline
     options of a design point (unroll vector, tile request). [graph]

@@ -1,5 +1,6 @@
-(** A design point: one unroll-factor vector, the code it generates, and
-    the behavioral synthesis estimates for it. Evaluating a point is the
+(** A design point: one transform configuration (unroll vector, tile,
+    toggles), the code it generates, and the behavioral synthesis
+    estimates for it. Evaluating a point is the
     [Generate; Synthesize; Balance] sequence of the paper's Figure 2.
 
     Since the layered-engine refactor this module is a thin view over
@@ -114,24 +115,12 @@ let ubase (ctx : context) = List.map (fun (l : Ast.loop) -> (l.index, 1)) ctx.sp
 let umax (ctx : context) =
   List.map (fun (l : Ast.loop) -> (l.index, Ast.loop_trip l)) ctx.spine
 
-(** The backend's synthesis, bypassing the point cache (neither read nor
-    written). Still bumps the store's counters. *)
-let evaluate_uncached (ctx : context) (v : (string * int) list) : point =
-  ctx.backend.Engine.Backend.synthesize (env ctx) ctx.store
-    (Engine.Backend.base_config (env ctx) (normalize_vector ctx v))
-
-(** Cached [Generate; Synthesize] through the context's store: vectors
-    are normalized before the cache lookup, so any two spellings of the
-    same design share one synthesis run. *)
-let evaluate (ctx : context) (v : (string * int) list) : point =
-  Engine.Backend.evaluate (env ctx) ctx.backend ctx.store v
-
 (* ------------------------------------------------------------------ *)
-(* Joint configurations *)
+(* Configurations *)
 
 (** The context's base configuration at unroll vector [v]: tile and
-    toggles from the base pipeline options — what the vector-only entry
-    points evaluate. *)
+    toggles from the base pipeline options — the configuration a
+    vector-only caller evaluates. *)
 let base_config (ctx : context) (v : (string * int) list) : config =
   Engine.Backend.base_config (env ctx) v
 
@@ -148,26 +137,22 @@ let config_equal (a : config) (b : config) =
   && a.scalar_replace = b.scalar_replace
   && a.peel = b.peel && a.licm = b.licm
 
-(** Cached evaluation of one joint configuration (normalized before the
-    cache lookup, like {!evaluate}); a miss synthesizes from [fronts]. *)
-let evaluate_config ?fronts (ctx : context) (c : config) : point =
-  Engine.Backend.evaluate_config ?fronts (env ctx) ctx.backend ctx.store c
-
-(** The backend's tier-1 bound for a joint configuration. *)
-let quick_config (ctx : context) (c : config) : Hls.Quick.t option =
-  ctx.backend.Engine.Backend.bound (env ctx) ctx.store c
+(** Cached [Generate; Synthesize] through the context's store:
+    configurations are normalized before the cache lookup, so any two
+    spellings of the same design share one synthesis run; a miss
+    synthesizes from [fronts]. *)
+let evaluate ?fronts (ctx : context) (c : config) : point =
+  Engine.Backend.evaluate ?fronts (env ctx) ctx.backend ctx.store c
 
 (* ------------------------------------------------------------------ *)
 (* Tier-1 analytical bounds *)
 
-(** The backend's tier-1 bound for the design point at [v] — admissible
-    lower bounds without generating or estimating anything. [None] when
-    the backend has no bound tier (plain [full]/[lowlevel]) or the
-    pre-estimator does not apply (tiling pipeline); callers must then
-    synthesize instead of pruning. *)
-let quick (ctx : context) (v : (string * int) list) : Hls.Quick.t option =
-  ctx.backend.Engine.Backend.bound (env ctx) ctx.store
-    (Engine.Backend.base_config (env ctx) v)
+(** The backend's tier-1 bound for configuration [c] — admissible lower
+    bounds without generating or estimating anything. [None] when the
+    backend has no bound tier (plain [full]/[lowlevel]); callers must
+    then synthesize instead of pruning. *)
+let quick (ctx : context) (c : config) : Hls.Quick.t option =
+  ctx.backend.Engine.Backend.bound (env ctx) ctx.store c
 
 (** Record that one full synthesis was skipped on tier-1 evidence. *)
 let note_pruned (ctx : context) =

@@ -1,5 +1,6 @@
-(** A design point: one unroll-factor vector, the code it generates, and
-    the behavioral synthesis estimates for it. Evaluating a point is the
+(** A design point: one transform configuration (unroll vector, tile,
+    toggles), the code it generates, and the behavioral synthesis
+    estimates for it. Evaluating a point is the
     [Generate; Synthesize; Balance] sequence of the paper's Figure 2.
 
     This module is a view over the layered engine: a [context] bundles
@@ -91,14 +92,9 @@ val ubase : context -> (string * int) list
 (** Full unrolling of every loop. *)
 val umax : context -> (string * int) list
 
-(** Generate the code for a vector and estimate it, through the store's
-    point cache: vectors are normalized before lookup, so any two
-    spellings of the same design share one synthesis run. *)
-val evaluate : context -> (string * int) list -> point
-
 (** The context's base configuration at the given unroll vector: tile
-    and toggles from the base pipeline options — what the vector-only
-    entry points evaluate. *)
+    and toggles from the base pipeline options — the configuration a
+    vector-only caller evaluates. *)
 val base_config : context -> (string * int) list -> config
 
 (** Canonical cache key of a configuration (see
@@ -111,30 +107,24 @@ val normalize_config : context -> config -> config
     via {!vector_equal}, the other knobs structurally. *)
 val config_equal : config -> config -> bool
 
-(** Cached evaluation of one joint configuration (normalized before the
-    cache lookup, like {!evaluate}). On a cache miss the synthesis takes
-    its pipeline front from [fronts] and adds the fronts it builds
-    there ({!Engine.Backend.fronts}); a hit builds none. *)
-val evaluate_config :
-  ?fronts:Engine.Backend.fronts -> context -> config -> point
-
-(** The backend's tier-1 bound for a joint configuration ({!quick} over
-    the full knob set). *)
-val quick_config : context -> config -> Hls.Quick.t option
-
-(** Like {!evaluate} but bypassing the cache entirely (neither read nor
-    written); still counted in [stats]. *)
-val evaluate_uncached : context -> (string * int) list -> point
+(** Generate the code for a configuration and estimate it, through the
+    store's point cache: configurations are normalized before lookup,
+    so any two spellings of the same design share one synthesis run.
+    On a cache miss the synthesis takes its pipeline front from
+    [fronts] and adds the fronts it builds there
+    ({!Engine.Backend.fronts}); a hit builds none. Vector callers pass
+    {!base_config}. *)
+val evaluate : ?fronts:Engine.Backend.fronts -> context -> config -> point
 
 (** The backend's tier-1 bound: admissible lower bounds on the point's
     cycles and slices straight from the source kernel — no code
     generation, no scheduling. The bounds never exceed what {!evaluate}
-    would report for the same vector, so callers may skip evaluation of
-    points they disqualify without changing any selection. [None] when
-    the backend has no bound tier (plain [full]/[lowlevel]); callers
-    must then evaluate instead of pruning. Counted in
-    [stats.quick_estimates]. *)
-val quick : context -> (string * int) list -> Hls.Quick.t option
+    would report for the same configuration, so callers may skip
+    evaluation of points they disqualify without changing any
+    selection. [None] when the backend has no bound tier (plain
+    [full]/[lowlevel]); callers must then evaluate instead of pruning.
+    Counted in [stats.quick_estimates]. *)
+val quick : context -> config -> Hls.Quick.t option
 
 (** Record that one full synthesis was skipped on tier-1 evidence
     (bumps [stats.pruned]). *)

@@ -67,7 +67,9 @@ let run_many ?cache_dir ?(cold = false) ?pipeline ?profile ?verify ?capacity
         in
         let t0 = Ir.Clock.now () in
         let search = Search.run ?config:search_config ctx in
-        let baseline = Design.evaluate ctx (Design.ubase ctx) in
+        let baseline =
+          Design.evaluate ctx (Design.base_config ctx (Design.ubase ctx))
+        in
         let wall_seconds = Ir.Clock.now () -. t0 in
         {
           task;

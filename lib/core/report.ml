@@ -14,7 +14,9 @@ type t = {
 
 let build (ctx : Design.context) : t =
   let result = Search.run ctx in
-  let baseline = Design.evaluate ctx (Design.ubase ctx) in
+  let baseline =
+    Design.evaluate ctx (Design.base_config ctx (Design.ubase ctx))
+  in
   { context = ctx; result; baseline }
 
 let speedup (r : t) =

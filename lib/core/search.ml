@@ -127,12 +127,12 @@ let run ?(config = default_config) (ctx : Design.context) : result =
      denote the same design share one synthesis run. *)
   let stats_before = Design.stats_snapshot ctx in
   let steps = ref [] in
-  let evaluate v = Design.evaluate ctx v in
+  let evaluate v = Design.evaluate ctx (Design.base_config ctx v) in
   let log point verdict = steps := { point; verdict } :: !steps in
   (* Tier-1 capacity gate: the analytical area floor is admissible, so a
      point it puts over capacity needs no synthesis to be rejected. *)
   let quick_over_capacity v =
-    match Design.quick ctx v with
+    match Design.quick ctx (Design.base_config ctx v) with
     | Some q -> q.Hls.Quick.slices_lb > ctx.Design.capacity
     | None -> false
   in

@@ -221,28 +221,29 @@ let full_synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
   let t0 = Clock.now () in
   (* The front from the caller's table, or built here (and added to the
      table) on the table's first miss for this key. Without a table the
-     pipeline builds its own front and keeps no finishing memo. *)
+     front serves this synthesis alone. *)
+  let key = front_key c in
   let entry =
-    Option.map
-      (fun table ->
-        let key = front_key c in
-        match Hashtbl.find_opt table key with
-        | Some e -> e
-        | None ->
-            let built =
-              if env.verify then
-                Checked
-                  (Check.Validate.front ~options:opts
-                     ?source_footprint:env.source_footprint env.source)
-              else Plain (Transform.Pipeline.front opts env.source)
-            in
-            let e = { built; estimated = [] } in
-            stats.Store.fronts <- stats.Store.fronts + 1;
-            Hashtbl.replace table key e;
-            e)
-      fronts
+    match Option.bind fronts (fun table -> Hashtbl.find_opt table key) with
+    | Some e -> e
+    | None ->
+        let built =
+          if env.verify then
+            Checked
+              (Check.Validate.front ~options:opts
+                 ?source_footprint:env.source_footprint env.source)
+          else Plain (Transform.Pipeline.front opts env.source)
+        in
+        let e = { built; estimated = [] } in
+        stats.Store.fronts <- stats.Store.fronts + 1;
+        Option.iter (fun table -> Hashtbl.replace table key e) fronts;
+        e
   in
-  if Option.is_none entry then stats.Store.fronts <- stats.Store.fronts + 1;
+  (* Only an entry in a table can serve a sibling. A throwaway one must
+     not outlive the pipeline run: its front (and, verified, the
+     footprints its validation kept) would stay live through the flow
+     checks and the estimate. *)
+  let shared = Option.map (fun _ -> entry) fronts in
   (* Verified evaluation: same pipeline, instrumented per stage by the
      translation validator, plus the flow-graph dataflow checks
      (uninit/deadstore) over the transformed kernel — the pipeline must
@@ -285,15 +286,18 @@ let full_synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
              (List.map Check.Diag.render (Check.Validate.violations outcome)))
   in
   let r =
-    match Option.map (fun e -> e.built) entry with
-    | Some (Plain front) -> Transform.Pipeline.apply ~front opts env.source
-    | Some (Checked front) ->
+    match entry.built with
+    | Plain front ->
+        (* Observed stages are not memoized, so a front serving this
+           synthesis alone keeps no finishing memo and each intermediate
+           kernel dies as the next stage runs. *)
+        let observe =
+          if Option.is_some shared then None
+          else Some (fun _ ~before:_ ~after:_ -> ())
+        in
+        Transform.Pipeline.apply ?observe ~front opts env.source
+    | Checked front ->
         verified (Check.Validate.run ~options:opts ~front env.source)
-    | None when env.verify ->
-        verified
-          (Check.Validate.run ~options:opts
-             ?source_footprint:env.source_footprint env.source)
-    | None -> Transform.Pipeline.apply opts env.source
   in
   let t1 = Clock.now () in
   let timers = Hls.Estimate.fresh_timers () in
@@ -306,8 +310,10 @@ let full_synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
   let same k = k == kernel || compare k kernel = 0 in
   let estimate =
     match
-      Option.bind entry (fun e ->
-          List.find_map (fun (k, est) -> if same k then Some est else None) e.estimated)
+      Option.bind shared (fun e ->
+          List.find_map
+            (fun (k, est) -> if same k then Some est else None)
+            e.estimated)
     with
     | Some estimate ->
         stats.Store.reused <- stats.Store.reused + 1;
@@ -319,7 +325,7 @@ let full_synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
         in
         Option.iter
           (fun e -> e.estimated <- (kernel, estimate) :: e.estimated)
-          entry;
+          shared;
         estimate
   in
   let t2 = Clock.now () in
@@ -423,8 +429,8 @@ let known_names = [ "full"; "quick+full"; "lowlevel"; "quick+lowlevel" ]
 (** Cached [Generate; Synthesize] through [store]: configurations are
     normalized before the cache lookup, so any two spellings of the same
     design share one synthesis run. *)
-let evaluate_config ?fronts (env : env) (b : t) (store : Store.t)
-    (c : Store.config) : Store.point =
+let evaluate ?fronts (env : env) (b : t) (store : Store.t) (c : Store.config)
+    : Store.point =
   let key = normalize_config env c in
   match Store.find store key with
   | Some p ->
@@ -435,9 +441,3 @@ let evaluate_config ?fronts (env : env) (b : t) (store : Store.t)
       let p = b.synthesize ?fronts env store key in
       Store.add store key p;
       p
-
-(** {!evaluate_config} at the env's base configuration — the historical
-    vector-only entry point. *)
-let evaluate (env : env) (b : t) (store : Store.t) (v : (string * int) list) :
-    Store.point =
-  evaluate_config env b store (base_config env v)

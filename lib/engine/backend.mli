@@ -94,8 +94,8 @@ type t = {
           cache (neither read nor written); bumps the store's counters.
           The front comes from [fronts] when it holds one for the
           configuration's key; otherwise it is built (counted in the
-          store's [fronts]) and added to [fronts] when given. Without
-          [fronts] the synthesis keeps no finishing memo *)
+          store's [fronts]) and added to [fronts] when given; without
+          [fronts] it serves this synthesis alone *)
 }
 
 (** The paper's [Generate; Synthesize]: transform pipeline, DFG, fused
@@ -128,9 +128,5 @@ val known_names : string list
     normalized before the cache lookup, so any two spellings of the
     same design share one synthesis run. A cache hit reads no front;
     a miss synthesizes with [fronts]. *)
-val evaluate_config :
+val evaluate :
   ?fronts:fronts -> env -> t -> Store.t -> Store.config -> Store.point
-
-(** {!evaluate_config} at the env's base configuration — the historical
-    vector-only entry point. *)
-val evaluate : env -> t -> Store.t -> (string * int) list -> Store.point

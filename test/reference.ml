@@ -1,8 +1,9 @@
 (** Reference implementations for the equivalence properties of
     [test_reference_equiv.ml] and [test_fingerprint.ml]: the
     straightforward flow analyses, footprint interpreter, simplifier,
-    DFG builder, fingerprint encoder, scheduler, data layout and scalar
-    replacement the optimized library versions must agree with,
+    DFG builder, fingerprint encoder, scheduler, data layout, scalar
+    replacement and configuration legality verdict the optimized library
+    versions must agree with,
     solution for solution and byte for byte.
     They recompute every node's uses and definitions from the syntax on
     demand, build kill sets by scanning all definitions, filter whole
@@ -2735,4 +2736,80 @@ module Scalar_replace = struct
       if st.decls = [] then k else { k with k_scalars = k.k_scalars @ List.rev st.decls }
     in
     (k, st.report)
+end
+
+(** [Check.Legality.config_verdict] as it was before its kernel-only
+    analyses moved out of the per-configuration call: every verdict
+    recomputes the spine, the array dependence test and the scalar-hazard
+    flow analysis. The result type and the [*_dependence]/hazard
+    predicates are the library's. *)
+module Legality = struct
+  module L = Check.Legality
+
+  let rec body_has_loop index body =
+    List.exists
+      (function
+        | Ast.For l -> l.Ast.index = index || body_has_loop index l.Ast.body
+        | Ast.If (_, t, e) -> body_has_loop index t || body_has_loop index e
+        | Ast.Assign _ | Ast.Rotate _ -> false)
+      body
+
+  let spine_loop (k : Ast.kernel) index =
+    List.find_opt
+      (fun (l : Ast.loop) -> l.Ast.index = index)
+      (Loop_nest.spine k.Ast.k_body)
+
+  let wants_jam (k : Ast.kernel) (c : Transform.Pipeline.config) : bool =
+    let spine = Loop_nest.spine k.Ast.k_body in
+    let innermost =
+      match List.rev spine with l :: _ -> Some l.Ast.index | [] -> None
+    in
+    List.exists
+      (fun (index, factor) ->
+        factor > 1 && Some index <> innermost && spine_loop k index <> None)
+      c.Transform.Pipeline.vector
+
+  let config_verdict (k : Ast.kernel) (c : Transform.Pipeline.config) :
+      L.config_verdict =
+    let illegal_tile =
+      match c.Transform.Pipeline.tile with
+      | Some (index, _) when not (body_has_loop index k.Ast.k_body) ->
+          Some
+            (Printf.sprintf "tile index '%s' names no loop of the kernel" index)
+      | _ -> None
+    in
+    match illegal_tile with
+    | Some why -> L.Config_illegal why
+    | None ->
+        if
+          wants_jam k c
+          && L.jam_unroll_legal_dependence k
+          && L.scalar_jam_hazard (Analysis.Flowgraph.build k) <> None
+        then
+          L.Config_illegal
+            "unroll-and-jam at this vector reorders a loop-carried scalar \
+             recurrence the dependence test cannot see"
+        else begin
+          let tile =
+            match c.Transform.Pipeline.tile with
+            | Some (index, t)
+              when spine_loop k index <> None
+                   && not (L.tiling_applicable k ~index ~tile:t) ->
+                None
+            | t -> t
+          in
+          let vector =
+            match tile with
+            | Some (ti, t) when L.tiling_applicable k ~index:ti ~tile:t ->
+                List.map
+                  (fun (i, u) -> if i = ti then (i, 1) else (i, u))
+                  c.Transform.Pipeline.vector
+            | _ -> c.Transform.Pipeline.vector
+          in
+          let peel =
+            c.Transform.Pipeline.peel && c.Transform.Pipeline.scalar_replace
+          in
+          let canon = { c with Transform.Pipeline.tile; vector; peel } in
+          if canon = c then L.Config_legal else L.Config_redundant canon
+        end
 end

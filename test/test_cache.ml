@@ -65,14 +65,18 @@ let prop_cached_uncached_agree =
     QCheck.(
       make ~print:(Format.asprintf "%a" Design.pp_vector) (vector_gen spine))
     (fun v ->
-      estimates_equal (Design.evaluate c v) (Design.evaluate_uncached c v))
+      let config = Design.base_config c v in
+      estimates_equal
+        (Design.evaluate c config)
+        (c.Design.backend.Engine.Backend.synthesize (Design.env c)
+           c.Design.store config))
 
 let test_memo_normalizes () =
   (* Regression: a partial vector and its spine-normalized form denote
      the same design and must share one synthesis run. *)
   let c = ctx "fir" in
-  let p1 = Design.evaluate c [ ("j", 4) ] in
-  let p2 = Design.evaluate c [ ("j", 4); ("i", 1) ] in
+  let p1 = Design.evaluate c (Design.base_config c [ ("j", 4) ]) in
+  let p2 = Design.evaluate c (Design.base_config c [ ("j", 4); ("i", 1) ]) in
   Alcotest.(check bool) "same point" true (estimates_equal p1 p2);
   Alcotest.(check int) "one synthesis" 1 c.Design.stats.evaluations;
   Alcotest.(check int) "one cache hit" 1 c.Design.stats.cache_hits;
@@ -128,11 +132,11 @@ let prop_pruned_lattice_matches_filter =
   QCheck.Test.make ~count:50 ~name:"pruned enumeration = filter after"
     QCheck.(int_range 1 64)
     (fun max_product ->
-      let pruned = Space.divisor_vectors ~max_product c ~eligible in
+      let pruned = Dse.Util.divisor_vectors ~max_product c ~eligible in
       let filtered =
         List.filter
           (fun v -> Design.product v <= max_product)
-          (Space.divisor_vectors c ~eligible)
+          (Dse.Util.divisor_vectors c ~eligible)
       in
       pruned = filtered)
 
@@ -147,9 +151,8 @@ let prop_parallel_sweep_matches_sequential =
       let par = Space.sweep ~max_product ~jobs:3 (ctx name) in
       List.length seq.Space.points = List.length par.Space.points
       && List.for_all2
-           (fun (a : Space.sweep_point) (b : Space.sweep_point) ->
-             a.Space.vector = b.Space.vector
-             && estimates_equal a.Space.point b.Space.point)
+           (fun (a : Design.point) (b : Design.point) ->
+             a.vector = b.vector && estimates_equal a b)
            seq.Space.points par.Space.points)
 
 let test_parallel_sweep_merges_stats () =

@@ -50,7 +50,7 @@ let verified_lattice name k ~max_product =
   Alcotest.(check int)
     (name ^ " zero violations")
     0 verified.Design.stats.verify_violations;
-  let best sp ctx = (Option.get (Space.best_fitting ctx sp)).Space.vector in
+  let best sp ctx = (Option.get (Space.best ctx sp)).vector in
   Alcotest.(check bool)
     (name ^ " same selection verified/unverified")
     true

@@ -6,7 +6,7 @@
     The configurations are those [Space.sweep ~max_product:64] evaluates
     on one context per (kernel, memory model), over the 14 built-in and
     gallery kernels and both memory models, followed by every survivor
-    of [Space.sweep_joint ~max_product:16] on a fresh pipelined context
+    of [Space.sweep ~joint ~max_product:16] on a fresh pipelined context
     (the exhaustive mode, so the listing does not depend on how tight
     the tier-1 bound is). Points are evaluated in sweep order, so any
     state an evaluation path carries from one point to the next is
@@ -53,14 +53,14 @@ let lines () =
       in
       let swept pipelined model =
         let t = Space.sweep ~max_product:64 ~jobs:1 (context pipelined) in
-        List.map (fun (sp : Space.sweep_point) -> line name model sp.Space.point) t.Space.points
+        List.map (line name model) t.Space.points
       in
       let joint =
         let j =
-          Space.sweep_joint ~max_product:16 ~exhaustive_below:max_int
-            (context true)
+          Space.sweep ~max_product:16 ~joint:Space.default_tile_candidates
+            ~exhaustive_below:max_int ~jobs:1 (context true)
         in
-        List.map (fun (jp : Space.joint_point) -> line name "joint" jp.Space.point) j.Space.points
+        List.map (line name "joint") j.Space.points
       in
       swept true "pipelined" @ swept false "non-pipelined" @ joint)
     kernels

@@ -79,7 +79,9 @@ let test_search_all_kernels () =
             (Printf.sprintf "%s %b fits" name pipelined)
             true
             (Design.space sel <= c.Design.capacity);
-          let base = Design.evaluate c (Design.ubase c) in
+          let base =
+            Design.evaluate c (Design.base_config c (Design.ubase c))
+          in
           Alcotest.(check bool)
             (Printf.sprintf "%s %b speeds up" name pipelined)
             true
@@ -114,7 +116,7 @@ let test_capacity_constraint () =
   (* With a small device (between the baseline's and the saturation
      point's footprint), the search must return a fitting design. *)
   let c = ctx ~capacity:4500 "mm" in
-  let base = Design.evaluate c (Design.ubase c) in
+  let base = Design.evaluate c (Design.base_config c (Design.ubase c)) in
   Alcotest.(check bool) "baseline fits the test device" true
     (Design.space base <= 4500);
   let r = Search.run c in
@@ -147,12 +149,12 @@ let test_selected_close_to_best () =
       let c = ctx name in
       let r = Search.run c in
       let sp = Space.sweep ~max_product:256 c in
-      match Space.best_fitting c sp with
+      match Space.best c sp with
       | None -> Alcotest.fail "no fitting design"
       | Some best ->
           let ratio =
             float_of_int (Design.cycles r.Search.selected)
-            /. float_of_int (Design.cycles best.Space.point)
+            /. float_of_int (Design.cycles best)
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s within 4x of best (%.2f)" name ratio)
@@ -165,17 +167,17 @@ let test_smallest_comparable () =
   match Space.smallest_comparable c sp with
   | None -> Alcotest.fail "no comparable design"
   | Some sc -> (
-      match Space.best_fitting c sp with
+      match Space.best c sp with
       | None -> Alcotest.fail "no best"
       | Some best ->
           Alcotest.(check bool) "not larger than best" true
-            (Design.space sc.Space.point <= Design.space best.Space.point))
+            (Design.space sc <= Design.space best))
 
 let test_balance_monotone_to_saturation () =
   (* Observation 3 along multiples of Psat on FIR's dependence-free
      loop: balance does not increase once past the saturation point. *)
   let c = ctx "fir" in
-  let b v = Design.balance (Design.evaluate c v) in
+  let b v = Design.balance (Design.evaluate c (Design.base_config c v)) in
   let at_sat = b [ ("j", 4); ("i", 1) ] in
   let beyond = b [ ("j", 16); ("i", 1) ] in
   let far = b [ ("j", 64); ("i", 1) ] in

@@ -109,7 +109,7 @@ let test_corruption_and_clear () =
   let dir = fresh_dir () in
   let cfg = config () in
   let ctx = Design.context ~profile k in
-  ignore (Design.evaluate ctx [ ("j", 2) ]);
+  ignore (Design.evaluate ctx (Design.base_config ctx [ ("j", 2) ]));
   save_all dir cfg k ctx.Design.store;
   (* Truncate the points file to a prefix. *)
   let cfg_dir =
@@ -152,10 +152,10 @@ let test_merge_on_save () =
   let dir = fresh_dir () in
   let cfg = config () in
   let ctx1 = Design.context ~profile k in
-  ignore (Design.evaluate ctx1 [ ("i", 2) ]);
+  ignore (Design.evaluate ctx1 (Design.base_config ctx1 [ ("i", 2) ]));
   save_all dir cfg k ctx1.Design.store;
   let ctx2 = Design.context ~profile k in
-  ignore (Design.evaluate ctx2 [ ("i", 4) ]);
+  ignore (Design.evaluate ctx2 (Design.base_config ctx2 [ ("i", 4) ]));
   save_all dir cfg k ctx2.Design.store;
   let s = Store.create () in
   let loaded = load_all dir cfg k s in
@@ -192,7 +192,8 @@ let test_lowlevel_backend () =
   let full_ctx = Design.context ~profile ~backend:Backend.full k in
   let ll_ctx = Design.context ~profile ~backend:Backend.lowlevel k in
   let v = [ ("j", 4) ] in
-  let pf = Design.evaluate full_ctx v and pl = Design.evaluate ll_ctx v in
+  let pf = Design.evaluate full_ctx (Design.base_config full_ctx v)
+  and pl = Design.evaluate ll_ctx (Design.base_config ll_ctx v) in
   Alcotest.(check int) "cycles unchanged by P&R" (Design.cycles pf) (Design.cycles pl);
   Alcotest.(check bool) "post-route area grows" true (Design.space pl >= Design.space pf);
   Alcotest.(check bool)
@@ -340,7 +341,9 @@ let test_joint_warm_unchanged () =
          ~kernel_key:(Persist.kernel_key k) store);
     Persist.load_memo ~cache_dir:dir ~config:cfg store.Store.sched_memo;
     let ctx = Design.context ~profile ~store k in
-    let j = Space.sweep_joint ~max_product:16 ctx in
+    let j =
+      Space.sweep ~max_product:16 ~joint:Space.default_tile_candidates ctx
+    in
     (match
        Persist.save ~cache_dir:dir ~config:cfg ~memo:store.Store.sched_memo
          [ (k, store) ]
@@ -384,25 +387,34 @@ let test_session_shares_memo () =
 (* ------------------------------------------------------------------ *)
 (* Parallel sweeps: stats determinism and pool reuse *)
 
+(* Unroll-only axes, and joint axes in the exhaustive regime: the
+   points and the synthesis counters do not depend on [jobs]. *)
 let test_sweep_stats_deterministic () =
   let k = kernel "mm" in
-  let run jobs =
-    let ctx = Design.context ~profile k in
-    let sp = Space.sweep ~max_product:16 ~jobs ctx in
-    (sp, Design.stats_snapshot ctx)
-  in
-  let sp1, st1 = run 1 and sp4, st4 = run 4 in
-  Alcotest.(check bool) "points identical across jobs" true
-    (sp1.Space.points = sp4.Space.points);
-  Alcotest.(check int)
-    "evaluations = lattice size (jobs=1)"
-    (List.length sp1.Space.points)
-    st1.evaluations;
-  Alcotest.(check int)
-    "evaluations = lattice size (jobs=4)"
-    (List.length sp4.Space.points)
-    st4.evaluations;
-  Alcotest.(check int) "cache hits agree" st1.cache_hits st4.cache_hits
+  List.iter
+    (fun (axes, joint) ->
+      let run jobs =
+        let ctx = Design.context ~profile k in
+        let sp =
+          Space.sweep ~max_product:16 ?joint ~exhaustive_below:max_int ~jobs
+            ctx
+        in
+        (sp, Design.stats_snapshot ctx)
+      in
+      let sp1, st1 = run 1 and sp4, st4 = run 4 in
+      let check what = Alcotest.(check int) (axes ^ ": " ^ what) in
+      Alcotest.(check bool)
+        (axes ^ ": points identical across jobs")
+        true
+        (sp1.Space.points = sp4.Space.points);
+      check "evaluations = lattice size (jobs=1)"
+        (List.length sp1.Space.points)
+        st1.evaluations;
+      check "evaluations agree" st1.evaluations st4.evaluations;
+      check "fronts agree" st1.fronts st4.fronts;
+      check "reused agree" st1.reused st4.reused;
+      check "cache hits agree" st1.cache_hits st4.cache_hits)
+    [ ("unroll-only", None); ("joint", Some Space.default_tile_candidates) ]
 
 let test_pool_reuse () =
   Engine.Pool.with_pool 3 @@ fun pool ->
@@ -673,6 +685,76 @@ let test_cli_kernel_help () =
       Alcotest.(check bool) ("-k help names " ^ name) true (mem 0))
     (Kernels.names @ Gallery.names)
 
+(* A kernel written to a temporary [.c] file. *)
+let with_source text f =
+  let path = Filename.temp_file "defacto-kernel" ".c" in
+  Out_channel.with_open_text path (fun oc -> output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* A kernel that faults at run time ends in a one-line diagnostic and
+   the error exit, never an uncaught exception. *)
+let test_cli_simulate_faults () =
+  List.iter
+    (fun (what, text) ->
+      with_source text @@ fun path ->
+      let code, _, err = run_capture [ "simulate"; "-f"; path; "-u"; "i=1" ] in
+      Alcotest.(check int) (what ^ ": exit code") 2 code;
+      let contains s sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: diagnostic (%s)" what err)
+        true
+        (String.starts_with ~prefix:("defacto: " ^ path ^ ": ") err
+        && List.length (String.split_on_char '\n' (String.trim err)) = 1
+        && not (contains err "internal error")))
+    [
+      ( "out-of-bounds subscript",
+        "signed char img[66];\n\
+         short hist[256];\n\
+         for (i = 0; i < 64; i++)\n\
+        \  hist[img[i + 2]] = hist[img[i + 2]] + 1;\n" );
+      ( "division by zero",
+        "int a[16];\nfor (i = 0; i < 16; i++)\n  a[i] = a[i / 0];\n" );
+    ]
+
+(* Jamming [i] reorders the scalar recurrence on [s]: the sweep drops
+   those vectors, and the design it selects computes what the source
+   does. *)
+let test_cli_space_skips_scalar_jam () =
+  with_source
+    "int a[4][4];\n\
+     int out[1];\n\
+     int s;\n\
+     s = 0;\n\
+     for (i = 0; i < 4; i++)\n\
+    \  for (j = 0; j < 4; j++)\n\
+    \    s = s * 2 + a[i][j];\n\
+     out[0] = s;\n"
+  @@ fun path ->
+  let code, out, _ = run_capture [ "space"; "-f"; path ] in
+  Alcotest.(check int) "space exits 0" 0 code;
+  Alcotest.(check (list string)) "(i=2, j=1) not listed" []
+    (grep_lines "(i=2, j=1)" out);
+  let best =
+    match grep_lines "# best fitting: (" out with
+    | l :: _ ->
+        let i = String.index l '(' and j = String.index l ')' in
+        String.concat ""
+          (String.split_on_char ' ' (String.sub l (i + 1) (j - i - 1)))
+    | [] -> Alcotest.fail "no best fitting design"
+  in
+  let code, sim, _ = run_capture [ "simulate"; "-f"; path; "-u"; best ] in
+  Alcotest.(check int) ("simulate " ^ best ^ " exits 0") 0 code;
+  Alcotest.(check (list string))
+    ("simulate " ^ best)
+    [ "datapath vs reference interpreter: IDENTICAL" ]
+    (grep_lines "datapath vs reference interpreter:" sim)
+
 let test_cli_removed_options () =
   let code, _, _ = run_capture [ "space"; "-k"; "fir"; "--prune" ] in
   Alcotest.(check int) "space --prune: unknown option" 124 code
@@ -737,5 +819,9 @@ let () =
             test_cli_joint_warm;
           Alcotest.test_case "unwritable --cache-dir" `Quick
             test_cli_unwritable_cache_dir;
+          Alcotest.test_case "simulate faults exit 2" `Quick
+            test_cli_simulate_faults;
+          Alcotest.test_case "space skips a scalar-reordering jam" `Quick
+            test_cli_space_skips_scalar_jam;
         ] );
     ]

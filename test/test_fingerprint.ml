@@ -232,14 +232,12 @@ let test_memo_exact_lattice () =
           true
           (ctx.Design.stats.sched_memo_hits > 0);
       List.iter
-        (fun (pt : Space.sweep_point) ->
-          let plain =
-            Hls.Estimate.estimate ctx.Design.profile pt.Space.point.kernel
-          in
+        (fun (pt : Design.point) ->
+          let plain = Hls.Estimate.estimate ctx.Design.profile pt.kernel in
           Alcotest.(check bool)
-            (Printf.sprintf "%s %s" name (Helpers.vector_to_string pt.Space.vector))
+            (Printf.sprintf "%s %s" name (Helpers.vector_to_string pt.vector))
             true
-            (estimates_identical plain pt.Space.point.estimate))
+            (estimates_identical plain pt.estimate))
         sp.Space.points)
     Kernels.names
 
@@ -280,7 +278,7 @@ let test_sim_unchanged_under_memo () =
         (fun vector ->
           (* evaluate through the context, so the estimate comes out of
              the shared fingerprint memo *)
-          let pt = Design.evaluate ctx vector in
+          let pt = Design.evaluate ctx (Design.base_config ctx vector) in
           let sim = Hls.Sim.run ~inputs profile pt.kernel in
           Alcotest.(check bool)
             (Printf.sprintf "%s %s values" name (Helpers.vector_to_string vector))

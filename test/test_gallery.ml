@@ -23,7 +23,10 @@ let test_flow_correct () =
         (Helpers.equivalent ~inputs ~reference:k sel.kernel);
       Alcotest.(check bool) (name ^ " fits") true
         (Dse.Design.space sel <= ctx.Dse.Design.capacity);
-      let base = Dse.Design.evaluate ctx (Dse.Design.ubase ctx) in
+      let base =
+        Dse.Design.evaluate ctx
+          (Dse.Design.base_config ctx (Dse.Design.ubase ctx))
+      in
       Alcotest.(check bool) (name ^ " not slower than baseline") true
         (Dse.Design.cycles sel <= Dse.Design.cycles base))
     Gallery.names

@@ -22,7 +22,9 @@ let full_flow ?(pipelined = true) name src =
   (* it fits and improves on the baseline *)
   Alcotest.(check bool) (name ^ " fits") true
     (Dse.Design.space sel <= ctx.Dse.Design.capacity);
-  let base = Dse.Design.evaluate ctx (Dse.Design.ubase ctx) in
+  let base =
+    Dse.Design.evaluate ctx (Dse.Design.base_config ctx (Dse.Design.ubase ctx))
+  in
   Alcotest.(check bool) (name ^ " not slower than baseline") true
     (Dse.Design.cycles sel <= Dse.Design.cycles base);
   (* VHDL emission of the selected design succeeds *)
@@ -86,7 +88,9 @@ let test_speedups_reported () =
           let profile = Hls.Estimate.default_profile ~pipelined () in
           let ctx = Dse.Design.context ~profile k in
           let r = Dse.Search.run ctx in
-          let base = Dse.Design.evaluate ctx (Dse.Design.ubase ctx) in
+          let base =
+    Dse.Design.evaluate ctx (Dse.Design.base_config ctx (Dse.Design.ubase ctx))
+  in
           let speedup =
             float_of_int (Dse.Design.cycles base)
             /. float_of_int (Dse.Design.cycles r.Dse.Search.selected)

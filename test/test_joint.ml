@@ -19,6 +19,12 @@ module Pipeline = Transform.Pipeline
 let profile = Hls.Estimate.default_profile ()
 let kernel name = Option.get (Kernels.find name)
 
+(* The joint space over the default tile requests, on the calling
+   domain. *)
+let joint_sweep ?exhaustive_below ~max_product ctx =
+  Space.sweep ~joint:Space.default_tile_candidates ?exhaustive_below ~jobs:1
+    ~max_product ctx
+
 let fresh_dir () =
   let f = Filename.temp_file "defacto-test-joint" "" in
   Sys.remove f;
@@ -67,8 +73,8 @@ let test_persist_invalidation () =
     Persist.config_string ~backend:Backend.default.Backend.name profile opts
   in
   let ctx = Design.context ~profile k in
-  ignore (Design.evaluate ctx [ ("i", 2) ]);
-  ignore (Design.evaluate ctx [ ("i", 4) ]);
+  ignore (Design.evaluate ctx (Design.base_config ctx [ ("i", 2) ]));
+  ignore (Design.evaluate ctx (Design.base_config ctx [ ("i", 4) ]));
   Persist.save_points ~cache_dir:dir
     ~config:(cfg_of Pipeline.default)
     ~kernel_key:(Persist.kernel_key k) ctx.Design.store;
@@ -157,7 +163,7 @@ let prune_soundness_prop (k, c) =
       (* Accepted configurations evaluate cleanly — through the real
          context path, under translation validation. *)
       let ctx = Design.context ~profile ~verify:true k in
-      match Design.evaluate_config ctx c with
+      match Design.evaluate ctx c with
       | exception e ->
           QCheck2.Test.fail_reportf
             "accepted config %s raised %s on:@.%s"
@@ -177,8 +183,8 @@ let redundant_agrees_prop (k, c) =
   match Check.Legality.config_verdict k c with
   | Check.Legality.Config_redundant canonical ->
       let ctx = Design.context ~profile k in
-      let p = Design.evaluate_config ctx c in
-      let p' = Design.evaluate_config ctx canonical in
+      let p = Design.evaluate ctx c in
+      let p' = Design.evaluate ctx canonical in
       if p.estimate = p'.estimate then true
       else
         QCheck2.Test.fail_reportf
@@ -283,8 +289,8 @@ let admissible_prop ((k, c), (pipelined, chaining)) =
   | _ -> (
       let profile = Hls.Estimate.default_profile ~pipelined ~chaining () in
       let ctx = Design.context ~profile k in
-      let p = Design.evaluate_config ctx c in
-      match Design.quick_config ctx c with
+      let p = Design.evaluate ctx c in
+      match Design.quick ctx c with
       | None -> QCheck2.Test.fail_reportf "no quick bound for %s"
                   (Pipeline.config_to_string c)
       | Some q -> (
@@ -324,23 +330,73 @@ let all_kernels =
   List.map (fun n -> (n, kernel n)) Kernels.names
   @ List.map (fun n -> (n, Option.get (Gallery.find n))) Gallery.names
 
+(* The verdict function computes its kernel-only analyses once; every
+   verdict equals the per-configuration reference's. *)
+let verdict_matches_reference name k configs =
+  let verdict = Check.Legality.config_verdict k in
+  List.iter
+    (fun c ->
+      if verdict c <> Reference.Legality.config_verdict k c then
+        Alcotest.failf "%s %s: verdict differs from the reference" name
+          (Pipeline.config_to_string c))
+    configs
+
+(* Every configuration the joint sweep enumerates at unroll product 64
+   (all spine loops eligible), with a tile naming no loop added. *)
+let enumerated_configs (k : Ast.kernel) =
+  let ctx = Design.context ~profile k in
+  let eligible =
+    List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Design.spine
+  in
+  let tiles =
+    Some ("zz", 4)
+    :: Space.joint_tile_options ctx ~candidates:Space.default_tile_candidates
+  in
+  List.concat_map
+    (fun tile ->
+      List.concat_map
+        (fun vector ->
+          List.concat_map
+            (fun scalar_replace ->
+              List.concat_map
+                (fun peel ->
+                  List.map
+                    (fun licm ->
+                      { Pipeline.vector; tile; scalar_replace; peel; licm })
+                    [ true; false ])
+                [ true; false ])
+            [ true; false ])
+        (Dse.Util.divisor_vectors ~max_product:64 ctx ~eligible))
+    tiles
+
+let test_verdict_reference_builtins () =
+  List.iter
+    (fun (name, k) -> verdict_matches_reference name k (enumerated_configs k))
+    (("rec", recurrence_kernel) :: all_kernels)
+
+let test_verdict_reference_random =
+  Helpers.qtest "verdict = reference (random kernels)" ~count:300
+    gen_kernel_and_config (fun (k, c) ->
+      verdict_matches_reference "random" k [ c ];
+      true)
+
 let check_joint_survivors name ~pipelined ~max_product k =
   let ctx =
     Design.context ~profile:(Hls.Estimate.default_profile ~pipelined ()) k
   in
-  let j = Space.sweep_joint ~max_product ~exhaustive_below:max_int ctx in
+  let j = joint_sweep ~max_product ~exhaustive_below:max_int ctx in
   List.iter
-    (fun (jp : Space.joint_point) ->
-      match Design.quick_config ctx jp.Space.config with
+    (fun (jp : Design.point) ->
+      match Design.quick ctx jp.config with
       | None -> Alcotest.failf "%s: no quick bound" name
       | Some q -> (
-          match Helpers.bound_violation q jp.Space.point.estimate with
+          match Helpers.bound_violation q jp.estimate with
           | None -> ()
           | Some pairs ->
               Alcotest.failf "%s %s product %d %s: %s" name
                 (if pipelined then "pipelined" else "non-pipelined")
                 max_product
-                (Pipeline.config_to_string jp.Space.config)
+                (Pipeline.config_to_string jp.config)
                 pairs))
     j.Space.points
 
@@ -428,14 +484,23 @@ let test_normalize () =
   in
   Alcotest.(check bool) "full-trip tile dropped" true (c4.tile = None)
 
-(* The vector API is the base-configuration special case: evaluating a
-   vector and then its [base_config] spelling is one cache entry. *)
+(* A vector-only caller's spelling ([base_config] of a partial vector)
+   and the configuration written out in full are one cache entry. *)
 let test_vector_config_agree () =
   let k = kernel "fir" in
   let ctx = Design.context ~profile k in
-  let p = Design.evaluate ctx [ ("i", 4) ] in
+  let p = Design.evaluate ctx (Design.base_config ctx [ ("i", 4) ]) in
   let before = Design.stats_snapshot ctx in
-  let p' = Design.evaluate_config ctx (Design.base_config ctx [ ("i", 4) ]) in
+  let p' =
+    Design.evaluate ctx
+      {
+        Pipeline.vector = [ ("j", 1); ("i", 4) ];
+        tile = None;
+        scalar_replace = true;
+        peel = true;
+        licm = true;
+      }
+  in
   let after = Design.stats_snapshot ctx in
   Alcotest.(check bool) "same estimate" true
     (p.estimate = p'.estimate);
@@ -464,7 +529,7 @@ let test_warm_replay_configs () =
       { base with licm = false; tile = Some ("k", 8) };
     ]
   in
-  let cold = List.map (Design.evaluate_config ctx) configs in
+  let cold = List.map (Design.evaluate ctx) configs in
   Persist.save_points ~cache_dir:dir ~config:cfg
     ~kernel_key:(Persist.kernel_key k) ctx.Design.store;
   let warm_store = Store.create () in
@@ -475,7 +540,7 @@ let test_warm_replay_configs () =
   Alcotest.(check bool) "all points reload" true
     (loaded >= List.length configs);
   let warm_ctx = Design.context ~profile ~store:warm_store k in
-  let warm = List.map (Design.evaluate_config warm_ctx) configs in
+  let warm = List.map (Design.evaluate warm_ctx) configs in
   let s = Design.stats_snapshot warm_ctx in
   Alcotest.(check int) "zero syntheses on replay" 0 s.evaluations;
   List.iter2
@@ -497,11 +562,11 @@ let test_joint_dominates () =
       let ctx = Design.context ~profile k in
       let sw = Space.sweep ~max_product:16 ~jobs:1 ctx in
       let jctx = Design.context ~profile k in
-      let j = Space.sweep_joint ~max_product:16 jctx in
-      match (Space.best_fitting ctx sw, Space.joint_best jctx j) with
+      let j = joint_sweep ~max_product:16 jctx in
+      match (Space.best ctx sw, Space.best jctx j) with
       | Some u, Some jb ->
-          let uc = u.Space.point.estimate.Hls.Estimate.cycles in
-          let jc = jb.Space.point.estimate.Hls.Estimate.cycles in
+          let uc = u.estimate.Hls.Estimate.cycles in
+          let jc = jb.estimate.Hls.Estimate.cycles in
           Alcotest.(check bool)
             (Printf.sprintf "%s: joint (%d) <= unroll-only (%d)" name jc uc)
             true (jc <= uc)
@@ -520,19 +585,19 @@ let test_best_first_matches_exhaustive () =
           let profile = Hls.Estimate.default_profile ~pipelined () in
           let cx = Design.context ~profile k in
           let ex =
-            Space.sweep_joint ~max_product:16 ~exhaustive_below:max_int cx
+            joint_sweep ~max_product:16 ~exhaustive_below:max_int cx
           in
           let cb = Design.context ~profile k in
-          let bf = Space.sweep_joint ~max_product:16 ~exhaustive_below:0 cb in
-          match (Space.joint_best cx ex, Space.joint_best cb bf) with
+          let bf = joint_sweep ~max_product:16 ~exhaustive_below:0 cb in
+          match (Space.best cx ex, Space.best cb bf) with
           | Some a, Some b ->
               Alcotest.(check bool)
                 (Printf.sprintf
                    "%s (%s): best-first selection matches exhaustive" name
                    (Hls.Memory_model.name profile.Hls.Estimate.mem))
                 true
-                (Design.config_equal a.Space.config b.Space.config
-                && a.Space.point.estimate = b.Space.point.estimate)
+                (Design.config_equal a.config b.config
+                && a.estimate = b.estimate)
           | None, None -> ()
           | _ ->
               Alcotest.failf "%s: sweeps disagree on having a selection" name)
@@ -613,13 +678,13 @@ let builtin_sweeps =
              let profile = Hls.Estimate.default_profile ~pipelined () in
              let ctx = Design.context ~profile k in
              let j =
-               Space.sweep_joint ~max_product:16 ~exhaustive_below:max_int ctx
+               joint_sweep ~max_product:16 ~exhaustive_below:max_int ctx
              in
-             let fresh (jp : Space.joint_point) =
+             let fresh (jp : Design.point) =
                ( jp,
                  Pipeline.apply
                    (Pipeline.apply_config ~base:ctx.Design.pipeline
-                      jp.Space.config)
+                      jp.config)
                    k )
              in
              ( name,
@@ -638,20 +703,20 @@ let test_shared_front_builtins () =
   List.iter
     (fun (name, model, _, ctx, points) ->
       List.iter
-        (fun ((jp : Space.joint_point), (r : Pipeline.result)) ->
+        (fun ((jp : Design.point), (r : Pipeline.result)) ->
           if
-            r.Pipeline.kernel <> jp.Space.point.kernel
-            || r.Pipeline.report <> jp.Space.point.report
+            r.Pipeline.kernel <> jp.kernel
+            || r.Pipeline.report <> jp.report
           then
             Alcotest.failf "%s %s: %s differs from the unshared pipeline" name
               model
-              (Pipeline.config_to_string jp.Space.config))
+              (Pipeline.config_to_string jp.config))
         points;
       let keys =
         List.sort_uniq compare
           (List.map
-             (fun ((jp : Space.joint_point), _) ->
-               Backend.front_key jp.Space.config)
+             (fun ((jp : Design.point), _) ->
+               Backend.front_key jp.config)
              points)
       in
       Alcotest.(check int)
@@ -670,18 +735,18 @@ let test_siblings_finish_once () =
   List.iter
     (fun (name, model, profile, ctx, points) ->
       List.iter
-        (fun ((jp : Space.joint_point), (r : Pipeline.result)) ->
-          if bytes r.Pipeline.kernel <> bytes jp.Space.point.kernel then
+        (fun ((jp : Design.point), (r : Pipeline.result)) ->
+          if bytes r.Pipeline.kernel <> bytes jp.kernel then
             Alcotest.failf "%s %s: %s kernel differs from a fresh run" name
               model
-              (Pipeline.config_to_string jp.Space.config);
+              (Pipeline.config_to_string jp.config);
           if
             Hls.Estimate.estimate profile r.Pipeline.kernel
-            <> jp.Space.point.estimate
+            <> jp.estimate
           then
             Alcotest.failf "%s %s: %s estimate differs from a fresh run" name
               model
-              (Pipeline.config_to_string jp.Space.config))
+              (Pipeline.config_to_string jp.config))
         points;
       if List.mem name [ "jac"; "sobel" ] then
         Alcotest.(check bool)
@@ -720,14 +785,14 @@ let test_validated_front_builtins () =
   List.iter
     (fun (name, k) ->
       let ctx = Design.context ~profile k in
-      let j = Space.sweep_joint ~max_product:4 ~exhaustive_below:max_int ctx in
+      let j = joint_sweep ~max_product:4 ~exhaustive_below:max_int ctx in
       let fronts = Hashtbl.create 16 in
       List.iter
-        (fun (jp : Space.joint_point) ->
+        (fun (jp : Design.point) ->
           let options =
-            Pipeline.apply_config ~base:ctx.Design.pipeline jp.Space.config
+            Pipeline.apply_config ~base:ctx.Design.pipeline jp.config
           in
-          let key = Backend.front_key jp.Space.config in
+          let key = Backend.front_key jp.config in
           let front =
             match Hashtbl.find_opt fronts key with
             | Some f -> f
@@ -746,7 +811,7 @@ let test_validated_front_builtins () =
           then
             Alcotest.failf "%s %s: validated front differs from a full run"
               name
-              (Pipeline.config_to_string jp.Space.config))
+              (Pipeline.config_to_string jp.config))
         j.Space.points)
     all_kernels
 
@@ -792,12 +857,12 @@ let test_verified_reuses_estimates () =
   let k = kernel "jac" in
   let plain = Design.context ~profile k in
   let verified = Design.context ~profile ~verify:true k in
-  let jp = Space.sweep_joint ~max_product:64 plain in
-  let jv = Space.sweep_joint ~max_product:64 verified in
-  let view (j : Space.joint) =
+  let jp = joint_sweep ~max_product:64 plain in
+  let jv = joint_sweep ~max_product:64 verified in
+  let view (j : Space.t) =
     List.map
-      (fun (p : Space.joint_point) ->
-        (p.Space.config, p.Space.point.estimate, p.Space.point.kernel, p.Space.point.report))
+      (fun (p : Design.point) ->
+        (p.config, p.estimate, p.kernel, p.report))
       j.Space.points
   in
   Alcotest.(check bool) "verified sweep stores the same points" true (view jp = view jv);
@@ -812,15 +877,15 @@ let test_verified_shares_fronts () =
       let k = kernel name in
       let plain = Design.context ~profile k in
       let verified = Design.context ~profile ~verify:true k in
-      let jp = Space.sweep_joint ~max_product:16 plain in
-      let jv = Space.sweep_joint ~max_product:16 verified in
-      let view (j : Space.joint) =
+      let jp = joint_sweep ~max_product:16 plain in
+      let jv = joint_sweep ~max_product:16 verified in
+      let view (j : Space.t) =
         List.map
-          (fun (p : Space.joint_point) ->
-            ( p.Space.config,
-              p.Space.point.estimate,
-              p.Space.point.kernel,
-              p.Space.point.report ))
+          (fun (p : Design.point) ->
+            ( p.config,
+              p.estimate,
+              p.kernel,
+              p.report ))
           j.Space.points
       in
       Alcotest.(check bool)
@@ -854,13 +919,13 @@ let test_verified_shares_fronts () =
             f
       in
       List.iter
-        (fun (p : Space.joint_point) ->
-          let c = p.Space.config in
+        (fun (p : Design.point) ->
+          let c = p.config in
           ignore (Pipeline.apply ~front:(front_of c) (options c) k))
         jv.Space.points;
       List.iter
-        (fun (p : Space.joint_point) ->
-          let c = p.Space.config in
+        (fun (p : Design.point) ->
+          let c = p.config in
           let seen = ref [] in
           let r =
             Pipeline.apply
@@ -906,6 +971,9 @@ let () =
             test_hazard_witness;
           Alcotest.test_case "unknown tile index raises" `Quick
             test_unknown_tile_raises;
+          Alcotest.test_case "verdict = reference (built-in configurations)"
+            `Quick test_verdict_reference_builtins;
+          test_verdict_reference_random;
         ] );
       ( "bounds",
         [

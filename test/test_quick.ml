@@ -140,10 +140,11 @@ let prop_tri_random_blocks stmts =
 
 let prop_quick_admissible (k, v) =
   let ctx = Design.context k in
-  match Design.quick ctx v with
+  let config = Design.base_config ctx v in
+  match Design.quick ctx config with
   | None -> true
   | Some q ->
-      let p = Design.evaluate ctx v in
+      let p = Design.evaluate ctx config in
       Helpers.admissible q p.estimate
 
 let test_quick_admissible_paper_kernels () =
@@ -153,15 +154,15 @@ let test_quick_admissible_paper_kernels () =
       let ctx = Design.context k in
       let sp = Space.sweep ~max_product:16 ~jobs:1 ctx in
       List.iter
-        (fun (pt : Space.sweep_point) ->
-          match Design.quick ctx pt.Space.vector with
+        (fun (pt : Design.point) ->
+          match Design.quick ctx pt.config with
           | None -> Alcotest.fail (name ^ ": quick facts unavailable")
           | Some q ->
               Alcotest.(check bool)
                 (Printf.sprintf "%s %s admissible" name
-                   (Helpers.vector_to_string pt.Space.vector))
+                   (Helpers.vector_to_string pt.vector))
                 true
-                (Helpers.admissible q pt.Space.point.estimate))
+                (Helpers.admissible q pt.estimate))
         sp.Space.points)
     paper_kernels
 
@@ -175,7 +176,7 @@ let test_search_capacity_gate () =
      candidate is rejected by tier 1 alone, and the search must fall all
      the way back to the base design without a single wasted synthesis *)
   let floor =
-    match Design.quick ctx (Design.ubase ctx) with
+    match Design.quick ctx (Design.base_config ctx (Design.ubase ctx)) with
     | Some q -> q.Quick.slices_lb
     | None -> Alcotest.fail "quick facts unavailable for fir"
   in

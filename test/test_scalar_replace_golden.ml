@@ -23,7 +23,9 @@ let kernels =
     fixed order. *)
 let configs (ctx : Design.context) =
   let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Design.spine in
-  let vectors max_product = Space.divisor_vectors ~max_product ctx ~eligible in
+  let vectors max_product =
+    Dse.Util.divisor_vectors ~max_product ctx ~eligible
+  in
   let base = Design.base_config ctx [] in
   let unroll = List.map (fun vector -> { base with vector }) (vectors 256) in
   let tiled =

@@ -112,7 +112,7 @@ let test_sim_unchanged () =
   let reference = Eval.observables (Eval.run ~inputs k) in
   List.iter
     (fun vector ->
-      let pt = Dse.Design.evaluate ctx vector in
+      let pt = Dse.Design.evaluate ctx (Dse.Design.base_config ctx vector) in
       let sim = Hls.Sim.run ~inputs profile pt.kernel in
       List.iter
         (fun (arr, data) ->

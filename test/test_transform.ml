@@ -405,7 +405,9 @@ let test_cse_indirect_subscript () =
   List.iter
     (fun u ->
       let where = Printf.sprintf "i=%d" u in
-      let p = Dse.Design.evaluate ctx [ ("i", u) ] in
+      let p =
+        Dse.Design.evaluate ctx (Dse.Design.base_config ctx [ ("i", u) ])
+      in
       List.iter
         (fun seed ->
           Helpers.check_equiv ~inputs:(Kernels.test_inputs ~seed k) ~reference:k
@@ -464,7 +466,7 @@ let test_assigned_subscripts () =
       List.iter
         (fun vector ->
           let where = Printf.sprintf "%s %s" name (Helpers.vector_to_string vector) in
-          let p = Dse.Design.evaluate ctx vector in
+          let p = Dse.Design.evaluate ctx (Dse.Design.base_config ctx vector) in
           List.iter
             (fun seed ->
               Helpers.check_equiv ~inputs:(Kernels.test_inputs ~seed k) ~reference:k

@@ -46,7 +46,7 @@ let lines () =
         Design.context ~profile:(Hls.Estimate.default_profile ~pipelined:true ()) k
       in
       let t = Space.sweep ~max_product:64 ~jobs:1 ctx in
-      List.map (fun (sp : Space.sweep_point) -> point_line name k sp.Space.point) t.Space.points
+      List.map (point_line name k) t.Space.points
       @ [ Printf.sprintf "%s source check=%s" name (summary (Check.Run.all k)) ])
     kernels
 
