@@ -1,28 +1,3 @@
-(** Post-hoc translation validation of the transformation pipeline.
-
-    {!run} re-applies {!Transform.Pipeline.apply} through its [observe]
-    hook and, after every executed stage (tile, unroll, scalar replace,
-    peel, LICM, simplify), re-verifies the output kernel structurally
-    and compares its array-access *footprint* — the per-array sets of
-    elements that may be read, may be written, and must be written —
-    against the pre-stage kernel:
-
-    - reads(post) ⊆ reads(pre) ∪ writes(pre): a stage may drop reads
-      (register reuse) and may re-load an element it wrote (scalar
-      replacement's refill of a write-only bank), but must never read
-      data the input kernel did not touch;
-    - writes(post) ⊆ writes(pre): no stage invents a store;
-    - must-writes(pre) ⊆ writes(post): no store the input definitely
-      performed disappears (store sinking may coalesce, not drop).
-
-    Footprints are computed by enumerating the loop nests with a partial
-    evaluator that tracks loop indices and compile-time-known scalars
-    (so LICM temporaries in subscripts resolve); guards whose condition
-    is undecidable contribute to the may-sets of both branches. Arrays
-    whose subscripts stay unevaluable, and kernels whose iteration space
-    exceeds the point budget, are skipped with an Info finding — never
-    silently. Violations carry the stage tag. *)
-
 open Ir
 
 let pass = "validate"
@@ -349,30 +324,22 @@ let compare_footprints ~stage ~(pre : t) ~(post : t) : Diag.t list =
                  "array '%s' changed size across the stage (%d -> %d elements)"
                  name fp_pre.size fp_post.size)
           else begin
-            let n, first =
-              not_covered fp_post.may_read fp_pre.may_read
-                (Some fp_pre.may_write)
+            let uncovered (n, first) fmt =
+              if n > 0 then add (diagf Error ~stage fmt n name first)
             in
-            if n > 0 then
-              add
-                (diagf Error ~stage
-                   "stage reads %d element(s) of '%s' the input kernel never \
-                    touches (first at linear index %d)"
-                   n name first);
-            let n, first = not_covered fp_post.may_write fp_pre.may_write None in
-            if n > 0 then
-              add
-                (diagf Error ~stage
-                   "stage writes %d element(s) of '%s' the input kernel never \
-                    writes (first at linear index %d)"
-                   n name first);
-            let n, first = not_covered fp_pre.must_write fp_post.may_write None in
-            if n > 0 then
-              add
-                (diagf Error ~stage
-                   "stage drops %d write(s) to '%s' the input kernel always \
-                    performs (first at linear index %d)"
-                   n name first);
+            uncovered
+              (not_covered fp_post.may_read fp_pre.may_read
+                 (Some fp_pre.may_write))
+              "stage reads %d element(s) of '%s' the input kernel never \
+               touches (first at linear index %d)";
+            uncovered
+              (not_covered fp_post.may_write fp_pre.may_write None)
+              "stage writes %d element(s) of '%s' the input kernel never \
+               writes (first at linear index %d)";
+            uncovered
+              (not_covered fp_pre.must_write fp_post.may_write None)
+              "stage drops %d write(s) to '%s' the input kernel always \
+               performs (first at linear index %d)";
             if fp_post.oob_read && not fp_pre.oob_read then
               add
                 (diagf Error ~stage
@@ -410,84 +377,125 @@ type session = {
   mutable last : (Ast.kernel * t) option;
 }
 
-let add_diag s d = s.diags <- d :: s.diags
-
-let observe s stage ~before ~after =
-  let sname = Transform.Pipeline.stage_name stage in
-  let report_skips (fp : t) =
-    List.iter
-      (fun (name, reason) ->
-        if not (Hashtbl.mem s.skip_reported name) then begin
-          Hashtbl.add s.skip_reported name ();
-          add_diag s
-            (diagf Info ~stage:sname "array '%s' not validated: %s" name
-               reason)
-        end)
-      fp.skipped
-  in
-  (* Structural re-verification of the stage output. *)
-  List.iter
-    (fun (d : Diag.t) ->
-      if d.Diag.severity = Diag.Error then
-        add_diag s { d with Diag.pass; stage = Some sname })
-    (Wellformed.check ~min_severity:Diag.Error after);
-  let fp_of kk =
-    match s.last with
-    | Some (prev, fp) when prev == kk -> fp
-    | _ -> footprint ?max_points:s.max_points kk
-  in
-  let pre = fp_of before in
-  let post = footprint ?max_points:s.max_points after in
-  s.last <- Some (after, post);
-  report_skips pre;
-  report_skips post;
-  List.iter (add_diag s) (compare_footprints ~stage:sname ~pre ~post)
-
-let stage_failed s ~stage ~kernel message =
-  add_diag s (Diag.of_stage_error ~stage ~kernel message)
+(* The verdict on one stage transition: the findings that depend on its
+   input and output alone, and the output's footprint (the next stage's
+   input). *)
+type verdict = {
+  wellformed : Diag.t list;  (* error-severity structural findings *)
+  skipped : (string * string) list;  (* the input's, then the output's *)
+  compared : Diag.t list;
+  post : t;
+}
 
 type front = {
   built : Transform.Pipeline.front option;
       (* [None] when a front stage raised; [state.diags] then ends with
          the failure *)
   state : session;  (* never mutated once the front is built *)
+  mutable verdicts :
+    (Transform.Pipeline.stage * Ast.kernel * Ast.kernel * verdict) list;
+      (* the finishing transitions validated from this front, keyed by
+         the physical pair the pipeline's memo reports *)
 }
+
+let judge s stage ~before ~after =
+  let sname = Transform.Pipeline.stage_name stage in
+  let pre =
+    match s.last with
+    | Some (prev, fp) when prev == before -> fp
+    | _ -> footprint ?max_points:s.max_points before
+  in
+  let post = footprint ?max_points:s.max_points after in
+  {
+    (* Structural re-verification of the stage output. *)
+    wellformed =
+      List.filter_map
+        (fun (d : Diag.t) ->
+          if d.Diag.severity = Diag.Error then
+            Some { d with Diag.pass; stage = Some sname }
+          else None)
+        (Wellformed.check ~min_severity:Diag.Error after);
+    skipped = pre.skipped @ post.skipped;
+    compared = compare_footprints ~stage:sname ~pre ~post;
+    post;
+  }
+
+(* Validate one transition into the run's findings, reusing the verdict
+   when [memo]'s front has validated the same pair before. An array's
+   Info skip is reported once per run. *)
+let observe ?memo s stage ~before ~after =
+  let recalled =
+    Option.bind memo (fun f ->
+        List.find_map
+          (fun (t, b, a, v) ->
+            if t = stage && b == before && a == after then Some v else None)
+          f.verdicts)
+  in
+  let v =
+    match recalled with
+    | Some v -> v
+    | None ->
+        let v = judge s stage ~before ~after in
+        Option.iter
+          (fun f -> f.verdicts <- (stage, before, after, v) :: f.verdicts)
+          memo;
+        v
+  in
+  let add d = s.diags <- d :: s.diags in
+  s.last <- Some (after, v.post);
+  List.iter add v.wellformed;
+  List.iter
+    (fun (name, reason) ->
+      if not (Hashtbl.mem s.skip_reported name) then begin
+        Hashtbl.add s.skip_reported name ();
+        add
+          (diagf Info
+             ~stage:(Transform.Pipeline.stage_name stage)
+             "array '%s' not validated: %s" name reason)
+      end)
+    v.skipped;
+  List.iter add v.compared
+
+let session ?max_points ?source_footprint k =
+  {
+    max_points;
+    diags = [];
+    skip_reported = Hashtbl.create 4;
+    last = Option.map (fun fp -> (k, fp)) source_footprint;
+  }
+
+let stage_failed s ~stage ~kernel message =
+  s.diags <- Diag.of_stage_error ~stage ~kernel message :: s.diags
 
 let front ?(options = Transform.Pipeline.default) ?max_points
     ?source_footprint (k : Ast.kernel) : front =
-  let state =
-    {
-      max_points;
-      diags = [];
-      skip_reported = Hashtbl.create 4;
-      last = Option.map (fun fp -> (k, fp)) source_footprint;
-    }
-  in
+  let state = session ?max_points ?source_footprint k in
   match Transform.Pipeline.front ~observe:(observe state) options k with
-  | f -> { built = Some f; state }
+  | f -> { built = Some f; state; verdicts = [] }
   | exception Transform.Pipeline.Stage_error { stage; kernel; message } ->
       stage_failed state ~stage ~kernel message;
-      { built = None; state }
+      { built = None; state; verdicts = [] }
 
 let run ?(options = Transform.Pipeline.default) ?max_points ?source_footprint
     ?front:shared (k : Ast.kernel) : outcome =
-  let f =
+  (* With a shared front, a private copy of its state (the front serves
+     every configuration that shares it), and its verdicts. *)
+  let s =
     match shared with
-    | Some f -> f
-    | None -> front ~options ?max_points ?source_footprint k
-  in
-  match f.built with
-  | None -> { result = None; diags = List.rev f.state.diags }
-  | Some pf -> (
-      (* A private copy of the front's state: the front serves every
-         configuration that shares it. *)
-      let s =
+    | None -> session ?max_points ?source_footprint k
+    | Some f ->
         { f.state with skip_reported = Hashtbl.copy f.state.skip_reported }
-      in
+  in
+  let outcome result = { result; diags = List.rev s.diags } in
+  match shared with
+  | Some { built = None; _ } -> outcome None
+  | _ -> (
       match
-        Transform.Pipeline.apply ~observe:(observe s) ~front:pf options k
+        Transform.Pipeline.apply ~observe:(observe ?memo:shared s)
+          ?front:(Option.bind shared (fun f -> f.built))
+          options k
       with
-      | r -> { result = Some r; diags = List.rev s.diags }
+      | r -> outcome (Some r)
       | exception Transform.Pipeline.Stage_error { stage; kernel; message } ->
           stage_failed s ~stage ~kernel message;
-          { result = None; diags = List.rev s.diags })
+          outcome None)

@@ -1,9 +1,27 @@
-(** Post-hoc translation validation of the transformation pipeline:
-    after every executed stage the output kernel is structurally
-    re-verified and its array-access footprint compared against the
-    pre-stage kernel (reads(post) ⊆ reads(pre) ∪ writes(pre),
-    writes(post) ⊆ writes(pre), must-writes(pre) ⊆ writes(post)).
-    Violations are Error diagnostics carrying the stage tag. *)
+(** Post-hoc translation validation of the transformation pipeline.
+
+    {!run} applies {!Transform.Pipeline.apply} through its [observe]
+    hook and, after every stage (tile, unroll, scalar replace, peel,
+    LICM, simplify), re-verifies the output kernel structurally and
+    compares its array-access {e footprint} — the per-array sets of
+    elements that may be read, may be written, and must be written —
+    against the pre-stage kernel:
+
+    - reads(post) ⊆ reads(pre) ∪ writes(pre): a stage may drop reads
+      (register reuse) and may re-load an element it wrote (scalar
+      replacement's refill of a write-only bank), but must never read
+      data the input kernel did not touch;
+    - writes(post) ⊆ writes(pre): no stage invents a store;
+    - must-writes(pre) ⊆ writes(post): no store the input definitely
+      performed disappears (store sinking may coalesce, not drop).
+
+    Footprints are computed by enumerating the loop nests with a partial
+    evaluator that tracks loop indices and compile-time-known scalars
+    (so LICM temporaries in subscripts resolve); guards whose condition
+    is undecidable contribute to the may-sets of both branches. Arrays
+    whose subscripts stay unevaluable, and kernels whose iteration space
+    exceeds the point budget, are skipped with an Info finding — never
+    silently. Violations are Error diagnostics carrying the stage tag. *)
 
 open Ir
 
@@ -43,8 +61,12 @@ type outcome = {
 (** Error-severity findings only. *)
 val violations : outcome -> Diag.t list
 
-(** The validated front of one configuration: {!Transform.Pipeline.front}
-    run under the validator, with the findings of its stages. *)
+(** The validated front of one configuration:
+    {!Transform.Pipeline.front} run under the validator, with the
+    findings of its stages. It also remembers the verdict of each
+    finishing transition validated from it, so a configuration that
+    goes through a transition the front has seen reuses that verdict.
+    Like the pipeline's front, it is not safe to share across domains. *)
 type front
 
 (** [front ~options ?max_points ?source_footprint k] builds and
@@ -62,13 +84,15 @@ val front :
     is bit-identical to [Transform.Pipeline.apply options k].
     [source_footprint], when given, must be [footprint ?max_points k]:
     a caller validating many configurations of one kernel computes it
-    once instead of once per run.
+    once instead of once per run. Without [front] nothing is memoized.
 
-    With [front] (from {!front} with the same [k] and [max_points]),
-    only the stages after the front are run and validated; the outcome,
-    diagnostics included, equals the run without it. A front built for
-    another tile, vector or scalar-replacement setting raises
-    [Invalid_argument]. *)
+    With [front] (from {!front} with the same [k] and [max_points]), the
+    stages after the front finish through the pipeline's finishing memo,
+    and a transition the front has validated before reuses its verdict
+    instead of being validated again. The outcome, diagnostics included
+    (in the same order, Info skips too), equals the run without [front].
+    A front built for another tile, vector or scalar-replacement setting
+    raises [Invalid_argument]. *)
 val run :
   ?options:Transform.Pipeline.options ->
   ?max_points:int ->

@@ -85,8 +85,9 @@ let score weights v =
     0.0 v
 
 (** Initial point: prefer Sat_i of a dependence-free loop; otherwise the
-    saturation-set vector that weights loops by carried distance. *)
-let choose_uinit (ctx : Design.context) (sat : Saturation.t) :
+    saturation-set vector that weights loops by carried distance. Only
+    vectors [legal] accepts qualify. *)
+let choose_uinit ~legal (ctx : Design.context) (sat : Saturation.t) :
     (string * int) list =
   let weights = loop_weights ctx.Design.source in
   let free_loop =
@@ -98,9 +99,9 @@ let choose_uinit (ctx : Design.context) (sat : Saturation.t) :
     Option.bind free_loop (fun i -> Saturation.sat_i ctx sat i)
   in
   match by_sat_i with
-  | Some v -> v
-  | None -> (
-      match Saturation.sat_set ctx sat with
+  | Some v when legal v -> v
+  | _ -> (
+      match List.filter legal (Saturation.sat_set ctx sat) with
       | [] -> Design.ubase ctx
       | vs ->
           List.fold_left
@@ -117,9 +118,21 @@ let run ?(config = default_config) (ctx : Design.context) : result =
       ctx.Design.source
   in
   let weights = loop_weights ctx.Design.source in
+  (* The sweep's legality gate, built once per run: a vector whose
+     configuration is illegal is never a candidate, and a redundant
+     spelling is evaluated as its canonical configuration. *)
+  let verdict = Check.Legality.config_verdict ctx.Design.source in
+  let gated v =
+    let c = Design.base_config ctx v in
+    match verdict c with
+    | Check.Legality.Config_illegal _ -> None
+    | Check.Legality.Config_redundant canon -> Some canon
+    | Check.Legality.Config_legal -> Some c
+  in
+  let legal v = Option.is_some (gated v) in
   let umax = Design.umax ctx in
   let ubase = Design.ubase ctx in
-  let uinit = choose_uinit ctx sat in
+  let uinit = choose_uinit ~legal ctx sat in
   let psat_product = max 1 (Design.product uinit) in
   (* The context's evaluation cache is the memo: it keys on the
      *normalized* vector, so partial vectors from [choose_uinit] /
@@ -127,17 +140,22 @@ let run ?(config = default_config) (ctx : Design.context) : result =
      denote the same design share one synthesis run. *)
   let stats_before = Design.stats_snapshot ctx in
   let steps = ref [] in
-  let evaluate v = Design.evaluate ctx (Design.base_config ctx v) in
+  let config_of v =
+    match gated v with
+    | Some c -> c
+    | None -> invalid_arg "Dse.Search.run: an illegal vector was visited"
+  in
+  let evaluate v = Design.evaluate ctx (config_of v) in
   let log point verdict = steps := { point; verdict } :: !steps in
   (* Tier-1 capacity gate: the analytical area floor is admissible, so a
      point it puts over capacity needs no synthesis to be rejected. *)
   let quick_over_capacity v =
-    match Design.quick ctx (Design.base_config ctx v) with
+    match Design.quick ctx (config_of v) with
     | Some q -> q.Hls.Quick.slices_lb > ctx.Design.capacity
     | None -> false
   in
   let pick_best cands =
-    match cands with
+    match List.filter legal cands with
     | [] -> None
     | v :: rest ->
         Some

@@ -41,8 +41,14 @@ type result = {
 val loop_weights : Ir.Ast.kernel -> (string * float) list
 
 (** Initial point: Sat_i of a dependence-free loop when one exists,
-    otherwise the saturation vector weighted by carried distances. *)
-val choose_uinit : Design.context -> Saturation.t -> (string * int) list
+    otherwise the saturation vector weighted by carried distances; a
+    vector [legal] rejects does not qualify (the base vector is the last
+    resort). *)
+val choose_uinit :
+  legal:((string * int) list -> bool) ->
+  Design.context ->
+  Saturation.t ->
+  (string * int) list
 
 val run : ?config:config -> Design.context -> result
 

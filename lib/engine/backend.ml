@@ -1,26 +1,3 @@
-(** Pluggable estimator backends: the fidelity levels at which a design
-    point can be evaluated, as first-class values.
-
-    - {!full} is the paper's [Generate; Synthesize] — transform pipeline,
-      DFG construction, fused tri-mode scheduling, data layout.
-    - {!lowlevel} is {!full} composed with the P&R degradation model
-      ({!Hls.Lowlevel}): the stored estimate carries the post-route area
-      and the achieved-clock execution time instead of the behavioral
-      ones.
-    - {!quick_gate} is the tiered composition: it puts the closed-form
-      analytical pre-estimator ({!Hls.Quick}) in front of any backend as
-      its {!type-t.bound} tier, which is what the two-tier sweep and the
-      search's capacity gate consult before paying for a synthesis. The
-      bounds are admissible for {!full} (and remain admissible for
-      {!lowlevel}, whose area and time only grow), so gating never
-      changes a selection — only the set of synthesized points.
-
-    A backend evaluates against an immutable {!env} (the evaluation
-    environment a [Dse.Design.context] is a view of) and a mutable
-    {!Store.t} (caches and counters). The backend's [name] identifies the
-    fidelity level in the persistent store key: points cached under one
-    backend are never served to another. *)
-
 open Ir
 
 type env = {
@@ -181,16 +158,12 @@ type front_key = (string * int) option * (string * int) list * bool
 let front_key (c : Store.config) : front_key =
   (c.tile, c.vector, c.scalar_replace)
 
-(* A front as the synthesis path needs it: plain, or built under the
-   translation validator when the env verifies, with the finished
-   kernels of the configurations synthesized from it and their
-   estimates. *)
-type built =
-  | Plain of Transform.Pipeline.front
-  | Checked of Check.Validate.front
-
+(* A front as the synthesis path needs it: [finish] completes a
+   configuration of its key from it (under the translation validator
+   when the env verifies), and [estimated] holds the finished kernels of
+   the configurations synthesized from it with their estimates. *)
 type front = {
-  built : built;
+  finish : Store.t -> Transform.Pipeline.options -> Transform.Pipeline.result;
   mutable estimated : (Ast.kernel * Hls.Estimate.t) list;
 }
 
@@ -213,6 +186,65 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Full behavioral synthesis *)
 
+(* Verified evaluation: the pipeline instrumented per stage by the
+   translation validator, plus the flow-graph dataflow checks
+   (uninit/deadstore) over the transformed kernel — the pipeline must
+   never manufacture an uninitialized read or a dead store. The
+   transformed result is bit-identical; error-severity findings only
+   bump the violation counter (the sweep itself is the paper's
+   experiment — reporting stays the job of the drivers). *)
+let verified (store : Store.t) (outcome : Check.Validate.outcome) =
+  let stats = store.Store.stats in
+  stats.Store.checked_points <- stats.Store.checked_points + 1;
+  stats.Store.verify_violations <-
+    stats.Store.verify_violations
+    + List.length (Check.Validate.violations outcome);
+  match outcome.Check.Validate.result with
+  | Some r ->
+      let cost = Analysis.Flowgraph.fresh_cost () in
+      let graph = Analysis.Flowgraph.build ~cost r.Transform.Pipeline.kernel in
+      let flow_diags =
+        Check.Uninit.check ~graph ~cost r.Transform.Pipeline.kernel
+        @ Check.Deadstore.check ~graph ~cost r.Transform.Pipeline.kernel
+      in
+      stats.Store.verify_violations <-
+        stats.Store.verify_violations
+        + List.length (Check.Diag.errors flow_diags);
+      stats.Store.flow_builds <-
+        stats.Store.flow_builds + cost.Analysis.Flowgraph.builds;
+      stats.Store.flow_solves <-
+        stats.Store.flow_solves + cost.Analysis.Flowgraph.solves;
+      stats.Store.flow_seconds <-
+        stats.Store.flow_seconds
+        +. cost.Analysis.Flowgraph.build_seconds
+        +. cost.Analysis.Flowgraph.solve_seconds;
+      r
+  | None ->
+      (* The pipeline raised mid-stage; surface it like the unverified
+         path would. *)
+      failwith
+        (String.concat "; "
+           (List.map Check.Diag.render (Check.Validate.violations outcome)))
+
+(* The pipeline run for the configurations of [opts]'s front key: with
+   [shared], from one front built here, whose finishing memo (and, when
+   the env verifies, whose validated transitions) serve every
+   configuration it finishes; without, from scratch, keeping no memo. *)
+let start (env : env) ~shared (opts : Transform.Pipeline.options) =
+  let source = env.source and source_footprint = env.source_footprint in
+  let build f = if shared then Some (f ()) else None in
+  if env.verify then
+    let front =
+      build (fun () ->
+          Check.Validate.front ~options:opts ?source_footprint source)
+    in
+    fun store options ->
+      verified store
+        (Check.Validate.run ~options ?source_footprint ?front source)
+  else
+    let front = build (fun () -> Transform.Pipeline.front opts source) in
+    fun _ options -> Transform.Pipeline.apply ?front options source
+
 let full_synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
     Store.point =
   let c = normalize_config env c in
@@ -221,100 +253,30 @@ let full_synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
   let t0 = Clock.now () in
   (* The front from the caller's table, or built here (and added to the
      table) on the table's first miss for this key. Without a table the
-     front serves this synthesis alone. *)
+     run serves this synthesis alone and keeps no memo: neither its
+     intermediate kernels nor, verified, its footprints stay live
+     through the flow checks and the estimate. *)
   let key = front_key c in
   let entry =
     match Option.bind fronts (fun table -> Hashtbl.find_opt table key) with
     | Some e -> e
     | None ->
-        let built =
-          if env.verify then
-            Checked
-              (Check.Validate.front ~options:opts
-                 ?source_footprint:env.source_footprint env.source)
-          else Plain (Transform.Pipeline.front opts env.source)
-        in
-        let e = { built; estimated = [] } in
+        let finish = start env ~shared:(Option.is_some fronts) opts in
+        let e = { finish; estimated = [] } in
         stats.Store.fronts <- stats.Store.fronts + 1;
         Option.iter (fun table -> Hashtbl.replace table key e) fronts;
         e
   in
-  (* Only an entry in a table can serve a sibling. A throwaway one must
-     not outlive the pipeline run: its front (and, verified, the
-     footprints its validation kept) would stay live through the flow
-     checks and the estimate. *)
   let shared = Option.map (fun _ -> entry) fronts in
-  (* Verified evaluation: same pipeline, instrumented per stage by the
-     translation validator, plus the flow-graph dataflow checks
-     (uninit/deadstore) over the transformed kernel — the pipeline must
-     never manufacture an uninitialized read or a dead store. The
-     transformed result is bit-identical; error-severity findings only
-     bump the violation counter (the sweep itself is the paper's
-     experiment — reporting stays the job of the drivers). A shared
-     front's stages were validated once, when it was built; its findings
-     are part of every outcome run from it. *)
-  let verified (outcome : Check.Validate.outcome) =
-    stats.Store.checked_points <- stats.Store.checked_points + 1;
-    stats.Store.verify_violations <-
-      stats.Store.verify_violations
-      + List.length (Check.Validate.violations outcome);
-    match outcome.Check.Validate.result with
-    | Some r ->
-        let cost = Analysis.Flowgraph.fresh_cost () in
-        let graph = Analysis.Flowgraph.build ~cost r.Transform.Pipeline.kernel in
-        let flow_diags =
-          Check.Uninit.check ~graph ~cost r.Transform.Pipeline.kernel
-          @ Check.Deadstore.check ~graph ~cost r.Transform.Pipeline.kernel
-        in
-        stats.Store.verify_violations <-
-          stats.Store.verify_violations
-          + List.length (Check.Diag.errors flow_diags);
-        stats.Store.flow_builds <-
-          stats.Store.flow_builds + cost.Analysis.Flowgraph.builds;
-        stats.Store.flow_solves <-
-          stats.Store.flow_solves + cost.Analysis.Flowgraph.solves;
-        stats.Store.flow_seconds <-
-          stats.Store.flow_seconds
-          +. cost.Analysis.Flowgraph.build_seconds
-          +. cost.Analysis.Flowgraph.solve_seconds;
-        r
-    | None ->
-        (* The pipeline raised mid-stage; surface it like the unverified
-           path would. *)
-        failwith
-          (String.concat "; "
-             (List.map Check.Diag.render (Check.Validate.violations outcome)))
-  in
-  let r =
-    match entry.built with
-    | Plain front ->
-        (* Observed stages are not memoized, so a front serving this
-           synthesis alone keeps no finishing memo and each intermediate
-           kernel dies as the next stage runs. *)
-        let observe =
-          if Option.is_some shared then None
-          else Some (fun _ ~before:_ ~after:_ -> ())
-        in
-        Transform.Pipeline.apply ?observe ~front opts env.source
-    | Checked front ->
-        verified (Check.Validate.run ~options:opts ~front env.source)
-  in
+  let r = entry.finish store opts in
   let t1 = Clock.now () in
   let timers = Hls.Estimate.fresh_timers () in
   let kernel = r.Transform.Pipeline.kernel in
   (* A sibling that finished in an equal kernel has the sibling's
-     estimate. Plain fronts hand such siblings the physically same
-     kernel; verified ones run every stage under the validator and
-     build a fresh one, so the lookup is physical, then structural with
-     spans included, as {!Transform.Pipeline.front}'s memo compares. *)
-  let same k = k == kernel || compare k kernel = 0 in
+     estimate: the front's finishing memo hands it the physically same
+     kernel. *)
   let estimate =
-    match
-      Option.bind shared (fun e ->
-          List.find_map
-            (fun (k, est) -> if same k then Some est else None)
-            e.estimated)
-    with
+    match Option.bind shared (fun e -> List.assq_opt kernel e.estimated) with
     | Some estimate ->
         stats.Store.reused <- stats.Store.reused + 1;
         estimate

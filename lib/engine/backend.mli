@@ -1,7 +1,13 @@
 (** Pluggable estimator backends — the fidelity levels at which a design
     point can be evaluated, as first-class values, with the two-tier
     gating expressed as backend composition ({!quick_gate}) instead of
-    inline logic in the search and the sweep. *)
+    inline logic in the search and the sweep.
+
+    A backend evaluates against an immutable {!env} (the evaluation
+    environment a [Dse.Design.context] is a view of) and a mutable
+    {!Store.t} (caches and counters). The backend's [name] identifies the
+    fidelity level in the persistent store key: points cached under one
+    backend are never served to another. *)
 
 open Ir
 
@@ -66,14 +72,11 @@ val front_key : Store.config -> front_key
 
 (** A front, built under the translation validator when the env
     verifies. It also keeps the finished kernel and estimate of each
-    configuration synthesized from it: a sibling whose finished kernel
-    equals one of those (its peel and LICM toggles changed nothing, see
-    {!Transform.Pipeline.front}) gets that estimate without running the
-    estimator, and the store counts it in [reused]. Kernels are compared
-    physically, then structurally with spans included: a plain front
-    hands such a sibling the physically same kernel, while a verified
-    one runs every finishing stage under the validator and builds an
-    equal but fresh one. *)
+    configuration synthesized from it: the front's finishing memo hands
+    a sibling whose peel and LICM toggles changed nothing the physically
+    same kernel (see {!Transform.Pipeline.front}), and that sibling gets
+    the estimate without running the estimator; the store counts it in
+    [reused]. *)
 type front
 
 (** A table of fronts owned by one sweep over one env. Synthesis reads
@@ -109,8 +112,9 @@ val lowlevel : t
 
 (** [quick_gate b] is [b] with the analytical pre-estimator
     ({!Hls.Quick}) as its tier-1 bound — the two-tier engine as backend
-    composition. The bounds are admissible, so gating on them never
-    changes a selection, only the set of synthesized points. *)
+    composition. The bounds are admissible (for {!lowlevel} too, whose
+    area and time only grow), so gating on them never changes a
+    selection, only the set of synthesized points. *)
 val quick_gate : t -> t
 
 (** [quick_gate full] — the default of the CLI, bench and tests. *)

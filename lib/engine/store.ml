@@ -44,9 +44,8 @@ type stats = {
           LICM toggles *)
   mutable reused : int;
       (** syntheses served from a sibling of the same shared front: the
-          finished kernel equals the sibling's (physically on a plain
-          front, structurally on a verified one), so the estimator was
-          skipped. Each is also counted in [evaluations] *)
+          finished kernel is physically the sibling's, so the estimator
+          was skipped. Each is also counted in [evaluations] *)
   mutable cache_hits : int;
   mutable quick_estimates : int;
       (** tier-1 analytical lower bounds computed *)

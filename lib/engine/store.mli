@@ -33,11 +33,9 @@ type stats = {
           toggles *)
   mutable reused : int;
       (** syntheses served from a sibling of the same shared front: the
-          finished kernel equals the sibling's (physically on a plain
-          front, where {!Transform.Pipeline.apply} also skipped the
-          final simplify; structurally on a verified one, where every
-          stage ran under the validator), so the estimator was skipped.
-          Each is also counted in [evaluations] *)
+          finished kernel is physically the sibling's (the front's
+          finishing memo also skipped the final simplify), so the
+          estimator was skipped. Each is also counted in [evaluations] *)
   mutable cache_hits : int;
   mutable quick_estimates : int;
       (** tier-1 analytical lower bounds computed *)

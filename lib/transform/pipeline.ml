@@ -128,17 +128,16 @@ let () =
 (* Run one stage: a [Failure]/[Invalid_argument] escaping a rewrite
    (e.g. a non-positive stride reaching [Ast.loop_trip] or a
    [Loop_nest.validate] rejection) is re-raised as a [Stage_error]
-   naming the stage and kernel; the checker's post-hoc validation hook
-   sees every stage boundary through [observe]. *)
-let run_stage ?observe kname tag f k =
+   naming the stage and kernel; [observe] sees the stage boundary. *)
+type observer = stage -> before:Ast.kernel -> after:Ast.kernel -> unit
+
+let run_stage ?(observe : observer option) kname tag f k =
   let k' =
     try f k
     with Failure msg | Invalid_argument msg ->
       raise (Stage_error { stage = tag; kernel = kname; message = msg })
   in
-  (match observe with
-  | Some obs -> obs tag ~before:k ~after:k'
-  | None -> ());
+  Option.iter (fun obs -> obs tag ~before:k ~after:k') observe;
   k'
 
 type front = {
@@ -200,15 +199,15 @@ let front ?observe (opts : options) (k : Ast.kernel) : front =
     finished = [];
   }
 
-(* The output of an earlier run of [tag] on an input equal to [input]:
-   physically first, then structurally. Structural equality is the
-   polymorphic [compare], which also compares the spans
+(* The (input, output) pair of an earlier run of [tag] on an input
+   equal to [input]: physically first, then structurally. Structural
+   equality is the polymorphic [compare], which also compares the spans
    [Ast.equal_kernel] ignores — the recalled output must be the one
    [input] itself would give — and skips the subtrees siblings share. *)
 let recall (f : front) tag input =
   let find eq =
     List.find_map
-      (fun (t, i, o) -> if t = tag && eq i input then Some o else None)
+      (fun (t, i, o) -> if t = tag && eq i input then Some (i, o) else None)
       f.finished
   in
   match find ( == ) with
@@ -229,23 +228,27 @@ let apply ?observe ?front:shared (opts : options) (k : Ast.kernel) : result =
              tile, vector or scalar-replacement setting";
         f
   in
-  let stage = run_stage ?observe k.Ast.k_name in
   (* Siblings finished from one shared front run each finishing stage
      once per distinct input: peel once, LICM and simplify once per
      input kernel, so siblings whose toggles changed nothing get the
-     physically same kernel back. Under [observe] every stage runs and
-     is seen. *)
-  let stage =
-    match shared with
-    | Some f when Option.is_none observe -> (
-        fun tag run input ->
-          match recall f tag input with
-          | Some output -> output
-          | None ->
-              let output = stage tag run input in
-              f.finished <- (tag, input, output) :: f.finished;
-              output)
-    | _ -> stage
+     physically same kernel back. [observe] sees every stage a
+     configuration goes through, a recalled one as the pair the memo
+     holds. A private front (no [shared]) records nothing and is not
+     captured here, so each intermediate kernel dies as the next stage
+     runs. *)
+  let stage tag run input =
+    let before, after =
+      match Option.bind shared (fun f -> recall f tag input) with
+      | Some pair -> pair
+      | None ->
+          let output = run_stage k.Ast.k_name tag run input in
+          Option.iter
+            (fun f -> f.finished <- (tag, input, output) :: f.finished)
+            shared;
+          (input, output)
+    in
+    Option.iter (fun obs -> obs tag ~before ~after) observe;
+    after
   in
   let report = f.report in
   let k = f.kernel in

@@ -69,6 +69,10 @@ val stage_name : stage -> string
 exception
   Stage_error of { stage : stage; kernel : string; message : string }
 
+(** A stage observer: called with the kernel before and after a stage —
+    the hook the checker's translation validation uses. *)
+type observer = stage -> before:Ast.kernel -> after:Ast.kernel -> unit
+
 (** A front: the pipeline's output after its first three stages (tile,
     unroll-and-jam, scalar replacement) for one kernel, with the
     scalar-replacement report. The stages after it (peel, LICM,
@@ -78,40 +82,31 @@ exception
     it was built with — its key.
 
     A front also remembers the finishing stages run from it: siblings
-    finished through {!apply} without [observe] run peel once, and LICM
-    and the final simplify once per input kernel (compared physically,
-    then structurally with spans included). A sibling whose toggles
-    changed nothing therefore gets back the physically same kernel as
-    the earlier sibling. The memo lives and dies with the front; a
-    front is not safe to share across domains. *)
+    finished through {!apply} run peel once, and LICM and the final
+    simplify once per input kernel (compared physically, then
+    structurally with spans included). A sibling whose toggles changed
+    nothing therefore gets back the physically same kernel as the
+    earlier sibling. The memo lives and dies with the front; a front is
+    not safe to share across domains. *)
 type front
 
 (** [front ?observe opts k] runs the first three stages. [observe] sees
     each of them exactly as under {!apply}; a stage failure raises
     {!Stage_error}. *)
-val front :
-  ?observe:(stage -> before:Ast.kernel -> after:Ast.kernel -> unit) ->
-  options ->
-  Ast.kernel ->
-  front
+val front : ?observe:observer -> options -> Ast.kernel -> front
 
 (** [apply ?observe ?front opts k] runs the pipeline. When given,
-    [observe] is called after every executed stage with the kernel
-    before and after that stage — the hook the checker's translation
-    validation uses. The returned kernel is bit-identical whether or not
-    it is passed.
+    [observe] is called for every stage the configuration goes through
+    with the kernel before and after that stage. The returned kernel is
+    bit-identical whether or not it is passed.
 
     With [front] (built by {!front} from the same [k]), [apply] starts at
     the peel stage and [observe] sees only the stages after the front;
-    the result is bit-identical to [apply opts k]. Without [observe] it
-    reuses the front's earlier finishing-stage runs on equal inputs and
-    records its own; with [observe] it bypasses that memo, so every
-    stage runs and is seen. Without [front] nothing is memoized. A
-    front whose tile, vector or scalar-replacement configuration
-    differs from [opts]'s raises [Invalid_argument]. *)
-val apply :
-  ?observe:(stage -> before:Ast.kernel -> after:Ast.kernel -> unit) ->
-  ?front:front ->
-  options ->
-  Ast.kernel ->
-  result
+    the result is bit-identical to [apply opts k]. A finishing stage
+    whose input the front's memo already holds is not run again: it is
+    recalled, and [observe] sees it with the memo's own [(before,
+    after)] pair, so an observer can key on physical identity. Without
+    [front] nothing is memoized. A front whose tile, vector or
+    scalar-replacement configuration differs from [opts]'s raises
+    [Invalid_argument]. *)
+val apply : ?observe:observer -> ?front:front -> options -> Ast.kernel -> result

@@ -722,9 +722,9 @@ let test_cli_simulate_faults () =
         "int a[16];\nfor (i = 0; i < 16; i++)\n  a[i] = a[i / 0];\n" );
     ]
 
-(* Jamming [i] reorders the scalar recurrence on [s]: the sweep drops
-   those vectors, and the design it selects computes what the source
-   does. *)
+(* Jamming [i] reorders the scalar recurrence on [s]: the sweep and the
+   search drop those vectors, and the designs they select compute what
+   the source does. *)
 let test_cli_space_skips_scalar_jam () =
   with_source
     "int a[4][4];\n\
@@ -736,24 +736,35 @@ let test_cli_space_skips_scalar_jam () =
     \    s = s * 2 + a[i][j];\n\
      out[0] = s;\n"
   @@ fun path ->
-  let code, out, _ = run_capture [ "space"; "-f"; path ] in
-  Alcotest.(check int) "space exits 0" 0 code;
-  Alcotest.(check (list string)) "(i=2, j=1) not listed" []
-    (grep_lines "(i=2, j=1)" out);
-  let best =
-    match grep_lines "# best fitting: (" out with
+  (* The design a command's output line starting with [prefix] names,
+     as a [-u] argument. *)
+  let design prefix out =
+    match grep_lines prefix out with
     | l :: _ ->
         let i = String.index l '(' and j = String.index l ')' in
         String.concat ""
           (String.split_on_char ' ' (String.sub l (i + 1) (j - i - 1)))
-    | [] -> Alcotest.fail "no best fitting design"
+    | [] -> Alcotest.failf "no %S line" prefix
   in
-  let code, sim, _ = run_capture [ "simulate"; "-f"; path; "-u"; best ] in
-  Alcotest.(check int) ("simulate " ^ best ^ " exits 0") 0 code;
-  Alcotest.(check (list string))
-    ("simulate " ^ best)
-    [ "datapath vs reference interpreter: IDENTICAL" ]
-    (grep_lines "datapath vs reference interpreter:" sim)
+  let simulates_identical what u =
+    let code, sim, _ = run_capture [ "simulate"; "-f"; path; "-u"; u ] in
+    Alcotest.(check int) (what ^ ": simulate " ^ u ^ " exits 0") 0 code;
+    Alcotest.(check (list string))
+      (what ^ ": simulate " ^ u)
+      [ "datapath vs reference interpreter: IDENTICAL" ]
+      (grep_lines "datapath vs reference interpreter:" sim)
+  in
+  let code, out, _ = run_capture [ "space"; "-f"; path ] in
+  Alcotest.(check int) "space exits 0" 0 code;
+  Alcotest.(check (list string)) "(i=2, j=1) not listed" []
+    (grep_lines "(i=2, j=1)" out);
+  simulates_identical "space" (design "# best fitting: (" out);
+  (* The search passes the same gate: no step visits a jam of i. *)
+  let code, out, _ = run_capture [ "explore"; "-f"; path ] in
+  Alcotest.(check int) "explore exits 0" 0 code;
+  Alcotest.(check (list string)) "explore visits no (i=4, _)" []
+    (grep_lines "  (i=4," out);
+  simulates_identical "explore" (design "selected: (" out)
 
 let test_cli_removed_options () =
   let code, _, _ = run_capture [ "space"; "-k"; "fir"; "--prune" ] in

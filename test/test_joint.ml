@@ -778,42 +778,60 @@ let test_no_reuse_unshared () =
 
 (* The validator's findings from a shared front equal those of a full
    validated run, for every configuration finished from it, on every
-   built-in and gallery kernel (histogram's data-dependent subscripts
-   make the front stages report a skipped array, which the stages after
-   it must not report again). *)
+   built-in and gallery kernel at product 4 and on jac and sobel at
+   product 64 (histogram's data-dependent subscripts make the front
+   stages report a skipped array, which the stages after it must not
+   report again). Each front finishes its configurations twice, the
+   second pass entirely from its memo of validated transitions, and the
+   fronts are built again to finish them in reverse order. *)
 let test_validated_front_builtins () =
+  let sweeps =
+    List.map (fun (name, k) -> (name, k, 4)) all_kernels
+    @ [ ("jac", kernel "jac", 64); ("sobel", kernel "sobel", 64) ]
+  in
   List.iter
-    (fun (name, k) ->
+    (fun (name, k, max_product) ->
       let ctx = Design.context ~profile k in
-      let j = joint_sweep ~max_product:4 ~exhaustive_below:max_int ctx in
-      let fronts = Hashtbl.create 16 in
-      List.iter
-        (fun (jp : Design.point) ->
-          let options =
-            Pipeline.apply_config ~base:ctx.Design.pipeline jp.config
-          in
-          let key = Backend.front_key jp.config in
-          let front =
-            match Hashtbl.find_opt fronts key with
-            | Some f -> f
-            | None ->
-                let f = Check.Validate.front ~options k in
-                Hashtbl.replace fronts key f;
-                f
-          in
-          let view (o : Check.Validate.outcome) =
-            ( o.Check.Validate.result,
-              List.map Check.Diag.render o.Check.Validate.diags )
-          in
-          if
-            view (Check.Validate.run ~options ~front k)
-            <> view (Check.Validate.run ~options k)
-          then
-            Alcotest.failf "%s %s: validated front differs from a full run"
-              name
-              (Pipeline.config_to_string jp.config))
-        j.Space.points)
-    all_kernels
+      let j = joint_sweep ~max_product ctx in
+      let view (o : Check.Validate.outcome) =
+        ( o.Check.Validate.result,
+          List.map Check.Diag.render o.Check.Validate.diags )
+      in
+      let runs =
+        List.map
+          (fun (jp : Design.point) ->
+            let options =
+              Pipeline.apply_config ~base:ctx.Design.pipeline jp.config
+            in
+            (jp.config, options, view (Check.Validate.run ~options k)))
+          j.Space.points
+      in
+      let finish_twice order =
+        let fronts = Hashtbl.create 16 in
+        for pass = 1 to 2 do
+          List.iter
+            (fun (c, options, fresh) ->
+              let key = Backend.front_key c in
+              let front =
+                match Hashtbl.find_opt fronts key with
+                | Some f -> f
+                | None ->
+                    let f = Check.Validate.front ~options k in
+                    Hashtbl.replace fronts key f;
+                    f
+              in
+              if view (Check.Validate.run ~options ~front k) <> fresh then
+                Alcotest.failf
+                  "%s %s: validated front differs from a full run (pass %d)"
+                  name
+                  (Pipeline.config_to_string c)
+                  pass)
+            order
+        done
+      in
+      finish_twice runs;
+      finish_twice (List.rev runs))
+    sweeps
 
 (* A front answers for one tile, vector and scalar-replacement setting;
    finishing other options from it is a caller error. *)
@@ -849,10 +867,10 @@ let test_front_key_mismatch () =
     (Pipeline.apply ~front (base c') k = Pipeline.apply (base c') k)
 
 (* A verified joint sweep shares fronts through the same path: it
-   stores the unverified sweep's points and checks each one. *)
-(* A verified sibling runs every finishing stage under the validator
-   and so gets a fresh kernel, yet one equal to a sibling's finished
-   kernel reuses that sibling's estimate. *)
+   stores the unverified sweep's points and checks each one. A verified
+   sibling finishes through the front's memo like a plain one, so one
+   whose toggles changed nothing gets a sibling's kernel back and
+   reuses that sibling's estimate. *)
 let test_verified_reuses_estimates () =
   let k = kernel "jac" in
   let plain = Design.context ~profile k in
@@ -903,10 +921,11 @@ let test_verified_shares_fronts () =
       Alcotest.(check int)
         (name ^ ": fronts shared as in the unverified sweep")
         plain.Design.stats.fronts s.fronts;
-      (* The finishing memo skips no validation: once a front has
-         finished every sibling, finishing them again under [observe]
-         still runs and shows peel (where it applies), LICM (where on)
-         and simplify for every configuration. *)
+      (* The finishing memo skips no observation: [observe] sees peel
+         (where it applies), LICM (where on) and simplify for every
+         configuration, and once a front has finished every sibling, a
+         second pass reports each transition with the very pair the
+         first pass reported for it. *)
       let options c = Pipeline.apply_config ~base:verified.Design.pipeline c in
       let fronts = Hashtbl.create 16 in
       let front_of (c : Pipeline.config) =
@@ -918,37 +937,47 @@ let test_verified_shares_fronts () =
             Hashtbl.replace fronts key f;
             f
       in
-      List.iter
-        (fun (p : Design.point) ->
-          let c = p.config in
-          ignore (Pipeline.apply ~front:(front_of c) (options c) k))
-        jv.Space.points;
-      List.iter
-        (fun (p : Design.point) ->
-          let c = p.config in
-          let seen = ref [] in
-          let r =
-            Pipeline.apply
-              ~observe:(fun stage ~before:_ ~after:_ -> seen := stage :: !seen)
-              ~front:(front_of c) (options c) k
-          in
-          let report = r.Pipeline.report in
-          let peels =
-            c.Pipeline.peel
-            && (report.Transform.Scalar_replace.innermost_peels > 0
-               || report.Transform.Scalar_replace.carriers <> [])
-          in
-          let want =
-            (if peels then [ Pipeline.Peel ] else [])
-            @ (if c.Pipeline.licm then [ Pipeline.Licm ] else [])
-            @ [ Pipeline.Simplify ]
-          in
-          if List.rev !seen <> want then
-            Alcotest.failf "%s: %s observed %s" name
-              (Pipeline.config_to_string c)
-              (String.concat ", "
-                 (List.rev_map Pipeline.stage_name !seen)))
-        jv.Space.points)
+      let observed (p : Design.point) =
+        let c = p.config in
+        let seen = ref [] in
+        let r =
+          Pipeline.apply
+            ~observe:(fun stage ~before ~after ->
+              seen := (stage, before, after) :: !seen)
+            ~front:(front_of c) (options c) k
+        in
+        let report = r.Pipeline.report in
+        let peels =
+          c.Pipeline.peel
+          && (report.Transform.Scalar_replace.innermost_peels > 0
+             || report.Transform.Scalar_replace.carriers <> [])
+        in
+        let want =
+          (if peels then [ Pipeline.Peel ] else [])
+          @ (if c.Pipeline.licm then [ Pipeline.Licm ] else [])
+          @ [ Pipeline.Simplify ]
+        in
+        let seen = List.rev !seen in
+        let stages = List.map (fun (stage, _, _) -> stage) seen in
+        if stages <> want then
+          Alcotest.failf "%s: %s observed %s" name
+            (Pipeline.config_to_string c)
+            (String.concat ", " (List.map Pipeline.stage_name stages));
+        seen
+      in
+      let first = List.map observed jv.Space.points in
+      List.iter2
+        (fun (p : Design.point) pairs ->
+          if
+            not
+              (List.for_all2
+                 (fun (_, b, a) (_, b', a') -> b == b' && a == a')
+                 pairs (observed p))
+          then
+            Alcotest.failf "%s: %s recalled another pair on a second pass"
+              name
+              (Pipeline.config_to_string p.config))
+        jv.Space.points first)
     [ "fir"; "jac" ]
 
 let () =
