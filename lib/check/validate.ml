@@ -1,3 +1,28 @@
+(** Post-hoc translation validation of the transformation pipeline.
+
+    {!run} re-applies {!Transform.Pipeline.apply} through its [observe]
+    hook and, after every executed stage (tile, unroll, scalar replace,
+    peel, LICM, simplify), re-verifies the output kernel structurally
+    and compares its array-access *footprint* — the per-array sets of
+    elements that may be read, may be written, and must be written —
+    against the pre-stage kernel:
+
+    - reads(post) ⊆ reads(pre) ∪ writes(pre): a stage may drop reads
+      (register reuse) and may re-load an element it wrote (scalar
+      replacement's refill of a write-only bank), but must never read
+      data the input kernel did not touch;
+    - writes(post) ⊆ writes(pre): no stage invents a store;
+    - must-writes(pre) ⊆ writes(post): no store the input definitely
+      performed disappears (store sinking may coalesce, not drop).
+
+    Footprints are computed by enumerating the loop nests with a partial
+    evaluator that tracks loop indices and compile-time-known scalars
+    (so LICM temporaries in subscripts resolve); guards whose condition
+    is undecidable contribute to the may-sets of both branches. Arrays
+    whose subscripts stay unevaluable, and kernels whose iteration space
+    exceeds the point budget, are skipped with an Info finding — never
+    silently. Violations carry the stage tag. *)
+
 open Ir
 
 let pass = "validate"
@@ -324,22 +349,30 @@ let compare_footprints ~stage ~(pre : t) ~(post : t) : Diag.t list =
                  "array '%s' changed size across the stage (%d -> %d elements)"
                  name fp_pre.size fp_post.size)
           else begin
-            let uncovered (n, first) fmt =
-              if n > 0 then add (diagf Error ~stage fmt n name first)
+            let n, first =
+              not_covered fp_post.may_read fp_pre.may_read
+                (Some fp_pre.may_write)
             in
-            uncovered
-              (not_covered fp_post.may_read fp_pre.may_read
-                 (Some fp_pre.may_write))
-              "stage reads %d element(s) of '%s' the input kernel never \
-               touches (first at linear index %d)";
-            uncovered
-              (not_covered fp_post.may_write fp_pre.may_write None)
-              "stage writes %d element(s) of '%s' the input kernel never \
-               writes (first at linear index %d)";
-            uncovered
-              (not_covered fp_pre.must_write fp_post.may_write None)
-              "stage drops %d write(s) to '%s' the input kernel always \
-               performs (first at linear index %d)";
+            if n > 0 then
+              add
+                (diagf Error ~stage
+                   "stage reads %d element(s) of '%s' the input kernel never \
+                    touches (first at linear index %d)"
+                   n name first);
+            let n, first = not_covered fp_post.may_write fp_pre.may_write None in
+            if n > 0 then
+              add
+                (diagf Error ~stage
+                   "stage writes %d element(s) of '%s' the input kernel never \
+                    writes (first at linear index %d)"
+                   n name first);
+            let n, first = not_covered fp_pre.must_write fp_post.may_write None in
+            if n > 0 then
+              add
+                (diagf Error ~stage
+                   "stage drops %d write(s) to '%s' the input kernel always \
+                    performs (first at linear index %d)"
+                   n name first);
             if fp_post.oob_read && not fp_pre.oob_read then
               add
                 (diagf Error ~stage
@@ -368,7 +401,9 @@ let violations (o : outcome) = Diag.errors o.diags
    into the next stage, so the [before] kernel is physically the
    previous [after]: [last] caches one footprint to halve the
    enumeration work. The first stage's [before] is the source kernel,
-   whose footprint the caller may supply. *)
+   whose footprint the caller may supply. A transition whose verdict is
+   recalled computes no footprint, so a stage validated after it
+   enumerates its input again. *)
 type session = {
   max_points : int option;
   mutable diags : Diag.t list;  (* newest first *)
@@ -378,13 +413,11 @@ type session = {
 }
 
 (* The verdict on one stage transition: the findings that depend on its
-   input and output alone, and the output's footprint (the next stage's
-   input). *)
+   input and output alone. *)
 type verdict = {
   wellformed : Diag.t list;  (* error-severity structural findings *)
   skipped : (string * string) list;  (* the input's, then the output's *)
   compared : Diag.t list;
-  post : t;
 }
 
 type front = {
@@ -406,6 +439,7 @@ let judge s stage ~before ~after =
     | _ -> footprint ?max_points:s.max_points before
   in
   let post = footprint ?max_points:s.max_points after in
+  s.last <- Some (after, post);
   {
     (* Structural re-verification of the stage output. *)
     wellformed =
@@ -417,23 +451,16 @@ let judge s stage ~before ~after =
         (Wellformed.check ~min_severity:Diag.Error after);
     skipped = pre.skipped @ post.skipped;
     compared = compare_footprints ~stage:sname ~pre ~post;
-    post;
   }
 
 (* Validate one transition into the run's findings, reusing the verdict
    when [memo]'s front has validated the same pair before. An array's
    Info skip is reported once per run. *)
 let observe ?memo s stage ~before ~after =
-  let recalled =
-    Option.bind memo (fun f ->
-        List.find_map
-          (fun (t, b, a, v) ->
-            if t = stage && b == before && a == after then Some v else None)
-          f.verdicts)
-  in
+  let seen (t, b, a, _) = t = stage && b == before && a == after in
   let v =
-    match recalled with
-    | Some v -> v
+    match Option.bind memo (fun f -> List.find_opt seen f.verdicts) with
+    | Some (_, _, _, v) -> v
     | None ->
         let v = judge s stage ~before ~after in
         Option.iter
@@ -442,7 +469,6 @@ let observe ?memo s stage ~before ~after =
         v
   in
   let add d = s.diags <- d :: s.diags in
-  s.last <- Some (after, v.post);
   List.iter add v.wellformed;
   List.iter
     (fun (name, reason) ->

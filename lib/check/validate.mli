@@ -1,27 +1,9 @@
-(** Post-hoc translation validation of the transformation pipeline.
-
-    {!run} applies {!Transform.Pipeline.apply} through its [observe]
-    hook and, after every stage (tile, unroll, scalar replace, peel,
-    LICM, simplify), re-verifies the output kernel structurally and
-    compares its array-access {e footprint} — the per-array sets of
-    elements that may be read, may be written, and must be written —
-    against the pre-stage kernel:
-
-    - reads(post) ⊆ reads(pre) ∪ writes(pre): a stage may drop reads
-      (register reuse) and may re-load an element it wrote (scalar
-      replacement's refill of a write-only bank), but must never read
-      data the input kernel did not touch;
-    - writes(post) ⊆ writes(pre): no stage invents a store;
-    - must-writes(pre) ⊆ writes(post): no store the input definitely
-      performed disappears (store sinking may coalesce, not drop).
-
-    Footprints are computed by enumerating the loop nests with a partial
-    evaluator that tracks loop indices and compile-time-known scalars
-    (so LICM temporaries in subscripts resolve); guards whose condition
-    is undecidable contribute to the may-sets of both branches. Arrays
-    whose subscripts stay unevaluable, and kernels whose iteration space
-    exceeds the point budget, are skipped with an Info finding — never
-    silently. Violations are Error diagnostics carrying the stage tag. *)
+(** Post-hoc translation validation of the transformation pipeline:
+    after every executed stage the output kernel is structurally
+    re-verified and its array-access footprint compared against the
+    pre-stage kernel (reads(post) ⊆ reads(pre) ∪ writes(pre),
+    writes(post) ⊆ writes(pre), must-writes(pre) ⊆ writes(post)).
+    Violations are Error diagnostics carrying the stage tag. *)
 
 open Ir
 

@@ -1,3 +1,26 @@
+(** Pluggable estimator backends: the fidelity levels at which a design
+    point can be evaluated, as first-class values.
+
+    - {!full} is the paper's [Generate; Synthesize] — transform pipeline,
+      DFG construction, fused tri-mode scheduling, data layout.
+    - {!lowlevel} is {!full} composed with the P&R degradation model
+      ({!Hls.Lowlevel}): the stored estimate carries the post-route area
+      and the achieved-clock execution time instead of the behavioral
+      ones.
+    - {!quick_gate} is the tiered composition: it puts the closed-form
+      analytical pre-estimator ({!Hls.Quick}) in front of any backend as
+      its {!type-t.bound} tier, which is what the two-tier sweep and the
+      search's capacity gate consult before paying for a synthesis. The
+      bounds are admissible for {!full} (and remain admissible for
+      {!lowlevel}, whose area and time only grow), so gating never
+      changes a selection — only the set of synthesized points.
+
+    A backend evaluates against an immutable {!env} (the evaluation
+    environment a [Dse.Design.context] is a view of) and a mutable
+    {!Store.t} (caches and counters). The backend's [name] identifies the
+    fidelity level in the persistent store key: points cached under one
+    backend are never served to another. *)
+
 open Ir
 
 type env = {
@@ -226,24 +249,19 @@ let verified (store : Store.t) (outcome : Check.Validate.outcome) =
         (String.concat "; "
            (List.map Check.Diag.render (Check.Validate.violations outcome)))
 
-(* The pipeline run for the configurations of [opts]'s front key: with
-   [shared], from one front built here, whose finishing memo (and, when
-   the env verifies, whose validated transitions) serve every
-   configuration it finishes; without, from scratch, keeping no memo. *)
-let start (env : env) ~shared (opts : Transform.Pipeline.options) =
+(* The pipeline run for the configurations of [opts]'s front key, from
+   one front built here: its finishing memo (and, when the env verifies,
+   its validated transitions) serve every configuration it finishes. *)
+let start (env : env) (opts : Transform.Pipeline.options) =
   let source = env.source and source_footprint = env.source_footprint in
-  let build f = if shared then Some (f ()) else None in
   if env.verify then
-    let front =
-      build (fun () ->
-          Check.Validate.front ~options:opts ?source_footprint source)
-    in
+    let front = Check.Validate.front ~options:opts ?source_footprint source in
     fun store options ->
       verified store
-        (Check.Validate.run ~options ?source_footprint ?front source)
+        (Check.Validate.run ~options ?source_footprint ~front source)
   else
-    let front = build (fun () -> Transform.Pipeline.front opts source) in
-    fun _ options -> Transform.Pipeline.apply ?front options source
+    let front = Transform.Pipeline.front opts source in
+    fun _ options -> Transform.Pipeline.apply ~front options source
 
 let full_synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
     Store.point =
@@ -257,18 +275,29 @@ let full_synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
      intermediate kernels nor, verified, its footprints stay live
      through the flow checks and the estimate. *)
   let key = front_key c in
-  let entry =
-    match Option.bind fronts (fun table -> Hashtbl.find_opt table key) with
-    | Some e -> e
-    | None ->
-        let finish = start env ~shared:(Option.is_some fronts) opts in
-        let e = { finish; estimated = [] } in
-        stats.Store.fronts <- stats.Store.fronts + 1;
-        Option.iter (fun table -> Hashtbl.replace table key e) fronts;
-        e
+  let shared =
+    Option.map
+      (fun table ->
+        match Hashtbl.find_opt table key with
+        | Some e -> e
+        | None ->
+            let e = { finish = start env opts; estimated = [] } in
+            stats.Store.fronts <- stats.Store.fronts + 1;
+            Hashtbl.replace table key e;
+            e)
+      fronts
   in
-  let shared = Option.map (fun _ -> entry) fronts in
-  let r = entry.finish store opts in
+  let r =
+    match shared with
+    | Some e -> e.finish store opts
+    | None ->
+        stats.Store.fronts <- stats.Store.fronts + 1;
+        if env.verify then
+          verified store
+            (Check.Validate.run ~options:opts
+               ?source_footprint:env.source_footprint env.source)
+        else Transform.Pipeline.apply opts env.source
+  in
   let t1 = Clock.now () in
   let timers = Hls.Estimate.fresh_timers () in
   let kernel = r.Transform.Pipeline.kernel in

@@ -1,13 +1,7 @@
 (** Pluggable estimator backends — the fidelity levels at which a design
     point can be evaluated, as first-class values, with the two-tier
     gating expressed as backend composition ({!quick_gate}) instead of
-    inline logic in the search and the sweep.
-
-    A backend evaluates against an immutable {!env} (the evaluation
-    environment a [Dse.Design.context] is a view of) and a mutable
-    {!Store.t} (caches and counters). The backend's [name] identifies the
-    fidelity level in the persistent store key: points cached under one
-    backend are never served to another. *)
+    inline logic in the search and the sweep. *)
 
 open Ir
 
@@ -112,9 +106,8 @@ val lowlevel : t
 
 (** [quick_gate b] is [b] with the analytical pre-estimator
     ({!Hls.Quick}) as its tier-1 bound — the two-tier engine as backend
-    composition. The bounds are admissible (for {!lowlevel} too, whose
-    area and time only grow), so gating on them never changes a
-    selection, only the set of synthesized points. *)
+    composition. The bounds are admissible, so gating on them never
+    changes a selection, only the set of synthesized points. *)
 val quick_gate : t -> t
 
 (** [quick_gate full] — the default of the CLI, bench and tests. *)

@@ -762,8 +762,10 @@ let test_cli_space_skips_scalar_jam () =
   (* The search passes the same gate: no step visits a jam of i. *)
   let code, out, _ = run_capture [ "explore"; "-f"; path ] in
   Alcotest.(check int) "explore exits 0" 0 code;
-  Alcotest.(check (list string)) "explore visits no (i=4, _)" []
-    (grep_lines "  (i=4," out);
+  Alcotest.(check (list string)) "explore visits no jam of i" []
+    (List.filter
+       (fun l -> not (String.starts_with ~prefix:"  (i=1," l))
+       (grep_lines "  (" out));
   simulates_identical "explore" (design "selected: (" out)
 
 let test_cli_removed_options () =

@@ -777,22 +777,28 @@ let test_no_reuse_unshared () =
     "explore session reuses nothing" 0 (Dse.Driver.total summary).reused
 
 (* The validator's findings from a shared front equal those of a full
-   validated run, for every configuration finished from it, on every
-   built-in and gallery kernel at product 4 and on jac and sobel at
-   product 64 (histogram's data-dependent subscripts make the front
-   stages report a skipped array, which the stages after it must not
-   report again). Each front finishes its configurations twice, the
-   second pass entirely from its memo of validated transitions, and the
-   fronts are built again to finish them in reverse order. *)
+   validated run, for every configuration an exhaustive joint sweep
+   keeps, on every built-in and gallery kernel at product 4 and on jac
+   and sobel at product 64 (histogram's data-dependent subscripts make
+   the front stages report a skipped array, which the stages after it
+   must not report again). Jac and sobel are also validated under a
+   point budget of 1000, which the front kernels fit and some peeled
+   kernels exceed, so finishing transitions report skips of their own.
+   Each front finishes its configurations twice, the second pass
+   entirely from its memo of validated transitions, and the fronts are
+   built again to finish them in reverse order. *)
 let test_validated_front_builtins () =
   let sweeps =
-    List.map (fun (name, k) -> (name, k, 4)) all_kernels
-    @ [ ("jac", kernel "jac", 64); ("sobel", kernel "sobel", 64) ]
+    List.map (fun (name, k) -> (name, k, 4, None)) all_kernels
+    @ List.concat_map
+        (fun name ->
+          [ (name, kernel name, 64, None); (name, kernel name, 64, Some 1000) ])
+        [ "jac"; "sobel" ]
   in
   List.iter
-    (fun (name, k, max_product) ->
+    (fun (name, k, max_product, max_points) ->
       let ctx = Design.context ~profile k in
-      let j = joint_sweep ~max_product ctx in
+      let j = joint_sweep ~max_product ~exhaustive_below:max_int ctx in
       let view (o : Check.Validate.outcome) =
         ( o.Check.Validate.result,
           List.map Check.Diag.render o.Check.Validate.diags )
@@ -803,7 +809,9 @@ let test_validated_front_builtins () =
             let options =
               Pipeline.apply_config ~base:ctx.Design.pipeline jp.config
             in
-            (jp.config, options, view (Check.Validate.run ~options k)))
+            ( jp.config,
+              options,
+              view (Check.Validate.run ~options ?max_points k) ))
           j.Space.points
       in
       let finish_twice order =
@@ -816,11 +824,14 @@ let test_validated_front_builtins () =
                 match Hashtbl.find_opt fronts key with
                 | Some f -> f
                 | None ->
-                    let f = Check.Validate.front ~options k in
+                    let f = Check.Validate.front ~options ?max_points k in
                     Hashtbl.replace fronts key f;
                     f
               in
-              if view (Check.Validate.run ~options ~front k) <> fresh then
+              if
+                view (Check.Validate.run ~options ?max_points ~front k)
+                <> fresh
+              then
                 Alcotest.failf
                   "%s %s: validated front differs from a full run (pass %d)"
                   name
