@@ -11,12 +11,14 @@
     Artifacts: fig4 fig5 fig6 fig7 fig8 fig9 fig10 (balance / cycles /
     area sweeps), tab2 (speedups), frac (fraction of the space searched),
     acc (estimate accuracy after the P&R model), ablation (contribution
-    of each transformation), json (machine-readable DSE perf trajectory,
-    written to BENCH_dse.json), speed (Bechamel timing of the search).
+    of each transformation), gallery (the search on the extended kernel
+    suite), speed (Bechamel timing of the search). The measured DSE
+    benchmark, with medians, spreads and per-layer costs, is
+    [bench/perf] (see its README).
 
-    [--smoke] runs a reduced subset with small sweep lattices and a
-    throwaway JSON file; the test suite executes it on every [dune
-    runtest] so the bench code cannot bit-rot silently. *)
+    [--smoke] runs a reduced subset with small sweep lattices; the test
+    suite executes it on every [dune runtest] so the bench code cannot
+    bit-rot silently. *)
 
 module Design = Dse.Design
 module Search = Dse.Search
@@ -25,8 +27,8 @@ module Estimate = Hls.Estimate
 
 let capacity = Hls.Device.default.Hls.Device.capacity_slices
 
-(** Smoke mode: tiny sweep lattices, temp-file JSON, fast artifact
-    subset — exercised from the test suite. *)
+(** Smoke mode: tiny sweep lattices, fast artifact subset — exercised
+    from the test suite. *)
 let smoke = ref false
 
 let sweep_product () = if !smoke then 16 else 256
@@ -36,7 +38,7 @@ let ctx ?(pipelined = true) name =
   let profile = Estimate.default_profile ~pipelined () in
   Design.context ~profile k
 
-let divisors = Dse.Util.divisors
+let divisors = Engine.Util.divisors
 
 let vec_str v =
   "(" ^ String.concat "," (List.map (fun (_, u) -> string_of_int u) v) ^ ")"
@@ -93,7 +95,7 @@ let figure ~id ~pipelined name =
   in
   let mark uo ui s =
     let v = [ (axes.outer, uo); (axes.inner, ui) ] in
-    if Design.vector_equal (Design.normalize_vector c v) selected then s ^ "*"
+    if Design.vector_equal (Engine.Backend.normalize_vector c.Design.env v) selected then s ^ "*"
     else s
   in
   let table title render =
@@ -175,9 +177,9 @@ let fraction () =
           let r = Search.run c in
           let visited = Search.designs_evaluated r in
           let sp = Space.sweep ~max_product:(sweep_product ()) ~pool c in
-          evals := !evals + c.Design.stats.evaluations;
-          hits := !hits + c.Design.stats.cache_hits;
-          smhits := !smhits + c.Design.stats.sched_memo_hits;
+          evals := !evals + c.Design.store.stats.evaluations;
+          hits := !hits + c.Design.store.stats.cache_hits;
+          smhits := !smhits + c.Design.store.stats.sched_memo_hits;
           let best = Option.get (Space.best c sp) in
           let ratio =
             float_of_int (Design.cycles r.Search.selected)
@@ -199,284 +201,6 @@ let fraction () =
     "# stats: %d designs synthesized, %d served from the evaluation cache, \
      %d block tri-schedules served from the fingerprint memo\n"
     !evals !hits !smhits;
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable DSE performance trajectory: BENCH_dse.json *)
-
-(* Hand-rolled serialization — the repo carries no JSON dependency and
-   the schema is flat. *)
-let json_of_fields fields =
-  "{"
-  ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields)
-  ^ "}"
-
-(** Directory for the session phase's persistent store; settable with
-    [--cache-dir] so CI can carry it across jobs. Without the flag a
-    throwaway directory is used and removed afterwards. *)
-let bench_cache_dir : string option ref = ref None
-
-(** Per kernel: search wall time and evaluations, selected design, the
-    exhaustive-sweep wall time on a fresh context (sequential), and the
-    batched session's cold-vs-warm wall times over the persistent store.
-    Emitted as one JSON document so the perf trajectory is trackable
-    across PRs. *)
-let dse_json () =
-  let file =
-    if !smoke then Filename.temp_file "BENCH_dse" ".json" else "BENCH_dse.json"
-  in
-  let mp = sweep_product () in
-  Printf.printf "## json: DSE performance counters -> %s\n" file;
-  (* Session phase: the paper's five kernels as one batched session over
-     a persistent store — cold (loads ignored, results saved), then warm
-     (everything served from the store). The warm run must perform zero
-     full syntheses and select bit-identical designs; smoke mode asserts
-     both, so CI catches a persistence regression. *)
-  let session_dir, transient =
-    match !bench_cache_dir with
-    | Some d -> (d, false)
-    | None ->
-        let f = Filename.temp_file "defacto-bench-cache" "" in
-        Sys.remove f;
-        (f, true)
-  in
-  let tasks =
-    List.map
-      (fun name -> { Dse.Driver.name; kernel = Option.get (Kernels.find name) })
-      Kernels.names
-  in
-  let session ?cold () =
-    let s = Dse.Driver.run_many ~cache_dir:session_dir ?cold tasks in
-    Result.iter_error failwith (Dse.Driver.save s);
-    s
-  in
-  let cold_session = session ~cold:true () in
-  let warm_session = session () in
-  if transient then ignore (Engine.Persist.clear ~cache_dir:session_dir);
-  let session_extra =
-    List.map2
-      (fun (c : Dse.Driver.outcome) (w : Dse.Driver.outcome) ->
-        let unchanged =
-          Design.vector_equal c.Dse.Driver.search.Search.selected.vector
-            w.Dse.Driver.search.Search.selected.vector
-        in
-        if !smoke then begin
-          if w.Dse.Driver.stats.evaluations <> 0 then
-            failwith
-              (Printf.sprintf
-                 "warm session synthesized %d design(s) for %s (want 0)"
-                 w.Dse.Driver.stats.evaluations
-                 c.Dse.Driver.task.Dse.Driver.name);
-          if not unchanged then
-            failwith
-              ("warm session selected a different design for "
-             ^ c.Dse.Driver.task.Dse.Driver.name)
-        end;
-        ( c.Dse.Driver.task.Dse.Driver.name,
-          [
-            ( "search_seconds_cold_session",
-              Printf.sprintf "%.6f" c.Dse.Driver.wall_seconds );
-            ( "search_seconds_warm",
-              Printf.sprintf "%.6f" w.Dse.Driver.wall_seconds );
-            ( "warm_syntheses",
-              string_of_int w.Dse.Driver.stats.evaluations );
-            ("warm_loaded_points", string_of_int w.Dse.Driver.loaded_points);
-            ( "session_sched_memo_hits",
-              string_of_int c.Dse.Driver.stats.sched_memo_hits );
-            ("warm_selection_unchanged", if unchanged then "true" else "false");
-          ] ))
-      cold_session.Dse.Driver.outcomes warm_session.Dse.Driver.outcomes
-  in
-  Printf.printf
-    "#  session: cold %d syntheses, warm %d; %d cross-kernel memo shapes\n"
-    (Dse.Driver.total cold_session).evaluations
-    (Dse.Driver.total warm_session).evaluations
-    (Hls.Schedule.memo_size cold_session.Dse.Driver.memo);
-  Printf.printf "%-8s %10s %8s %12s %8s %11s %6s\n" "kernel" "search(ms)"
-    "evals" "sweep(ms)" "smhits" "verify(ms)" "viol";
-  (* Kernels on which the joint configuration sweep beat the unroll-only
-     sweep outright (fewer cycles, or fewer slices at equal cycles). *)
-  let joint_wins = ref 0 in
-  let entries =
-    List.map
-      (fun name ->
-        let c = ctx name in
-        let t0 = Ir.Clock.now () in
-        let r = Search.run c in
-        let t_search = Ir.Clock.now () -. t0 in
-        (* Exhaustive sweep on a fresh context: cold caches, one
-           domain, so wall time and synthesis count are comparable with
-           the verified and joint sweeps below. *)
-        let c_full = ctx name in
-        let gc0 = Gc.minor_words () in
-        let t0 = Ir.Clock.now () in
-        let sp_full = Space.sweep ~max_product:mp ~jobs:1 c_full in
-        let t_full = Ir.Clock.now () -. t0 in
-        let gc_full = Gc.minor_words () -. gc0 in
-        (* Verified sweep: same lattice with per-point translation
-           validation ([--verify]); selections must be bit-identical and
-           violations zero on the paper kernels. *)
-        let c_verified =
-          let k = Option.get (Kernels.find name) in
-          Design.context ~profile:(Estimate.default_profile ()) ~verify:true k
-        in
-        let t0 = Ir.Clock.now () in
-        let sp_verified = Space.sweep ~max_product:mp ~jobs:1 c_verified in
-        let t_verified = Ir.Clock.now () -. t0 in
-        (* Joint configuration space: same product bound, fresh context,
-           sequential — comparable with the sweeps above. The smoke
-           asserts the joint winner is never behind the unroll-only
-           winner (the joint space is a superset, and the pruning is
-           admissible). *)
-        let c_joint = ctx name in
-        let t0 = Ir.Clock.now () in
-        let jt =
-          Space.sweep ~max_product:mp ~joint:Space.default_tile_candidates
-            ~jobs:1 c_joint
-        in
-        let t_joint = Ir.Clock.now () -. t0 in
-        let best_full = Option.get (Space.best c_full sp_full) in
-        let best_verified = Option.get (Space.best c_verified sp_verified) in
-        let sched_memo_hits =
-          c.Design.stats.sched_memo_hits
-          + c_full.Design.stats.sched_memo_hits
-        in
-        let jb = Option.get (Space.best c_joint jt) in
-        let jb_cycles = Design.cycles jb in
-        let jb_slices = Design.space jb in
-        let ub_cycles = Design.cycles best_full in
-        let ub_slices = Design.space best_full in
-        let joint_strictly_better =
-          jb_cycles < ub_cycles || (jb_cycles = ub_cycles && jb_slices < ub_slices)
-        in
-        if joint_strictly_better then incr joint_wins;
-        if !smoke && jb_cycles > ub_cycles then
-          failwith
-            (Printf.sprintf
-               "joint sweep selected a slower design than unroll-only on %s \
-                (%d vs %d cycles)"
-               name jb_cycles ub_cycles);
-        Printf.printf "%-8s %10.1f %8d %12.1f %8d %11.1f %6d\n" name
-          (1000.0 *. t_search)
-          r.Search.stats.evaluations
-          (1000.0 *. t_full) sched_memo_hits
-          (1000.0 *. t_verified)
-          c_verified.Design.stats.verify_violations;
-        Printf.printf
-          "#  joint %-8s %d cfgs -> %d evald (%d illegal, %d redundant, %d \
-           bound-pruned) in %.1f ms; best %s c=%d s=%d%s\n"
-          name jt.Space.space_size
-          (List.length jt.Space.points)
-          jt.Space.pruned_illegal jt.Space.pruned_redundant
-          jt.Space.pruned_bound (1000.0 *. t_joint)
-          (Design.config_to_string jb.config)
-          jb_cycles jb_slices
-          (if joint_strictly_better then " (beats unroll-only)" else "");
-        json_of_fields
-          ([
-            ("kernel", Printf.sprintf "%S" name);
-            ("search_seconds", Printf.sprintf "%.6f" t_search);
-            ( "search_evaluations",
-              string_of_int r.Search.stats.evaluations );
-            ( "selected_vector",
-              Printf.sprintf "%S" (vec_str r.Search.selected.vector) );
-            ( "selected_cycles",
-              string_of_int (Design.cycles r.Search.selected) );
-            ("sweep_max_product", string_of_int mp);
-            ("sweep_points", string_of_int (List.length sp_full.Space.points));
-            ("sweep_seconds_full", Printf.sprintf "%.6f" t_full);
-            ( "sweep_evaluations_full",
-              string_of_int c_full.Design.stats.evaluations );
-            ("sched_memo_hits", string_of_int sched_memo_hits);
-            ( "search_sched_memo_hits",
-              string_of_int r.Search.stats.sched_memo_hits );
-            ( "sweep_sched_memo_hits_full",
-              string_of_int c_full.Design.stats.sched_memo_hits );
-            ( "sweep_sched_memo_shapes_full",
-              string_of_int (Design.sched_memo_size c_full) );
-            ( "sweep_dfg_seconds_full",
-              Printf.sprintf "%.6f" c_full.Design.stats.dfg_seconds );
-            ( "sweep_schedule_seconds_full",
-              Printf.sprintf "%.6f" c_full.Design.stats.schedule_seconds
-            );
-            ( "sweep_layout_seconds_full",
-              Printf.sprintf "%.6f" c_full.Design.stats.layout_seconds );
-            ( "sweep_transform_seconds_full",
-              Printf.sprintf "%.6f"
-                c_full.Design.stats.transform_seconds );
-            ( "sweep_estimate_seconds_full",
-              Printf.sprintf "%.6f" c_full.Design.stats.estimate_seconds
-            );
-            ("sweep_gc_minor_mwords_full", Printf.sprintf "%.3f" (gc_full /. 1e6));
-            ( "best_cycles_full",
-              string_of_int (Design.cycles best_full) );
-            ("sweep_seconds_verified", Printf.sprintf "%.6f" t_verified);
-            ( "checked_points",
-              string_of_int c_verified.Design.stats.checked_points );
-            ( "verify_violations",
-              string_of_int c_verified.Design.stats.verify_violations );
-            ( "flow_builds_verified",
-              string_of_int c_verified.Design.stats.flow_builds );
-            ( "flow_solves_verified",
-              string_of_int c_verified.Design.stats.flow_solves );
-            ( "flow_seconds_verified",
-              Printf.sprintf "%.6f" c_verified.Design.stats.flow_seconds
-            );
-            ( "verified_selection_unchanged",
-              if
-                Design.vector_equal best_full.vector best_verified.vector
-              then "true"
-              else "false" );
-            ("joint_space_size", string_of_int jt.Space.space_size);
-            ("joint_pruned_illegal", string_of_int jt.Space.pruned_illegal);
-            ( "joint_pruned_redundant",
-              string_of_int jt.Space.pruned_redundant );
-            ("joint_pruned_bound", string_of_int jt.Space.pruned_bound);
-            ("joint_evaluated", string_of_int (List.length jt.Space.points));
-            ("joint_seconds", Printf.sprintf "%.6f" t_joint);
-            ( "joint_selection",
-              Printf.sprintf "%S" (Design.config_to_string jb.config) );
-            ("joint_selection_cycles", string_of_int jb_cycles);
-            ("joint_selection_slices", string_of_int jb_slices);
-            ("unroll_selection_cycles", string_of_int ub_cycles);
-            ( "joint_strictly_better",
-              if joint_strictly_better then "true" else "false" );
-          ]
-          @ List.assoc name session_extra))
-      Kernels.names
-  in
-  (* At the smoke lattice (unroll product <= 16) the joint winner often
-     ties the unroll-only winner; widen fir's lattice enough to show the
-     strict win the full bench records, so CI still covers it. *)
-  if !joint_wins = 0 then begin
-    let c_u = ctx "fir" in
-    let su = Space.sweep ~max_product:128 ~jobs:1 c_u in
-    let bu = Option.get (Space.best c_u su) in
-    let c_j = ctx "fir" in
-    let jt =
-      Space.sweep ~max_product:128 ~joint:Space.default_tile_candidates
-        ~jobs:1 c_j
-    in
-    let jb = Option.get (Space.best c_j jt) in
-    let better =
-      Design.cycles jb < Design.cycles bu
-      || Design.cycles jb = Design.cycles bu
-         && Design.space jb < Design.space bu
-    in
-    Printf.printf
-      "#  joint fir @ product<=128: best %s c=%d s=%d vs unroll-only c=%d \
-       s=%d\n"
-      (Design.config_to_string jb.config)
-      (Design.cycles jb) (Design.space jb) (Design.cycles bu)
-      (Design.space bu);
-    if better then incr joint_wins
-  end;
-  if !smoke && !joint_wins = 0 then
-    failwith "joint sweep strictly beat unroll-only on no kernel";
-  let oc = open_out file in
-  output_string oc ("[\n  " ^ String.concat ",\n  " entries ^ "\n]\n");
-  close_out oc;
-  if !smoke then Sys.remove file;
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -508,7 +232,7 @@ let accuracy () =
              (List.map
                 (fun (l : Ir.Ast.loop) ->
                   (l.Ir.Ast.index, min 16 (Ir.Ast.loop_trip l)))
-                c.Design.spine))
+                c.Design.env.spine))
       in
       show "large" big)
     Kernels.names;
@@ -617,17 +341,16 @@ let artifacts : (string * (unit -> unit)) list =
     ("fig10", fun () -> figure ~id:"fig10" ~pipelined:true "sobel");
     ("tab2", table2);
     ("frac", fraction);
-    ("json", dse_json);
     ("acc", accuracy);
     ("ablation", ablation);
     ("gallery", gallery);
     ("speed", bechamel_speed);
   ]
 
-(** The CI subset: one figure, the speedup table, the sweep statistics
-    and the JSON emitter — every distinct code path, small
-    lattices, no Bechamel sampling. *)
-let smoke_artifacts = [ "fig5"; "tab2"; "frac"; "json" ]
+(** The CI subset: one figure, the speedup table and the sweep
+    statistics — every distinct code path, small lattices, no Bechamel
+    sampling. *)
+let smoke_artifacts = [ "fig5"; "tab2"; "frac" ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -635,9 +358,6 @@ let () =
     | [] -> []
     | "--smoke" :: rest ->
         smoke := true;
-        strip rest
-    | "--cache-dir" :: dir :: rest ->
-        bench_cache_dir := Some dir;
         strip rest
     | a :: rest -> a :: strip rest
   in
@@ -660,7 +380,5 @@ let () =
       let ids = if !smoke then smoke_artifacts else List.map fst artifacts in
       List.iter (fun id -> (List.assoc id artifacts) ()) ids
   | _ ->
-      prerr_endline
-        "usage: main.exe [--smoke] [--cache-dir DIR] [--list | --only \
-         <artifact>]";
+      prerr_endline "usage: main.exe [--smoke] [--list | --only <artifact>]";
       exit 1

@@ -118,11 +118,16 @@ let kernel_vector (k : Ir.Ast.kernel) (unroll : string) : (string * int) list =
        [] v);
   v
 
-let make_profile ~non_pipelined ~memories =
-  if memories < 1 then begin
-    prerr_endline "defacto: --memories must be at least 1";
+(* Exit 1 with a one-line diagnostic unless the count given to [--flag]
+   is at least 1. *)
+let at_least_one flag n =
+  if n < 1 then begin
+    prerr_endline ("defacto: --" ^ flag ^ " must be at least 1");
     exit 1
-  end;
+  end
+
+let make_profile ~non_pipelined ~memories =
+  at_least_one "memories" memories;
   let device = { Hls.Device.default with Hls.Device.num_memories = memories } in
   {
     Hls.Estimate.device;
@@ -294,6 +299,7 @@ let save_or_die dir = function
 
 let explore kernels file non_pipelined memories capacity report prof verify
     cache_dir cold backend_name _jobs joint tile_candidates =
+  at_least_one "capacity" capacity;
   let tile_candidates = parse_tile_candidates tile_candidates in
   let tasks = load_tasks kernels file in
   let profile = make_profile ~non_pipelined ~memories in
@@ -365,7 +371,7 @@ let explore kernels file non_pipelined memories capacity report prof verify
         (match Dse.Space.best ctx j with
         | Some b ->
             Format.printf "joint selection: %a: cycles=%d slices=%d@."
-              Dse.Design.pp_config b.config (Dse.Design.cycles b)
+              Transform.Pipeline.pp_config b.config (Dse.Design.cycles b)
               (Dse.Design.space b);
             let sel = r.Dse.Search.selected in
             if
@@ -466,14 +472,9 @@ let jobs_arg =
 
 let space kernel file non_pipelined memories capacity max_product jobs verify
     cache_dir cold backend_name joint tile_candidates =
-  if max_product < 1 then begin
-    prerr_endline "defacto: --max-product must be at least 1";
-    exit 1
-  end;
-  if Option.fold ~none:false ~some:(fun j -> j < 1) jobs then begin
-    prerr_endline "defacto: --jobs must be at least 1";
-    exit 1
-  end;
+  at_least_one "max-product" max_product;
+  Option.iter (at_least_one "jobs") jobs;
+  at_least_one "capacity" capacity;
   let tile_candidates = parse_tile_candidates tile_candidates in
   let k = or_die (load_kernel kernel file) in
   let profile = make_profile ~non_pipelined ~memories in
@@ -513,7 +514,7 @@ let space kernel file non_pipelined memories capacity max_product jobs verify
   List.iter
     (fun (p : Dse.Design.point) ->
       Format.printf "%-*s %10d %10d %10.3f %8s@." width
-        (if joint then Dse.Design.config_to_string p.config
+        (if joint then Transform.Pipeline.config_to_string p.config
          else Format.asprintf "%a" Dse.Design.pp_vector p.vector)
         (Dse.Design.cycles p) (Dse.Design.space p) (Dse.Design.balance p)
         (if Dse.Design.space p <= capacity then "yes" else "no"))
@@ -521,16 +522,16 @@ let space kernel file non_pipelined memories capacity max_product jobs verify
   (match Dse.Space.best ctx sp with
   | Some b when joint ->
       Format.printf "# best fitting: %a: cycles=%d slices=%d@."
-        Dse.Design.pp_config b.config (Dse.Design.cycles b)
+        Transform.Pipeline.pp_config b.config (Dse.Design.cycles b)
         (Dse.Design.space b)
   | Some b -> Format.printf "# best fitting: %a@." Dse.Design.pp_point b
   | None -> Format.printf "# no fitting design@.");
   if joint then print_joint_counters sp;
   if verify then
     Format.printf "# verify: %d design point(s) checked, %d violation(s)@."
-      ctx.Dse.Design.stats.checked_points
-      ctx.Dse.Design.stats.verify_violations;
-  Format.printf "# stats: %a@." Dse.Design.pp_stats ctx.Dse.Design.stats;
+      ctx.Dse.Design.store.stats.checked_points
+      ctx.Dse.Design.store.stats.verify_violations;
+  Format.printf "# stats: %a@." Dse.Design.pp_stats ctx.Dse.Design.store.stats;
   save ()
 
 let space_cmd =

@@ -24,9 +24,9 @@ open Ir
 (** {1 Cost accounting}
 
     Construction and solve counters, so flowgraph time shows up in
-    [Design.stats] / [--profile] / BENCH_dse.json like every other
-    phase. One [cost] record is threaded through [?cost] arguments;
-    there is no global state. *)
+    [Design.stats] and [--profile] like every other phase. One [cost]
+    record is threaded through [?cost] arguments; there is no global
+    state. *)
 
 type cost = {
   mutable builds : int;  (** CFGs constructed *)

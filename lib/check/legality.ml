@@ -333,20 +333,13 @@ let spine_loop (k : Ast.kernel) index =
     (Loop_nest.spine k.Ast.k_body)
 
 (** Strip-mining [index] by [tile] actually splits a loop: the index
-    names a spine loop and the tile, rounded down to a divisor of the
-    trip exactly as {!Transform.Tiling.strip_mine} rounds it, is a
-    proper fraction of the trip. (A trip-5 loop with tile 2 rounds to
-    1 and splits nothing, so it is {e not} applicable.) *)
+    names a spine loop and {!Transform.Tiling.clamp} keeps a tile. (A
+    trip-5 loop with tile 2 rounds to 1 and splits nothing, so it is
+    {e not} applicable.) *)
 let tiling_applicable (k : Ast.kernel) ~index ~tile : bool =
   match spine_loop k index with
   | None -> false
-  | Some l ->
-      let trip = Ast.loop_trip l in
-      tile > 1 && tile < trip
-      &&
-      let t = max 1 (min tile trip) in
-      let rec down t = if trip mod t = 0 then t else down (t - 1) in
-      down t > 1
+  | Some l -> Transform.Tiling.clamp ~trip:(Ast.loop_trip l) tile > 1
 
 (** Peeling the first iteration of [index] leaves a well-defined rest
     loop: the index is on the spine with at least one iteration. *)

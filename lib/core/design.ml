@@ -3,12 +3,12 @@
     estimates for it. Evaluating a point is the
     [Generate; Synthesize; Balance] sequence of the paper's Figure 2.
 
-    Since the layered-engine refactor this module is a thin view over
-    {!Engine}: a [context] bundles an evaluation environment
-    ({!Engine.Backend.env}), a pluggable backend ({!Engine.Backend.t})
-    and a unified store ({!Engine.Store.t} — point cache, tri-schedule
-    memo and counters with one fork/absorb lifecycle and a persistent
-    on-disk form). Every evaluation anywhere in the system goes through
+    A [context] holds the engine's evaluation environment
+    ({!Engine.Backend.env}) as it is, next to the device capacity, a
+    pluggable backend ({!Engine.Backend.t}) and a unified store
+    ({!Engine.Store.t} — point cache, tri-schedule memo and counters
+    with one fork/absorb lifecycle and a persistent on-disk form).
+    Every evaluation anywhere in the system goes through
     [Engine.Backend.evaluate]; nothing here talks to the estimator
     directly. *)
 
@@ -22,78 +22,25 @@ type point = Engine.Store.point
 type stats = Engine.Store.stats
 
 type context = {
-  source : Ast.kernel;  (** the input loop nest *)
-  profile : Hls.Estimate.profile;
-  capacity : int;  (** device slices *)
-  spine : Ast.loop list;
-  spine_divisors : (string * int list) list;
-      (** ascending divisors of each spine loop's trip count *)
-  pipeline : Transform.Pipeline.options;  (** base options (vector is set per point) *)
+  env : Engine.Backend.env;  (** what evaluation reads *)
+  capacity : int;  (** device slices; does not enter evaluation *)
   backend : Engine.Backend.t;
       (** the fidelity level evaluations run at; the default is the
           two-tier composition [quick_gate full] *)
-  store : Engine.Store.t;
-      (** point cache + tri-schedule memo + counters. Updating
-          [pipeline] or [profile] with a record update invalidates the
-          cached points — build a fresh context instead (updating
-          [capacity] is fine for the [full] backends: it does not enter
-          behavioral evaluation). *)
-  quick_facts : (string * int) option -> Hls.Quick.facts;
-      (** tier-1 pre-estimator facts per tile candidate, memoized and
-          mutex-protected; facts for a tile come from the strip-mined
-          source, keeping the quick bounds admissible under tiling *)
-  verify : bool;
-      (** translation-validate every uncached evaluation
-          ({!Check.Validate}); selections are bit-identical, violations
-          are counted in [stats] *)
-  source_footprint : Check.Validate.t option;
-      (** [Some] footprint of [source] when [verify], computed once *)
-  stats : stats;  (** alias of [store.stats] — kept as a field so the
-          historical [ctx.stats.evaluations] accesses keep working *)
+  store : Engine.Store.t;  (** point cache + tri-schedule memo + counters *)
 }
-
-(** The engine view of a context: same fields, minus the mutable store.
-    Cheap (one record allocation); the quick-facts suspension is shared,
-    not rebuilt. *)
-let env (ctx : context) : Engine.Backend.env =
-  {
-    Engine.Backend.source = ctx.source;
-    profile = ctx.profile;
-    capacity = ctx.capacity;
-    spine = ctx.spine;
-    spine_divisors = ctx.spine_divisors;
-    pipeline = ctx.pipeline;
-    quick_facts = ctx.quick_facts;
-    verify = ctx.verify;
-    source_footprint = ctx.source_footprint;
-  }
 
 let context ?pipeline ?profile ?verify ?capacity
     ?(backend = Engine.Backend.default) ?store (source : Ast.kernel) =
-  let store =
-    match store with Some s -> s | None -> Engine.Store.create ()
-  in
-  let env =
-    Engine.Backend.make_env ?pipeline ?profile ?verify ?capacity source
-  in
+  let env = Engine.Backend.make_env ?pipeline ?profile ?verify source in
   {
-    source = env.Engine.Backend.source;
-    profile = env.Engine.Backend.profile;
-    capacity = env.Engine.Backend.capacity;
-    spine = env.Engine.Backend.spine;
-    spine_divisors = env.Engine.Backend.spine_divisors;
-    pipeline = env.Engine.Backend.pipeline;
+    env;
+    capacity =
+      Option.value capacity
+        ~default:env.profile.Hls.Estimate.device.Hls.Device.capacity_slices;
     backend;
-    store;
-    quick_facts = env.Engine.Backend.quick_facts;
-    verify = env.Engine.Backend.verify;
-    source_footprint = env.Engine.Backend.source_footprint;
-    stats = store.Engine.Store.stats;
+    store = (match store with Some s -> s | None -> Engine.Store.create ());
   }
-
-let normalize_vector (ctx : context) (v : (string * int) list) :
-    (string * int) list =
-  Engine.Backend.normalize_vector (env ctx) v
 
 let product v = List.fold_left (fun acc (_, u) -> acc * u) 1 v
 
@@ -109,11 +56,12 @@ let vector_equal a b =
 
 (** Unroll factor vector corresponding to no unrolling (the baseline of
     Table 2: all other transformations still apply). *)
-let ubase (ctx : context) = List.map (fun (l : Ast.loop) -> (l.index, 1)) ctx.spine
+let ubase (ctx : context) =
+  List.map (fun (l : Ast.loop) -> (l.index, 1)) ctx.env.spine
 
 (** Full unrolling of every loop. *)
 let umax (ctx : context) =
-  List.map (fun (l : Ast.loop) -> (l.index, Ast.loop_trip l)) ctx.spine
+  List.map (fun (l : Ast.loop) -> (l.index, Ast.loop_trip l)) ctx.env.spine
 
 (* ------------------------------------------------------------------ *)
 (* Configurations *)
@@ -122,12 +70,12 @@ let umax (ctx : context) =
     toggles from the base pipeline options — the configuration a
     vector-only caller evaluates. *)
 let base_config (ctx : context) (v : (string * int) list) : config =
-  Engine.Backend.base_config (env ctx) v
+  Engine.Backend.base_config ctx.env v
 
 (** Canonical cache key of a configuration (see
     {!Engine.Backend.normalize_config}). *)
 let normalize_config (ctx : context) (c : config) : config =
-  Engine.Backend.normalize_config (env ctx) c
+  Engine.Backend.normalize_config ctx.env c
 
 (** Equality of the designs two configurations denote: vectors compare
     via {!vector_equal}, the other knobs structurally. *)
@@ -142,7 +90,7 @@ let config_equal (a : config) (b : config) =
     spellings of the same design share one synthesis run; a miss
     synthesizes from [fronts]. *)
 let evaluate ?fronts (ctx : context) (c : config) : point =
-  Engine.Backend.evaluate ?fronts (env ctx) ctx.backend ctx.store c
+  Engine.Backend.evaluate ?fronts ctx.env ctx.backend ctx.store c
 
 (* ------------------------------------------------------------------ *)
 (* Tier-1 analytical bounds *)
@@ -152,11 +100,12 @@ let evaluate ?fronts (ctx : context) (c : config) : point =
     backend has no bound tier (plain [full]/[lowlevel]); callers must
     then synthesize instead of pruning. *)
 let quick (ctx : context) (c : config) : Hls.Quick.t option =
-  ctx.backend.Engine.Backend.bound (env ctx) ctx.store c
+  ctx.backend.Engine.Backend.bound ctx.env ctx.store c
 
 (** Record that one full synthesis was skipped on tier-1 evidence. *)
 let note_pruned (ctx : context) =
-  ctx.stats.pruned <- ctx.stats.pruned + 1
+  let stats = ctx.store.Engine.Store.stats in
+  stats.pruned <- stats.pruned + 1
 
 (* ------------------------------------------------------------------ *)
 (* Store and statistics plumbing *)
@@ -167,9 +116,8 @@ let cache_size (ctx : context) = Engine.Store.size ctx.store
 let sched_memo_size (ctx : context) = Engine.Store.sched_memo_size ctx.store
 
 (** Immutable copy of the context's counters (for before/after deltas). *)
-let stats_snapshot (ctx : context) : stats = Engine.Store.stats_copy ctx.stats
-
-let stats_diff = Engine.Store.stats_diff
+let stats_snapshot (ctx : context) : stats =
+  Engine.Store.stats_copy ctx.store.Engine.Store.stats
 
 (** A private copy of [ctx] for one domain of a parallel sweep: shares
     the immutable fields, snapshots the store's caches, and starts fresh
@@ -180,9 +128,8 @@ let fork (ctx : context) : context =
   (* The quick-facts memo is mutex-protected and domain-safe, but
      pre-warm the base pipeline's entry here so sweep domains start
      from a hit instead of contending on the first computation. *)
-  ignore (ctx.quick_facts ctx.pipeline.Transform.Pipeline.tile);
-  let store = Engine.Store.fork ctx.store in
-  { ctx with store; stats = store.Engine.Store.stats }
+  ignore (ctx.env.quick_facts ctx.env.pipeline.Transform.Pipeline.tile);
+  { ctx with store = Engine.Store.fork ctx.store }
 
 (** Merge a fork's cache entries, tri-schedule memo and counters back
     into [into] (entries already present in [into] are kept as-is). *)
@@ -192,9 +139,6 @@ let absorb ~(into : context) (forked : context) : unit =
 let balance (p : point) = p.estimate.Hls.Estimate.balance
 let space (p : point) = p.estimate.Hls.Estimate.slices
 let cycles (p : point) = p.estimate.Hls.Estimate.cycles
-
-let pp_config = Transform.Pipeline.pp_config
-let config_to_string = Transform.Pipeline.config_to_string
 
 let pp_vector fmt v =
   Format.fprintf fmt "(%s)"

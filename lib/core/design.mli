@@ -3,13 +3,15 @@
     estimates for it. Evaluating a point is the
     [Generate; Synthesize; Balance] sequence of the paper's Figure 2.
 
-    This module is a view over the layered engine: a [context] bundles
-    an evaluation environment, a pluggable backend
-    ({!Engine.Backend.t} — [full], [lowlevel], or either behind the
-    analytical tier-1 gate) and a unified store ({!Engine.Store.t} —
-    point cache, tri-schedule memo and counters, forkable across sweep
-    domains and persistable across runs). Every evaluation in the
-    system goes through here into [Engine.Backend.evaluate]. *)
+    A [context] holds the engine's evaluation environment
+    ({!Engine.Backend.env}: source, profile, spine, base pipeline,
+    tier-1 facts, verification) as it is, next to the device capacity,
+    a pluggable backend ({!Engine.Backend.t} — [full], [lowlevel], or
+    either behind the analytical tier-1 gate) and a unified store
+    ({!Engine.Store.t} — point cache, tri-schedule memo and counters,
+    forkable across sweep domains and persistable across runs). Every
+    evaluation in the system goes through here into
+    [Engine.Backend.evaluate]. *)
 
 open Ir
 
@@ -21,39 +23,21 @@ type point = Engine.Store.point
 type stats = Engine.Store.stats
 
 type context = {
-  source : Ast.kernel;  (** the input loop nest *)
-  profile : Hls.Estimate.profile;
-  capacity : int;  (** device slices *)
-  spine : Ast.loop list;
-  spine_divisors : (string * int list) list;
-      (** ascending divisors of each spine loop's trip count *)
-  pipeline : Transform.Pipeline.options;
-      (** base options; the vector is set per point *)
+  env : Engine.Backend.env;
+      (** what evaluation reads; updating its [pipeline] or [profile]
+          with a record update invalidates the cached points — build a
+          fresh context with {!context} instead. Like the cached points
+          it belongs to its [source], so a context over another kernel
+          must be built fresh too *)
+  capacity : int;
+      (** device slices; updating it with a record update is fine for
+          the behavioral backends: it does not enter evaluation *)
   backend : Engine.Backend.t;
       (** the fidelity level evaluations run at; defaults to the
           two-tier composition [Engine.Backend.default] *)
   store : Engine.Store.t;
-      (** point cache + tri-schedule memo + counters. Updating
-          [pipeline] or [profile] with a record update invalidates the
-          cached points — build a fresh context with {!context} instead
-          (updating [capacity] is fine for the behavioral backends: it
-          does not enter evaluation). *)
-  quick_facts : (string * int) option -> Hls.Quick.facts;
-      (** tier-1 pre-estimator facts per tile candidate, memoized and
-          mutex-protected; facts for a tile come from the strip-mined
-          source, keeping the quick bounds admissible under tiling *)
-  verify : bool;
-      (** translation-validate every uncached evaluation with
-          {!Check.Validate}: the transformed result and every selection
-          are bit-identical to an unverified run; error-severity
-          findings bump [stats.verify_violations] *)
-  source_footprint : Check.Validate.t option;
-      (** [Some] footprint of [source] when [verify], computed once by
-          {!context} and shared by every verified evaluation; like the
-          cached points it belongs to [source], so a context over
-          another kernel must be built fresh *)
-  stats : stats;
-      (** alias of [store.stats]; merged across domains on {!absorb} *)
+      (** point cache + tri-schedule memo + counters ([store.stats]),
+          merged across domains on {!absorb} *)
 }
 
 (** Build a context. [store] plugs in an existing (possibly warm-loaded
@@ -68,15 +52,6 @@ val context :
   ?store:Engine.Store.t ->
   Ast.kernel ->
   context
-
-(** The engine view of a context (cheap: one record allocation, shared
-    quick-facts suspension). *)
-val env : context -> Engine.Backend.env
-
-(** Cover every spine loop and clamp factors to divisors of the trip
-    counts — the space the search explores (a non-divisor factor leaves
-    an epilogue that defeats scalar replacement). *)
-val normalize_vector : context -> (string * int) list -> (string * int) list
 
 val product : (string * int) list -> int
 
@@ -139,8 +114,6 @@ val sched_memo_size : context -> int
 (** Immutable copy of the context's counters (for before/after deltas). *)
 val stats_snapshot : context -> stats
 
-val stats_diff : before:stats -> after:stats -> stats
-
 (** A private copy of [ctx] for one domain of a parallel sweep: shares
     the immutable fields, snapshots the store's caches, and starts fresh
     counters. Never share one mutable context across domains. *)
@@ -154,8 +127,6 @@ val balance : point -> float
 val space : point -> int
 val cycles : point -> int
 val pp_vector : Format.formatter -> (string * int) list -> unit
-val pp_config : Format.formatter -> config -> unit
-val config_to_string : config -> string
 val pp_point : Format.formatter -> point -> unit
 val pp_stats : Format.formatter -> stats -> unit
 

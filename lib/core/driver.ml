@@ -39,7 +39,7 @@ let run_many ?cache_dir ?(cold = false) ?pipeline ?profile ?verify ?capacity
     | [] -> ""
     | t :: _ ->
         let env =
-          Engine.Backend.make_env ?pipeline ?profile ?verify ?capacity t.kernel
+          Engine.Backend.make_env ?pipeline ?profile t.kernel
         in
         Engine.Persist.config_string ~backend:backend.Engine.Backend.name
           env.Engine.Backend.profile env.Engine.Backend.pipeline
@@ -86,7 +86,9 @@ let run_many ?cache_dir ?(cold = false) ?pipeline ?profile ?verify ?capacity
 
 let total (s : summary) : Design.stats =
   let t = Engine.Store.fresh_stats () in
-  List.iter (fun o -> Engine.Store.stats_add ~into:t o.ctx.Design.stats) s.outcomes;
+  List.iter
+    (fun o -> Engine.Store.stats_add ~into:t o.ctx.Design.store.stats)
+    s.outcomes;
   t
 
 let save (s : summary) : (unit, string) result =

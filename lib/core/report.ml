@@ -28,10 +28,10 @@ let pp_vector = Design.pp_vector
 let render fmt (r : t) =
   let ctx = r.context in
   let sel = r.result.Search.selected in
-  let device = ctx.Design.profile.Hls.Estimate.device in
-  let mem = ctx.Design.profile.Hls.Estimate.mem in
+  let device = ctx.Design.env.profile.Hls.Estimate.device in
+  let mem = ctx.Design.env.profile.Hls.Estimate.mem in
   Format.fprintf fmt "# Design space exploration: %s@.@."
-    ctx.Design.source.Ast.k_name;
+    ctx.Design.env.source.Ast.k_name;
   Format.fprintf fmt
     "- device: %s (%d slices, %d memories, %.0f ns clock)@.- memory model: %s \
      (read %d / write %d cycles)@.- capacity budget: %d slices@.@."
@@ -41,7 +41,7 @@ let render fmt (r : t) =
     mem.Hls.Memory_model.read_latency mem.Hls.Memory_model.write_latency
     ctx.Design.capacity;
   Format.fprintf fmt "## Input@.@.```c@.%s@.```@.@."
-    (Pretty.kernel_to_string ctx.Design.source);
+    (Pretty.kernel_to_string ctx.Design.env.source);
   let sat = r.result.Search.sat in
   Format.fprintf fmt "## Saturation analysis@.@.";
   Format.fprintf fmt

@@ -65,7 +65,7 @@ let vectors_with_product (ctx : Design.context) (sat : t) (target : int) :
   let eligible =
     List.filter
       (fun (l : Ast.loop) -> List.mem l.index sat.eligible)
-      ctx.Design.spine
+      ctx.Design.env.spine
   in
   let rec go remaining target =
     match remaining with
@@ -77,9 +77,11 @@ let vectors_with_product (ctx : Design.context) (sat : t) (target : int) :
             if target mod d = 0 then
               List.map (fun tl -> (l.index, d) :: tl) (go rest (target / d))
             else [])
-          (List.filter (fun d -> d <= trip) (Util.divisors (min target trip)))
+          (Engine.Util.divisors (min target trip))
   in
-  List.map (Design.normalize_vector ctx) (go eligible target)
+  List.map
+    (Engine.Backend.normalize_vector ctx.Design.env)
+    (go eligible target)
 
 (** The saturation set Sat. *)
 let sat_set (ctx : Design.context) (sat : t) : (string * int) list list =

@@ -89,7 +89,7 @@ let score weights v =
     vectors [legal] accepts qualify. *)
 let choose_uinit ~legal (ctx : Design.context) (sat : Saturation.t) :
     (string * int) list =
-  let weights = loop_weights ctx.Design.source in
+  let weights = loop_weights ctx.Design.env.source in
   let free_loop =
     List.find_opt
       (fun i -> List.assoc_opt i weights = Some Float.infinity)
@@ -112,16 +112,17 @@ let choose_uinit ~legal (ctx : Design.context) (sat : Saturation.t) :
 (* Figure 2 *)
 
 let run ?(config = default_config) (ctx : Design.context) : result =
+  let env = ctx.Design.env in
   let sat =
-    Saturation.compute ~pipeline:ctx.Design.pipeline
-      ~num_memories:ctx.Design.profile.Hls.Estimate.device.Hls.Device.num_memories
-      ctx.Design.source
+    Saturation.compute ~pipeline:env.pipeline
+      ~num_memories:env.profile.Hls.Estimate.device.Hls.Device.num_memories
+      env.source
   in
-  let weights = loop_weights ctx.Design.source in
+  let weights = loop_weights env.source in
   (* The sweep's legality gate, built once per run: a vector whose
      configuration is illegal is never a candidate, and a redundant
      spelling is evaluated as its canonical configuration. *)
-  let verdict = Check.Legality.config_verdict ctx.Design.source in
+  let verdict = Check.Legality.config_verdict env.source in
   let gated v =
     let c = Design.base_config ctx v in
     match verdict c with
@@ -292,7 +293,8 @@ let run ?(config = default_config) (ctx : Design.context) : result =
   if not (List.exists (fun s -> Design.vector_equal s.point.vector !ucurr) !steps)
   then log selected "selected";
   let stats =
-    Design.stats_diff ~before:stats_before ~after:(Design.stats_snapshot ctx)
+    Engine.Store.stats_diff ~before:stats_before
+      ~after:(Design.stats_snapshot ctx)
   in
   { selected; steps = List.rev !steps; sat; uinit; stats }
 

@@ -41,16 +41,13 @@ let joint_tile_options (ctx : Design.context) ~(candidates : int list) :
     List.concat_map
       (fun (l : Ast.loop) ->
         let trip = Ast.loop_trip l in
-        let divs = Util.spine_divisors_of ctx l in
         List.filter_map
           (fun t ->
-            let t = max 1 (min t trip) in
-            let d =
-              List.fold_left (fun best d -> if d <= t then d else best) 1 divs
-            in
-            if d <= 1 || d >= trip then None else Some (l.Ast.index, d))
+            match Transform.Tiling.clamp ~trip t with
+            | 1 -> None
+            | d -> Some (l.Ast.index, d))
           candidates)
-      ctx.Design.spine
+      ctx.Design.env.spine
     |> List.sort_uniq compare
   in
   None :: List.map (fun x -> Some x) tiles
@@ -213,10 +210,10 @@ let sweep ?eligible ?(max_product = max_int) ?joint ?(exhaustive_below = 64)
     match eligible with
     | Some e -> e
     | None ->
-        (Saturation.compute ~pipeline:ctx.Design.pipeline
-           ~num_memories:
-             ctx.Design.profile.Hls.Estimate.device.Hls.Device.num_memories
-           ctx.Design.source)
+        let env = ctx.Design.env in
+        (Saturation.compute ~pipeline:env.pipeline
+           ~num_memories:env.profile.Hls.Estimate.device.Hls.Device.num_memories
+           env.source)
           .Saturation.eligible
   in
   let vectors = Util.divisor_vectors ~max_product ctx ~eligible in
@@ -228,7 +225,7 @@ let sweep ?eligible ?(max_product = max_int) ?joint ?(exhaustive_below = 64)
         let b = Design.base_config ctx [] in
         ([ b.tile ], [ (b.scalar_replace, b.peel, b.licm) ])
   in
-  let verdict = Check.Legality.config_verdict ctx.Design.source in
+  let verdict = Check.Legality.config_verdict ctx.Design.env.source in
   let enumerated = ref 0 and ill = ref 0 and red = ref 0 in
   let seen : (Design.config, unit) Hashtbl.t = Hashtbl.create 64 in
   let survivors = ref [] in
@@ -273,7 +270,7 @@ let sweep ?eligible ?(max_product = max_int) ?joint ?(exhaustive_below = 64)
     List.fold_left
       (fun acc (l : Ast.loop) ->
         if List.mem l.index eligible then acc * Ast.loop_trip l else acc)
-      1 ctx.Design.spine
+      1 ctx.Design.env.spine
     * List.length tiles * List.length toggles
   in
   {

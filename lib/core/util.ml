@@ -1,24 +1,18 @@
-(** Small helpers shared by the design-space modules (and the bench
-    harness): divisor arithmetic, and the unroll-vector
-    enumeration primitives that the search ([Search]) and the sweep
-    ([Space]) both build on. The scalar helpers live in the engine
-    library; the vector enumerators live here because they read the
-    context's precomputed divisor tables. *)
+(** The unroll-vector enumeration primitives that the search
+    ([Search]) and the sweep ([Space]) both build on. They live here,
+    not in the engine, because they read the context's precomputed
+    divisor tables; divisor arithmetic itself is {!Engine.Util}'s. *)
 
 open Ir
-
-(** Positive divisors of [n] in ascending order ([divisors 12] is
-    [1; 2; 3; 4; 6; 12]). [n <= 0] has no positive divisors. *)
-let divisors = Engine.Util.divisors
 
 (* Divisor lists come from the context's precomputed [spine_divisors]
    tables: these helpers run on every Increase/SelectBetween move of the
    search and on every sweep enumeration, so recomputing
-   [Util.divisors] per loop per call is pure waste. *)
+   [Engine.Util.divisors] per loop per call is pure waste. *)
 let spine_divisors_of (ctx : Design.context) (l : Ast.loop) : int list =
-  match List.assoc_opt l.index ctx.Design.spine_divisors with
+  match List.assoc_opt l.index ctx.Design.env.spine_divisors with
   | Some ds -> ds
-  | None -> divisors (Ast.loop_trip l)
+  | None -> Engine.Util.divisors (Ast.loop_trip l)
 
 (** All normalized vectors of eligible divisor factors with the exact
     unroll product [product], bounded per loop by [lower]/[upper]
@@ -44,9 +38,9 @@ let vectors_between (ctx : Design.context) ~(eligible : string list) ~lower
   let loops =
     List.filter
       (fun (l : Ast.loop) -> List.mem l.index eligible)
-      ctx.Design.spine
+      ctx.Design.env.spine
   in
-  List.map (Design.normalize_vector ctx) (go loops product)
+  List.map (Engine.Backend.normalize_vector ctx.Design.env) (go loops product)
 
 (** Products reachable by some vector of eligible divisor factors, each
     loop's factor bounded by its [upper] entry (missing means 1). *)
@@ -65,7 +59,7 @@ let achievable_products (ctx : Design.context) ~(eligible : string list)
                (List.concat_map (fun p -> List.map (fun d -> p * d) ds) acc))
         end
   in
-  go ctx.Design.spine [ 1 ]
+  go ctx.Design.env.spine [ 1 ]
 
 (** All divisor vectors over the eligible loops whose unroll product is
     at most [max_product]; ineligible spine loops are pinned to factor 1.
@@ -92,4 +86,5 @@ let divisor_vectors ?(max_product = max_int) (ctx : Design.context)
     | _ :: _, [] ->
         invalid_arg "divisor_vectors: spine and spine_divisors disagree"
   in
-  List.rev (go ctx.Design.spine ctx.Design.spine_divisors max_product [] [])
+  let env = ctx.Design.env in
+  List.rev (go env.spine env.spine_divisors max_product [] [])

@@ -1,15 +1,5 @@
-(** Small helpers shared by the design-space modules (and the bench
-    harness): divisors, and the unroll-vector enumeration
-    primitives used by both the search and the sweep. *)
-
-open Ir
-
-(** Positive divisors of [n] in ascending order; empty for [n <= 0]. *)
-val divisors : int -> int list
-
-(** The context's precomputed ascending divisors of a spine loop's trip
-    count (computed on the spot for a loop the table misses). *)
-val spine_divisors_of : Design.context -> Ast.loop -> int list
+(** The unroll-vector enumeration primitives used by both the search
+    and the sweep, over the context's precomputed divisor tables. *)
 
 (** All normalized vectors of eligible divisor factors with unroll
     product exactly [product], each loop's factor within its

@@ -16,7 +16,7 @@
       changes a selection — only the set of synthesized points.
 
     A backend evaluates against an immutable {!env} (the evaluation
-    environment a [Dse.Design.context] is a view of) and a mutable
+    environment a [Dse.Design.context] holds) and a mutable
     {!Store.t} (caches and counters). The backend's [name] identifies the
     fidelity level in the persistent store key: points cached under one
     backend are never served to another. *)
@@ -26,7 +26,6 @@ open Ir
 type env = {
   source : Ast.kernel;  (** the input loop nest *)
   profile : Hls.Estimate.profile;
-  capacity : int;  (** device slices *)
   spine : Ast.loop list;
   spine_divisors : (string * int list) list;
       (** ascending divisors of each spine loop's trip count *)
@@ -49,7 +48,7 @@ type env = {
 }
 
 let make_env ?(pipeline = Transform.Pipeline.default)
-    ?(profile = Hls.Estimate.default_profile ()) ?(verify = false) ?capacity
+    ?(profile = Hls.Estimate.default_profile ()) ?(verify = false)
     (source : Ast.kernel) : env =
   let spine = Loop_nest.spine source.k_body in
   let quick_facts =
@@ -88,10 +87,6 @@ let make_env ?(pipeline = Transform.Pipeline.default)
   {
     source;
     profile;
-    capacity =
-      (match capacity with
-      | Some c -> c
-      | None -> profile.Hls.Estimate.device.Hls.Device.capacity_slices);
     spine;
     spine_divisors =
       List.map
@@ -133,9 +128,8 @@ let base_config (env : env) (v : (string * int) list) : Store.config =
 
 (** Normalise a configuration to its canonical cache key: the vector is
     spine-normalized ({!normalize_vector}); a tile on a spine loop is
-    clamped exactly as the strip-mine clamps it (largest divisor of the
-    trip no greater than the request) and dropped when the clamp makes
-    it a no-op (tile of 1, or the whole trip); the unroll factor of a
+    {!Transform.Tiling.clamp}ed and dropped when the clamp leaves no
+    tile; the unroll factor of a
     tiled loop is forced to 1 (strip-mining renames the loop, so the
     unroller would ignore the entry — two spellings of the same
     design). A tile index naming no spine loop is kept verbatim:
@@ -149,17 +143,10 @@ let normalize_config (env : env) (c : Store.config) : Store.config =
           List.find_opt (fun (l : Ast.loop) -> l.index = index) env.spine
         with
         | None -> Some (index, t)
-        | Some l ->
-            let trip = Ast.loop_trip l in
-            let t = max 1 (min t trip) in
-            let divs =
-              Option.value ~default:[ 1 ]
-                (List.assoc_opt index env.spine_divisors)
-            in
-            let d =
-              List.fold_left (fun best d -> if d <= t then d else best) 1 divs
-            in
-            if d <= 1 || d >= trip then None else Some (index, d))
+        | Some l -> (
+            match Transform.Tiling.clamp ~trip:(Ast.loop_trip l) t with
+            | 1 -> None
+            | d -> Some (index, d)))
   in
   let vector = normalize_vector env c.vector in
   let vector =
@@ -210,12 +197,13 @@ type t = {
 (* Full behavioral synthesis *)
 
 (* Verified evaluation: the pipeline instrumented per stage by the
-   translation validator, plus the flow-graph dataflow checks
-   (uninit/deadstore) over the transformed kernel — the pipeline must
-   never manufacture an uninitialized read or a dead store. The
-   transformed result is bit-identical; error-severity findings only
-   bump the violation counter (the sweep itself is the paper's
-   experiment — reporting stays the job of the drivers). *)
+   translation validator, plus the flow-graph uninit check over the
+   transformed kernel — the pipeline must never manufacture an
+   uninitialized read. The transformed result is bit-identical;
+   error-severity findings only bump the violation counter (the sweep
+   itself is the paper's experiment — reporting stays the job of the
+   drivers). [Check.Deadstore] is not run here: it only warns, so it
+   could never add a violation. *)
 let verified (store : Store.t) (outcome : Check.Validate.outcome) =
   let stats = store.Store.stats in
   stats.Store.checked_points <- stats.Store.checked_points + 1;
@@ -228,7 +216,6 @@ let verified (store : Store.t) (outcome : Check.Validate.outcome) =
       let graph = Analysis.Flowgraph.build ~cost r.Transform.Pipeline.kernel in
       let flow_diags =
         Check.Uninit.check ~graph ~cost r.Transform.Pipeline.kernel
-        @ Check.Deadstore.check ~graph ~cost r.Transform.Pipeline.kernel
       in
       stats.Store.verify_violations <-
         stats.Store.verify_violations

@@ -8,7 +8,6 @@ open Ir
 type env = {
   source : Ast.kernel;  (** the input loop nest *)
   profile : Hls.Estimate.profile;
-  capacity : int;  (** device slices *)
   spine : Ast.loop list;
   spine_divisors : (string * int list) list;
       (** ascending divisors of each spine loop's trip count *)
@@ -30,7 +29,6 @@ val make_env :
   ?pipeline:Transform.Pipeline.options ->
   ?profile:Hls.Estimate.profile ->
   ?verify:bool ->
-  ?capacity:int ->
   Ast.kernel ->
   env
 

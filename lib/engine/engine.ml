@@ -2,7 +2,8 @@
     evaluated anywhere in the system.
 
     {v
-        Backend   fidelity levels as values: full, lowlevel,
+        Backend   the evaluation environment ([Backend.env]) and
+           |      fidelity levels as values: full, lowlevel,
            |      quick_gate composition (two-tier engine)
          Store    point cache + tri-schedule memo + counters,
            |      fork/absorb for domains, save/load via Persist
@@ -11,8 +12,9 @@
 
     [Pool] runs the domains of a parallel sweep. [Dse] (the search, the
     sweep and the multi-kernel driver) sits on top and never calls the
-    estimator directly: every evaluation goes [Backend.evaluate] →
-    [Store] → synthesis on miss. *)
+    estimator directly: a [Dse.Design.context] holds one [Backend.env]
+    as it is, and every evaluation goes [Backend.evaluate] → [Store] →
+    synthesis on miss. *)
 
 module Util = Util
 module Store = Store

@@ -9,6 +9,15 @@
 open Ir
 open Ast
 
+(** The tile {!strip_mine} makes of a request of [tile] iterations on a
+    loop of [trip]: the largest divisor of [trip] no greater than the
+    request, or 1 — no tile — when that divisor splits nothing (it is 1
+    or the whole trip). *)
+let clamp ~trip tile =
+  let rec down t = if trip mod t = 0 then t else down (t - 1) in
+  let d = down (max 1 (min tile trip)) in
+  if d >= trip then 1 else d
+
 (** [strip_mine ~index ~tile body] splits the spine loop [index] into a
     tile loop [index_t] (stride [tile * step]) and an intra-tile loop
     (the original name, rebased to the tile origin):
@@ -18,8 +27,8 @@ open Ast
                                                  B(i_t + i_l*s)              v}
 
     Iteration order is unchanged, so strip-mining alone is always legal.
-    [tile] must divide the trip count (clamped down to a divisor
-    otherwise). Returns the rewritten body and the tile-loop index. *)
+    [tile] is {!clamp}ed to a divisor of the trip count. Returns the
+    rewritten body and the tile-loop index. *)
 let strip_mine ~index ~tile names (body : stmt list) : stmt list * string option
     =
   let tile_index = ref None in
@@ -28,13 +37,8 @@ let strip_mine ~index ~tile names (body : stmt list) : stmt list * string option
       (fun s ->
         match s with
         | For l when l.index = index && Ast.loop_trip l > 1 ->
-            let trip = Ast.loop_trip l in
-            let tile =
-              let t = max 1 (min tile trip) in
-              let rec down t = if trip mod t = 0 then t else down (t - 1) in
-              down t
-            in
-            if tile <= 1 || tile >= trip then For l
+            let tile = clamp ~trip:(Ast.loop_trip l) tile in
+            if tile = 1 then For l
             else begin
               let it = Names.fresh names (index ^ "_t") in
               let il = Names.fresh names (index ^ "_l") in

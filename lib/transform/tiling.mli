@@ -4,10 +4,16 @@
 
 open Ir
 
+(** [clamp ~trip tile] is the tile {!strip_mine} makes of a request of
+    [tile] on a loop of [trip] iterations: the largest divisor of [trip]
+    no greater than the request, or 1 (no tile) when that divisor is 1
+    or [trip] and so splits nothing. *)
+val clamp : trip:int -> int -> int
+
 (** [strip_mine ~index ~tile names body] splits the spine loop into a
     tile loop (stride [tile * step]) and a unit intra-tile loop; always
-    legal (iteration order unchanged). Non-divisor tiles are rounded down
-    to a divisor. Returns the rewritten body and the tile loop's index
+    legal (iteration order unchanged). The tile is {!clamp}ed. Returns
+    the rewritten body and the tile loop's index
     when one was created. *)
 val strip_mine :
   index:string ->

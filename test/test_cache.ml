@@ -60,7 +60,7 @@ let prop_vector_equal_reflexive =
 
 let prop_cached_uncached_agree =
   let c = ctx "mm" in
-  let spine = List.map (fun (l : Ir.Ast.loop) -> l.Ir.Ast.index) c.Design.spine in
+  let spine = List.map (fun (l : Ir.Ast.loop) -> l.Ir.Ast.index) c.Design.env.spine in
   QCheck.Test.make ~count:40 ~name:"cached evaluate = uncached evaluate"
     QCheck.(
       make ~print:(Format.asprintf "%a" Design.pp_vector) (vector_gen spine))
@@ -68,7 +68,7 @@ let prop_cached_uncached_agree =
       let config = Design.base_config c v in
       estimates_equal
         (Design.evaluate c config)
-        (c.Design.backend.Engine.Backend.synthesize (Design.env c)
+        (c.Design.backend.Engine.Backend.synthesize c.Design.env
            c.Design.store config))
 
 let test_memo_normalizes () =
@@ -78,8 +78,8 @@ let test_memo_normalizes () =
   let p1 = Design.evaluate c (Design.base_config c [ ("j", 4) ]) in
   let p2 = Design.evaluate c (Design.base_config c [ ("j", 4); ("i", 1) ]) in
   Alcotest.(check bool) "same point" true (estimates_equal p1 p2);
-  Alcotest.(check int) "one synthesis" 1 c.Design.stats.evaluations;
-  Alcotest.(check int) "one cache hit" 1 c.Design.stats.cache_hits;
+  Alcotest.(check int) "one synthesis" 1 c.Design.store.stats.evaluations;
+  Alcotest.(check int) "one cache hit" 1 c.Design.store.stats.cache_hits;
   Alcotest.(check int) "one memo entry" 1 (Design.cache_size c)
 
 (* ------------------------------------------------------------------ *)
@@ -116,7 +116,7 @@ let test_sweep_reuses_search_points () =
   let r = Search.run c in
   let before = Design.stats_snapshot c in
   let sp = Space.sweep ~max_product:256 ~jobs:1 c in
-  let d = Design.stats_diff ~before ~after:(Design.stats_snapshot c) in
+  let d = Engine.Store.stats_diff ~before ~after:(Design.stats_snapshot c) in
   Alcotest.(check bool) "some points served from the cache" true
     (d.cache_hits >= Search.designs_evaluated r);
   Alcotest.(check int) "every lattice point accounted for"
@@ -160,7 +160,7 @@ let test_parallel_sweep_merges_stats () =
   let sp = Space.sweep ~jobs:2 c in
   Alcotest.(check int) "all points synthesized once"
     (List.length sp.Space.points)
-    c.Design.stats.evaluations;
+    c.Design.store.stats.evaluations;
   Alcotest.(check int) "forks merged into the shared cache"
     (List.length sp.Space.points)
     (Design.cache_size c)

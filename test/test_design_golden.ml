@@ -36,7 +36,7 @@ let line name model (p : Design.point) =
     "%s %s %s cycles=%d mem=%d comp=%d slices=%d regs=%d bits=%d states=%d \
      mems=%d reads=%d writes=%d usage=%s kernel=%s"
     name model
-    (Design.config_to_string p.config)
+    (Transform.Pipeline.config_to_string p.config)
     e.Hls.Estimate.cycles e.Hls.Estimate.mem_only_cycles
     e.Hls.Estimate.comp_only_cycles e.Hls.Estimate.slices
     e.Hls.Estimate.register_bits e.Hls.Estimate.bits_moved

@@ -61,9 +61,9 @@ let roundtrip_prop (k : Ir.Ast.kernel) =
   if loaded <> Store.size cold_ctx.Design.store then
     QCheck2.Test.fail_reportf "loaded %d of %d points" loaded
       (Store.size cold_ctx.Design.store);
-  if warm_ctx.Design.stats.evaluations <> 0 then
+  if warm_ctx.Design.store.stats.evaluations <> 0 then
     QCheck2.Test.fail_reportf "warm sweep synthesized %d designs"
-      warm_ctx.Design.stats.evaluations;
+      warm_ctx.Design.store.stats.evaluations;
   if warm.Space.points <> cold.Space.points then
     QCheck2.Test.fail_reportf "warm points differ from cold";
   true
@@ -182,8 +182,8 @@ let test_backend_equivalence () =
       Alcotest.(check bool)
         (name ^ ": the gate only removes syntheses")
         true
-        (gated.Design.stats.evaluations
-         <= plain.Design.stats.evaluations))
+        (gated.Design.store.stats.evaluations
+         <= plain.Design.store.stats.evaluations))
     [ "fir"; "mm"; "jac" ]
 
 (* The lowlevel backend degrades area and wall time, never cycles. *)
@@ -358,7 +358,7 @@ let test_joint_warm_unchanged () =
   check_unchanged "warm joint sweep" before dir;
   rm_store dir;
   Alcotest.(check int) "warm joint sweep synthesized nothing" 0
-    ctx.Design.stats.evaluations;
+    ctx.Design.store.stats.evaluations;
   Alcotest.(check int) "warm joint sweep read no memo" 0
     (Hls.Schedule.memo_size ctx.Design.store.Store.sched_memo);
   Alcotest.(check bool) "warm joint points identical" true
@@ -652,6 +652,16 @@ let test_cli_jobs () =
       [ "space"; "-k"; "fir"; "--joint"; "-j"; "0" ];
     ]
 
+let test_cli_capacity () =
+  List.iter
+    (fun args -> check_rejected args "defacto: --capacity must be at least 1")
+    [
+      [ "explore"; "-k"; "fir"; "--capacity=-5" ];
+      [ "explore"; "-k"; "fir"; "--capacity"; "0"; "--report"; "-" ];
+      [ "space"; "-k"; "fir"; "--capacity"; "0" ];
+      [ "space"; "-k"; "fir"; "--joint"; "--capacity=-1" ];
+    ]
+
 let test_cli_unroll_components () =
   List.iter
     (fun (cmd, vec) ->
@@ -823,6 +833,8 @@ let () =
           Alcotest.test_case "--max-product below 1 rejected" `Quick
             test_cli_max_product;
           Alcotest.test_case "--jobs below 1 rejected" `Quick test_cli_jobs;
+          Alcotest.test_case "--capacity below 1 rejected" `Quick
+            test_cli_capacity;
           Alcotest.test_case "-u components must name loops" `Quick
             test_cli_unroll_components;
           Alcotest.test_case "-k help lists every kernel" `Quick test_cli_kernel_help;

@@ -144,7 +144,7 @@ let test_fingerprint_matches_reference () =
       List.iter
         (fun k ->
           let ctx = Design.context ~profile k in
-          let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Design.spine in
+          let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Design.env.spine in
           List.iter
             (fun vector ->
               let r =
@@ -230,10 +230,10 @@ let test_memo_exact_lattice () =
         Alcotest.(check bool)
           (name ^ ": the sweep hit the scheduler memo")
           true
-          (ctx.Design.stats.sched_memo_hits > 0);
+          (ctx.Design.store.stats.sched_memo_hits > 0);
       List.iter
         (fun (pt : Design.point) ->
-          let plain = Hls.Estimate.estimate ctx.Design.profile pt.kernel in
+          let plain = Hls.Estimate.estimate ctx.Design.env.profile pt.kernel in
           Alcotest.(check bool)
             (Printf.sprintf "%s %s" name (Helpers.vector_to_string pt.vector))
             true

@@ -261,7 +261,7 @@ let dfg_words_per_node () =
     (fun name ->
       let k = Option.get (Kernels.find name) in
       let ctx = Dse.Design.context k in
-      let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.spine in
+      let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.env.spine in
       List.iter
         (fun vector ->
           let r = Transform.Pipeline.apply { Transform.Pipeline.default with vector } k in

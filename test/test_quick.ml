@@ -216,7 +216,7 @@ let gen_kernel_and_vector : (Ast.kernel * (string * int) list) QCheck2.Gen.t =
 
 let prop_normalize_matches_scan (k, v) =
   let ctx = Design.context k in
-  let n = Design.normalize_vector ctx v in
+  let n = Engine.Backend.normalize_vector ctx.Design.env v in
   let spine = Loop_nest.spine k.Ast.k_body in
   List.length n = List.length spine
   && List.for_all2

@@ -272,7 +272,7 @@ let builtins () =
     product at most 8. *)
 let stage_outputs (k : Ast.kernel) =
   let ctx = Dse.Design.context k in
-  let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.spine in
+  let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.env.spine in
   k
   :: List.concat_map
        (fun vector ->
@@ -507,7 +507,7 @@ let test_simplify_stages () =
   List.iter
     (fun (name, k) ->
       let ctx = Dse.Design.context k in
-      let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.spine in
+      let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.env.spine in
       List.iter
         (fun vector ->
           let seen = ref [] in
@@ -676,7 +676,7 @@ let on_builtin_sweeps check () =
   List.iter
     (fun (name, k) ->
       let ctx = Dse.Design.context k in
-      let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.spine in
+      let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.env.spine in
       List.iter
         (fun vector ->
           let r = Transform.Pipeline.apply { Transform.Pipeline.default with vector } k in
@@ -759,7 +759,7 @@ let test_sr_fronts () =
   List.iter
     (fun (name, k) ->
       let ctx = Dse.Design.context k in
-      let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.spine in
+      let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.env.spine in
       List.iter
         (fun tile ->
           List.iter
@@ -902,7 +902,7 @@ let test_sr_indirect () =
     (fun (name, src) ->
       let k = Frontend.Parser.kernel_of_string ~name src in
       let ctx = Dse.Design.context k in
-      let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.spine in
+      let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.env.spine in
       List.iter
         (fun vector ->
           let input, config = sr_input { Transform.Pipeline.default with vector } k in

@@ -22,7 +22,7 @@ let kernels =
 (** The configurations of one kernel, canonical and deduplicated, in a
     fixed order. *)
 let configs (ctx : Design.context) =
-  let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Design.spine in
+  let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Design.env.spine in
   let vectors max_product =
     Dse.Util.divisor_vectors ~max_product ctx ~eligible
   in

@@ -417,7 +417,7 @@ let test_cse_indirect_subscript () =
       (* what [defacto simulate] checks: the datapath against the
          interpreter *)
       let inputs = Kernels.test_inputs k in
-      let sim = Hls.Sim.run ~inputs ctx.Dse.Design.profile p.Engine.Store.kernel in
+      let sim = Hls.Sim.run ~inputs ctx.Dse.Design.env.profile p.Engine.Store.kernel in
       List.iter
         (fun (arr, data) ->
           Alcotest.(check bool)
@@ -474,7 +474,7 @@ let test_assigned_subscripts () =
                 (Printf.sprintf "%s, inputs %d: interpreter = transformed" where seed))
             [ 1; 2; 3 ];
           let inputs = Kernels.test_inputs k in
-          let sim = Hls.Sim.run ~inputs ctx.Dse.Design.profile p.Engine.Store.kernel in
+          let sim = Hls.Sim.run ~inputs ctx.Dse.Design.env.profile p.Engine.Store.kernel in
           List.iter
             (fun (arr, data) ->
               Alcotest.(check bool)
@@ -607,6 +607,45 @@ let test_strip_mine () =
   Alcotest.(check int) "nest now 3 deep" 3 (Loop_nest.nest_depth body);
   Helpers.check_equiv ~inputs:(Kernels.test_inputs k) ~reference:k
     { k with Ast.k_body = body } "strip-mine semantics"
+
+(* [Tiling.clamp] is the largest divisor of the trip no greater than the
+   request, 1 when the request covers the whole trip; and it is the tile
+   [strip_mine] makes: the intra-tile loop runs [clamp] iterations, and
+   no tile loop appears exactly when [clamp] is 1. *)
+let test_clamp_is_the_split () =
+  for trip = 1 to 64 do
+    let k =
+      B.kernel
+        ~arrays:[ Ast.array_decl "a" [ trip ] ]
+        "clamp"
+        [ B.for_ "i" 0 trip (fun i -> [ B.store1 "a" i (B.int 0) ]) ]
+    in
+    for tile = 0 to 70 do
+      let body, tile_idx =
+        Transform.Tiling.strip_mine ~index:"i" ~tile
+          (Transform.Names.of_kernel k) k.Ast.k_body
+      in
+      let split =
+        match (tile_idx, body) with
+        | None, _ -> 1
+        | Some _, [ Ast.For { body = [ Ast.For intra ]; _ } ] ->
+            Ast.loop_trip intra
+        | Some _, _ -> Alcotest.fail "strip-mine made an unexpected nest"
+      in
+      let largest =
+        if tile >= trip then 1
+        else
+          List.fold_left
+            (fun best d -> if d <= tile then d else best)
+            1 (Engine.Util.divisors trip)
+      in
+      let what = Printf.sprintf "trip %d, tile %d" trip tile in
+      Alcotest.(check int) (what ^ ": largest divisor") largest
+        (Transform.Tiling.clamp ~trip tile);
+      Alcotest.(check int) (what ^ ": strip-mine split") split
+        (Transform.Tiling.clamp ~trip tile)
+    done
+  done
 
 let test_interchange () =
   let k = jac () in
@@ -742,6 +781,8 @@ let () =
           Alcotest.test_case "interchange" `Quick test_interchange;
           Alcotest.test_case "interchange legality" `Quick test_interchange_illegal;
           Alcotest.test_case "tile for registers" `Quick test_tile_for_registers;
+          Alcotest.test_case "clamp = strip-mine split" `Quick
+            test_clamp_is_the_split;
         ] );
       ( "pipeline",
         [

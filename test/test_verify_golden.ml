@@ -35,7 +35,7 @@ let point_line name k (p : Design.point) =
         summary (Check.Uninit.check ~graph k @ Check.Deadstore.check ~graph k)
   in
   Printf.sprintf "%s %s validate=%s flow=%s" name
-    (Design.config_to_string p.config)
+    (Transform.Pipeline.config_to_string p.config)
     (summary outcome.Check.Validate.diags)
     flow
 
