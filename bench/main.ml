@@ -95,7 +95,7 @@ let figure ~id ~pipelined name =
   in
   let mark uo ui s =
     let v = [ (axes.outer, uo); (axes.inner, ui) ] in
-    if Design.vector_equal (Engine.Backend.normalize_vector c.Design.env v) selected then s ^ "*"
+    if Engine.Backend.normalize_vector c.Design.env v = selected then s ^ "*"
     else s
   in
   let table title render =

@@ -304,20 +304,17 @@ let explore kernels file non_pipelined memories capacity report prof verify
   let tasks = load_tasks kernels file in
   let profile = make_profile ~non_pipelined ~memories in
   let backend = backend_of_flag backend_name in
-  (match report with
-  | Some dest ->
-      let k =
-        match tasks with
-        | [ t ] -> t.Dse.Driver.kernel
-        | _ ->
-            prerr_endline "defacto: --report takes exactly one kernel";
-            exit 1
-      in
-      let ctx =
-        Dse.Design.context ~profile ~verify ~capacity ~backend k
-      in
-      let r = Dse.Report.build ctx in
-      let text = Dse.Report.to_string r in
+  if report <> None && List.length tasks <> 1 then begin
+    prerr_endline "defacto: --report takes exactly one kernel";
+    exit 1
+  end;
+  let summary =
+    Dse.Driver.run_many ?cache_dir ~cold ~profile ~verify ~capacity ~backend
+      tasks
+  in
+  Option.iter
+    (fun dest ->
+      let text = Dse.Report.to_string (List.hd summary.Dse.Driver.outcomes) in
       if dest = "-" then print_string text
       else begin
         (try Out_channel.with_open_text dest (fun oc -> output_string oc text)
@@ -326,12 +323,11 @@ let explore kernels file non_pipelined memories capacity report prof verify
            exit 1);
         Format.printf "report written to %s@." dest
       end;
-      exit 0
-  | None -> ());
-  let summary =
-    Dse.Driver.run_many ?cache_dir ~cold ~profile ~verify ~capacity ~backend
-      tasks
-  in
+      Option.iter
+        (fun dir -> save_or_die dir (Dse.Driver.save summary))
+        cache_dir;
+      exit 0)
+    report;
   List.iter
     (fun (o : Dse.Driver.outcome) ->
       let r = o.Dse.Driver.search in
@@ -398,12 +394,12 @@ let explore kernels file non_pipelined memories capacity report prof verify
     (List.fold_left
        (fun acc (o : Dse.Driver.outcome) -> acc + o.Dse.Driver.loaded_points)
        0 summary.Dse.Driver.outcomes)
-    (Hls.Schedule.memo_loaded summary.Dse.Driver.memo);
+    (Hls.Schedule.memo_loaded summary.Dse.Driver.session.memo);
   Option.iter
     (fun dir ->
       save_or_die dir (Dse.Driver.save summary);
       Format.printf "session: store saved to %s@." dir)
-    summary.Dse.Driver.cache_dir
+    cache_dir
 
 let explore_cmd =
   let doc = "Run the balance-guided design space exploration (Figure 2)." in
@@ -479,25 +475,8 @@ let space kernel file non_pipelined memories capacity max_product jobs verify
   let k = or_die (load_kernel kernel file) in
   let profile = make_profile ~non_pipelined ~memories in
   let backend = backend_of_flag backend_name in
-  let store = Engine.Store.create () in
-  let config =
-    Engine.Persist.config_string ~backend:backend.Engine.Backend.name profile
-      Transform.Pipeline.default
-  in
-  let kernel_key = Engine.Persist.kernel_key k in
-  (match cache_dir with
-  | Some dir when not cold ->
-      ignore (Engine.Persist.load_points ~cache_dir:dir ~config ~kernel_key store);
-      Engine.Persist.load_memo ~cache_dir:dir ~config store.Engine.Store.sched_memo
-  | _ -> ());
-  let save () =
-    Option.iter
-      (fun dir ->
-        save_or_die dir
-          (Engine.Persist.save ~cache_dir:dir ~config
-             ~memo:store.Engine.Store.sched_memo [ (k, store) ]))
-      cache_dir
-  in
+  let session = Dse.Driver.session ?cache_dir ~cold ~profile ~backend () in
+  let store = Dse.Driver.open_store session k in
   let ctx =
     Dse.Design.context ~profile ~verify ~capacity ~backend ~store k
   in
@@ -532,7 +511,9 @@ let space kernel file non_pipelined memories capacity max_product jobs verify
       ctx.Dse.Design.store.stats.checked_points
       ctx.Dse.Design.store.stats.verify_violations;
   Format.printf "# stats: %a@." Dse.Design.pp_stats ctx.Dse.Design.store.stats;
-  save ()
+  Option.iter
+    (fun dir -> save_or_die dir (Dse.Driver.save_stores session [ (k, store) ]))
+    cache_dir
 
 let space_cmd =
   let doc = "Exhaustively sweep the (divisor) design space and report every point." in

@@ -351,18 +351,7 @@ let peeling_applicable (k : Ast.kernel) ~index : bool =
 (* ------------------------------------------------------------------ *)
 (* Joint-configuration verdicts: the pre-enumeration pruner *)
 
-type config_verdict =
-  | Config_legal
-  | Config_redundant of Transform.Pipeline.config
-  | Config_illegal of string
-
-let rec body_has_loop index body =
-  List.exists
-    (function
-      | Ast.For l -> l.Ast.index = index || body_has_loop index l.Ast.body
-      | Ast.If (_, t, e) -> body_has_loop index t || body_has_loop index e
-      | Ast.Assign _ | Ast.Rotate _ -> false)
-    body
+type config_verdict = Config_legal | Config_illegal of string
 
 (* Whether [vector] unrolls a spine loop other than the innermost: an
    actual unroll-and-jam (innermost-only unrolling never reorders
@@ -379,21 +368,16 @@ let jams (spine : Ast.loop list) (vector : (string * int) list) : bool =
     vector
 
 (** Pre-enumeration verdicts on the joint configurations of [k], before
-    any transform runs (the sweep's pruner):
-
-    - [Config_illegal]: evaluating [c] either raises
-      [Transform.Pipeline.Stage_error] (a tile index naming no loop of
-      the kernel) or silently changes the kernel's results (a requested
-      unroll-and-jam whose array dependences are preserved but which
-      reorders a non-reduction loop-carried scalar recurrence — the
-      hazard the dependence test cannot see). A jam that fails the
-      dependence test is {e not} illegal: the pipeline falls back to
-      innermost-only unrolling.
-    - [Config_redundant canon]: [c] evaluates cleanly but denotes the
-      same design as the canonical [canon] (an inapplicable tile
-      request; an unroll factor above 1 on a loop the tile renames; a
-      peel request with scalar replacement off, which peels nothing).
-    - [Config_legal] otherwise.
+    any transform runs (the sweep's pruner). [Config_illegal]:
+    evaluating [c] either raises [Transform.Pipeline.Stage_error] (a
+    tile index naming no loop of the kernel) or silently changes the
+    kernel's results (a requested unroll-and-jam whose array
+    dependences are preserved but which reorders a non-reduction
+    loop-carried scalar recurrence — the hazard the dependence test
+    cannot see). A jam that fails the dependence test is {e not}
+    illegal: the pipeline falls back to innermost-only unrolling.
+    Which design a legal configuration denotes is
+    [Engine.Backend.normalize_config]'s to say.
 
     The dependence test and the scalar-hazard analysis depend on the
     kernel alone: they run once, when the verdict function is made. *)
@@ -406,40 +390,14 @@ let config_verdict (k : Ast.kernel) :
   in
   fun c ->
     match c.Transform.Pipeline.tile with
-    | Some (index, _) when not (body_has_loop index k.Ast.k_body) ->
+    | Some (index, _) when not (Loop_nest.has_loop index k.Ast.k_body) ->
         Config_illegal
           (Printf.sprintf "tile index '%s' names no loop of the kernel" index)
     | _ when jam_reorders_scalar && jams spine c.Transform.Pipeline.vector ->
         Config_illegal
           "unroll-and-jam at this vector reorders a loop-carried scalar \
            recurrence the dependence test cannot see"
-    | _ ->
-        (* Canonicalize the redundant spellings. *)
-        let tile =
-          match c.Transform.Pipeline.tile with
-          | Some (index, t)
-            when spine_loop k index <> None
-                 && not (tiling_applicable k ~index ~tile:t) ->
-              None
-          | t -> t
-        in
-        let vector =
-          match tile with
-          | Some (ti, t) when tiling_applicable k ~index:ti ~tile:t ->
-              (* Strip-mining renames the loop, so the unroller ignores
-                 its entry: factor 1 is the canonical spelling. *)
-              List.map
-                (fun (i, u) -> if i = ti then (i, 1) else (i, u))
-                c.Transform.Pipeline.vector
-          | _ -> c.Transform.Pipeline.vector
-        in
-        let peel =
-          (* With replacement off the scalar report is empty, so the
-             peel stage has nothing to peel. *)
-          c.Transform.Pipeline.peel && c.Transform.Pipeline.scalar_replace
-        in
-        let canon = { c with Transform.Pipeline.tile; vector; peel } in
-        if canon = c then Config_legal else Config_redundant canon
+    | _ -> Config_legal
 
 (* ------------------------------------------------------------------ *)
 

@@ -70,21 +70,21 @@ val tiling_applicable : Ast.kernel -> index:string -> tile:int -> bool
 val peeling_applicable : Ast.kernel -> index:string -> bool
 
 (** Pre-enumeration verdict on one transform configuration — the
-    sweep's pruner. *)
+    sweep's pruner. It says only whether the configuration may be
+    evaluated; which design it denotes is
+    [Engine.Backend.normalize_config]'s to say. *)
 type config_verdict =
   | Config_legal
-  | Config_redundant of Transform.Pipeline.config
-      (** evaluates cleanly but denotes the same design as the carried
-          canonical configuration *)
   | Config_illegal of string
       (** force-evaluating it raises [Transform.Pipeline.Stage_error]
           (tile index naming no loop) or silently changes results (a
           jam reordering a non-reduction scalar recurrence) *)
 
 (** [config_verdict k] is the verdict function for [k]'s
-    configurations, applied before any transform runs. The kernel-only
-    analyses it needs (the array dependence test and the scalar-hazard
-    flow analysis) run once, when the function is made. *)
+    configurations, applied to the configuration as enumerated, before
+    any transform runs. The kernel-only analyses it needs (the array
+    dependence test and the scalar-hazard flow analysis) run once, when
+    the function is made. *)
 val config_verdict :
   Ast.kernel -> Transform.Pipeline.config -> config_verdict
 

@@ -44,16 +44,6 @@ let context ?pipeline ?profile ?verify ?capacity
 
 let product v = List.fold_left (fun acc (_, u) -> acc * u) 1 v
 
-(** Equality of the designs two vectors denote: loops missing from either
-    side count as factor 1, so a partial vector compares equal to its
-    spine-normalized form (and vectors of different lengths never raise). *)
-let vector_equal a b =
-  let factor v i = Option.value ~default:1 (List.assoc_opt i v) in
-  let indices =
-    List.sort_uniq compare (List.map fst a @ List.map fst b)
-  in
-  List.for_all (fun i -> factor a i = factor b i) indices
-
 (** Unroll factor vector corresponding to no unrolling (the baseline of
     Table 2: all other transformations still apply). *)
 let ubase (ctx : context) =
@@ -76,14 +66,6 @@ let base_config (ctx : context) (v : (string * int) list) : config =
     {!Engine.Backend.normalize_config}). *)
 let normalize_config (ctx : context) (c : config) : config =
   Engine.Backend.normalize_config ctx.env c
-
-(** Equality of the designs two configurations denote: vectors compare
-    via {!vector_equal}, the other knobs structurally. *)
-let config_equal (a : config) (b : config) =
-  vector_equal a.vector b.vector
-  && a.tile = b.tile
-  && a.scalar_replace = b.scalar_replace
-  && a.peel = b.peel && a.licm = b.licm
 
 (** Cached [Generate; Synthesize] through the context's store:
     configurations are normalized before the cache lookup, so any two

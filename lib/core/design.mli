@@ -55,11 +55,6 @@ val context :
 
 val product : (string * int) list -> int
 
-(** Equality of the designs two vectors denote: loops missing from either
-    side count as factor 1, so partial and spine-normalized spellings of
-    the same design compare equal and differing lengths never raise. *)
-val vector_equal : (string * int) list -> (string * int) list -> bool
-
 (** No unrolling — the baseline of the paper's Table 2 (all other
     transformations still apply). *)
 val ubase : context -> (string * int) list
@@ -72,15 +67,12 @@ val umax : context -> (string * int) list
     vector-only caller evaluates. *)
 val base_config : context -> (string * int) list -> config
 
-(** Canonical cache key of a configuration (see
-    {!Engine.Backend.normalize_config}): normalized vector, strip-mine
-    clamped tile (dropped when a no-op), unroll factor 1 on the tiled
-    loop. *)
+(** The design a configuration denotes, as its canonical cache key
+    ({!Engine.Backend.normalize_config}, the one canonicalizer):
+    normalized vector, strip-mine clamped tile (dropped when a no-op),
+    unroll factor 1 on the tiled loop, no peeling without scalar
+    replacement. *)
 val normalize_config : context -> config -> config
-
-(** Equality of the designs two configurations denote: vectors compare
-    via {!vector_equal}, the other knobs structurally. *)
-val config_equal : config -> config -> bool
 
 (** Generate the code for a configuration and estimate it, through the
     store's point cache: configurations are normalized before lookup,

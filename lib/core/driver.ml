@@ -18,49 +18,56 @@ type outcome = {
   wall_seconds : float;
 }
 
-type summary = {
-  outcomes : outcome list;
-  memo : Hls.Schedule.memo;  (** the tri-schedule memo the kernels share *)
+type session = {
   config : string;  (** the persistence configuration string *)
-  cache_dir : string option;  (** where {!save} writes, if anywhere *)
+  memo : Hls.Schedule.memo;  (** the tri-schedule memo the kernels share *)
+  cache_dir : string option;  (** where {!save_stores} writes, if anywhere *)
+  warm : string option;  (** where stores load from: [cache_dir] unless cold *)
 }
+
+type summary = { outcomes : outcome list; session : session }
 
 let speedup (o : outcome) : float =
   float_of_int (Design.cycles o.baseline)
   /. float_of_int (max 1 (Design.cycles o.search.Search.selected))
 
-let run_many ?cache_dir ?(cold = false) ?pipeline ?profile ?verify ?capacity
-    ?(backend = Engine.Backend.default) ?search_config (tasks : task list) :
-    summary =
-  (* The configuration every cached value depends on. [make_env] applies
-     the same defaults to every kernel, so read them off the first. *)
+let session ?cache_dir ?(cold = false) ?(pipeline = Transform.Pipeline.default)
+    ?(profile = Hls.Estimate.default_profile ()) ~backend () : session =
+  (* The configuration every cached value depends on, under the
+     defaults [Design.context] applies. *)
   let config =
-    match tasks with
-    | [] -> ""
-    | t :: _ ->
-        let env =
-          Engine.Backend.make_env ?pipeline ?profile t.kernel
-        in
-        Engine.Persist.config_string ~backend:backend.Engine.Backend.name
-          env.Engine.Backend.profile env.Engine.Backend.pipeline
+    Engine.Persist.config_string ~backend:backend.Engine.Backend.name profile
+      pipeline
   in
   let warm = match cache_dir with Some dir when not cold -> Some dir | _ -> None in
-  let sched_memo = Hls.Schedule.memo_create () in
+  let memo = Hls.Schedule.memo_create () in
+  Option.iter (fun dir -> Engine.Persist.load_memo ~cache_dir:dir ~config memo) warm;
+  { config; memo; cache_dir; warm }
+
+let open_store (s : session) (k : Ir.Ast.kernel) : Engine.Store.t =
+  let store = Engine.Store.create ~sched_memo:s.memo () in
   Option.iter
-    (fun dir -> Engine.Persist.load_memo ~cache_dir:dir ~config sched_memo)
-    warm;
+    (fun dir ->
+      ignore
+        (Engine.Persist.load_points ~cache_dir:dir ~config:s.config
+           ~kernel_key:(Engine.Persist.kernel_key k) store))
+    s.warm;
+  store
+
+let save_stores (s : session) stores : (unit, string) result =
+  match s.cache_dir with
+  | None -> Ok ()
+  | Some dir ->
+      Engine.Persist.save ~cache_dir:dir ~config:s.config ~memo:s.memo stores
+
+let run_many ?cache_dir ?cold ?pipeline ?profile ?verify ?capacity
+    ?(backend = Engine.Backend.default) ?search_config (tasks : task list) :
+    summary =
+  let session = session ?cache_dir ?cold ?pipeline ?profile ~backend () in
   let outcomes =
     List.map
       (fun task ->
-        let store = Engine.Store.create ~sched_memo () in
-        let loaded_points =
-          match warm with
-          | Some dir ->
-              Engine.Persist.load_points ~cache_dir:dir ~config
-                ~kernel_key:(Engine.Persist.kernel_key task.kernel)
-                store
-          | None -> 0
-        in
+        let store = open_store session task.kernel in
         let ctx =
           Design.context ?pipeline ?profile ?verify ?capacity ~backend ~store
             task.kernel
@@ -76,13 +83,13 @@ let run_many ?cache_dir ?(cold = false) ?pipeline ?profile ?verify ?capacity
           search;
           baseline;
           ctx;
-          loaded_points;
+          loaded_points = store.Engine.Store.loaded_points;
           stats = Design.stats_snapshot ctx;
           wall_seconds;
         })
       tasks
   in
-  { outcomes; memo = sched_memo; config; cache_dir }
+  { outcomes; session }
 
 let total (s : summary) : Design.stats =
   let t = Engine.Store.fresh_stats () in
@@ -92,10 +99,5 @@ let total (s : summary) : Design.stats =
   t
 
 let save (s : summary) : (unit, string) result =
-  match s.cache_dir with
-  | None -> Ok ()
-  | Some dir ->
-      Engine.Persist.save ~cache_dir:dir ~config:s.config ~memo:s.memo
-        (List.map
-           (fun o -> (o.task.kernel, o.ctx.Design.store))
-           s.outcomes)
+  save_stores s.session
+    (List.map (fun o -> (o.task.kernel, o.ctx.Design.store)) s.outcomes)

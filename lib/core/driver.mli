@@ -15,14 +15,43 @@ type outcome = {
   wall_seconds : float;  (** search plus baseline, loads excluded *)
 }
 
-type summary = {
-  outcomes : outcome list;
+(** The persistent side of a session: the configuration string its
+    cached values are keyed by, the tri-schedule memo its kernels share
+    and, with a cache directory, where their stores load from and save
+    to. *)
+type session = {
+  config : string;  (** the persistence configuration string *)
   memo : Hls.Schedule.memo;
       (** the tri-schedule memo the kernels share; with a warm store,
           {!Hls.Schedule.memo_loaded} counts the shapes actually read *)
-  config : string;  (** the persistence configuration string *)
-  cache_dir : string option;  (** where {!save} writes, if anywhere *)
+  cache_dir : string option;  (** where {!save_stores} writes, if anywhere *)
+  warm : string option;  (** where stores load from: [cache_dir] unless cold *)
 }
+
+type summary = { outcomes : outcome list; session : session }
+
+(** A session under the given base options (the defaults are
+    [Design.context]'s). With [cache_dir] and not [cold], the persisted
+    memo is attached, to be read only if a block must be scheduled. *)
+val session :
+  ?cache_dir:string ->
+  ?cold:bool ->
+  ?pipeline:Transform.Pipeline.options ->
+  ?profile:Hls.Estimate.profile ->
+  backend:Engine.Backend.t ->
+  unit ->
+  session
+
+(** A fresh store for one kernel of the session, over the session's
+    memo, with the kernel's persisted points loaded when the session is
+    warm (counted in its [loaded_points]). *)
+val open_store : session -> Ir.Ast.kernel -> Engine.Store.t
+
+(** Persist the given kernels' stores and the session's memo under its
+    [cache_dir] ({!Engine.Persist.save}: stores and a memo that gained
+    nothing are not rewritten); [Ok ()] without one. *)
+val save_stores :
+  session -> (Ir.Ast.kernel * Engine.Store.t) list -> (unit, string) result
 
 (** Cycles of the baseline over cycles of the selected design. *)
 val speedup : outcome -> float
@@ -56,7 +85,5 @@ val run_many :
     run on an outcome's context after {!run_many} (a joint sweep) counts. *)
 val total : summary -> Design.stats
 
-(** Persist every kernel's store and the shared memo under the
-    session's [cache_dir] ({!Engine.Persist.save}: stores and a memo
-    that gained nothing are not rewritten); [Ok ()] without one. *)
+(** {!save_stores} of every outcome's store. *)
 val save : summary -> (unit, string) result

@@ -2,32 +2,17 @@
     review the search's decision — the saturation analysis, the search
     trace with per-step verdicts, the selected design's estimates and
     resource breakdown, the data layout, and the comparison against the
-    no-unrolling baseline. Rendered as markdown. *)
+    no-unrolling baseline. Rendered as markdown from a session's
+    outcome ({!Driver.run_many}). *)
 
 open Ir
 
-type t = {
-  context : Design.context;
-  result : Search.result;
-  baseline : Design.point;
-}
-
-let build (ctx : Design.context) : t =
-  let result = Search.run ctx in
-  let baseline =
-    Design.evaluate ctx (Design.base_config ctx (Design.ubase ctx))
-  in
-  { context = ctx; result; baseline }
-
-let speedup (r : t) =
-  float_of_int (Design.cycles r.baseline)
-  /. float_of_int (Design.cycles r.result.Search.selected)
-
 let pp_vector = Design.pp_vector
 
-let render fmt (r : t) =
-  let ctx = r.context in
-  let sel = r.result.Search.selected in
+let render fmt (o : Driver.outcome) =
+  let ctx = o.Driver.ctx in
+  let r = o.Driver.search in
+  let sel = r.Search.selected in
   let device = ctx.Design.env.profile.Hls.Estimate.device in
   let mem = ctx.Design.env.profile.Hls.Estimate.mem in
   Format.fprintf fmt "# Design space exploration: %s@.@."
@@ -42,7 +27,7 @@ let render fmt (r : t) =
     ctx.Design.capacity;
   Format.fprintf fmt "## Input@.@.```c@.%s@.```@.@."
     (Pretty.kernel_to_string ctx.Design.env.source);
-  let sat = r.result.Search.sat in
+  let sat = r.Search.sat in
   Format.fprintf fmt "## Saturation analysis@.@.";
   Format.fprintf fmt
     "- uniformly generated sets after replacement: R = %d reads, W = %d \
@@ -50,7 +35,7 @@ let render fmt (r : t) =
      unrolling: %s@.- initial point Uinit = %a@.@."
     sat.Saturation.r sat.Saturation.w sat.Saturation.psat
     (String.concat ", " sat.Saturation.eligible)
-    pp_vector r.result.Search.uinit;
+    pp_vector r.Search.uinit;
   Format.fprintf fmt "## Search trace@.@.";
   Format.fprintf fmt "| design | cycles | slices | balance | verdict |@.";
   Format.fprintf fmt "|---|---|---|---|---|@.";
@@ -59,8 +44,8 @@ let render fmt (r : t) =
       Format.fprintf fmt "| %a | %d | %d | %.3f | %s |@." pp_vector
         s.point.vector (Design.cycles s.point) (Design.space s.point)
         (Design.balance s.point) s.verdict)
-    r.result.Search.steps;
-  let st = r.result.Search.stats in
+    r.Search.steps;
+  let st = r.Search.stats in
   Format.fprintf fmt "@.## Evaluation statistics@.@.";
   Format.fprintf fmt
     "- designs synthesized: %d (%d cache hits)@.- quick estimates: %d; \
@@ -143,13 +128,13 @@ let render fmt (r : t) =
   Format.fprintf fmt
     "| design | cycles | slices | balance |@.|---|---|---|---|@.";
   Format.fprintf fmt "| baseline %a | %d | %d | %.3f |@." pp_vector
-    r.baseline.vector (Design.cycles r.baseline)
-    (Design.space r.baseline) (Design.balance r.baseline);
+    o.Driver.baseline.vector (Design.cycles o.Driver.baseline)
+    (Design.space o.Driver.baseline) (Design.balance o.Driver.baseline);
   Format.fprintf fmt "| selected %a | %d | %d | %.3f |@.@." pp_vector
     sel.vector (Design.cycles sel) (Design.space sel)
     (Design.balance sel);
-  Format.fprintf fmt "**Speedup over baseline: %.2fx**@.@." (speedup r);
+  Format.fprintf fmt "**Speedup over baseline: %.2fx**@.@." (Driver.speedup o);
   Format.fprintf fmt "## Generated code@.@.```c@.%s@.```@."
     (Pretty.kernel_to_string sel.kernel)
 
-let to_string (r : t) = Format.asprintf "%a" render r
+let to_string (o : Driver.outcome) = Format.asprintf "%a" render o

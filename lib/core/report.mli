@@ -1,17 +1,10 @@
 (** Human-readable exploration reports: the saturation analysis, the
     search trace with verdicts, the selected design's estimates, resource
     and replacement breakdown, its data layout, the baseline comparison,
-    and the generated code — rendered as markdown. *)
+    and the generated code — rendered as markdown from a session's
+    outcome ({!Driver.run_many}). *)
 
-type t = {
-  context : Design.context;
-  result : Search.result;
-  baseline : Design.point;
-}
+(** The report of one explored kernel. *)
+val render : Format.formatter -> Driver.outcome -> unit
 
-(** Run the search and the baseline evaluation. *)
-val build : Design.context -> t
-
-val speedup : t -> float
-val render : Format.formatter -> t -> unit
-val to_string : t -> string
+val to_string : Driver.outcome -> string

@@ -57,35 +57,13 @@ let compute ?(pipeline = Transform.Pipeline.default) ~num_memories
   let psat = lcm (gcd nr nw) num_memories in
   { psat = max psat 1; r = nr; w = nw; eligible = eligible_loops k }
 
-(** All divisor-factor vectors over the eligible loops whose product is
-    exactly [target], as full spine vectors (ineligible loops at 1).
-    Ordered lexicographically by the eligible loops, outermost first. *)
-let vectors_with_product (ctx : Design.context) (sat : t) (target : int) :
-    (string * int) list list =
-  let eligible =
-    List.filter
-      (fun (l : Ast.loop) -> List.mem l.index sat.eligible)
-      ctx.Design.env.spine
-  in
-  let rec go remaining target =
-    match remaining with
-    | [] -> if target = 1 then [ [] ] else []
-    | (l : Ast.loop) :: rest ->
-        let trip = Ast.loop_trip l in
-        List.concat_map
-          (fun d ->
-            if target mod d = 0 then
-              List.map (fun tl -> (l.index, d) :: tl) (go rest (target / d))
-            else [])
-          (Engine.Util.divisors (min target trip))
-  in
-  List.map
-    (Engine.Backend.normalize_vector ctx.Design.env)
-    (go eligible target)
-
-(** The saturation set Sat. *)
+(** The saturation set Sat: the divisor vectors over the eligible loops
+    whose product is exactly [Psat], as full spine vectors (ineligible
+    loops at 1), ordered lexicographically by the eligible loops,
+    outermost first. *)
 let sat_set (ctx : Design.context) (sat : t) : (string * int) list list =
-  vectors_with_product ctx sat sat.psat
+  Util.vectors_between ctx ~eligible:sat.eligible ~lower:[]
+    ~upper:(Design.umax ctx) ~product:sat.psat
 
 (** Sat_i: the saturation point that puts the whole factor [Psat] on loop
     [index], when the trip count allows it. *)

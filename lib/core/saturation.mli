@@ -29,12 +29,8 @@ val eligible_loops : Ast.kernel -> string list
 val compute :
   ?pipeline:Transform.Pipeline.options -> num_memories:int -> Ast.kernel -> t
 
-(** All divisor-factor vectors over the eligible loops with the given
-    product, as full spine vectors. *)
-val vectors_with_product :
-  Design.context -> t -> int -> (string * int) list list
-
-(** The saturation set Sat. *)
+(** The saturation set Sat: every divisor vector over the eligible
+    loops whose product is exactly [Psat], as full spine vectors. *)
 val sat_set : Design.context -> t -> (string * int) list list
 
 (** Sat_i: the whole factor [Psat] on one loop, when its trip count

@@ -35,22 +35,6 @@ type result = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Vector enumeration within bounds *)
-
-(* The enumeration primitives are shared with [Space] through
-   [Dse.Util]; here they range over the saturation analysis's eligible
-   loops. *)
-let vectors_between (ctx : Design.context) (sat : Saturation.t) ~lower ~upper
-    ~product : (string * int) list list =
-  Util.vectors_between ctx ~eligible:sat.Saturation.eligible ~lower ~upper
-    ~product
-
-(** Products reachable by some vector of eligible divisor factors. *)
-let achievable_products (ctx : Design.context) (sat : Saturation.t) ~upper :
-    int list =
-  Util.achievable_products ctx ~eligible:sat.Saturation.eligible ~upper
-
-(* ------------------------------------------------------------------ *)
 (* Loop ranking for Uinit and Increase (Section 5.3) *)
 
 (** Higher weight = more promising to unroll: a loop carrying no (true,
@@ -119,32 +103,25 @@ let run ?(config = default_config) (ctx : Design.context) : result =
       env.source
   in
   let weights = loop_weights env.source in
+  let eligible = sat.Saturation.eligible in
   (* The sweep's legality gate, built once per run: a vector whose
-     configuration is illegal is never a candidate, and a redundant
-     spelling is evaluated as its canonical configuration. *)
+     configuration is illegal is never a candidate. *)
   let verdict = Check.Legality.config_verdict env.source in
-  let gated v =
-    let c = Design.base_config ctx v in
-    match verdict c with
-    | Check.Legality.Config_illegal _ -> None
-    | Check.Legality.Config_redundant canon -> Some canon
-    | Check.Legality.Config_legal -> Some c
-  in
-  let legal v = Option.is_some (gated v) in
+  let legal v = verdict (Design.base_config ctx v) = Check.Legality.Config_legal in
   let umax = Design.umax ctx in
   let ubase = Design.ubase ctx in
   let uinit = choose_uinit ~legal ctx sat in
   let psat_product = max 1 (Design.product uinit) in
   (* The context's evaluation cache is the memo: it keys on the
-     *normalized* vector, so partial vectors from [choose_uinit] /
-     [Saturation.sat_i] and full vectors from [vectors_between] that
-     denote the same design share one synthesis run. *)
+     normalized configuration, so spellings of one design share one
+     synthesis run. Every vector here is full and spine-normalized
+     ([Saturation], [Util.vectors_between], [ubase], [umax]), so [=]
+     compares designs. *)
   let stats_before = Design.stats_snapshot ctx in
   let steps = ref [] in
   let config_of v =
-    match gated v with
-    | Some c -> c
-    | None -> invalid_arg "Dse.Search.run: an illegal vector was visited"
+    if legal v then Design.base_config ctx v
+    else invalid_arg "Dse.Search.run: an illegal vector was visited"
   in
   let evaluate v = Design.evaluate ctx (config_of v) in
   let log point verdict = steps := { point; verdict } :: !steps in
@@ -172,7 +149,7 @@ let run ?(config = default_config) (ctx : Design.context) : result =
     let p = Design.product u in
     let target = 2 * p in
     let products =
-      achievable_products ctx sat ~upper:umax
+      Util.achievable_products ctx ~eligible ~upper:umax
       |> List.filter (fun q -> q > p)
       |> List.sort (fun a b ->
              compare (abs (a - target), a) (abs (b - target), b))
@@ -180,7 +157,7 @@ let run ?(config = default_config) (ctx : Design.context) : result =
     let rec try_products = function
       | [] -> u
       | q :: rest -> (
-          match pick_best (vectors_between ctx sat ~lower:u ~upper:umax ~product:q) with
+          match pick_best (Util.vectors_between ctx ~eligible ~lower:u ~upper:umax ~product:q) with
           | Some v -> v
           | None -> try_products rest)
     in
@@ -192,7 +169,7 @@ let run ?(config = default_config) (ctx : Design.context) : result =
     let ps = Design.product usmall and pl = Design.product ularge in
     let mid = (ps + pl) / 2 in
     let candidates =
-      achievable_products ctx sat ~upper:ularge
+      Util.achievable_products ctx ~eligible ~upper:ularge
       |> List.filter (fun p -> p > ps && p < pl && p mod psat_product = 0)
       |> List.sort (fun a b -> compare (abs (a - mid)) (abs (b - mid)))
     in
@@ -200,7 +177,7 @@ let run ?(config = default_config) (ctx : Design.context) : result =
       | [] -> usmall
       | p :: rest -> (
           match
-            pick_best (vectors_between ctx sat ~lower:usmall ~upper:ularge ~product:p)
+            pick_best (Util.vectors_between ctx ~eligible ~lower:usmall ~upper:ularge ~product:p)
           with
           | Some v -> v
           | None -> try_products rest)
@@ -211,14 +188,14 @@ let run ?(config = default_config) (ctx : Design.context) : result =
      the device, regardless of balance. *)
   let find_largest_fit () =
     let products =
-      achievable_products ctx sat ~upper:uinit
+      Util.achievable_products ctx ~eligible ~upper:uinit
       |> List.filter (fun p -> p <= Design.product uinit)
       |> List.sort (fun a b -> compare b a)
     in
     let rec go = function
       | [] -> ubase
       | p :: rest -> (
-          match pick_best (vectors_between ctx sat ~lower:ubase ~upper:uinit ~product:p) with
+          match pick_best (Util.vectors_between ctx ~eligible ~lower:ubase ~upper:uinit ~product:p) with
           | Some v ->
               if quick_over_capacity v then begin
                 Design.note_pruned ctx;
@@ -248,13 +225,13 @@ let run ?(config = default_config) (ctx : Design.context) : result =
       (* Rejected on the tier-1 bound alone: same move as the
          over-capacity verdict, with no synthesis and no logged step. *)
       Design.note_pruned ctx;
-      if Design.vector_equal !ucurr uinit then begin
+      if !ucurr = uinit then begin
         ucurr := find_largest_fit ();
         ok := true
       end
       else begin
         ucurr := select_between !ucb !ucurr;
-        if Design.vector_equal !ucurr !ucb then ok := true
+        if !ucurr = !ucb then ok := true
       end
     end
     else begin
@@ -262,7 +239,7 @@ let run ?(config = default_config) (ctx : Design.context) : result =
       let b = Design.balance pt in
       if Design.space pt > ctx.Design.capacity then begin
         log pt "over-capacity";
-        if Design.vector_equal !ucurr uinit then begin
+        if !ucurr = uinit then begin
           ucurr := find_largest_fit ();
           ok := true
         end
@@ -275,22 +252,22 @@ let run ?(config = default_config) (ctx : Design.context) : result =
       else if b < 1.0 then begin
         log pt "memory-bound";
         umb := !ucurr;
-        if Design.vector_equal !ucurr uinit then ok := true
+        if !ucurr = uinit then ok := true
         else ucurr := select_between !ucb !umb
       end
       else begin
         log pt "compute-bound";
         ucb := !ucurr;
         seen_cb := true;
-        if Design.vector_equal !umb umax then ucurr := increase !ucb
+        if !umb = umax then ucurr := increase !ucb
         else ucurr := select_between !ucb !umb
       end;
-      if (not !ok) && Design.vector_equal !ucurr !ucb then ok := true
+      if (not !ok) && !ucurr = !ucb then ok := true
     end
   done;
   let selected = evaluate !ucurr in
   (* Make sure the selected design appears in the step log. *)
-  if not (List.exists (fun s -> Design.vector_equal s.point.vector !ucurr) !steps)
+  if not (List.exists (fun s -> s.point.vector = !ucurr) !steps)
   then log selected "selected";
   let stats =
     Engine.Store.stats_diff ~before:stats_before

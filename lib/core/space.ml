@@ -14,7 +14,8 @@
     the design).
 
     Every sweep takes one path: enumerate the axes, drop what the
-    legality verdict rejects, dedupe canonical spellings, then visit the
+    legality verdict rejects, dedupe the designs the rest denote
+    ({!Design.normalize_config}), then visit the
     survivors — all of them (on several {!Engine.Pool} workers when
     [jobs > 1]), or best-first on tier-1 bounds for a large joint
     space. *)
@@ -229,14 +230,6 @@ let sweep ?eligible ?(max_product = max_int) ?joint ?(exhaustive_below = 64)
   let enumerated = ref 0 and ill = ref 0 and red = ref 0 in
   let seen : (Design.config, unit) Hashtbl.t = Hashtbl.create 64 in
   let survivors = ref [] in
-  let survive c =
-    let key = Design.normalize_config ctx c in
-    if Hashtbl.mem seen key then incr red
-    else begin
-      Hashtbl.replace seen key ();
-      survivors := key :: !survivors
-    end
-  in
   List.iter
     (fun (sr, peel, licm) ->
       List.iter
@@ -249,8 +242,13 @@ let sweep ?eligible ?(max_product = max_int) ?joint ?(exhaustive_below = 64)
               in
               match verdict c with
               | Check.Legality.Config_illegal _ -> incr ill
-              | Check.Legality.Config_redundant canon -> survive canon
-              | Check.Legality.Config_legal -> survive c)
+              | Check.Legality.Config_legal ->
+                  let key = Design.normalize_config ctx c in
+                  if Hashtbl.mem seen key then incr red
+                  else begin
+                    Hashtbl.replace seen key ();
+                    survivors := key :: !survivors
+                  end)
             vectors)
         tiles)
     toggles;

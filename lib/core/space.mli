@@ -20,8 +20,8 @@ type t = {
           x tile options x toggle combinations *)
   pruned_illegal : int;  (** dropped by the legality verdict *)
   pruned_redundant : int;
-      (** dropped as another spelling of a configuration already
-          enumerated (canonicalization + dedupe) *)
+      (** dropped as another spelling of a design already enumerated
+          (same {!Design.normalize_config}) *)
   pruned_bound : int;  (** skipped on tier-1 lower bounds *)
   total_designs : int;
       (** paper-style accounting: all integer unroll factors x tile
@@ -46,8 +46,8 @@ val joint_tile_options :
     Every sweep takes one path. Enumeration runs the full product
     (counted in [space_size]). Each configuration then passes the
     legality verdict ({!Check.Legality.config_verdict}): illegal ones
-    are dropped before any transform runs, a redundant one stands for
-    its canonical spelling, and canonical spellings are deduped. The
+    are dropped before any transform runs, and the others are deduped
+    on the design they denote ({!Design.normalize_config}). The
     survivors are then visited in one of two regimes:
 
     - exhaustive — the unroll-only space, and a joint space of at most

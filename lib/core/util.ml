@@ -3,17 +3,6 @@
     not in the engine, because they read the context's precomputed
     divisor tables; divisor arithmetic itself is {!Engine.Util}'s. *)
 
-open Ir
-
-(* Divisor lists come from the context's precomputed [spine_divisors]
-   tables: these helpers run on every Increase/SelectBetween move of the
-   search and on every sweep enumeration, so recomputing
-   [Engine.Util.divisors] per loop per call is pure waste. *)
-let spine_divisors_of (ctx : Design.context) (l : Ast.loop) : int list =
-  match List.assoc_opt l.index ctx.Design.env.spine_divisors with
-  | Some ds -> ds
-  | None -> Engine.Util.divisors (Ast.loop_trip l)
-
 (** All normalized vectors of eligible divisor factors with the exact
     unroll product [product], bounded per loop by [lower]/[upper]
     (missing entries mean factor 1). The search's SelectBetween move. *)
@@ -24,42 +13,34 @@ let vectors_between (ctx : Design.context) ~(eligible : string list) ~lower
   let rec go loops target =
     match loops with
     | [] -> if target = 1 then [ [] ] else []
-    | (l : Ast.loop) :: rest ->
+    | (index, divs) :: rest ->
         let cands =
-          spine_divisors_of ctx l
-          |> List.filter (fun d ->
-                 d >= lo l.index && d <= hi l.index && target mod d = 0)
+          List.filter
+            (fun d -> d >= lo index && d <= hi index && target mod d = 0)
+            divs
         in
         List.concat_map
-          (fun d ->
-            List.map (fun tl -> (l.index, d) :: tl) (go rest (target / d)))
+          (fun d -> List.map (fun tl -> (index, d) :: tl) (go rest (target / d)))
           cands
   in
-  let loops =
-    List.filter
-      (fun (l : Ast.loop) -> List.mem l.index eligible)
-      ctx.Design.env.spine
-  in
-  List.map (Engine.Backend.normalize_vector ctx.Design.env) (go loops product)
+  let env = ctx.Design.env in
+  List.map
+    (Engine.Backend.normalize_vector env)
+    (go (List.filter (fun (i, _) -> List.mem i eligible) env.spine_divisors) product)
 
 (** Products reachable by some vector of eligible divisor factors, each
     loop's factor bounded by its [upper] entry (missing means 1). *)
 let achievable_products (ctx : Design.context) ~(eligible : string list)
     ~upper : int list =
-  let rec go loops acc =
-    match loops with
-    | [] -> acc
-    | (l : Ast.loop) :: rest ->
-        if not (List.mem l.index eligible) then go rest acc
-        else begin
-          let cap = Option.value ~default:1 (List.assoc_opt l.index upper) in
-          let ds = List.filter (fun d -> d <= cap) (spine_divisors_of ctx l) in
-          go rest
-            (List.sort_uniq compare
-               (List.concat_map (fun p -> List.map (fun d -> p * d) ds) acc))
-        end
-  in
-  go ctx.Design.env.spine [ 1 ]
+  List.fold_left
+    (fun acc (index, divs) ->
+      if not (List.mem index eligible) then acc
+      else
+        let cap = Option.value ~default:1 (List.assoc_opt index upper) in
+        let ds = List.filter (fun d -> d <= cap) divs in
+        List.sort_uniq compare
+          (List.concat_map (fun p -> List.map (fun d -> p * d) ds) acc))
+    [ 1 ] ctx.Design.env.spine_divisors
 
 (** All divisor vectors over the eligible loops whose unroll product is
     at most [max_product]; ineligible spine loops are pinned to factor 1.
@@ -72,19 +53,16 @@ let achievable_products (ctx : Design.context) ~(eligible : string list)
     a nested [concat_map]. *)
 let divisor_vectors ?(max_product = max_int) (ctx : Design.context)
     ~(eligible : string list) : (string * int) list list =
-  let rec go loops divs budget prefix acc =
-    match (loops, divs) with
-    | [], _ -> List.rev prefix :: acc
-    | (l : Ast.loop) :: rest, (_, ds) :: rest_divs ->
-        if List.mem l.index eligible then
+  let rec go loops budget prefix acc =
+    match loops with
+    | [] -> List.rev prefix :: acc
+    | (index, ds) :: rest ->
+        if List.mem index eligible then
           List.fold_left
             (fun acc d ->
               if d > budget then acc
-              else go rest rest_divs (budget / d) ((l.index, d) :: prefix) acc)
+              else go rest (budget / d) ((index, d) :: prefix) acc)
             acc ds
-        else go rest rest_divs budget ((l.index, 1) :: prefix) acc
-    | _ :: _, [] ->
-        invalid_arg "divisor_vectors: spine and spine_divisors disagree"
+        else go rest budget ((index, 1) :: prefix) acc
   in
-  let env = ctx.Design.env in
-  List.rev (go env.spine env.spine_divisors max_product [] [])
+  List.rev (go ctx.Design.env.spine_divisors max_product [] [])

@@ -126,14 +126,17 @@ let normalize_vector (env : env) (v : (string * int) list) :
 let base_config (env : env) (v : (string * int) list) : Store.config =
   { (Transform.Pipeline.config_of_options env.pipeline) with vector = v }
 
-(** Normalise a configuration to its canonical cache key: the vector is
-    spine-normalized ({!normalize_vector}); a tile on a spine loop is
-    {!Transform.Tiling.clamp}ed and dropped when the clamp leaves no
-    tile; the unroll factor of a
-    tiled loop is forced to 1 (strip-mining renames the loop, so the
-    unroller would ignore the entry — two spellings of the same
-    design). A tile index naming no spine loop is kept verbatim:
-    synthesis of such a configuration fails loudly in the pipeline. *)
+(** The design a configuration denotes, as its canonical cache key —
+    the one place that decides when two configurations are the same
+    design. The vector is spine-normalized ({!normalize_vector}); a
+    tile on a spine loop is {!Transform.Tiling.clamp}ed and dropped
+    when the clamp leaves no tile; the unroll factor of a tiled loop is
+    forced to 1 (strip-mining renames the loop, so the unroller would
+    ignore the entry); peeling is off without scalar replacement (the
+    peel stage peels what replacement reports, and with replacement off
+    that is nothing). A tile index naming no spine loop is kept
+    verbatim: synthesis of such a configuration fails loudly in the
+    pipeline. *)
 let normalize_config (env : env) (c : Store.config) : Store.config =
   let tile =
     match c.tile with
@@ -155,7 +158,7 @@ let normalize_config (env : env) (c : Store.config) : Store.config =
         List.map (fun (i, u) -> if i = ti then (i, 1) else (i, u)) vector
     | None -> vector
   in
-  { c with vector; tile }
+  { c with vector; tile; peel = c.peel && c.scalar_replace }
 
 (* ------------------------------------------------------------------ *)
 (* Shared pipeline fronts *)
@@ -189,8 +192,9 @@ type t = {
           synthesize) *)
   synthesize :
     ?fronts:fronts -> env -> Store.t -> Store.config -> Store.point;
-      (** full evaluation of one configuration, bypassing the point
-          cache (neither read nor written); bumps the store's counters *)
+      (** full evaluation of one {!normalize_config}d configuration,
+          bypassing the point cache (neither read nor written); bumps
+          the store's counters *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -252,7 +256,6 @@ let start (env : env) (opts : Transform.Pipeline.options) =
 
 let full_synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
     Store.point =
-  let c = normalize_config env c in
   let opts = Transform.Pipeline.apply_config ~base:env.pipeline c in
   let stats = store.Store.stats in
   let t0 = Clock.now () in

@@ -40,13 +40,20 @@ val normalize_vector : env -> (string * int) list -> (string * int) list
     toggles taken from the base pipeline options. *)
 val base_config : env -> (string * int) list -> Store.config
 
-(** Canonical cache key for a configuration: the vector is
-    {!normalize_vector}d, a spine tile is clamped to the divisor the
-    strip-mine would use (and dropped when that makes it a no-op), and
-    the unroll factor of a tiled loop is forced to 1 (the strip-mine
-    renames the loop, so the unroller would ignore the entry). A tile
-    index naming no spine loop is kept verbatim — synthesizing such a
-    configuration fails loudly in the pipeline. *)
+(** The design a configuration denotes, as its canonical cache key —
+    the only function that decides when two configurations are the same
+    design. Its rules:
+    - the vector is {!normalize_vector}d;
+    - a tile on a spine loop is clamped to the divisor the strip-mine
+      would use ({!Transform.Tiling.clamp}), and dropped when that
+      makes it a no-op;
+    - the unroll factor of a tiled loop is forced to 1 (the strip-mine
+      renames the loop, so the unroller would ignore the entry);
+    - peeling is off without scalar replacement (the peel stage peels
+      what replacement reports, which is then nothing).
+
+    A tile index naming no spine loop is kept verbatim — synthesizing
+    such a configuration fails loudly in the pipeline. *)
 val normalize_config : env -> Store.config -> Store.config
 
 (** {2 Shared pipeline fronts}
@@ -85,8 +92,9 @@ type t = {
           this backend offers no tier-1 gate *)
   synthesize :
     ?fronts:fronts -> env -> Store.t -> Store.config -> Store.point;
-      (** full evaluation of one configuration, bypassing the point
-          cache (neither read nor written); bumps the store's counters.
+      (** full evaluation of one {!normalize_config}d configuration,
+          bypassing the point cache (neither read nor written); bumps
+          the store's counters.
           The front comes from [fronts] when it holds one for the
           configuration's key; otherwise it is built (counted in the
           store's [fronts]) and added to [fronts] when given; without

@@ -146,10 +146,11 @@ let atomic_write file payload =
   Sys.rename tmp file
 
 (* Read one store file; [None] when missing, corrupt, truncated or
-   written under a different configuration — a cold read, never an
-   error. *)
-let read_payload : 'a. string -> config:string -> 'a option =
- fun file ~config ->
+   written under a configuration other than [config] — a cold read,
+   never an error. Without [config] any configuration is accepted:
+   [stats] must describe foreign configurations too. *)
+let read_payload : 'a. ?config:string -> string -> 'a option =
+ fun ?config file ->
   if not (Sys.file_exists file) then None
   else
     try
@@ -160,7 +161,7 @@ let read_payload : 'a. string -> config:string -> 'a option =
           let h : header = Marshal.from_channel ic in
           if
             h.h_magic <> magic || h.h_schema <> schema_version
-            || h.h_config <> config
+            || Option.fold ~none:false ~some:(( <> ) h.h_config) config
           then None
           else Some (Marshal.from_channel ic))
     with _ -> None
@@ -285,20 +286,6 @@ type dir_stats = {
 
 let file_size f = try (Unix.stat f).Unix.st_size with Unix.Unix_error _ -> 0
 
-(* Re-read a file's own header (any config accepted) to count entries;
-   used only by [stats], which must describe even foreign configs. *)
-let read_with_own_header : 'a. string -> 'a option =
- fun file ->
-  try
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let h : header = Marshal.from_channel ic in
-        if h.h_magic <> magic || h.h_schema <> schema_version then None
-        else Some (Marshal.from_channel ic))
-  with _ -> None
-
 let stats ~cache_dir : dir_stats =
   let vdir = version_dir cache_dir in
   if not (Sys.file_exists vdir) then
@@ -328,7 +315,7 @@ let stats ~cache_dir : dir_stats =
                      }
                    else if f = "schedmemo.bin" then
                      match
-                       (read_with_own_header path : Hls.Schedule.table option)
+                       (read_payload path : Hls.Schedule.table option)
                      with
                      | Some m -> { cs with cs_memo_shapes = Hashtbl.length m }
                      | None -> { cs with cs_invalid = cs.cs_invalid + 1 }
@@ -337,7 +324,7 @@ let stats ~cache_dir : dir_stats =
                      && String.sub f 0 7 = "points-"
                      && Filename.check_suffix f ".bin"
                    then
-                     match (read_with_own_header path : points_payload option) with
+                     match (read_payload path : points_payload option) with
                      | Some entries ->
                          {
                            cs with

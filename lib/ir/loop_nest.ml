@@ -30,6 +30,16 @@ let nest_depth body = List.length (spine body)
 (** Indices of the spine loops, outermost first. *)
 let spine_indices body = List.map (fun l -> l.index) (spine body)
 
+(** Does some loop of [body], at any depth and under any guard, have
+    index [index]? *)
+let rec has_loop index (body : stmt list) =
+  List.exists
+    (function
+      | For l -> l.index = index || has_loop index l.body
+      | If (_, t, e) -> has_loop index t || has_loop index e
+      | Assign _ | Rotate _ -> false)
+    body
+
 let trip = loop_trip
 
 (** Total iteration count of a perfect nest. *)

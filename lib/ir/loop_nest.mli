@@ -12,6 +12,10 @@ val spine : Ast.stmt list -> Ast.loop list
 
 val nest_depth : Ast.stmt list -> int
 val spine_indices : Ast.stmt list -> string list
+
+(** Some loop of the body, spine or not, at any depth and under any
+    guard, has this index: what a tile request must name. *)
+val has_loop : string -> Ast.stmt list -> bool
 val trip : Ast.loop -> int
 
 (** Product of the spine loops' trip counts. *)

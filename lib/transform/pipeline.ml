@@ -164,16 +164,7 @@ let front ?observe (opts : options) (k : Ast.kernel) : front =
                its legality pruning is testable. A named loop the
                strip-mine cannot split (trip <= tile, trip 1) is still a
                no-op — the tile is then merely redundant. *)
-            let rec has_loop body =
-              List.exists
-                (function
-                  | Ast.For l ->
-                      l.Ast.index = index || has_loop l.Ast.body
-                  | Ast.If (_, t, e) -> has_loop t || has_loop e
-                  | Ast.Assign _ | Ast.Rotate _ -> false)
-                body
-            in
-            if not (has_loop k.Ast.k_body) then
+            if not (Loop_nest.has_loop index k.Ast.k_body) then
               failwith
                 (Printf.sprintf "tile index '%s' names no loop" index);
             Tiling.tile_for_registers ~index ~tile k)
@@ -257,7 +248,8 @@ let apply ?observe ?front:shared (opts : options) (k : Ast.kernel) : result =
       (not opts.peel)
       (* Nothing to peel: the stage would only replay the final
          range-fold, so make the no-peel spelling bit-identical to
-         [peel = false] (the joint pruner canonicalizes on this). *)
+         [peel = false] (configuration normalization folds peel into
+         scalar replacement on this). *)
       || report.Scalar_replace.innermost_peels = 0
          && report.Scalar_replace.carriers = []
     then k

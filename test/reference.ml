@@ -2739,12 +2739,19 @@ module Scalar_replace = struct
 end
 
 (** [Check.Legality.config_verdict] as it was before its kernel-only
-    analyses moved out of the per-configuration call: every verdict
-    recomputes the spine, the array dependence test and the scalar-hazard
-    flow analysis. The result type and the [*_dependence]/hazard
-    predicates are the library's. *)
+    analyses moved out of the per-configuration call and before its
+    canonicalization moved into [Engine.Backend.normalize_config]: every
+    verdict recomputes the spine, the array dependence test and the
+    scalar-hazard flow analysis, and a legal configuration that is
+    another spelling of a design carries its canonical spelling. The
+    [*_dependence]/hazard predicates are the library's. *)
 module Legality = struct
   module L = Check.Legality
+
+  type config_verdict =
+    | Config_legal
+    | Config_redundant of Transform.Pipeline.config
+    | Config_illegal of string
 
   let rec body_has_loop index body =
     List.exists
@@ -2770,7 +2777,7 @@ module Legality = struct
       c.Transform.Pipeline.vector
 
   let config_verdict (k : Ast.kernel) (c : Transform.Pipeline.config) :
-      L.config_verdict =
+      config_verdict =
     let illegal_tile =
       match c.Transform.Pipeline.tile with
       | Some (index, _) when not (body_has_loop index k.Ast.k_body) ->
@@ -2779,14 +2786,14 @@ module Legality = struct
       | _ -> None
     in
     match illegal_tile with
-    | Some why -> L.Config_illegal why
+    | Some why -> Config_illegal why
     | None ->
         if
           wants_jam k c
           && L.jam_unroll_legal_dependence k
           && L.scalar_jam_hazard (Analysis.Flowgraph.build k) <> None
         then
-          L.Config_illegal
+          Config_illegal
             "unroll-and-jam at this vector reorders a loop-carried scalar \
              recurrence the dependence test cannot see"
         else begin
@@ -2810,6 +2817,6 @@ module Legality = struct
             c.Transform.Pipeline.peel && c.Transform.Pipeline.scalar_replace
           in
           let canon = { c with Transform.Pipeline.tile; vector; peel } in
-          if canon = c then L.Config_legal else L.Config_redundant canon
+          if canon = c then Config_legal else Config_redundant canon
         end
 end

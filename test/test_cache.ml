@@ -18,20 +18,7 @@ let estimates_equal (a : Design.point) (b : Design.point) =
   && Design.balance a = Design.balance b
 
 (* ------------------------------------------------------------------ *)
-(* vector_equal is total (regression: used to raise Invalid_argument on
-   vectors of different lengths) *)
-
-let test_vector_equal_total () =
-  Alcotest.(check bool) "partial = normalized" true
-    (Design.vector_equal [ ("j", 4) ] [ ("j", 4); ("i", 1) ]);
-  Alcotest.(check bool) "order-insensitive" true
-    (Design.vector_equal [ ("i", 2); ("j", 3) ] [ ("j", 3); ("i", 2) ]);
-  Alcotest.(check bool) "empty = all-ones" true
-    (Design.vector_equal [] [ ("i", 1); ("j", 1) ]);
-  Alcotest.(check bool) "differing factor" false
-    (Design.vector_equal [ ("j", 4) ] [ ("j", 2); ("i", 1) ]);
-  Alcotest.(check bool) "missing loop with factor > 1" false
-    (Design.vector_equal [ ("j", 4) ] [ ("i", 2); ("j", 4) ])
+(* Cached and uncached evaluation agree *)
 
 let vector_gen spine =
   let open QCheck in
@@ -42,21 +29,6 @@ let vector_gen spine =
         (List.map2 (fun i u -> if u = 0 then [] else [ (i, u) ]) spine us))
     (Gen.flatten_l
        (List.map (fun _ -> Gen.oneof [ Gen.return 0; factor ]) spine))
-
-let prop_vector_equal_reflexive =
-  QCheck.Test.make ~count:200 ~name:"vector_equal total and reflexive"
-    QCheck.(
-      make ~print:(fun (a, b) ->
-          Format.asprintf "%a vs %a" Design.pp_vector a Design.pp_vector b)
-        (QCheck.Gen.pair (vector_gen [ "i"; "j"; "k" ]) (vector_gen [ "j"; "k" ])))
-    (fun (a, b) ->
-      (* must never raise, must be reflexive and symmetric *)
-      let _ = Design.vector_equal a b in
-      Design.vector_equal a a
-      && Design.vector_equal a b = Design.vector_equal b a)
-
-(* ------------------------------------------------------------------ *)
-(* Cached and uncached evaluation agree *)
 
 let prop_cached_uncached_agree =
   let c = ctx "mm" in
@@ -69,7 +41,8 @@ let prop_cached_uncached_agree =
       estimates_equal
         (Design.evaluate c config)
         (c.Design.backend.Engine.Backend.synthesize c.Design.env
-           c.Design.store config))
+           c.Design.store
+           (Design.normalize_config c config)))
 
 let test_memo_normalizes () =
   (* Regression: a partial vector and its spine-normalized form denote
@@ -106,8 +79,7 @@ let test_search_reuses_cache () =
   Alcotest.(check int) "second run synthesizes nothing" 0
     r2.Search.stats.evaluations;
   Alcotest.(check bool) "same selection" true
-    (Design.vector_equal r1.Search.selected.vector
-       r2.Search.selected.vector)
+    (r1.Search.selected.vector = r2.Search.selected.vector)
 
 let test_sweep_reuses_search_points () =
   (* The bench `frac` pattern: a sweep after a search on the same
@@ -170,12 +142,6 @@ let qtest = QCheck_alcotest.to_alcotest
 let () =
   Alcotest.run "cache"
     [
-      ( "vector-equal",
-        [
-          Alcotest.test_case "total on mixed lengths" `Quick
-            test_vector_equal_total;
-          qtest prop_vector_equal_reflexive;
-        ] );
       ( "evaluation-cache",
         [
           qtest prop_cached_uncached_agree;

@@ -177,8 +177,7 @@ let test_backend_equivalence () =
       Alcotest.(check bool)
         (name ^ ": gated and ungated searches select identically")
         true
-        (Design.vector_equal rg.Search.selected.vector
-           rp.Search.selected.vector);
+        (rg.Search.selected.vector = rp.Search.selected.vector);
       Alcotest.(check bool)
         (name ^ ": the gate only removes syntheses")
         true
@@ -229,8 +228,8 @@ let test_session_matches_sequential () =
       Alcotest.(check bool)
         (name ^ ": session selects like a sequential run")
         true
-        (Design.vector_equal o.Dse.Driver.search.Search.selected.vector
-           solo.Search.selected.vector))
+        (o.Dse.Driver.search.Search.selected.vector
+        = solo.Search.selected.vector))
     names summary.Dse.Driver.outcomes
 
 (* Every file under [dir] with its inode and contents, in path order: a
@@ -280,7 +279,7 @@ let test_session_warm () =
     (Dse.Driver.total warm).evaluations;
   Alcotest.(check int)
     "warm session read no memo" 0
-    (Hls.Schedule.memo_size warm.Dse.Driver.memo);
+    (Hls.Schedule.memo_size warm.Dse.Driver.session.memo);
   List.iter2
     (fun (c : Dse.Driver.outcome) (w : Dse.Driver.outcome) ->
       Alcotest.(check bool)
@@ -302,14 +301,14 @@ let test_session_warm_reads_memo () =
   let cold = session dir [ "fir"; "mm" ] in
   let cfg_dir =
     Filename.concat (Filename.concat dir "v1")
-      (Digest.to_hex (Digest.string cold.Dse.Driver.config))
+      (Digest.to_hex (Digest.string cold.Dse.Driver.session.config))
   in
   Sys.remove
     (Filename.concat cfg_dir ("points-" ^ Persist.kernel_key (kernel "mm") ^ ".bin"));
   let warm = session dir [ "fir"; "mm" ] in
   let again = Store.create () in
   let reloaded =
-    Persist.load_points ~cache_dir:dir ~config:cold.Dse.Driver.config
+    Persist.load_points ~cache_dir:dir ~config:cold.Dse.Driver.session.config
       ~kernel_key:(Persist.kernel_key (kernel "mm")) again
   in
   rm_store dir;
@@ -319,9 +318,9 @@ let test_session_warm_reads_memo () =
         fir.Dse.Driver.stats.evaluations;
       Alcotest.(check bool) "mm synthesized" true (mm.Dse.Driver.stats.evaluations > 0);
       Alcotest.(check bool) "the memo was read" true
-        (Hls.Schedule.memo_loaded warm.Dse.Driver.memo > 0);
+        (Hls.Schedule.memo_loaded warm.Dse.Driver.session.memo > 0);
       Alcotest.(check int) "every mm block shape came from the memo" 0
-        (Hls.Schedule.memo_added warm.Dse.Driver.memo);
+        (Hls.Schedule.memo_added warm.Dse.Driver.session.memo);
       Alcotest.(check bool) "mm hit the loaded memo" true
         (mm.Dse.Driver.stats.sched_memo_hits > 0);
       Alcotest.(check int) "mm's points saved again" (Store.size mm.Dse.Driver.ctx.Design.store)
@@ -333,21 +332,16 @@ let test_session_warm_reads_memo () =
 let test_joint_warm_unchanged () =
   let k = kernel "fir" in
   let dir = fresh_dir () in
-  let cfg = config () in
   let run () =
-    let store = Store.create () in
-    ignore
-      (Persist.load_points ~cache_dir:dir ~config:cfg
-         ~kernel_key:(Persist.kernel_key k) store);
-    Persist.load_memo ~cache_dir:dir ~config:cfg store.Store.sched_memo;
+    let session =
+      Dse.Driver.session ~cache_dir:dir ~profile ~backend:Backend.default ()
+    in
+    let store = Dse.Driver.open_store session k in
     let ctx = Design.context ~profile ~store k in
     let j =
       Space.sweep ~max_product:16 ~joint:Space.default_tile_candidates ctx
     in
-    (match
-       Persist.save ~cache_dir:dir ~config:cfg ~memo:store.Store.sched_memo
-         [ (k, store) ]
-     with
+    (match Dse.Driver.save_stores session [ (k, store) ] with
     | Ok () -> ()
     | Error e -> Alcotest.fail e);
     (j, ctx)
@@ -598,6 +592,45 @@ let test_cli_joint_warm () =
     true
     (Option.fold ~none:false ~some:(fun n -> n > 100) points)
 
+(* [explore --report] runs the session's path, so --cache-dir applies:
+   the first run leaves a store, and a second report is all cache with
+   the same selection. *)
+let test_cli_report_store () =
+  let dir = fresh_dir () in
+  let report () =
+    let file = Filename.temp_file "defacto-report" ".md" in
+    let code, _, _ =
+      run_capture
+        [ "explore"; "-k"; "fir"; "--report"; file; "--cache-dir"; dir ]
+    in
+    let text = lines_of file in
+    Sys.remove file;
+    (code, text)
+  in
+  let code, cold = report () in
+  Alcotest.(check int) "cold report exits 0" 0 code;
+  let _, stats, _ = run_capture [ "cache"; "stats"; "--cache-dir"; dir ] in
+  Alcotest.(check bool)
+    (Printf.sprintf "the report left a store (%s)" stats)
+    true
+    (String.starts_with ~prefix:(dir ^ ": 1 configuration") stats);
+  let code, warm = report () in
+  rm_store dir;
+  Alcotest.(check int) "warm report exits 0" 0 code;
+  let synthesized text =
+    List.find_map
+      (fun l -> Scanf.sscanf_opt l "- designs synthesized: %d " Fun.id)
+      (String.split_on_char '\n' text)
+  in
+  Alcotest.(check bool) "cold report synthesized" true
+    (Option.fold ~none:false ~some:(fun n -> n > 0) (synthesized cold));
+  Alcotest.(check (option int)) "warm report is all cache" (Some 0)
+    (synthesized warm);
+  Alcotest.(check (list string))
+    "same selection cold and warm"
+    (grep_lines "## Selected design:" cold)
+    (grep_lines "## Selected design:" warm)
+
 (* A --cache-dir that cannot be created costs only the store: results
    are printed, then a one-line diagnostic and exit 1. *)
 let test_cli_unwritable_cache_dir () =
@@ -842,6 +875,8 @@ let () =
             test_cli_removed_options;
           Alcotest.test_case "warm --joint explore is all cache" `Quick
             test_cli_joint_warm;
+          Alcotest.test_case "--report with --cache-dir reuses the store"
+            `Quick test_cli_report_store;
           Alcotest.test_case "unwritable --cache-dir" `Quick
             test_cli_unwritable_cache_dir;
           Alcotest.test_case "simulate faults exit 2" `Quick

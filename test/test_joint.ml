@@ -159,7 +159,7 @@ let prune_soundness_prop (k, c) =
             "illegal config %s evaluated cleanly on:@.%s"
             (Pipeline.config_to_string c)
             (Helpers.kernel_print k))
-  | Check.Legality.Config_legal | Check.Legality.Config_redundant _ -> (
+  | Check.Legality.Config_legal -> (
       (* Accepted configurations evaluate cleanly — through the real
          context path, under translation validation. *)
       let ctx = Design.context ~profile ~verify:true k in
@@ -177,27 +177,50 @@ let test_prune_soundness =
   Helpers.qtest "joint legality pruning is sound" ~count:150
     gen_kernel_and_config prune_soundness_prop
 
-(* A configuration canonicalized as redundant denotes the same design:
-   the context normalizes both spellings to the same point. *)
+(* [gen_config_for] with unroll factors that divide their trips, some
+   left out (factor 1): the spellings [normalize_config] must not change
+   the design of. A non-divisor factor is clamped to a different
+   design, so it is not drawn here. *)
+let gen_divisor_config_for (k : Ast.kernel) : Pipeline.config QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let* c = gen_config_for k in
+  let* entries =
+    flatten_l
+      (List.map
+         (fun (l : Ast.loop) ->
+           let* d = oneofl (Engine.Util.divisors (max 1 (Ast.loop_trip l))) in
+           let* spelled = bool in
+           return (if spelled || d > 1 then [ (l.Ast.index, d) ] else []))
+         (Loop_nest.spine k.Ast.k_body))
+  in
+  return { c with Pipeline.vector = List.concat entries }
+
+(* The one canonicalizer changes spellings, never designs: through the
+   raw pipeline (no context, no cache), a legal configuration and its
+   [normalize_config] finish in equal kernels. *)
 let redundant_agrees_prop (k, c) =
   match Check.Legality.config_verdict k c with
-  | Check.Legality.Config_redundant canonical ->
-      let ctx = Design.context ~profile k in
-      let p = Design.evaluate ctx c in
-      let p' = Design.evaluate ctx canonical in
-      if p.estimate = p'.estimate then true
-      else
-        QCheck2.Test.fail_reportf
-          "redundant %s and canonical %s disagree (cycles %d vs %d) on:@.%s"
-          (Pipeline.config_to_string c)
-          (Pipeline.config_to_string canonical)
-          p.estimate.Hls.Estimate.cycles
-          p'.estimate.Hls.Estimate.cycles (Helpers.kernel_print k)
-  | _ -> true
+  | Check.Legality.Config_illegal _ -> true
+  | Check.Legality.Config_legal ->
+      let canonical = Design.normalize_config (Design.context ~profile k) c in
+      let finish c =
+        (Pipeline.apply (Pipeline.apply_config ~base:Pipeline.default c) k)
+          .Pipeline.kernel
+      in
+      Ast.equal_kernel (finish c) (finish canonical)
+      || QCheck2.Test.fail_reportf
+           "%s and its normalization %s finish differently on:@.%s"
+           (Pipeline.config_to_string c)
+           (Pipeline.config_to_string canonical)
+           (Helpers.kernel_print k)
 
 let test_redundant_agrees =
   Helpers.qtest "redundant spellings evaluate identically" ~count:150
-    gen_kernel_and_config redundant_agrees_prop
+    QCheck2.Gen.(
+      let* k = Helpers.gen_kernel in
+      let* c = gen_divisor_config_for k in
+      return (k, c))
+    redundant_agrees_prop
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic witness for the hazard branch of [Config_illegal]: the
@@ -330,15 +353,27 @@ let all_kernels =
   List.map (fun n -> (n, kernel n)) Kernels.names
   @ List.map (fun n -> (n, Option.get (Gallery.find n))) Gallery.names
 
-(* The verdict function computes its kernel-only analyses once; every
-   verdict equals the per-configuration reference's. *)
+(* The verdict function computes its kernel-only analyses once. It is
+   illegal exactly where the reference's is, and where the reference
+   names a canonical spelling, [normalize_config] maps both to one
+   design. *)
 let verdict_matches_reference name k configs =
   let verdict = Check.Legality.config_verdict k in
+  let ctx = Design.context ~profile k in
   List.iter
     (fun c ->
-      if verdict c <> Reference.Legality.config_verdict k c then
-        Alcotest.failf "%s %s: verdict differs from the reference" name
-          (Pipeline.config_to_string c))
+      let fail what =
+        Alcotest.failf "%s %s: %s" name (Pipeline.config_to_string c) what
+      in
+      match (verdict c, Reference.Legality.config_verdict k c) with
+      | Check.Legality.Config_illegal _, Reference.Legality.Config_illegal _
+      | Check.Legality.Config_legal, Reference.Legality.Config_legal ->
+          ()
+      | Check.Legality.Config_legal, Reference.Legality.Config_redundant canon
+        ->
+          if Design.normalize_config ctx c <> Design.normalize_config ctx canon
+          then fail "normalizes apart from the reference's canonical spelling"
+      | _ -> fail "legality differs from the reference")
     configs
 
 (* Every configuration the joint sweep enumerates at unroll product 64
@@ -606,8 +641,7 @@ let test_best_first_matches_exhaustive () =
                    "%s (%s): best-first selection matches exhaustive" name
                    (Hls.Memory_model.name profile.Hls.Estimate.mem))
                 true
-                (Design.config_equal a.config b.config
-                && a.estimate = b.estimate)
+                (a.config = b.config && a.estimate = b.estimate)
           | None, None -> ()
           | _ ->
               Alcotest.failf "%s: sweeps disagree on having a selection" name)

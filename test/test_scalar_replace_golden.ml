@@ -19,8 +19,10 @@ let kernels =
   List.map (fun n -> (n, Option.get (Kernels.find n))) Kernels.names
   @ List.map (fun n -> (n, Option.get (Gallery.find n))) Gallery.names
 
-(** The configurations of one kernel, canonical and deduplicated, in a
-    fixed order. *)
+(** The configurations of one kernel in a fixed order, one per design
+    ({!Design.normalize_config}), each under the first spelling
+    enumerated: the label of a replacement-off configuration keeps the
+    base pipeline's peel toggle, which scalar replacement never reads. *)
 let configs (ctx : Design.context) =
   let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Design.env.spine in
   let vectors max_product =
@@ -41,10 +43,10 @@ let configs (ctx : Design.context) =
   let seen = Hashtbl.create 256 in
   List.filter_map
     (fun c ->
-      let c = Design.normalize_config ctx c in
-      if Hashtbl.mem seen c then None
+      let key = Design.normalize_config ctx c in
+      if Hashtbl.mem seen key then None
       else begin
-        Hashtbl.replace seen c ();
+        Hashtbl.replace seen key ();
         Some c
       end)
     (unroll @ tiled @ off)
