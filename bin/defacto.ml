@@ -308,6 +308,10 @@ let explore kernels file non_pipelined memories capacity report prof verify
     prerr_endline "defacto: --report takes exactly one kernel";
     exit 1
   end;
+  if report <> None && joint then begin
+    prerr_endline "defacto: --report cannot be combined with --joint";
+    exit 1
+  end;
   let summary =
     Dse.Driver.run_many ?cache_dir ~cold ~profile ~verify ~capacity ~backend
       tasks

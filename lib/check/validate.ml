@@ -18,10 +18,17 @@
     Footprints are computed by enumerating the loop nests with a partial
     evaluator that tracks loop indices and compile-time-known scalars
     (so LICM temporaries in subscripts resolve); guards whose condition
-    is undecidable contribute to the may-sets of both branches. Arrays
-    whose subscripts stay unevaluable, and kernels whose iteration space
-    exceeds the point budget, are skipped with an Info finding — never
-    silently. Violations carry the stage tag. *)
+    is undecidable contribute to the may-sets of both branches. Only the
+    scalars that can reach a subscript or a guard are tracked, and a
+    loop whose remaining body only accesses arrays is solved per access
+    in closed form (the image of its iteration range under each affine
+    subscript, bounds checked dimension by dimension) instead of
+    iteration by iteration; the footprint is the one enumeration would
+    give, bit for bit. Arrays whose subscripts stay unevaluable, and
+    kernels whose iteration space exceeds the point budget, are skipped
+    with an Info finding — never silently. A stage whose output equals
+    its input takes its input's verdict. Violations carry the stage
+    tag. *)
 
 open Ir
 
@@ -53,27 +60,114 @@ let default_max_points = 1 lsl 24
 
 exception Skip_all of string
 
-(** Estimated statement executions, to refuse enormous nests upfront. *)
+(* Saturating sums and products of non-negative counts. *)
+let sat_add a b = if a > max_int - b then max_int else a + b
+
+let sat_mul a b = if a <> 0 && b > max_int / a then max_int else a * b
+
+(** Iterations of [l] (positive stride), without overflow: a range wider
+    than [max_int] counts as [max_int] iterations. *)
+let trip (l : Ast.loop) =
+  if l.Ast.hi <= l.Ast.lo then 0
+  else
+    let d = l.Ast.hi - l.Ast.lo in
+    if d < 0 then max_int else ((d - 1) / l.Ast.step) + 1
+
+(** Statement executions, saturating: the enumeration below executes at
+    most this many, so refusing a kernel whose count exceeds the budget
+    upfront bounds the whole walk. *)
 let rec work_of_body body =
   List.fold_left
     (fun acc s ->
-      acc
-      +
-      match s with
-      | Ast.Assign _ | Ast.Rotate _ -> 1
-      | Ast.If (_, t, e) -> 1 + work_of_body t + work_of_body e
-      | Ast.For l ->
-          let trip = if l.Ast.step <= 0 then 0 else Ast.loop_trip l in
-          1 + (trip * work_of_body l.Ast.body))
+      sat_add acc
+        (match s with
+        | Ast.Assign _ | Ast.Rotate _ -> 1
+        | Ast.If (_, t, e) ->
+            sat_add 1 (sat_add (work_of_body t) (work_of_body e))
+        | Ast.For l ->
+            let trip = if l.Ast.step <= 0 then 0 else trip l in
+            sat_add 1 (sat_mul trip (work_of_body l.Ast.body))))
     0 body
+
+(* ------------------------------------------------------------------ *)
+(* Slicing
+
+   Only a scalar whose value can reach a subscript or a guard can change
+   a footprint: the variables of every subscript and guard, closed over
+   the scalar assignments that define them. Those are tracked; any other
+   assignment keeps only its array reads. A rotation only makes its
+   registers unknown, so it needs no closure and vanishes when it
+   rotates no tracked register. *)
+
+let relevant (body : Ast.stmt list) : (string, unit) Hashtbl.t =
+  let rel = Hashtbl.create 16 in
+  let grew = ref false in
+  let rec mark (e : Ast.expr) =
+    match e with
+    | Ast.Int _ -> ()
+    | Ast.Var v ->
+        if not (Hashtbl.mem rel v) then begin
+          Hashtbl.add rel v ();
+          grew := true
+        end
+    | Ast.Arr (_, subs) -> List.iter mark subs
+    | Ast.Un (_, a) -> mark a
+    | Ast.Bin (_, a, b) ->
+        mark a;
+        mark b
+    | Ast.Cond (c, t, e') ->
+        mark c;
+        mark t;
+        mark e'
+  in
+  let rec subscripts (e : Ast.expr) =
+    match e with
+    | Ast.Int _ | Ast.Var _ -> ()
+    | Ast.Arr (_, subs) -> List.iter mark subs
+    | Ast.Un (_, a) -> subscripts a
+    | Ast.Bin (_, a, b) ->
+        subscripts a;
+        subscripts b
+    | Ast.Cond (c, t, e') ->
+        subscripts c;
+        subscripts t;
+        subscripts e'
+  in
+  let rec seed (s : Ast.stmt) =
+    match s with
+    | Ast.Assign (Ast.Lvar _, e) -> subscripts e
+    | Ast.Assign (Ast.Larr (_, subs), e) ->
+        List.iter mark subs;
+        subscripts e
+    | Ast.If (c, t, e) ->
+        mark c;
+        List.iter seed t;
+        List.iter seed e
+    | Ast.For l -> List.iter seed l.Ast.body
+    | Ast.Rotate _ -> ()
+  in
+  let rec close (s : Ast.stmt) =
+    match s with
+    | Ast.Assign (Ast.Lvar v, e) -> if Hashtbl.mem rel v then mark e
+    | Ast.Assign (Ast.Larr _, _) | Ast.Rotate _ -> ()
+    | Ast.If (_, t, e) ->
+        List.iter close t;
+        List.iter close e
+    | Ast.For l -> List.iter close l.Ast.body
+  in
+  List.iter seed body;
+  while !grew do
+    grew := false;
+    List.iter close body
+  done;
+  rel
 
 (* ------------------------------------------------------------------ *)
 (* Slot-compiled kernels
 
-   The enumerator executes the body once per iteration point, so every
-   name is resolved before enumeration starts: a variable to an int
-   slot of the environment (a value plus a known flag), an array to its
-   footprint record. Partial evaluation tracks loop indices and
+   Every name is resolved before enumeration starts: a tracked scalar to
+   an int slot of the environment (a value plus a known flag), an array
+   to its footprint record. Partial evaluation tracks loop indices and
    compile-time-known scalars; it raises [Unknown] where the value is
    not known. *)
 
@@ -88,20 +182,38 @@ type cexpr =
   | C_cond of cexpr * cexpr * cexpr
 
 type target =
-  | Declared of string * int list * array_fp  (** name, extents, footprint *)
+  | Declared of string * int array * array_fp  (** name, extents, footprint *)
   | Undeclared of string
 
-(** One array access: where it lands and its subscripts. *)
-type access = { target : target; subs : cexpr list }
+(* One array access: where it lands, whether it stores, and its [arity]
+   subscripts. [code.(d)] is the offset in [code] of subscript [d]: an
+   affine one as [const; n; slot_1; coeff_1; ...; slot_n; coeff_n], any
+   other as [j; -1], the [j]th of [general].
 
-(* Each statement carries the array reads it performs, in evaluation
+   A subscript built from integers, variables, [+], [-], negation and
+   products with a variable-free factor is affine. Native integers wrap,
+   which makes them a ring, so the expanded form evaluates to exactly
+   what the tree does. Every variable of the tree is listed, a cancelled
+   one with coefficient 0: an unknown variable makes the subscript
+   unevaluable even then. *)
+type access = {
+  target : target;
+  write : bool;
+  arity : int;
+  code : int array;
+  general : cexpr array;
+}
+
+(* Each statement carries the array accesses it performs, in evaluation
    order (subscripts before the element they index). *)
 type cstmt =
-  | C_set of access list * int * cexpr  (** scalar store to a slot *)
-  | C_store of access list * access  (** array store *)
+  | C_touch of access list  (** accesses and nothing else *)
+  | C_set of access list * int * cexpr  (** store to a tracked slot *)
   | C_if of access list * cexpr * cstmt list * cstmt list
   | C_for of int * Ast.loop * cstmt list  (** index slot *)
-  | C_rotate of int list
+  | C_scan of int * Ast.loop * cstmt list
+      (** a loop whose sliced body is [C_touch]es alone *)
+  | C_forget of int list  (** a rotation of tracked registers *)
 
 let rec eval vals known (e : cexpr) : int =
   match e with
@@ -143,30 +255,81 @@ let rec eval vals known (e : cexpr) : int =
   | C_cond (c, t, e') ->
       eval vals known (if eval vals known c <> 0 then t else e')
 
-(* Compile [k]'s body against fresh footprint records; returns the
-   compiled body, the slot count and the records by name (the last of
-   duplicate declarations wins). *)
+(* The value of subscript [d] of [a]. *)
+let subscript vals known (a : access) d =
+  let code = a.code in
+  let p = code.(d) in
+  let n = code.(p + 1) in
+  if n < 0 then eval vals known a.general.(code.(p))
+  else begin
+    let v = ref code.(p) in
+    for j = 0 to n - 1 do
+      let s = code.(p + 2 + (2 * j)) in
+      if not known.(s) then raise Unknown;
+      v := !v + (code.(p + 3 + (2 * j)) * vals.(s))
+    done;
+    !v
+  end
+
+(* The variable occurrences of [e] when it is affine, else [-1]. *)
+let rec affine_vars (e : Ast.expr) =
+  match e with
+  | Ast.Int _ -> 0
+  | Ast.Var _ -> 1
+  | Ast.Un (Ast.Neg, a) -> affine_vars a
+  | Ast.Bin ((Ast.Add | Ast.Sub | Ast.Mul) as op, a, b) ->
+      let na = affine_vars a and nb = affine_vars b in
+      if na < 0 || nb < 0 || (op = Ast.Mul && na > 0 && nb > 0) then -1
+      else na + nb
+  | _ -> -1
+
+(* The value of a variable-free affine expression. *)
+let rec constant (e : Ast.expr) =
+  match e with
+  | Ast.Int n -> n
+  | Ast.Un (_, a) -> -constant a
+  | Ast.Bin (Ast.Add, a, b) -> constant a + constant b
+  | Ast.Bin (Ast.Sub, a, b) -> constant a - constant b
+  | Ast.Bin (_, a, b) -> constant a * constant b
+  | Ast.Var _ | Ast.Arr _ | Ast.Cond _ -> 0
+
+(* Words of [code] for the subscripts [subs] after their offsets. *)
+let rec code_words = function
+  | [] -> 0
+  | e :: rest -> 2 + (2 * max 0 (affine_vars e)) + code_words rest
+
+(* How many of [subs] are not affine. *)
+let rec generals = function
+  | [] -> 0
+  | e :: rest -> (if affine_vars e < 0 then 1 else 0) + generals rest
+
+(* Compile [k]'s sliced body against fresh footprint records; returns
+   the compiled body, the slot count and the arrays by name (the last
+   of duplicate declarations wins), each [Declared]. *)
 let compile (k : Ast.kernel) =
-  let fps = Hashtbl.create 8 in
+  let arrays = Hashtbl.create 8 in
   List.iter
     (fun (a : Ast.array_decl) ->
       let size = Ast.array_size a in
-      Hashtbl.replace fps a.Ast.a_name
-        ( a.Ast.a_dims,
-          {
-            size;
-            may_read = Bytes.make size '\000';
-            may_write = Bytes.make size '\000';
-            must_write = Bytes.make size '\000';
-            oob_read = false;
-            oob_write = false;
-          } ))
+      Hashtbl.replace arrays a.Ast.a_name
+        (Declared
+           ( a.Ast.a_name,
+             Array.of_list a.Ast.a_dims,
+             {
+               size;
+               may_read = Bytes.make size '\000';
+               may_write = Bytes.make size '\000';
+               must_write = Bytes.make size '\000';
+               oob_read = false;
+               oob_write = false;
+             } )))
     k.Ast.k_arrays;
-  let slots = Hashtbl.create 64 in
+  let tracked = relevant k.Ast.k_body in
+  let slots = Hashtbl.create 16 in
   let slot v =
-    match Hashtbl.find_opt slots v with
-    | Some s -> s
-    | None ->
+    match Hashtbl.find slots v with
+    | s -> s
+    | exception Not_found ->
         let s = Hashtbl.length slots in
         Hashtbl.add slots v s;
         s
@@ -180,75 +343,257 @@ let compile (k : Ast.kernel) =
     | Ast.Bin (op, a, b) -> C_bin (op, cexpr a, cexpr b)
     | Ast.Cond (c, t, e') -> C_cond (cexpr c, cexpr t, cexpr e')
   in
-  let access a subs =
-    let target =
-      match Hashtbl.find_opt fps a with
-      | Some (dims, fp) -> Declared (a, dims, fp)
-      | None -> Undeclared a
-    in
-    { target; subs = List.map cexpr subs }
-  in
-  (* Array reads inside an expression, in evaluation order, prepended
-     to [acc] reversed. *)
-  let rec reads acc (e : Ast.expr) =
+  (* Add [m] times the affine [e] to the form at [code.(p)]. *)
+  let rec add code p m (e : Ast.expr) =
     match e with
-    | Ast.Int _ | Ast.Var _ -> acc
-    | Ast.Arr (a, subs) -> access a subs :: List.fold_left reads acc subs
-    | Ast.Bin (_, a, b) -> reads (reads acc a) b
-    | Ast.Un (_, a) -> reads acc a
-    | Ast.Cond (c, t, e') -> reads (reads (reads acc c) t) e'
+    | Ast.Int c -> code.(p) <- code.(p) + (m * c)
+    | Ast.Var v ->
+        let s = slot v and n = code.(p + 1) in
+        let j = ref 0 in
+        while !j < n && code.(p + 2 + (2 * !j)) <> s do
+          incr j
+        done;
+        let at = p + 2 + (2 * !j) in
+        if !j = n then begin
+          code.(at) <- s;
+          code.(p + 1) <- n + 1
+        end;
+        code.(at + 1) <- code.(at + 1) + m
+    | Ast.Un (_, a) -> add code p (-m) a
+    | Ast.Bin (Ast.Add, a, b) ->
+        add code p m a;
+        add code p m b
+    | Ast.Bin (Ast.Sub, a, b) ->
+        add code p m a;
+        add code p (-m) b
+    | Ast.Bin (_, a, b) ->
+        if affine_vars b = 0 then add code p (m * constant b) a
+        else add code p (m * constant a) b
+    | Ast.Arr _ | Ast.Cond _ -> ()
   in
-  let reads_of es = List.rev (List.fold_left reads [] es) in
-  let rec cstmt (s : Ast.stmt) =
+  let rec fill code general d p g = function
+    | [] -> ()
+    | e :: rest ->
+        code.(d) <- p;
+        let n = affine_vars e in
+        if n >= 0 then begin
+          add code p 1 e;
+          fill code general (d + 1) (p + 2 + (2 * n)) g rest
+        end
+        else begin
+          code.(p) <- g;
+          code.(p + 1) <- -1;
+          general.(g) <- cexpr e;
+          fill code general (d + 1) (p + 2) (g + 1) rest
+        end
+  in
+  let access ~write a subs =
+    let target =
+      match Hashtbl.find arrays a with
+      | t -> t
+      | exception Not_found -> Undeclared a
+    in
+    let arity = List.length subs in
+    let code = Array.make (arity + code_words subs) 0 in
+    let general =
+      match generals subs with 0 -> [||] | n -> Array.make n C_read
+    in
+    fill code general 0 arity 0 subs;
+    { target; write; arity; code; general }
+  in
+  (* The array reads of [e] in evaluation order, then [tail]. *)
+  let rec reads (e : Ast.expr) tail =
+    match e with
+    | Ast.Int _ | Ast.Var _ -> tail
+    | Ast.Arr (a, subs) ->
+        List.fold_right reads subs (access ~write:false a subs :: tail)
+    | Ast.Bin (_, a, b) -> reads a (reads b tail)
+    | Ast.Un (_, a) -> reads a tail
+    | Ast.Cond (c, t, e') -> reads c (reads t (reads e' tail))
+  in
+  let is_touch = function C_touch _ -> true | _ -> false in
+  let rec block stmts = List.fold_right cstmt stmts []
+  and cstmt (s : Ast.stmt) rest =
     match s with
-    | Ast.Assign (Ast.Lvar v, e) -> C_set (reads_of [ e ], slot v, cexpr e)
+    | Ast.Assign (Ast.Lvar v, e) -> (
+        let rs = reads e [] in
+        if Hashtbl.mem tracked v then C_set (rs, slot v, cexpr e) :: rest
+        else match rs with [] -> rest | rs -> C_touch rs :: rest)
     | Ast.Assign (Ast.Larr (a, subs), e) ->
-        C_store (reads_of (subs @ [ e ]), access a subs)
-    | Ast.If (c, t, e) ->
-        C_if (reads_of [ c ], cexpr c, List.map cstmt t, List.map cstmt e)
-    | Ast.For l -> C_for (slot l.Ast.index, l, List.map cstmt l.Ast.body)
-    | Ast.Rotate rs -> C_rotate (List.map slot rs)
+        let store = access ~write:true a subs in
+        C_touch (List.fold_right reads subs (reads e [ store ])) :: rest
+    | Ast.If (c, t, e) -> C_if (reads c [], cexpr c, block t, block e) :: rest
+    | Ast.For l ->
+        let i = slot l.Ast.index and body = block l.Ast.body in
+        (if List.for_all is_touch body then C_scan (i, l, body)
+         else C_for (i, l, body))
+        :: rest
+    | Ast.Rotate rs -> (
+        match List.filter (Hashtbl.mem tracked) rs with
+        | [] -> rest
+        | rs -> C_forget (List.map slot rs) :: rest)
   in
-  let body = List.map cstmt k.Ast.k_body in
-  (body, Hashtbl.length slots, fps)
+  let body = block k.Ast.k_body in
+  (body, Hashtbl.length slots, arrays)
+
+(* Affine values solved in closed form stay within this magnitude, so
+   no product or sum below can wrap. *)
+let small x = x > -(1 lsl 30) && x < 1 lsl 30
+
+(* Floor and ceiling of [x / y], [y <> 0]. *)
+let fdiv x y =
+  let q = x / y in
+  if x mod y <> 0 && (x < 0) <> (y < 0) then q - 1 else q
+
+let cdiv x y = -fdiv (-x) y
 
 let footprint ?(max_points = default_max_points) (k : Ast.kernel) : t =
-  let body, nslots, fps = compile k in
+  let body, nslots, arrays = compile k in
   let skipped : (string, string) Hashtbl.t = Hashtbl.create 4 in
   let skip a reason =
     if not (Hashtbl.mem skipped a) then Hashtbl.add skipped a reason
   in
   let vals = Array.make nslots 0 and known = Array.make nslots false in
-  (* Linearize row-major; raises [Unknown] when a subscript is
-     unevaluable, [-1] when evaluable but outside the declared box. *)
-  let rec linear acc dims subs =
-    match (dims, subs) with
-    | [], [] -> acc
-    | d :: dims, s :: subs ->
-        let v = eval vals known s in
-        if v < 0 || v >= d then -1 else linear ((acc * d) + v) dims subs
-    | _ -> -1 (* arity mismatch: treat as out of the box *)
+  (* Linearize row-major, subscript by subscript; raises [Unknown] when
+     a subscript is unevaluable, [-1] when evaluable but outside the
+     declared box (an arity mismatch too, once the common prefix is in
+     the box). *)
+  let rec linear acc d dims (a : access) =
+    if d = Array.length dims || d = a.arity then
+      if Array.length dims = a.arity then acc else -1
+    else
+      let v = subscript vals known a d in
+      if v < 0 || v >= dims.(d) then -1
+      else linear ((acc * dims.(d)) + v) (d + 1) dims a
   in
-  let touch ~write ~certain { target; subs } =
-    match target with
-    | Undeclared a -> skip a "not declared"
-    | Declared (a, dims, fp) -> (
-        match linear 0 dims subs with
-        | exception Unknown -> skip a "unevaluable subscript"
-        | idx ->
-            if idx < 0 then
-              if write then fp.oob_write <- true else fp.oob_read <- true
-            else if write then begin
-              Bytes.set fp.may_write idx '\001';
-              if certain then Bytes.set fp.must_write idx '\001'
+  let mark fp ~write ~certain idx =
+    if idx < 0 then
+      if write then fp.oob_write <- true else fp.oob_read <- true
+    else if write then begin
+      Bytes.set fp.may_write idx '\001';
+      if certain then Bytes.set fp.must_write idx '\001'
+    end
+    else Bytes.set fp.may_read idx '\001'
+  in
+  let touch ~certain (a : access) =
+    match a.target with
+    | Undeclared name -> skip name "not declared"
+    | Declared (name, dims, fp) -> (
+        match linear 0 0 dims a with
+        | exception Unknown -> skip name "unevaluable subscript"
+        | idx -> mark fp ~write:a.write ~certain idx)
+  in
+  let rec touches ~certain = function
+    | [] -> ()
+    | a :: rest ->
+        touch ~certain a;
+        touches ~certain rest
+  in
+  (* Affine subscript [d] of [a] inside a loop with index slot [i], as
+     [!base + !coef * i]; [false] when another of its variables is
+     unknown. *)
+  let base = ref 0 and coef = ref 0 in
+  let parts i (a : access) d =
+    let code = a.code in
+    let p = code.(d) in
+    base := code.(p);
+    coef := 0;
+    let known_rest = ref true in
+    for j = 0 to code.(p + 1) - 1 do
+      let s = code.(p + 2 + (2 * j)) and c = code.(p + 3 + (2 * j)) in
+      if s = i then coef := c
+      else if known.(s) then base := !base + (c * vals.(s))
+      else known_rest := false
+    done;
+    !known_rest
+  in
+  (* The touches of [a] over the [n] iterations of loop [l] (index slot
+     [i]), in closed form: the subscripts are solved left to right, as
+     [linear] evaluates them, narrowing [tlo..thi] to the iterations
+     whose subscripts so far land in the box; those it drops are out of
+     the box. Touches nothing and returns [false] where a subscript is
+     not affine or its values could wrap: the caller then enumerates
+     the access. *)
+  let closed ~certain i (l : Ast.loop) n (a : access) =
+    match a.target with
+    | Undeclared name ->
+        skip name "not declared";
+        true
+    | Declared (name, dims, fp) ->
+        let m = min (Array.length dims) a.arity in
+        let affine =
+          ref (small l.Ast.lo && small l.Ast.hi && small l.Ast.step)
+        in
+        for d = 0 to m - 1 do
+          if a.code.(a.code.(d) + 1) < 0 then affine := false
+        done;
+        if not !affine then false
+        else begin
+          let tlo = ref 0 and thi = ref (n - 1) in
+          let out = ref false and unknown = ref false and fits = ref true in
+          let d = ref 0 in
+          while !d < m && !tlo <= !thi && (not !unknown) && !fits do
+            if not (parts i a !d) then unknown := true
+            else if not (small !base && small !coef) then fits := false
+            else begin
+              (* the subscript at iteration t is [v0 + dv * t] *)
+              let ext = dims.(!d) in
+              let v0 = !base + (!coef * l.Ast.lo) and dv = !coef * l.Ast.step in
+              let lo' =
+                if dv = 0 then if v0 >= 0 && v0 < ext then !tlo else !thi + 1
+                else max !tlo (cdiv (if dv > 0 then -v0 else ext - 1 - v0) dv)
+              and hi' =
+                if dv = 0 then !thi
+                else min !thi (fdiv (if dv > 0 then ext - 1 - v0 else -v0) dv)
+              in
+              if lo' > !tlo || hi' < !thi then out := true;
+              tlo := lo';
+              thi := hi';
+              incr d
             end
-            else Bytes.set fp.may_read idx '\001')
+          done;
+          if !fits then begin
+            if !tlo <= !thi then
+              if !unknown then skip name "unevaluable subscript"
+              else if m < Array.length dims || m < a.arity then out := true
+              else begin
+                (* the linear index at [tlo], and its stride *)
+                let at = ref 0 and next = ref 0 in
+                for d = 0 to m - 1 do
+                  ignore (parts i a d);
+                  let v = !base + (!coef * (l.Ast.lo + (!tlo * l.Ast.step))) in
+                  at := (!at * dims.(d)) + v;
+                  next := (!next * dims.(d)) + v + (!coef * l.Ast.step)
+                done;
+                let stride = !next - !at in
+                for t = 0 to !thi - !tlo do
+                  mark fp ~write:a.write ~certain (!at + (t * stride))
+                done
+              end;
+            if !out then mark fp ~write:a.write ~certain (-1)
+          end;
+          !fits
+        end
   in
-  let read acc = touch ~write:false ~certain:false acc in
-  let budget = ref max_points in
-  let spend () =
-    decr budget;
-    if !budget < 0 then raise (Skip_all "iteration budget exceeded")
+  let iterations (l : Ast.loop) =
+    if l.Ast.step <= 0 then raise (Skip_all "non-positive loop stride");
+    trip l
+  in
+  let rec scan ~certain i l n = function
+    | [] -> ()
+    | a :: rest ->
+        if not (closed ~certain i l n a) then
+          for t = 0 to n - 1 do
+            vals.(i) <- l.Ast.lo + (t * l.Ast.step);
+            touch ~certain a
+          done;
+        scan ~certain i l n rest
+  in
+  let rec scan_block ~certain i l n = function
+    | [] -> ()
+    | s :: rest ->
+        (match s with C_touch rs -> scan ~certain i l n rs | _ -> ());
+        scan_block ~certain i l n rest
   in
   let rec walk ~certain = function
     | [] -> ()
@@ -256,10 +601,10 @@ let footprint ?(max_points = default_max_points) (k : Ast.kernel) : t =
         stmt ~certain s;
         walk ~certain rest
   and stmt ~certain s =
-    spend ();
     match s with
+    | C_touch rs -> touches ~certain rs
     | C_set (rs, v, e) ->
-        List.iter read rs;
+        touches ~certain rs;
         if not certain then known.(v) <- false
         else begin
           match eval vals known e with
@@ -268,27 +613,28 @@ let footprint ?(max_points = default_max_points) (k : Ast.kernel) : t =
               known.(v) <- true
           | exception Unknown -> known.(v) <- false
         end
-    | C_store (rs, w) ->
-        List.iter read rs;
-        touch ~write:true ~certain w
     | C_if (rs, c, t, e) -> (
-        List.iter read rs;
+        touches ~certain rs;
         match eval vals known c with
         | vc -> walk ~certain (if vc <> 0 then t else e)
         | exception Unknown ->
             walk ~certain:false t;
             walk ~certain:false e)
     | C_for (i, l, body) ->
-        if l.Ast.step <= 0 then raise (Skip_all "non-positive loop stride");
-        let v = ref l.Ast.lo in
-        while !v < l.Ast.hi do
-          vals.(i) <- !v;
+        for t = 0 to iterations l - 1 do
+          vals.(i) <- l.Ast.lo + (t * l.Ast.step);
           known.(i) <- true;
-          walk ~certain body;
-          v := !v + l.Ast.step
+          walk ~certain body
         done;
         known.(i) <- false
-    | C_rotate rs ->
+    | C_scan (i, l, body) ->
+        let n = iterations l in
+        if n > 0 then begin
+          known.(i) <- true;
+          scan_block ~certain i l n body
+        end;
+        known.(i) <- false
+    | C_forget rs ->
         (* Register values permute: forget anything we knew about them. *)
         List.iter (fun r -> known.(r) <- false) rs
   in
@@ -304,9 +650,12 @@ let footprint ?(max_points = default_max_points) (k : Ast.kernel) : t =
        k.Ast.k_arrays);
   let arrays =
     Hashtbl.fold
-      (fun name (_, fp) acc ->
-        if Hashtbl.mem skipped name then acc else (name, fp) :: acc)
-      fps []
+      (fun name target acc ->
+        match target with
+        | Declared (_, _, fp) when not (Hashtbl.mem skipped name) ->
+            (name, fp) :: acc
+        | _ -> acc)
+      arrays []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   let skipped =
@@ -399,7 +748,8 @@ let violations (o : outcome) = Diag.errors o.diags
 
 (* One validation run's state. The pipeline threads each stage's output
    into the next stage, so the [before] kernel is physically the
-   previous [after]: [last] caches one footprint to halve the
+   previous [after]: [last] caches one footprint, and the structural
+   findings a stage that changes nothing inherits, to halve the
    enumeration work. The first stage's [before] is the source kernel,
    whose footprint the caller may supply. A transition whose verdict is
    recalled computes no footprint, so a stage validated after it
@@ -409,8 +759,12 @@ type session = {
   mutable diags : Diag.t list;  (* newest first *)
   skip_reported : (string, unit) Hashtbl.t;
       (* arrays whose Info skip is already reported: once per run *)
-  mutable last : (Ast.kernel * t) option;
+  mutable last : checked option;
 }
+
+(* A kernel the session has validated: its footprint and, once checked,
+   its error-severity structural findings. *)
+and checked = { kernel : Ast.kernel; fp : t; errors : Diag.t list option }
 
 (* The verdict on one stage transition: the findings that depend on its
    input and output alone. *)
@@ -435,11 +789,27 @@ let judge s stage ~before ~after =
   let sname = Transform.Pipeline.stage_name stage in
   let pre =
     match s.last with
-    | Some (prev, fp) when prev == before -> fp
-    | _ -> footprint ?max_points:s.max_points before
+    | Some c when c.kernel == before -> c
+    | _ ->
+        {
+          kernel = before;
+          fp = footprint ?max_points:s.max_points before;
+          errors = None;
+        }
   in
-  let post = footprint ?max_points:s.max_points after in
-  s.last <- Some (after, post);
+  (* A stage that changed nothing (LICM and simplify often do not) has
+     its input's footprint and structural findings, and nothing to
+     compare. *)
+  let unchanged = after == before || compare after before = 0 in
+  let errors =
+    match pre.errors with
+    | Some errors when unchanged -> errors
+    | _ -> Wellformed.check ~min_severity:Diag.Error after
+  in
+  let post =
+    if unchanged then pre.fp else footprint ?max_points:s.max_points after
+  in
+  s.last <- Some { kernel = after; fp = post; errors = Some errors };
   {
     (* Structural re-verification of the stage output. *)
     wellformed =
@@ -448,9 +818,11 @@ let judge s stage ~before ~after =
           if d.Diag.severity = Diag.Error then
             Some { d with Diag.pass; stage = Some sname }
           else None)
-        (Wellformed.check ~min_severity:Diag.Error after);
-    skipped = pre.skipped @ post.skipped;
-    compared = compare_footprints ~stage:sname ~pre ~post;
+        errors;
+    skipped = pre.fp.skipped @ post.skipped;
+    compared =
+      (if unchanged then []
+       else compare_footprints ~stage:sname ~pre:pre.fp ~post);
   }
 
 (* Validate one transition into the run's findings, reusing the verdict
@@ -487,7 +859,8 @@ let session ?max_points ?source_footprint k =
     max_points;
     diags = [];
     skip_reported = Hashtbl.create 4;
-    last = Option.map (fun fp -> (k, fp)) source_footprint;
+    last =
+      Option.map (fun fp -> { kernel = k; fp; errors = None }) source_footprint;
   }
 
 let stage_failed s ~stage ~kernel message =

@@ -2,8 +2,10 @@
     after every executed stage the output kernel is structurally
     re-verified and its array-access footprint compared against the
     pre-stage kernel (reads(post) ⊆ reads(pre) ∪ writes(pre),
-    writes(post) ⊆ writes(pre), must-writes(pre) ⊆ writes(post)).
-    Violations are Error diagnostics carrying the stage tag. *)
+    writes(post) ⊆ writes(pre), must-writes(pre) ⊆ writes(post)); a
+    stage whose output equals its input reuses its input's footprint
+    and findings. Violations are Error diagnostics carrying the stage
+    tag. *)
 
 open Ir
 
@@ -25,10 +27,14 @@ val default_max_points : int
 
 (** Per-array element footprint of a kernel, by enumeration with a
     partial evaluator (loop indices and compile-time-known scalars).
-    Names are resolved once, before enumeration: variables to slots of
-    an array environment, arrays to their footprint records.
-    Arrays with unevaluable subscripts, and every array of a kernel
-    whose iteration space exceeds [max_points], land in [skipped]. *)
+    Only scalars that reach a subscript or a guard are tracked, and
+    names are resolved once, before enumeration: variables to slots of
+    an array environment, arrays to their footprint records. A loop
+    whose body, so sliced, only accesses arrays is solved per access in
+    closed form where its subscripts are affine; the result equals
+    statement-by-statement enumeration. Arrays with unevaluable
+    subscripts, and every array of a kernel whose statement executions
+    exceed [max_points], land in [skipped]. *)
 val footprint : ?max_points:int -> Ast.kernel -> t
 
 val compare_footprints : stage:string -> pre:t -> post:t -> Diag.t list

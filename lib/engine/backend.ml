@@ -171,13 +171,21 @@ type front_key = (string * int) option * (string * int) list * bool
 let front_key (c : Store.config) : front_key =
   (c.tile, c.vector, c.scalar_replace)
 
+(* A kernel finished from a front: its estimate and, when the env
+   verifies, the error count of its flow check. *)
+type finished = {
+  kernel : Ast.kernel;
+  flow_errors : int;
+  estimate : Hls.Estimate.t;
+}
+
 (* A front as the synthesis path needs it: [finish] completes a
    configuration of its key from it (under the translation validator
-   when the env verifies), and [estimated] holds the finished kernels of
-   the configurations synthesized from it with their estimates. *)
+   when the env verifies), and [finished] holds the distinct kernels the
+   configurations synthesized from it finished in. *)
 type front = {
   finish : Store.t -> Transform.Pipeline.options -> Transform.Pipeline.result;
-  mutable estimated : (Ast.kernel * Hls.Estimate.t) list;
+  mutable finished : finished list;
 }
 
 type fronts = (front_key, front) Hashtbl.t
@@ -202,12 +210,12 @@ type t = {
 
 (* Verified evaluation: the pipeline instrumented per stage by the
    translation validator, plus the flow-graph uninit check over the
-   transformed kernel — the pipeline must never manufacture an
-   uninitialized read. The transformed result is bit-identical;
-   error-severity findings only bump the violation counter (the sweep
-   itself is the paper's experiment — reporting stays the job of the
-   drivers). [Check.Deadstore] is not run here: it only warns, so it
-   could never add a violation. *)
+   transformed kernel ({!uninit_errors}) — the pipeline must never
+   manufacture an uninitialized read. The transformed result is
+   bit-identical; error-severity findings only bump the violation
+   counter (the sweep itself is the paper's experiment — reporting
+   stays the job of the drivers). [verified] counts the validation's
+   findings and returns the result. *)
 let verified (store : Store.t) (outcome : Check.Validate.outcome) =
   let stats = store.Store.stats in
   stats.Store.checked_points <- stats.Store.checked_points + 1;
@@ -215,30 +223,33 @@ let verified (store : Store.t) (outcome : Check.Validate.outcome) =
     stats.Store.verify_violations
     + List.length (Check.Validate.violations outcome);
   match outcome.Check.Validate.result with
-  | Some r ->
-      let cost = Analysis.Flowgraph.fresh_cost () in
-      let graph = Analysis.Flowgraph.build ~cost r.Transform.Pipeline.kernel in
-      let flow_diags =
-        Check.Uninit.check ~graph ~cost r.Transform.Pipeline.kernel
-      in
-      stats.Store.verify_violations <-
-        stats.Store.verify_violations
-        + List.length (Check.Diag.errors flow_diags);
-      stats.Store.flow_builds <-
-        stats.Store.flow_builds + cost.Analysis.Flowgraph.builds;
-      stats.Store.flow_solves <-
-        stats.Store.flow_solves + cost.Analysis.Flowgraph.solves;
-      stats.Store.flow_seconds <-
-        stats.Store.flow_seconds
-        +. cost.Analysis.Flowgraph.build_seconds
-        +. cost.Analysis.Flowgraph.solve_seconds;
-      r
+  | Some r -> r
   | None ->
       (* The pipeline raised mid-stage; surface it like the unverified
          path would. *)
       failwith
         (String.concat "; "
            (List.map Check.Diag.render (Check.Validate.violations outcome)))
+
+(* The error count of [Check.Uninit] on a transformed kernel.
+   [Check.Deadstore] is not run: it only warns, so it could never add a
+   violation. *)
+let uninit_errors (store : Store.t) (k : Ast.kernel) =
+  let stats = store.Store.stats in
+  let cost = Analysis.Flowgraph.fresh_cost () in
+  let graph = Analysis.Flowgraph.build ~cost k in
+  let errors =
+    List.length (Check.Diag.errors (Check.Uninit.check ~graph ~cost k))
+  in
+  stats.Store.flow_builds <-
+    stats.Store.flow_builds + cost.Analysis.Flowgraph.builds;
+  stats.Store.flow_solves <-
+    stats.Store.flow_solves + cost.Analysis.Flowgraph.solves;
+  stats.Store.flow_seconds <-
+    stats.Store.flow_seconds
+    +. cost.Analysis.Flowgraph.build_seconds
+    +. cost.Analysis.Flowgraph.solve_seconds;
+  errors
 
 (* The pipeline run for the configurations of [opts]'s front key, from
    one front built here: its finishing memo (and, when the env verifies,
@@ -271,7 +282,7 @@ let full_synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
         match Hashtbl.find_opt table key with
         | Some e -> e
         | None ->
-            let e = { finish = start env opts; estimated = [] } in
+            let e = { finish = start env opts; finished = [] } in
             stats.Store.fronts <- stats.Store.fronts + 1;
             Hashtbl.replace table key e;
             e)
@@ -288,24 +299,35 @@ let full_synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
                ?source_footprint:env.source_footprint env.source)
         else Transform.Pipeline.apply opts env.source
   in
+  let kernel = r.Transform.Pipeline.kernel in
+  (* A sibling that finished in an equal kernel has the sibling's flow
+     check and estimate: the front's finishing memo hands it the
+     physically same kernel. *)
+  let sibling =
+    Option.bind shared (fun e ->
+        List.find_opt (fun f -> f.kernel == kernel) e.finished)
+  in
+  let flow_errors =
+    match sibling with
+    | Some f -> f.flow_errors
+    | None -> if env.verify then uninit_errors store kernel else 0
+  in
+  stats.Store.verify_violations <- stats.Store.verify_violations + flow_errors;
   let t1 = Clock.now () in
   let timers = Hls.Estimate.fresh_timers () in
-  let kernel = r.Transform.Pipeline.kernel in
-  (* A sibling that finished in an equal kernel has the sibling's
-     estimate: the front's finishing memo hands it the physically same
-     kernel. *)
   let estimate =
-    match Option.bind shared (fun e -> List.assq_opt kernel e.estimated) with
-    | Some estimate ->
+    match sibling with
+    | Some f ->
         stats.Store.reused <- stats.Store.reused + 1;
-        estimate
+        f.estimate
     | None ->
         let estimate =
           Hls.Estimate.estimate ~sched_memo:store.Store.sched_memo ~timers
             env.profile kernel
         in
         Option.iter
-          (fun e -> e.estimated <- (kernel, estimate) :: e.estimated)
+          (fun e ->
+            e.finished <- { kernel; flow_errors; estimate } :: e.finished)
           shared;
         estimate
   in

@@ -67,7 +67,8 @@ type stats = {
   mutable verify_violations : int;
       (** error-severity validation findings across checked points *)
   mutable flow_builds : int;
-      (** flow graphs constructed by the verified path's dataflow checks *)
+      (** flow graphs constructed by the verified path's dataflow checks,
+          once per distinct finished kernel of a shared front *)
   mutable flow_solves : int;  (** dataflow fixpoint solves run *)
   mutable flow_seconds : float;
       (** wall time building and solving flow graphs *)

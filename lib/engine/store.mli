@@ -51,7 +51,8 @@ type stats = {
   mutable checked_points : int;
   mutable verify_violations : int;
   mutable flow_builds : int;
-      (** flow graphs constructed by the verified path's dataflow checks *)
+      (** flow graphs constructed by the verified path's dataflow checks,
+          once per distinct finished kernel of a shared front *)
   mutable flow_solves : int;  (** dataflow fixpoint solves run *)
   mutable flow_seconds : float;
       (** wall time building and solving flow graphs *)

@@ -695,6 +695,17 @@ let test_cli_capacity () =
       [ "space"; "-k"; "fir"; "--joint"; "--capacity=-1" ];
     ]
 
+(* The markdown report covers the search alone, so [--report] refuses
+   [--joint] rather than drop the joint sweep without a word. *)
+let test_cli_report_joint () =
+  List.iter
+    (fun args ->
+      check_rejected args "defacto: --report cannot be combined with --joint")
+    [
+      [ "explore"; "-k"; "fir"; "--report"; "-"; "--joint" ];
+      [ "explore"; "-k"; "fir"; "--joint"; "--report"; "/nonexistent/report.md" ];
+    ]
+
 let test_cli_unroll_components () =
   List.iter
     (fun (cmd, vec) ->
@@ -868,6 +879,8 @@ let () =
           Alcotest.test_case "--jobs below 1 rejected" `Quick test_cli_jobs;
           Alcotest.test_case "--capacity below 1 rejected" `Quick
             test_cli_capacity;
+          Alcotest.test_case "--report rejects --joint" `Quick
+            test_cli_report_joint;
           Alcotest.test_case "-u components must name loops" `Quick
             test_cli_unroll_components;
           Alcotest.test_case "-k help lists every kernel" `Quick test_cli_kernel_help;

@@ -238,6 +238,264 @@ let gen_rough_kernel : Ast.kernel G.t =
 
 let gen_budget = G.(option (int_range 0 60))
 
+(* Nests whose inner loops mostly hold array accesses alone, the
+   closed-form path of the footprint: affine subscripts with negative,
+   zero and cancelling coefficients (some divided, so not affine),
+   strides above 1, zero-trip and non-positive-stride loops, arity
+   mismatches, the unknown parameter [p] alone or after an out-of-box
+   subscript, LICM-style temporaries [t] and the known scalar [u] in
+   subscripts, scalars [s] that feed no subscript, and rotations of
+   registers, [r0] feeding subscripts and [r2] not. *)
+let gen_scan_kernel : Ast.kernel G.t =
+  let open G in
+  let rec aff depth =
+    let leaf =
+      frequency
+        [
+          (2, map (fun n -> Ast.Int n) (int_range (-3) 6));
+          (6, map (fun v -> Ast.Var v) (oneofl [ "i"; "j"; "j"; "t"; "u"; "r0"; "p" ]));
+        ]
+    in
+    if depth = 0 then leaf
+    else
+      let sub = aff (depth - 1) in
+      frequency
+        [
+          (4, leaf);
+          (3, map2 (fun a b -> Ast.Bin (Ast.Add, a, b)) sub sub);
+          (1, map2 (fun a b -> Ast.Bin (Ast.Sub, a, b)) sub sub);
+          (1, map (fun a -> Ast.Un (Ast.Neg, a)) sub);
+          (2, map2 (fun c a -> Ast.Bin (Ast.Mul, Ast.Int c, a)) (int_range (-2) 3) sub);
+          (1, map2 (fun a c -> Ast.Bin (Ast.Mul, a, Ast.Int c)) sub (int_range (-2) 3));
+          (1, map (fun a -> Ast.Bin (Ast.Div, a, Ast.Int 2)) sub);
+        ]
+  in
+  let subs rank =
+    let* n =
+      frequency [ (8, return rank); (1, return (rank - 1)); (1, return (rank + 1)) ]
+    in
+    list_repeat (max 0 n) (aff 2)
+  in
+  let arrays = [ ("a", 1); ("b", 2); ("d", 2); ("e", 3) ] in
+  let access =
+    let* name, rank = oneofl arrays in
+    let* subs = subs rank in
+    return (name, subs)
+  in
+  let read = map (fun (a, subs) -> Ast.Arr (a, subs)) access in
+  let value =
+    frequency
+      [
+        (2, read);
+        (1, map2 (fun x y -> Ast.Bin (Ast.Add, x, y)) read read);
+        (1, return (Ast.Var "s"));
+        (1, map (fun n -> Ast.Int n) (int_range 0 3));
+      ]
+  in
+  let inner =
+    frequency
+      [
+        (6, map2 (fun (a, subs) e -> Ast.Assign (Ast.Larr (a, subs), e)) access value);
+        (2, map (fun e -> Ast.Assign (Ast.Lvar "s", e)) value);
+        (1, return (Ast.Rotate [ "r2"; "r3" ]));
+        (* these make the loop an ordinary one *)
+        (1, return (Ast.Rotate [ "r0"; "r1" ]));
+        (1, map (fun e -> Ast.Assign (Ast.Lvar "t", e)) (aff 1));
+      ]
+  in
+  let loop index body =
+    map3
+      (fun lo (span, step) body ->
+        Ast.For { Ast.index; lo; hi = lo + span; step; body; l_span = None })
+      (int_range (-2) 3)
+      (pair (int_range (-1) 9) (frequency [ (6, return 1); (3, int_range 2 3); (1, return 0) ]))
+      body
+  in
+  let innermost = loop "j" (list_size (int_range 0 4) inner) in
+  let outer =
+    let* licm = option (map (fun e -> Ast.Assign (Ast.Lvar "t", e)) (aff 1)) in
+    let* inners = list_size (int_range 1 2) innermost in
+    let* after = list_size (int_range 0 1) inner in
+    loop "i" (return (Option.to_list licm @ inners @ after))
+  in
+  let* r0 = int_range 0 3 and* u = int_range 0 2 in
+  let* body = list_size (int_range 1 3) (frequency [ (3, outer); (1, innermost) ]) in
+  return
+    {
+      Ast.k_name = "scan";
+      k_arrays =
+        [
+          Ast.array_decl "a" [ 10 ];
+          Ast.array_decl "b" [ 4; 5 ];
+          Ast.array_decl "d" [ 3; 3 ];
+          Ast.array_decl "e" [ 2; 3; 2 ];
+        ];
+      k_scalars =
+        [
+          Ast.scalar_decl "s";
+          Ast.scalar_decl "t";
+          Ast.scalar_decl "u";
+          Ast.scalar_decl ~kind:Ast.Param "p";
+          Ast.scalar_decl ~kind:Ast.Register "r0";
+          Ast.scalar_decl ~kind:Ast.Register "r1";
+          Ast.scalar_decl ~kind:Ast.Register "r2";
+          Ast.scalar_decl ~kind:Ast.Register "r3";
+        ];
+      k_body =
+        [
+          Ast.Assign (Ast.Lvar "u", Ast.Int u);
+          Ast.Assign (Ast.Lvar "r0", Ast.Int r0);
+          Ast.Assign (Ast.Lvar "r1", Ast.Int 1);
+        ]
+        @ body;
+    }
+
+(* Hand-picked corners of the closed form, each against the reference
+   and against the outcome the enumeration semantics prescribe. *)
+let test_scan_corners () =
+  let d = Ast.array_decl "d" [ 3; 3 ] in
+  let kernel name body =
+    {
+      Ast.k_name = name;
+      k_arrays = [ d ];
+      k_scalars = [ Ast.scalar_decl ~kind:Ast.Param "p"; Ast.scalar_decl "t" ];
+      k_body = body;
+    }
+  in
+  let loop ?(lo = 0) ?(step = 1) hi body =
+    Ast.For { Ast.index = "i"; lo; hi; step; body; l_span = None }
+  in
+  let store subs = Ast.Assign (Ast.Larr ("d", subs), Ast.Int 0) in
+  let i = Ast.Var "i" and p = Ast.Var "p" in
+  let plus a n = Ast.Bin (Ast.Add, a, Ast.Int n) in
+  let outcome name body =
+    let k = kernel name body in
+    (try ignore (footprint_equivalent k)
+     with Failure m -> Alcotest.failf "%s: %s" name m);
+    let fp = V.footprint k in
+    match (fp.V.skipped, fp.V.arrays) with
+    | [ ("d", reason) ], [] -> `Skipped reason
+    | [], [ ("d", f) ] -> `Enumerated (f.V.oob_write, Bytes.to_string f.V.must_write)
+    | _ -> Alcotest.failf "%s: unexpected footprint shape" name
+  in
+  let check name body expected =
+    if outcome name body <> expected then Alcotest.failf "%s: wrong outcome" name
+  in
+  let none = String.make 9 '\000' in
+  let row0 = "\001\001\001" ^ String.make 6 '\000' in
+  (* one subscript for two dimensions: out of the box once [i] is *)
+  check "arity mismatch" [ loop 3 [ store [ i ] ] ] (`Enumerated (true, none));
+  (* the common prefix is evaluated first: unknown there skips *)
+  check "unknown prefix, arity mismatch" [ loop 3 [ store [ p ] ] ]
+    (`Skipped "unevaluable subscript");
+  (* an out-of-box subscript stops before the unknown one *)
+  check "out of box before unknown" [ loop 3 [ store [ plus i 3; p ] ] ]
+    (`Enumerated (true, none));
+  check "in box before unknown" [ loop 4 [ store [ i; p ] ] ]
+    (`Skipped "unevaluable subscript");
+  check "zero trip" [ loop 0 [ store [ p; p ] ] ] (`Enumerated (false, none));
+  let times c e = Ast.Bin (Ast.Mul, Ast.Int c, e) in
+  (* i = -4, -2, 0, 2, 4 lands d[0][-i] on columns 2 and 0 *)
+  check "step 2, negative coefficient"
+    [ loop ~lo:(-4) ~step:2 5 [ store [ Ast.Int 0; Ast.Un (Ast.Neg, times 1 i) ] ] ]
+    (`Enumerated (true, "\001\000\001" ^ String.make 6 '\000'));
+  (* a cancelled unknown still makes the subscript unevaluable *)
+  check "cancelled unknown"
+    [ loop 3 [ store [ Ast.Int 0; Ast.Bin (Ast.Add, i, times 0 p) ] ] ]
+    (`Skipped "unevaluable subscript");
+  (* a LICM temporary hoisted out of the loop is known inside it *)
+  check "hoisted temporary"
+    [ Ast.Assign (Ast.Lvar "t", Ast.Int 0); loop 3 [ store [ Ast.Var "t"; i ] ] ]
+    (`Enumerated (false, row0))
+
+(* [Validate.run] against validation recomputed from scratch at every
+   stage through the pipeline's [observe] hook, so a stage whose output
+   is a structural copy of its input (LICM and simplify often are) gets
+   exactly the diagnostics a full re-validation would give. *)
+let revalidated options (k : Ast.kernel) =
+  let diags = ref [] and reported = Hashtbl.create 4 in
+  let add d = diags := d :: !diags in
+  let observe stage ~before ~after =
+    let stage = Transform.Pipeline.stage_name stage in
+    let pre = V.footprint before and post = V.footprint after in
+    List.iter
+      (fun (d : Check.Diag.t) -> add { d with Check.Diag.pass = "validate"; stage = Some stage })
+      (Check.Wellformed.check ~min_severity:Check.Diag.Error after);
+    List.iter
+      (fun (name, reason) ->
+        if not (Hashtbl.mem reported name) then begin
+          Hashtbl.add reported name ();
+          add
+            (Check.Diag.diagf Check.Diag.Info ~stage ~pass:"validate"
+               "array '%s' not validated: %s" name reason)
+        end)
+      (pre.V.skipped @ post.V.skipped);
+    List.iter add (V.compare_footprints ~stage ~pre ~post)
+  in
+  (try ignore (Transform.Pipeline.apply ~observe options k)
+   with Transform.Pipeline.Stage_error { stage; kernel; message } ->
+     add (Check.Diag.of_stage_error ~stage ~kernel message));
+  List.rev_map Check.Diag.render !diags
+
+let same_as_revalidated options k =
+  let got = List.map Check.Diag.render (V.run ~options k).V.diags in
+  let want = revalidated options k in
+  if got <> want then
+    failf "diagnostics differ:\n%s\nvs revalidated:\n%s" (String.concat "\n" got)
+      (String.concat "\n" want);
+  true
+
+let test_copied_stages =
+  Helpers.qtest "Validate.run = revalidation (unchanged stages)" ~count:100
+    G.(
+      Helpers.gen_kernel >>= fun k ->
+      pair (return k) (Helpers.gen_vector_for k))
+    (fun (k, vector) ->
+      same_as_revalidated { Transform.Pipeline.default with vector } k)
+
+let test_copied_stages_rough =
+  Helpers.qtest "Validate.run = revalidation (rough kernels)" ~count:200
+    gen_rough_kernel (same_as_revalidated Transform.Pipeline.default)
+
+(* The built-in stage transitions include structural copies, so the
+   properties above exercise the reuse: on mm, LICM and simplify change
+   nothing at any vector up to product 8. *)
+let test_copies_occur () =
+  let k = Option.get (Kernels.find "mm") in
+  let copies = ref 0 in
+  List.iter
+    (fun vector ->
+      let options = { Transform.Pipeline.default with vector } in
+      ignore
+        (Transform.Pipeline.apply
+           ~observe:(fun _ ~before ~after -> if compare before after = 0 then incr copies)
+           options k);
+      ignore (same_as_revalidated options k))
+    [ []; [ ("i", 2) ]; [ ("j", 4); ("i", 2) ] ];
+  Alcotest.(check bool) (Printf.sprintf "%d unchanged stages" !copies) true (!copies > 0)
+
+(* Minor words of one footprint: an access-only loop is solved in closed
+   form, so doubling its trip count adds no allocation. *)
+let test_scan_flat () =
+  let words trip =
+    let k =
+      Builder.(
+        kernel "flat"
+          ~arrays:[ Ast.array_decl "a" [ 4096 ]; Ast.array_decl "b" [ 4096 ] ]
+          [ for_ "i" 0 trip (fun i -> [ store1 "a" i (arr1 "b" i + arr1 "b" (i + int 1)) ]) ])
+    in
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (V.footprint k));
+    Gc.minor_words () -. w0
+  in
+  let base = words 1000 in
+  List.iter
+    (fun trip ->
+      let w = words trip in
+      if w > base then
+        Alcotest.failf "trip %d: %.0f minor words, %.0f at trip 1000" trip w base)
+    [ 2000; 4000 ]
+
 (* [u = 3; u = u + 1; a[u] = 0]: the update reads the value it
    replaces, so [u] stays known and the store lands on a[4]. *)
 let test_self_update () =
@@ -952,7 +1210,15 @@ let () =
           Helpers.qtest "footprint = reference (rough kernels)" ~count:500
             G.(pair gen_rough_kernel gen_budget)
             (fun (k, max_points) -> footprint_equivalent ?max_points k);
+          Helpers.qtest "footprint = reference (access-only loops)" ~count:500
+            G.(pair gen_scan_kernel gen_budget)
+            (fun (k, max_points) -> footprint_equivalent ?max_points k);
+          Alcotest.test_case "closed-form corners" `Quick test_scan_corners;
+          Alcotest.test_case "access-only loop allocation is flat" `Quick test_scan_flat;
           Alcotest.test_case "self-updating scalar stays known" `Quick test_self_update;
+          test_copied_stages;
+          test_copied_stages_rough;
+          Alcotest.test_case "built-in stages include copies" `Quick test_copies_occur;
           test_primed_run;
           test_wellformed_threshold;
         ] );
