@@ -151,7 +151,7 @@ let or_die = function
       exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Engine arguments (persistence + backend) *)
+(* Engine arguments (persistence + fidelity) *)
 
 let cache_dir_arg =
   let doc =
@@ -173,18 +173,19 @@ let cold_arg =
   in
   Arg.(value & flag & info [ "cold" ] ~doc)
 
-let backend_arg =
+let post_route_arg =
   let doc =
-    Printf.sprintf
-      "Estimator backend: one of %s. $(b,quick+)-prefixed backends gate \
-       full synthesis behind the analytical pre-estimator (admissible: \
-       selections are unchanged); $(b,lowlevel) folds the place-and-route \
-       degradation model into every estimate."
-      (String.concat ", " (List.map (fun n -> "$(b," ^ n ^ ")") Engine.Backend.known_names))
+    "Estimation fidelity: $(b,quick+full) (behavioral synthesis) or \
+     $(b,quick+lowlevel) (the place-and-route degradation model folded \
+     into every estimate: post-route area and achieved-clock time; cycle \
+     counts are unchanged). Both gate synthesis behind the admissible \
+     analytical pre-estimator, so the gate never changes a selection; the \
+     two never share a stored point."
   in
-  Arg.(value & opt string "quick+full" & info [ "backend" ] ~docv:"NAME" ~doc)
-
-let backend_of_flag name = or_die (Engine.Backend.of_string name)
+  Arg.(
+    value
+    & opt (enum [ ("quick+full", false); ("quick+lowlevel", true) ]) false
+    & info [ "backend" ] ~docv:"NAME" ~doc)
 
 (* ------------------------------------------------------------------ *)
 (* explore *)
@@ -298,12 +299,11 @@ let save_or_die dir = function
       exit 1
 
 let explore kernels file non_pipelined memories capacity report prof verify
-    cache_dir cold backend_name _jobs joint tile_candidates =
+    cache_dir cold post_route _jobs joint tile_candidates =
   at_least_one "capacity" capacity;
   let tile_candidates = parse_tile_candidates tile_candidates in
   let tasks = load_tasks kernels file in
   let profile = make_profile ~non_pipelined ~memories in
-  let backend = backend_of_flag backend_name in
   if report <> None && List.length tasks <> 1 then begin
     prerr_endline "defacto: --report takes exactly one kernel";
     exit 1
@@ -313,8 +313,8 @@ let explore kernels file non_pipelined memories capacity report prof verify
     exit 1
   end;
   let summary =
-    Dse.Driver.run_many ?cache_dir ~cold ~profile ~verify ~capacity ~backend
-      tasks
+    Dse.Driver.run_many ?cache_dir ~cold ~profile ~verify ~capacity
+      ~post_route tasks
   in
   Option.iter
     (fun dest ->
@@ -411,7 +411,7 @@ let explore_cmd =
     Term.(
       const explore $ explore_kernels_arg $ file_arg $ pipelined_arg
       $ memories_arg $ capacity_arg $ report_arg $ profile_arg $ verify_arg
-      $ cache_dir_arg $ cold_arg $ backend_arg
+      $ cache_dir_arg $ cold_arg $ post_route_arg
       $ explore_jobs_arg $ joint_arg $ tile_candidates_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -471,19 +471,16 @@ let jobs_arg =
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let space kernel file non_pipelined memories capacity max_product jobs verify
-    cache_dir cold backend_name joint tile_candidates =
+    cache_dir cold post_route joint tile_candidates =
   at_least_one "max-product" max_product;
   Option.iter (at_least_one "jobs") jobs;
   at_least_one "capacity" capacity;
   let tile_candidates = parse_tile_candidates tile_candidates in
   let k = or_die (load_kernel kernel file) in
   let profile = make_profile ~non_pipelined ~memories in
-  let backend = backend_of_flag backend_name in
-  let session = Dse.Driver.session ?cache_dir ~cold ~profile ~backend () in
+  let session = Dse.Driver.session ?cache_dir ~cold ~profile ~post_route () in
   let store = Dse.Driver.open_store session k in
-  let ctx =
-    Dse.Design.context ~profile ~verify ~capacity ~backend ~store k
-  in
+  let ctx = Dse.Design.context ~profile ~verify ~post_route ~capacity ~store k in
   let sp =
     Dse.Space.sweep ~max_product
       ?joint:(if joint then Some tile_candidates else None)
@@ -525,7 +522,7 @@ let space_cmd =
     Term.(
       const space $ kernel_arg $ file_arg $ pipelined_arg $ memories_arg
       $ capacity_arg $ max_product_arg $ jobs_arg $ verify_arg $ cache_dir_arg
-      $ cold_arg $ backend_arg $ joint_arg $ tile_candidates_arg)
+      $ cold_arg $ post_route_arg $ joint_arg $ tile_candidates_arg)
 
 (* ------------------------------------------------------------------ *)
 (* cache *)

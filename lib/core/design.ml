@@ -4,10 +4,10 @@
     [Generate; Synthesize; Balance] sequence of the paper's Figure 2.
 
     A [context] holds the engine's evaluation environment
-    ({!Engine.Backend.env}) as it is, next to the device capacity, a
-    pluggable backend ({!Engine.Backend.t}) and a unified store
-    ({!Engine.Store.t} — point cache, tri-schedule memo and counters
-    with one fork/absorb lifecycle and a persistent on-disk form).
+    ({!Engine.Backend.env}) as it is, next to the device capacity and a
+    unified store ({!Engine.Store.t} — point cache, tri-schedule memo
+    and counters with one fork/absorb lifecycle and a persistent on-disk
+    form).
     Every evaluation anywhere in the system goes through
     [Engine.Backend.evaluate]; nothing here talks to the estimator
     directly. *)
@@ -24,21 +24,19 @@ type stats = Engine.Store.stats
 type context = {
   env : Engine.Backend.env;  (** what evaluation reads *)
   capacity : int;  (** device slices; does not enter evaluation *)
-  backend : Engine.Backend.t;
-      (** the fidelity level evaluations run at; the default is the
-          two-tier composition [quick_gate full] *)
   store : Engine.Store.t;  (** point cache + tri-schedule memo + counters *)
 }
 
-let context ?pipeline ?profile ?verify ?capacity
-    ?(backend = Engine.Backend.default) ?store (source : Ast.kernel) =
-  let env = Engine.Backend.make_env ?pipeline ?profile ?verify source in
+let context ?pipeline ?profile ?verify ?post_route ?capacity ?store
+    (source : Ast.kernel) =
+  let env =
+    Engine.Backend.make_env ?pipeline ?profile ?verify ?post_route source
+  in
   {
     env;
     capacity =
       Option.value capacity
         ~default:env.profile.Hls.Estimate.device.Hls.Device.capacity_slices;
-    backend;
     store = (match store with Some s -> s | None -> Engine.Store.create ());
   }
 
@@ -72,22 +70,28 @@ let normalize_config (ctx : context) (c : config) : config =
     spellings of the same design share one synthesis run; a miss
     synthesizes from [fronts]. *)
 let evaluate ?fronts (ctx : context) (c : config) : point =
-  Engine.Backend.evaluate ?fronts ctx.env ctx.backend ctx.store c
+  Engine.Backend.evaluate ?fronts ctx.env ctx.store c
 
 (* ------------------------------------------------------------------ *)
 (* Tier-1 analytical bounds *)
 
-(** The backend's tier-1 bound for configuration [c] — admissible lower
-    bounds without generating or estimating anything. [None] when the
-    backend has no bound tier (plain [full]/[lowlevel]); callers must
-    then synthesize instead of pruning. *)
-let quick (ctx : context) (c : config) : Hls.Quick.t option =
-  ctx.backend.Engine.Backend.bound ctx.env ctx.store c
+(** The tier-1 bound for configuration [c] — admissible lower bounds
+    without generating or estimating anything. *)
+let quick (ctx : context) (c : config) : Hls.Quick.t =
+  Engine.Backend.bound ctx.env ctx.store c
 
-(** Record that one full synthesis was skipped on tier-1 evidence. *)
-let note_pruned (ctx : context) =
-  let stats = ctx.store.Engine.Store.stats in
-  stats.pruned <- stats.pruned + 1
+(** The one prune rule: the bound puts the point over the device's
+    capacity, or above [incumbent] cycles. A pruned point is counted in
+    [stats.pruned]. *)
+let prune (ctx : context) ~(incumbent : int) (q : Hls.Quick.t) : bool =
+  let pruned =
+    q.Hls.Quick.slices_lb > ctx.capacity || q.Hls.Quick.cycles_lb > incumbent
+  in
+  if pruned then begin
+    let stats = ctx.store.Engine.Store.stats in
+    stats.pruned <- stats.pruned + 1
+  end;
+  pruned
 
 (* ------------------------------------------------------------------ *)
 (* Store and statistics plumbing *)

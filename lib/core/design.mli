@@ -5,13 +5,12 @@
 
     A [context] holds the engine's evaluation environment
     ({!Engine.Backend.env}: source, profile, spine, base pipeline,
-    tier-1 facts, verification) as it is, next to the device capacity,
-    a pluggable backend ({!Engine.Backend.t} — [full], [lowlevel], or
-    either behind the analytical tier-1 gate) and a unified store
-    ({!Engine.Store.t} — point cache, tri-schedule memo and counters,
-    forkable across sweep domains and persistable across runs). Every
-    evaluation in the system goes through here into
-    [Engine.Backend.evaluate]. *)
+    tier-1 facts, verification, post-route fidelity) as it is, next to
+    the device capacity and a unified store ({!Engine.Store.t} — point
+    cache, tri-schedule memo and counters, forkable across sweep domains
+    and persistable across runs). Every evaluation in the system goes
+    through here into [Engine.Backend.evaluate], and every point is
+    first offered to the admissible tier-1 prune rule ({!prune}). *)
 
 open Ir
 
@@ -30,11 +29,8 @@ type context = {
           it belongs to its [source], so a context over another kernel
           must be built fresh too *)
   capacity : int;
-      (** device slices; updating it with a record update is fine for
-          the behavioral backends: it does not enter evaluation *)
-  backend : Engine.Backend.t;
-      (** the fidelity level evaluations run at; defaults to the
-          two-tier composition [Engine.Backend.default] *)
+      (** device slices; it does not enter evaluation, so updating it
+          with a record update is fine *)
   store : Engine.Store.t;
       (** point cache + tri-schedule memo + counters ([store.stats]),
           merged across domains on {!absorb} *)
@@ -42,13 +38,15 @@ type context = {
 
 (** Build a context. [store] plugs in an existing (possibly warm-loaded
     or memo-sharing) store; the default is fresh and empty. [capacity]
-    overrides the device's slice capacity. *)
+    overrides the device's slice capacity. [post_route] (default off)
+    folds the P&R degradation into every estimate
+    ({!Engine.Backend.make_env}). *)
 val context :
   ?pipeline:Transform.Pipeline.options ->
   ?profile:Hls.Estimate.profile ->
   ?verify:bool ->
+  ?post_route:bool ->
   ?capacity:int ->
-  ?backend:Engine.Backend.t ->
   ?store:Engine.Store.t ->
   Ast.kernel ->
   context
@@ -83,19 +81,20 @@ val normalize_config : context -> config -> config
     {!base_config}. *)
 val evaluate : ?fronts:Engine.Backend.fronts -> context -> config -> point
 
-(** The backend's tier-1 bound: admissible lower bounds on the point's
-    cycles and slices straight from the source kernel — no code
-    generation, no scheduling. The bounds never exceed what {!evaluate}
-    would report for the same configuration, so callers may skip
-    evaluation of points they disqualify without changing any
-    selection. [None] when the backend has no bound tier (plain
-    [full]/[lowlevel]); callers must then evaluate instead of pruning.
-    Counted in [stats.quick_estimates]. *)
-val quick : context -> config -> Hls.Quick.t option
+(** The tier-1 bound: admissible lower bounds on the point's cycles and
+    slices straight from the source kernel — no code generation, no
+    scheduling. The bounds never exceed what {!evaluate} would report
+    for the same configuration, so callers may skip evaluation of
+    points they disqualify without changing any selection. Counted in
+    [stats.quick_estimates]. *)
+val quick : context -> config -> Hls.Quick.t
 
-(** Record that one full synthesis was skipped on tier-1 evidence
-    (bumps [stats.pruned]). *)
-val note_pruned : context -> unit
+(** The admissible prune rule, the one both the search and the sweep
+    apply: [true] when the bound puts the point over the context's
+    capacity or its cycles above [incumbent] ([max_int] when there is
+    none), so it cannot be selected. A [true] verdict is counted in
+    [stats.pruned]. *)
+val prune : context -> incumbent:int -> Hls.Quick.t -> bool
 
 (** Number of distinct designs currently memoized. *)
 val cache_size : context -> int

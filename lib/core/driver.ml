@@ -32,12 +32,15 @@ let speedup (o : outcome) : float =
   /. float_of_int (max 1 (Design.cycles o.search.Search.selected))
 
 let session ?cache_dir ?(cold = false) ?(pipeline = Transform.Pipeline.default)
-    ?(profile = Hls.Estimate.default_profile ()) ~backend () : session =
+    ?(profile = Hls.Estimate.default_profile ()) ?(post_route = false) () :
+    session =
   (* The configuration every cached value depends on, under the
-     defaults [Design.context] applies. *)
+     defaults [Design.context] applies. The fidelity's name is part of
+     it; the perf replay harness hard-codes the default one. *)
   let config =
-    Engine.Persist.config_string ~backend:backend.Engine.Backend.name profile
-      pipeline
+    Engine.Persist.config_string
+      ~backend:(if post_route then "quick+lowlevel" else "quick+full")
+      profile pipeline
   in
   let warm = match cache_dir with Some dir when not cold -> Some dir | _ -> None in
   let memo = Hls.Schedule.memo_create () in
@@ -60,17 +63,16 @@ let save_stores (s : session) stores : (unit, string) result =
   | Some dir ->
       Engine.Persist.save ~cache_dir:dir ~config:s.config ~memo:s.memo stores
 
-let run_many ?cache_dir ?cold ?pipeline ?profile ?verify ?capacity
-    ?(backend = Engine.Backend.default) ?search_config (tasks : task list) :
-    summary =
-  let session = session ?cache_dir ?cold ?pipeline ?profile ~backend () in
+let run_many ?cache_dir ?cold ?pipeline ?profile ?verify ?capacity ?post_route
+    ?search_config (tasks : task list) : summary =
+  let session = session ?cache_dir ?cold ?pipeline ?profile ?post_route () in
   let outcomes =
     List.map
       (fun task ->
         let store = open_store session task.kernel in
         let ctx =
-          Design.context ?pipeline ?profile ?verify ?capacity ~backend ~store
-            task.kernel
+          Design.context ?pipeline ?profile ?verify ?post_route ?capacity
+            ~store task.kernel
         in
         let t0 = Ir.Clock.now () in
         let search = Search.run ?config:search_config ctx in

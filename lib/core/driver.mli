@@ -31,14 +31,16 @@ type session = {
 type summary = { outcomes : outcome list; session : session }
 
 (** A session under the given base options (the defaults are
-    [Design.context]'s). With [cache_dir] and not [cold], the persisted
-    memo is attached, to be read only if a block must be scheduled. *)
+    [Design.context]'s). Its stores are keyed by fidelity: [quick+full],
+    or [quick+lowlevel] with [post_route], so the two never share a
+    point. With [cache_dir] and not [cold], the persisted memo is
+    attached, to be read only if a block must be scheduled. *)
 val session :
   ?cache_dir:string ->
   ?cold:bool ->
   ?pipeline:Transform.Pipeline.options ->
   ?profile:Hls.Estimate.profile ->
-  backend:Engine.Backend.t ->
+  ?post_route:bool ->
   unit ->
   session
 
@@ -76,7 +78,7 @@ val run_many :
   ?profile:Hls.Estimate.profile ->
   ?verify:bool ->
   ?capacity:int ->
-  ?backend:Engine.Backend.t ->
+  ?post_route:bool ->
   ?search_config:Search.config ->
   task list ->
   summary

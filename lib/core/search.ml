@@ -126,11 +126,10 @@ let run ?(config = default_config) (ctx : Design.context) : result =
   let evaluate v = Design.evaluate ctx (config_of v) in
   let log point verdict = steps := { point; verdict } :: !steps in
   (* Tier-1 capacity gate: the analytical area floor is admissible, so a
-     point it puts over capacity needs no synthesis to be rejected. *)
-  let quick_over_capacity v =
-    match Design.quick ctx (config_of v) with
-    | Some q -> q.Hls.Quick.slices_lb > ctx.Design.capacity
-    | None -> false
+     point it puts over capacity needs no synthesis to be rejected. The
+     search keeps no incumbent: the rule prunes on capacity alone. *)
+  let pruned v =
+    Design.prune ctx ~incumbent:max_int (Design.quick ctx (config_of v))
   in
   let pick_best cands =
     match List.filter legal cands with
@@ -197,10 +196,7 @@ let run ?(config = default_config) (ctx : Design.context) : result =
       | p :: rest -> (
           match pick_best (Util.vectors_between ctx ~eligible ~lower:ubase ~upper:uinit ~product:p) with
           | Some v ->
-              if quick_over_capacity v then begin
-                Design.note_pruned ctx;
-                go rest
-              end
+              if pruned v then go rest
               else begin
                 let pt = evaluate v in
                 log pt "fit-probe";
@@ -221,10 +217,9 @@ let run ?(config = default_config) (ctx : Design.context) : result =
   while not !ok do
     incr iterations;
     if !iterations > config.max_steps then ok := true
-    else if quick_over_capacity !ucurr then begin
+    else if pruned !ucurr then begin
       (* Rejected on the tier-1 bound alone: same move as the
          over-capacity verdict, with no synthesis and no logged step. *)
-      Design.note_pruned ctx;
       if !ucurr = uinit then begin
         ucurr := find_largest_fit ();
         ok := true

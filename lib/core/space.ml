@@ -144,8 +144,8 @@ let evaluate_all ~jobs ~pool (ctx : Design.context)
    immediately, and skip every one whose bounds prove it cannot beat
    the incumbent or fit the device — admissible, so the selection is
    the one the exhaustive regime would make. Sequential: it needs one
-   incumbent. Returns the evaluated points in enumeration order and the
-   number skipped.
+   incumbent. Returns the evaluated points in enumeration order; every
+   other survivor was pruned.
 
    Survivors that differ only in their peel and LICM toggles share one
    pipeline front: the first synthesis of a front key builds it into
@@ -154,12 +154,10 @@ let evaluate_all ~jobs ~pool (ctx : Design.context)
    last survivor, evaluated or pruned, so the table holds only live
    fronts. *)
 let best_first (ctx : Design.context) (survivors : Design.config array) :
-    Design.point list * int =
+    Design.point list =
   let n = Array.length survivors in
   let bounds = Array.map (Design.quick ctx) survivors in
-  let lb i =
-    match bounds.(i) with Some q -> q.Hls.Quick.cycles_lb | None -> 0
-  in
+  let lb i = bounds.(i).Hls.Quick.cycles_lb in
   let order = Array.init n (fun i -> i) in
   Array.sort (fun a b -> compare (lb a, a) (lb b, b)) order;
   let fronts : Engine.Backend.fronts = Hashtbl.create 64 in
@@ -180,22 +178,10 @@ let best_first (ctx : Design.context) (survivors : Design.config array) :
   in
   let results = Array.make n None in
   let incumbent = ref max_int in
-  let pruned = ref 0 in
   Array.iter
     (fun i ->
       let c = survivors.(i) in
-      let skip =
-        match bounds.(i) with
-        | None -> false
-        | Some q ->
-            q.Hls.Quick.slices_lb > ctx.Design.capacity
-            || q.Hls.Quick.cycles_lb > !incumbent
-      in
-      if skip then begin
-        incr pruned;
-        Design.note_pruned ctx
-      end
-      else begin
+      if not (Design.prune ctx ~incumbent:!incumbent bounds.(i)) then begin
         let p = Design.evaluate ~fronts ctx c in
         results.(i) <- Some p;
         if Design.space p <= ctx.Design.capacity then
@@ -203,7 +189,7 @@ let best_first (ctx : Design.context) (survivors : Design.config array) :
       end;
       visited c)
     order;
-  (List.filter_map Fun.id (Array.to_list results), !pruned)
+  List.filter_map Fun.id (Array.to_list results)
 
 let sweep ?eligible ?(max_product = max_int) ?joint ?(exhaustive_below = 64)
     ?jobs ?pool (ctx : Design.context) : t =
@@ -259,10 +245,10 @@ let sweep ?eligible ?(max_product = max_int) ?joint ?(exhaustive_below = 64)
     | None, Some p -> Engine.Pool.size p
     | None, None -> Engine.Pool.default_size ()
   in
-  let points, pruned_bound =
+  let points =
     if Option.is_some joint && Array.length survivors > exhaustive_below then
       best_first ctx survivors
-    else (evaluate_all ~jobs ~pool ctx survivors, 0)
+    else evaluate_all ~jobs ~pool ctx survivors
   in
   let total_designs =
     List.fold_left
@@ -276,7 +262,7 @@ let sweep ?eligible ?(max_product = max_int) ?joint ?(exhaustive_below = 64)
     space_size = !enumerated;
     pruned_illegal = !ill;
     pruned_redundant = !red;
-    pruned_bound;
+    pruned_bound = Array.length survivors - List.length points;
     total_designs;
   }
 

@@ -1,25 +1,22 @@
-(** Pluggable estimator backends: the fidelity levels at which a design
-    point can be evaluated, as first-class values.
+(** The evaluation of one design point, at one fidelity.
 
-    - {!full} is the paper's [Generate; Synthesize] — transform pipeline,
-      DFG construction, fused tri-mode scheduling, data layout.
-    - {!lowlevel} is {!full} composed with the P&R degradation model
-      ({!Hls.Lowlevel}): the stored estimate carries the post-route area
-      and the achieved-clock execution time instead of the behavioral
-      ones.
-    - {!quick_gate} is the tiered composition: it puts the closed-form
-      analytical pre-estimator ({!Hls.Quick}) in front of any backend as
-      its {!type-t.bound} tier, which is what the two-tier sweep and the
-      search's capacity gate consult before paying for a synthesis. The
-      bounds are admissible for {!full} (and remain admissible for
-      {!lowlevel}, whose area and time only grow), so gating never
-      changes a selection — only the set of synthesized points.
+    - {!synthesize} is the paper's [Generate; Synthesize] — transform
+      pipeline, DFG construction, fused tri-mode scheduling, data
+      layout. When the env is made with [post_route] it folds the P&R
+      degradation model ({!Hls.Lowlevel}) into the stored estimate: the
+      post-route area and the achieved-clock execution time instead of
+      the behavioral ones.
+    - {!bound} is the closed-form analytical pre-estimator
+      ({!Hls.Quick}): admissible lower bounds that the search and the
+      sweep consult before paying for a synthesis. They stay admissible
+      under [post_route], whose area and time only grow, so gating on
+      them never changes a selection — only the set of synthesized
+      points.
+    - {!evaluate} is {!synthesize} through the store's point cache.
 
-    A backend evaluates against an immutable {!env} (the evaluation
-    environment a [Dse.Design.context] holds) and a mutable
-    {!Store.t} (caches and counters). The backend's [name] identifies the
-    fidelity level in the persistent store key: points cached under one
-    backend are never served to another. *)
+    Evaluation reads an immutable {!env} (the evaluation environment a
+    [Dse.Design.context] holds) and a mutable {!Store.t} (caches and
+    counters). *)
 
 open Ir
 
@@ -45,11 +42,13 @@ type env = {
       (** the source kernel's footprint, the same at every point:
           computed once, when the env is made with [verify] (eagerly —
           [Lazy] is not domain-safe, and sweep workers share the env) *)
+  post_route : bool;
+      (** fold the P&R degradation into every synthesized estimate *)
 }
 
 let make_env ?(pipeline = Transform.Pipeline.default)
     ?(profile = Hls.Estimate.default_profile ()) ?(verify = false)
-    (source : Ast.kernel) : env =
+    ?(post_route = false) (source : Ast.kernel) : env =
   let spine = Loop_nest.spine source.k_body in
   let quick_facts =
     (* One facts value per tile candidate, computed from the (possibly
@@ -97,6 +96,7 @@ let make_env ?(pipeline = Transform.Pipeline.default)
     verify;
     source_footprint =
       (if verify then Some (Check.Validate.footprint source) else None);
+    post_route;
   }
 
 (** Normalise a vector to cover every spine loop, with factors clamped to
@@ -190,21 +190,6 @@ type front = {
 
 type fronts = (front_key, front) Hashtbl.t
 
-type t = {
-  name : string;
-      (** stable identifier; part of the persistent store key, so two
-          backends never share cached points *)
-  bound : env -> Store.t -> Store.config -> Hls.Quick.t option;
-      (** admissible lower bounds for a configuration, or [None] when
-          this backend offers no tier-1 gate (then callers must
-          synthesize) *)
-  synthesize :
-    ?fronts:fronts -> env -> Store.t -> Store.config -> Store.point;
-      (** full evaluation of one {!normalize_config}d configuration,
-          bypassing the point cache (neither read nor written); bumps
-          the store's counters *)
-}
-
 (* ------------------------------------------------------------------ *)
 (* Full behavioral synthesis *)
 
@@ -265,7 +250,7 @@ let start (env : env) (opts : Transform.Pipeline.options) =
     let front = Transform.Pipeline.front opts source in
     fun _ options -> Transform.Pipeline.apply ~front options source
 
-let full_synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
+let synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
     Store.point =
   let opts = Transform.Pipeline.apply_config ~base:env.pipeline c in
   let stats = store.Store.stats in
@@ -343,6 +328,22 @@ let full_synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
     stats.Store.layout_seconds +. timers.Hls.Estimate.layout_seconds;
   stats.Store.sched_memo_hits <-
     stats.Store.sched_memo_hits + timers.Hls.Estimate.sched_memo_hits;
+  let estimate =
+    if env.post_route then
+      (* Fold the degradation into the stored estimate: post-route
+         area, achieved-clock wall time. Cycle counts never change
+         (Section 6.4), and balance is a behavioral property. *)
+      let impl =
+        Hls.Lowlevel.place_and_route ~device:env.profile.Hls.Estimate.device
+          estimate
+      in
+      {
+        estimate with
+        Hls.Estimate.slices = impl.Hls.Lowlevel.actual_slices;
+        time_ns = impl.Hls.Lowlevel.time_ns;
+      }
+    else estimate
+  in
   {
     Store.config = c;
     vector = c.vector;
@@ -351,80 +352,18 @@ let full_synthesize ?fronts (env : env) (store : Store.t) (c : Store.config) :
     report = r.Transform.Pipeline.report;
   }
 
-let no_bound _env _store _c = None
-
-let full : t =
-  {
-    name = "full";
-    bound = no_bound;
-    synthesize = (fun ?fronts -> full_synthesize ?fronts);
-  }
-
 (* ------------------------------------------------------------------ *)
-(* P&R degradation *)
+(* Tier-1 bounds *)
 
-let lowlevel : t =
-  {
-    name = "lowlevel";
-    bound = no_bound;
-    synthesize =
-      (fun ?fronts env store c ->
-        let p = full_synthesize ?fronts env store c in
-        let impl =
-          Hls.Lowlevel.place_and_route
-            ~device:env.profile.Hls.Estimate.device p.Store.estimate
-        in
-        (* Fold the degradation into the stored estimate: post-route
-           area, achieved-clock wall time. Cycle counts never change
-           (Section 6.4), and balance is a behavioral property. *)
-        {
-          p with
-          Store.estimate =
-            {
-              p.Store.estimate with
-              Hls.Estimate.slices = impl.Hls.Lowlevel.actual_slices;
-              time_ns = impl.Hls.Lowlevel.time_ns;
-            };
-        });
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Tiered composition *)
-
-let quick_bound (env : env) (store : Store.t) (c : Store.config) :
-    Hls.Quick.t option =
+(** Admissible lower bounds for configuration [c], from the analytical
+    pre-estimator: no code generation, no scheduling. *)
+let bound (env : env) (store : Store.t) (c : Store.config) : Hls.Quick.t =
   let c = normalize_config env c in
   let facts = env.quick_facts c.tile in
   store.Store.stats.Store.quick_estimates <-
     store.Store.stats.Store.quick_estimates + 1;
-  Some
-    (Hls.Quick.bound ~scalar_replace:c.scalar_replace ~peel:c.peel facts
-       ~vector:c.vector)
-
-(** [quick_gate b] is [b] with the analytical pre-estimator as its
-    tier-1 bound: the two-tier engine as backend composition. *)
-let quick_gate (b : t) : t =
-  { b with name = "quick+" ^ b.name; bound = quick_bound }
-
-(** The default two-tier backend of the CLI, bench and tests. *)
-let default : t = quick_gate full
-
-let to_string (b : t) = b.name
-
-let of_string (s : string) : (t, string) result =
-  match String.lowercase_ascii (String.trim s) with
-  | "full" -> Ok full
-  | "quick+full" | "tiered" | "default" -> Ok default
-  | "lowlevel" -> Ok lowlevel
-  | "quick+lowlevel" -> Ok (quick_gate lowlevel)
-  | other ->
-      Error
-        (Printf.sprintf
-           "unknown backend %S (have: full, quick+full, lowlevel, \
-            quick+lowlevel)"
-           other)
-
-let known_names = [ "full"; "quick+full"; "lowlevel"; "quick+lowlevel" ]
+  Hls.Quick.bound ~scalar_replace:c.scalar_replace ~peel:c.peel facts
+    ~vector:c.vector
 
 (* ------------------------------------------------------------------ *)
 (* Cached evaluation *)
@@ -432,8 +371,8 @@ let known_names = [ "full"; "quick+full"; "lowlevel"; "quick+lowlevel" ]
 (** Cached [Generate; Synthesize] through [store]: configurations are
     normalized before the cache lookup, so any two spellings of the same
     design share one synthesis run. *)
-let evaluate ?fronts (env : env) (b : t) (store : Store.t) (c : Store.config)
-    : Store.point =
+let evaluate ?fronts (env : env) (store : Store.t) (c : Store.config) :
+    Store.point =
   let key = normalize_config env c in
   match Store.find store key with
   | Some p ->
@@ -441,6 +380,6 @@ let evaluate ?fronts (env : env) (b : t) (store : Store.t) (c : Store.config)
         store.Store.stats.Store.cache_hits + 1;
       p
   | None ->
-      let p = b.synthesize ?fronts env store key in
+      let p = synthesize ?fronts env store key in
       Store.add store key p;
       p

@@ -1,7 +1,9 @@
-(** Pluggable estimator backends — the fidelity levels at which a design
-    point can be evaluated, as first-class values, with the two-tier
-    gating expressed as backend composition ({!quick_gate}) instead of
-    inline logic in the search and the sweep. *)
+(** The evaluation of one design point: the analytical tier-1 bound
+    ({!bound}), behavioral synthesis ({!synthesize}, optionally with the
+    P&R degradation folded in) and the cached evaluation every caller
+    goes through ({!evaluate}). The bounds are admissible, so gating on
+    them decides which points are synthesized, never which design is
+    selected. *)
 
 open Ir
 
@@ -23,12 +25,17 @@ type env = {
   source_footprint : Check.Validate.t option;
       (** [Some] footprint of [source] when [verify], computed once by
           {!make_env} and shared by every verified evaluation *)
+  post_route : bool;
+      (** fold the P&R degradation model ({!Hls.Lowlevel}) into every
+          synthesized estimate: post-route area and achieved-clock
+          time; cycle counts and balance are unchanged (Section 6.4) *)
 }
 
 val make_env :
   ?pipeline:Transform.Pipeline.options ->
   ?profile:Hls.Estimate.profile ->
   ?verify:bool ->
+  ?post_route:bool ->
   Ast.kernel ->
   env
 
@@ -83,53 +90,24 @@ type front
     configuration left to visit needs it. *)
 type fronts = (front_key, front) Hashtbl.t
 
-type t = {
-  name : string;
-      (** stable identifier; part of the persistent store key, so two
-          backends never share cached points *)
-  bound : env -> Store.t -> Store.config -> Hls.Quick.t option;
-      (** admissible lower bounds for a configuration, or [None] when
-          this backend offers no tier-1 gate *)
-  synthesize :
-    ?fronts:fronts -> env -> Store.t -> Store.config -> Store.point;
-      (** full evaluation of one {!normalize_config}d configuration,
-          bypassing the point cache (neither read nor written); bumps
-          the store's counters.
-          The front comes from [fronts] when it holds one for the
-          configuration's key; otherwise it is built (counted in the
-          store's [fronts]) and added to [fronts] when given; without
-          [fronts] it serves this synthesis alone *)
-}
+(** [Generate; Synthesize] of one {!normalize_config}d configuration
+    — transform pipeline, DFG, fused tri-mode schedule, data layout, and
+    the P&R degradation when the env is [post_route] — bypassing the
+    point cache (neither read nor written); bumps the store's counters.
+    The front comes from [fronts] when it holds one for the
+    configuration's key; otherwise it is built (counted in the store's
+    [fronts]) and added to [fronts] when given; without [fronts] it
+    serves this synthesis alone. *)
+val synthesize : ?fronts:fronts -> env -> Store.t -> Store.config -> Store.point
 
-(** The paper's [Generate; Synthesize]: transform pipeline, DFG, fused
-    tri-mode schedule, data layout. No tier-1 bound. *)
-val full : t
-
-(** {!full} composed with the P&R degradation model: the stored
-    estimate carries post-route area and achieved-clock time. Cycle
-    counts and balance are unchanged (Section 6.4). *)
-val lowlevel : t
-
-(** [quick_gate b] is [b] with the analytical pre-estimator
-    ({!Hls.Quick}) as its tier-1 bound — the two-tier engine as backend
-    composition. The bounds are admissible, so gating on them never
-    changes a selection, only the set of synthesized points. *)
-val quick_gate : t -> t
-
-(** [quick_gate full] — the default of the CLI, bench and tests. *)
-val default : t
-
-val to_string : t -> string
-
-(** Parse a backend name: [full], [quick+full] (aliases [tiered],
-    [default]), [lowlevel], [quick+lowlevel]. *)
-val of_string : string -> (t, string) result
-
-val known_names : string list
+(** The tier-1 bound: admissible lower bounds on a configuration's
+    cycles and slices from the analytical pre-estimator ({!Hls.Quick}),
+    never above what {!synthesize} reports at either fidelity. Counted
+    in the store's [quick_estimates]. *)
+val bound : env -> Store.t -> Store.config -> Hls.Quick.t
 
 (** Cached [Generate; Synthesize] through the store: configurations are
-    normalized before the cache lookup, so any two spellings of the
-    same design share one synthesis run. A cache hit reads no front;
+    normalized before the cache lookup, so any two spellings of the same
+    design share one synthesis run. A cache hit reads no front;
     a miss synthesizes with [fronts]. *)
-val evaluate :
-  ?fronts:fronts -> env -> t -> Store.t -> Store.config -> Store.point
+val evaluate : ?fronts:fronts -> env -> Store.t -> Store.config -> Store.point

@@ -2,9 +2,9 @@
     evaluated anywhere in the system.
 
     {v
-        Backend   the evaluation environment ([Backend.env]) and
-           |      fidelity levels as values: full, lowlevel,
-           |      quick_gate composition (two-tier engine)
+        Backend   the evaluation environment ([Backend.env]), the
+           |      tier-1 bound and synthesis (post-route when the
+           |      env says so)
          Store    point cache + tri-schedule memo + counters,
            |      fork/absorb for domains, save/load via Persist
           Hls     scheduling, estimation, P&R degradation

@@ -21,12 +21,13 @@
     The configuration hash digests everything a cached value can depend
     on: the schema version, the estimator version ({!Hls.Estimate.version}),
     every device parameter, every memory-model parameter, operator
-    chaining, the backend name, and the base transform-pipeline options.
+    chaining, the fidelity name ([quick+full], or [quick+lowlevel] for
+    post-route estimates), and the base transform-pipeline options.
     A run under a different configuration lands in a different directory
     and never sees the stale entries; [defacto cache clear] removes them.
     The device's [capacity_slices] is included even though behavioral
-    estimates do not read it, because the [lowlevel] backend's P&R
-    degradation does.
+    estimates do not read it, because the post-route P&R degradation
+    does.
 
     Each [.bin] file additionally embeds the full configuration string
     (not just its hash) in a header that is compared verbatim on load;
@@ -98,8 +99,6 @@ let config_string ~(backend : string) (profile : Hls.Estimate.profile)
     ]
 
 let digest s = Digest.to_hex (Digest.string s)
-let config_key ~backend profile pipeline =
-  digest (config_string ~backend profile pipeline)
 
 (** Kernel identity: the digest of its pretty-printed form, so the same
     loop nest loaded from a file or the built-in suite shares a cache

@@ -13,7 +13,7 @@
     Every cached value is keyed by a configuration string that digests
     the store schema version, the estimator version
     ({!Hls.Estimate.version}), all device and memory-model parameters,
-    operator chaining, the backend name and the base transform-pipeline
+    operator chaining, the fidelity name and the base transform-pipeline
     options — change any of them and the store goes cold rather than
     stale. Corrupt, truncated or mismatched files read as absent; writes
     are atomic (temp file + rename). *)
@@ -21,15 +21,9 @@
 val schema_version : int
 
 (** The canonical configuration string for a run. Two runs share cached
-    values iff their strings are equal. *)
+    values iff their strings are equal. [backend] is the fidelity's
+    name: [quick+full], or [quick+lowlevel] for post-route estimates. *)
 val config_string :
-  backend:string ->
-  Hls.Estimate.profile ->
-  Transform.Pipeline.options ->
-  string
-
-(** [Digest.to_hex] of {!config_string} — the on-disk directory name. *)
-val config_key :
   backend:string ->
   Hls.Estimate.profile ->
   Transform.Pipeline.options ->

@@ -12,7 +12,7 @@
     caches to a versioned on-disk directory so later runs warm-start.
 
     One store serves one estimation configuration (profile, pipeline,
-    backend): the caches are exact under a fixed configuration and
+    fidelity): the caches are exact under a fixed configuration and
     meaningless across two. The owning context/session fixes the
     configuration for the store's lifetime; {!Persist} keys the on-disk
     form by a configuration hash so a mismatched cache is never read. *)

@@ -4,7 +4,7 @@
     form (see {!Persist}).
 
     One store serves one estimation configuration (profile, pipeline,
-    backend); the caches are exact under a fixed configuration and
+    fidelity); the caches are exact under a fixed configuration and
     meaningless across two. *)
 
 open Ir

@@ -11,7 +11,20 @@ exception Error of Lexer.pos * string
 
 let error pos fmt = Format.kasprintf (fun msg -> raise (Error (pos, msg))) fmt
 
-type state = { toks : Lexer.located array; mutable pos : int }
+(* The names a statement may use are checked where the parser reads
+   them, so each error is positioned at the offending identifier.
+   Declarations precede statements, so every declaration is known by
+   then. Declarations and loop bounds are [Unchecked]: a bound must fold
+   to a constant, and {!const_eval} reports one that does not. *)
+type scope = Unchecked | Checked of string list  (** enclosing loop indices *)
+
+type state = {
+  toks : Lexer.located array;
+  mutable pos : int;
+  mutable arrays : Ast.array_decl list;
+  mutable scalars : Ast.scalar_decl list;
+  mutable scope : scope;
+}
 
 let current st = st.toks.(st.pos)
 let peek_tok st = (current st).tok
@@ -40,6 +53,18 @@ let ident st =
       advance st;
       name
   | t -> error t.pos "expected identifier, found '%s'" (Token.to_string t.tok)
+
+(* ------------------------------------------------------------------ *)
+(* Name checks *)
+
+let scalar_declared st v =
+  List.exists (fun (s : Ast.scalar_decl) -> s.s_name = v) st.scalars
+
+let check_var st pos v =
+  match st.scope with
+  | Checked indices when not (List.mem v indices || scalar_declared st v) ->
+      error pos "use of undeclared variable '%s'" v
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Types *)
@@ -186,10 +211,10 @@ and parse_primary st : Ast.expr =
       advance st;
       match peek_tok st with
       | Token.LPAREN -> parse_call st t.pos name
-      | Token.LBRACKET ->
-          let subs = parse_subscripts st in
-          Ast.Arr (name, subs)
-      | _ -> Ast.Var name)
+      | Token.LBRACKET -> Ast.Arr (name, parse_array_subscripts st t.pos name)
+      | _ ->
+          check_var st t.pos name;
+          Ast.Var name)
   | tok -> error t.pos "expected expression, found '%s'" (Token.to_string tok)
 
 and parse_subscripts st =
@@ -202,6 +227,23 @@ and parse_subscripts st =
     else List.rev acc
   in
   go []
+
+(* The subscripts of array [a], named at [pos], checked against its
+   declaration. *)
+and parse_array_subscripts st pos a =
+  match st.scope with
+  | Unchecked -> parse_subscripts st
+  | Checked _ ->
+      let d =
+        match List.find_opt (fun (d : Ast.array_decl) -> d.a_name = a) st.arrays with
+        | Some d -> d
+        | None -> error pos "use of undeclared array '%s'" a
+      in
+      let subs = parse_subscripts st in
+      if List.length subs <> List.length d.a_dims then
+        error pos "array '%s' has %d dimension(s) but %d subscript(s)" a
+          (List.length d.a_dims) (List.length subs);
+      subs
 
 and parse_call st pos name =
   expect st Token.LPAREN;
@@ -265,7 +307,14 @@ and parse_for st : Ast.stmt =
   let pos = peek_pos st in
   expect st Token.KW_FOR;
   expect st Token.LPAREN;
+  let index_pos = peek_pos st in
   let index = ident st in
+  let scope = st.scope in
+  (match scope with
+  | Checked indices when List.mem index indices ->
+      error index_pos "loop index '%s' shadows an enclosing index" index
+  | _ -> ());
+  st.scope <- Unchecked;
   expect st Token.ASSIGN;
   let lo = const_eval st (parse_expr st) in
   expect st Token.SEMI;
@@ -308,7 +357,10 @@ and parse_for st : Ast.stmt =
   in
   if step <= 0 then error pos "loop stride must be positive";
   expect st Token.RPAREN;
+  st.scope <-
+    (match scope with Checked indices -> Checked (index :: indices) | s -> s);
   let body = parse_block st in
+  st.scope <- scope;
   let l_span = Some { Ast.sp_line = pos.Lexer.line; sp_col = pos.Lexer.col } in
   Ast.For { index; lo; hi; step; body; l_span }
 
@@ -325,7 +377,10 @@ and parse_rotate st : Ast.stmt =
   advance st (* rotate_registers *);
   expect st Token.LPAREN;
   let rec go acc =
+    let pos = peek_pos st in
     let name = ident st in
+    if st.scope <> Unchecked && not (scalar_declared st name) then
+      error pos "rotate_registers over undeclared scalar '%s'" name;
     if accept st Token.COMMA then go (name :: acc) else List.rev (name :: acc)
   in
   let regs = go [] in
@@ -337,8 +392,17 @@ and parse_assign st : Ast.stmt =
   let pos = peek_pos st in
   let name = ident st in
   let lv =
-    if peek_tok st = Token.LBRACKET then Ast.Larr (name, parse_subscripts st)
-    else Ast.Lvar name
+    if peek_tok st = Token.LBRACKET then
+      Ast.Larr (name, parse_array_subscripts st pos name)
+    else begin
+      (match st.scope with
+      | Checked indices when List.mem name indices ->
+          error pos "assignment to loop index '%s'" name
+      | Checked _ when not (scalar_declared st name) ->
+          error pos "assignment to undeclared scalar '%s'" name
+      | _ -> ());
+      Ast.Lvar name
+    end
   in
   let as_expr = function
     | Ast.Lvar v -> Ast.Var v
@@ -402,91 +466,32 @@ let parse_decl st (arrays, scalars) =
   expect st Token.SEMI;
   acc
 
-(* ------------------------------------------------------------------ *)
-(* Semantic checks *)
-
-let check_kernel st (k : Ast.kernel) =
-  let pos = { Lexer.line = 0; col = 0 } in
-  ignore st;
-  let scalar_declared v =
-    List.exists (fun (s : Ast.scalar_decl) -> s.s_name = v) k.k_scalars
-  in
-  let rec check_expr bound (e : Ast.expr) =
-    match e with
-    | Ast.Int _ -> ()
-    | Ast.Var v ->
-        if not (List.mem v bound || scalar_declared v) then
-          error pos "use of undeclared variable '%s'" v
-    | Ast.Arr (a, subs) -> (
-        match Ast.find_array k a with
-        | None -> error pos "use of undeclared array '%s'" a
-        | Some d ->
-            if List.length subs <> List.length d.a_dims then
-              error pos "array '%s' has %d dimension(s) but %d subscript(s)" a
-                (List.length d.a_dims) (List.length subs);
-            List.iter (check_expr bound) subs)
-    | Ast.Bin (_, a, b) ->
-        check_expr bound a;
-        check_expr bound b
-    | Ast.Un (_, a) -> check_expr bound a
-    | Ast.Cond (c, t, e) ->
-        check_expr bound c;
-        check_expr bound t;
-        check_expr bound e
-  in
-  let rec check_stmt bound (s : Ast.stmt) =
-    match s with
-    | Ast.Assign (Ast.Lvar v, e) ->
-        if List.mem v bound then error pos "assignment to loop index '%s'" v;
-        if not (scalar_declared v) then
-          error pos "assignment to undeclared scalar '%s'" v;
-        check_expr bound e
-    | Ast.Assign (Ast.Larr (a, subs), e) ->
-        check_expr bound (Ast.Arr (a, subs));
-        check_expr bound e
-    | Ast.If (c, t, e) ->
-        check_expr bound c;
-        List.iter (check_stmt bound) t;
-        List.iter (check_stmt bound) e
-    | Ast.For l ->
-        if List.mem l.index bound then
-          error pos "loop index '%s' shadows an enclosing index" l.index;
-        List.iter (check_stmt (l.index :: bound)) l.body
-    | Ast.Rotate rs ->
-        List.iter
-          (fun r ->
-            if not (scalar_declared r) then
-              error pos "rotate_registers over undeclared scalar '%s'" r)
-          rs
-  in
-  List.iter (check_stmt []) k.k_body;
-  k
-
 let parse_program st ~name : Ast.kernel =
   let rec decls acc =
     if is_type_start (peek_tok st) then decls (parse_decl st acc) else acc
   in
   let arrays, scalars = decls ([], []) in
+  st.arrays <- arrays;
+  st.scalars <- scalars;
+  st.scope <- Checked [];
   let rec stmts acc =
     if peek_tok st = Token.EOF then List.rev acc
     else stmts (parse_stmt st :: acc)
   in
   let body = stmts [] in
-  let k =
+  Loop_nest.validate
     {
       Ast.k_name = name;
       k_arrays = List.rev arrays;
       k_scalars = List.rev scalars;
       k_body = body;
     }
-  in
-  check_kernel st (Loop_nest.validate k)
 
 (** Parse a kernel from source text. Raises {!Error} or {!Lexer.Error}
     with a position on malformed input. *)
 let kernel_of_string ~name src =
   let toks = Array.of_list (Lexer.tokenize src) in
-  let st = { toks; pos = 0 } in
+  let st = { toks; pos = 0; arrays = []; scalars = []; scope = Unchecked } in
   parse_program st ~name
 
 (** [Result]-returning variant with a rendered diagnostic. *)

@@ -4,6 +4,12 @@
 
 open Ir
 
+(** [contains s sub]: [sub] occurs in [s]. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let vector_to_string v =
   String.concat "," (List.map (fun (i, u) -> Printf.sprintf "%s=%d" i u) v)
 

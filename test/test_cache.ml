@@ -40,8 +40,7 @@ let prop_cached_uncached_agree =
       let config = Design.base_config c v in
       estimates_equal
         (Design.evaluate c config)
-        (c.Design.backend.Engine.Backend.synthesize c.Design.env
-           c.Design.store
+        (Engine.Backend.synthesize c.Design.env c.Design.store
            (Design.normalize_config c config)))
 
 let test_memo_normalizes () =

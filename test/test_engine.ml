@@ -1,16 +1,14 @@
 (** The layered evaluation engine: persistent store round-trips (warm
     estimates field-for-field equal to cold, zero syntheses), cache-key
-    invalidation, corruption tolerance, backend-composition equivalence
-    (the tier-1 gate never changes a selection), multi-kernel sessions
-    selecting identically to sequential runs, pool-backed sweeps, and
-    the end-to-end cold/warm CLI acceptance run over the paper's five
-    kernels. *)
+    invalidation (the fidelity included), corruption tolerance, the
+    post-route fidelity, multi-kernel sessions selecting identically to
+    sequential runs, pool-backed sweeps, and the end-to-end cold/warm
+    CLI acceptance run over the paper's five kernels. *)
 
 module Design = Dse.Design
 module Search = Dse.Search
 module Space = Dse.Space
 module Store = Engine.Store
-module Backend = Engine.Backend
 module Persist = Engine.Persist
 
 let profile = Hls.Estimate.default_profile ()
@@ -22,9 +20,8 @@ let fresh_dir () =
 
 let rm_store dir = ignore (Persist.clear ~cache_dir:dir)
 
-let config ?(backend = Backend.default) ?(profile = profile) () =
-  Persist.config_string ~backend:backend.Backend.name profile
-    Transform.Pipeline.default
+let config ?(profile = profile) () =
+  Persist.config_string ~backend:"quick+full" profile Transform.Pipeline.default
 
 let kernel name = Option.get (Kernels.find name)
 
@@ -96,10 +93,11 @@ let test_invalidation () =
   Alcotest.(check int) "other device loads nothing" 0 (load_all dir other_cfg k s);
   let s2 = Store.create () in
   Alcotest.(check bool) "same config loads" true (load_all dir cfg k s2 > 0);
-  (* A backend is part of the key too: lowlevel never sees full's points. *)
-  let ll_cfg = config ~backend:Backend.lowlevel () in
+  (* The fidelity is part of the key too: post-route estimates never see
+     behavioral points. *)
+  let pr_cfg = (Dse.Driver.session ~profile ~post_route:true ()).config in
   let s3 = Store.create () in
-  Alcotest.(check int) "other backend loads nothing" 0 (load_all dir ll_cfg k s3);
+  Alcotest.(check int) "other fidelity loads nothing" 0 (load_all dir pr_cfg k s3);
   rm_store dir
 
 (* Corrupt or truncated files read as cold, never as an error, and a
@@ -163,33 +161,13 @@ let test_merge_on_save () =
   Alcotest.(check int) "both runs' points on disk" 2 loaded
 
 (* ------------------------------------------------------------------ *)
-(* Backend composition *)
+(* Fidelity *)
 
-(* The tier-1 gate is admissible: with and without it, the search
-   selects the same design. *)
-let test_backend_equivalence () =
-  List.iter
-    (fun name ->
-      let k = kernel name in
-      let gated = Design.context ~profile ~backend:Backend.default k in
-      let plain = Design.context ~profile ~backend:Backend.full k in
-      let rg = Search.run gated and rp = Search.run plain in
-      Alcotest.(check bool)
-        (name ^ ": gated and ungated searches select identically")
-        true
-        (rg.Search.selected.vector = rp.Search.selected.vector);
-      Alcotest.(check bool)
-        (name ^ ": the gate only removes syntheses")
-        true
-        (gated.Design.store.stats.evaluations
-         <= plain.Design.store.stats.evaluations))
-    [ "fir"; "mm"; "jac" ]
-
-(* The lowlevel backend degrades area and wall time, never cycles. *)
+(* The post-route fidelity degrades area and wall time, never cycles. *)
 let test_lowlevel_backend () =
   let k = kernel "fir" in
-  let full_ctx = Design.context ~profile ~backend:Backend.full k in
-  let ll_ctx = Design.context ~profile ~backend:Backend.lowlevel k in
+  let full_ctx = Design.context ~profile k in
+  let ll_ctx = Design.context ~profile ~post_route:true k in
   let v = [ ("j", 4) ] in
   let pf = Design.evaluate full_ctx (Design.base_config full_ctx v)
   and pl = Design.evaluate ll_ctx (Design.base_config ll_ctx v) in
@@ -200,16 +178,16 @@ let test_lowlevel_backend () =
     (pl.estimate.Hls.Estimate.time_ns
      >= pf.estimate.Hls.Estimate.time_ns)
 
-let test_backend_names () =
-  List.iter
-    (fun name ->
-      match Backend.of_string name with
-      | Ok b -> Alcotest.(check string) name name (Backend.to_string b)
-      | Error e -> Alcotest.fail e)
-    Backend.known_names;
-  Alcotest.(check bool)
-    "unknown backend rejected" true
-    (Result.is_error (Backend.of_string "bogus"))
+(* The store key the perf replay harness hard-codes: a default session
+   keys its stores with it, and a post-route session never does. *)
+let test_session_store_key () =
+  let default = (Dse.Driver.session ~profile ()).config in
+  Alcotest.(check string) "default session key"
+    (Persist.config_string ~backend:"quick+full" profile
+       Transform.Pipeline.default)
+    default;
+  Alcotest.(check bool) "post-route session key differs" true
+    ((Dse.Driver.session ~profile ~post_route:true ()).config <> default)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-kernel sessions *)
@@ -334,7 +312,7 @@ let test_joint_warm_unchanged () =
   let dir = fresh_dir () in
   let run () =
     let session =
-      Dse.Driver.session ~cache_dir:dir ~profile ~backend:Backend.default ()
+      Dse.Driver.session ~cache_dir:dir ~profile ()
     in
     let store = Dse.Driver.open_store session k in
     let ctx = Design.context ~profile ~store k in
@@ -440,23 +418,25 @@ let test_pool_exceptions () =
   Engine.Pool.run pool [ (fun () -> Atomic.incr hits) ];
   Alcotest.(check int) "all non-failing tasks ran" 8 (Atomic.get hits)
 
-(* A synthesis failure inside a parallel sweep without a caller's pool
-   reaches the caller, and the sweep's own pool is shut down cleanly. *)
-let test_sweep_exceptions () =
-  let k = kernel "fir" in
-  let failing =
-    {
-      Backend.full with
-      synthesize = (fun ?fronts:_ _ _ _ -> failwith "synthesis failed");
-    }
-  in
-  let sweep ctx = Space.sweep ~jobs:2 ~max_product:16 ctx in
-  (match sweep (Design.context ~profile ~backend:failing k) with
-  | _ -> Alcotest.fail "expected the synthesis failure to re-raise"
-  | exception Failure msg ->
-      Alcotest.(check string) "message" "synthesis failed" msg);
-  let healthy = sweep (Design.context ~profile k) in
-  Alcotest.(check bool) "a later sweep succeeds" true (healthy.Space.points <> [])
+(* A task's exception escapes [with_pool], whose pool is shut down on
+   the way out (as a sweep's own pool is when a synthesis fails), and a
+   later pool works. *)
+let test_with_pool_exceptions () =
+  let escaped = ref None in
+  (match
+     Engine.Pool.with_pool 2 (fun pool ->
+         escaped := Some pool;
+         Engine.Pool.run pool [ (fun () -> failwith "task failed") ])
+   with
+  | () -> Alcotest.fail "expected the task's exception to re-raise"
+  | exception Failure msg -> Alcotest.(check string) "message" "task failed" msg);
+  (match Engine.Pool.run (Option.get !escaped) [ ignore ] with
+  | () -> Alcotest.fail "expected the pool to be shut down"
+  | exception Invalid_argument _ -> ());
+  let hits = Atomic.make 0 in
+  Engine.Pool.with_pool 2 (fun pool ->
+      Engine.Pool.run pool (List.init 4 (fun _ () -> Atomic.incr hits)));
+  Alcotest.(check int) "a later pool runs every task" 4 (Atomic.get hits)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end CLI acceptance: cold vs warm over the paper's kernels *)
@@ -753,19 +733,12 @@ let test_cli_simulate_faults () =
       with_source text @@ fun path ->
       let code, _, err = run_capture [ "simulate"; "-f"; path; "-u"; "i=1" ] in
       Alcotest.(check int) (what ^ ": exit code") 2 code;
-      let contains s sub =
-        let n = String.length sub in
-        let rec go i =
-          i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-        in
-        go 0
-      in
       Alcotest.(check bool)
         (Printf.sprintf "%s: diagnostic (%s)" what err)
         true
         (String.starts_with ~prefix:("defacto: " ^ path ^ ": ") err
         && List.length (String.split_on_char '\n' (String.trim err)) = 1
-        && not (contains err "internal error")))
+        && not (Helpers.contains err "internal error")))
     [
       ( "out-of-bounds subscript",
         "signed char img[66];\n\
@@ -822,6 +795,51 @@ let test_cli_space_skips_scalar_jam () =
        (grep_lines "  (" out));
   simulates_identical "explore" (design "selected: (" out)
 
+(* The two fidelities: post-route rows keep the behavioral cycles and
+   never shrink the area; any other --backend value is rejected with
+   the accepted values named. *)
+let test_cli_fidelities () =
+  let rows args =
+    let code, out, _ =
+      run_capture ([ "space"; "-k"; "fir"; "--max-product"; "16" ] @ args)
+    in
+    Alcotest.(check int) "space exit code" 0 code;
+    String.split_on_char '\n' out
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+    |> List.map (fun l ->
+           match
+             List.rev
+               (List.filter (( <> ) "") (String.split_on_char ' ' l))
+           with
+           | _fits :: _balance :: slices :: cycles :: vector ->
+               (List.rev vector, int_of_string cycles, int_of_string slices)
+           | _ -> Alcotest.failf "unexpected row %S" l)
+  in
+  let behavioral = rows [] and post_route = rows [ "--backend"; "quick+lowlevel" ] in
+  Alcotest.(check bool) "rows printed" true (behavioral <> []);
+  Alcotest.(check int) "same rows" (List.length behavioral) (List.length post_route);
+  List.iter2
+    (fun (v, c, s) (v', c', s') ->
+      let row = String.concat " " v in
+      Alcotest.(check (list string)) "same vector" v v';
+      Alcotest.(check int) (row ^ ": cycles") c c';
+      Alcotest.(check bool) (row ^ ": post-route slices >= behavioral") true
+        (s' >= s))
+    behavioral post_route;
+  List.iter
+    (fun name ->
+      let code, _, err =
+        run_capture [ "space"; "-k"; "fir"; "--max-product"; "16"; "--backend"; name ]
+      in
+      Alcotest.(check int) ("--backend " ^ name ^ ": exit code") 124 code;
+      List.iter
+        (fun accepted ->
+          Alcotest.(check bool)
+            ("--backend " ^ name ^ ": names " ^ accepted) true
+            (Helpers.contains err accepted))
+        [ "'quick+full'"; "'quick+lowlevel'" ])
+    [ "full"; "lowlevel"; "tiered" ]
+
 let test_cli_removed_options () =
   let code, _, _ = run_capture [ "space"; "-k"; "fir"; "--prune" ] in
   Alcotest.(check int) "space --prune: unknown option" 124 code
@@ -841,12 +859,8 @@ let () =
           Alcotest.test_case "merge on save" `Quick test_merge_on_save;
         ] );
       ( "backend",
-        [
-          Alcotest.test_case "tier-1 gate is selection-neutral" `Quick
-            test_backend_equivalence;
-          Alcotest.test_case "lowlevel degradation" `Quick test_lowlevel_backend;
-          Alcotest.test_case "names round-trip" `Quick test_backend_names;
-        ] );
+        [ Alcotest.test_case "lowlevel degradation" `Quick test_lowlevel_backend ]
+      );
       ( "session",
         [
           Alcotest.test_case "matches sequential searches" `Quick
@@ -858,6 +872,8 @@ let () =
             test_joint_warm_unchanged;
           Alcotest.test_case "kernels share the schedule memo" `Quick
             test_session_shares_memo;
+          Alcotest.test_case "store key is the replay harness's" `Quick
+            test_session_store_key;
         ] );
       ( "parallel",
         [
@@ -866,8 +882,8 @@ let () =
           Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
           Alcotest.test_case "pool exception propagation" `Quick
             test_pool_exceptions;
-          Alcotest.test_case "sweep exception propagation" `Quick
-            test_sweep_exceptions;
+          Alcotest.test_case "with_pool exception propagation" `Quick
+            test_with_pool_exceptions;
         ] );
       ( "cli",
         [
@@ -886,6 +902,8 @@ let () =
           Alcotest.test_case "-k help lists every kernel" `Quick test_cli_kernel_help;
           Alcotest.test_case "removed --prune is unknown" `Quick
             test_cli_removed_options;
+          Alcotest.test_case "--backend takes the two fidelities" `Quick
+            test_cli_fidelities;
           Alcotest.test_case "warm --joint explore is all cache" `Quick
             test_cli_joint_warm;
           Alcotest.test_case "--report with --cache-dir reuses the store"

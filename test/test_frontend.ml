@@ -99,35 +99,51 @@ let test_rotate_registers () =
 (* ------------------------------------------------------------------ *)
 (* Errors *)
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
+let contains = Helpers.contains
 
+(* Each rejected source, the message kind it reports and, for errors
+   the parser can pin to a token, the [line:col] of the offending
+   identifier. Structural errors from [Loop_nest.validate] carry no
+   position. *)
 let test_errors () =
   let cases =
     [
-      ("int a[4]; a[0] = b;", "undeclared");
-      ("int a[4]; b[0] = 1;", "undeclared");
-      ("int a[4]; for (i = 0; i < n; i++) a[i] = 0;", "constant");
-      ("int a[4]; for (i = 0; j < 4; i++) a[i] = 0;", "index");
-      ("int a[4]; for (i = 4; i < 0; i += 0) a[i] = 0;", "positive");
-      ("int a[4]; a[0] = 1", "expected ';'");
-      ("int a[4][2]; a[0] = 1;", "subscript");
-      ("int a[4]; int a;", "duplicate");
-      ("int a[4]; for (i = 0; i < 2; i++) for (i = 0; i < 2; i++) a[i] = 0;", "shadow");
-      ("int a[4]; a[0] = foo(1);", "unknown function");
+      ("int a[4]; a[0] = b;", "undeclared variable", Some "1:18");
+      ("int a[4]; b[0] = 1;", "undeclared array", Some "1:11");
+      ("int a[4];\nfor (i = 0; i < 4; i++)\n  a[i] = b[i];", "undeclared array", Some "3:10");
+      ("int a[4]; x = 1;", "undeclared scalar", Some "1:11");
+      ("int a[4]; for (i = 0; i < 4; i++) i = 1;", "loop index", Some "1:35");
+      ("int x; rotate_registers(x, y);", "rotate_registers", Some "1:28");
+      ("int a[4]; for (i = 0; i < n; i++) a[i] = 0;", "constant", None);
+      ("int a[4]; for (i = 0; j < 4; i++) a[i] = 0;", "index", None);
+      ("int a[4]; for (i = 4; i < 0; i += 0) a[i] = 0;", "positive", None);
+      ("int a[4]; a[0] = 1", "expected ';'", None);
+      ("int a[4][2];\n  a[0] = 1;", "subscript", Some "2:3");
+      ("int a[4][2]; int x; x = a[1][2][3];", "subscript", Some "1:25");
+      ("int a[4]; int a;", "duplicate", None);
+      ( "int a[4]; for (i = 0; i < 2; i++)\n  for (i = 0; i < 2; i++) a[i] = 0;",
+        "shadow",
+        Some "2:8" );
+      ("int a[4]; a[0] = foo(1);", "unknown function", None);
       ( "int a[4]; int x; for (i = 0; i < 4; i++) if (x > 0) for (k = 0; k \
          < 2; k++) a[i] = k;",
-        "conditional" );
+        "conditional",
+        None );
     ]
   in
   List.iter
-    (fun (src, expect) ->
+    (fun (src, expect, pos) ->
       let msg = parse_err src in
       Alcotest.(check bool)
         (Printf.sprintf "%S reports %s (got %s)" src expect msg)
-        true (contains msg expect))
+        true (contains msg expect);
+      Option.iter
+        (fun pos ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S reports at %s (got %s)" src pos msg)
+            true
+            (String.starts_with ~prefix:(pos ^ ": ") msg))
+        pos)
     cases
 
 let test_error_position () =

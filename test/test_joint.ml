@@ -52,7 +52,7 @@ let test_config_string_distinct () =
   let strings =
     List.map
       (fun (n, opts) ->
-        (n, Persist.config_string ~backend:Backend.default.Backend.name profile opts))
+        (n, Persist.config_string ~backend:"quick+full" profile opts))
       option_variants
   in
   List.iteri
@@ -70,7 +70,7 @@ let test_persist_invalidation () =
   let k = kernel "fir" in
   let dir = fresh_dir () in
   let cfg_of opts =
-    Persist.config_string ~backend:Backend.default.Backend.name profile opts
+    Persist.config_string ~backend:"quick+full" profile opts
   in
   let ctx = Design.context ~profile k in
   ignore (Design.evaluate ctx (Design.base_config ctx [ ("i", 2) ]));
@@ -313,16 +313,11 @@ let admissible_prop ((k, c), (pipelined, chaining)) =
       let profile = Hls.Estimate.default_profile ~pipelined ~chaining () in
       let ctx = Design.context ~profile k in
       let p = Design.evaluate ctx c in
-      match Design.quick ctx c with
-      | None -> QCheck2.Test.fail_reportf "no quick bound for %s"
-                  (Pipeline.config_to_string c)
-      | Some q -> (
-          match Helpers.bound_violation q p.estimate with
-          | None -> true
-          | Some pairs ->
-              QCheck2.Test.fail_reportf
-                "bound exceeds estimate for %s: %s on:@.%s"
-                (Pipeline.config_to_string c) pairs (Helpers.kernel_print k)))
+      match Helpers.bound_violation (Design.quick ctx c) p.estimate with
+      | None -> true
+      | Some pairs ->
+          QCheck2.Test.fail_reportf "bound exceeds estimate for %s: %s on:@.%s"
+            (Pipeline.config_to_string c) pairs (Helpers.kernel_print k))
 
 (* Either memory model, with or without operator chaining. *)
 let gen_profile = QCheck2.Gen.(pair bool bool)
@@ -422,17 +417,14 @@ let check_joint_survivors name ~pipelined ~max_product k =
   let j = joint_sweep ~max_product ~exhaustive_below:max_int ctx in
   List.iter
     (fun (jp : Design.point) ->
-      match Design.quick ctx jp.config with
-      | None -> Alcotest.failf "%s: no quick bound" name
-      | Some q -> (
-          match Helpers.bound_violation q jp.estimate with
-          | None -> ()
-          | Some pairs ->
-              Alcotest.failf "%s %s product %d %s: %s" name
-                (if pipelined then "pipelined" else "non-pipelined")
-                max_product
-                (Pipeline.config_to_string jp.config)
-                pairs))
+      match Helpers.bound_violation (Design.quick ctx jp.config) jp.estimate with
+      | None -> ()
+      | Some pairs ->
+          Alcotest.failf "%s %s product %d %s: %s" name
+            (if pipelined then "pipelined" else "non-pipelined")
+            max_product
+            (Pipeline.config_to_string jp.config)
+            pairs)
     j.Space.points
 
 let test_admissible_builtins () =
@@ -551,7 +543,7 @@ let test_warm_replay_configs () =
   let k = kernel "mm" in
   let dir = fresh_dir () in
   let cfg =
-    Persist.config_string ~backend:Backend.default.Backend.name profile
+    Persist.config_string ~backend:"quick+full" profile
       Pipeline.default
   in
   let ctx = Design.context ~profile k in

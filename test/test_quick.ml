@@ -141,11 +141,8 @@ let prop_tri_random_blocks stmts =
 let prop_quick_admissible (k, v) =
   let ctx = Design.context k in
   let config = Design.base_config ctx v in
-  match Design.quick ctx config with
-  | None -> true
-  | Some q ->
-      let p = Design.evaluate ctx config in
-      Helpers.admissible q p.estimate
+  let q = Design.quick ctx config in
+  Helpers.admissible q (Design.evaluate ctx config).estimate
 
 let test_quick_admissible_paper_kernels () =
   List.iter
@@ -155,14 +152,11 @@ let test_quick_admissible_paper_kernels () =
       let sp = Space.sweep ~max_product:16 ~jobs:1 ctx in
       List.iter
         (fun (pt : Design.point) ->
-          match Design.quick ctx pt.config with
-          | None -> Alcotest.fail (name ^ ": quick facts unavailable")
-          | Some q ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s %s admissible" name
-                   (Helpers.vector_to_string pt.vector))
-                true
-                (Helpers.admissible q pt.estimate))
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s admissible" name
+               (Helpers.vector_to_string pt.vector))
+            true
+            (Helpers.admissible (Design.quick ctx pt.config) pt.estimate))
         sp.Space.points)
     paper_kernels
 
@@ -176,9 +170,7 @@ let test_search_capacity_gate () =
      candidate is rejected by tier 1 alone, and the search must fall all
      the way back to the base design without a single wasted synthesis *)
   let floor =
-    match Design.quick ctx (Design.base_config ctx (Design.ubase ctx)) with
-    | Some q -> q.Quick.slices_lb
-    | None -> Alcotest.fail "quick facts unavailable for fir"
+    (Design.quick ctx (Design.base_config ctx (Design.ubase ctx))).Quick.slices_lb
   in
   let ctx = { ctx with Design.capacity = floor - 1 } in
   let r = Search.run ctx in

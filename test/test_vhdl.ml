@@ -1,10 +1,7 @@
 (** VHDL emission tests: structural checks on the generated text for the
     paper kernels, both raw and after data layout. *)
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
+let contains = Helpers.contains
 
 let emit name vector =
   let k = Option.get (Kernels.find name) in
