@@ -289,9 +289,9 @@ let load_tasks kernels file : Dse.Driver.task list =
       named @ from_file
 
 (* The single end-of-command save: results are already printed, so an
-   unwritable store costs only the store. *)
+   unwritable store costs only the store. Returns the files written. *)
 let save_or_die dir = function
-  | Ok () -> ()
+  | Ok written -> written
   | Error msg ->
       Format.print_flush ();
       prerr_endline
@@ -328,7 +328,7 @@ let explore kernels file non_pipelined memories capacity report prof verify
         Format.printf "report written to %s@." dest
       end;
       Option.iter
-        (fun dir -> save_or_die dir (Dse.Driver.save summary))
+        (fun dir -> ignore (save_or_die dir (Dse.Driver.save summary)))
         cache_dir;
       exit 0)
     report;
@@ -401,8 +401,9 @@ let explore kernels file non_pipelined memories capacity report prof verify
     (Hls.Schedule.memo_loaded summary.Dse.Driver.session.memo);
   Option.iter
     (fun dir ->
-      save_or_die dir (Dse.Driver.save summary);
-      Format.printf "session: store saved to %s@." dir)
+      if save_or_die dir (Dse.Driver.save summary) = 0 then
+        Format.printf "session: store at %s unchanged@." dir
+      else Format.printf "session: store saved to %s@." dir)
     cache_dir
 
 let explore_cmd =
@@ -513,7 +514,8 @@ let space kernel file non_pipelined memories capacity max_product jobs verify
       ctx.Dse.Design.store.stats.verify_violations;
   Format.printf "# stats: %a@." Dse.Design.pp_stats ctx.Dse.Design.store.stats;
   Option.iter
-    (fun dir -> save_or_die dir (Dse.Driver.save_stores session [ (k, store) ]))
+    (fun dir ->
+      ignore (save_or_die dir (Dse.Driver.save_stores session [ (k, store) ])))
     cache_dir
 
 let space_cmd =
@@ -647,7 +649,7 @@ let check kernel file unroll format no_validate fail_on =
 let check_cmd =
   let doc =
     "Statically check a kernel: structural well-formedness, affine bounds, \
-     flow-graph dataflow facts (uninitialized reads, dead stores), \
+     dataflow facts (uninitialized reads, dead stores), \
      transform legality, and per-stage translation validation of the \
      pipeline. Exits 0 when clean, 1 on warnings, 2 on errors (see \
      $(b,--fail-on))."

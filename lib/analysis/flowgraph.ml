@@ -3,27 +3,6 @@
 open Ir
 
 (* ------------------------------------------------------------------ *)
-(* Cost accounting *)
-
-type cost = {
-  mutable builds : int;
-  mutable solves : int;
-  mutable steps : int;
-  mutable build_seconds : float;
-  mutable solve_seconds : float;
-}
-
-let fresh_cost () =
-  { builds = 0; solves = 0; steps = 0; build_seconds = 0.0; solve_seconds = 0.0 }
-
-let cost_add ~(into : cost) (c : cost) =
-  into.builds <- into.builds + c.builds;
-  into.solves <- into.solves + c.solves;
-  into.steps <- into.steps + c.steps;
-  into.build_seconds <- into.build_seconds +. c.build_seconds;
-  into.solve_seconds <- into.solve_seconds +. c.solve_seconds
-
-(* ------------------------------------------------------------------ *)
 (* Abstract locations *)
 
 type loc = Scalar of string | Cell of string * Affine.t list | Whole of string
@@ -178,8 +157,7 @@ let defs_of_node (nd : node) : loc list =
   | Assign (Ast.Larr (a, subs), _) ->
       [ loc_of_access (index_names nd.loops) a subs ]
 
-let build ?cost (k : Ast.kernel) : t =
-  let t0 = Clock.now () in
+let build (k : Ast.kernel) : t =
   let nodes = ref [] and count = ref 0 in
   let edges = ref [] in
   let add_node kind ~loops ~guarded ~span =
@@ -262,11 +240,6 @@ let build ?cost (k : Ast.kernel) : t =
   dfs entry;
   let node_uses = Array.map uses_of_node node_arr in
   let node_defs = Array.map defs_of_node node_arr in
-  (match cost with
-  | Some c ->
-      c.builds <- c.builds + 1;
-      c.build_seconds <- c.build_seconds +. (Clock.now () -. t0)
-  | None -> ());
   {
     kernel = k;
     nodes = node_arr;
@@ -298,8 +271,7 @@ type 'f spec = {
 
 type 'f solution = { before : 'f array; after : 'f array }
 
-let solve ?cost (g : t) (spec : 'f spec) : 'f solution =
-  let t0 = Clock.now () in
+let solve (g : t) (spec : 'f spec) : 'f solution =
   let n = Array.length g.nodes in
   let before = Array.make n spec.init and after = Array.make n spec.init in
   let inq = Array.make n false in
@@ -313,14 +285,12 @@ let solve ?cost (g : t) (spec : 'f spec) : 'f solution =
   (match spec.dir with
   | Forward -> for i = 0 to n - 1 do push i done
   | Backward -> for i = n - 1 downto 0 do push i done);
-  let steps = ref 0 in
   (* A fact physically equal to the old one is unchanged without a
      structural comparison: a transfer that touches nothing, or a join
      over one neighbour, hands the same set back. *)
   while not (Queue.is_empty q) do
     let i = Queue.pop q in
     inq.(i) <- false;
-    incr steps;
     match spec.dir with
     | Forward ->
         let inf =
@@ -345,12 +315,6 @@ let solve ?cost (g : t) (spec : 'f spec) : 'f solution =
           List.iter push g.pred.(i)
         end
   done;
-  (match cost with
-  | Some c ->
-      c.solves <- c.solves + 1;
-      c.steps <- c.steps + !steps;
-      c.solve_seconds <- c.solve_seconds +. (Clock.now () -. t0)
-  | None -> ());
   { before; after }
 
 (* Shared helpers for the location-set analyses. *)
@@ -396,7 +360,7 @@ module IntSet = Set.Make (Int)
 
 type reaching = { r_defs : def array; r_sol : IntSet.t solution }
 
-let reaching ?cost (g : t) : reaching =
+let reaching (g : t) : reaching =
   let defs = def_sites g in
   let n = Array.length g.nodes in
   let gen = Array.make n IntSet.empty in
@@ -433,7 +397,7 @@ let reaching ?cost (g : t) : reaching =
       transfer = (fun nd f -> IntSet.union gen.(nd.id) (IntSet.diff f kill.(nd.id)));
     }
   in
-  { r_defs = defs; r_sol = solve ?cost g spec }
+  { r_defs = defs; r_sol = solve g spec }
 
 let reaching_defs_of (r : reaching) (node : int) (l : loc) : def list =
   IntSet.fold
@@ -446,7 +410,7 @@ let reaching_defs_of (r : reaching) (node : int) (l : loc) : def list =
 (* ------------------------------------------------------------------ *)
 (* Liveness *)
 
-let live ?cost (g : t) : LocSet.t solution =
+let live (g : t) : LocSet.t solution =
   let boundary =
     List.fold_left
       (fun acc (a : Ast.array_decl) -> LocSet.add (Whole a.Ast.a_name) acc)
@@ -482,7 +446,7 @@ let live ?cost (g : t) : LocSet.t solution =
         in
         List.fold_left (fun acc u -> LocSet.add u acc) killed g.node_uses.(nd.id)
   in
-  solve ?cost g
+  solve g
     {
       dir = Backward;
       boundary;
@@ -495,7 +459,7 @@ let live ?cost (g : t) : LocSet.t solution =
 let live_at (s : LocSet.t) (l : loc) = not (Seq.is_empty (aliases s l))
 
 (* ------------------------------------------------------------------ *)
-(* Must-initialisation *)
+(* Anticipated overwrites *)
 
 let opt_must_join a b =
   match (a, b) with
@@ -508,60 +472,7 @@ let opt_equal a b =
   | Some a, Some b -> LocSet.equal a b
   | _ -> false
 
-let must_init ?cost (g : t) : LocSet.t option solution =
-  let boundary =
-    let s =
-      List.fold_left
-        (fun acc (a : Ast.array_decl) -> LocSet.add (Whole a.Ast.a_name) acc)
-        LocSet.empty g.kernel.Ast.k_arrays
-    in
-    let s =
-      List.fold_left
-        (fun acc (d : Ast.scalar_decl) ->
-          if d.Ast.s_kind = Ast.Param then LocSet.add (Scalar d.Ast.s_name) acc
-          else acc)
-        s g.kernel.Ast.k_scalars
-    in
-    Some s
-  in
-  let transfer nd f =
-    match f with
-    | None -> None
-    | Some s -> (
-        match nd.kind with
-        | Header l ->
-            let s = LocSet.filter (fun f -> not (mentions_index l.Ast.index f)) s in
-            Some (LocSet.add (Scalar l.Ast.index) s)
-        | _ ->
-            Some
-              (List.fold_left
-                 (fun acc w ->
-                   match w with
-                   | Scalar _ -> LocSet.add w acc
-                   | Cell _ -> LocSet.add w acc
-                   | Whole _ -> acc (* writes one unknown cell *))
-                 s g.node_defs.(nd.id)))
-  in
-  solve ?cost g
-    {
-      dir = Forward;
-      boundary;
-      init = None;
-      join = opt_must_join;
-      equal = opt_equal;
-      transfer;
-    }
-
-let initialized_in (s : LocSet.t) (l : loc) =
-  match l with
-  | Scalar _ -> LocSet.mem l s
-  | Cell (a, _) -> LocSet.mem l s || LocSet.mem (Whole a) s
-  | Whole _ -> LocSet.mem l s
-
-(* ------------------------------------------------------------------ *)
-(* Anticipated overwrites *)
-
-let anticipated ?cost (g : t) : LocSet.t option solution =
+let anticipated (g : t) : LocSet.t option solution =
   let transfer nd f =
     match f with
     | None -> None
@@ -590,7 +501,7 @@ let anticipated ?cost (g : t) : LocSet.t option solution =
                  (fun s u -> Seq.fold_left (Fun.flip LocSet.remove) s (aliases s u))
                  s g.node_uses.(nd.id)))
   in
-  solve ?cost g
+  solve g
     {
       dir = Backward;
       boundary = Some LocSet.empty;
@@ -599,58 +510,3 @@ let anticipated ?cost (g : t) : LocSet.t option solution =
       equal = opt_equal;
       transfer;
     }
-
-(* ------------------------------------------------------------------ *)
-(* Use-before-def *)
-
-type init_status = Initialized | Maybe_uninitialized | Uninitialized
-type use_site = { u_node : int; u_loc : loc; u_status : init_status }
-
-(* Does some definition of a location aliasing [u] reach node [n]?
-   Exactly when a node defining such a location reaches [n] by a path
-   of at least one edge: a kill on the path is a write of an equal,
-   hence also aliasing, location, so the last aliasing definition along
-   it always reaches [n]. This is what [reaching_defs_of r n u <> []]
-   answers, by a backward search from [n] that stops at the first
-   aliasing definition instead of a reaching-definitions solve. *)
-let reached_by_defs (g : t) : int -> loc -> bool =
-  let stamp = Array.make (Array.length g.nodes) 0 and query = ref 0 in
-  fun n u ->
-    incr query;
-    let q = !query in
-    let rec search = function
-      | [] -> false
-      | i :: rest ->
-          if stamp.(i) = q then search rest
-          else begin
-            stamp.(i) <- q;
-            List.exists (may_alias u) g.node_defs.(i)
-            || search (List.rev_append g.pred.(i) rest)
-          end
-    in
-    search g.pred.(n)
-
-let use_before_def ?cost (g : t) : use_site list =
-  let mi = must_init ?cost g in
-  let reached = reached_by_defs g in
-  let sites = ref [] in
-  Array.iter
-    (fun nd ->
-      if g.reachable.(nd.id) then
-        List.iter
-          (fun u ->
-            let status =
-              match mi.before.(nd.id) with
-              | Some s when initialized_in s u -> Initialized
-              | _ ->
-                  if reached nd.id u then Maybe_uninitialized
-                  else
-                    (* nothing written in the kernel reaches; arrays and
-                       Param scalars are host-initialised but those are
-                       always must-init, so this is a genuine hole *)
-                    Uninitialized
-            in
-            sites := { u_node = nd.id; u_loc = u; u_status = status } :: !sites)
-          g.node_uses.(nd.id))
-    g.nodes;
-  List.rev !sites

@@ -5,41 +5,23 @@
     entry/exit nodes, with structured-control edges. Loop edges are
     trip-count aware: a loop whose constant bounds give a positive trip
     count must execute its body at least once, so the only path to the
-    loop's continuation goes through the body — which is what makes
-    accumulator initialisation provable. A zero-trip loop keeps its body
-    nodes in the graph (spans and all) but leaves them unreachable.
+    loop's continuation goes through the body. A zero-trip loop keeps
+    its body nodes in the graph (spans and all) but leaves them
+    unreachable.
 
     Analyses are instances of the monotone framework: a {!spec} supplies
     direction, lattice operations and a transfer function, and {!solve}
-    iterates a worklist to fixpoint. Four reusable analyses are provided
-    — {!reaching}, {!live}, {!must_init} and {!anticipated} — plus the
-    derived {!use_before_def} classification that {!Check.Uninit} is
-    built on. All of them track scalars and individual array cells;
-    array cells are keyed by their affine subscript forms
-    ({!Affine.t}), degrading conservatively to whole-array facts for
-    non-affine subscripts or forms that mention non-index variables. *)
+    iterates a worklist to fixpoint. Three reusable analyses are
+    provided — {!reaching}, {!live} and {!anticipated} — for the
+    dead-store and legality checks. All of them track scalars and
+    individual array cells; array cells are keyed by their affine
+    subscript forms ({!Affine.t}), degrading conservatively to
+    whole-array facts for non-affine subscripts or forms that mention
+    non-index variables. The uninitialized-read check ({!Check.Uninit})
+    builds no graph: it walks the syntax once, numbering statements as
+    {!build} numbers nodes. *)
 
 open Ir
-
-(** {1 Cost accounting}
-
-    Construction and solve counters, so flowgraph time shows up in
-    [Design.stats] and [--profile] like every other phase. One [cost]
-    record is threaded through [?cost] arguments; there is no global
-    state. *)
-
-type cost = {
-  mutable builds : int;  (** CFGs constructed *)
-  mutable solves : int;  (** fixpoint solves run *)
-  mutable steps : int;  (** worklist iterations across all solves *)
-  mutable build_seconds : float;
-  mutable solve_seconds : float;
-}
-
-val fresh_cost : unit -> cost
-
-(** Fold [extra] into [into] (all five fields added). *)
-val cost_add : into:cost -> cost -> unit
 
 (** {1 Abstract memory locations} *)
 
@@ -108,7 +90,7 @@ type t = {
     treated conservatively as "may run zero or more times". Each node's
     uses and definitions are resolved to locations here, once, so the
     analyses never re-linearize a subscript. *)
-val build : ?cost:cost -> Ast.kernel -> t
+val build : Ast.kernel -> t
 
 (** Locations possibly read by a node ([Branch] conditions, RHS and
     subscript reads, [Rotate] sources). *)
@@ -137,7 +119,7 @@ type 'f spec = {
     after]. *)
 type 'f solution = { before : 'f array; after : 'f array }
 
-val solve : ?cost:cost -> t -> 'f spec -> 'f solution
+val solve : t -> 'f spec -> 'f solution
 
 (** {1 Reaching definitions} *)
 
@@ -160,7 +142,7 @@ type reaching = {
     a scalar write, or a write to a cell with all-constant subscripts.
     Writes to index-dependent cells kill nothing (an earlier iteration's
     instance may survive in another cell). *)
-val reaching : ?cost:cost -> t -> reaching
+val reaching : t -> reaching
 
 (** Definitions of [d] reaching the entry of node [n] that may alias
     [loc]. *)
@@ -172,20 +154,11 @@ val reaching_defs_of : reaching -> int -> loc -> def list
     host reads results back); no scalar is. Facts about cells that
     mention a loop's index widen to [Whole] at that loop's header —
     the index changes there, so the cell identity does. *)
-val live : ?cost:cost -> t -> LocSet.t solution
+val live : t -> LocSet.t solution
 
 (** Is a write to [loc] at program point observed by any later read?
     (Membership up to {!may_alias}.) *)
 val live_at : LocSet.t -> loc -> bool
-
-(** {1 Must-initialisation} *)
-
-(** Forward must-analysis over an option lattice ([None] = unreachable
-    top). Boundary at entry: [Param] scalars and whole arrays are
-    host-initialised. A location joins the set when every path to the
-    point writes it; index-dependent cell facts are cleared at their
-    loop's header. *)
-val must_init : ?cost:cost -> t -> LocSet.t option solution
 
 (** {1 Anticipated (redundant-making) overwrites} *)
 
@@ -193,19 +166,4 @@ val must_init : ?cost:cost -> t -> LocSet.t option solution
     at a point when every path from the point overwrites [loc] before
     any possible read of it. A store whose target is anticipated right
     after it is redundant. *)
-val anticipated : ?cost:cost -> t -> LocSet.t option solution
-
-(** {1 Use-before-def classification} *)
-
-type init_status =
-  | Initialized  (** written on every path, or host-initialised *)
-  | Maybe_uninitialized  (** a definition reaches, but not on all paths *)
-  | Uninitialized  (** no definition reaches this use *)
-
-type use_site = { u_node : int; u_loc : loc; u_status : init_status }
-
-(** Classify every location use at every reachable node. [Param]
-    scalars and array cells count as host-initialised, so only [Temp]
-    and [Register] scalars (and undeclared names) can come out
-    [Uninitialized]. *)
-val use_before_def : ?cost:cost -> t -> use_site list
+val anticipated : t -> LocSet.t option solution

@@ -21,12 +21,12 @@ let pass = "deadstore"
 
 let diagf ?span sev fmt = Diag.diagf ?span sev ~pass fmt
 
-let check ?graph ?cost (k : Ast.kernel) : Diag.t list =
+let check ?graph (k : Ast.kernel) : Diag.t list =
   let g =
-    match graph with Some g -> g | None -> Flowgraph.build ?cost k
+    match graph with Some g -> g | None -> Flowgraph.build k
   in
-  let live = Flowgraph.live ?cost g in
-  let ant = Flowgraph.anticipated ?cost g in
+  let live = Flowgraph.live g in
+  let ant = Flowgraph.anticipated g in
   let diags = ref [] in
   let add d = diags := d :: !diags in
   Array.iter

@@ -5,10 +5,8 @@
 open Ir
 
 (** [check k] builds the kernel's flow graph (or reuses [graph]) and
-    reports dead and redundant stores. [cost] accumulates flowgraph
-    construction/solve counters. *)
+    reports dead and redundant stores. *)
 val check :
   ?graph:Analysis.Flowgraph.t ->
-  ?cost:Analysis.Flowgraph.cost ->
   Ast.kernel ->
   Diag.t list

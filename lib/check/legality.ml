@@ -120,8 +120,8 @@ let reduction_only (g : Flowgraph.t) (body : Flowgraph.node list) (s : string)
     scalar is a plain reduction. Only non-innermost loops matter: the
     innermost-only fallback unrolls within one iteration and never
     reorders a chain. *)
-let scalar_jam_hazard ?cost (g : Flowgraph.t) : (string * string) option =
-  let live = Flowgraph.live ?cost g in
+let scalar_jam_hazard (g : Flowgraph.t) : (string * string) option =
+  let live = Flowgraph.live g in
   let result = ref None in
   Array.iter
     (fun (hn : Flowgraph.node) ->
@@ -191,11 +191,11 @@ let scalar_jam_hazard ?cost (g : Flowgraph.t) : (string * string) option =
   !result
 
 (** Dependence preservation *and* no reorderable scalar recurrence. *)
-let jam_unroll_legal ?graph ?cost (k : Ast.kernel) : bool =
+let jam_unroll_legal ?graph (k : Ast.kernel) : bool =
   jam_unroll_legal_dependence k
   &&
-  let g = match graph with Some g -> g | None -> Flowgraph.build ?cost k in
-  scalar_jam_hazard ?cost g = None
+  let g = match graph with Some g -> g | None -> Flowgraph.build k in
+  scalar_jam_hazard g = None
 
 (* ------------------------------------------------------------------ *)
 (* Scalar replacement: foreign accesses through other patterns *)
@@ -310,20 +310,20 @@ let foreign_hazard (g : Reuse.group) (graph : Flowgraph.t)
       !hazard
 
 (** Dependence-distance consistency *and* no reaching foreign access. *)
-let replaceable_verdict ?graph ?cost (k : Ast.kernel) (g : Reuse.group) :
+let replaceable_verdict ?graph (k : Ast.kernel) (g : Reuse.group) :
     replace_verdict =
   if not (replaceable_group_dependence k g) then Inconsistent_distances
   else
     let graph =
-      match graph with Some g -> g | None -> Flowgraph.build ?cost k
+      match graph with Some g -> g | None -> Flowgraph.build k
     in
-    let r = Flowgraph.reaching ?cost graph in
+    let r = Flowgraph.reaching graph in
     match foreign_hazard g graph r with
     | Some why -> Foreign_accesses why
     | None -> Replaceable
 
-let replaceable_group ?graph ?cost (k : Ast.kernel) (g : Reuse.group) : bool =
-  replaceable_verdict ?graph ?cost k g = Replaceable
+let replaceable_group ?graph (k : Ast.kernel) (g : Reuse.group) : bool =
+  replaceable_verdict ?graph k g = Replaceable
 
 (* ------------------------------------------------------------------ *)
 
@@ -401,16 +401,16 @@ let config_verdict (k : Ast.kernel) :
 
 (* ------------------------------------------------------------------ *)
 
-let check ?graph ?cost ?(options : Transform.Pipeline.options option)
+let check ?graph ?(options : Transform.Pipeline.options option)
     (k : Ast.kernel) : Diag.t list =
   let graph =
-    match graph with Some g -> g | None -> Flowgraph.build ?cost k
+    match graph with Some g -> g | None -> Flowgraph.build k
   in
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let spine = Loop_nest.spine k.Ast.k_body in
   let jam_dep_ok = jam_unroll_legal_dependence k in
-  let hazard = scalar_jam_hazard ?cost graph in
+  let hazard = scalar_jam_hazard graph in
   (* Unroll-and-jam. *)
   (match options with
   | None ->
@@ -476,7 +476,7 @@ let check ?graph ?cost ?(options : Transform.Pipeline.options option)
                  tile index));
   (* Scalar replacement: groups with reuse the rewrite will skip (or
      must skip) are reported as unexploited reuse, with the reason. *)
-  let r = lazy (Flowgraph.reaching ?cost graph) in
+  let r = lazy (Flowgraph.reaching graph) in
   List.iter
     (fun (g : Reuse.group) ->
       let distinct = List.length (Reuse.distinct_members g) in

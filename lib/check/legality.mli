@@ -20,14 +20,12 @@ val jam_unroll_legal_dependence : Ast.kernel -> bool
     outer iterations). Implies {!jam_unroll_legal_dependence}. *)
 val jam_unroll_legal :
   ?graph:Analysis.Flowgraph.t ->
-  ?cost:Analysis.Flowgraph.cost ->
   Ast.kernel ->
   bool
 
 (** First scalar whose carried dependence chain unroll-and-jam would
     reorder, as [(loop index, scalar name)]. *)
 val scalar_jam_hazard :
-  ?cost:Analysis.Flowgraph.cost ->
   Analysis.Flowgraph.t ->
   (string * string) option
 
@@ -48,7 +46,6 @@ type replace_verdict =
 
 val replaceable_verdict :
   ?graph:Analysis.Flowgraph.t ->
-  ?cost:Analysis.Flowgraph.cost ->
   Ast.kernel ->
   Analysis.Reuse.group ->
   replace_verdict
@@ -57,7 +54,6 @@ val replaceable_verdict :
     {!replaceable_group_dependence}. *)
 val replaceable_group :
   ?graph:Analysis.Flowgraph.t ->
-  ?cost:Analysis.Flowgraph.cost ->
   Ast.kernel ->
   Analysis.Reuse.group ->
   bool
@@ -90,11 +86,9 @@ val config_verdict :
 
 (** Diagnostics for the kernel, optionally against the concrete pipeline
     options of a design point (unroll vector, tile request). [graph]
-    reuses an already-built flow graph; [cost] accumulates flowgraph
-    counters. *)
+    reuses an already-built flow graph. *)
 val check :
   ?graph:Analysis.Flowgraph.t ->
-  ?cost:Analysis.Flowgraph.cost ->
   ?options:Transform.Pipeline.options ->
   Ast.kernel ->
   Diag.t list

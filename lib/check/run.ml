@@ -4,10 +4,10 @@
     through here so they share one pass order, one rendering and one
     exit-code discipline. Pass order mirrors a compiler: structural
     well-formedness first (and, when it errors, alone — the later passes
-    assume a structurally sound kernel), then bounds, the flow-graph
+    assume a structurally sound kernel), then bounds, the dataflow
     passes (uninit, deadstore), transform legality, and optionally the
     full pipeline validation. One flow graph is built per run and shared
-    by every pass that consults it.
+    by the passes that consult it (uninit walks the syntax instead).
 
     Diagnostics are sorted deterministically by (span, pass, stage,
     severity, message) before rendering, so [--format=json] output is
@@ -60,7 +60,7 @@ let all ?(config = default) (k : Ast.kernel) : Diag.t list =
   else
     let graph = Analysis.Flowgraph.build k in
     let bounds = Bounds.check k in
-    let uninit = Uninit.check ~graph k in
+    let uninit = Uninit.check k in
     let deadstore = Deadstore.check ~graph k in
     let legality = Legality.check ~graph ?options:config.options k in
     let validation =

@@ -168,8 +168,6 @@ let pp_profile fmt (s : stats) =
     Format.fprintf fmt
       "; translation validation: %d point(s) checked, %d violation(s)"
       s.checked_points s.verify_violations;
-  if s.flow_builds > 0 then
-    Format.fprintf fmt
-      "; flowgraph: %d build(s), %d solve(s) in %.1f ms"
-      s.flow_builds s.flow_solves
+  if s.flow_checks > 0 then
+    Format.fprintf fmt "; flow checks: %d kernel(s) in %.1f ms" s.flow_checks
       (1000.0 *. s.flow_seconds)

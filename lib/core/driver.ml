@@ -57,9 +57,9 @@ let open_store (s : session) (k : Ir.Ast.kernel) : Engine.Store.t =
     s.warm;
   store
 
-let save_stores (s : session) stores : (unit, string) result =
+let save_stores (s : session) stores : (int, string) result =
   match s.cache_dir with
-  | None -> Ok ()
+  | None -> Ok 0
   | Some dir ->
       Engine.Persist.save ~cache_dir:dir ~config:s.config ~memo:s.memo stores
 
@@ -100,6 +100,6 @@ let total (s : summary) : Design.stats =
     s.outcomes;
   t
 
-let save (s : summary) : (unit, string) result =
+let save (s : summary) : (int, string) result =
   save_stores s.session
     (List.map (fun o -> (o.task.kernel, o.ctx.Design.store)) s.outcomes)

@@ -51,9 +51,10 @@ val open_store : session -> Ir.Ast.kernel -> Engine.Store.t
 
 (** Persist the given kernels' stores and the session's memo under its
     [cache_dir] ({!Engine.Persist.save}: stores and a memo that gained
-    nothing are not rewritten); [Ok ()] without one. *)
+    nothing are not rewritten); [Ok n] counts the files written, [Ok 0]
+    without a [cache_dir]. *)
 val save_stores :
-  session -> (Ir.Ast.kernel * Engine.Store.t) list -> (unit, string) result
+  session -> (Ir.Ast.kernel * Engine.Store.t) list -> (int, string) result
 
 (** Cycles of the baseline over cycles of the selected design. *)
 val speedup : outcome -> float
@@ -88,4 +89,4 @@ val run_many :
 val total : summary -> Design.stats
 
 (** {!save_stores} of every outcome's store. *)
-val save : summary -> (unit, string) result
+val save : summary -> (int, string) result

@@ -65,11 +65,9 @@ let render fmt (o : Driver.outcome) =
     Format.fprintf fmt
       "- translation validation: %d design point(s) checked, %d violation(s)@.@."
       st.checked_points st.verify_violations;
-  if st.flow_builds > 0 then
-    Format.fprintf fmt
-      "- dataflow checks: %d flow graph(s) built, %d fixpoint solve(s), %.1f \
-       ms@.@."
-      st.flow_builds st.flow_solves (1000.0 *. st.flow_seconds);
+  if st.flow_checks > 0 then
+    Format.fprintf fmt "- flow checks: %d kernel(s) in %.1f ms@.@." st.flow_checks
+      (1000.0 *. st.flow_seconds);
   Format.fprintf fmt "## Selected design: %a@.@." pp_vector sel.vector;
   let e = sel.estimate in
   Format.fprintf fmt

@@ -248,16 +248,20 @@ let save_memo ~cache_dir ~config (memo : Hls.Schedule.memo) : unit =
     write_payload file ~config (Hls.Schedule.memo_table merged)
   end
 
-(** One command's save: the shared memo, then every kernel's store. *)
+(** One command's save: the shared memo, then every kernel's store.
+    Counts the files rewritten, by the conditions under which
+    {!save_memo} and {!save_points} write. *)
 let save ~cache_dir ~config ~memo (stores : (Ir.Ast.kernel * Store.t) list) :
-    (unit, string) result =
+    (int, string) result =
   try
     save_memo ~cache_dir ~config memo;
+    let written = ref (Bool.to_int (Hls.Schedule.memo_added memo > 0)) in
     List.iter
       (fun (k, store) ->
-        save_points ~cache_dir ~config ~kernel_key:(kernel_key k) store)
+        save_points ~cache_dir ~config ~kernel_key:(kernel_key k) store;
+        if store.Store.added_points > 0 then incr written)
       stores;
-    Ok ()
+    Ok !written
   with
   | Unix.Unix_error (e, _, "") -> Error (Unix.error_message e)
   | Unix.Unix_error (e, _, arg) -> Error (arg ^ ": " ^ Unix.error_message e)

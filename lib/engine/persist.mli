@@ -58,14 +58,15 @@ val load_memo : cache_dir:string -> config:string -> Hls.Schedule.memo -> unit
 val save_memo : cache_dir:string -> config:string -> Hls.Schedule.memo -> unit
 
 (** A command's single save: the shared [memo], then each kernel's
-    store, each skipped when it gained nothing. [Error] carries the
+    store, each skipped when it gained nothing. [Ok n] counts the memo
+    and point files written, [0] when nothing was. [Error] carries the
     I/O failure (e.g. a cache directory that cannot be created). *)
 val save :
   cache_dir:string ->
   config:string ->
   memo:Hls.Schedule.memo ->
   (Ir.Ast.kernel * Store.t) list ->
-  (unit, string) result
+  (int, string) result
 
 (** {2 Diagnosis and removal — [defacto cache stats|clear]} *)
 

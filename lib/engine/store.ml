@@ -66,12 +66,10 @@ type stats = {
       (** design points whose pipeline run was translation-validated *)
   mutable verify_violations : int;
       (** error-severity validation findings across checked points *)
-  mutable flow_builds : int;
-      (** flow graphs constructed by the verified path's dataflow checks,
-          once per distinct finished kernel of a shared front *)
-  mutable flow_solves : int;  (** dataflow fixpoint solves run *)
-  mutable flow_seconds : float;
-      (** wall time building and solving flow graphs *)
+  mutable flow_checks : int;
+      (** uninitialized-read checks run by the verified path, once per
+          distinct finished kernel of a shared front *)
+  mutable flow_seconds : float;  (** wall time in those checks *)
 }
 
 let fresh_stats () =
@@ -90,8 +88,7 @@ let fresh_stats () =
     sched_memo_hits = 0;
     checked_points = 0;
     verify_violations = 0;
-    flow_builds = 0;
-    flow_solves = 0;
+    flow_checks = 0;
     flow_seconds = 0.0;
   }
 
@@ -113,8 +110,7 @@ let stats_add ~(into : stats) (from : stats) =
   into.sched_memo_hits <- into.sched_memo_hits + from.sched_memo_hits;
   into.checked_points <- into.checked_points + from.checked_points;
   into.verify_violations <- into.verify_violations + from.verify_violations;
-  into.flow_builds <- into.flow_builds + from.flow_builds;
-  into.flow_solves <- into.flow_solves + from.flow_solves;
+  into.flow_checks <- into.flow_checks + from.flow_checks;
   into.flow_seconds <- into.flow_seconds +. from.flow_seconds
 
 let stats_diff ~(before : stats) ~(after : stats) : stats =
@@ -133,8 +129,7 @@ let stats_diff ~(before : stats) ~(after : stats) : stats =
     sched_memo_hits = after.sched_memo_hits - before.sched_memo_hits;
     checked_points = after.checked_points - before.checked_points;
     verify_violations = after.verify_violations - before.verify_violations;
-    flow_builds = after.flow_builds - before.flow_builds;
-    flow_solves = after.flow_solves - before.flow_solves;
+    flow_checks = after.flow_checks - before.flow_checks;
     flow_seconds = after.flow_seconds -. before.flow_seconds;
   }
 

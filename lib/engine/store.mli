@@ -50,12 +50,10 @@ type stats = {
   mutable sched_memo_hits : int;
   mutable checked_points : int;
   mutable verify_violations : int;
-  mutable flow_builds : int;
-      (** flow graphs constructed by the verified path's dataflow checks,
-          once per distinct finished kernel of a shared front *)
-  mutable flow_solves : int;  (** dataflow fixpoint solves run *)
-  mutable flow_seconds : float;
-      (** wall time building and solving flow graphs *)
+  mutable flow_checks : int;
+      (** uninitialized-read checks run by the verified path, once per
+          distinct finished kernel of a shared front *)
+  mutable flow_seconds : float;  (** wall time in those checks *)
 }
 
 val fresh_stats : unit -> stats

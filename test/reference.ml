@@ -23,8 +23,6 @@ open Ir
 module Flow = struct
   open Analysis.Flowgraph
 
-  let now = Clock.now
-
   (* The cell key of an access, valid at a node whose enclosing loop
      indices are [indices]: affine in every dimension and mentioning only
      those indices; otherwise the whole array. *)
@@ -81,8 +79,7 @@ module Flow = struct
     | Assign (Ast.Lvar s, _) -> [ Scalar s ]
     | Assign (Ast.Larr (a, subs), _) -> [ loc_of_access indices a subs ]
 
-  let solve ?cost (g : t) (spec : 'f spec) : 'f solution =
-    let t0 = now () in
+  let solve (g : t) (spec : 'f spec) : 'f solution =
     let n = Array.length g.nodes in
     let before = Array.make n spec.init and after = Array.make n spec.init in
     let inq = Array.make n false in
@@ -96,11 +93,9 @@ module Flow = struct
     (match spec.dir with
     | Forward -> for i = 0 to n - 1 do push i done
     | Backward -> for i = n - 1 downto 0 do push i done);
-    let steps = ref 0 in
     while not (Queue.is_empty q) do
       let i = Queue.pop q in
       inq.(i) <- false;
-      incr steps;
       match spec.dir with
       | Forward ->
           let inf =
@@ -125,12 +120,6 @@ module Flow = struct
             List.iter push g.pred.(i)
           end
     done;
-    (match cost with
-    | Some c ->
-        c.solves <- c.solves + 1;
-        c.steps <- c.steps + !steps;
-        c.solve_seconds <- c.solve_seconds +. (now () -. t0)
-    | None -> ());
     { before; after }
 
   let is_const_cell = function
@@ -162,7 +151,7 @@ module Flow = struct
       g.nodes;
     Array.of_list (List.rev !acc)
 
-  let reaching ?cost (g : t) : reaching =
+  let reaching (g : t) : reaching =
     let defs = def_sites g in
     let n = Array.length g.nodes in
     let gen = Array.make n IntSet.empty in
@@ -192,7 +181,7 @@ module Flow = struct
         transfer = (fun nd f -> IntSet.union gen.(nd.id) (IntSet.diff f kill.(nd.id)));
       }
     in
-    { r_defs = defs; r_sol = solve ?cost g spec }
+    { r_defs = defs; r_sol = solve g spec }
 
   let reaching_defs_of (r : reaching) (node : int) (l : loc) : def list =
     IntSet.fold
@@ -205,7 +194,7 @@ module Flow = struct
   (* ------------------------------------------------------------------ *)
   (* Liveness *)
 
-  let live ?cost (g : t) : LocSet.t solution =
+  let live (g : t) : LocSet.t solution =
     let boundary =
       List.fold_left
         (fun acc (a : Ast.array_decl) -> LocSet.add (Whole a.Ast.a_name) acc)
@@ -251,7 +240,7 @@ module Flow = struct
           in
           List.fold_left (fun acc u -> LocSet.add u acc) killed (uses g nd.id)
     in
-    solve ?cost g
+    solve g
       {
         dir = Backward;
         boundary;
@@ -274,7 +263,7 @@ module Flow = struct
     | Some a, Some b -> LocSet.equal a b
     | _ -> false
 
-  let must_init ?cost (g : t) : LocSet.t option solution =
+  let must_init (g : t) : LocSet.t option solution =
     let boundary =
       let s =
         List.fold_left
@@ -309,7 +298,7 @@ module Flow = struct
                      | Whole _ -> acc (* writes one unknown cell *))
                    s writes))
     in
-    solve ?cost g
+    solve g
       {
         dir = Forward;
         boundary;
@@ -328,7 +317,7 @@ module Flow = struct
   (* ------------------------------------------------------------------ *)
   (* Anticipated overwrites *)
 
-  let anticipated ?cost (g : t) : LocSet.t option solution =
+  let anticipated (g : t) : LocSet.t option solution =
     let transfer nd f =
       match f with
       | None -> None
@@ -359,7 +348,7 @@ module Flow = struct
                    (fun f -> not (List.exists (fun u -> may_alias f u) reads))
                    s))
     in
-    solve ?cost g
+    solve g
       {
         dir = Backward;
         boundary = Some LocSet.empty;
@@ -369,9 +358,14 @@ module Flow = struct
         transfer;
       }
 
-  let use_before_def ?cost (g : t) : use_site list =
-    let r = reaching ?cost g in
-    let mi = must_init ?cost g in
+  (* Use-before-def: the flow-graph classification the library's
+     structural walk ([Check.Uninit.sites]) must agree with. *)
+  type init_status = Initialized | Maybe_uninitialized | Uninitialized
+  type use_site = { u_node : int; u_loc : loc; u_status : init_status }
+
+  let use_before_def (g : t) : use_site list =
+    let r = reaching g in
+    let mi = must_init g in
     let sites = ref [] in
     Array.iter
       (fun nd ->

@@ -234,7 +234,7 @@ let check_unchanged what before dir =
 
 let session dir names =
   let s = Dse.Driver.run_many ~cache_dir:dir ~profile (tasks names) in
-  (match Dse.Driver.save s with Ok () -> () | Error e -> Alcotest.fail e);
+  (match Dse.Driver.save s with Ok _ -> () | Error e -> Alcotest.fail e);
   s
 
 (* Warm session over a persistent store: zero syntheses, identical
@@ -320,7 +320,7 @@ let test_joint_warm_unchanged () =
       Space.sweep ~max_product:16 ~joint:Space.default_tile_candidates ctx
     in
     (match Dse.Driver.save_stores session [ (k, store) ] with
-    | Ok () -> ()
+    | Ok _ -> ()
     | Error e -> Alcotest.fail e);
     (j, ctx)
   in
@@ -455,8 +455,9 @@ let grep_lines pre text =
   |> List.filter (fun l -> String.starts_with ~prefix:pre l)
 
 (* A second [defacto explore] over the paper's five kernels with
-   --cache-dir performs zero full syntheses and reports selections
-   bit-identical to the cold run. *)
+   --cache-dir performs zero full syntheses, reports selections
+   bit-identical to the cold run and, after the session counters the
+   benchmark reads first, says that it left the store unchanged. *)
 let test_cli_cold_warm () =
   let dir = fresh_dir () in
   let args =
@@ -476,18 +477,22 @@ let test_cli_cold_warm () =
   Alcotest.(check (list string))
     "selections bit-identical cold vs warm" (selections cold) (selections warm);
   (match grep_lines "session:" warm with
-  | warm_session :: _ ->
+  | warm_session :: saved ->
       Alcotest.(check bool)
         (Printf.sprintf "warm session is all cache (%s)" warm_session)
         true
-        (String.starts_with ~prefix:"session: 0 synthesized" warm_session)
+        (String.starts_with ~prefix:"session: 0 synthesized" warm_session);
+      Alcotest.(check (list string)) "warm run leaves the store unchanged"
+        [ "session: store at " ^ dir ^ " unchanged" ] saved
   | [] -> Alcotest.fail "no session line in warm output");
   match grep_lines "session:" cold with
-  | cold_session :: _ ->
+  | cold_session :: saved ->
       Alcotest.(check bool)
         (Printf.sprintf "cold session synthesized (%s)" cold_session)
         false
-        (String.starts_with ~prefix:"session: 0 synthesized" cold_session)
+        (String.starts_with ~prefix:"session: 0 synthesized" cold_session);
+      Alcotest.(check (list string)) "cold run saves the store"
+        [ "session: store saved to " ^ dir ] saved
   | [] -> Alcotest.fail "no session line in cold output"
 
 let test_cli_cache_subcommand () =

@@ -8,6 +8,7 @@
 
 open Ir
 module F = Analysis.Flowgraph
+module U = Check.Uninit
 module Diag = Check.Diag
 module G = QCheck2.Gen
 
@@ -86,13 +87,10 @@ let test_cfg_if_join () =
   Alcotest.(check (list int)) "else -> join" [ 4 ] (sorted_succ g 3);
   (* both arms write s on every path: the read at the join is provably
      initialised *)
-  let sites = F.use_before_def g in
-  List.iter
-    (fun (u : F.use_site) ->
-      if u.F.u_node = 4 && F.equal_loc u.F.u_loc (F.Scalar "s") then
-        Alcotest.(check bool) "s initialised at join" true
-          (u.F.u_status = F.Initialized))
-    sites
+  Alcotest.(check bool) "s initialised at join" false
+    (List.exists
+       (fun (u : U.site) -> u.U.node = 4 && u.U.name = "s")
+       (U.sites k))
 
 let test_cfg_zero_trip () =
   (* entry=0; header (1); body (2); follow (3); exit=4 *)
@@ -362,7 +360,7 @@ let soundness (k : Ast.kernel) : bool =
   let r = F.reaching g in
   let live = F.live g in
   let ant = F.anticipated g in
-  let sites = F.use_before_def g in
+  let sites = U.sites k in
   let tr = interp k anns in
   (* Reaching definitions: every concretely-observed (reader, writer)
      pair must be predicted — some definition made at the writer node
@@ -379,41 +377,23 @@ let soundness (k : Ast.kernel) : bool =
                but no definition of node %d reaches node %d"
           n w w n)
     tr.t_read_from;
-  (* Use-before-def: Initialized claims must never see an unwritten
-     read; Uninitialized claims must never see a written one. *)
+  (* Uninitialized reads: an Uninitialized claim must never see a
+     written read, and every concrete unwritten read must be reported
+     (as not provably initialised). *)
   List.iter
-    (fun (u : F.use_site) ->
-      match u.F.u_loc with
-      | F.Scalar s -> (
-          match u.F.u_status with
-          | F.Initialized ->
-              if Hashtbl.mem tr.t_read_unwritten (u.F.u_node, s) then
-                failf "scalar %s claimed initialised at node %d but was \
-                       concretely read unwritten"
-                  s u.F.u_node
-          | F.Uninitialized ->
-              if Hashtbl.mem tr.t_read_written (u.F.u_node, s) then
-                failf "scalar %s claimed never-initialised at node %d but \
-                       was concretely read after a write"
-                  s u.F.u_node
-          | F.Maybe_uninitialized -> ())
-      | _ -> ())
+    (fun (u : U.site) ->
+      if u.U.status = U.Uninitialized && Hashtbl.mem tr.t_read_written (u.U.node, u.U.name)
+      then
+        failf "scalar %s claimed never-initialised at node %d but was \
+               concretely read after a write"
+          u.U.name u.U.node)
     sites;
-  (* ... and every concrete unwritten read must be classified as not
-     (provably) initialised. *)
   Hashtbl.iter
     (fun (n, s) () ->
-      let flagged =
-        List.exists
-          (fun (u : F.use_site) ->
-            u.F.u_node = n
-            && F.equal_loc u.F.u_loc (F.Scalar s)
-            && u.F.u_status <> F.Initialized)
-          sites
-      in
-      if not flagged then
+      if not (List.exists (fun (u : U.site) -> u.U.node = n && u.U.name = s) sites)
+      then
         failf "scalar %s concretely read unwritten at node %d but \
-               use_before_def says Initialized (or missed the use)"
+               Check.Uninit calls it initialised"
           s n)
     tr.t_read_unwritten;
   (* Liveness / anticipated: a store the analysis calls dead (or
@@ -446,7 +426,7 @@ let soundness (k : Ast.kernel) : bool =
   (* End-to-end: a concrete uninitialised read implies Uninit reports
      something. *)
   if Hashtbl.length tr.t_read_unwritten > 0 then begin
-    match Check.Uninit.check ~graph:g k with
+    match U.check k with
     | [] -> failf "concrete uninitialised read but Check.Uninit is clean"
     | _ -> ()
   end;
@@ -492,7 +472,7 @@ let test_builtins_clean () =
     (fun (name, k) ->
       let g = F.build k in
       let show ds = String.concat "; " (List.map (Diag.render ~file:name) ds) in
-      let uninit = Check.Uninit.check ~graph:g k in
+      let uninit = U.check k in
       let dead = Check.Deadstore.check ~graph:g k in
       Alcotest.(check string) (name ^ " no uninit findings") "" (show uninit);
       Alcotest.(check string) (name ^ " no deadstore findings") "" (show dead))
@@ -651,7 +631,7 @@ let assert_no_register_deadstore name (tk : Ast.kernel) =
                     name s
             | _ -> ())
         | _ -> ()) g.F.nodes;
-  match Diag.errors (Check.Uninit.check ~graph:g tk) with
+  match Diag.errors (U.check tk) with
   | [] -> ()
   | d :: _ ->
       failf "%s: transformed kernel has an uninit error: %s" name
@@ -702,7 +682,7 @@ let test_scalar_replace_cross_check_random =
                 s)
       | _ -> ());
       (match
-         Diag.errors (Check.Uninit.check r.Transform.Pipeline.kernel)
+         Diag.errors (U.check r.Transform.Pipeline.kernel)
        with
       | [] -> ()
       | d :: _ ->
@@ -731,7 +711,7 @@ let test_zero_trip_regression () =
   let g = F.build k in
   Alcotest.(check bool) "dead body kept but unreachable" false g.F.reachable.(2);
   Alcotest.(check int) "no uninit findings in dead code" 0
-    (List.length (Check.Uninit.check ~graph:g k));
+    (List.length (U.check k));
   Alcotest.(check int) "no deadstore findings in dead code" 0
     (List.length (Check.Deadstore.check ~graph:g k))
 
@@ -794,15 +774,48 @@ let test_fail_on_threshold () =
 (* ------------------------------------------------------------------ *)
 (* Scaling: the flow analyses' work is linear in the code they check *)
 
-(* Minor words of the flow checks [--verify] runs per point: the graph
-   built once, then the uninitialised-read and dead-store analyses on
-   it. This domain only, so the count repeats exactly. *)
+(* Minor words of the flow checks [defacto check] runs: the graph built
+   once for the dead-store analysis, and the uninitialised-read walk,
+   which needs none. This domain only, so the count repeats exactly. *)
 let flow_words (k : Ast.kernel) =
   let w0 = Gc.minor_words () in
   let graph = F.build k in
-  ignore (Sys.opaque_identity (Check.Uninit.check ~graph k));
   ignore (Sys.opaque_identity (Check.Deadstore.check ~graph k));
+  ignore (Sys.opaque_identity (U.check k));
   Gc.minor_words () -. w0
+
+(* The uninitialised-read walk [--verify] runs on every distinct
+   finished kernel allocates no more per statement as an unrolled
+   kernel doubles: a 10% rise between doublings fails. *)
+let test_uninit_walk_scaling () =
+  let k = Lazy.force Helpers.sobel64 in
+  let per_statement vector =
+    let r = Transform.Pipeline.apply { Transform.Pipeline.default with vector } k in
+    let tk = r.Transform.Pipeline.kernel in
+    let statements = Array.length (F.build tk).F.nodes in
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (U.errors tk));
+    (Gc.minor_words () -. w0) /. float_of_int statements
+  in
+  let rec flat = function
+    | (a, wa) :: ((b, wb) :: _ as rest) ->
+        Printf.printf "%s %.2f -> %s %.2f\n" a wa b wb;
+        if wb > 1.1 *. wa then
+          Alcotest.failf "sobel: %s -> %s grows the walk's words per statement %.2f -> %.2f"
+            a b wa wb;
+        flat rest
+    | _ -> ()
+  in
+  flat
+    (List.map
+       (fun vector -> (Helpers.vector_to_string vector, per_statement vector))
+       [
+         [ ("i", 2); ("j", 4) ];
+         [ ("i", 4); ("j", 4) ];
+         [ ("i", 4); ("j", 8) ];
+         [ ("i", 8); ("j", 8) ];
+         [ ("i", 8); ("j", 16) ];
+       ])
 
 let test_flow_scaling_sobel () =
   let k = Lazy.force Helpers.sobel64 in
@@ -879,5 +892,7 @@ let () =
         [
           Alcotest.test_case "minor words linear (sobel)" `Quick test_flow_scaling_sobel;
           test_flow_scaling_random;
+          Alcotest.test_case "uninit walk words per statement flat (sobel)" `Quick
+            test_uninit_walk_scaling;
         ] );
     ]

@@ -9,6 +9,7 @@
 open Ir
 module F = Analysis.Flowgraph
 module V = Check.Validate
+module U = Check.Uninit
 module R = Reference
 module G = QCheck2.Gen
 
@@ -43,6 +44,46 @@ let equal_opt a b =
 
 let show_ints s = String.concat " " (List.map string_of_int (F.IntSet.elements s))
 
+(** The uninitialized-read walk names exactly the reference's scalar
+    uses that are not initialized, once per node and name, with the
+    node's span and rotation flag; its error count is that of the
+    diagnostics. *)
+let uninit_equivalent (k : Ast.kernel) =
+  let g = F.build k in
+  let seen = Hashtbl.create 16 in
+  let expected =
+    List.filter_map
+      (fun (u : R.Flow.use_site) ->
+        match (u.R.Flow.u_loc, u.R.Flow.u_status) with
+        | F.Scalar name, (R.Flow.Uninitialized | R.Flow.Maybe_uninitialized)
+          when not (Hashtbl.mem seen (u.R.Flow.u_node, name)) ->
+            Hashtbl.add seen (u.R.Flow.u_node, name) ();
+            Some (u.R.Flow.u_node, name, u.R.Flow.u_status = R.Flow.Uninitialized)
+        | _ -> None)
+      (R.Flow.use_before_def g)
+  in
+  let sites = U.sites k in
+  let actual =
+    List.map (fun (s : U.site) -> (s.U.node, s.U.name, s.U.status = U.Uninitialized)) sites
+  in
+  let show l =
+    String.concat " "
+      (List.map (fun (n, v, u) -> Printf.sprintf "%d:%s%s" n v (if u then "!" else "?")) l)
+  in
+  if actual <> expected then
+    failf "uninit sites %s vs reference %s" (show actual) (show expected);
+  List.iter
+    (fun (s : U.site) ->
+      let nd = g.F.nodes.(s.U.node) in
+      if s.U.span <> nd.F.span then failf "uninit site %d: span differs" s.U.node;
+      if s.U.rotation <> (match nd.F.kind with F.Rotate _ -> true | _ -> false) then
+        failf "uninit site %d: rotation flag differs" s.U.node)
+    sites;
+  if U.errors k <> List.length (Check.Diag.errors (U.check k)) then
+    failf "Uninit.errors %d vs %d error diagnostics" (U.errors k)
+      (List.length (Check.Diag.errors (U.check k)));
+  true
+
 (** Every analysis of the library equals its reference on [k]. *)
 let flow_equivalent (k : Ast.kernel) =
   let g = F.build k in
@@ -61,8 +102,6 @@ let flow_equivalent (k : Ast.kernel) =
     r'.F.r_sol;
   same_solution "live" ~equal:F.LocSet.equal ~show:show_set (F.live g)
     (R.Flow.live g);
-  same_solution "must_init" ~equal:equal_opt ~show:show_opt (F.must_init g)
-    (R.Flow.must_init g);
   same_solution "anticipated" ~equal:equal_opt ~show:show_opt
     (F.anticipated g) (R.Flow.anticipated g);
   (* [live_at] and [reaching_defs_of] over every fact set and use *)
@@ -77,9 +116,7 @@ let flow_equivalent (k : Ast.kernel) =
             failf "reaching_defs_of differs at node %d" i)
         (F.uses g i @ F.defs_at g i))
     g.F.nodes;
-  if F.use_before_def g <> R.Flow.use_before_def g then
-    failf "use_before_def differs";
-  true
+  uninit_equivalent k
 
 let same_fp name (a : V.array_fp) (b : V.array_fp) =
   if a.V.size <> b.V.size then failf "%s: size %d vs %d" name a.V.size b.V.size;
@@ -558,6 +595,25 @@ let test_builtin_stages () =
           try ignore (footprint_equivalent ~max_points:50 s)
           with Failure m -> Alcotest.failf "%s, budget 50: %s" where m)
         (stage_outputs k))
+    (builtins ())
+
+(* The uninit walk on every finished kernel of the verified joint sweep
+   (product 16) of each built-in and gallery kernel. *)
+let test_uninit_sweeps () =
+  List.iter
+    (fun (name, k) ->
+      let ctx = Dse.Design.context ~verify:true k in
+      let sp =
+        Dse.Space.sweep ~max_product:16 ~joint:Dse.Space.default_tile_candidates ~jobs:1 ctx
+      in
+      List.iter
+        (fun (p : Dse.Design.point) ->
+          try ignore (uninit_equivalent p.Engine.Store.kernel)
+          with Failure m ->
+            Alcotest.failf "%s %s: %s" name
+              (Transform.Pipeline.config_to_string p.Engine.Store.config)
+              m)
+        sp.Dse.Space.points)
     (builtins ())
 
 (* Every built-in and gallery kernel, strip-mined for each tile option
@@ -1198,6 +1254,8 @@ let () =
             Helpers.gen_kernel flow_equivalent;
           Helpers.qtest "analyses = reference (rough kernels)" ~count:300
             gen_rough_kernel flow_equivalent;
+          Alcotest.test_case "uninit walk = reference (joint verified sweeps)" `Quick
+            test_uninit_sweeps;
         ] );
       ( "footprint",
         [

@@ -32,7 +32,7 @@ let point_line name k (p : Design.point) =
     | Some r ->
         let k = r.Transform.Pipeline.kernel in
         let graph = Analysis.Flowgraph.build k in
-        summary (Check.Uninit.check ~graph k @ Check.Deadstore.check ~graph k)
+        summary (Check.Uninit.check k @ Check.Deadstore.check ~graph k)
   in
   Printf.sprintf "%s %s validate=%s flow=%s" name
     (Transform.Pipeline.config_to_string p.config)
