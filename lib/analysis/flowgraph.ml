@@ -115,7 +115,6 @@ type node = {
   id : int;
   kind : kind;
   loops : Ast.loop list;
-  guarded : bool;
   span : Ast.span option;
 }
 
@@ -160,37 +159,37 @@ let defs_of_node (nd : node) : loc list =
 let build (k : Ast.kernel) : t =
   let nodes = ref [] and count = ref 0 in
   let edges = ref [] in
-  let add_node kind ~loops ~guarded ~span =
+  let add_node kind ~loops ~span =
     let id = !count in
     incr count;
-    nodes := { id; kind; loops; guarded; span } :: !nodes;
+    nodes := { id; kind; loops; span } :: !nodes;
     id
   in
   let connect froms dst = List.iter (fun f -> edges := (f, dst) :: !edges) froms in
   (* The frontier is the set of node ids whose (fall-through) successor
      is the next statement. An empty frontier builds unreachable nodes:
      they get ids and spans but no incoming edges. *)
-  let rec go_stmts ~loops ~guarded ~span frontier stmts =
-    List.fold_left (fun fr s -> go_stmt ~loops ~guarded ~span fr s) frontier stmts
-  and go_stmt ~loops ~guarded ~span frontier (s : Ast.stmt) =
+  let rec go_stmts ~loops ~span frontier stmts =
+    List.fold_left (fun fr s -> go_stmt ~loops ~span fr s) frontier stmts
+  and go_stmt ~loops ~span frontier (s : Ast.stmt) =
     match s with
     | Ast.Assign (lv, e) ->
-        let id = add_node (Assign (lv, e)) ~loops ~guarded ~span in
+        let id = add_node (Assign (lv, e)) ~loops ~span in
         connect frontier id;
         [ id ]
     | Ast.Rotate rs ->
-        let id = add_node (Rotate rs) ~loops ~guarded ~span in
+        let id = add_node (Rotate rs) ~loops ~span in
         connect frontier id;
         [ id ]
     | Ast.If (c, then_, else_) ->
-        let b = add_node (Branch c) ~loops ~guarded ~span in
+        let b = add_node (Branch c) ~loops ~span in
         connect frontier b;
-        let ft = go_stmts ~loops ~guarded:true ~span [ b ] then_ in
-        let fe = go_stmts ~loops ~guarded:true ~span [ b ] else_ in
+        let ft = go_stmts ~loops ~span [ b ] then_ in
+        let fe = go_stmts ~loops ~span [ b ] else_ in
         List.sort_uniq compare (ft @ fe)
     | Ast.For l ->
         let span = match l.Ast.l_span with Some _ as s -> s | None -> span in
-        let h = add_node (Header l) ~loops:(loops @ [ l ]) ~guarded ~span in
+        let h = add_node (Header l) ~loops:(loops @ [ l ]) ~span in
         connect frontier h;
         let loops' = loops @ [ l ] in
         let trip =
@@ -200,25 +199,25 @@ let build (k : Ast.kernel) : t =
         (match trip with
         | Some 0 ->
             (* Body provably never runs: keep its nodes, connect nothing. *)
-            ignore (go_stmts ~loops:loops' ~guarded ~span [] l.Ast.body);
+            ignore (go_stmts ~loops:loops' ~span [] l.Ast.body);
             [ h ]
         | Some _ ->
             (* At least one iteration: the continuation is only reachable
                through the body's tail. *)
-            let tail = go_stmts ~loops:loops' ~guarded ~span [ h ] l.Ast.body in
+            let tail = go_stmts ~loops:loops' ~span [ h ] l.Ast.body in
             connect tail h;
             tail
         | None ->
-            let tail = go_stmts ~loops:loops' ~guarded ~span [ h ] l.Ast.body in
+            let tail = go_stmts ~loops:loops' ~span [ h ] l.Ast.body in
             connect tail h;
             List.sort_uniq compare (h :: tail))
   in
-  let entry = add_node Entry ~loops:[] ~guarded:false ~span:None in
-  let final = go_stmts ~loops:[] ~guarded:false ~span:None [ entry ] k.Ast.k_body in
-  let exit_ = add_node Exit ~loops:[] ~guarded:false ~span:None in
+  let entry = add_node Entry ~loops:[] ~span:None in
+  let final = go_stmts ~loops:[] ~span:None [ entry ] k.Ast.k_body in
+  let exit_ = add_node Exit ~loops:[] ~span:None in
   connect final exit_;
   let n = !count in
-  let node_arr = Array.make n { id = 0; kind = Entry; loops = []; guarded = false; span = None } in
+  let node_arr = Array.make n { id = 0; kind = Entry; loops = []; span = None } in
   List.iter (fun nd -> node_arr.(nd.id) <- nd) !nodes;
   let succ = Array.make n [] and pred = Array.make n [] in
   List.iter

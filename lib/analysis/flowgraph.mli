@@ -63,7 +63,6 @@ type node = {
   loops : Ast.loop list;
       (** enclosing loops, outermost first; a [Header]'s own loop is
           included (it is the innermost entry) *)
-  guarded : bool;  (** syntactically under an [If] branch *)
   span : Ast.span option;
       (** nearest enclosing source location (the [Header]'s own span
           when it has one) *)

@@ -164,6 +164,13 @@ let of_expr (e : Ast.expr) : t option =
       | exception Repeated -> of_expr_tree e)
   | exception Exit -> None
 
+(** [to_expr] of a form whose terms alone are spelled [terms] ([None]
+    when it has none) and whose constant is [c]. *)
+let with_const (terms : Ast.expr option) c : Ast.expr =
+  match terms with
+  | None -> Ast.Int c
+  | Some e -> if c = 0 then e else if c > 0 then Ast.Bin (Add, e, Int c) else Ast.Bin (Sub, e, Int (-c))
+
 (** Reconstruct a compact AST expression, e.g. [2*i + j - 3]. *)
 let to_expr t : Ast.expr =
   let open Ast in
@@ -179,12 +186,7 @@ let to_expr t : Ast.expr =
         if c >= 0 then Some (Bin (Add, e, if c = 1 then Var v else Bin (Mul, Int c, Var v)))
         else Some (Bin (Sub, e, if c = -1 then Var v else Bin (Mul, Int (-c), Var v)))
   in
-  match List.fold_left combine None t.terms with
-  | None -> Int t.const
-  | Some e ->
-      if t.const = 0 then e
-      else if t.const > 0 then Bin (Add, e, Int t.const)
-      else Bin (Sub, e, Int (-t.const))
+  with_const (List.fold_left combine None t.terms) t.const
 
 let eval ~env t =
   List.fold_left (fun acc (v, c) -> acc + (c * env v)) t.const t.terms

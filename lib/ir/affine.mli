@@ -52,6 +52,11 @@ val of_expr : Ast.expr -> t option
 (** Reconstruct a compact AST expression, e.g. [2*i + j - 3]. *)
 val to_expr : t -> Ast.expr
 
+(** [with_const terms c] is {!to_expr} of a form with constant [c] whose
+    terms alone are spelled [terms] ([None] when it has none): a
+    spelling that shares [terms]. *)
+val with_const : Ast.expr option -> int -> Ast.expr
+
 val eval : env:(string -> int) -> t -> int
 
 (** Substitute an affine form for a variable. *)

@@ -29,7 +29,7 @@ let peel_first ~index (body : stmt list) : stmt list =
               if Ast.loop_trip l = 0 then [ s ]
               else begin
                 changed := true;
-                let first = Ast.subst_var l.index (Int l.lo) l.body in
+                let first = Simplify.subst_index l.index (Fixed l.lo) l.body in
                 let rest =
                   if l.lo + l.step >= l.hi then []
                   else

@@ -151,9 +151,27 @@ type front = {
           configurations finished from this front so far *)
 }
 
-let front ?observe (opts : options) (k : Ast.kernel) : front =
-  let stage = run_stage ?observe k.Ast.k_name in
-  let k =
+(* The scalar-replacement plans of the last source kernel a front was
+   built from on this domain (physically), one per tile. *)
+let plans : (Ast.kernel * ((string * int) option * Scalar_replace.plan) list) option ref
+    Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+(* The plan of [source] under [tile], built from its tiled kernel
+   [tiled] on a miss. *)
+let plan_for source tile tiled =
+  let slot = Domain.DLS.get plans in
+  let cached = match !slot with Some (k, l) when k == source -> l | _ -> [] in
+  match List.assoc_opt tile cached with
+  | Some p -> p
+  | None ->
+      let p = Scalar_replace.plan tiled in
+      slot := Some (source, (tile, p) :: cached);
+      p
+
+let front ?observe (opts : options) (source : Ast.kernel) : front =
+  let stage = run_stage ?observe source.Ast.k_name in
+  let tiled =
     match opts.tile with
     | Some (index, tile) ->
         stage Tile
@@ -168,15 +186,22 @@ let front ?observe (opts : options) (k : Ast.kernel) : front =
               failwith
                 (Printf.sprintf "tile index '%s' names no loop" index);
             Tiling.tile_for_registers ~index ~tile k)
-          k
-    | None -> k
+          source
+    | None -> source
   in
-  let k = stage Unroll_jam (Unroll.run opts.vector) k in
+  let k = stage Unroll_jam (Unroll.run opts.vector) tiled in
   let report = ref Scalar_replace.empty_report in
   let k =
     stage Scalar_replace
       (fun k ->
-        let k, r = Scalar_replace.run ~config:opts.scalar k in
+        (* A plan pays off over unrolled copies; without a factor
+           above 1, walking the kernel costs less than planning it. *)
+        let plan =
+          if List.exists (fun (_, u) -> u > 1) opts.vector then
+            Some (plan_for source opts.tile tiled, opts.vector)
+          else None
+        in
+        let k, r = Scalar_replace.run ~config:opts.scalar ?plan k in
         report := r;
         k)
       k

@@ -28,7 +28,24 @@
        reads in one body load once; e.g. [S_0] of FIR.
 
     Patterns without a consistent distance (the coupled [S[i+j]] reads of
-    FIR) keep their memory accesses, exactly as in the paper. *)
+    FIR) keep their memory accesses, exactly as in the paper.
+
+    Every phase reads one access walk: the uniformly generated patterns
+    of the kernel, each with its distinct members in execution order.
+    The search runs replacement at every unroll vector it visits, so the
+    walk comes from a {b plan} derived once per source nest and tile
+    ({!plan}): the source body's accesses with their coefficient rows
+    and constant offsets, and the patterns they form per set of fully
+    unrolled loops. {b Instantiating} the plan for a vector
+    ({!instantiate}) enumerates the unrolled copies' offsets as integers
+    in the order unroll-and-jam emits them, keeps each distinct member
+    once, and builds an access record for it alone; the walk after
+    hoisting is derived from that one ({!rehoist}). Kernels the plan
+    does not cover (imperfect nests, conditionals, subscripts that are
+    not affine in the loop indices, read an array or name a scalar, and
+    vectors whose factors leave an epilogue) {b fall back} to
+    collecting every access ({!walk}), which also serves as the plan's
+    test oracle. *)
 
 open Ir
 open Ast
@@ -229,16 +246,25 @@ type pattern = {
           ineligible for hoisting, banks and chains *)
 }
 
-(** One access walk of a kernel: its patterns and the accesses behind
-    them. *)
+(** One access walk of a kernel: its patterns and where they came
+    from. *)
 type walk = {
   walked : kernel;
   patterns : pattern list;
-  accesses : Access.t list;
   indirect : bool;
       (** some subscript reads an array: replacing that array's reads
           then changes another array's subscripts *)
+  origin : origin;
 }
+
+and origin =
+  | Walked of Access.t list  (** every access of [walked], collected *)
+  | Planned of { per_copy : int; copies : int; sources : (pattern * int list) list }
+      (** instantiated from a plan: [copies] unrolled copies of a source
+          body of [per_copy] accesses, where copy [r] of source access [s]
+          has id [r * per_copy + s]; each pattern lists its source
+          accesses *)
+  | Rehoisted  (** derived from a planned walk after hoisting *)
 
 let rec reads_array (e : expr) =
   match e with
@@ -358,9 +384,444 @@ let walk (k : kernel) : walk =
   {
     walked = k;
     patterns = List.rev_map (fun members -> pattern !members) !merged;
-    accesses;
     indirect = List.exists (fun (a : Access.t) -> List.exists reads_array a.subs) accesses;
+    origin = Walked accesses;
   }
+
+(* ------------------------------------------------------------------ *)
+(* The plan: one source nest's patterns, instantiated per unroll vector *)
+
+(** One array access of a plan's source body. *)
+type source_access = {
+  sa_array : string;
+  sa_kind : Access.kind;
+  sa_rows : (string * int) list array;  (** loop-index terms per dimension *)
+  sa_consts : int array;  (** constant part per dimension *)
+  sa_coeffs : int array array;  (** per dimension, the coefficient of each source loop *)
+}
+
+(** A uniformly generated pattern of the source body once some loops are
+    fully unrolled: its coefficient rows with those loops' terms dropped,
+    and its groups (one per access kind, the earlier first), each the
+    numbers of its source accesses in execution order. *)
+type source_pattern = {
+  sp_array : string;
+  sp_rows : (string * int) list array;
+  sp_groups : (Access.kind * int list) list;
+}
+
+type nest = {
+  n_loops : loop array;  (** the source spine, outermost first *)
+  n_accesses : source_access array;  (** the innermost body's, in execution order *)
+  n_stmts : int;  (** statements of the innermost body *)
+  index_values : bool;
+      (** a loop index is read outside a subscript: fixing it may fold
+          an expression, and the reads in it, away *)
+  mutable by_mask : (int * source_pattern list) list;
+      (** the patterns per set of fully unrolled loops (bit [i]: loop
+          [i]), derived on first use *)
+}
+
+type plan = nest option
+
+(** The plan of a source kernel: [None] unless the kernel is a perfect
+    nest of loops of two or more iterations around assignments whose
+    subscripts are affine in the loop indices alone, with no
+    conditional and no loop index assigned. *)
+let plan (k : kernel) : plan =
+  let k = Simplify.run k in
+  match Loop_nest.perfect_nest k.k_body with
+  | [], _ -> None
+  | loops, body ->
+      let indices = List.map (fun (l : loop) -> l.index) loops in
+      let is_index v = List.mem v indices in
+      let ok = ref true and index_values = ref false and accesses = ref [] in
+      let push sa_array sa_kind subs =
+        let forms = List.map Affine.of_expr subs in
+        if
+          List.for_all
+            (function
+              | Some (f : Affine.t) -> List.for_all (fun (v, _) -> is_index v) f.terms
+              | None -> false)
+            forms
+        then
+          let forms = Array.of_list (List.map Option.get forms) in
+          accesses :=
+            {
+              sa_array;
+              sa_kind;
+              sa_rows = Array.map (fun (f : Affine.t) -> f.terms) forms;
+              sa_consts = Array.map (fun (f : Affine.t) -> f.const) forms;
+              sa_coeffs =
+                Array.map
+                  (fun (f : Affine.t) -> Array.of_list (List.map (Affine.coeff f) indices))
+                  forms;
+            }
+            :: !accesses
+        else ok := false
+      in
+      (* the accesses in [Access.collect]'s order *)
+      let rec expr (e : expr) =
+        match e with
+        | Int _ -> ()
+        | Var v -> if is_index v then index_values := true
+        | Arr (a, subs) -> push a Access.Read subs
+        | Bin (_, x, y) ->
+            expr x;
+            expr y
+        | Un (_, x) -> expr x
+        | Cond _ -> ok := false
+      in
+      List.iter
+        (fun (s : stmt) ->
+          match s with
+          | Assign (lv, e) -> (
+              expr e;
+              match lv with
+              | Lvar v -> if is_index v then ok := false
+              | Larr (a, subs) -> push a Access.Write subs)
+          | If _ | For _ | Rotate _ -> ok := false)
+        body;
+      let loops_ok =
+        List.for_all (fun (l : loop) -> l.step > 0 && Ast.loop_trip l >= 2) loops
+        && List.length (List.sort_uniq String.compare indices) = List.length indices
+      in
+      if not (!ok && loops_ok) then None
+      else
+        Some
+          {
+            n_loops = Array.of_list loops;
+            n_accesses = Array.of_list (List.rev !accesses);
+            n_stmts = List.length body;
+            index_values = !index_values;
+            by_mask = [];
+          }
+
+(* The patterns of [n] with the loops of [mask] fully unrolled: the
+   groups [Analysis.Reuse.group_accesses] finds over the remaining
+   loops, merged as {!walk} merges them. *)
+let source_patterns (n : nest) mask =
+  match List.assoc_opt mask n.by_mask with
+  | Some ps -> ps
+  | None ->
+      let unrolled v =
+        let rec go i =
+          i < Array.length n.n_loops
+          && ((mask land (1 lsl i) <> 0 && String.equal n.n_loops.(i).index v) || go (i + 1))
+        in
+        go 0
+      in
+      let groups = ref [] in
+      Array.iteri
+        (fun s sa ->
+          let rows = Array.map (List.filter (fun (v, _) -> not (unrolled v))) sa.sa_rows in
+          match
+            List.find_opt
+              (fun (kind, array, rows', _) ->
+                kind = sa.sa_kind && String.equal array sa.sa_array && rows' = rows)
+              !groups
+          with
+          | Some (_, _, _, members) -> members := s :: !members
+          | None -> groups := (sa.sa_kind, sa.sa_array, rows, ref [ s ]) :: !groups)
+        n.n_accesses;
+      let patterns = ref [] in
+      List.iter
+        (fun (kind, array, rows, members) ->
+          let group = (kind, List.rev !members) in
+          let same p = String.equal p.sp_array array && p.sp_rows = rows in
+          if List.exists same !patterns then
+            patterns :=
+              List.map
+                (fun p -> if same p then { p with sp_groups = p.sp_groups @ [ group ] } else p)
+                !patterns
+          else patterns := { sp_array = array; sp_rows = rows; sp_groups = [ group ] } :: !patterns)
+        (List.rev !groups);
+      let patterns = List.rev !patterns in
+      n.by_mask <- (mask, patterns) :: n.by_mask;
+      patterns
+
+exception Too_wide
+
+(** The walk {!walk} gives on [k], the plan's source nest unrolled and
+    jammed by [vector] (then simplified), derived from the plan: [None]
+    when the plan does not cover the source, a factor of [vector] does
+    not divide its loop's trip count (the epilogue breaks the nest), or
+    [k] is not such an unroll. Members are enumerated as the unrolled
+    copies' integer offsets; an access record is built for each distinct
+    member only. *)
+let instantiate (plan : plan) (vector : Unroll.vector) (k : kernel) : walk option =
+  match plan with
+  | None -> None
+  | Some n -> (
+      let spine, body = Loop_nest.perfect_nest k.k_body in
+      let depth = Array.length n.n_loops in
+      (* Each source loop's factor: kept with a multiplied step, or
+         fully unrolled and inlined (absent from [k]'s spine). Without
+         epilogues, the shape tells them apart: a factor not applied
+         (jamming is not always legal) keeps its loop's step. *)
+      let factor = Array.make depth 1 and mask = ref 0 in
+      let rec shape i (kl : loop list) =
+        if i = depth then kl = []
+        else
+          let l = n.n_loops.(i) in
+          let trip = Ast.loop_trip l in
+          trip mod min (Unroll.factor vector l.index) trip = 0
+          &&
+          match kl with
+          | m :: rest when String.equal m.index l.index ->
+              let u = m.step / l.step in
+              m.lo = l.lo && m.step = u * l.step && u >= 1 && trip mod u = 0
+              && Ast.loop_trip m = trip / u
+              && begin
+                   factor.(i) <- u;
+                   shape (i + 1) rest
+                 end
+          | _ ->
+              factor.(i) <- trip;
+              mask := !mask lor (1 lsl i);
+              shape (i + 1) kl
+      in
+      let shaped = shape 0 spine in
+      let copies = Array.fold_left ( * ) 1 factor in
+      if
+        (not shaped)
+        || (n.index_values && !mask <> 0)
+        || List.compare_length_with body (copies * n.n_stmts) <> 0
+        || not (List.for_all (function Assign _ -> true | _ -> false) body)
+      then None
+      else
+        (* Copy [r]'s digit on loop [i] runs fastest on the outermost
+           loop: unroll-and-jam concatenates the copies of an outer loop
+           inside the copies of each inner one. A kept loop shifts its
+           index by [digit * step], an unrolled one fixes it at
+           [lo + digit * step]. *)
+        let per_copy = Array.length n.n_accesses in
+        let offset = Array.make depth 0 in
+        let set_copy r =
+          let r = ref r in
+          for i = 0 to depth - 1 do
+            let l = n.n_loops.(i) in
+            let o = !r mod factor.(i) * l.step in
+            offset.(i) <- (if !mask land (1 lsl i) <> 0 then l.lo + o else o);
+            r := !r / factor.(i)
+          done
+        in
+        let const sa d =
+          let a = sa.sa_coeffs.(d) in
+          let c = ref sa.sa_consts.(d) in
+          for i = 0 to depth - 1 do
+            c := !c + (a.(i) * offset.(i))
+          done;
+          !c
+        in
+        let pattern (sp : source_pattern) =
+          let dims = Array.length sp.sp_rows in
+          let spelled =
+            Array.map
+              (fun rows -> if rows = [] then None else Some (Affine.to_expr (Affine.make rows 0)))
+              sp.sp_rows
+          in
+          (* the distinct members of one group, in reverse execution
+             order onto [found]: a bitmap over the group's constants in
+             mixed radix *)
+          let members found (kind, srcs) =
+            let srcs = Array.of_list srcs in
+            let lo = Array.make dims max_int and hi = Array.make dims min_int in
+            for r = 0 to copies - 1 do
+              set_copy r;
+              for j = 0 to Array.length srcs - 1 do
+                let sa = n.n_accesses.(srcs.(j)) in
+                for d = 0 to dims - 1 do
+                  let c = const sa d in
+                  if c < lo.(d) then lo.(d) <- c;
+                  if c > hi.(d) then hi.(d) <- c
+                done
+              done
+            done;
+            let size = ref 1 in
+            for d = 0 to dims - 1 do
+              let w = hi.(d) - lo.(d) + 1 in
+              if !size > (1 lsl 22) / w then raise Too_wide;
+              size := !size * w
+            done;
+            let seen = Bytes.make ((!size + 7) / 8) '\000' in
+            (* each dimension's subscript and form per constant, built
+               once: members share them *)
+            let sub = Array.init dims (fun d -> Array.make (hi.(d) - lo.(d) + 1) (Int 0))
+            and form = Array.init dims (fun d -> Array.make (hi.(d) - lo.(d) + 1) None) in
+            let found = ref found in
+            for r = 0 to copies - 1 do
+              set_copy r;
+              for j = 0 to Array.length srcs - 1 do
+                let s = srcs.(j) in
+                let sa = n.n_accesses.(s) in
+                let key = ref 0 in
+                for d = 0 to dims - 1 do
+                  key := (!key * (hi.(d) - lo.(d) + 1)) + (const sa d - lo.(d))
+                done;
+                let byte = Char.code (Bytes.get seen (!key lsr 3)) and bit = 1 lsl (!key land 7) in
+                if byte land bit = 0 then begin
+                  Bytes.set seen (!key lsr 3) (Char.chr (byte lor bit));
+                  let rec forms d subs affine =
+                    if d < 0 then (subs, affine)
+                    else
+                      let c = const sa d in
+                      let i = c - lo.(d) in
+                      if form.(d).(i) = None then begin
+                        sub.(d).(i) <- Affine.with_const spelled.(d) c;
+                        form.(d).(i) <- Some { Affine.terms = sp.sp_rows.(d); const = c }
+                      end;
+                      forms (d - 1) (sub.(d).(i) :: subs) (form.(d).(i) :: affine)
+                  in
+                  let subs, affine = forms (dims - 1) [] [] in
+                  found :=
+                    {
+                      Access.id = (r * per_copy) + s;
+                      array = sp.sp_array;
+                      kind;
+                      subs;
+                      affine;
+                      loops = spine;
+                      guarded = false;
+                    }
+                    :: !found
+                end
+              done
+            done;
+            !found
+          in
+          let p =
+            {
+              array = sp.sp_array;
+              elem =
+                (match Ast.find_array k sp.sp_array with
+                | Some d -> d.a_elem
+                | None -> Dtype.int32);
+              members = List.rev (List.fold_left members [] sp.sp_groups);
+              has_reads = List.exists (fun (kind, _) -> kind = Access.Read) sp.sp_groups;
+              has_writes = List.exists (fun (kind, _) -> kind = Access.Write) sp.sp_groups;
+              any_guarded = false;
+              varying =
+                List.filter
+                  (fun (l : loop) -> Array.exists (List.mem_assoc l.index) sp.sp_rows)
+                  spine;
+              spine;
+              spine_only = true;
+              scalar_subs = false;
+            }
+          in
+          (p, List.concat_map snd sp.sp_groups)
+        in
+        match List.map pattern (source_patterns n !mask) with
+        | sources ->
+            Some
+              {
+                walked = k;
+                patterns = List.map fst sources;
+                indirect = false;
+                origin = Planned { per_copy; copies; sources };
+              }
+        | exception Too_wide -> None)
+
+(** The walk {!walk} gives on [k], the kernel hoisting the patterns
+    [hoisted] turned [w.walked] into, derived from [w] when it is
+    planned. Hoisting leaves the unrolled body in the innermost spine
+    loop, less the hoisted members, and puts one load and store per
+    register around the spine loops: those are read from [k], in
+    execution order, and each is paired with the member it replaced.
+    [walk k] when [k] has any other statement there. *)
+let rehoist (w : walk) (hoisted : pattern list) (k : kernel) : walk =
+  let spine = Loop_nest.spine k.k_body in
+  let derived =
+    match (w.origin, hoisted) with
+    | Planned { per_copy; copies; sources }, p0 :: _
+      when List.compare_lengths spine p0.spine = 0 -> (
+        try
+          let is_hoisted p = List.memq p hoisted in
+          (* each source access left in the body: its number among them *)
+          let kept = Array.make per_copy true in
+          List.iter
+            (fun (p, srcs) -> if is_hoisted p then List.iter (fun s -> kept.(s) <- false) srcs)
+            sources;
+          let pos = Array.make per_copy 0 and left = ref 0 in
+          Array.iteri
+            (fun s keep ->
+              if keep then begin
+                pos.(s) <- !left;
+                incr left
+              end)
+            kept;
+          let register = Hashtbl.create 16 in
+          List.iter
+            (fun p ->
+              List.iter (fun (a : Access.t) -> Hashtbl.replace register (p.array, a.subs) (p, a)) p.members)
+            hoisted;
+          (* the statements before and after each spine loop, outermost
+             first, with the loops around them *)
+          let rec around outer body = function
+            | [] -> []
+            | (l : loop) :: rest ->
+                let rec split pre = function
+                  | For l' :: post when l' == l -> (List.rev pre, post)
+                  | s :: tl -> split (s :: pre) tl
+                  | [] -> raise Exit
+                in
+                let pre, post = split [] body in
+                (outer, pre, post) :: around (outer @ [ l ]) l.body rest
+          in
+          let levels = around [] k.k_body spine in
+          let next = ref 0 and order = ref [] and members = ref [] in
+          let add kind loops s =
+            let array, subs =
+              match (kind, s) with
+              | Access.Read, Assign (Lvar _, Arr (array, subs))
+              | Access.Write, Assign (Larr (array, subs), Var _) ->
+                  (array, subs)
+              | _ -> raise Exit
+            in
+            let p, a = try Hashtbl.find register (array, subs) with Not_found -> raise Exit in
+            if not (List.memq p !order) then order := p :: !order;
+            members := (p, { a with Access.id = !next; kind; loops }) :: !members;
+            incr next
+          in
+          List.iter (fun (loops, pre, _) -> List.iter (add Access.Read loops) pre) levels;
+          let n_loads = !next in
+          next := n_loads + (copies * !left);
+          List.iter (fun (loops, _, post) -> List.iter (add Access.Write loops) post) (List.rev levels);
+          let remap (p : pattern) members =
+            {
+              p with
+              members;
+              varying =
+                List.filter
+                  (fun (l : loop) ->
+                    List.exists (fun (v : loop) -> String.equal v.index l.index) p.varying)
+                  spine;
+              spine;
+            }
+          in
+          let moved (a : Access.t) =
+            let r = a.id / per_copy and s = a.id mod per_copy in
+            { a with id = n_loads + (r * !left) + pos.(s); loops = spine }
+          in
+          let emitted p =
+            List.rev (List.filter_map (fun (q, a) -> if q == p then Some a else None) !members)
+          in
+          Some
+            {
+              walked = k;
+              patterns =
+                List.rev_map (fun p -> { (remap p (emitted p)) with has_reads = true }) !order
+                @ List.filter_map
+                    (fun p -> if is_hoisted p then None else Some (remap p (List.map moved p.members)))
+                    w.patterns;
+              indirect = false;
+              origin = Rehoisted;
+            }
+        with Exit -> None)
+    | _ -> None
+  in
+  match derived with Some w -> w | None -> walk k
 
 (** Another pattern of the same array may alias this one (no proven
     independence between any cross pair). *)
@@ -398,7 +859,8 @@ let edit_body st ed = st.kernel <- { st.kernel with k_body = apply_edits st.kern
 (* ------------------------------------------------------------------ *)
 (* Case 1: hoist/sink *)
 
-let try_hoist (k : kernel) (st : state) (p : pattern) (ps : pattern list) =
+(** Whether [p] was hoisted. *)
+let try_hoist (k : kernel) (st : state) (p : pattern) (ps : pattern list) : bool =
   let spine = p.spine in
   let innermost_spine =
     match List.rev spine with [] -> None | l :: _ -> Some l
@@ -426,7 +888,7 @@ let try_hoist (k : kernel) (st : state) (p : pattern) (ps : pattern list) =
     && st.budget >= List.length p.members
     && not (aliasing ())
   in
-  if not applicable then ()
+  if not applicable then false
   else begin
     (* Hoist each distinct member to just inside the deepest varying
        loop (or outside the whole nest when invariant everywhere). *)
@@ -453,7 +915,8 @@ let try_hoist (k : kernel) (st : state) (p : pattern) (ps : pattern list) =
             }
         end)
       p.members;
-    edit_body st ed
+    edit_body st ed;
+    true
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1082,7 +1545,25 @@ let cse_loads ~written ~single_pattern (st : state) =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?(config = default_config) (k : kernel) : kernel * report =
+(** Element CSE's single-pattern test on [k], whose written arrays'
+    accesses are those [w] found: a planned or rehoisted walk answers it
+    from its patterns (every access there is in one of them, with loop-
+    index subscripts); a collected one from its accesses, collected
+    afresh when [k] changed subscripts through replaced reads. *)
+let single (w : walk) (k : kernel) : string -> bool =
+  match w.origin with
+  | Planned _ | Rehoisted ->
+      fun a -> List.compare_length_with (List.filter (fun p -> String.equal p.array a) w.patterns) 1 <= 0
+  | Walked accesses ->
+      let accesses =
+        if k == w.walked || not w.indirect then Lazy.from_val accesses
+        else lazy (Access.collect k.k_body)
+      in
+      let assigned = lazy (assigned_scalars ~indices:false k.k_body) in
+      fun a -> single_pattern ~assigned:(Lazy.force assigned) (Lazy.force accesses) a
+
+(* [run], handing [seen] every walk it reads. *)
+let run_walks ~seen ?(config = default_config) ?plan (k : kernel) : kernel * report =
   let st =
     {
       kernel = k;
@@ -1092,21 +1573,32 @@ let run ?(config = default_config) (k : kernel) : kernel * report =
       decls = [];
     }
   in
-  (* Each phase reads the pattern facts of one access walk. Hoist/sink
-     may edit any array, so a hoist that edits forces a second walk.
-     Banks and chains only replace reads of arrays the kernel never
-     writes and insert loads of those arrays: every other array's
+  (* Each phase reads the pattern facts of one access walk, instantiated
+     from the plan when it covers [k]. Hoist/sink may edit any array, so
+     a hoist that edits forces a second walk, derived from a planned
+     first one. Banks and chains only replace reads of arrays the kernel
+     never writes and insert loads of those arrays: every other array's
      accesses, and so its patterns, stay as the walk found them, unless
      a subscript reads a replaced array. Without such indirect
      subscripts, chains read the walk that banks read (a banked pattern
      gains guarded loads and never chains) and element CSE reads the
      written arrays' facts from the last walk. *)
-  let w = ref (walk k) in
+  let w =
+    ref
+      (match Option.bind plan (fun (plan, vector) -> instantiate plan vector k) with
+      | Some w -> w
+      | None -> walk k)
+  in
+  seen !w;
+  let rewalk w' =
+    w := w';
+    seen w'
+  in
   (* Hoist/sink first: it removes accumulator traffic and its aliasing
      checks see the original access set. *)
   let ps = !w.patterns in
-  List.iter (fun p -> try_hoist k st p ps) ps;
-  if st.kernel != !w.walked then w := walk st.kernel;
+  let hoisted = List.filter (fun p -> try_hoist k st p ps) ps in
+  if st.kernel != !w.walked then rewalk (rehoist !w hoisted st.kernel);
   let written = Licm.arrays_written_in st.kernel.k_body in
   let banked = ref [] in
   if config.across_loops then begin
@@ -1132,7 +1624,7 @@ let run ?(config = default_config) (k : kernel) : kernel * report =
     let ps =
       if !banked = [] then !w.patterns
       else if !w.indirect then begin
-        w := walk st.kernel;
+        rewalk (walk st.kernel);
         !w.patterns
       end
       else List.filter (fun p -> not (List.memq p !banked)) !w.patterns
@@ -1141,17 +1633,16 @@ let run ?(config = default_config) (k : kernel) : kernel * report =
     List.iter (fun p -> try_chains ~config ~written st ed p) ps;
     if Hashtbl.length ed.repl > 0 then edit_body st ed
   end;
-  let accesses =
-    if st.kernel == !w.walked || not !w.indirect then Lazy.from_val !w.accesses
-    else lazy (Access.collect st.kernel.k_body)
-  in
-  let assigned = lazy (assigned_scalars ~indices:false st.kernel.k_body) in
-  cse_loads ~written
-    ~single_pattern:(fun a ->
-      single_pattern ~assigned:(Lazy.force assigned) (Lazy.force accesses) a)
-    st;
+  cse_loads ~written ~single_pattern:(single !w st.kernel) st;
   let k = st.kernel in
   let k =
     if st.decls = [] then k else { k with k_scalars = k.k_scalars @ List.rev st.decls }
   in
   (k, st.report)
+
+let run ?config ?plan k = run_walks ~seen:ignore ?config ?plan k
+
+let walks ?config ?plan k =
+  let seen = ref [] in
+  ignore (run_walks ~seen:(fun w -> seen := w :: !seen) ?config ?plan k);
+  List.rev !seen

@@ -49,7 +49,67 @@ type report = {
 }
 
 val empty_report : report
-val run : ?config:config -> Ast.kernel -> Ast.kernel * report
+
+(** The analysis side of scalar replacement for one source nest (the
+    kernel after tiling, before unroll-and-jam): its uniformly generated
+    patterns with their coefficient rows and source member offsets.
+    Derived once, it is instantiated for each unrolled kernel in closed
+    form. It covers perfect nests whose loops run two or more
+    iterations around assignments with loop-index affine subscripts and
+    no conditional; on any other kernel it instantiates nothing. *)
+type plan
+
+val plan : Ast.kernel -> plan
+
+(** [run ~plan:(p, v) k], where [k] is the source of plan [p] unrolled
+    and jammed by [v], reads patterns instantiated from the plan; without
+    it, or where the plan does not cover [k], it walks [k]'s accesses.
+    The result is the same. *)
+val run :
+  ?config:config -> ?plan:plan * Unroll.vector -> Ast.kernel -> Ast.kernel * report
+
+(** {2 Exposed for tests} *)
+
+(** One uniformly generated pattern of an array, with its distinct
+    subscript-expression members. *)
+type pattern = {
+  array : string;
+  elem : Dtype.t;
+  members : Analysis.Access.t list;  (** distinct; execution order *)
+  has_reads : bool;
+  has_writes : bool;
+  any_guarded : bool;
+  varying : Ast.loop list;  (** spine loops the pattern varies with, outer first *)
+  spine : Ast.loop list;
+  spine_only : bool;  (** every loop the members vary with is on the spine *)
+  scalar_subs : bool;  (** some subscript names a scalar the nest assigns *)
+}
+
+(** One access walk of a kernel: its patterns and where they came from. *)
+type walk = {
+  walked : Ast.kernel;
+  patterns : pattern list;
+  indirect : bool;  (** some subscript reads an array *)
+  origin : origin;
+}
+
+and origin =
+  | Walked of Analysis.Access.t list  (** every access of [walked], collected *)
+  | Planned of { per_copy : int; copies : int; sources : (pattern * int list) list }
+      (** instantiated from a plan *)
+  | Rehoisted  (** derived from a planned walk after hoisting *)
+
+(** The walk of a kernel's accesses: the fallback of a plan and its
+    oracle. *)
+val walk : Ast.kernel -> walk
+
+(** The walks one {!run} reads, in order. *)
+val walks : ?config:config -> ?plan:plan * Unroll.vector -> Ast.kernel -> walk list
+
+(** [single w k a]: element CSE's test that every access of array [a] in
+    [k], whose written arrays' accesses [w] found, is in one affine
+    pattern with no assigned scalar in a subscript. *)
+val single : walk -> Ast.kernel -> string -> bool
 
 (** Exposed for tests. [partition_chains inner members] splits a
     pattern's members into chain classes along loop [inner], each member

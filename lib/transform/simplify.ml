@@ -131,6 +131,76 @@ let canon_expr e =
         let c = Affine.to_expr f in
         if c = e then e else c
 
+(* ------------------------------------------------------------------ *)
+(* Substitution into canonical spellings *)
+
+type index_value = Shifted of int | Fixed of int
+
+(* [Ast.subst_var] of [index + value] or [value], with every canonical
+   affine subtree that mentions [index] respelled from its substituted
+   form ([index + c] keeps the term spine and moves the constant):
+   {!run} then finds those subtrees canonical. Stored-to subscripts are
+   canonicalized only at their root ({!canon_expr}), so below a
+   non-canonical one the substitution stays plain. *)
+let subst_index index value body =
+  let by = match value with Shifted c -> Bin (Add, Var index, Int c) | Fixed c -> Int c in
+  let mentions =
+    Ast.fold_expr
+      (fun acc x -> acc || match x with Var v -> String.equal v index | _ -> false)
+      false
+  in
+  let respell e =
+    if not (mentions e) then e
+    else
+      let f = decode e in
+      match value with
+      | Shifted c ->
+          let spine = match e with Bin ((Add | Sub), p, Int _) -> p | _ -> e in
+          Affine.with_const (Some spine) (f.const + (List.assoc index f.terms * c))
+      | Fixed c -> Affine.to_expr (Affine.subst f index (Affine.const c))
+  in
+  let plain = Ast.map_expr (function Var x when String.equal x index -> by | e -> e) in
+  let rec go e =
+    if canonical e then respell e
+    else
+      match e with
+      | Int _ | Var _ -> e
+      | Arr (a, subs) ->
+          let subs' = Ast.map_sharing go subs in
+          if subs' == subs then e else Arr (a, subs')
+      | Bin (op, a, b) ->
+          let a' = go a and b' = go b in
+          if a' == a && b' == b then e else Bin (op, a', b')
+      | Un (op, a) ->
+          let a' = go a in
+          if a' == a then e else Un (op, a')
+      | Cond (c, t, el) ->
+          let c' = go c and t' = go t and el' = go el in
+          if c' == c && t' == t && el' == el then e else Cond (c', t', el')
+  in
+  let stored e = if canonical e then respell e else plain e in
+  let rec stmt s =
+    match s with
+    | Assign (lv, e) ->
+        let lv' =
+          match lv with
+          | Lvar _ -> lv
+          | Larr (a, subs) ->
+              let subs' = Ast.map_sharing stored subs in
+              if subs' == subs then lv else Larr (a, subs')
+        in
+        let e' = go e in
+        if lv' == lv && e' == e then s else Assign (lv', e')
+    | If (c, t, el) ->
+        let c' = go c and t' = Ast.map_sharing stmt t and el' = Ast.map_sharing stmt el in
+        if c' == c && t' == t && el' == el then s else If (c', t', el')
+    | For l ->
+        let body' = Ast.map_sharing stmt l.body in
+        if body' == l.body then s else For { l with body = body' }
+    | Rotate _ -> s
+  in
+  Ast.map_sharing stmt body
+
 (* [fold_expr] restricted to the root: operands are assumed already
    folded, so only the node's own arms apply. Re-association arms
    recurse on the node they rebuild (depth bounded by the constant
@@ -371,7 +441,7 @@ let rec simpl_stmt st (s : stmt) : change =
       else if trip = 1 then
         (* Single-iteration loops are inlined so that analyses see their
            body's subscripts as constants in the index. *)
-        Changed (simpl_body_st st (Ast.subst_var l.index (Int l.lo) l.body))
+        Changed (simpl_body_st st (subst_index l.index (Fixed l.lo) l.body))
       else
         let body' = simpl_body_st st l.body in
         if body' == l.body then Same else Changed [ For { l with body = body' } ]

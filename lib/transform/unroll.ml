@@ -43,10 +43,10 @@ let clamp ?(divisors_only = false) (body : stmt list) (v : vector) : vector =
       if u > 1 then Some (l.index, u) else None)
     spine
 
-(** Substitute [index := index + offset] in a body. *)
+(** Substitute [index := index + offset] in a body, respelling the
+    affine subscripts it shifts canonically. *)
 let shift_body index offset body =
-  if offset = 0 then body
-  else Ast.subst_var index (Bin (Add, Var index, Int offset)) body
+  if offset = 0 then body else Simplify.subst_index index (Shifted offset) body
 
 (* Jam copies of a body: if every copy has the shape
    [pre @ [For inner] @ post] with identical inner headers, fuse the inner
@@ -101,13 +101,19 @@ let rec unroll_loop (v : vector) (l : loop) : stmt list =
   else begin
     let main_trips = trip / u in
     let main_hi = l.lo + (main_trips * u * l.step) in
-    let copies =
-      List.init u (fun k -> shift_body l.index (k * l.step) l.body)
-    in
-    let jammed = unroll_body v (jam copies) in
     let main =
       if main_trips = 0 then []
-      else [ For { l with hi = main_hi; step = l.step * u; body = jammed } ]
+      else if main_trips = 1 then
+        (* One trip of the main loop: the copies fix the index
+           directly; shifted copies in a one-iteration loop would be
+           respelled a second time when [Simplify.run] inlines it. *)
+        unroll_body v
+          (jam
+             (List.init u (fun k ->
+                  Simplify.subst_index l.index (Fixed (l.lo + (k * l.step))) l.body)))
+      else
+        let copies = List.init u (fun k -> shift_body l.index (k * l.step) l.body) in
+        [ For { l with hi = main_hi; step = l.step * u; body = unroll_body v (jam copies) } ]
     in
     let epilogue =
       if main_hi >= l.hi then []

@@ -815,20 +815,72 @@ let gen_simplify_kernel : Ast.kernel G.t =
           ];
     }
 
+(* A kernel, one of its loop indices or scalars, and a value for it:
+   shifted or fixed, by small positive and negative constants. *)
+let gen_subst_case gen_kernel =
+  G.(
+    gen_kernel >>= fun (k : Ast.kernel) ->
+    oneofl
+      (Ast.bound_indices k.Ast.k_body
+      @ List.map (fun (d : Ast.scalar_decl) -> d.Ast.s_name) k.Ast.k_scalars)
+    >>= fun v ->
+    map2
+      (fun fixed c ->
+        (k, v, if fixed then Transform.Simplify.Fixed c else Transform.Simplify.Shifted c))
+      bool (int_range (-3) 3))
+
+(** Simplifying [Simplify.subst_index] of a value gives what simplifying
+    [Ast.subst_var] of the same value gives. *)
+let subst_equivalent ((k : Ast.kernel), v, value) =
+  let by =
+    match value with
+    | Transform.Simplify.Shifted c -> Ast.Bin (Ast.Add, Ast.Var v, Ast.Int c)
+    | Transform.Simplify.Fixed c -> Ast.Int c
+  in
+  let simplified body = Pretty.kernel_to_string (Transform.Simplify.run { k with Ast.k_body = body }) in
+  let plain = simplified (Ast.subst_var v by k.Ast.k_body)
+  and canonical = simplified (Transform.Simplify.subst_index v value k.Ast.k_body) in
+  if plain <> canonical then
+    failf "substituting %s differs from the plain substitution:\n%s\nplain:\n%s" v canonical plain;
+  true
+
+(* [subst_equivalent] on every loop body of [k], substituted as the
+   passes substitute it: the index fixed to the loop's first value (a
+   peeled copy, an inlined single-iteration loop) and shifted by its
+   step (an unrolled copy). Bodies in [seen] are skipped, checked ones
+   added. *)
+let loops_subst_equivalent seen (k : Ast.kernel) =
+  Ast.fold_stmts
+    ~stmt:(fun () s ->
+      match s with
+      | Ast.For l when not (List.memq l.Ast.body !seen) ->
+          seen := l.Ast.body :: !seen;
+          List.iter
+            (fun value -> ignore (subst_equivalent ({ k with Ast.k_body = l.Ast.body }, l.Ast.index, value)))
+            [ Transform.Simplify.Fixed l.Ast.lo; Transform.Simplify.Shifted l.Ast.step ]
+      | _ -> ())
+    ~expr:(fun () _ -> ())
+    () k.Ast.k_body
+
 (* Every stage input and output of every built-in and gallery kernel
-   over its product-64 lattice, peel and LICM each on and off. *)
+   over its product-64 lattice, peel and LICM each on and off: the
+   simplifier against the reference, and the canonical substitution
+   against the plain one on every loop body. *)
 let test_simplify_stages () =
   List.iter
     (fun (name, k) ->
       let ctx = Dse.Design.context k in
       let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.env.spine in
+      let bodies = ref [] in
       List.iter
         (fun vector ->
           let seen = ref [] in
-          let check (kernel : Ast.kernel) =
+          let check ~input (kernel : Ast.kernel) =
             if not (List.memq kernel !seen) then begin
               seen := kernel :: !seen;
-              try ignore (simplify_equivalent kernel)
+              try
+                ignore (simplify_equivalent kernel);
+                if input then loops_subst_equivalent bodies kernel
               with Failure m ->
                 Alcotest.failf "%s %s: %s" name (Helpers.vector_to_string vector) m
             end
@@ -838,8 +890,8 @@ let test_simplify_stages () =
               ignore
                 (Transform.Pipeline.apply
                    ~observe:(fun _ ~before ~after ->
-                     check before;
-                     check after)
+                     check ~input:true before;
+                     check ~input:false after)
                    { Transform.Pipeline.default with vector; peel; licm }
                    k))
             [ (true, true); (true, false); (false, true); (false, false) ])
@@ -1047,8 +1099,8 @@ let gen_transformed =
 
 (** [Scalar_replace.run] equals the former pass on [k]: the kernel and
     the report. *)
-let sr_equivalent ?config (k : Ast.kernel) =
-  let k1, r1 = Transform.Scalar_replace.run ?config k
+let sr_equivalent ?config ?plan (k : Ast.kernel) =
+  let k1, r1 = Transform.Scalar_replace.run ?config ?plan k
   and k2, r2 = R.Scalar_replace.run ?config k in
   if k1 <> k2 then
     failf "kernel differs from the reference:\n%s\nreference:\n%s"
@@ -1056,16 +1108,58 @@ let sr_equivalent ?config (k : Ast.kernel) =
   if r1 <> r2 then failf "report differs from the reference";
   true
 
-(* The input of the scalar-replacement stage under [opts], and the
-   configuration it runs with. *)
+module SR = Transform.Scalar_replace
+
+let origin_name (w : SR.walk) =
+  match w.SR.origin with SR.Walked _ -> "walked" | SR.Planned _ -> "planned" | SR.Rehoisted -> "rehoisted"
+
+let pattern_print (p : SR.pattern) =
+  Printf.sprintf "%s{%s} varying [%s]%s%s" p.SR.array
+    (String.concat "; "
+       (List.map
+          (fun (a : Analysis.Access.t) ->
+            Printf.sprintf "#%d %s %s" a.Analysis.Access.id
+              (if Analysis.Access.is_read a then "r" else "w")
+              (Format.asprintf "%a" Analysis.Access.pp a))
+          p.SR.members))
+    (String.concat "," (List.map (fun (l : Ast.loop) -> l.Ast.index) p.SR.varying))
+    (if p.SR.has_reads then " reads" else "")
+    (if p.SR.has_writes then " writes" else "")
+
+(** Every walk a run with [plan] reads equals {!SR.walk} of its kernel:
+    the same patterns, members (ids and loops included) and facts, and
+    the same answer to element CSE's single-pattern test on every
+    array. *)
+let plan_walk_equivalent ?config ~plan (k : Ast.kernel) =
+  List.iter
+    (fun (w : SR.walk) ->
+      let w' = SR.walk w.SR.walked in
+      if compare w.SR.patterns w'.SR.patterns <> 0 then
+        failf "%s walk differs from the walk:\n%s\nwalk:\n%s\nof:\n%s" (origin_name w)
+          (String.concat "\n" (List.map pattern_print w.SR.patterns))
+          (String.concat "\n" (List.map pattern_print w'.SR.patterns))
+          (Helpers.kernel_print w.SR.walked);
+      if w.SR.indirect <> w'.SR.indirect then failf "%s walk: indirection differs" (origin_name w);
+      List.iter
+        (fun (d : Ast.array_decl) ->
+          let a = d.Ast.a_name in
+          if SR.single w w.SR.walked a <> SR.single w' w.SR.walked a then
+            failf "%s walk: single pattern of %s differs" (origin_name w) a)
+        w.SR.walked.Ast.k_arrays)
+    (SR.walks ?config ~plan k);
+  true
+
+(* The input of the scalar-replacement stage under [opts], the
+   configuration it runs with, and the plan of the tiled source. *)
 let sr_input (opts : Transform.Pipeline.options) k =
-  let input = ref None in
+  let input = ref None and tiled = ref k in
   ignore
     (Transform.Pipeline.front
-       ~observe:(fun stage ~before ~after:_ ->
+       ~observe:(fun stage ~before ~after ->
+         if stage = Transform.Pipeline.Tile then tiled := after;
          if stage = Transform.Pipeline.Scalar_replace then input := Some before)
        opts k);
-  (Option.get !input, opts.Transform.Pipeline.scalar)
+  (Option.get !input, opts.Transform.Pipeline.scalar, (SR.plan !tiled, opts.Transform.Pipeline.vector))
 
 (* Every front of every built-in and gallery kernel's product-64 joint
    lattice: each tile option and unroll vector, replacement on and off. *)
@@ -1084,8 +1178,11 @@ let test_sr_fronts () =
                     Transform.Pipeline.apply_config ~base:Transform.Pipeline.default
                       { Transform.Pipeline.vector; tile; scalar_replace; peel = true; licm = true }
                   in
-                  let input, config = sr_input opts k in
-                  try ignore (sr_equivalent ~config input)
+                  let input, config, plan = sr_input opts k in
+                  try
+                    ignore (sr_equivalent ~config input);
+                    ignore (sr_equivalent ~config ~plan input);
+                    if scalar_replace then ignore (plan_walk_equivalent ~config ~plan input)
                   with Failure m ->
                     Alcotest.failf "%s %s: %s" name
                       (Transform.Pipeline.config_to_string
@@ -1095,6 +1192,82 @@ let test_sr_fronts () =
             (Dse.Util.divisor_vectors ~max_product:64 ctx ~eligible))
         (Dse.Space.joint_tile_options ctx ~candidates:Dse.Space.default_tile_candidates))
     (builtins ())
+
+(* The built-in and gallery kernels some of whose untiled fronts (every
+   vector of the product-64 lattice, replacement on) read a collected
+   walk, each with the vectors that do. *)
+let plan_fallbacks () =
+  List.filter_map
+    (fun (name, k) ->
+      let ctx = Dse.Design.context k in
+      let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.env.spine in
+      let fell =
+        List.filter
+          (fun vector ->
+            let input, config, plan = sr_input { Transform.Pipeline.default with vector } k in
+            List.exists
+              (fun (w : SR.walk) -> match w.SR.origin with SR.Walked _ -> true | _ -> false)
+              (SR.walks ~config ~plan input))
+          (Dse.Util.divisor_vectors ~max_product:64 ctx ~eligible)
+      in
+      if fell = [] then None
+      else Some (name, String.concat " " (List.map Helpers.vector_to_string fell)))
+    (builtins ())
+
+(* Loop indices read as values: unrolling a loop fully makes them
+   constants, [a[1] * (j - 1)] folds to 0 and its read disappears, so
+   the plan must not stand in for the walk there. *)
+let test_plan_index_values () =
+  let k =
+    Frontend.Parser.kernel_of_string ~name:"index_values"
+      {|int a[8]; int b[8]; int out[8];
+        for (i = 0; i < 4; i++) for (j = 0; j < 4; j++)
+          out[i] = out[i] + a[j] * (j - 1) + b[i + j] * i;|}
+  in
+  let ctx = Dse.Design.context k in
+  let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.env.spine in
+  List.iter
+    (fun vector ->
+      let input, config, plan = sr_input { Transform.Pipeline.default with vector } k in
+      try ignore (plan_walk_equivalent ~config ~plan input && sr_equivalent ~config ~plan input)
+      with Failure m -> Alcotest.failf "%s: %s" (Helpers.vector_to_string vector) m)
+    (Dse.Util.divisor_vectors ~max_product:16 ctx ~eligible)
+
+(* Only histogram falls back, on every vector: its subscript [img[i]]
+   reads an array. *)
+let test_plan_coverage () =
+  Alcotest.(check (list (pair string string)))
+    "fronts that walk" [ ("histogram", "i=1 i=2 i=4 i=8 i=16 i=32 i=64") ] (plan_fallbacks ())
+
+(* Scalar replacement's minor words per distinct member on Sobel over a
+   66x66 image, j doubling from 2 to 32 with i unrolled by 2: the walk
+   is instantiated per distinct member, not per unrolled access, so the
+   ratio may fall with fixed costs spread thinner but not rise by more
+   than 10% per doubling. *)
+let test_plan_scaling () =
+  let k = Lazy.force Helpers.sobel64 in
+  let plan = SR.plan k in
+  let per_member j =
+    let vector = [ ("i", 2); ("j", j) ] in
+    let input = Transform.Unroll.run vector k in
+    let members =
+      match SR.walks ~plan:(plan, vector) input with
+      | ({ SR.origin = SR.Planned _; _ } as w) :: _ ->
+          List.fold_left (fun n (p : SR.pattern) -> n + List.length p.SR.members) 0 w.SR.patterns
+      | _ -> failf "j=%d: the first walk is not planned" j
+    in
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (SR.run ~plan:(plan, vector) input));
+    (Gc.minor_words () -. w0) /. float_of_int members
+  in
+  let rec check = function
+    | (ja, ra) :: ((jb, rb) :: _ as rest) ->
+        if rb > 1.1 *. ra then
+          Alcotest.failf "j=%d -> j=%d: %.1f -> %.1f words per distinct member" ja jb ra rb;
+        check rest
+    | _ -> ()
+  in
+  check (List.map (fun j -> (j, per_member j)) [ 2; 4; 8; 16; 32 ])
 
 (* Budgets from none to plenty, chain spans 1-4, banks and chains each
    on or off. *)
@@ -1113,9 +1286,39 @@ let gen_sr_case gen_kernel =
     gen_kernel >>= fun k ->
     Helpers.gen_vector_for k >>= fun vector ->
     gen_sr_config >>= fun config ->
-    return (fst (sr_input { Transform.Pipeline.default with vector } k), config))
+    let input, _, plan = sr_input { Transform.Pipeline.default with vector } k in
+    return (input, config, plan))
 
-let sr_case_equivalent (k, config) = sr_equivalent ~config k
+(* A generated kernel unroll-and-jammed by a vector of divisor factors
+   (a tile of its innermost loop now and then), with a generated
+   replacement configuration: the plan covers most of these. *)
+let gen_plan_case gen_kernel =
+  G.(
+    gen_kernel >>= fun k ->
+    let spine = Loop_nest.spine k.Ast.k_body in
+    flatten_l
+      (List.map
+         (fun (l : Ast.loop) ->
+           let trip = Ast.loop_trip l in
+           map
+             (fun u -> (l.Ast.index, u))
+             (oneofl (List.filter (fun u -> trip mod u = 0) (List.init (max 1 trip) succ))))
+         spine)
+    >>= fun vector ->
+    (match List.rev spine with
+    | inner :: _ -> oneofl [ None; None; Some (inner.Ast.index, 2) ]
+    | [] -> return None)
+    >>= fun tile ->
+    gen_sr_config >>= fun config ->
+    let input, _, plan = sr_input { Transform.Pipeline.default with vector; tile } k in
+    return (input, config, plan))
+
+let plan_case_equivalent (k, config, plan) =
+  plan_walk_equivalent ~config ~plan k && sr_equivalent ~config ~plan k
+
+let sr_case_equivalent (k, config, plan) =
+  sr_equivalent ~config k && sr_equivalent ~config ~plan k
+  && plan_walk_equivalent ~config ~plan k
 
 (* Two loops over arrays read at several offsets of one coupled pattern
    [a*i + b*j + c] (one or two dimensions): members whose residues agree
@@ -1219,8 +1422,8 @@ let test_sr_indirect () =
       let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.env.spine in
       List.iter
         (fun vector ->
-          let input, config = sr_input { Transform.Pipeline.default with vector } k in
-          try ignore (sr_equivalent ~config input)
+          let input, config, plan = sr_input { Transform.Pipeline.default with vector } k in
+          try ignore (sr_equivalent ~config ~plan input)
           with Failure m -> Alcotest.failf "%s %s: %s" name (Helpers.vector_to_string vector) m)
         (Dse.Util.divisor_vectors ~max_product:16 ctx ~eligible))
     [
@@ -1298,6 +1501,12 @@ let () =
           Helpers.qtest "run = reference (array nests)" ~count:100
             Helpers.gen_kernel simplify_equivalent;
           Alcotest.test_case "every stage boundary" `Quick test_simplify_stages;
+          Helpers.qtest "subst_index = subst_var (expressions)" ~count:500
+            (gen_subst_case gen_simplify_kernel) subst_equivalent;
+          Helpers.qtest "subst_index = subst_var (array nests)" ~count:200
+            (gen_subst_case Helpers.gen_kernel) subst_equivalent;
+          Helpers.qtest "subst_index = subst_var (flow kernels)" ~count:200
+            (gen_subst_case Helpers.gen_flow_kernel) subst_equivalent;
         ] );
       ( "built-ins",
         [ Alcotest.test_case "every stage output" `Quick test_builtin_stages ] );
@@ -1337,6 +1546,13 @@ let () =
       ( "scalar",
         [
           Alcotest.test_case "every front of the built-in joint lattices" `Quick test_sr_fronts;
+          Alcotest.test_case "untiled built-in fronts take the plan" `Quick test_plan_coverage;
+          Alcotest.test_case "plan words track distinct members" `Quick test_plan_scaling;
+          Alcotest.test_case "loop indices read as values" `Quick test_plan_index_values;
+          Helpers.qtest "plan walk = walk (array nests, divisor vectors)" ~count:300
+            (gen_plan_case Helpers.gen_kernel) plan_case_equivalent;
+          Helpers.qtest "plan walk = walk (coupled subscripts, divisor vectors)" ~count:300
+            (gen_plan_case gen_coupled_kernel) plan_case_equivalent;
           Helpers.qtest "run = reference (array nests)" ~count:300
             (gen_sr_case Helpers.gen_kernel) sr_case_equivalent;
           Helpers.qtest "run = reference (flow kernels)" ~count:300
