@@ -151,23 +151,40 @@ type front = {
           configurations finished from this front so far *)
 }
 
-(* The scalar-replacement plans of the last source kernel a front was
-   built from on this domain (physically), one per tile. *)
-let plans : (Ast.kernel * ((string * int) option * Scalar_replace.plan) list) option ref
-    Domain.DLS.key =
+(** What every front of one source kernel under one tile shares, read
+    from the tiled source: its scalar-replacement plan, and whether
+    unroll-and-jam may jam it ({!Unroll.jam_legal}); each is derived on
+    first use. *)
+type source_facts = { plan : Scalar_replace.plan Lazy.t; jam_legal : bool Lazy.t }
+
+(* The facts of the last source kernel a front was built from on this
+   domain (physically), one per tile. *)
+let facts : (Ast.kernel * ((string * int) option * source_facts) list) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-(* The plan of [source] under [tile], built from its tiled kernel
-   [tiled] on a miss. *)
-let plan_for source tile tiled =
-  let slot = Domain.DLS.get plans in
+(* The facts of [source] under [tile], whose tiled kernel is [tiled]. *)
+let facts_for source tile tiled =
+  let slot = Domain.DLS.get facts in
   let cached = match !slot with Some (k, l) when k == source -> l | _ -> [] in
   match List.assoc_opt tile cached with
-  | Some p -> p
+  | Some f -> f
   | None ->
-      let p = Scalar_replace.plan tiled in
-      slot := Some (source, (tile, p) :: cached);
-      p
+      let f =
+        {
+          plan = lazy (Scalar_replace.plan tiled);
+          jam_legal = lazy (Unroll.jam_legal tiled);
+        }
+      in
+      slot := Some (source, (tile, f) :: cached);
+      f
+
+let jam_verdict source tile =
+  match !(Domain.DLS.get facts) with
+  | Some (k, l) when k == source -> (
+      match List.assoc_opt tile l with
+      | Some { jam_legal; _ } when Lazy.is_val jam_legal -> Some (Lazy.force jam_legal)
+      | _ -> None)
+  | _ -> None
 
 let front ?observe (opts : options) (source : Ast.kernel) : front =
   let stage = run_stage ?observe source.Ast.k_name in
@@ -189,18 +206,23 @@ let front ?observe (opts : options) (source : Ast.kernel) : front =
           source
     | None -> source
   in
-  let k = stage Unroll_jam (Unroll.run opts.vector) tiled in
+  (* The shared facts pay off over unrolled copies; without a factor
+     above 1, nothing is jammed, and walking the kernel costs less than
+     planning it. *)
+  let facts =
+    if List.exists (fun (_, u) -> u > 1) opts.vector then Some (facts_for source opts.tile tiled)
+    else None
+  in
+  let k =
+    stage Unroll_jam
+      (Unroll.run ?jam_legal:(Option.map (fun f -> f.jam_legal) facts) opts.vector)
+      tiled
+  in
   let report = ref Scalar_replace.empty_report in
   let k =
     stage Scalar_replace
       (fun k ->
-        (* A plan pays off over unrolled copies; without a factor
-           above 1, walking the kernel costs less than planning it. *)
-        let plan =
-          if List.exists (fun (_, u) -> u > 1) opts.vector then
-            Some (plan_for source opts.tile tiled, opts.vector)
-          else None
-        in
+        let plan = Option.map (fun f -> (Lazy.force f.plan, opts.vector)) facts in
         let k, r = Scalar_replace.run ~config:opts.scalar ?plan k in
         report := r;
         k)

@@ -95,6 +95,13 @@ type front
     {!Stage_error}. *)
 val front : ?observe:observer -> options -> Ast.kernel -> front
 
+(** [jam_verdict source tile]: the verdict {!Unroll.jam_legal} gave on
+    [source] strip-mined by [tile], as the fronts of that source on this
+    domain share it: computed once per source and tile, by the first
+    front whose vector unrolls more than the innermost loop. [None]
+    until then, or once a front of another source was built. *)
+val jam_verdict : Ast.kernel -> (string * int) option -> bool option
+
 (** [apply ?observe ?front opts k] runs the pipeline. When given,
     [observe] is called for every stage the configuration goes through
     with the kernel before and after that stage. The returned kernel is

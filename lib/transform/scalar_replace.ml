@@ -1272,7 +1272,140 @@ let partition_chains (inner : loop) (members : Access.t list) :
     else slow ()
   end
 
-let try_chains ~(config : config) ~written (st : state) (ed : edits)
+(* Every member of [p] shares the first's coefficient rows and lies in
+   [p.spine] itself, as the members of a planned or rehoisted walk do. *)
+let shares_rows (p : pattern) (first : Access.t) =
+  let rec same (fa : Affine.t option list) (fb : Affine.t option list) =
+    match (fa, fb) with
+    | [], [] -> true
+    | Some f :: fa, Some g :: fb -> (f.terms == g.terms || f.terms = g.terms) && same fa fb
+    | _ -> false
+  in
+  List.for_all (fun (a : Access.t) -> a.loops == p.spine && same first.affine a.affine) p.members
+
+let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
+
+(* Whether the nonzero columns among [cols] are linearly independent:
+   each is reduced by fraction-free elimination against the ones before
+   it, kept in echelon form (a column is zero at every earlier one's
+   pivot), and is dependent when nothing is left. *)
+let independent_columns (cols : int array list) =
+  let basis = ref [] in
+  List.for_all
+    (fun c ->
+      if Array.for_all (( = ) 0) c then true
+      else begin
+        let v = Array.copy c in
+        List.iter
+          (fun (pivot, b) ->
+            let x = v.(pivot) and y = b.(pivot) in
+            if x <> 0 then begin
+              let g = gcd x y in
+              let x = x / g and y = y / g in
+              Array.iteri (fun d bd -> v.(d) <- (v.(d) * y) - (bd * x)) b
+            end)
+          (List.rev !basis);
+        let rec pivot d = if d = Array.length v then None else if v.(d) <> 0 then Some d else pivot (d + 1) in
+        match pivot 0 with
+        | None -> false
+        | Some d ->
+            basis := (d, v) :: !basis;
+            true
+      end)
+    cols
+
+(** A class of {!planned_chains} being built: its first member, that
+    member's position, the class's number in creation order, and once
+    another member joins, every member with its distance to the first,
+    in reverse order. *)
+type planned_class = {
+  lead : Access.t;
+  lead_pos : int;
+  created : int;
+  mutable chained : (Access.t * int) list;
+}
+
+(** The chains of [p], a pattern of a planned or rehoisted walk, along
+    [inner], in closed form: the classes of two or more members that
+    {!partition_chains} finds for [p.members], in its order, member for
+    member and distance for distance; every other member is a class of
+    its own there. [None] when some member does not share the first's
+    coefficient rows over [p.spine].
+
+    The system {!chain_distance} solves for two such members has one
+    matrix [A] (a row per dimension, a column per spine loop: the
+    coefficient times the loop's step); only its right-hand side, the
+    difference of the members' constants, varies. [A] is reduced once.
+    When its nonzero columns are dependent, every solution has a free
+    variable: each pair is coupled and no class has two members.
+    Otherwise a solution is unique, and it is a distance along [inner]
+    alone exactly when the difference is a multiple of [inner]'s column
+    [g]: when the two members' residues modulo [g] agree. The distance
+    is their position difference, realizable within the trip count.
+    Members then join classes by hashing the residue, as the fast path
+    of {!partition_chains} does, which needs no verification here. *)
+let planned_chains (inner : loop) (p : pattern) : (Access.t * int) list list option =
+  match p.members with
+  | [] -> Some []
+  | first :: _ when not (shares_rows p first) -> None
+  | first :: _ ->
+      let column (l : loop) =
+        Array.of_list (List.map (fun f -> Affine.coeff (Option.get f) l.index * l.step) first.affine)
+      in
+      let g = column inner in
+      if Array.for_all (( = ) 0) g || not (independent_columns (List.map column p.spine)) then
+        Some []
+      else begin
+        let rec first_moving d = if g.(d) <> 0 then d else first_moving (d + 1) in
+        let d0 = first_moving 0 in
+        let pos (a : Access.t) =
+          match List.nth a.affine d0 with Some f -> fdiv f.const g.(d0) | None -> assert false
+        in
+        let rec hash pa h d = function
+          | Some (f : Affine.t) :: rest -> hash pa ((h * 31) + f.const - (pa * g.(d))) (d + 1) rest
+          | _ -> h
+        in
+        let rec same_residue pa pb d fa fb =
+          match (fa, fb) with
+          | Some (f : Affine.t) :: fa, Some (f' : Affine.t) :: fb ->
+              f.const - (pa * g.(d)) = f'.const - (pb * g.(d)) && same_residue pa pb (d + 1) fa fb
+          | _ -> true
+        in
+        let trip = Ast.loop_trip inner in
+        (* the first class of the residue whose first member lies
+           within the trip count *)
+        let rec find pa (a : Access.t) = function
+          | [] -> raise_notrace Not_found
+          | c :: rest ->
+              if abs (c.lead_pos - pa) < trip && same_residue c.lead_pos pa 0 c.lead.affine a.affine
+              then c
+              else find pa a rest
+        in
+        let by_residue = Hashtbl.create 16 and created = ref 0 and chains = ref [] in
+        List.iter
+          (fun (a : Access.t) ->
+            let pa = pos a in
+            let h = hash pa (Array.length g) 0 a.affine in
+            let bucket = try Hashtbl.find by_residue h with Not_found -> [] in
+            match find pa a bucket with
+            | c ->
+                if c.chained = [] then begin
+                  c.chained <- [ (c.lead, 0) ];
+                  chains := c :: !chains
+                end;
+                c.chained <- (a, c.lead_pos - pa) :: c.chained
+            | exception Not_found ->
+                Hashtbl.replace by_residue h
+                  (bucket @ [ { lead = a; lead_pos = pa; created = !created; chained = [] } ]);
+                incr created)
+          p.members;
+        Some
+          (List.map
+             (fun c -> List.rev c.chained)
+             (List.sort (fun c c' -> compare c.created c'.created) !chains))
+      end
+
+let try_chains ~(config : config) ~planned ~written (st : state) (ed : edits)
     (p : pattern) =
   let innermost_varying =
     match List.rev p.varying with [] -> None | l :: _ -> Some l
@@ -1287,7 +1420,11 @@ let try_chains ~(config : config) ~written (st : state) (ed : edits)
          && p.has_reads && (not p.has_writes)
          && (not (List.mem p.array written))
          && not p.any_guarded ->
-      let classes = partition_chains inner p.members in
+      let classes =
+        match if planned then planned_chains inner p else None with
+        | Some chains -> chains
+        | None -> partition_chains inner p.members
+      in
       List.iter
         (fun cls ->
           match cls with
@@ -1629,8 +1766,9 @@ let run_walks ~seen ?(config = default_config) ?plan (k : kernel) : kernel * rep
       end
       else List.filter (fun p -> not (List.memq p !banked)) !w.patterns
     in
+    let planned = match !w.origin with Planned _ | Rehoisted -> true | Walked _ -> false in
     let ed = new_edits () in
-    List.iter (fun p -> try_chains ~config ~written st ed p) ps;
+    List.iter (fun p -> try_chains ~config ~planned ~written st ed p) ps;
     if Hashtbl.length ed.repl > 0 then edit_body st ed
   end;
   cse_loads ~written ~single_pattern:(single !w st.kernel) st;

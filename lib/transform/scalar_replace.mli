@@ -117,3 +117,11 @@ val single : walk -> Ast.kernel -> string -> bool
     first member; the classes the pairwise dependence-solver scan finds. *)
 val partition_chains :
   Ast.loop -> Analysis.Access.t list -> (Analysis.Access.t * int) list list
+
+(** Exposed for tests. [planned_chains inner p]: the classes of two or
+    more members that [partition_chains inner p.members] finds, in its
+    order, computed in closed form for a pattern of a planned or
+    rehoisted walk (every member shares the coefficient rows over
+    [p.spine], so one reduced matrix and each member's residue decide
+    them); [None] when the members do not share them. *)
+val planned_chains : Ast.loop -> pattern -> (Analysis.Access.t * int) list list option

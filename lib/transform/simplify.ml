@@ -149,6 +149,7 @@ let subst_index index value body =
       (fun acc x -> acc || match x with Var v -> String.equal v index | _ -> false)
       false
   in
+  let plain = Ast.map_expr (function Var x when String.equal x index -> by | e -> e) in
   let respell e =
     if not (mentions e) then e
     else
@@ -157,9 +158,13 @@ let subst_index index value body =
       | Shifted c ->
           let spine = match e with Bin ((Add | Sub), p, Int _) -> p | _ -> e in
           Affine.with_const (Some spine) (f.const + (List.assoc index f.terms * c))
-      | Fixed c -> Affine.to_expr (Affine.subst f index (Affine.const c))
+      | Fixed c ->
+          (* the plain substitution when it is already canonical: it
+             keeps the subtrees that do not mention [index], as
+             simplifying it would *)
+          let p = plain e in
+          if canonical p then p else Affine.to_expr (Affine.subst f index (Affine.const c))
   in
-  let plain = Ast.map_expr (function Var x when String.equal x index -> by | e -> e) in
   let rec go e =
     if canonical e then respell e
     else

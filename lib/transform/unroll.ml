@@ -163,8 +163,10 @@ let jam_legal (k : kernel) : bool =
 (** The vector {!run} would actually apply to [k]: clamped to trip
     counts, dropped when trivial, and reduced to the innermost loop when
     jamming is not provably legal (plain unrolling of the innermost loop
-    keeps original iteration order, so it never reorders a dependence). *)
-let effective (k : kernel) (v : vector) : vector =
+    keeps original iteration order, so it never reorders a dependence).
+    [jam_legal], when given, is {!jam_legal} of [k], forced only when
+    the vector unrolls more than the innermost loop. *)
+let effective ?jam_legal:legal (k : kernel) (v : vector) : vector =
   let v = clamp k.k_body v in
   if v = [] then []
   else begin
@@ -176,7 +178,8 @@ let effective (k : kernel) (v : vector) : vector =
              let innermost = (List.nth spine (List.length spine - 1)).index in
              List.exists (fun (i, u) -> u > 1 && i <> innermost) v)
     in
-    if (not multi_loop) || jam_legal k then v
+    let legal () = match legal with Some l -> Lazy.force l | None -> jam_legal k in
+    if (not multi_loop) || legal () then v
     else
       match List.rev (Loop_nest.spine k.k_body) with
       | [] -> []
@@ -185,7 +188,7 @@ let effective (k : kernel) (v : vector) : vector =
 
 (** Apply an unroll-factor vector to a kernel, then simplify so that
     subscripts return to canonical affine shape. *)
-let run (v : vector) (k : kernel) : kernel =
-  match effective k v with
+let run ?jam_legal (v : vector) (k : kernel) : kernel =
+  match effective ?jam_legal k v with
   | [] -> Simplify.run k
   | v -> Simplify.run { k with k_body = unroll_body v k.k_body }

@@ -24,10 +24,14 @@ val clamp : ?divisors_only:bool -> Ast.stmt list -> vector -> vector
 val jam_legal : Ast.kernel -> bool
 
 (** The vector {!run} would actually apply: clamped to trip counts and
-    reduced to the innermost loop when jamming is not provably legal. *)
-val effective : Ast.kernel -> vector -> vector
+    reduced to the innermost loop when jamming is not provably legal.
+    [jam_legal], when given, must be [lazy (jam_legal k)]: a verdict
+    computed once for [k] and shared by every vector; it is forced only
+    when the vector unrolls more than the innermost loop. *)
+val effective : ?jam_legal:bool Lazy.t -> Ast.kernel -> vector -> vector
 
 (** Apply a vector, then simplify back to canonical subscripts. When
     jamming is not provably legal, only the innermost spine loop is
-    unrolled (plain unrolling never reorders a dependence). *)
-val run : vector -> Ast.kernel -> Ast.kernel
+    unrolled (plain unrolling never reorders a dependence). [jam_legal]
+    is as for {!effective}. *)
+val run : ?jam_legal:bool Lazy.t -> vector -> Ast.kernel -> Ast.kernel

@@ -1126,13 +1126,59 @@ let pattern_print (p : SR.pattern) =
     (if p.SR.has_reads then " reads" else "")
     (if p.SR.has_writes then " writes" else "")
 
+let classes_print classes =
+  String.concat " | "
+    (List.map
+       (fun cls ->
+         String.concat " "
+           (List.map (fun ((a : Analysis.Access.t), d) -> Printf.sprintf "#%d@%d" a.Analysis.Access.id d) cls))
+       classes)
+
+(** On every pattern of a planned or rehoisted walk, the closed-form
+    chains are {!SR.partition_chains}' classes of two or more members on
+    the same inner loop (the innermost loop the pattern varies with) and
+    members: member for member, distance for distance. Both list classes
+    in the order of their first members, so the rest are the same
+    singletons. A pattern whose innermost varying loop is the spine's
+    innermost one, which the chains phase reads, must be decided in
+    closed form. *)
+let planned_chains_equivalent (w : SR.walk) =
+  match w.SR.origin with
+  | SR.Walked _ -> ()
+  | SR.Planned _ | SR.Rehoisted ->
+      List.iter
+        (fun (p : SR.pattern) ->
+          match List.rev p.SR.varying with
+          | [] -> ()
+          | inner :: _ -> (
+              let oracle =
+                List.filter
+                  (fun cls -> List.compare_length_with cls 1 > 0)
+                  (SR.partition_chains inner p.SR.members)
+              in
+              let same a b =
+                List.equal (List.equal (fun (x, d) (y, e) -> x == y && d = e)) a b
+              in
+              match SR.planned_chains inner p with
+              | Some classes ->
+                  if not (same classes oracle) then
+                    failf "%s walk: closed-form chains of %s along %s differ:\n%s\npartition_chains:\n%s"
+                      (origin_name w) (pattern_print p) inner.Ast.index (classes_print classes)
+                      (classes_print oracle)
+              | None ->
+                  if inner == List.nth p.SR.spine (List.length p.SR.spine - 1) then
+                    failf "%s walk: chain classes of %s not decided in closed form" (origin_name w)
+                      (pattern_print p)))
+        w.SR.patterns
+
 (** Every walk a run with [plan] reads equals {!SR.walk} of its kernel:
     the same patterns, members (ids and loops included) and facts, and
     the same answer to element CSE's single-pattern test on every
-    array. *)
+    array; its closed-form chain classes are {!SR.partition_chains}'. *)
 let plan_walk_equivalent ?config ~plan (k : Ast.kernel) =
   List.iter
     (fun (w : SR.walk) ->
+      planned_chains_equivalent w;
       let w' = SR.walk w.SR.walked in
       if compare w.SR.patterns w'.SR.patterns <> 0 then
         failf "%s walk differs from the walk:\n%s\nwalk:\n%s\nof:\n%s" (origin_name w)
@@ -1193,6 +1239,45 @@ let test_sr_fronts () =
         (Dse.Space.joint_tile_options ctx ~candidates:Dse.Space.default_tile_candidates))
     (builtins ())
 
+(* Every front of every built-in and gallery kernel's product-64 joint
+   lattice, tiled ones included: the jam verdict the fronts of a source
+   and tile share is [Unroll.jam_legal] of the tiled source, and the
+   unrolled kernel is the one [Unroll.run] gives without it. *)
+let test_jam_fronts () =
+  let shared = ref 0 in
+  List.iter
+    (fun (name, k) ->
+      let ctx = Dse.Design.context k in
+      let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.env.spine in
+      List.iter
+        (fun tile ->
+          List.iter
+            (fun vector ->
+              let opts = { Transform.Pipeline.default with vector; tile } in
+              let seen = ref None in
+              ignore
+                (Transform.Pipeline.front
+                   ~observe:(fun stage ~before ~after ->
+                     if stage = Transform.Pipeline.Unroll_jam then seen := Some (before, after))
+                   opts k);
+              let tiled, unrolled = Option.get !seen in
+              let where () =
+                Printf.sprintf "%s %s" name
+                  (Transform.Pipeline.config_to_string (Transform.Pipeline.config_of_options opts))
+              in
+              if unrolled <> Transform.Unroll.run vector tiled then
+                Alcotest.failf "%s: the unrolled kernel differs from Unroll.run's" (where ());
+              match Transform.Pipeline.jam_verdict k tile with
+              | Some verdict ->
+                  incr shared;
+                  if verdict <> Transform.Unroll.jam_legal tiled then
+                    Alcotest.failf "%s: shared jam verdict %b" (where ()) verdict
+              | None -> ())
+            (Dse.Util.divisor_vectors ~max_product:64 ctx ~eligible))
+        (Dse.Space.joint_tile_options ctx ~candidates:Dse.Space.default_tile_candidates))
+    (builtins ());
+  if !shared = 0 then Alcotest.fail "no front shared a jam verdict"
+
 (* The built-in and gallery kernels some of whose untiled fronts (every
    vector of the product-64 lattice, replacement on) read a collected
    walk, each with the vectors that do. *)
@@ -1239,35 +1324,57 @@ let test_plan_coverage () =
   Alcotest.(check (list (pair string string)))
     "fronts that walk" [ ("histogram", "i=1 i=2 i=4 i=8 i=16 i=32 i=64") ] (plan_fallbacks ())
 
-(* Scalar replacement's minor words per distinct member on Sobel over a
-   66x66 image, j doubling from 2 to 32 with i unrolled by 2: the walk
-   is instantiated per distinct member, not per unrolled access, so the
-   ratio may fall with fixed costs spread thinner but not rise by more
-   than 10% per doubling. *)
+(* A depth-3 kernel of the shape the benchmark's generator draws: a
+   3x3-window stencil whose column subscript [j + k] couples the middle
+   loop with a short innermost reduction, accumulated into [dst[i][j]]
+   (hoisted, so the chains read a rehoisted walk). *)
+let reduction3 =
+  lazy
+    (Frontend.Parser.kernel_of_string ~name:"reduction3"
+       {|short src[34][68]; short w[3]; int dst[32][64];
+         for (i = 0; i < 32; i++)
+           for (j = 0; j < 64; j++)
+             for (k = 0; k < 3; k++)
+               dst[i][j] = dst[i][j] + (3*src[i][j+k] - 5*src[i+1][j+k+2] + 2*src[i+2][j+k+1]) * w[k];|})
+
+(* Scalar replacement's minor words per distinct member, one loop's
+   factor doubling from 2 to 32 with another's fixed: Sobel over a
+   66x66 image (i unrolled by 2), and corr and the depth-3 reduction
+   (i unrolled by 8), whose windows are coupled patterns of up to 256
+   and more members. The walk is instantiated per distinct member, not
+   per unrolled access, and chain classes come from the plan without a
+   pairwise scan, so the ratio may fall with fixed costs spread thinner
+   but not rise by more than 10% per doubling. *)
 let test_plan_scaling () =
-  let k = Lazy.force Helpers.sobel64 in
-  let plan = SR.plan k in
-  let per_member j =
-    let vector = [ ("i", 2); ("j", j) ] in
+  let per_member (k : Ast.kernel) plan vector =
     let input = Transform.Unroll.run vector k in
     let members =
       match SR.walks ~plan:(plan, vector) input with
       | ({ SR.origin = SR.Planned _; _ } as w) :: _ ->
           List.fold_left (fun n (p : SR.pattern) -> n + List.length p.SR.members) 0 w.SR.patterns
-      | _ -> failf "j=%d: the first walk is not planned" j
+      | _ -> failf "%s %s: the first walk is not planned" k.Ast.k_name (Helpers.vector_to_string vector)
     in
     let w0 = Gc.minor_words () in
     ignore (Sys.opaque_identity (SR.run ~plan:(plan, vector) input));
     (Gc.minor_words () -. w0) /. float_of_int members
   in
-  let rec check = function
-    | (ja, ra) :: ((jb, rb) :: _ as rest) ->
-        if rb > 1.1 *. ra then
-          Alcotest.failf "j=%d -> j=%d: %.1f -> %.1f words per distinct member" ja jb ra rb;
-        check rest
-    | _ -> ()
-  in
-  check (List.map (fun j -> (j, per_member j)) [ 2; 4; 8; 16; 32 ])
+  List.iter
+    (fun (k, fixed) ->
+      let plan = SR.plan k in
+      let rec check = function
+        | (ja, ra) :: ((jb, rb) :: _ as rest) ->
+            if rb > 1.1 *. ra then
+              Alcotest.failf "%s: j=%d -> j=%d: %.1f -> %.1f words per distinct member" k.Ast.k_name
+                ja jb ra rb;
+            check rest
+        | _ -> ()
+      in
+      check (List.map (fun j -> (j, per_member k plan [ fixed; ("j", j) ])) [ 2; 4; 8; 16; 32 ]))
+    [
+      (Lazy.force Helpers.sobel64, ("i", 2));
+      (Option.get (Gallery.find "corr"), ("i", 8));
+      (Lazy.force reduction3, ("i", 8));
+    ]
 
 (* Budgets from none to plenty, chain spans 1-4, banks and chains each
    on or off. *)
@@ -1546,6 +1653,7 @@ let () =
       ( "scalar",
         [
           Alcotest.test_case "every front of the built-in joint lattices" `Quick test_sr_fronts;
+          Alcotest.test_case "one jam verdict per source and tile" `Quick test_jam_fronts;
           Alcotest.test_case "untiled built-in fronts take the plan" `Quick test_plan_coverage;
           Alcotest.test_case "plan words track distinct members" `Quick test_plan_scaling;
           Alcotest.test_case "loop indices read as values" `Quick test_plan_index_values;
