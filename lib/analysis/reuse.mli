@@ -13,23 +13,12 @@ type group = {
   members : Access.t list;  (** in execution order *)
 }
 
-(** Same coefficients on every dimension over the given index set. *)
-val same_pattern : string list -> Access.t -> Access.t -> bool
-
-(** Hash of an affine access's array and per-dimension coefficient
-    vectors over the indices, kind left out: equal patterns hash
-    equally. *)
-val pattern_hash : string list -> Access.t -> int
-
 (** Partition accesses into uniformly generated sets, reads and writes
-    separately (linear time, bucketed on {!pattern_hash}). Groups are in
-    the order of their first member, then the non-affine accesses, each
-    in a singleton group. *)
+    separately (linear time, bucketed on a hash of the coefficient
+    vectors over the spine indices). Groups are in the order of their
+    first member, then the non-affine accesses, each in a singleton
+    group. *)
 val groups : Ast.stmt list -> group list
-
-(** {!groups} over accesses already collected from a body, uniform
-    generation taken over the given indices. *)
-val group_accesses : string list -> Access.t list -> group list
 
 val read_sets : Ast.stmt list -> group list
 

@@ -54,7 +54,7 @@ let mark = 4
 
 (* Calls [report node name status ~rotation span] on every read that is
    not initialized, once per node and name, in node order. *)
-let walk (k : Ast.kernel) report =
+let scan (k : Ast.kernel) report =
   let st = Hashtbl.create 64 in
   let get v = try Hashtbl.find st v with Not_found -> 0 in
   let clear bit v = Hashtbl.replace st v (get v land lnot bit) in
@@ -189,13 +189,13 @@ let walk (k : Ast.kernel) report =
 
 let sites (k : Ast.kernel) : site list =
   let acc = ref [] in
-  walk k (fun node name status ~rotation span ->
+  scan k (fun node name status ~rotation span ->
       acc := { node; name; status; rotation; span } :: !acc);
   List.rev !acc
 
 let errors (k : Ast.kernel) : int =
   let n = ref 0 in
-  walk k (fun _ _ status ~rotation _ ->
+  scan k (fun _ _ status ~rotation _ ->
       if status = Uninitialized && not rotation then incr n);
   !n
 

@@ -207,8 +207,8 @@ let front ?observe (opts : options) (source : Ast.kernel) : front =
     | None -> source
   in
   (* The shared facts pay off over unrolled copies; without a factor
-     above 1, nothing is jammed, and walking the kernel costs less than
-     planning it. *)
+     above 1, nothing is jammed, and scalar replacement reads the
+     kernel off its own plan, which costs no more than the source's. *)
   let facts =
     if List.exists (fun (_, u) -> u > 1) opts.vector then Some (facts_for source opts.tile tiled)
     else None

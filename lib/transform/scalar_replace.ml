@@ -32,20 +32,22 @@
 
     Every phase reads one access walk: the uniformly generated patterns
     of the kernel, each with its distinct members in execution order.
-    The search runs replacement at every unroll vector it visits, so the
-    walk comes from a {b plan} derived once per source nest and tile
-    ({!plan}): the source body's accesses with their coefficient rows
-    and constant offsets, and the patterns they form per set of fully
-    unrolled loops. {b Instantiating} the plan for a vector
-    ({!instantiate}) enumerates the unrolled copies' offsets as integers
-    in the order unroll-and-jam emits them, keeps each distinct member
-    once, and builds an access record for it alone; the walk after
-    hoisting is derived from that one ({!rehoist}). Kernels the plan
-    does not cover (imperfect nests, conditionals, subscripts that are
-    not affine in the loop indices, read an array or name a scalar, and
-    vectors whose factors leave an epilogue) {b fall back} to
-    collecting every access ({!walk}), which also serves as the plan's
-    test oracle. *)
+    The walk always comes from a {b plan} ({!record}): a kernel's
+    accesses with their loops, guards, spine coefficient rows and the
+    flags that make a pattern ineligible, and the patterns they form
+    per set of fully unrolled loops. The search runs replacement at
+    every unroll vector it visits, so the plan of a source nest and
+    tile ({!plan}) is derived once and {b instantiated} per vector in
+    closed form ({!instantiate}): the unrolled copies' offsets are
+    enumerated as integers in the order unroll-and-jam emits them, each
+    distinct member is kept once and gets the only access record built
+    for it. Where the closed form does not apply (imperfect nests,
+    conditionals, subscripts that are not affine in the loop indices,
+    read an array or name a scalar, a one-trip loop, and vectors whose
+    factors leave an epilogue or fix an index read as a value), the
+    walk is the kernel's own plan, no loop unrolled ({!identity}). The
+    walk after hoisting is derived from the first where it can be
+    ({!rehoist}). *)
 
 open Ir
 open Ast
@@ -90,24 +92,15 @@ let empty_report =
 (* ------------------------------------------------------------------ *)
 (* Tree-edit helpers, all keyed by spine-loop index *)
 
-(** Apply [f] to the body of the spine loop named [index]. Shares
-    unchanged subtrees, so an edit that leaves the target body physically
-    unchanged (e.g. a scan) returns the input body itself. *)
-let rec edit_loop_body ~index f body =
-  Ast.map_sharing
-    (fun s ->
-      match s with
-      | For l when l.index = index ->
-          let b' = f l.body in
-          if b' == l.body then s else For { l with body = b' }
-      | For l ->
-          let b' = edit_loop_body ~index f l.body in
-          if b' == l.body then s else For { l with body = b' }
-      | If (c, t, e) ->
-          let t' = edit_loop_body ~index f t
-          and e' = edit_loop_body ~index f e in
-          if t' == t && e' == e then s else If (c, t', e')
-      | Assign _ | Rotate _ -> s)
+(** The bodies of the loops named [index], outermost first, in document
+    order. *)
+let rec loop_bodies ~index body =
+  List.concat_map
+    (function
+      | For l when l.index = index -> [ l.body ]
+      | For l -> loop_bodies ~index l.body
+      | If (_, t, e) -> loop_bodies ~index t @ loop_bodies ~index e
+      | Assign _ | Rotate _ -> [])
     body
 
 (** A batch of replacements and inserts, applied in one rewrite walk and
@@ -224,6 +217,9 @@ let apply_edits (body : stmt list) (ed : edits) : stmt list =
 (* ------------------------------------------------------------------ *)
 (* Pattern facts *)
 
+(* ------------------------------------------------------------------ *)
+(* Pattern facts *)
+
 (** One uniformly generated pattern of an array, with its distinct
     subscript-expression members. *)
 type pattern = {
@@ -244,6 +240,10 @@ type pattern = {
           than a loop index (a register, a loaded value): the element it
           addresses changes where no loop index does, so the pattern is
           ineligible for hoisting, banks and chains *)
+  uniform : bool;
+      (** every access is affine, names no assigned scalar and has the
+          coefficients of the others on every loop index around any of
+          them: distinct members address distinct elements *)
 }
 
 (** One access walk of a kernel: its patterns and where they came
@@ -258,12 +258,17 @@ type walk = {
 }
 
 and origin =
-  | Walked of Access.t list  (** every access of [walked], collected *)
-  | Planned of { per_copy : int; copies : int; sources : (pattern * int list) list }
+  | Planned of {
+      per_copy : int;
+      copies : int;
+      sources : (pattern * int list) list;
+      perfect : bool;
+    }
       (** instantiated from a plan: [copies] unrolled copies of a source
           body of [per_copy] accesses, where copy [r] of source access [s]
           has id [r * per_copy + s]; each pattern lists its source
-          accesses *)
+          accesses; [perfect] when every access lies in the innermost
+          body of a perfect nest of the spine *)
   | Rehoisted  (** derived from a planned walk after hoisting *)
 
 let rec reads_array (e : expr) =
@@ -273,15 +278,6 @@ let rec reads_array (e : expr) =
   | Bin (_, a, b) -> reads_array a || reads_array b
   | Un (_, a) -> reads_array a
   | Cond (c, t, e) -> reads_array c || reads_array t || reads_array e
-
-(* Every loop around [a] that [a] varies with is named in [spine]. *)
-let varies_on_spine_only spine_names (a : Access.t) =
-  let rec go = function
-    | [] -> true
-    | (l : loop) :: rest ->
-        (List.mem l.index spine_names || not (Access.varies_with a l.index)) && go rest
-  in
-  go a.loops
 
 (* Scalars the body assigns or rotates, and with [indices] the indices
    of its loops. *)
@@ -310,162 +306,74 @@ let rec mentions tbl (e : expr) =
   | Un (_, a) -> mentions tbl a
   | Cond (c, t, e) -> mentions tbl c || mentions tbl t || mentions tbl e
 
-(* Some subscript of [a] names a scalar in [tbl]. *)
-let subscript_mentions tbl (a : Access.t) = List.exists (mentions tbl) a.subs
-
-let walk (k : kernel) : walk =
-  let spine = Loop_nest.spine k.k_body in
-  let spine_names = List.map (fun (l : loop) -> l.index) spine in
-  let accesses = Access.collect k.k_body in
-  let groups = Analysis.Reuse.group_accesses spine_names accesses in
-  (* Merge the read group and write group of the same array+pattern so
-     hoist/sink treats them together: the first group's members, then the
-     second's. Non-affine accesses stay alone. *)
-  let buckets = Hashtbl.create 16 in
-  let merged = ref [] in
-  List.iter
-    (fun (g : Analysis.Reuse.group) ->
-      match g.members with
-      | [] -> ()
-      | m :: _ when not (Access.is_affine m) -> merged := ref g.members :: !merged
-      | m :: _ -> (
-          let h = Analysis.Reuse.pattern_hash spine_names m in
-          let bucket = try Hashtbl.find buckets h with Not_found -> [] in
-          match
-            List.find_opt
-              (fun ((n : Access.t), _) ->
-                String.equal n.array m.array
-                && Analysis.Reuse.same_pattern spine_names n m)
-              bucket
-          with
-          | Some (_, members) -> members := !members @ g.members
-          | None ->
-              let members = ref g.members in
-              Hashtbl.replace buckets h ((m, members) :: bucket);
-              merged := members :: !merged))
-    groups;
-  let assigned = assigned_scalars ~indices:false k.k_body in
-  let pattern (members : Access.t list) =
-    let m = List.hd members in
-    let elem =
-      match Ast.find_array k m.array with Some d -> d.a_elem | None -> Dtype.int32
-    in
-    let distinct =
-      match members with
-      | [ _ ] -> members
-      | _ ->
-          let seen = Hashtbl.create 16 in
-          List.filter
-            (fun (a : Access.t) ->
-              let key = (a.subs, a.kind) in
-              if Hashtbl.mem seen key then false
-              else begin
-                Hashtbl.replace seen key ();
-                true
-              end)
-            members
-    in
-    {
-      array = m.array;
-      elem;
-      members = distinct;
-      has_reads = List.exists Access.is_read members;
-      has_writes = List.exists Access.is_write members;
-      any_guarded = List.exists (fun (a : Access.t) -> a.guarded) members;
-      varying =
-        List.filter
-          (fun (l : loop) -> List.exists (fun a -> Access.varies_with a l.index) members)
-          spine;
-      spine;
-      spine_only = List.for_all (varies_on_spine_only spine_names) members;
-      scalar_subs = List.exists (subscript_mentions assigned) members;
-    }
-  in
-  {
-    walked = k;
-    patterns = List.rev_map (fun members -> pattern !members) !merged;
-    indirect = List.exists (fun (a : Access.t) -> List.exists reads_array a.subs) accesses;
-    origin = Walked accesses;
-  }
-
 (* ------------------------------------------------------------------ *)
-(* The plan: one source nest's patterns, instantiated per unroll vector *)
+(* The plan: one kernel's accesses, instantiated per unroll vector *)
 
-(** One array access of a plan's source body. *)
+(** One array access of a plan's kernel, with the facts its pattern
+    reads. *)
 type source_access = {
-  sa_array : string;
-  sa_kind : Access.kind;
-  sa_rows : (string * int) list array;  (** loop-index terms per dimension *)
-  sa_consts : int array;  (** constant part per dimension *)
-  sa_coeffs : int array array;  (** per dimension, the coefficient of each source loop *)
+  sa : Access.t;  (** as collected *)
+  sa_rows : (string * int) list array;
+      (** per dimension, the subscript's terms on spine loop indices;
+          empty for an opaque access *)
+  sa_opaque : bool;  (** some subscript is not affine: a pattern of its own *)
+  sa_varying : int;  (** bit [i]: the access varies with spine loop [i] *)
+  sa_spine_only : bool;  (** every loop around it that it varies with is on the spine *)
+  sa_scalar : bool;  (** a subscript names a non-index scalar the kernel assigns *)
 }
 
-(** A uniformly generated pattern of the source body once some loops are
-    fully unrolled: its coefficient rows with those loops' terms dropped,
-    and its groups (one per access kind, the earlier first), each the
-    numbers of its source accesses in execution order. *)
+(** A uniformly generated pattern of the plan's kernel once some loops
+    are fully unrolled: its coefficient rows with those loops' terms
+    dropped, and its groups (one per access kind, the earlier first),
+    each the numbers of its source accesses in execution order. An
+    opaque access is a pattern of its own. *)
 type source_pattern = {
   sp_array : string;
   sp_rows : (string * int) list array;
   sp_groups : (Access.kind * int list) list;
 }
 
+(** What the closed-form unroll reads of a perfect nest. *)
 type nest = {
-  n_loops : loop array;  (** the source spine, outermost first *)
-  n_accesses : source_access array;  (** the innermost body's, in execution order *)
+  n_consts : int array array;  (** per access, the constant part per dimension *)
+  n_coeffs : int array array array;
+      (** per access and dimension, the coefficient of each source loop *)
   n_stmts : int;  (** statements of the innermost body *)
   index_values : bool;
       (** a loop index is read outside a subscript: fixing it may fold
           an expression, and the reads in it, away *)
-  mutable by_mask : (int * source_pattern list) list;
-      (** the patterns per set of fully unrolled loops (bit [i]: loop
-          [i]), derived on first use *)
 }
 
-type plan = nest option
+type plan = {
+  p_kernel : kernel;
+  p_spine : loop array;
+  p_accesses : source_access array;  (** in execution order: access [s] has id [s] *)
+  p_perfect : bool;
+      (** every access lies in the innermost body of a perfect nest of
+          the spine *)
+  p_nest : nest option Lazy.t;
+      (** [None] unless the kernel is a perfect nest of loops of two or
+          more iterations around assignments whose subscripts are affine
+          in the loop indices alone, with no conditional and no loop
+          index assigned *)
+  mutable by_mask : (int * source_pattern list) list;
+      (** the patterns per set of fully unrolled loops (bit [i]: spine
+          loop [i]), derived on first use *)
+}
 
-(** The plan of a source kernel: [None] unless the kernel is a perfect
-    nest of loops of two or more iterations around assignments whose
-    subscripts are affine in the loop indices alone, with no
-    conditional and no loop index assigned. *)
-let plan (k : kernel) : plan =
-  let k = Simplify.run k in
+(* The closed-form data of [p]'s kernel, when it is such a nest. *)
+let nest_of (k : kernel) (spine : loop array) (accesses : source_access array) =
   match Loop_nest.perfect_nest k.k_body with
   | [], _ -> None
   | loops, body ->
       let indices = List.map (fun (l : loop) -> l.index) loops in
       let is_index v = List.mem v indices in
-      let ok = ref true and index_values = ref false and accesses = ref [] in
-      let push sa_array sa_kind subs =
-        let forms = List.map Affine.of_expr subs in
-        if
-          List.for_all
-            (function
-              | Some (f : Affine.t) -> List.for_all (fun (v, _) -> is_index v) f.terms
-              | None -> false)
-            forms
-        then
-          let forms = Array.of_list (List.map Option.get forms) in
-          accesses :=
-            {
-              sa_array;
-              sa_kind;
-              sa_rows = Array.map (fun (f : Affine.t) -> f.terms) forms;
-              sa_consts = Array.map (fun (f : Affine.t) -> f.const) forms;
-              sa_coeffs =
-                Array.map
-                  (fun (f : Affine.t) -> Array.of_list (List.map (Affine.coeff f) indices))
-                  forms;
-            }
-            :: !accesses
-        else ok := false
-      in
-      (* the accesses in [Access.collect]'s order *)
+      let ok = ref true and index_values = ref false in
+      (* subscripts are the accesses' business: not entered *)
       let rec expr (e : expr) =
         match e with
-        | Int _ -> ()
+        | Int _ | Arr _ -> ()
         | Var v -> if is_index v then index_values := true
-        | Arr (a, subs) -> push a Access.Read subs
         | Bin (_, x, y) ->
             expr x;
             expr y
@@ -477,84 +385,267 @@ let plan (k : kernel) : plan =
           match s with
           | Assign (lv, e) -> (
               expr e;
-              match lv with
-              | Lvar v -> if is_index v then ok := false
-              | Larr (a, subs) -> push a Access.Write subs)
+              match lv with Lvar v -> if is_index v then ok := false | Larr _ -> ())
           | If _ | For _ | Rotate _ -> ok := false)
         body;
-      let loops_ok =
-        List.for_all (fun (l : loop) -> l.step > 0 && Ast.loop_trip l >= 2) loops
-        && List.length (List.sort_uniq String.compare indices) = List.length indices
+      let in_indices sa =
+        List.for_all
+          (function Some (f : Affine.t) -> List.for_all (fun (v, _) -> is_index v) f.terms | None -> false)
+          sa.sa.Access.affine
       in
-      if not (!ok && loops_ok) then None
-      else
+      if
+        !ok
+        && List.compare_length_with loops (Array.length spine) = 0
+        && List.for_all (fun (l : loop) -> l.step > 0 && Ast.loop_trip l >= 2) loops
+        && List.length (List.sort_uniq String.compare indices) = List.length indices
+        && Array.for_all in_indices accesses
+      then
+        let per_dim g sa = Array.of_list (List.map (fun f -> g (Option.get f)) sa.sa.Access.affine) in
         Some
           {
-            n_loops = Array.of_list loops;
-            n_accesses = Array.of_list (List.rev !accesses);
+            n_consts = Array.map (per_dim (fun (f : Affine.t) -> f.const)) accesses;
+            n_coeffs =
+              Array.map (per_dim (fun f -> Array.of_list (List.map (Affine.coeff f) indices))) accesses;
             n_stmts = List.length body;
             index_values = !index_values;
-            by_mask = [];
           }
+      else None
 
-(* The patterns of [n] with the loops of [mask] fully unrolled: the
-   groups [Analysis.Reuse.group_accesses] finds over the remaining
-   loops, merged as {!walk} merges them. *)
-let source_patterns (n : nest) mask =
-  match List.assoc_opt mask n.by_mask with
+(** The plan of [k] as it stands: every access with its spine rows and
+    the flags its pattern reads. *)
+let record (k : kernel) : plan =
+  let spine = Array.of_list (Loop_nest.spine k.k_body) in
+  let depth = Array.length spine in
+  let spine_bits v =
+    let b = ref 0 in
+    for i = 0 to depth - 1 do
+      if String.equal spine.(i).index v then b := !b lor (1 lsl i)
+    done;
+    !b
+  in
+  let assigned = assigned_scalars ~indices:false k.k_body in
+  let source (a : Access.t) =
+    let opaque = not (Access.is_affine a) in
+    let varying = ref 0 in
+    let rows =
+      if opaque then begin
+        for i = 0 to depth - 1 do
+          if Access.varies_with a spine.(i).index then varying := !varying lor (1 lsl i)
+        done;
+        [||]
+      end
+      else
+        Array.of_list
+          (List.map
+             (fun f ->
+               let (f : Affine.t) = Option.get f in
+               let off = ref false in
+               List.iter
+                 (fun (v, _) ->
+                   let b = spine_bits v in
+                   if b = 0 then off := true else varying := !varying lor b)
+                 f.terms;
+               if !off then List.filter (fun (v, _) -> spine_bits v <> 0) f.terms else f.terms)
+             a.affine)
+    in
+    (* accesses no deeper than the spine lie in its loops *)
+    let spine_only =
+      List.compare_length_with a.loops depth <= 0
+      || List.for_all
+           (fun (l : loop) -> spine_bits l.index <> 0 || not (Access.varies_with a l.index))
+           a.loops
+    in
+    {
+      sa = a;
+      sa_rows = rows;
+      sa_opaque = opaque;
+      sa_varying = !varying;
+      sa_spine_only = spine_only;
+      sa_scalar = Hashtbl.length assigned > 0 && List.exists (mentions assigned) a.subs;
+    }
+  in
+  let accesses = Array.of_list (List.map source (Access.collect k.k_body)) in
+  {
+    p_kernel = k;
+    p_spine = spine;
+    p_accesses = accesses;
+    p_perfect =
+      List.compare_length_with (fst (Loop_nest.perfect_nest k.k_body)) depth = 0
+      && Array.for_all (fun sa -> List.compare_length_with sa.sa.loops depth = 0) accesses;
+    p_nest = lazy (nest_of k spine accesses);
+    by_mask = [];
+  }
+
+(** The plan of a source kernel (after tiling, before unroll-and-jam),
+    read in the simplified form unroll-and-jam leaves its copies in. *)
+let plan (k : kernel) : plan = record (Simplify.run k)
+
+(* A pattern being grouped: its groups, the latest first, each with its
+   source accesses in reverse. *)
+type grouping = {
+  g_array : string;
+  g_rows : (string * int) list array;
+  mutable g_groups : (Access.kind * int list ref) list;
+}
+
+(* The patterns of [p] with the spine loops of [mask] fully unrolled:
+   accesses grouped per kind, array and rows in the order of their first
+   members, a pattern's read and write groups merged, the earlier first,
+   and the opaque accesses last, one pattern each. Unrolled copies
+   differ in constants only, so a kernel has few distinct rows. *)
+let source_patterns (p : plan) mask =
+  match List.assoc_opt mask p.by_mask with
   | Some ps -> ps
   | None ->
       let unrolled v =
         let rec go i =
-          i < Array.length n.n_loops
-          && ((mask land (1 lsl i) <> 0 && String.equal n.n_loops.(i).index v) || go (i + 1))
+          i < Array.length p.p_spine
+          && ((mask land (1 lsl i) <> 0 && String.equal p.p_spine.(i).index v) || go (i + 1))
         in
         go 0
       in
-      let groups = ref [] in
+      let order = ref [] and opaque = ref [] in
       Array.iteri
         (fun s sa ->
-          let rows = Array.map (List.filter (fun (v, _) -> not (unrolled v))) sa.sa_rows in
-          match
-            List.find_opt
-              (fun (kind, array, rows', _) ->
-                kind = sa.sa_kind && String.equal array sa.sa_array && rows' = rows)
-              !groups
-          with
-          | Some (_, _, _, members) -> members := s :: !members
-          | None -> groups := (sa.sa_kind, sa.sa_array, rows, ref [ s ]) :: !groups)
-        n.n_accesses;
-      let patterns = ref [] in
-      List.iter
-        (fun (kind, array, rows, members) ->
-          let group = (kind, List.rev !members) in
-          let same p = String.equal p.sp_array array && p.sp_rows = rows in
-          if List.exists same !patterns then
-            patterns :=
-              List.map
-                (fun p -> if same p then { p with sp_groups = p.sp_groups @ [ group ] } else p)
-                !patterns
-          else patterns := { sp_array = array; sp_rows = rows; sp_groups = [ group ] } :: !patterns)
-        (List.rev !groups);
-      let patterns = List.rev !patterns in
-      n.by_mask <- (mask, patterns) :: n.by_mask;
+          if sa.sa_opaque then opaque := s :: !opaque
+          else
+            let rows =
+              if mask = 0 then sa.sa_rows
+              else Array.map (List.filter (fun (v, _) -> not (unrolled v))) sa.sa_rows
+            in
+            let array = sa.sa.array in
+            let g =
+              match List.find_opt (fun g -> String.equal g.g_array array && g.g_rows = rows) !order with
+              | Some g -> g
+              | None ->
+                  let g = { g_array = array; g_rows = rows; g_groups = [] } in
+                  order := g :: !order;
+                  g
+            in
+            match List.assoc_opt sa.sa.kind g.g_groups with
+            | Some srcs -> srcs := s :: !srcs
+            | None -> g.g_groups <- (sa.sa.kind, ref [ s ]) :: g.g_groups)
+        p.p_accesses;
+      let patterns =
+        List.rev_map
+          (fun g ->
+            {
+              sp_array = g.g_array;
+              sp_rows = g.g_rows;
+              sp_groups = List.rev_map (fun (kind, srcs) -> (kind, List.rev !srcs)) g.g_groups;
+            })
+          !order
+        @ List.rev_map
+            (fun s ->
+              let a = p.p_accesses.(s).sa in
+              { sp_array = a.array; sp_rows = [||]; sp_groups = [ (a.kind, [ s ]) ] })
+            !opaque
+      in
+      p.by_mask <- (mask, patterns) :: p.by_mask;
       patterns
+
+let elem_of (k : kernel) array =
+  match Ast.find_array k array with Some d -> d.a_elem | None -> Dtype.int32
+
+(** The walk of [p]'s kernel itself, no loop unrolled: each pattern's
+    members are its accesses with distinct subscripts, and its facts
+    gather its accesses' flags. *)
+(* The pattern [sp] of [k], one of [p]'s kernel or its unroll, with its
+   [members], its source accesses [srcs] and the spine loops it varies
+   with: its other facts gather its source accesses' flags. *)
+let make_pattern (p : plan) k spine (sp : source_pattern) srcs members varying =
+  let any f = List.exists (fun s -> f p.p_accesses.(s)) srcs in
+  let depth = Array.length p.p_spine in
+  let opaque = any (fun sa -> sa.sa_opaque) and scalar_subs = any (fun sa -> sa.sa_scalar) in
+  (* the loop indices around the accesses off the spine: the spine's
+     coefficients agree within a pattern *)
+  let off_spine =
+    List.concat_map
+      (fun s ->
+        let loops = p.p_accesses.(s).sa.loops in
+        if List.compare_length_with loops depth <= 0 then []
+        else List.filteri (fun i _ -> i >= depth) (List.map (fun (l : loop) -> l.index) loops))
+      srcs
+  in
+  let same_coeffs first s v =
+    List.for_all2
+      (fun f g -> Affine.coeff (Option.get f) v = Affine.coeff (Option.get g) v)
+      first p.p_accesses.(s).sa.affine
+  in
+  {
+    array = sp.sp_array;
+    elem = elem_of k sp.sp_array;
+    members;
+    has_reads = List.exists (fun (kind, _) -> kind = Access.Read) sp.sp_groups;
+    has_writes = List.exists (fun (kind, _) -> kind = Access.Write) sp.sp_groups;
+    any_guarded = any (fun sa -> sa.sa.guarded);
+    varying;
+    spine;
+    spine_only = not (any (fun sa -> not sa.sa_spine_only));
+    scalar_subs;
+    uniform =
+      (not opaque) && (not scalar_subs)
+      && (off_spine = []
+         ||
+         let first = p.p_accesses.(List.hd srcs).sa.affine in
+         List.for_all (fun s -> List.for_all (same_coeffs first s) off_spine) srcs);
+  }
+
+(** The walk of [p]'s kernel itself, no loop unrolled: each pattern's
+    members are its accesses with distinct subscripts. *)
+let identity (p : plan) : walk =
+  let spine = Array.to_list p.p_spine in
+  let pattern (sp : source_pattern) =
+    let srcs = match sp.sp_groups with [ (_, srcs) ] -> srcs | groups -> List.concat_map snd groups in
+    let distinct (_, srcs) =
+      match srcs with
+      | [ s ] -> [ p.p_accesses.(s).sa ]
+      | _ ->
+          let seen = Hashtbl.create 16 in
+          List.filter_map
+            (fun s ->
+              let a = p.p_accesses.(s).sa in
+              if Hashtbl.mem seen a.subs then None
+              else begin
+                Hashtbl.replace seen a.subs ();
+                Some a
+              end)
+            srcs
+    in
+    let varying = List.fold_left (fun b s -> b lor p.p_accesses.(s).sa_varying) 0 srcs in
+    ( make_pattern p p.p_kernel spine sp srcs
+        (List.concat_map distinct sp.sp_groups)
+        (List.filteri (fun i _ -> varying land (1 lsl i) <> 0) spine),
+      srcs )
+  in
+  let sources = List.map pattern (source_patterns p 0) in
+  {
+    walked = p.p_kernel;
+    patterns = List.map fst sources;
+    indirect = Array.exists (fun sa -> List.exists reads_array sa.sa.subs) p.p_accesses;
+    origin =
+      Planned
+        { per_copy = Array.length p.p_accesses; copies = 1; sources; perfect = p.p_perfect };
+  }
+
+(** The walk of [k] read off its own plan. *)
+let self (k : kernel) = identity (record k)
 
 exception Too_wide
 
-(** The walk {!walk} gives on [k], the plan's source nest unrolled and
-    jammed by [vector] (then simplified), derived from the plan: [None]
-    when the plan does not cover the source, a factor of [vector] does
-    not divide its loop's trip count (the epilogue breaks the nest), or
-    [k] is not such an unroll. Members are enumerated as the unrolled
-    copies' integer offsets; an access record is built for each distinct
-    member only. *)
+(** The walk of [k], the plan's source nest unrolled and jammed by
+    [vector] (then simplified), derived from the plan in closed form:
+    [None] when the source is not such a nest, a factor of [vector] does
+    not divide its loop's trip count (the epilogue breaks the nest), a
+    full unroll fixes an index read as a value, or [k] is not such an
+    unroll. Members are enumerated as the unrolled copies' integer
+    offsets; an access record is built for each distinct member only. *)
 let instantiate (plan : plan) (vector : Unroll.vector) (k : kernel) : walk option =
-  match plan with
+  match Lazy.force plan.p_nest with
   | None -> None
   | Some n -> (
       let spine, body = Loop_nest.perfect_nest k.k_body in
-      let depth = Array.length n.n_loops in
+      let depth = Array.length plan.p_spine in
       (* Each source loop's factor: kept with a multiplied step, or
          fully unrolled and inlined (absent from [k]'s spine). Without
          epilogues, the shape tells them apart: a factor not applied
@@ -563,7 +654,7 @@ let instantiate (plan : plan) (vector : Unroll.vector) (k : kernel) : walk optio
       let rec shape i (kl : loop list) =
         if i = depth then kl = []
         else
-          let l = n.n_loops.(i) in
+          let l = plan.p_spine.(i) in
           let trip = Ast.loop_trip l in
           trip mod min (Unroll.factor vector l.index) trip = 0
           &&
@@ -595,20 +686,20 @@ let instantiate (plan : plan) (vector : Unroll.vector) (k : kernel) : walk optio
            inside the copies of each inner one. A kept loop shifts its
            index by [digit * step], an unrolled one fixes it at
            [lo + digit * step]. *)
-        let per_copy = Array.length n.n_accesses in
+        let per_copy = Array.length plan.p_accesses in
         let offset = Array.make depth 0 in
         let set_copy r =
           let r = ref r in
           for i = 0 to depth - 1 do
-            let l = n.n_loops.(i) in
+            let l = plan.p_spine.(i) in
             let o = !r mod factor.(i) * l.step in
             offset.(i) <- (if !mask land (1 lsl i) <> 0 then l.lo + o else o);
             r := !r / factor.(i)
           done
         in
-        let const sa d =
-          let a = sa.sa_coeffs.(d) in
-          let c = ref sa.sa_consts.(d) in
+        let const s d =
+          let a = n.n_coeffs.(s).(d) in
+          let c = ref n.n_consts.(s).(d) in
           for i = 0 to depth - 1 do
             c := !c + (a.(i) * offset.(i))
           done;
@@ -630,9 +721,9 @@ let instantiate (plan : plan) (vector : Unroll.vector) (k : kernel) : walk optio
             for r = 0 to copies - 1 do
               set_copy r;
               for j = 0 to Array.length srcs - 1 do
-                let sa = n.n_accesses.(srcs.(j)) in
+                let s = srcs.(j) in
                 for d = 0 to dims - 1 do
-                  let c = const sa d in
+                  let c = const s d in
                   if c < lo.(d) then lo.(d) <- c;
                   if c > hi.(d) then hi.(d) <- c
                 done
@@ -654,10 +745,9 @@ let instantiate (plan : plan) (vector : Unroll.vector) (k : kernel) : walk optio
               set_copy r;
               for j = 0 to Array.length srcs - 1 do
                 let s = srcs.(j) in
-                let sa = n.n_accesses.(s) in
                 let key = ref 0 in
                 for d = 0 to dims - 1 do
-                  key := (!key * (hi.(d) - lo.(d) + 1)) + (const sa d - lo.(d))
+                  key := (!key * (hi.(d) - lo.(d) + 1)) + (const s d - lo.(d))
                 done;
                 let byte = Char.code (Bytes.get seen (!key lsr 3)) and bit = 1 lsl (!key land 7) in
                 if byte land bit = 0 then begin
@@ -665,7 +755,7 @@ let instantiate (plan : plan) (vector : Unroll.vector) (k : kernel) : walk optio
                   let rec forms d subs affine =
                     if d < 0 then (subs, affine)
                     else
-                      let c = const sa d in
+                      let c = const s d in
                       let i = c - lo.(d) in
                       if form.(d).(i) = None then begin
                         sub.(d).(i) <- Affine.with_const spelled.(d) c;
@@ -690,52 +780,40 @@ let instantiate (plan : plan) (vector : Unroll.vector) (k : kernel) : walk optio
             done;
             !found
           in
-          let p =
-            {
-              array = sp.sp_array;
-              elem =
-                (match Ast.find_array k sp.sp_array with
-                | Some d -> d.a_elem
-                | None -> Dtype.int32);
-              members = List.rev (List.fold_left members [] sp.sp_groups);
-              has_reads = List.exists (fun (kind, _) -> kind = Access.Read) sp.sp_groups;
-              has_writes = List.exists (fun (kind, _) -> kind = Access.Write) sp.sp_groups;
-              any_guarded = false;
-              varying =
-                List.filter
-                  (fun (l : loop) -> Array.exists (List.mem_assoc l.index) sp.sp_rows)
-                  spine;
-              spine;
-              spine_only = true;
-              scalar_subs = false;
-            }
-          in
-          (p, List.concat_map snd sp.sp_groups)
+          let srcs = List.concat_map snd sp.sp_groups in
+          ( make_pattern plan k spine sp srcs
+              (List.rev (List.fold_left members [] sp.sp_groups))
+              (List.filter (fun (l : loop) -> Array.exists (List.mem_assoc l.index) sp.sp_rows) spine),
+            srcs )
         in
-        match List.map pattern (source_patterns n !mask) with
+        match List.map pattern (source_patterns plan !mask) with
         | sources ->
             Some
               {
                 walked = k;
                 patterns = List.map fst sources;
                 indirect = false;
-                origin = Planned { per_copy; copies; sources };
+                origin = Planned { per_copy; copies; sources; perfect = true };
               }
         | exception Too_wide -> None)
 
-(** The walk {!walk} gives on [k], the kernel hoisting the patterns
-    [hoisted] turned [w.walked] into, derived from [w] when it is
-    planned. Hoisting leaves the unrolled body in the innermost spine
-    loop, less the hoisted members, and puts one load and store per
-    register around the spine loops: those are read from [k], in
+(** The walk of [k], the kernel hoisting the patterns [hoisted] turned
+    [w.walked] into, derived from [w] when every access of [w.walked]
+    lies in the innermost body of a perfect nest and no subscript reads
+    an array or is opaque. Hoisting leaves that body in the innermost
+    spine loop, less the hoisted members, and puts one load and store
+    per register around the spine loops: those are read from [k], in
     execution order, and each is paired with the member it replaced.
-    [walk k] when [k] has any other statement there. *)
+    The walk of [k]'s own plan when [k] has any other statement
+    there. *)
 let rehoist (w : walk) (hoisted : pattern list) (k : kernel) : walk =
   let spine = Loop_nest.spine k.k_body in
   let derived =
     match (w.origin, hoisted) with
-    | Planned { per_copy; copies; sources }, p0 :: _
-      when List.compare_lengths spine p0.spine = 0 -> (
+    | Planned { per_copy; copies; sources; perfect = true }, p0 :: _
+      when List.compare_lengths spine p0.spine = 0
+           && (not w.indirect)
+           && List.for_all (fun p -> p.uniform) hoisted -> (
         try
           let is_hoisted p = List.memq p hoisted in
           (* each source access left in the body: its number among them *)
@@ -821,7 +899,7 @@ let rehoist (w : walk) (hoisted : pattern list) (k : kernel) : walk =
         with Exit -> None)
     | _ -> None
   in
-  match derived with Some w -> w | None -> walk k
+  match derived with Some w -> w | None -> self k
 
 (** Another pattern of the same array may alias this one (no proven
     independence between any cross pair). *)
@@ -862,9 +940,6 @@ let edit_body st ed = st.kernel <- { st.kernel with k_body = apply_edits st.kern
 (** Whether [p] was hoisted. *)
 let try_hoist (k : kernel) (st : state) (p : pattern) (ps : pattern list) : bool =
   let spine = p.spine in
-  let innermost_spine =
-    match List.rev spine with [] -> None | l :: _ -> Some l
-  in
   (* another pattern of the array may alias this one: asked last, it
      runs the dependence test on every cross pair *)
   let aliasing () =
@@ -880,10 +955,8 @@ let try_hoist (k : kernel) (st : state) (p : pattern) (ps : pattern list) : bool
     go 0 (-1) spine
   in
   let applicable =
-    spine <> [] && p.spine_only && (not p.scalar_subs)
-    && (match innermost_spine with
-       | Some l -> not (List.memq l p.varying)
-       | None -> false)
+    p.spine_only && (not p.scalar_subs)
+    && (match List.rev spine with l :: _ -> not (List.memq l p.varying) | [] -> false)
     && (not p.any_guarded)
     && st.budget >= List.length p.members
     && not (aliasing ())
@@ -971,21 +1044,18 @@ let try_bank ~written (st : state) (p : pattern) : bool =
       let bank_n =
         List.fold_left (fun acc l -> acc * Ast.loop_trip l) 1 varying_inside
       in
-      let innermost_varying =
-        match List.rev varying_inside with [] -> None | l :: _ -> Some l
-      in
       let n_regs = bank_n * List.length p.members in
       let applicable =
         p.has_reads && (not p.has_writes) && p.spine_only && (not p.scalar_subs)
         && (not (List.mem p.array written))
         && (not p.any_guarded)
         && contiguous && bank_n > 1
-        && innermost_varying <> None
         && st.budget >= n_regs
       in
       if not applicable then false
       else begin
-        let rot_loop = Option.get innermost_varying in
+        (* [bank_n > 1]: a loop inside the carrier varies *)
+        let rot_loop = List.hd (List.rev varying_inside) in
         let ed = new_edits () in
         List.iteri
           (fun mi (a : Access.t) ->
@@ -1025,28 +1095,8 @@ let try_bank ~written (st : state) (p : pattern) : bool =
 
 (* ------------------------------------------------------------------ *)
 (* Case 3: chains along the innermost varying loop *)
-
-(** Consistent distance (in iterations of [inner]) from member [a] to
-    member [b]: requires an exact dependence solution, zero on every
-    other varying loop. *)
-let chain_distance (inner : loop) (a : Access.t) (b : Access.t) : int option =
-  match Analysis.Dependence.ug_distance_vector a b with
-  | Analysis.Dependence.Distance entries ->
-      let loops = Analysis.Dependence.common_loops a b in
-      let rec go loops entries acc =
-        match (loops, entries) with
-        | [], [] -> acc
-        | (l : loop) :: ls, e :: es -> (
-            match e with
-            | Analysis.Dependence.Exact d when l.index = inner.index ->
-                if acc = None then go ls es (Some d) else None
-            | Analysis.Dependence.Exact 0 -> go ls es acc
-            | Analysis.Dependence.Any -> go ls es acc
-            | Analysis.Dependence.Exact _ | Analysis.Dependence.Coupled -> None)
-        | _ -> None
-      in
-      go loops entries None
-  | _ -> None
+(* ------------------------------------------------------------------ *)
+(* Case 3: chains along the innermost varying loop *)
 
 (* Floor division (exact linearity in the divisor direction:
    [fdiv (x + d*g) g = fdiv x g + d] for any integers, which makes the
@@ -1054,234 +1104,6 @@ let chain_distance (inner : loop) (a : Access.t) (b : Access.t) : int option =
 let fdiv x y =
   let q = x / y and r = x mod y in
   if r <> 0 && r < 0 <> (y < 0) then q - 1 else q
-
-(** A member of a chain partition, with the cheap chain-class key of
-    {!partition_chains}: the canonical residue of its subscript constants
-    modulo the inner-loop shift vector [g] (per-dimension coefficient of
-    the inner index times its step), and its position [pos] along [g].
-    Two members of one uniformly generated pattern admit a consistent
-    inner-loop distance exactly when their residues agree (the distance
-    is then the [pos] difference) — the dependence-system view of
-    {!chain_distance} restricted to shifts along the inner direction. *)
-type member = {
-  acc : Access.t;
-  shape : int;
-      (** interned enclosing loops and linear subscript terms: for two
-          affine members, {!chain_distance} depends only on their shapes
-          and the difference of their constants *)
-  consts : int array;  (** per-dimension constant parts *)
-  shift : int array;  (** [g] *)
-  pos : int;
-}
-
-let residue m d = m.consts.(d) - (m.pos * m.shift.(d))
-
-let residue_hash m =
-  let h = ref (Array.length m.consts) in
-  for d = 0 to Array.length m.consts - 1 do
-    h := (!h * 31) + residue m d
-  done;
-  !h
-
-let rec same_residue_from a b d =
-  d = Array.length a.consts || (residue a d = residue b d && same_residue_from a b (d + 1))
-
-let same_residue a b =
-  Array.length a.consts = Array.length b.consts && same_residue_from a b 0
-
-let shape_hash (a : Access.t) =
-  let rec loops h = function
-    | [] -> h
-    | (l : loop) :: rest ->
-        loops ((((((((h * 31) + Hashtbl.hash l.index) * 31) + l.lo) * 31) + l.hi) * 31) + l.step) rest
-  in
-  let rec dims h = function
-    | [] -> h
-    | Some (f : Affine.t) :: rest -> dims ((h * 31) + Hashtbl.hash f.terms) rest
-    | None :: rest -> dims h rest
-  in
-  dims (loops 0 a.loops) a.affine
-
-let same_shape (a : Access.t) (b : Access.t) =
-  let rec loops (la : loop list) (lb : loop list) =
-    la == lb
-    ||
-    match (la, lb) with
-    | [], [] -> true
-    | x :: la, y :: lb ->
-        String.equal x.index y.index && x.lo = y.lo && x.hi = y.hi && x.step = y.step
-        && loops la lb
-    | _ -> false
-  in
-  let rec dims fa fb =
-    match (fa, fb) with
-    | [], [] -> true
-    | Some (f : Affine.t) :: fa, Some (g : Affine.t) :: fb -> f.terms = g.terms && dims fa fb
-    | _ -> false
-  in
-  loops a.loops b.loops && dims a.affine b.affine
-
-(** A solver answer for two shapes and one difference of constants. *)
-type solved = { sa : int; sb : int; diff : int array; dist : int option }
-
-let solved_hash a b =
-  let h = ref ((a.shape * 65599) + b.shape) in
-  for d = 0 to Array.length a.consts - 1 do
-    h := (!h * 31) + (a.consts.(d) - b.consts.(d))
-  done;
-  !h
-
-let rec same_diff s a b d =
-  d = Array.length s.diff || (s.diff.(d) = a.consts.(d) - b.consts.(d) && same_diff s a b (d + 1))
-
-let rec find_solved a b = function
-  | [] -> raise_notrace Not_found
-  | s :: rest ->
-      if s.sa = a.shape && s.sb = b.shape && same_diff s a b 0 then s else find_solved a b rest
-
-(** A chain class being built: its first member and every member with
-    its distance to the first, in reverse order. *)
-type chain_class = { first : member; mutable rev : (member * int) list }
-
-(** Partition a pattern's members into chain classes, each member paired
-    with its distance to the class's first member. The fast path puts
-    each member in the first class of its residue whose first member
-    lies within the trip count (a hash table keyed on the residue finds
-    it) and verifies every multi-member class against the dependence
-    solver (one {!chain_distance} call per chained member). When the
-    check fails — coupled subscripts like FIR's [S[i+j]] or corr's
-    [img[i+di][j+dj]] — the original pairwise solver scan runs instead,
-    so the result is the one the quadratic algorithm computes, always.
-    Solver answers are memoised for the call on the two members' shapes
-    and the difference of their constants, so the pairwise scan over a
-    uniformly generated set solves one system per distinct offset
-    difference rather than one per pair, and a repeated question
-    allocates nothing. *)
-let partition_chains (inner : loop) (members : Access.t list) :
-    (Access.t * int) list list =
-  let shift_of (f : Affine.t) = Affine.coeff f inner.index * inner.step in
-  let rec moves = function
-    | [] -> false
-    | Some f :: rest -> shift_of f <> 0 || moves rest
-    | None :: _ -> false
-  in
-  if not (List.for_all (fun (a : Access.t) -> Access.is_affine a && moves a.affine) members)
-  then
-    (* No inner variation (or a non-affine member): no pair admits a
-       distance, every member is its own class. *)
-    List.map (fun a -> [ (a, 0) ]) members
-  else begin
-    let shapes = Hashtbl.create 8 in
-    let intern (a : Access.t) =
-      let h = shape_hash a in
-      let bucket = try Hashtbl.find shapes h with Not_found -> [] in
-      match List.find_opt (fun (b, _) -> same_shape a b) bucket with
-      | Some (_, id) -> id
-      | None ->
-          let id = Hashtbl.length shapes in
-          Hashtbl.replace shapes h ((a, id) :: bucket);
-          id
-    in
-    let member (a : Access.t) =
-      let n = List.length a.affine in
-      let consts = Array.make n 0 and shift = Array.make n 0 in
-      List.iteri
-        (fun d f ->
-          let f = Option.get f in
-          consts.(d) <- Affine.const_part f;
-          shift.(d) <- shift_of f)
-        a.affine;
-      let rec first_moving d = if shift.(d) <> 0 then d else first_moving (d + 1) in
-      let d0 = first_moving 0 in
-      { acc = a; shape = intern a; consts; shift; pos = fdiv consts.(d0) shift.(d0) }
-    in
-    let members = List.map member members in
-    let memo = Hashtbl.create 64 in
-    let distance a b =
-      if Array.length a.consts <> Array.length b.consts then chain_distance inner a.acc b.acc
-      else begin
-        let h = solved_hash a b in
-        let bucket = try Hashtbl.find memo h with Not_found -> [] in
-        match find_solved a b bucket with
-        | s -> s.dist
-        | exception Not_found ->
-            let dist = chain_distance inner a.acc b.acc in
-            let diff = Array.mapi (fun d c -> c - b.consts.(d)) a.consts in
-            Hashtbl.replace memo h ({ sa = a.shape; sb = b.shape; diff; dist } :: bucket);
-            dist
-      end
-    in
-    let slow () =
-      (* classes in creation order; each member joins the first class
-         whose first member it has a distance from *)
-      let classes = Array.make (List.length members) { first = List.hd members; rev = [] } in
-      let n = ref 0 in
-      List.iter
-        (fun m ->
-          let rec join i =
-            if i = !n then begin
-              classes.(i) <- { first = m; rev = [ (m, 0) ] };
-              incr n
-            end
-            else
-              let c = classes.(i) in
-              match distance c.first m with
-              | Some _ -> c.rev <- (m, 0) :: c.rev
-              | None -> join (i + 1)
-          in
-          join 0)
-        members;
-      List.init !n (fun i ->
-          let c = classes.(i) in
-          List.rev_map
-            (fun (m, _) -> (m.acc, Option.value ~default:0 (distance c.first m)))
-            c.rev)
-    in
-    (* The insertion scan of [slow], with the O(1) key test standing in
-       for the solver: same residue, and the distance realizable within
-       the trip count (the solver's own admissibility cut). *)
-    let trip = Ast.loop_trip inner in
-    let by_residue = Hashtbl.create 16 in
-    let classes = ref [] in
-    List.iter
-      (fun m ->
-        let h = residue_hash m in
-        let bucket = try Hashtbl.find by_residue h with Not_found -> [] in
-        match
-          List.find_opt
-            (fun c -> same_residue c.first m && abs (c.first.pos - m.pos) < trip)
-            bucket
-        with
-        | Some c -> c.rev <- (m, c.first.pos - m.pos) :: c.rev
-        | None ->
-            let c = { first = m; rev = [ (m, 0) ] } in
-            Hashtbl.replace by_residue h (bucket @ [ c ]);
-            classes := c :: !classes)
-      members;
-    let verified c =
-      match c.rev with
-      | [] | [ _ ] -> true
-      | _ ->
-          List.for_all
-            (fun (m, d) ->
-              m == c.first || match distance c.first m with Some d' -> d' = d | None -> false)
-            c.rev
-    in
-    if List.for_all verified !classes then
-      List.rev_map (fun c -> List.rev_map (fun (m, d) -> (m.acc, d)) c.rev) !classes
-    else slow ()
-  end
-
-(* Every member of [p] shares the first's coefficient rows and lies in
-   [p.spine] itself, as the members of a planned or rehoisted walk do. *)
-let shares_rows (p : pattern) (first : Access.t) =
-  let rec same (fa : Affine.t option list) (fb : Affine.t option list) =
-    match (fa, fb) with
-    | [], [] -> true
-    | Some f :: fa, Some g :: fb -> (f.terms == g.terms || f.terms = g.terms) && same fa fb
-    | _ -> false
-  in
-  List.for_all (fun (a : Access.t) -> a.loops == p.spine && same first.affine a.affine) p.members
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
@@ -1314,173 +1136,181 @@ let independent_columns (cols : int array list) =
       end)
     cols
 
-(** A class of {!planned_chains} being built: its first member, that
-    member's position, the class's number in creation order, and once
-    another member joins, every member with its distance to the first,
-    in reverse order. *)
-type planned_class = {
+let rec same_terms (fa : Affine.t option list) (fb : Affine.t option list) =
+  match (fa, fb) with
+  | [], [] -> true
+  | Some f :: fa, Some g :: fb -> (f.terms == g.terms || f.terms = g.terms) && same_terms fa fb
+  | _ -> false
+
+(** A class of {!chain_classes} being built: its first member, that
+    member's shape and position, the class's number in creation order,
+    and once another member joins, every member with its distance to
+    the first, in reverse order. *)
+type chain_class = {
   lead : Access.t;
+  shape : int;
   lead_pos : int;
   created : int;
   mutable chained : (Access.t * int) list;
 }
 
-(** The chains of [p], a pattern of a planned or rehoisted walk, along
-    [inner], in closed form: the classes of two or more members that
-    {!partition_chains} finds for [p.members], in its order, member for
-    member and distance for distance; every other member is a class of
-    its own there. [None] when some member does not share the first's
-    coefficient rows over [p.spine].
-
-    The system {!chain_distance} solves for two such members has one
-    matrix [A] (a row per dimension, a column per spine loop: the
-    coefficient times the loop's step); only its right-hand side, the
-    difference of the members' constants, varies. [A] is reduced once.
-    When its nonzero columns are dependent, every solution has a free
-    variable: each pair is coupled and no class has two members.
-    Otherwise a solution is unique, and it is a distance along [inner]
-    alone exactly when the difference is a multiple of [inner]'s column
-    [g]: when the two members' residues modulo [g] agree. The distance
-    is their position difference, realizable within the trip count.
-    Members then join classes by hashing the residue, as the fast path
-    of {!partition_chains} does, which needs no verification here. *)
-let planned_chains (inner : loop) (p : pattern) : (Access.t * int) list list option =
+(** The chain classes of [p] along [inner], the innermost loop of
+    [p.spine], in closed form (see the interface). Two members can only
+    have a distance when both lie in the innermost body of [p.spine] and
+    share their subscripts' terms (their shape). The system two members
+    of one shape pose has one matrix [A] (a row per dimension, a column
+    per spine loop: coefficient times step), reduced once per shape;
+    only the right-hand side, the difference of their constants,
+    varies. Dependent nonzero columns leave a free variable in every
+    solution: each pair is coupled. Otherwise a solution is unique, and
+    it is a distance along [inner] alone exactly when the two members'
+    residues modulo [inner]'s column [g] agree; the distance is their
+    position difference, realizable within the trip count. Members join
+    classes by hashing the shape and the residue. *)
+let chain_classes (inner : loop) (p : pattern) : (Access.t * int) list list =
   match p.members with
-  | [] -> Some []
-  | first :: _ when not (shares_rows p first) -> None
-  | first :: _ ->
-      let column (l : loop) =
-        Array.of_list (List.map (fun f -> Affine.coeff (Option.get f) l.index * l.step) first.affine)
+  | [] | [ _ ] -> []
+  | members ->
+      let inside (a : Access.t) =
+        let rec prefix (ls : loop list) (sp : loop list) =
+          match (ls, sp) with
+          | _, [] -> true
+          | l :: ls, s :: sp -> l == s && prefix ls sp
+          | [], _ :: _ -> false
+        in
+        a.loops == p.spine || prefix a.loops p.spine
       in
-      let g = column inner in
-      if Array.for_all (( = ) 0) g || not (independent_columns (List.map column p.spine)) then
-        Some []
-      else begin
-        let rec first_moving d = if g.(d) <> 0 then d else first_moving (d + 1) in
-        let d0 = first_moving 0 in
-        let pos (a : Access.t) =
-          match List.nth a.affine d0 with Some f -> fdiv f.const g.(d0) | None -> assert false
-        in
-        let rec hash pa h d = function
-          | Some (f : Affine.t) :: rest -> hash pa ((h * 31) + f.const - (pa * g.(d))) (d + 1) rest
-          | _ -> h
-        in
-        let rec same_residue pa pb d fa fb =
-          match (fa, fb) with
-          | Some (f : Affine.t) :: fa, Some (f' : Affine.t) :: fb ->
-              f.const - (pa * g.(d)) = f'.const - (pb * g.(d)) && same_residue pa pb (d + 1) fa fb
-          | _ -> true
-        in
-        let trip = Ast.loop_trip inner in
-        (* the first class of the residue whose first member lies
-           within the trip count *)
-        let rec find pa (a : Access.t) = function
-          | [] -> raise_notrace Not_found
-          | c :: rest ->
-              if abs (c.lead_pos - pa) < trip && same_residue c.lead_pos pa 0 c.lead.affine a.affine
-              then c
-              else find pa a rest
-        in
-        let by_residue = Hashtbl.create 16 and created = ref 0 and chains = ref [] in
-        List.iter
-          (fun (a : Access.t) ->
-            let pa = pos a in
-            let h = hash pa (Array.length g) 0 a.affine in
-            let bucket = try Hashtbl.find by_residue h with Not_found -> [] in
-            match find pa a bucket with
-            | c ->
-                if c.chained = [] then begin
-                  c.chained <- [ (c.lead, 0) ];
-                  chains := c :: !chains
-                end;
-                c.chained <- (a, c.lead_pos - pa) :: c.chained
-            | exception Not_found ->
-                Hashtbl.replace by_residue h
-                  (bucket @ [ { lead = a; lead_pos = pa; created = !created; chained = [] } ]);
-                incr created)
-          p.members;
-        Some
-          (List.map
-             (fun c -> List.rev c.chained)
-             (List.sort (fun c c' -> compare c.created c'.created) !chains))
-      end
+      (* each shape met: its terms, number, and [inner]'s column with
+         the first dimension it moves, when members of it can chain *)
+      let shapes = ref [] in
+      let shape (a : Access.t) =
+        match List.find_opt (fun (terms, _, _) -> same_terms terms a.affine) !shapes with
+        | Some (_, id, info) -> (id, info)
+        | None ->
+            let column (l : loop) =
+              Array.of_list (List.map (fun f -> Affine.coeff (Option.get f) l.index * l.step) a.affine)
+            in
+            let g = column inner in
+            let info =
+              if Array.for_all (( = ) 0) g || not (independent_columns (List.map column p.spine)) then None
+              else
+                let rec first_moving d = if g.(d) <> 0 then d else first_moving (d + 1) in
+                Some (g, first_moving 0)
+            in
+            let id = List.length !shapes in
+            shapes := (a.affine, id, info) :: !shapes;
+            (id, info)
+      in
+      let trip = Ast.loop_trip inner in
+      let by_residue = Hashtbl.create 16 and created = ref 0 and chains = ref [] in
+      let pos g d0 (b : Access.t) =
+        match List.nth b.affine d0 with Some f -> fdiv f.const g.(d0) | None -> assert false
+      in
+      let rec hash g pa h d = function
+        | Some (f : Affine.t) :: rest -> hash g pa ((h * 31) + f.const - (pa * g.(d))) (d + 1) rest
+        | _ -> h
+      in
+      let rec same_residue g pa pb d fa fb =
+        match (fa, fb) with
+        | Some (f : Affine.t) :: fa, Some (f' : Affine.t) :: fb ->
+            f.const - (pa * g.(d)) = f'.const - (pb * g.(d)) && same_residue g pa pb (d + 1) fa fb
+        | _ -> true
+      in
+      (* the first class of the shape and residue whose first member
+         lies within the trip count *)
+      let rec find g id pa (a : Access.t) = function
+        | [] -> raise_notrace Not_found
+        | c :: rest ->
+            if c.shape = id && abs (c.lead_pos - pa) < trip && same_residue g c.lead_pos pa 0 c.lead.affine a.affine
+            then c
+            else find g id pa a rest
+      in
+      List.iter
+        (fun (a : Access.t) ->
+          if Access.is_affine a && inside a then
+            match shape a with
+            | _, None -> ()
+            | id, Some (g, d0) -> (
+                let pa = pos g d0 a in
+                let h = hash g pa ((id * 65599) + Array.length g) 0 a.affine in
+                let bucket = try Hashtbl.find by_residue h with Not_found -> [] in
+                match find g id pa a bucket with
+                | c ->
+                    if c.chained = [] then begin
+                      c.chained <- [ (c.lead, 0) ];
+                      chains := c :: !chains
+                    end;
+                    c.chained <- (a, c.lead_pos - pa) :: c.chained
+                | exception Not_found ->
+                    Hashtbl.replace by_residue h
+                      (bucket @ [ { lead = a; shape = id; lead_pos = pa; created = !created; chained = [] } ]);
+                    incr created))
+        members;
+      List.map
+        (fun c -> List.rev c.chained)
+        (List.sort (fun c c' -> compare c.created c'.created) !chains)
 
-let try_chains ~(config : config) ~planned ~written (st : state) (ed : edits)
-    (p : pattern) =
-  let innermost_varying =
-    match List.rev p.varying with [] -> None | l :: _ -> Some l
-  in
-  let spine_innermost =
-    match List.rev p.spine with [] -> None | l :: _ -> Some l
-  in
-  match (innermost_varying, spine_innermost) with
-  | Some inner, Some spine_inner
+let try_chains ~(config : config) ~written (st : state) (ed : edits) (p : pattern) =
+  match (List.rev p.varying, List.rev p.spine) with
+  | inner :: _, spine_inner :: _
     when inner.index = spine_inner.index
          && p.spine_only && (not p.scalar_subs)
          && p.has_reads && (not p.has_writes)
          && (not (List.mem p.array written))
          && not p.any_guarded ->
-      let classes =
-        match if planned then planned_chains inner p else None with
-        | Some chains -> chains
-        | None -> partition_chains inner p.members
-      in
       List.iter
         (fun cls ->
           match cls with
-          | [] | [ _ ] -> () (* single member: CSE handles duplicates *)
-          | _ ->
+          | [] | [ _ ] -> ()
+          | (first, d0) :: rest ->
               (* Distance d of member m relative to the first member: m
                  touches the first member's element d iterations later.
-                 The member with minimal d reads the *newest* data each
-                 iteration and leads the chain; a member at delay k reads
-                 what the lead read k iterations ago. *)
-              let with_d = List.map (fun (a, d) -> (d, a)) cls in
-              let with_d = List.sort (fun (x, _) (y, _) -> compare x y) with_d in
-              let dmin = fst (List.hd with_d) in
-              let dmax = fst (List.nth with_d (List.length with_d - 1)) in
-              let span = dmax - dmin in
-              let lead = snd (List.hd with_d) in
+                 The (first) member with minimal d reads the *newest*
+                 data each iteration and leads the chain; a member at
+                 delay k reads what the lead read k iterations ago. *)
+              let dmin = ref d0 and dmax = ref d0 and lead = ref first in
+              List.iter
+                (fun ((a : Access.t), d) ->
+                  if d < !dmin then begin
+                    dmin := d;
+                    lead := a
+                  end;
+                  if d > !dmax then dmax := d)
+                rest;
+              let dmin = !dmin in
+              let span = !dmax - dmin in
               let n_regs = span + 1 in
               if span <= 0 || span > config.max_chain_span || st.budget < n_regs
               then ()
               else begin
                 let base = String.lowercase_ascii p.array ^ "_h" in
-                let regs =
-                  List.init n_regs (fun j ->
-                      declare st (Printf.sprintf "%s%d" base j) p.elem)
-                in
+                let regs = Array.init n_regs (fun j -> declare st (base ^ string_of_int j) p.elem) in
                 st.budget <- st.budget - n_regs;
-                let reg = Array.get (Array.of_list regs) in
                 (* Loads at the top of the innermost body: lead first,
-                   then guarded refills for trailing members. *)
-                let lead_load =
-                  Assign (Lvar (reg span), Arr (p.array, lead.Access.subs))
-                in
-                let refills =
-                  List.filter_map
-                    (fun (d, (a : Access.t)) ->
-                      let delay = d - dmin in
-                      if delay = 0 then None
-                      else
-                        Some
-                          (If
-                             ( Bin
-                                 ( Lt,
-                                   Var inner.index,
-                                   Int (inner.lo + (delay * inner.step)) ),
-                               [ Assign (Lvar (reg (span - delay)), Arr (p.array, a.subs)) ],
-                               [] )))
-                    with_d
-                in
+                   then guarded refills for trailing members, by delay
+                   (members at one delay in class order). *)
+                let lead_load = Assign (Lvar regs.(span), Arr (p.array, !lead.Access.subs)) in
+                let refills = ref [] in
+                for delay = span downto 1 do
+                  refills :=
+                    List.fold_right
+                      (fun ((a : Access.t), d) acc ->
+                        if d - dmin <> delay then acc
+                        else
+                          If
+                            ( Bin (Lt, Var inner.index, Int (inner.lo + (delay * inner.step))),
+                              [ Assign (Lvar regs.(span - delay), Arr (p.array, a.subs)) ],
+                              [] )
+                          :: acc)
+                      cls !refills
+                done;
                 List.iter
-                  (fun (d, (a : Access.t)) ->
-                    let delay = d - dmin in
-                    replace ed (p.array, a.Access.subs)
-                      { reg = reg (span - delay); scope = Some inner.index; writes = false })
-                  with_d;
+                  (fun ((a : Access.t), d) ->
+                    replace ed (p.array, a.subs)
+                      { reg = regs.(span - (d - dmin)); scope = Some inner.index; writes = false })
+                  cls;
                 ed.inserts <-
-                  (Some inner.index, lead_load :: refills, [ Rotate regs ])
+                  (Some inner.index, lead_load :: !refills, [ Rotate (Array.to_list regs) ])
                   :: ed.inserts;
                 st.report <-
                   {
@@ -1490,7 +1320,7 @@ let try_chains ~(config : config) ~planned ~written (st : state) (ed : edits)
                     innermost_peels = max st.report.innermost_peels span;
                   }
               end)
-        classes
+        (chain_classes inner p)
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -1503,39 +1333,14 @@ let try_chains ~(config : config) ~planned ~written (st : state) (ed : edits)
    once, accumulate in the register, and store once at the end of the
    body — the within-body face of redundant-write elimination. *)
 
-(** All accesses of [array] among [accesses] (one walk of the body)
-    belong to one uniformly generated pattern over the loops around them,
-    and none of their subscripts names a scalar in [assigned] (the
-    non-index scalars the nest assigns), so distinct constant offsets
-    address distinct elements and same-element groups are exact. *)
-let single_pattern ~assigned (accesses : Access.t list) array =
-  let of_array = List.filter (fun (a : Access.t) -> String.equal a.array array) accesses in
-  (* the loop indices around the array's accesses; accesses of one loop
-     share their loop list, so each list is read once per run of them *)
-  let indices = ref [] and last = ref [] in
-  List.iter
-    (fun (a : Access.t) ->
-      if a.loops != !last then begin
-        last := a.loops;
-        List.iter
-          (fun (l : loop) -> if not (List.mem l.index !indices) then indices := l.index :: !indices)
-          a.loops
-      end)
-    of_array;
-  match of_array with
-  | [] -> true
-  | first :: rest ->
-      Access.is_affine first
-      && List.for_all (fun a -> Analysis.Reuse.same_pattern !indices first a) rest
-      && not (List.exists (subscript_mentions assigned) of_array)
-
 (** A repeated element of the innermost body: occurrence count, whether
     any occurrence writes it, whether the first is an unguarded write. *)
 type element = { mutable count : int; mutable has_w : bool; first_w : bool }
 
-(** [single_pattern a] answers {!single_pattern} for array [a] on the
-    current kernel; [written] are the arrays it writes. *)
-let cse_loads ~written ~single_pattern (st : state) =
+(** [single a]: every access of array [a] in the current kernel is in
+    one pattern whose distinct members address distinct elements;
+    [written] are the arrays it writes. *)
+let cse_loads ~written ~single (st : state) =
   let spine = Loop_nest.spine st.kernel.k_body in
   let loop_free =
     not
@@ -1590,61 +1395,34 @@ let cse_loads ~written ~single_pattern (st : state) =
         | For _ -> ()
         | Rotate _ -> ()
       in
-      let apply_inner f =
-        st.kernel <-
-          {
-            st.kernel with
-            k_body =
-              (match target with
-              | inner :: _ ->
-                  edit_loop_body ~index:inner.Ast.index f st.kernel.k_body
-              | [] -> f st.kernel.k_body (* loop-free kernel: one block *));
-          }
+      let bodies =
+        match target with
+        | inner :: _ -> loop_bodies ~index:inner.Ast.index st.kernel.k_body
+        | [] -> [ st.kernel.k_body ] (* loop-free kernel: one block *)
       in
-      let assigned = ref None in
-      apply_inner (fun body ->
-          List.iter (scan_stmt false) body;
-          assigned := Some (assigned_scalars ~indices:true body);
-          body);
-      let assigned = Option.get !assigned in
-      (* Decide all replacements first (caching the per-array pattern
-         check), then rewrite the body in a single pass. *)
-      let single_pattern_cache = Hashtbl.create 8 in
-      let single_pattern a =
-        match Hashtbl.find_opt single_pattern_cache a with
-        | Some v -> v
-        | None ->
-            let v = single_pattern a in
-            Hashtbl.replace single_pattern_cache a v;
-            v
-      in
-      let chosen : (string * expr list, string * bool * bool) Hashtbl.t =
-        Hashtbl.create 16
-      in
+      List.iter (List.iter (scan_stmt false)) bodies;
+      let assigned = assigned_scalars ~indices:true (List.hd (List.rev bodies)) in
+      (* Decide all replacements first, then rewrite the body in a
+         single pass. *)
+      let scope = match target with inner :: _ -> Some inner.index | [] -> None in
+      let ed = new_edits () in
       let pre = ref [] and post = ref [] in
       List.iter
         (fun ((a, subs) as key) ->
-          let { count; has_w; first_w = first_is_write } = Hashtbl.find stats key in
-          let worth = count > 1 && st.budget > 0 in
+          let { count; has_w; first_w } = Hashtbl.find stats key in
           (* A subscript naming a scalar the body assigns (a chain
              register loaded from an indirect subscript's array, say)
              names a different element before and after that
              assignment: the element's load cannot move to the top. *)
-          let safe =
-            (if has_w then single_pattern a else not (List.mem a written))
+          if
+            count > 1 && st.budget > 0
+            && (if has_w then single a else not (List.mem a written))
             && not (List.exists (mentions assigned) subs)
-          in
-          if worth && safe then begin
-            let elem =
-              match Ast.find_array st.kernel a with
-              | Some d -> d.a_elem
-              | None -> Dtype.int32
-            in
-            let r = declare st (String.lowercase_ascii a ^ "_s") elem in
+          then begin
+            let r = declare st (String.lowercase_ascii a ^ "_s") (elem_of st.kernel a) in
             st.budget <- st.budget - 1;
-            Hashtbl.replace chosen key (r, has_w, first_is_write);
-            if not first_is_write then
-              pre := Assign (Lvar r, Arr (a, subs)) :: !pre;
+            replace ed key { reg = r; scope; writes = has_w };
+            if not first_w then pre := Assign (Lvar r, Arr (a, subs)) :: !pre;
             if has_w then post := Assign (Larr (a, subs), Var r) :: !post;
             st.report <-
               {
@@ -1654,50 +1432,28 @@ let cse_loads ~written ~single_pattern (st : state) =
               }
           end)
         (List.rev !order);
-      if Hashtbl.length chosen > 0 then
-        apply_inner (fun body ->
-            let rw_read e =
-              match e with
-              | Arr (a, subs) -> (
-                  match Hashtbl.find_opt chosen (a, subs) with
-                  | Some (r, _, _) -> Var r
-                  | None -> e)
-              | e -> e
-            in
-            let rec rw_stmt s =
-              match s with
-              | Assign (Larr (a, subs), e) -> (
-                  let subs = List.map (map_expr rw_read) subs in
-                  let e = map_expr rw_read e in
-                  match Hashtbl.find_opt chosen (a, subs) with
-                  | Some (r, true, _) -> Assign (Lvar r, e)
-                  | _ -> Assign (Larr (a, subs), e))
-              | Assign (Lvar v, e) -> Assign (Lvar v, map_expr rw_read e)
-              | If (c, t, e) ->
-                  If (map_expr rw_read c, List.map rw_stmt t, List.map rw_stmt e)
-              | For l -> For { l with body = List.map rw_stmt l.body }
-              | Rotate rs -> Rotate rs
-            in
-            List.rev !pre @ List.map rw_stmt body @ List.rev !post)
+      if Hashtbl.length ed.repl > 0 then begin
+        ed.inserts <- [ (scope, List.rev !pre, List.rev !post) ];
+        edit_body st ed
+      end
+
 
 (* ------------------------------------------------------------------ *)
 
-(** Element CSE's single-pattern test on [k], whose written arrays'
-    accesses are those [w] found: a planned or rehoisted walk answers it
-    from its patterns (every access there is in one of them, with loop-
-    index subscripts); a collected one from its accesses, collected
-    afresh when [k] changed subscripts through replaced reads. *)
-let single (w : walk) (k : kernel) : string -> bool =
-  match w.origin with
-  | Planned _ | Rehoisted ->
-      fun a -> List.compare_length_with (List.filter (fun p -> String.equal p.array a) w.patterns) 1 <= 0
-  | Walked accesses ->
-      let accesses =
-        if k == w.walked || not w.indirect then Lazy.from_val accesses
-        else lazy (Access.collect k.k_body)
-      in
-      let assigned = lazy (assigned_scalars ~indices:false k.k_body) in
-      fun a -> single_pattern ~assigned:(Lazy.force assigned) (Lazy.force accesses) a
+(** Element CSE's single-pattern test on array [a] of a kernel whose
+    written arrays' accesses [w] found: they form at most one pattern,
+    and it is uniform. Banks and chains rewrite only subscripts that
+    read an array, which are opaque before and name a register after,
+    so a walk taken before them still answers for the kernel after. *)
+let single (w : walk) a =
+  (* asked once per repeated written element: stops at a second pattern *)
+  let rec go found = function
+    | [] -> ( match found with Some p -> p.uniform | None -> true)
+    | p :: rest when String.equal p.array a -> (
+        match found with None -> go (Some p) rest | Some _ -> false)
+    | _ :: rest -> go found rest
+  in
+  go None w.patterns
 
 (* [run], handing [seen] every walk it reads. *)
 let run_walks ~seen ?(config = default_config) ?plan (k : kernel) : kernel * report =
@@ -1711,10 +1467,11 @@ let run_walks ~seen ?(config = default_config) ?plan (k : kernel) : kernel * rep
     }
   in
   (* Each phase reads the pattern facts of one access walk, instantiated
-     from the plan when it covers [k]. Hoist/sink may edit any array, so
-     a hoist that edits forces a second walk, derived from a planned
-     first one. Banks and chains only replace reads of arrays the kernel
-     never writes and insert loads of those arrays: every other array's
+     in closed form from [plan] when it covers [k], else read off [k]'s
+     own plan. Hoist/sink may edit any array, so a hoist that edits
+     forces a second walk, derived from the first where it can be.
+     Banks and chains only replace reads of arrays the kernel never
+     writes and insert loads of those arrays: every other array's
      accesses, and so its patterns, stay as the walk found them, unless
      a subscript reads a replaced array. Without such indirect
      subscripts, chains read the walk that banks read (a banked pattern
@@ -1724,7 +1481,7 @@ let run_walks ~seen ?(config = default_config) ?plan (k : kernel) : kernel * rep
     ref
       (match Option.bind plan (fun (plan, vector) -> instantiate plan vector k) with
       | Some w -> w
-      | None -> walk k)
+      | None -> self k)
   in
   seen !w;
   let rewalk w' =
@@ -1761,17 +1518,16 @@ let run_walks ~seen ?(config = default_config) ?plan (k : kernel) : kernel * rep
     let ps =
       if !banked = [] then !w.patterns
       else if !w.indirect then begin
-        rewalk (walk st.kernel);
+        rewalk (self st.kernel);
         !w.patterns
       end
       else List.filter (fun p -> not (List.memq p !banked)) !w.patterns
     in
-    let planned = match !w.origin with Planned _ | Rehoisted -> true | Walked _ -> false in
     let ed = new_edits () in
-    List.iter (fun p -> try_chains ~config ~planned ~written st ed p) ps;
+    List.iter (fun p -> try_chains ~config ~written st ed p) ps;
     if Hashtbl.length ed.repl > 0 then edit_body st ed
   end;
-  cse_loads ~written ~single_pattern:(single !w st.kernel) st;
+  cse_loads ~written ~single:(single !w) st;
   let k = st.kernel in
   let k =
     if st.decls = [] then k else { k with k_scalars = k.k_scalars @ List.rev st.decls }

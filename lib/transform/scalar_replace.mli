@@ -50,21 +50,25 @@ type report = {
 
 val empty_report : report
 
-(** The analysis side of scalar replacement for one source nest (the
-    kernel after tiling, before unroll-and-jam): its uniformly generated
-    patterns with their coefficient rows and source member offsets.
-    Derived once, it is instantiated for each unrolled kernel in closed
-    form. It covers perfect nests whose loops run two or more
-    iterations around assignments with loop-index affine subscripts and
-    no conditional; on any other kernel it instantiates nothing. *)
+(** The analysis side of scalar replacement for one kernel: its
+    accesses, each with its loops, guard, spine coefficient rows and
+    the flags that make its pattern ineligible (a subscript that is not
+    affine, names an assigned scalar or reads an array), and the
+    uniformly generated patterns they form. A plan of a source nest
+    (the kernel after tiling, before unroll-and-jam) is derived once
+    and instantiated for each unrolled kernel in closed form when the
+    source is a perfect nest whose loops run two or more iterations
+    around assignments with loop-index affine subscripts and no
+    conditional; any other kernel is read off its own plan, with no
+    loop unrolled. *)
 type plan
 
 val plan : Ast.kernel -> plan
 
 (** [run ~plan:(p, v) k], where [k] is the source of plan [p] unrolled
-    and jammed by [v], reads patterns instantiated from the plan; without
-    it, or where the plan does not cover [k], it walks [k]'s accesses.
-    The result is the same. *)
+    and jammed by [v], reads patterns instantiated from the plan where
+    the closed form covers [k]; otherwise, and without [plan], it reads
+    them off [k]'s own plan. The result is the same. *)
 val run :
   ?config:config -> ?plan:plan * Unroll.vector -> Ast.kernel -> Ast.kernel * report
 
@@ -83,6 +87,9 @@ type pattern = {
   spine : Ast.loop list;
   spine_only : bool;  (** every loop the members vary with is on the spine *)
   scalar_subs : bool;  (** some subscript names a scalar the nest assigns *)
+  uniform : bool;
+      (** every access is affine, names no assigned scalar and shares
+          the others' coefficients on every loop index around them *)
 }
 
 (** One access walk of a kernel: its patterns and where they came from. *)
@@ -94,34 +101,30 @@ type walk = {
 }
 
 and origin =
-  | Walked of Analysis.Access.t list  (** every access of [walked], collected *)
-  | Planned of { per_copy : int; copies : int; sources : (pattern * int list) list }
-      (** instantiated from a plan *)
+  | Planned of {
+      per_copy : int;
+      copies : int;
+      sources : (pattern * int list) list;
+      perfect : bool;
+    }
+      (** instantiated from a plan: in closed form from a source nest's,
+          or with no loop unrolled from the walked kernel's own *)
   | Rehoisted  (** derived from a planned walk after hoisting *)
-
-(** The walk of a kernel's accesses: the fallback of a plan and its
-    oracle. *)
-val walk : Ast.kernel -> walk
 
 (** The walks one {!run} reads, in order. *)
 val walks : ?config:config -> ?plan:plan * Unroll.vector -> Ast.kernel -> walk list
 
-(** [single w k a]: element CSE's test that every access of array [a] in
-    [k], whose written arrays' accesses [w] found, is in one affine
-    pattern with no assigned scalar in a subscript. *)
-val single : walk -> Ast.kernel -> string -> bool
+(** [single w a]: element CSE's test that every access of array [a],
+    among the written arrays' accesses [w] found, is in one pattern
+    whose distinct members address distinct elements. *)
+val single : walk -> string -> bool
 
-(** Exposed for tests. [partition_chains inner members] splits a
-    pattern's members into chain classes along loop [inner], each member
+(** [chain_classes inner p]: the chain classes of two or more members of
+    [p] along [inner], the innermost loop of [p.spine], each member
     paired with its distance (in iterations of [inner]) from its class's
-    first member; the classes the pairwise dependence-solver scan finds. *)
-val partition_chains :
-  Ast.loop -> Analysis.Access.t list -> (Analysis.Access.t * int) list list
-
-(** Exposed for tests. [planned_chains inner p]: the classes of two or
-    more members that [partition_chains inner p.members] finds, in its
-    order, computed in closed form for a pattern of a planned or
-    rehoisted walk (every member shares the coefficient rows over
-    [p.spine], so one reduced matrix and each member's residue decide
-    them); [None] when the members do not share them. *)
-val planned_chains : Ast.loop -> pattern -> (Analysis.Access.t * int) list list option
+    first member, in the order of their first members; a member joins
+    the first class whose first member it has a consistent dependence
+    distance from. Computed in closed form from each shape's one
+    reduced dependence matrix, on a pattern chains may read
+    ([spine_only], no assigned scalar in a subscript). *)
+val chain_classes : Ast.loop -> pattern -> (Analysis.Access.t * int) list list

@@ -2732,6 +2732,137 @@ module Scalar_replace = struct
     (k, st.report)
 end
 
+(** The access walk [Transform.Scalar_replace] read before its plan
+    covered every kernel: every access collected, grouped into uniformly
+    generated patterns over the spine indices (reads and writes apart,
+    then merged), the non-affine accesses last, one pattern each; each
+    pattern's facts computed over its accesses; element CSE's
+    single-pattern test over an array's accesses and the loops around
+    them. The oracle of the plan's walks. *)
+module Sr_walk = struct
+  module SR = Transform.Scalar_replace
+  module Access = Analysis.Access
+  open Ast
+
+  (* Every loop around [a] that [a] varies with is named in [spine]. *)
+  let varies_on_spine_only spine_names (a : Access.t) =
+    List.for_all
+      (fun (l : loop) -> List.mem l.index spine_names || not (Access.varies_with a l.index))
+      a.loops
+
+  let assigned_scalars (body : stmt list) =
+    let tbl = Hashtbl.create 8 in
+    let rec stmt = function
+      | Assign (Lvar v, _) -> Hashtbl.replace tbl v ()
+      | Assign (Larr _, _) -> ()
+      | If (_, t, e) ->
+          List.iter stmt t;
+          List.iter stmt e
+      | For l -> List.iter stmt l.body
+      | Rotate rs -> List.iter (fun r -> Hashtbl.replace tbl r ()) rs
+    in
+    List.iter stmt body;
+    tbl
+
+  let rec mentions tbl (e : expr) =
+    match e with
+    | Var v -> Hashtbl.mem tbl v
+    | Int _ -> false
+    | Arr (_, subs) -> List.exists (mentions tbl) subs
+    | Bin (_, a, b) -> mentions tbl a || mentions tbl b
+    | Un (_, a) -> mentions tbl a
+    | Cond (c, t, e) -> mentions tbl c || mentions tbl t || mentions tbl e
+
+  let rec reads_array (e : expr) =
+    match e with
+    | Arr _ -> true
+    | Int _ | Var _ -> false
+    | Bin (_, a, b) -> reads_array a || reads_array b
+    | Un (_, a) -> reads_array a
+    | Cond (c, t, e) -> reads_array c || reads_array t || reads_array e
+
+  (** All accesses of [array] among [accesses] belong to one uniformly
+      generated pattern over the loops around them, and none of their
+      subscripts names a scalar in [assigned]. *)
+  let single_pattern ~assigned (accesses : Access.t list) array =
+    let of_array = List.filter (fun (a : Access.t) -> String.equal a.array array) accesses in
+    let indices =
+      List.sort_uniq compare
+        (List.concat_map (fun (a : Access.t) -> List.map (fun (l : loop) -> l.index) a.loops) of_array)
+    in
+    match of_array with
+    | [] -> true
+    | first :: rest ->
+        Access.is_affine first
+        && List.for_all (fun a -> Scalar_replace.same_pattern indices first a) rest
+        && not (List.exists (fun (a : Access.t) -> List.exists (mentions assigned) a.subs) of_array)
+
+  (** The patterns of [k] and whether a subscript reads an array. *)
+  let walk (k : kernel) : SR.pattern list * bool =
+    let spine = Loop_nest.spine k.k_body in
+    let spine_names = List.map (fun (l : loop) -> l.index) spine in
+    let accesses = Access.collect k.k_body in
+    let assigned = assigned_scalars k.k_body in
+    (* groups keyed on (array, kind, pattern), then merged on (array,
+       pattern): the first group's members, then the second's *)
+    let groups = Hashtbl.create 16 and order = ref [] and singles = ref [] in
+    List.iter
+      (fun (a : Access.t) ->
+        match Scalar_replace.pattern_key spine_names a with
+        | None -> singles := ref [ a ] :: !singles
+        | Some key -> (
+            match Hashtbl.find_opt groups (a.array, a.kind, key) with
+            | Some ms -> ms := !ms @ [ a ]
+            | None ->
+                let ms = ref [ a ] in
+                Hashtbl.replace groups (a.array, a.kind, key) ms;
+                order := (a.array, key, ms) :: !order))
+      accesses;
+    let merged = ref [] in
+    List.iter
+      (fun (array, key, ms) ->
+        match List.find_opt (fun (array', key', _) -> array = array' && key = key') !merged with
+        | Some (_, _, members) -> members := !members @ !ms
+        | None -> merged := (array, key, ref !ms) :: !merged)
+      (List.rev !order);
+    let pattern (members : Access.t list) : SR.pattern =
+      let m = List.hd members in
+      let seen = Hashtbl.create 16 in
+      let distinct =
+        List.filter
+          (fun (a : Access.t) ->
+            if Hashtbl.mem seen (a.subs, a.kind) then false
+            else begin
+              Hashtbl.replace seen (a.subs, a.kind) ();
+              true
+            end)
+          members
+      in
+      {
+        SR.array = m.array;
+        elem = (match Ast.find_array k m.array with Some d -> d.a_elem | None -> Dtype.int32);
+        members = distinct;
+        has_reads = List.exists Access.is_read members;
+        has_writes = List.exists Access.is_write members;
+        any_guarded = List.exists (fun (a : Access.t) -> a.guarded) members;
+        varying =
+          List.filter (fun (l : loop) -> List.exists (fun a -> Access.varies_with a l.index) members) spine;
+        spine;
+        spine_only = List.for_all (varies_on_spine_only spine_names) members;
+        scalar_subs =
+          List.exists (fun (a : Access.t) -> List.exists (mentions assigned) a.subs) members;
+        uniform = single_pattern ~assigned members m.array;
+      }
+    in
+    ( List.rev_map (fun (_, _, ms) -> pattern !ms) !merged
+      @ List.rev_map (fun ms -> pattern !ms) !singles,
+      List.exists (fun (a : Access.t) -> List.exists reads_array a.subs) accesses )
+
+  (** Element CSE's single-pattern test of [a] on [k]. *)
+  let single (k : kernel) a =
+    single_pattern ~assigned:(assigned_scalars k.k_body) (Access.collect k.k_body) a
+end
+
 (** [Check.Legality.config_verdict] as it was before its kernel-only
     analyses moved out of the per-configuration call and before its
     canonicalization moved into [Engine.Backend.normalize_config]: every

@@ -1111,7 +1111,7 @@ let sr_equivalent ?config ?plan (k : Ast.kernel) =
 module SR = Transform.Scalar_replace
 
 let origin_name (w : SR.walk) =
-  match w.SR.origin with SR.Walked _ -> "walked" | SR.Planned _ -> "planned" | SR.Rehoisted -> "rehoisted"
+  match w.SR.origin with SR.Planned { copies = 1; _ } -> "planned" | SR.Planned _ -> "unrolled" | SR.Rehoisted -> "rehoisted"
 
 let pattern_print (p : SR.pattern) =
   Printf.sprintf "%s{%s} varying [%s]%s%s" p.SR.array
@@ -1134,65 +1134,55 @@ let classes_print classes =
            (List.map (fun ((a : Analysis.Access.t), d) -> Printf.sprintf "#%d@%d" a.Analysis.Access.id d) cls))
        classes)
 
-(** On every pattern of a planned or rehoisted walk, the closed-form
-    chains are {!SR.partition_chains}' classes of two or more members on
-    the same inner loop (the innermost loop the pattern varies with) and
-    members: member for member, distance for distance. Both list classes
-    in the order of their first members, so the rest are the same
-    singletons. A pattern whose innermost varying loop is the spine's
-    innermost one, which the chains phase reads, must be decided in
-    closed form. *)
-let planned_chains_equivalent (w : SR.walk) =
-  match w.SR.origin with
-  | SR.Walked _ -> ()
-  | SR.Planned _ | SR.Rehoisted ->
-      List.iter
-        (fun (p : SR.pattern) ->
-          match List.rev p.SR.varying with
-          | [] -> ()
-          | inner :: _ -> (
-              let oracle =
-                List.filter
-                  (fun cls -> List.compare_length_with cls 1 > 0)
-                  (SR.partition_chains inner p.SR.members)
-              in
-              let same a b =
-                List.equal (List.equal (fun (x, d) (y, e) -> x == y && d = e)) a b
-              in
-              match SR.planned_chains inner p with
-              | Some classes ->
-                  if not (same classes oracle) then
-                    failf "%s walk: closed-form chains of %s along %s differ:\n%s\npartition_chains:\n%s"
-                      (origin_name w) (pattern_print p) inner.Ast.index (classes_print classes)
-                      (classes_print oracle)
-              | None ->
-                  if inner == List.nth p.SR.spine (List.length p.SR.spine - 1) then
-                    failf "%s walk: chain classes of %s not decided in closed form" (origin_name w)
-                      (pattern_print p)))
-        w.SR.patterns
+(** On every pattern of a walk that the chains phase may read (its
+    innermost varying loop is the spine's, its members vary on the
+    spine only and name no assigned scalar), the closed-form chain
+    classes are the pairwise reference's classes of two or more members,
+    member for member and distance for distance. Both list classes in
+    the order of their first members, so the rest are the same
+    singletons. *)
+let chains_equivalent (w : SR.walk) =
+  List.iter
+    (fun (p : SR.pattern) ->
+      match (List.rev p.SR.varying, List.rev p.SR.spine) with
+      | inner :: _, spine_inner :: _
+        when inner == spine_inner && p.SR.spine_only && not p.SR.scalar_subs ->
+          let oracle =
+            List.filter
+              (fun cls -> List.compare_length_with cls 1 > 0)
+              (R.Scalar_replace.partition_chains inner p.SR.members)
+          in
+          let classes = SR.chain_classes inner p in
+          let same a b = List.equal (List.equal (fun (x, d) (y, e) -> x == y && d = e)) a b in
+          if not (same classes oracle) then
+            failf "%s walk: chains of %s along %s differ:\n%s\npairwise:\n%s" (origin_name w)
+              (pattern_print p) inner.Ast.index (classes_print classes) (classes_print oracle)
+      | _ -> ())
+    w.SR.patterns
 
-(** Every walk a run with [plan] reads equals {!SR.walk} of its kernel:
-    the same patterns, members (ids and loops included) and facts, and
-    the same answer to element CSE's single-pattern test on every
-    array; its closed-form chain classes are {!SR.partition_chains}'. *)
-let plan_walk_equivalent ?config ~plan (k : Ast.kernel) =
+(** Every walk a run reads equals the collected walk of its kernel
+    ({!R.Sr_walk.walk}): the same patterns, members (ids and loops
+    included) and facts, and the same answer to element CSE's
+    single-pattern test on every array; its chain classes are the
+    pairwise reference's. *)
+let plan_walk_equivalent ?config ?plan (k : Ast.kernel) =
   List.iter
     (fun (w : SR.walk) ->
-      planned_chains_equivalent w;
-      let w' = SR.walk w.SR.walked in
-      if compare w.SR.patterns w'.SR.patterns <> 0 then
+      chains_equivalent w;
+      let patterns, indirect = R.Sr_walk.walk w.SR.walked in
+      if compare w.SR.patterns patterns <> 0 then
         failf "%s walk differs from the walk:\n%s\nwalk:\n%s\nof:\n%s" (origin_name w)
           (String.concat "\n" (List.map pattern_print w.SR.patterns))
-          (String.concat "\n" (List.map pattern_print w'.SR.patterns))
+          (String.concat "\n" (List.map pattern_print patterns))
           (Helpers.kernel_print w.SR.walked);
-      if w.SR.indirect <> w'.SR.indirect then failf "%s walk: indirection differs" (origin_name w);
+      if w.SR.indirect <> indirect then failf "%s walk: indirection differs" (origin_name w);
       List.iter
         (fun (d : Ast.array_decl) ->
           let a = d.Ast.a_name in
-          if SR.single w w.SR.walked a <> SR.single w' w.SR.walked a then
+          if SR.single w a <> R.Sr_walk.single w.SR.walked a then
             failf "%s walk: single pattern of %s differs" (origin_name w) a)
         w.SR.walked.Ast.k_arrays)
-    (SR.walks ?config ~plan k);
+    (SR.walks ?config ?plan k);
   true
 
 (* The input of the scalar-replacement stage under [opts], the
@@ -1278,30 +1268,9 @@ let test_jam_fronts () =
     (builtins ());
   if !shared = 0 then Alcotest.fail "no front shared a jam verdict"
 
-(* The built-in and gallery kernels some of whose untiled fronts (every
-   vector of the product-64 lattice, replacement on) read a collected
-   walk, each with the vectors that do. *)
-let plan_fallbacks () =
-  List.filter_map
-    (fun (name, k) ->
-      let ctx = Dse.Design.context k in
-      let eligible = List.map (fun (l : Ast.loop) -> l.Ast.index) ctx.Dse.Design.env.spine in
-      let fell =
-        List.filter
-          (fun vector ->
-            let input, config, plan = sr_input { Transform.Pipeline.default with vector } k in
-            List.exists
-              (fun (w : SR.walk) -> match w.SR.origin with SR.Walked _ -> true | _ -> false)
-              (SR.walks ~config ~plan input))
-          (Dse.Util.divisor_vectors ~max_product:64 ctx ~eligible)
-      in
-      if fell = [] then None
-      else Some (name, String.concat " " (List.map Helpers.vector_to_string fell)))
-    (builtins ())
-
 (* Loop indices read as values: unrolling a loop fully makes them
    constants, [a[1] * (j - 1)] folds to 0 and its read disappears, so
-   the plan must not stand in for the walk there. *)
+   the closed form must not stand in for the kernel's own plan there. *)
 let test_plan_index_values () =
   let k =
     Frontend.Parser.kernel_of_string ~name:"index_values"
@@ -1318,11 +1287,64 @@ let test_plan_index_values () =
       with Failure m -> Alcotest.failf "%s: %s" (Helpers.vector_to_string vector) m)
     (Dse.Util.divisor_vectors ~max_product:16 ctx ~eligible)
 
-(* Only histogram falls back, on every vector: its subscript [img[i]]
-   reads an array. *)
-let test_plan_coverage () =
-  Alcotest.(check (list (pair string string)))
-    "fronts that walk" [ ("histogram", "i=1 i=2 i=4 i=8 i=16 i=32 i=64") ] (plan_fallbacks ())
+(* One kernel per shape the closed-form unroll does not cover, each
+   with the unroll vector it is replaced at: the walk is then read off
+   the unrolled kernel's own plan. Simplification inlines the one-trip
+   loop, so that kernel's nest is covered once planned. *)
+let uncovered =
+  [
+    ( "conditional",
+      {|int a[8][9]; int b[8][8];
+        for (i = 0; i < 8; i++) for (j = 0; j < 8; j++)
+          if (a[i][j] > 0) b[i][j] = a[i][j] + a[i][j + 1];|},
+      [ ("j", 2) ] );
+    ( "imperfect",
+      {|int a[8][8]; int s[8];
+        for (i = 0; i < 8; i++) {
+          s[i] = 0;
+          for (j = 0; j < 8; j++) s[i] = s[i] + a[i][j];
+        }|},
+      [ ("i", 2) ] );
+    ( "scalar_subscript",
+      {|int b[8]; int t[300]; int out[8]; int v;
+        for (i = 0; i < 8; i++) for (j = 0; j < 4; j++) {
+          v = b[i];
+          out[i] = out[i] + t[v + j] + t[v + j + 1];
+        }|},
+      [ ("j", 2) ] );
+    ( "array_subscript",
+      {|unsigned char img[64]; short hist[256];
+        for (i = 0; i < 64; i++) hist[img[i]] = hist[img[i]] + 1;|},
+      [ ("i", 4) ] );
+    ( "one_trip",
+      {|int a[4][10]; int out[4];
+        for (i = 0; i < 1; i++) for (j = 0; j < 8; j++)
+          out[i] = out[i] + a[i][j] + a[i][j + 2];|},
+      [ ("j", 2) ] );
+    ( "index_value",
+      {|int a[8]; int b[8]; int out[8];
+        for (i = 0; i < 4; i++) for (j = 0; j < 4; j++)
+          out[i] = out[i] + a[j] * (j - 1) + b[i + j] * i;|},
+      [ ("j", 4) ] );
+    ( "epilogue",
+      {|int a[8][12]; int out[8];
+        for (i = 0; i < 8; i++) for (j = 0; j < 8; j++)
+          out[i] = out[i] + a[i][j] + a[i][j + 1] + a[i][j + 3];|},
+      [ ("j", 3) ] );
+  ]
+
+let test_uncovered () =
+  List.iter
+    (fun (name, src, vector) ->
+      let k = Frontend.Parser.kernel_of_string ~name src in
+      let input = Transform.Unroll.run vector k in
+      let plan = (SR.plan k, vector) in
+      (match SR.walks ~plan input with
+      | { SR.origin = SR.Planned { copies = 1; _ }; _ } :: _ -> ()
+      | _ -> if name <> "one_trip" then Alcotest.failf "%s: the walk is not the kernel's own" name);
+      try ignore (sr_equivalent ~plan input && plan_walk_equivalent ~plan input)
+      with Failure m -> Alcotest.failf "%s: %s" name m)
+    uncovered
 
 (* A depth-3 kernel of the shape the benchmark's generator draws: a
    3x3-window stencil whose column subscript [j + k] couples the middle
@@ -1429,8 +1451,8 @@ let sr_case_equivalent (k, config, plan) =
 
 (* Two loops over arrays read at several offsets of one coupled pattern
    [a*i + b*j + c] (one or two dimensions): members whose residues agree
-   but whose dependence system has a free variable, so the fast chain
-   partition fails its check and the pairwise scan decides. The result
+   but whose dependence system has a free variable, so no two of them
+   chain, as the pairwise reference decides pair by pair. The result
    sometimes accumulates, read and written at different offsets of one
    pattern. *)
 let gen_coupled_kernel : Ast.kernel G.t =
@@ -1654,7 +1676,7 @@ let () =
         [
           Alcotest.test_case "every front of the built-in joint lattices" `Quick test_sr_fronts;
           Alcotest.test_case "one jam verdict per source and tile" `Quick test_jam_fronts;
-          Alcotest.test_case "untiled built-in fronts take the plan" `Quick test_plan_coverage;
+          Alcotest.test_case "kernels the closed form does not cover" `Quick test_uncovered;
           Alcotest.test_case "plan words track distinct members" `Quick test_plan_scaling;
           Alcotest.test_case "loop indices read as values" `Quick test_plan_index_values;
           Helpers.qtest "plan walk = walk (array nests, divisor vectors)" ~count:300

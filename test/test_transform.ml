@@ -380,12 +380,30 @@ let gen_members =
           })
         offsets )
 
-let prop_partition_chains_matches_pairwise =
-  Helpers.qtest "partition_chains = pairwise reference" ~count:500 gen_members
+(* The member sets as one pattern of their array over loops [i], [j],
+   [k]: what the chains phase hands [chain_classes]. *)
+let pattern_of inner (members : Analysis.Access.t list) : Transform.Scalar_replace.pattern =
+  let spine = (List.hd members).Analysis.Access.loops in
+  {
+    Transform.Scalar_replace.array = "A";
+    elem = Dtype.int32;
+    members;
+    has_reads = true;
+    has_writes = false;
+    any_guarded = false;
+    varying = [ inner ];
+    spine;
+    spine_only = true;
+    scalar_subs = false;
+    uniform = false;
+  }
+
+let prop_chain_classes_match_pairwise =
+  Helpers.qtest "chain classes = pairwise reference" ~count:500 gen_members
     (fun (inner, members) ->
       let ids = List.map (List.map (fun ((a : Analysis.Access.t), d) -> (a.id, d))) in
-      ids (Transform.Scalar_replace.partition_chains inner members)
-      = ids (reference_partition inner members))
+      ids (Transform.Scalar_replace.chain_classes inner (pattern_of inner members))
+      = ids (List.filter (fun cls -> List.compare_length_with cls 1 > 0) (reference_partition inner members)))
 
 (* Element CSE once chains replace the reads inside a subscript: the
    chain turns [img[i + 2]] into a register the body assigns, so
@@ -501,8 +519,9 @@ let sr_input vector k =
        { P.default with P.vector } k);
   Option.get !input
 
-(* Unroll products 16 to 256 of corr (coupled [img[i+di][j+dj]] reads:
-   the pairwise chain scan) and of Sobel over a 66x66 image. *)
+(* Unroll products 16 to 256 of corr (coupled [img[i+di][j+dj]] reads,
+   whose chain classes the dependent columns decide) and of Sobel over a
+   66x66 image. *)
 let test_sr_scaling () =
   List.iter
     (fun (what, k) ->
@@ -762,7 +781,7 @@ let () =
           Alcotest.test_case "MM clean innermost" `Quick test_mm_inner_clean;
           Alcotest.test_case "JAC chains" `Quick test_jac_chains;
           Alcotest.test_case "register budget" `Quick test_register_budget;
-          prop_partition_chains_matches_pairwise;
+          prop_chain_classes_match_pairwise;
           Alcotest.test_case "element CSE on indirect subscripts" `Quick
             test_cse_indirect_subscript;
           Alcotest.test_case "subscripts naming assigned scalars" `Quick
