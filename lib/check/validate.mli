@@ -4,40 +4,19 @@
     pre-stage kernel (reads(post) ⊆ reads(pre) ∪ writes(pre),
     writes(post) ⊆ writes(pre), must-writes(pre) ⊆ writes(post)); a
     stage whose output equals its input reuses its input's footprint
-    and findings. Violations are Error diagnostics carrying the stage
-    tag. *)
+    and findings. Footprints come from {!Analysis.Footprint}; the
+    arrays it skips are reported as Info findings. Violations are Error
+    diagnostics carrying the stage tag. *)
 
 open Ir
 
-type array_fp = {
-  size : int;  (** linearized element count *)
-  may_read : Bytes.t;
-  may_write : Bytes.t;
-  must_write : Bytes.t;
-  mutable oob_read : bool;  (** some read resolved outside the box *)
-  mutable oob_write : bool;
-}
-
-type t = {
-  arrays : (string * array_fp) list;  (** enumerable arrays, sorted *)
-  skipped : (string * string) list;  (** array name, reason *)
-}
-
-val default_max_points : int
-
-(** Per-array element footprint of a kernel, by enumeration with a
-    partial evaluator (loop indices and compile-time-known scalars).
-    Only scalars that reach a subscript or a guard are tracked, and
-    names are resolved once, before enumeration: variables to slots of
-    an array environment, arrays to their footprint records. A loop
-    whose body, so sliced, only accesses arrays is solved per access in
-    closed form where its subscripts are affine; the result equals
-    statement-by-statement enumeration. Arrays with unevaluable
-    subscripts, and every array of a kernel whose statement executions
-    exceed [max_points], land in [skipped]. *)
-val footprint : ?max_points:int -> Ast.kernel -> t
-
-val compare_footprints : stage:string -> pre:t -> post:t -> Diag.t list
+(** Error findings for [post]'s footprint against [pre]'s, array by
+    array over the arrays both enumerate. *)
+val compare_footprints :
+  stage:string ->
+  pre:Analysis.Footprint.t ->
+  post:Analysis.Footprint.t ->
+  Diag.t list
 
 type outcome = {
   result : Transform.Pipeline.result option;
@@ -64,13 +43,14 @@ type front
 val front :
   ?options:Transform.Pipeline.options ->
   ?max_points:int ->
-  ?source_footprint:t ->
+  ?source_footprint:Analysis.Footprint.t ->
   Ast.kernel ->
   front
 
 (** Apply the pipeline with per-stage validation. The transformed result
     is bit-identical to [Transform.Pipeline.apply options k].
-    [source_footprint], when given, must be [footprint ?max_points k]:
+    [source_footprint], when given, must be
+    [Analysis.Footprint.footprint ?max_points k]:
     a caller validating many configurations of one kernel computes it
     once instead of once per run. Without [front] nothing is memoized.
 
@@ -84,7 +64,7 @@ val front :
 val run :
   ?options:Transform.Pipeline.options ->
   ?max_points:int ->
-  ?source_footprint:t ->
+  ?source_footprint:Analysis.Footprint.t ->
   ?front:front ->
   Ast.kernel ->
   outcome

@@ -38,7 +38,7 @@ type env = {
       (** translation-validate every uncached evaluation
           ({!Check.Validate}); selections are bit-identical, violations
           are counted in the store's stats *)
-  source_footprint : Check.Validate.t option;
+  source_footprint : Analysis.Footprint.t option;
       (** the source kernel's footprint, the same at every point:
           computed once, when the env is made with [verify] (eagerly —
           [Lazy] is not domain-safe, and sweep workers share the env) *)
@@ -95,7 +95,7 @@ let make_env ?(pipeline = Transform.Pipeline.default)
     quick_facts;
     verify;
     source_footprint =
-      (if verify then Some (Check.Validate.footprint source) else None);
+      (if verify then Some (Analysis.Footprint.footprint source) else None);
     post_route;
   }
 

@@ -22,7 +22,7 @@ type env = {
           source, keeping the quick bounds admissible under tiling *)
   verify : bool;
       (** translation-validate every uncached evaluation *)
-  source_footprint : Check.Validate.t option;
+  source_footprint : Analysis.Footprint.t option;
       (** [Some] footprint of [source] when [verify], computed once by
           {!make_env} and shared by every verified evaluation *)
   post_route : bool;

@@ -11,18 +11,16 @@
     pipeline can apply:
 
     - {b Memory traffic.} Each distinct element of a never-written array
-      that an unguarded read touches must be fetched from memory at
-      least once (scalar replacement can remove re-loads, never the
-      first load), and each distinct element an unguarded write touches
-      must be stored at least once. Every such access occupies a memory
-      port for its occupancy window, and ports are serialized per
+      that a certainly executed read touches must be fetched from memory
+      at least once (scalar replacement can remove re-loads, never the
+      first load), and each distinct element a certainly executed write
+      touches must be stored at least once. Every such access occupies a
+      memory port for its occupancy window, and ports are serialized per
       memory, so [total occupancy / num_memories] cycles is a floor on
       both the joint and the memory-only schedules. The footprint is a
       property of the source kernel alone — unrolling does not change
-      it — so it is computed once per kernel, in {!facts}. It is
-      counted per access: each access enumerates only the loops its
-      subscripts mention and marks its elements in a bitset over the
-      array's declared extents.
+      it — so it is computed once per kernel, in {!facts}, as the
+      must-sets of {!Analysis.Footprint}.
 
     - {b Unreplaced traffic.} With scalar replacement off, nothing
       removes an access: load CSE is part of replacement. LICM hoists a
@@ -70,8 +68,8 @@
       away; it is charged at the narrowest width bucket).
 
     Guarded accesses, accesses whose subscripts cannot be evaluated at
-    compile time, and anything under a conditional contribute nothing —
-    dropping work only loosens a lower bound. The one care is dead
+    compile time, and anything under an undecided conditional contribute
+    nothing — dropping work only loosens a lower bound. The one care is dead
     code: a read whose value is never used could in principle be
     removed by a cleverer pipeline than ours; none of our passes drops
     loads, so the traffic bound holds for the estimator as built. *)
@@ -142,98 +140,6 @@ type facts = {
 (* ------------------------------------------------------------------ *)
 (* Footprint counting *)
 
-exception Out_of_budget
-
-(* The iteration spaces of the paper's kernels are a few thousand
-   points per access; anything far beyond that stops early and keeps
-   the partial footprint, which is still a valid lower bound. *)
-let footprint_budget = 200_000
-
-(* Arrays declared larger than this many elements are counted in the
-   hashed set only, so a huge declaration never allocates its bitset. *)
-let bitset_limit = 1 lsl 24
-
-(* Elements of a bitset over [dims]; 0 (no bitset) beyond the limit or
-   when an extent is not positive. *)
-let bitset_size dims =
-  List.fold_left
-    (fun n d -> if n > 0 && d > 0 && n <= bitset_limit / d then n * d else 0)
-    1 dims
-
-(* An enclosing loop of an access, bound to the [env] slot of its depth. *)
-type slot_loop = { slot : int; lo : int; hi : int; step : int }
-
-(* Where one array's distinct touched elements are counted: a bitset
-   over the declared extents (allocated at the first mark), and a hashed
-   set for tuples outside them or of an undeclared array. [loads] tells
-   which total a new element adds to: arrays the kernel writes count
-   stores, the others loads, never both. *)
-type target = {
-  dims : int array;  (** declared extents; empty if undeclared *)
-  size : int;  (** bits of [bits] once allocated; 0 for no bitset *)
-  mutable bits : Bytes.t;
-  outside : (int list, unit) Hashtbl.t;
-  loads : bool;
-}
-
-(* A mandatory access compiled against its loop nest: the enclosing
-   loops its subscripts mention, outermost first, and one evaluator per
-   subscript over the loop slots. *)
-type access = {
-  target : target;
-  enum : slot_loop list;
-  subs : (int array -> int) array;
-}
-
-(* Compile-time evaluator of a subscript over the slots of the loops in
-   [nest] (index name to loop, innermost first), marking the slots it
-   reads in [used]; [None] for anything data-dependent. The evaluator raises
-   [Exit] where the subscript has no value at the current iteration
-   (division by zero, shift out of range): that iteration of the access
-   is skipped. *)
-let rec compile nest used (e : Ast.expr) : (int array -> int) option =
-  match e with
-  | Ast.Int n -> Some (fun _ -> n)
-  | Ast.Var v -> (
-      match List.assoc_opt v nest with
-      | Some { slot; _ } ->
-          used.(slot) <- true;
-          Some (fun env -> Array.unsafe_get env slot)
-      | None -> None)
-  | Ast.Arr _ | Ast.Cond _ -> None
-  | Ast.Un (op, x) -> (
-      match (op, compile nest used x) with
-      | Ast.Neg, Some f -> Some (fun env -> -f env)
-      | Ast.Abs, Some f -> Some (fun env -> abs (f env))
-      | _ -> None)
-  | Ast.Bin (op, x, y) -> (
-      match (compile nest used x, compile nest used y) with
-      | Some f, Some g -> (
-          let shift sh env =
-            let b = g env in
-            if b < 0 || b > 62 then raise Exit else sh (f env) b
-          in
-          match op with
-          | Ast.Add -> Some (fun env -> f env + g env)
-          | Ast.Sub -> Some (fun env -> f env - g env)
-          | Ast.Mul -> Some (fun env -> f env * g env)
-          | Ast.Div ->
-              Some
-                (fun env ->
-                  let b = g env in
-                  if b = 0 then raise Exit else f env / b)
-          | Ast.Mod ->
-              Some
-                (fun env ->
-                  let b = g env in
-                  if b = 0 then raise Exit else f env mod b)
-          | Ast.Min -> Some (fun env -> min (f env) (g env))
-          | Ast.Max -> Some (fun env -> max (f env) (g env))
-          | Ast.Shl -> Some (shift ( lsl ))
-          | Ast.Shr -> Some (shift ( asr ))
-          | _ -> None)
-      | _ -> None)
-
 (* Arrays written anywhere in the body, guarded writes included. *)
 let written_arrays (body : Ast.stmt list) : (string, unit) Hashtbl.t =
   let written = Hashtbl.create 8 in
@@ -249,152 +155,17 @@ let written_arrays (body : Ast.stmt list) : (string, unit) Hashtbl.t =
   List.iter walk body;
   written
 
-(* The mandatory accesses of [k] in document order: reads of arrays the
-   kernel never writes, and all unguarded writes, including reads nested
-   inside subscripts. Conditional branches contribute nothing, nor does
-   an access whose subscripts are data-dependent, nor one under a loop
-   that runs no iteration. A loop with a non-positive stride never
-   terminates; it counts as running none, which only loosens the
-   bound. *)
-let compile_accesses (k : Ast.kernel) : access list =
-  let written = written_arrays k.Ast.k_body in
-  let targets : (string, target) Hashtbl.t = Hashtbl.create 8 in
-  let target name =
-    match Hashtbl.find_opt targets name with
-    | Some t -> t
-    | None ->
-        let dims =
-          match Ast.find_array k name with Some d -> d.Ast.a_dims | None -> []
-        in
-        let t =
-          {
-            dims = Array.of_list dims;
-            size = bitset_size dims;
-            bits = Bytes.empty;
-            outside = Hashtbl.create 8;
-            loads = not (Hashtbl.mem written name);
-          }
-        in
-        Hashtbl.replace targets name t;
-        t
-  in
-  let accesses = ref [] in
-  let add nest name subs =
-    let used = Array.make (List.length nest) false in
-    let compiled = List.map (compile nest used) subs in
-    if List.for_all Option.is_some compiled then
-      accesses :=
-        {
-          target = target name;
-          enum =
-            List.rev
-              (List.filter_map
-                 (fun (_, l) -> if used.(l.slot) then Some l else None)
-                 nest);
-          subs = Array.of_list (List.map Option.get compiled);
-        }
-        :: !accesses
-  in
-  let rec expr_reads nest (e : Ast.expr) =
-    match e with
-    | Ast.Int _ | Ast.Var _ -> ()
-    | Ast.Arr (name, subs) ->
-        List.iter (expr_reads nest) subs;
-        if not (Hashtbl.mem written name) then add nest name subs
-    | Ast.Bin (_, a, b) ->
-        expr_reads nest a;
-        expr_reads nest b
-    | Ast.Un (_, a) -> expr_reads nest a
-    | Ast.Cond (c, _, _) -> expr_reads nest c
-  in
-  let rec walk nest (s : Ast.stmt) =
-    match s with
-    | Ast.Assign (lv, e) -> (
-        expr_reads nest e;
-        match lv with
-        | Ast.Lvar _ -> ()
-        | Ast.Larr (name, subs) ->
-            List.iter (expr_reads nest) subs;
-            add nest name subs)
-    | Ast.If (c, _, _) -> expr_reads nest c
-    | Ast.Rotate _ -> ()
-    | Ast.For l ->
-        if l.Ast.step > 0 && l.Ast.lo < l.Ast.hi then
-          let loop =
-            { slot = List.length nest; lo = l.Ast.lo; hi = l.Ast.hi; step = l.Ast.step }
-          in
-          List.iter (walk ((l.Ast.index, loop) :: nest)) l.Ast.body
-  in
-  List.iter (walk []) k.Ast.k_body;
-  List.rev !accesses
-
-(* Distinct elements touched by the mandatory accesses, as (loads,
-   stores). Each access enumerates only the loops its subscripts
-   mention and marks its evaluated tuples in its array's target. *)
+(* The certain elements of the engine's footprint: the must-read
+   elements of arrays the kernel never writes, and the must-write
+   elements of every array. *)
 let footprint (k : Ast.kernel) : int * int =
-  let accesses = compile_accesses k in
-  let depth =
-    List.fold_left
-      (fun d a -> List.fold_left (fun d l -> max d (l.slot + 1)) d a.enum)
-      0 accesses
-  in
-  let env = Array.make depth 0 in
-  let loads = ref 0 and stores = ref 0 in
-  let fresh t = if t.loads then incr loads else incr stores in
-  let budget = ref footprint_budget in
-  let mark a vals =
-    let t = a.target in
-    let n = Array.length vals in
-    let rec linear i acc =
-      if i = n then acc
-      else
-        let v = Array.unsafe_get vals i and d = t.dims.(i) in
-        if v < 0 || v >= d then -1 else linear (i + 1) ((acc * d) + v)
-    in
-    let idx = if t.size > 0 && n = Array.length t.dims then linear 0 0 else -1 in
-    if idx >= 0 then begin
-      if Bytes.length t.bits = 0 then t.bits <- Bytes.make ((t.size + 7) / 8) '\000';
-      let byte = Char.code (Bytes.unsafe_get t.bits (idx lsr 3)) in
-      let bit = 1 lsl (idx land 7) in
-      if byte land bit = 0 then begin
-        Bytes.unsafe_set t.bits (idx lsr 3) (Char.unsafe_chr (byte lor bit));
-        fresh t
-      end
-    end
-    else
-      let key = Array.to_list vals in
-      if not (Hashtbl.mem t.outside key) then begin
-        Hashtbl.replace t.outside key ();
-        fresh t
-      end
-  in
-  let point a vals =
-    decr budget;
-    if !budget < 0 then raise Out_of_budget;
-    match
-      for i = 0 to Array.length vals - 1 do
-        Array.unsafe_set vals i (a.subs.(i) env)
-      done
-    with
-    | () -> mark a vals
-    | exception Exit -> ()
-  in
-  let rec enumerate a vals = function
-    | [] -> point a vals
-    | l :: rest ->
-        let v = ref l.lo in
-        while !v < l.hi do
-          Array.unsafe_set env l.slot !v;
-          enumerate a vals rest;
-          v := !v + l.step
-        done
-  in
-  (try
-     List.iter
-       (fun a -> enumerate a (Array.make (Array.length a.subs) 0) a.enum)
-       accesses
-   with Out_of_budget -> ());
-  (!loads, !stores)
+  let written = written_arrays k.Ast.k_body in
+  let count = Bytes.fold_left (fun n c -> if c = '\000' then n else n + 1) 0 in
+  List.fold_left
+    (fun (loads, stores) (name, (a : Analysis.Footprint.array_fp)) ->
+      ( (if Hashtbl.mem written name then loads else loads + count a.must_read),
+        stores + count a.must_write ))
+    (0, 0) (Analysis.Footprint.footprint k).arrays
 
 (* ------------------------------------------------------------------ *)
 (* Area floor *)

@@ -66,18 +66,15 @@ type facts
 val facts :
   device:Device.t -> mem:Memory_model.t -> ?chaining:bool -> Ast.kernel -> facts
 
-(** The mandatory memory footprint of [k] as [(loads, stores)]: distinct
-    elements read from arrays [k] never writes, and distinct elements
-    written, by accesses outside conditional branches whose subscripts
-    evaluate from the enclosing loop indices alone. Each access is
-    compiled once and enumerates only the enclosing loops its subscripts
-    mention; touched elements are marked in one bitset per array over
-    its declared extents, with a hashed set for tuples outside them and
-    for undeclared arrays. An iteration whose subscript has no value
-    (division by zero, out-of-range shift) is skipped, an access under a
-    loop that runs no iteration counts nothing, and past 200 000
-    enumerated points the count stops early — a partial footprint is
-    still a lower bound. *)
+(** The mandatory memory footprint of [k] as [(loads, stores)], read
+    off {!Analysis.Footprint.footprint}: the [must_read] elements of
+    arrays [k] never writes (not even under a guard), and the
+    [must_write] elements of every array. Only accesses that execute
+    whenever [k] runs are counted: not under an undecided guard nor in
+    a ternary branch. An array the engine skips (an unevaluable
+    subscript, an undeclared or too large array, a kernel past the
+    point budget) and an element outside the declared box count
+    nothing, so the count never exceeds the true footprint. *)
 val footprint : Ast.kernel -> int * int
 
 (** Lower bounds for the design point at [vector] (unroll factors per

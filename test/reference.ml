@@ -390,7 +390,7 @@ module Flow = struct
 end
 
 module Footprint = struct
-  open Check.Validate
+  open Analysis.Footprint
 
   let rec peval env (e : Ast.expr) : int option =
     match e with
@@ -459,19 +459,33 @@ module Footprint = struct
     let skip a reason =
       if not (Hashtbl.mem skipped a) then Hashtbl.add skipped a reason
     in
+    (* An array's size as a float product, so that no extent product
+       can wrap; a zero extent makes it empty whatever the others are. *)
+    let too_large dims =
+      (not (List.mem 0 dims))
+      && (List.exists (fun d -> d < 0) dims
+         || List.fold_left (fun n d -> n *. float_of_int d) 1. dims
+            > float_of_int max_elements)
+    in
     List.iter
       (fun (a : Ast.array_decl) ->
-        let size = Ast.array_size a in
+        if too_large a.Ast.a_dims then
+          skip a.Ast.a_name (Printf.sprintf "more than %d elements" max_elements);
         Hashtbl.replace fps a.Ast.a_name
-          ( a.Ast.a_dims,
-            {
-              size;
-              may_read = Bytes.make size '\000';
-              may_write = Bytes.make size '\000';
-              must_write = Bytes.make size '\000';
-              oob_read = false;
-              oob_write = false;
-            } ))
+          (if too_large a.Ast.a_dims then None
+           else
+             let size = Ast.array_size a in
+             Some
+               ( a.Ast.a_dims,
+                 {
+                   size;
+                   may_read = Bytes.make size '\000';
+                   must_read = Bytes.make size '\000';
+                   may_write = Bytes.make size '\000';
+                   must_write = Bytes.make size '\000';
+                   oob_read = false;
+                   oob_write = false;
+                 } )))
       k.Ast.k_arrays;
     let env : (string, int) Hashtbl.t = Hashtbl.create 16 in
     (* Linearize row-major; [None] when a subscript is unevaluable, [Some
@@ -493,7 +507,8 @@ module Footprint = struct
     let touch ~write ~certain a subs =
       match Hashtbl.find_opt fps a with
       | None -> skip a "not declared"
-      | Some (dims, fp) -> (
+      | Some None -> ()
+      | Some (Some (dims, fp)) -> (
           match linear dims subs with
           | None -> skip a "unevaluable subscript"
           | Some idx ->
@@ -503,23 +518,27 @@ module Footprint = struct
                 Bytes.set fp.may_write idx '\001';
                 if certain then Bytes.set fp.must_write idx '\001'
               end
-              else Bytes.set fp.may_read idx '\001')
+              else begin
+                Bytes.set fp.may_read idx '\001';
+                if certain then Bytes.set fp.must_read idx '\001'
+              end)
     in
-    (* Record every array read inside an expression (subscripts first). *)
-    let rec reads_in e =
+    (* Record every array read inside an expression (subscripts first);
+       a ternary branch may not run, so its reads are never certain. *)
+    let rec reads_in ~certain e =
       match e with
       | Ast.Int _ | Ast.Var _ -> ()
       | Ast.Arr (a, subs) ->
-          List.iter reads_in subs;
-          touch ~write:false ~certain:false a subs
+          List.iter (reads_in ~certain) subs;
+          touch ~write:false ~certain a subs
       | Ast.Bin (_, a, b) ->
-          reads_in a;
-          reads_in b
-      | Ast.Un (_, a) -> reads_in a
+          reads_in ~certain a;
+          reads_in ~certain b
+      | Ast.Un (_, a) -> reads_in ~certain a
       | Ast.Cond (c, t, e') ->
-          reads_in c;
-          reads_in t;
-          reads_in e'
+          reads_in ~certain c;
+          reads_in ~certain:false t;
+          reads_in ~certain:false e'
     in
     let budget = ref max_points in
     let spend () =
@@ -531,16 +550,16 @@ module Footprint = struct
       spend ();
       match s with
       | Ast.Assign (Ast.Lvar v, e) ->
-          reads_in e;
+          reads_in ~certain e;
           (match (certain, peval env e) with
           | true, Some n -> Hashtbl.replace env v n
           | _ -> Hashtbl.remove env v)
       | Ast.Assign (Ast.Larr (a, subs), e) ->
-          List.iter reads_in subs;
-          reads_in e;
+          List.iter (reads_in ~certain) subs;
+          reads_in ~certain e;
           touch ~write:true ~certain a subs
       | Ast.If (c, t, e) -> (
-          reads_in c;
+          reads_in ~certain c;
           match peval env c with
           | Some vc -> walk ~certain (if vc <> 0 then t else e)
           | None ->
@@ -571,8 +590,10 @@ module Footprint = struct
          k.Ast.k_arrays);
     let arrays =
       Hashtbl.fold
-        (fun name (_, fp) acc ->
-          if Hashtbl.mem skipped name then acc else (name, fp) :: acc)
+        (fun name fp acc ->
+          match fp with
+          | Some (_, fp) when not (Hashtbl.mem skipped name) -> (name, fp) :: acc
+          | _ -> acc)
         fps []
       |> List.sort (fun (a, _) (b, _) -> compare a b)
     in
@@ -581,116 +602,6 @@ module Footprint = struct
       |> List.sort compare
     in
     { arrays; skipped }
-end
-
-(** [Hls.Quick]'s mandatory-footprint enumerator as it was before it
-    counted per access: one interpreted walk of the whole iteration
-    space over a [Hashtbl] environment, stopping after [budget] steps
-    with the partial count (200 000 by default, as in the library; pass
-    [max_int] for the exact count). *)
-module Quick_footprint = struct
-  (* Compile-time evaluation of a subscript under the loop-index
-     environment; [None] for anything data-dependent. *)
-  let rec eval env (e : Ast.expr) : int option =
-    match e with
-    | Ast.Int n -> Some n
-    | Ast.Var v -> Hashtbl.find_opt env v
-    | Ast.Arr _ | Ast.Cond _ -> None
-    | Ast.Un (op, x) -> (
-        match (op, eval env x) with
-        | Ast.Neg, Some a -> Some (-a)
-        | Ast.Abs, Some a -> Some (abs a)
-        | _ -> None)
-    | Ast.Bin (op, x, y) -> (
-        match (eval env x, eval env y) with
-        | Some a, Some b -> (
-            match op with
-            | Ast.Add -> Some (a + b)
-            | Ast.Sub -> Some (a - b)
-            | Ast.Mul -> Some (a * b)
-            | Ast.Div -> if b = 0 then None else Some (a / b)
-            | Ast.Mod -> if b = 0 then None else Some (a mod b)
-            | Ast.Min -> Some (min a b)
-            | Ast.Max -> Some (max a b)
-            | Ast.Shl -> if b < 0 || b > 62 then None else Some (a lsl b)
-            | Ast.Shr -> if b < 0 || b > 62 then None else Some (a asr b)
-            | _ -> None)
-        | _ -> None)
-
-  exception Out_of_budget
-
-  (* Distinct elements touched by mandatory accesses: reads of arrays the
-     kernel never writes, and all unguarded writes, keyed by evaluated
-     subscript tuple. Conditional branches contribute nothing. *)
-  let footprint ?(budget = 200_000) (k : Ast.kernel) =
-    let written : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun (a : Analysis.Access.t) ->
-        if Analysis.Access.is_write a then
-          Hashtbl.replace written a.Analysis.Access.array ())
-      (Analysis.Access.collect k.Ast.k_body);
-    let reads : (string * int list, unit) Hashtbl.t = Hashtbl.create 256 in
-    let writes : (string * int list, unit) Hashtbl.t = Hashtbl.create 256 in
-    let env : (string, int) Hashtbl.t = Hashtbl.create 8 in
-    let budget = ref budget in
-    let spend () =
-      decr budget;
-      if !budget < 0 then raise Out_of_budget
-    in
-    let subs_values subs =
-      let rec go acc = function
-        | [] -> Some (List.rev acc)
-        | s :: rest -> (
-            match eval env s with Some v -> go (v :: acc) rest | None -> None)
-      in
-      go [] subs
-    in
-    let record tbl name subs =
-      spend ();
-      match subs_values subs with
-      | Some vs -> Hashtbl.replace tbl (name, vs) ()
-      | None -> ()
-    in
-    (* Reads anywhere in an unconditionally evaluated expression, including
-       reads nested inside other subscripts. *)
-    let rec expr_reads (e : Ast.expr) =
-      match e with
-      | Ast.Int _ | Ast.Var _ -> ()
-      | Ast.Arr (name, subs) ->
-          List.iter expr_reads subs;
-          if not (Hashtbl.mem written name) then record reads name subs
-      | Ast.Bin (_, a, b) ->
-          expr_reads a;
-          expr_reads b
-      | Ast.Un (_, a) -> expr_reads a
-      | Ast.Cond (c, _, _) -> expr_reads c (* branches evaluate conditionally *)
-    in
-    let rec walk (s : Ast.stmt) =
-      match s with
-      | Ast.Assign (lv, e) -> (
-          expr_reads e;
-          match lv with
-          | Ast.Lvar _ -> ()
-          | Ast.Larr (name, subs) ->
-              List.iter expr_reads subs;
-              record writes name subs)
-      | Ast.If (c, _, _) -> expr_reads c (* guarded bodies are optional *)
-      | Ast.Rotate _ -> ()
-      | Ast.For l ->
-          let saved = Hashtbl.find_opt env l.Ast.index in
-          let v = ref l.Ast.lo in
-          while !v < l.Ast.hi do
-            spend ();
-            Hashtbl.replace env l.Ast.index !v;
-            List.iter walk l.Ast.body;
-            v := !v + l.Ast.step
-          done;
-          (match saved with
-          | Some x -> Hashtbl.replace env l.Ast.index x
-          | None -> Hashtbl.remove env l.Ast.index)
-    in
-    let finished = (try List.iter walk k.Ast.k_body; true with Out_of_budget -> false) in
-    ((Hashtbl.length reads, Hashtbl.length writes), finished)
 end
 
 (** [Transform.Simplify]'s canonicalization as it was before each result

@@ -300,8 +300,8 @@ let test_broken_transform_caught () =
     | s -> s
   in
   let broken = { k with Ast.k_body = List.map break_stmt k.Ast.k_body } in
-  let pre = Check.Validate.footprint k in
-  let post = Check.Validate.footprint broken in
+  let pre = Analysis.Footprint.footprint k in
+  let post = Analysis.Footprint.footprint broken in
   let ds = Check.Validate.compare_footprints ~stage:"unroll" ~pre ~post in
   Alcotest.(check bool) "stage-tagged error reported" true
     (List.exists

@@ -754,6 +754,37 @@ let test_cli_simulate_faults () =
         "int a[16];\nfor (i = 0; i < 16; i++)\n  a[i] = a[i / 0];\n" );
     ]
 
+(* An array too large to track is skipped by the footprint engine, never
+   allocated: [check], [explore] and [space --verify] finish on a
+   declaration of 10^10 elements and on one whose extent product wraps
+   to 0 in native integers, and [check] says why it skipped it. *)
+let test_cli_huge_arrays () =
+  List.iter
+    (fun extent ->
+      with_source
+        (Printf.sprintf
+           "int A[%s][%s];\n\
+            int B[4];\n\
+            for (i = 0; i < 4; i++)\n\
+           \  B[i] = A[i][i] + 1;\n"
+           extent extent)
+      @@ fun path ->
+      List.iter
+        (fun args ->
+          let what = Printf.sprintf "%s on A[%s][%s]" (List.hd args) extent extent in
+          let code, out, err = run_capture (args @ [ "-f"; path ]) in
+          Alcotest.(check bool) (what ^ ": no exit 125") true (code <> 125);
+          Alcotest.(check bool)
+            (what ^ ": no internal error")
+            false
+            (Helpers.contains out "internal error" || Helpers.contains err "internal error");
+          if List.hd args = "check" then
+            Alcotest.(check bool)
+              (what ^ ": skip reported") true
+              (Helpers.contains out "array 'A' not validated: more than 16777216 elements"))
+        [ [ "check" ]; [ "explore" ]; [ "space"; "--verify" ] ])
+    [ "100000"; "4294967296" ]
+
 (* Jamming [i] reorders the scalar recurrence on [s]: the sweep and the
    search drop those vectors, and the designs they select compute what
    the source does. *)
@@ -917,6 +948,7 @@ let () =
             test_cli_unwritable_cache_dir;
           Alcotest.test_case "simulate faults exit 2" `Quick
             test_cli_simulate_faults;
+          Alcotest.test_case "huge arrays never crash" `Quick test_cli_huge_arrays;
           Alcotest.test_case "space skips a scalar-reordering jam" `Quick
             test_cli_space_skips_scalar_jam;
         ] );
