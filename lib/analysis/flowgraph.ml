@@ -316,95 +316,9 @@ let solve (g : t) (spec : 'f spec) : 'f solution =
   done;
   { before; after }
 
-(* Shared helpers for the location-set analyses. *)
-
-(* A write to [d] provably overwrites location [d] itself (on any
-   execution reaching the program point, regardless of iteration) when
-   [d] is a scalar or an all-constant cell — and overwrites no other
-   location. *)
-let strongly_killable = function
-  | Scalar _ -> true
-  | Cell (_, fs) -> List.for_all Affine.is_const fs
-  | Whole _ -> false
-
-module LocTbl = Hashtbl.Make (struct
-  type t = loc
-
-  let equal = equal_loc
-  let hash = Hashtbl.hash
-end)
-
 let mentions_index (idx : string) = function
   | Scalar _ | Whole _ -> false
   | Cell (_, fs) -> List.exists (fun f -> List.mem idx (Affine.vars f)) fs
-
-(* ------------------------------------------------------------------ *)
-(* Reaching definitions *)
-
-type def = { d_id : int; d_node : int; d_loc : loc }
-
-let def_sites (g : t) : def array =
-  let acc = ref [] and next = ref 0 in
-  Array.iter
-    (fun nd ->
-      List.iter
-        (fun l ->
-          acc := { d_id = !next; d_node = nd.id; d_loc = l } :: !acc;
-          incr next)
-        (defs_at g nd.id))
-    g.nodes;
-  Array.of_list (List.rev !acc)
-
-module IntSet = Set.Make (Int)
-
-type reaching = { r_defs : def array; r_sol : IntSet.t solution }
-
-let reaching (g : t) : reaching =
-  let defs = def_sites g in
-  let n = Array.length g.nodes in
-  let gen = Array.make n IntSet.empty in
-  Array.iter (fun d -> gen.(d.d_node) <- IntSet.add d.d_id gen.(d.d_node)) defs;
-  (* kill at a node: every site whose location one of the node's writes
-     strongly overwrites, i.e. the sites of its strongly killable
-     writes, collected once per location *)
-  let sites = LocTbl.create 64 in
-  Array.iter
-    (fun (d : def) ->
-      if strongly_killable d.d_loc then
-        LocTbl.replace sites d.d_loc
-          (IntSet.add d.d_id
-             (Option.value ~default:IntSet.empty
-                (LocTbl.find_opt sites d.d_loc))))
-    defs;
-  let kill =
-    Array.map
-      (List.fold_left
-         (fun acc w ->
-           match LocTbl.find_opt sites w with
-           | Some ids -> IntSet.union ids acc
-           | None -> acc)
-         IntSet.empty)
-      g.node_defs
-  in
-  let spec =
-    {
-      dir = Forward;
-      boundary = IntSet.empty;
-      init = IntSet.empty;
-      join = IntSet.union;
-      equal = IntSet.equal;
-      transfer = (fun nd f -> IntSet.union gen.(nd.id) (IntSet.diff f kill.(nd.id)));
-    }
-  in
-  { r_defs = defs; r_sol = solve g spec }
-
-let reaching_defs_of (r : reaching) (node : int) (l : loc) : def list =
-  IntSet.fold
-    (fun id acc ->
-      let d = r.r_defs.(id) in
-      if may_alias d.d_loc l then d :: acc else acc)
-    r.r_sol.before.(node) []
-  |> List.rev
 
 (* ------------------------------------------------------------------ *)
 (* Liveness *)

@@ -11,15 +11,15 @@
 
     Analyses are instances of the monotone framework: a {!spec} supplies
     direction, lattice operations and a transfer function, and {!solve}
-    iterates a worklist to fixpoint. Three reusable analyses are
-    provided — {!reaching}, {!live} and {!anticipated} — for the
-    dead-store and legality checks. All of them track scalars and
-    individual array cells; array cells are keyed by their affine
-    subscript forms ({!Affine.t}), degrading conservatively to
-    whole-array facts for non-affine subscripts or forms that mention
-    non-index variables. The uninitialized-read check ({!Check.Uninit})
-    builds no graph: it walks the syntax once, numbering statements as
-    {!build} numbers nodes. *)
+    iterates a worklist to fixpoint. Two reusable analyses are
+    provided — {!live} and {!anticipated} — for the dead-store check.
+    Both track scalars and individual array cells; array cells are keyed
+    by their affine subscript forms ({!Affine.t}), degrading
+    conservatively to whole-array facts for non-affine subscripts or
+    forms that mention non-index variables. The uninitialized-read check
+    ({!Check.Uninit}) and the legality hazards ({!Check.Legality}) build
+    no graph: they walk the syntax, with this graph's trip-count rules.
+    Reaching definitions, their oracle, live with the test suite. *)
 
 open Ir
 
@@ -119,33 +119,6 @@ type 'f spec = {
 type 'f solution = { before : 'f array; after : 'f array }
 
 val solve : t -> 'f spec -> 'f solution
-
-(** {1 Reaching definitions} *)
-
-(** One static definition site. A node makes one [def] per location it
-    writes ([Rotate] makes several). *)
-type def = { d_id : int; d_node : int; d_loc : loc }
-
-(** All definition sites, in node order; [d_id] indexes this array. *)
-val def_sites : t -> def array
-
-module IntSet : Set.S with type elt = int
-
-type reaching = {
-  r_defs : def array;
-  r_sol : IntSet.t solution;  (** sets of [d_id]s *)
-}
-
-(** Forward may-analysis. A definition is strongly killed only by a
-    write that provably overwrites it on every execution reaching here:
-    a scalar write, or a write to a cell with all-constant subscripts.
-    Writes to index-dependent cells kill nothing (an earlier iteration's
-    instance may survive in another cell). *)
-val reaching : t -> reaching
-
-(** Definitions of [d] reaching the entry of node [n] that may alias
-    [loc]. *)
-val reaching_defs_of : reaching -> int -> loc -> def list
 
 (** {1 Liveness} *)
 

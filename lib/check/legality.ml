@@ -4,64 +4,49 @@
     the paper): unroll-and-jam must not reverse a dependence when the
     unrolled outer iterations are fused; scalar replacement requires
     consistent dependence distances within a uniformly generated set;
-    tiling and peeling require their loop to sit on the nest spine.
+    tiling requires its loop to sit on the nest spine.
 
-    Since the flow-graph refactor the jam and replaceability predicates
-    consult dataflow facts ({!Analysis.Flowgraph}) *alongside* the
-    dependence analysis, and are strictly stronger than the old
-    dependence-only forms (which stay exposed as [*_dependence] — the
-    test suite cross-validates [new => old] on random kernels):
+    Two hazards the dependence test cannot see are found by structural
+    walks over the syntax, with the trip-count rules of the flow graph
+    the test suite keeps as their oracle: a zero-trip body never runs,
+    a positive trip count runs the body at least once, and a
+    non-positive step may run it any number of times.
 
-    - [jam_unroll_legal] additionally rejects loop-carried {e scalar}
-      recurrences that are not commutative/associative reductions. The
-      array dependence test cannot see them — [s = s * 2 + A[i][j]]
-      under unroll-and-jam silently reorders the chain.
-    - [replaceable_group] additionally rejects groups whose array is
-      also written (for read sets) or read (for write sets) through a
-      {e different} access pattern that reaches the group's accesses:
-      caching the set in registers would miss those foreign accesses. *)
+    - {!scalar_jam_hazard}: a loop-carried {e scalar} recurrence that
+      is not a commutative/associative reduction. The array dependence
+      test cannot see it — [s = s * 2 + A[i][j]] under unroll-and-jam
+      silently reorders the chain.
+    - {!foreign_hazard}: the group's array is also written (for read
+      sets) or accessed (for write sets) through a {e different}
+      access pattern that reaches the group's accesses: caching the
+      set in registers would miss those foreign accesses. *)
 
 open Ir
 module Dependence = Analysis.Dependence
 module Reuse = Analysis.Reuse
-module Flowgraph = Analysis.Flowgraph
 
 let pass = "legality"
 
 let diagf ?span sev fmt = Diag.diagf ?span sev ~pass fmt
 
-(* ------------------------------------------------------------------ *)
-(* Dependence-only predicates (the pre-flowgraph forms) *)
-
-(** Fusing the unrolled outer iterations preserves every *array*
-    dependence. Same predicate the pipeline consults
-    ({!Transform.Unroll.jam_legal}); conservative on coupled distances,
-    blind to scalar recurrences. *)
-let jam_unroll_legal_dependence = Transform.Unroll.jam_legal
-
 (** Every pair of members of the uniformly generated set has a
     consistent (exact or unconstrained) dependence distance. *)
 let replaceable_group_dependence (_k : Ast.kernel) (g : Reuse.group) : bool =
-  let members = Array.of_list g.Reuse.members in
-  let n = Array.length members in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if !ok then
-        match Dependence.ug_distance_vector members.(i) members.(j) with
-        | Dependence.Independent -> ()
-        | Dependence.Distance entries ->
-            if
-              List.exists
-                (function
-                  | Dependence.Coupled -> true
-                  | Dependence.Exact _ | Dependence.Any -> false)
-                entries
-            then ok := false
-        | Dependence.Unknown -> ok := false
-    done
-  done;
-  !ok
+  let consistent a b =
+    match Dependence.ug_distance_vector a b with
+    | Dependence.Independent -> true
+    | Dependence.Distance entries -> not (List.mem Dependence.Coupled entries)
+    | Dependence.Unknown -> false
+  in
+  let rec pairwise = function
+    | [] -> true
+    | a :: rest -> List.for_all (consistent a) rest && pairwise rest
+  in
+  pairwise g.Reuse.members
+
+(* [0]: the body never runs; [-1] for a non-positive step: it may run
+   any number of times, zero included; otherwise it runs at least once. *)
+let trip (l : Ast.loop) = if l.Ast.step <= 0 then -1 else Ast.loop_trip l
 
 (* ------------------------------------------------------------------ *)
 (* Scalar recurrences under unroll-and-jam *)
@@ -87,243 +72,253 @@ let reduction_op s (rhs : Ast.expr) : Ast.binop option =
       else None
   | _ -> None
 
-(* Is every body occurrence of [s] part of one single-operator
+(* Is every occurrence of [s] in [body] part of one single-operator
    reduction? Any other read (a guard, a subscript, an array store of
-   the running value) observes intermediate sums, which jamming
-   permutes. *)
-let reduction_only (g : Flowgraph.t) (body : Flowgraph.node list) (s : string)
-    : bool =
-  let ok = ref true and op = ref None in
-  List.iter
-    (fun (nd : Flowgraph.node) ->
-      if !ok then
-        match nd.Flowgraph.kind with
-        | Flowgraph.Assign (Ast.Lvar x, rhs) when String.equal x s -> (
-            match reduction_op s rhs with
-            | Some o -> (
-                match !op with
-                | None -> op := Some o
-                | Some o' -> if o <> o' then ok := false)
-            | None -> ok := false)
-        | Flowgraph.Header _ -> ()
-        | _ ->
-            if
-              List.exists
-                (fun u -> Flowgraph.equal_loc u (Flowgraph.Scalar s))
-                (Flowgraph.uses g nd.Flowgraph.id)
-            then ok := false)
-    body;
-  !ok
+   the running value, a rotation) observes intermediate sums, which
+   jamming permutes. Bodies that never run count too. *)
+let reduction_only (body : Ast.stmt list) (s : string) : bool =
+  let op = ref None in
+  let free e = count_var s e = 0 in
+  let rec ok (st : Ast.stmt) =
+    match st with
+    | Ast.Assign (Ast.Lvar x, rhs) when String.equal x s -> (
+        match (reduction_op s rhs, !op) with
+        | Some o, None ->
+            op := Some o;
+            true
+        | Some o, Some o' -> o = o'
+        | None, _ -> false)
+    | Ast.Assign (Ast.Lvar _, e) -> free e
+    | Ast.Assign (Ast.Larr (_, subs), e) -> free e && List.for_all free subs
+    | Ast.Rotate rs -> not (List.mem s rs)
+    | Ast.If (c, t, e) -> free c && List.for_all ok t && List.for_all ok e
+    | Ast.For l -> List.for_all ok l.Ast.body
+  in
+  List.for_all ok body
+
+module Names = Set.Make (String)
+
+let reads live e =
+  Ast.fold_expr
+    (fun acc e -> match e with Ast.Var v -> Names.add v acc | _ -> acc)
+    live e
+
+(* The number of flow-graph nodes of a statement: one each, in
+   preorder, so [pos + size st] numbers the statement after [st]. *)
+let rec size (st : Ast.stmt) =
+  match st with
+  | Ast.Assign _ | Ast.Rotate _ -> 1
+  | Ast.If (_, t, e) -> 1 + sizes t + sizes e
+  | Ast.For l -> 1 + sizes l.Ast.body
+
+and sizes body = List.fold_left (fun n st -> n + size st) 0 body
+
+(* The scalars live before [body], whose first statement is node [pos],
+   given those live after it: read before any write on some path.
+   [visit pos l x] sees every loop whose body runs, once, with the
+   scalars live at its body's entry. A body's entry sees what its own
+   iteration reads first and, through the body, what is live after the
+   loop; the back edge adds nothing more there, but it makes the
+   entry's scalars (bar the index) live at the body's end, which the
+   second pass hands to the loops inside. *)
+let rec live visit pos body out =
+  match body with
+  | [] -> out
+  | st :: rest -> live_stmt visit pos st (live visit (pos + size st) rest out)
+
+and live_stmt visit pos (st : Ast.stmt) out =
+  match st with
+  | Ast.Assign (Ast.Lvar v, e) -> reads (Names.remove v out) e
+  | Ast.Assign (Ast.Larr (_, subs), e) -> List.fold_left reads (reads out e) subs
+  | Ast.Rotate rs -> List.fold_left (Fun.flip Names.add) out rs
+  | Ast.If (c, t, e) ->
+      let then_ = live visit (pos + 1) t out in
+      reads (Names.union then_ (live visit (pos + 1 + sizes t) e out)) c
+  | Ast.For l ->
+      let t = trip l in
+      if t = 0 then Names.remove l.Ast.index out
+      else
+        let entry = live (fun _ _ _ -> ()) (pos + 1) l.Ast.body out in
+        ignore
+          (live visit (pos + 1) l.Ast.body
+             (Names.union out (Names.remove l.Ast.index entry)));
+        visit pos l entry;
+        Names.remove l.Ast.index (if t > 0 then entry else Names.union entry out)
+
+(* The scalars [body] assigns, and the indices of the loops in it. *)
+let rec assigned (scalars, indices) (st : Ast.stmt) =
+  match st with
+  | Ast.Assign (Ast.Lvar v, _) -> (Names.add v scalars, indices)
+  | Ast.Assign (Ast.Larr _, _) -> (scalars, indices)
+  | Ast.Rotate rs -> (List.fold_left (Fun.flip Names.add) scalars rs, indices)
+  | Ast.If (_, t, e) ->
+      List.fold_left assigned (List.fold_left assigned (scalars, indices) t) e
+  | Ast.For l ->
+      List.fold_left assigned (scalars, Names.add l.Ast.index indices) l.Ast.body
+
+(* The first scalar by name that [l] carries into its body (live at the
+   body's entry [entry]) and that is not a plain reduction; [None] for
+   an innermost loop, which never jams. *)
+let carried (l : Ast.loop) entry =
+  let scalars, indices =
+    List.fold_left assigned (Names.empty, Names.empty) l.Ast.body
+  in
+  if Names.is_empty indices then None
+  else
+    Names.diff scalars (Names.add l.Ast.index indices)
+    |> Names.to_seq
+    |> Seq.find (fun s -> Names.mem s entry && not (reduction_only l.Ast.body s))
+
+(* The first loop, in program order, that carries a scalar recurrence
+   unroll-and-jam would reorder, with that scalar. *)
+let jam_hazard (k : Ast.kernel) : (Ast.loop * string) option =
+  let first = ref None in
+  let visit pos l entry =
+    match !first with
+    | Some (p, _, _) when p < pos -> ()
+    | _ -> (
+        match carried l entry with
+        | Some s -> first := Some (pos, l, s)
+        | None -> ())
+  in
+  ignore (live visit 1 k.Ast.k_body Names.empty);
+  Option.map (fun (_, l, s) -> (l, s)) !first
 
 (** First scalar whose loop-carried dependence chain unroll-and-jam
     would reorder, as [(loop index, scalar)]; [None] when every carried
     scalar is a plain reduction. Only non-innermost loops matter: the
     innermost-only fallback unrolls within one iteration and never
     reorders a chain. *)
-let scalar_jam_hazard (g : Flowgraph.t) : (string * string) option =
-  let live = Flowgraph.live g in
-  let result = ref None in
-  Array.iter
-    (fun (hn : Flowgraph.node) ->
-      if !result = None && g.Flowgraph.reachable.(hn.Flowgraph.id) then
-        match hn.Flowgraph.kind with
-        | Flowgraph.Header l ->
-            let body =
-              Array.to_list g.Flowgraph.nodes
-              |> List.filter (fun (nd : Flowgraph.node) ->
-                     nd.Flowgraph.id <> hn.Flowgraph.id
-                     && List.memq l nd.Flowgraph.loops)
-            in
-            let indices =
-              l.Ast.index
-              :: List.filter_map
-                   (fun (nd : Flowgraph.node) ->
-                     match nd.Flowgraph.kind with
-                     | Flowgraph.Header l' -> Some l'.Ast.index
-                     | _ -> None)
-                   body
-            in
-            let is_innermost =
-              not
-                (List.exists
-                   (fun (nd : Flowgraph.node) ->
-                     match nd.Flowgraph.kind with
-                     | Flowgraph.Header _ -> true
-                     | _ -> false)
-                   body)
-            in
-            if not is_innermost then begin
-              let body_ids =
-                List.map (fun (nd : Flowgraph.node) -> nd.Flowgraph.id) body
-              in
-              let entries =
-                List.filter
-                  (fun i -> List.mem i body_ids)
-                  g.Flowgraph.succ.(hn.Flowgraph.id)
-              in
-              let defined =
-                body
-                |> List.concat_map (fun (nd : Flowgraph.node) ->
-                       Flowgraph.defs_at g nd.Flowgraph.id)
-                |> List.filter_map (function
-                     | Flowgraph.Scalar s -> Some s
-                     | _ -> None)
-                |> List.sort_uniq compare
-              in
-              List.iter
-                (fun s ->
-                  if !result = None && not (List.mem s indices) then
-                    let carried =
-                      (* live into the body: a body read may see the
-                         previous outer iteration's value *)
-                      List.exists
-                        (fun e ->
-                          Flowgraph.LocSet.mem (Flowgraph.Scalar s)
-                            live.Flowgraph.before.(e))
-                        entries
-                    in
-                    if carried && not (reduction_only g body s) then
-                      result := Some (l.Ast.index, s))
-                defined
-            end
-        | _ -> ())
-    g.Flowgraph.nodes;
-  !result
-
-(** Dependence preservation *and* no reorderable scalar recurrence. *)
-let jam_unroll_legal ?graph (k : Ast.kernel) : bool =
-  jam_unroll_legal_dependence k
-  &&
-  let g = match graph with Some g -> g | None -> Flowgraph.build k in
-  scalar_jam_hazard g = None
+let scalar_jam_hazard (k : Ast.kernel) : (string * string) option =
+  Option.map (fun ((l : Ast.loop), s) -> (l.Ast.index, s)) (jam_hazard k)
 
 (* ------------------------------------------------------------------ *)
 (* Scalar replacement: foreign accesses through other patterns *)
 
-type replace_verdict =
-  | Replaceable
-  | Inconsistent_distances
-  | Foreign_accesses of string
+(* An access to the group's array: one affine form per dimension over
+   the enclosing loop indices, or some unknown element. *)
+type cell = Cell of Affine.t list | Whole
 
-let linear_parts (fs : Affine.t list) =
-  List.map (fun (f : Affine.t) -> Affine.make f.Affine.terms 0) fs
+let cell indices subs =
+  let forms = List.map Affine.of_expr subs in
+  if
+    List.for_all
+      (function
+        | Some f -> List.for_all (fun v -> List.mem v indices) (Affine.vars f)
+        | None -> false)
+      forms
+  then Cell (List.map Option.get forms)
+  else Whole
 
-let same_linear fs gs =
-  List.length fs = List.length gs && List.for_all2 Affine.equal fs gs
+(* Two cells are disjoint only when some dimension has two distinct
+   constant subscripts. *)
+let may_alias a b =
+  match (a, b) with
+  | Cell fs, Cell gs ->
+      List.length fs <> List.length gs
+      || not
+           (List.exists2
+              (fun f g ->
+                Affine.is_const f && Affine.is_const g
+                && Affine.const_part f <> Affine.const_part g)
+              fs gs)
+  | Whole, _ | _, Whole -> true
 
-(* How a location relates to a group's access pattern: [`Match] same
-   array and same subscript coefficients, [`Foreign] same array through
-   another pattern (a whole-array loc counts as both), [`Other] a
-   different array or a scalar. *)
-let classify ~array ~pattern (l : Flowgraph.loc) =
-  match l with
-  | Flowgraph.Scalar _ -> `Other
-  | Flowgraph.Whole a -> if String.equal a array then `Both else `Other
-  | Flowgraph.Cell (a, fs) ->
-      if not (String.equal a array) then `Other
-      else if same_linear (linear_parts fs) pattern then `Match
-      else `Foreign
+let rec cells_of array indices acc (e : Ast.expr) =
+  match e with
+  | Ast.Int _ | Ast.Var _ -> acc
+  | Ast.Arr (a, subs) ->
+      let acc = List.fold_left (cells_of array indices) acc subs in
+      if String.equal a array then cell indices subs :: acc else acc
+  | Ast.Bin (_, x, y) -> cells_of array indices (cells_of array indices acc x) y
+  | Ast.Un (_, x) -> cells_of array indices acc x
+  | Ast.Cond (c, x, y) ->
+      List.fold_left (cells_of array indices) acc [ c; x; y ]
 
-let matches c = c = `Match || c = `Both
-let foreign c = c = `Foreign || c = `Both
-let intset_mem = Flowgraph.IntSet.mem
+exception Reached
 
-(* A foreign access the cached registers would miss: for a read set, a
-   foreign *write* whose definition reaches one of the group's reads
-   (the registers would serve a stale value); for a write set, a member
-   write reaching a foreign *access* (which would see memory the
-   registers have not flushed, or clobber it). *)
-let foreign_hazard (g : Reuse.group) (graph : Flowgraph.t)
-    (r : Flowgraph.reaching) : string option =
-  match
-    List.find_opt Analysis.Access.is_affine g.Reuse.members
-  with
-  | None -> None (* non-affine group: the dependence predicate decides *)
+(* Does a write to [array] that [gen] selects reach, along some path of
+   the trip-aware control flow, a read (or with [probe_writes] a write)
+   that [probe] selects and may alias? The walk carries the cells of
+   the selected writes that reach the current point; an [If] joins its
+   branches. No write is ever taken back out: only a write to the same
+   all-constant cell surely overwrites an earlier one, and it is
+   selected exactly when the cell it overwrites is. A loop whose body
+   runs brings every selected write of that body round its back edge,
+   so the outermost such loop adds them all up front, as {!Uninit} does
+   for its [may] set. *)
+let reaches ~array ~gen ~probe ~probe_writes (k : Ast.kernel) : bool =
+  let add r c = if List.mem c r then r else c :: r in
+  let test r c = if probe c && List.exists (may_alias c) r then raise Reached in
+  let write indices r subs =
+    let w = cell indices subs in
+    if gen w then add r w else r
+  in
+  let rec writes indices r (st : Ast.stmt) =
+    match st with
+    | Ast.Assign (Ast.Larr (a, subs), _) when String.equal a array ->
+        write indices r subs
+    | Ast.Assign _ | Ast.Rotate _ -> r
+    | Ast.If (_, t, e) ->
+        List.fold_left (writes indices) (List.fold_left (writes indices) r t) e
+    | Ast.For l ->
+        if trip l = 0 then r
+        else List.fold_left (writes (l.Ast.index :: indices)) r l.Ast.body
+  in
+  let rec stmts in_loop indices r body =
+    List.fold_left (stmt in_loop indices) r body
+  and stmt in_loop indices r (st : Ast.stmt) =
+    match st with
+    | Ast.Assign (lv, e) -> (
+        let subs = match lv with Ast.Larr (_, subs) -> subs | Ast.Lvar _ -> [] in
+        List.iter (test r) (List.fold_left (cells_of array indices) [] (e :: subs));
+        match lv with
+        | Ast.Larr (a, subs) when String.equal a array ->
+            if probe_writes then test r (cell indices subs);
+            write indices r subs
+        | Ast.Larr _ | Ast.Lvar _ -> r)
+    | Ast.Rotate _ -> r
+    | Ast.If (c, t, e) ->
+        List.iter (test r) (cells_of array indices [] c);
+        List.fold_left add (stmts in_loop indices r t) (stmts in_loop indices r e)
+    | Ast.For l ->
+        if trip l = 0 then r
+        else
+          let r = if in_loop then r else writes indices r st in
+          stmts true (l.Ast.index :: indices) r l.Ast.body
+  in
+  match stmts false [] [] k.Ast.k_body with
+  | _ -> false
+  | exception Reached -> true
+
+(* The subscript coefficients of an access: its pattern. *)
+let pattern (fs : Affine.t list) = List.map (fun (f : Affine.t) -> f.Affine.terms) fs
+
+(** Why registers caching the uniformly generated set [g] would miss an
+    access: for a read set, a write through a different access pattern
+    reaches one of the set's reads (the registers would serve a stale
+    value); for a write set, a member write reaches an access through a
+    different pattern (which would see memory the registers have not
+    flushed, or clobber it). A whole-array access counts as both
+    patterns. [None] for a group with no affine member, which the
+    dependence predicate decides. *)
+let foreign_hazard (k : Ast.kernel) (g : Reuse.group) : string option =
+  match List.find_opt Analysis.Access.is_affine g.Reuse.members with
+  | None -> None
   | Some rep ->
-      let pattern = linear_parts (Analysis.Access.affine_exn rep) in
+      let own = pattern (Analysis.Access.affine_exn rep) in
+      let member = function Cell fs -> pattern fs = own | Whole -> true in
+      let foreign c = c = Whole || not (member c) in
       let array = g.Reuse.array in
-      let classify = classify ~array ~pattern in
-      let reachable = graph.Flowgraph.reachable in
-      let hazard = ref None in
-      (match g.Reuse.kind with
+      match g.Reuse.kind with
       | Analysis.Access.Read ->
-          let foreign_defs =
-            Array.to_list r.Flowgraph.r_defs
-            |> List.filter (fun (d : Flowgraph.def) ->
-                   foreign (classify d.Flowgraph.d_loc))
-          in
-          if foreign_defs <> [] then
-            Array.iter
-              (fun (nd : Flowgraph.node) ->
-                if !hazard = None && reachable.(nd.Flowgraph.id) then
-                  List.iter
-                    (fun u ->
-                      if !hazard = None && matches (classify u) then
-                        if
-                          List.exists
-                            (fun (d : Flowgraph.def) ->
-                              intset_mem d.Flowgraph.d_id
-                                r.Flowgraph.r_sol.Flowgraph.before.(nd
-                                .Flowgraph.id)
-                              && Flowgraph.may_alias d.Flowgraph.d_loc u)
-                            foreign_defs
-                        then
-                          hazard :=
-                            Some
-                              "a write through a different access pattern \
-                               reaches the set's reads")
-                    (Flowgraph.uses graph nd.Flowgraph.id))
-              graph.Flowgraph.nodes
+          if reaches ~array ~gen:foreign ~probe:member ~probe_writes:false k then
+            Some "a write through a different access pattern reaches the set's reads"
+          else None
       | Analysis.Access.Write ->
-          let member_defs =
-            Array.to_list r.Flowgraph.r_defs
-            |> List.filter (fun (d : Flowgraph.def) ->
-                   matches (classify d.Flowgraph.d_loc))
-          in
-          Array.iter
-            (fun (nd : Flowgraph.node) ->
-              if !hazard = None && reachable.(nd.Flowgraph.id) then
-                let foreign_here =
-                  List.filter
-                    (fun l -> foreign (classify l))
-                    (Flowgraph.uses graph nd.Flowgraph.id
-                    @ Flowgraph.defs_at graph nd.Flowgraph.id)
-                in
-                if foreign_here <> [] then
-                  List.iter
-                    (fun (d : Flowgraph.def) ->
-                      if
-                        !hazard = None
-                        && intset_mem d.Flowgraph.d_id
-                             r.Flowgraph.r_sol.Flowgraph.before.(nd
-                             .Flowgraph.id)
-                        && List.exists
-                             (Flowgraph.may_alias d.Flowgraph.d_loc)
-                             foreign_here
-                      then
-                        hazard :=
-                          Some
-                            "the set's writes reach an access through a \
-                             different pattern")
-                    member_defs)
-            graph.Flowgraph.nodes);
-      !hazard
-
-(** Dependence-distance consistency *and* no reaching foreign access. *)
-let replaceable_verdict ?graph (k : Ast.kernel) (g : Reuse.group) :
-    replace_verdict =
-  if not (replaceable_group_dependence k g) then Inconsistent_distances
-  else
-    let graph =
-      match graph with Some g -> g | None -> Flowgraph.build k
-    in
-    let r = Flowgraph.reaching graph in
-    match foreign_hazard g graph r with
-    | Some why -> Foreign_accesses why
-    | None -> Replaceable
-
-let replaceable_group ?graph (k : Ast.kernel) (g : Reuse.group) : bool =
-  replaceable_verdict ?graph k g = Replaceable
+          if reaches ~array ~gen:member ~probe:foreign ~probe_writes:true k then
+            Some "the set's writes reach an access through a different pattern"
+          else None
 
 (* ------------------------------------------------------------------ *)
 
@@ -340,13 +335,6 @@ let tiling_applicable (k : Ast.kernel) ~index ~tile : bool =
   match spine_loop k index with
   | None -> false
   | Some l -> Transform.Tiling.clamp ~trip:(Ast.loop_trip l) tile > 1
-
-(** Peeling the first iteration of [index] leaves a well-defined rest
-    loop: the index is on the spine with at least one iteration. *)
-let peeling_applicable (k : Ast.kernel) ~index : bool =
-  match spine_loop k index with
-  | None -> false
-  | Some l -> Ast.loop_trip l >= 1
 
 (* ------------------------------------------------------------------ *)
 (* Joint-configuration verdicts: the pre-enumeration pruner *)
@@ -379,14 +367,13 @@ let jams (spine : Ast.loop list) (vector : (string * int) list) : bool =
     Which design a legal configuration denotes is
     [Engine.Backend.normalize_config]'s to say.
 
-    The dependence test and the scalar-hazard analysis depend on the
-    kernel alone: they run once, when the verdict function is made. *)
+    The dependence test and the scalar-hazard walk depend on the kernel
+    alone: they run once, when the verdict function is made. *)
 let config_verdict (k : Ast.kernel) :
     Transform.Pipeline.config -> config_verdict =
   let spine = Loop_nest.spine k.Ast.k_body in
   let jam_reorders_scalar =
-    jam_unroll_legal_dependence k
-    && scalar_jam_hazard (Flowgraph.build k) <> None
+    Transform.Unroll.jam_legal k && scalar_jam_hazard k <> None
   in
   fun c ->
     match c.Transform.Pipeline.tile with
@@ -401,16 +388,13 @@ let config_verdict (k : Ast.kernel) :
 
 (* ------------------------------------------------------------------ *)
 
-let check ?graph ?(options : Transform.Pipeline.options option)
-    (k : Ast.kernel) : Diag.t list =
-  let graph =
-    match graph with Some g -> g | None -> Flowgraph.build k
-  in
+let check ?(options : Transform.Pipeline.options option) (k : Ast.kernel) :
+    Diag.t list =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let spine = Loop_nest.spine k.Ast.k_body in
-  let jam_dep_ok = jam_unroll_legal_dependence k in
-  let hazard = scalar_jam_hazard graph in
+  let jam_dep_ok = Transform.Unroll.jam_legal k in
+  let hazard = scalar_jam_hazard k in
   (* Unroll-and-jam. *)
   (match options with
   | None ->
@@ -476,7 +460,6 @@ let check ?graph ?(options : Transform.Pipeline.options option)
                  tile index));
   (* Scalar replacement: groups with reuse the rewrite will skip (or
      must skip) are reported as unexploited reuse, with the reason. *)
-  let r = lazy (Flowgraph.reaching graph) in
   List.iter
     (fun (g : Reuse.group) ->
       let distinct = List.length (Reuse.distinct_members g) in
@@ -499,7 +482,7 @@ let check ?graph ?(options : Transform.Pipeline.options option)
                kind_name g.Reuse.array
                (List.length g.Reuse.members))
         else
-          match foreign_hazard g graph (Lazy.force r) with
+          match foreign_hazard k g with
           | Some why ->
               add
                 (diagf Info

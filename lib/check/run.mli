@@ -19,7 +19,7 @@ val default : config
 val pass_names : config -> string list
 
 (** Wellformed, then (unless well-formedness errored) bounds, the
-    flow-graph passes (uninit, deadstore), legality and — when
+    dataflow passes (uninit, deadstore), legality and — when
     [config.validate] — pipeline validation. The result is sorted
     deterministically by (span, pass, stage, severity, message). *)
 val all : ?config:config -> Ast.kernel -> Diag.t list

@@ -2,8 +2,8 @@
     [test_reference_equiv.ml] and [test_fingerprint.ml]: the
     straightforward flow analyses, footprint interpreter, simplifier,
     DFG builder, fingerprint encoder, scheduler, data layout, scalar
-    replacement and configuration legality verdict the optimized library
-    versions must agree with,
+    replacement, legality hazards and configuration legality verdict the
+    optimized library versions must agree with,
     solution for solution and byte for byte.
     They recompute every node's uses and definitions from the syntax on
     demand, build kill sets by scanning all definitions, filter whole
@@ -12,7 +12,7 @@
     from the syntax, build DFG nodes as records, encode fingerprints as
     decimal text, keep schedule
     state in tuple-keyed [Hashtbl]s and rescore bank shapes at every
-    comparison. Only the types ([loc], [LocSet], [def], [solution],
+    comparison. Only the types ([loc], [LocSet], [solution],
     [array_fp], the schedule's [profile], [result] and [tri], the
     access record, ...), the simplifier's unchanged [fold_expr] and, for
     scalar replacement, the dependence tests and fresh names are shared
@@ -139,6 +139,21 @@ module Flow = struct
     | Scalar _ | Whole _ -> false
     | Cell (_, fs) -> List.exists (fun f -> List.mem idx (Affine.vars f)) fs
 
+  (* ------------------------------------------------------------------ *)
+  (* Reaching definitions: the oracle of [Check.Legality.foreign_hazard]
+     and, with [must_init], of [Check.Uninit] *)
+
+  (** One static definition site. A node makes one [def] per location it
+      writes ([Rotate] makes several). *)
+  type def = { d_id : int; d_node : int; d_loc : loc }
+
+  module IntSet = Set.Make (Int)
+
+  type reaching = {
+    r_defs : def array;  (** every definition site, in node order *)
+    r_sol : IntSet.t solution;  (** sets of [d_id]s *)
+  }
+
   let def_sites (g : t) : def array =
     let acc = ref [] and next = ref 0 in
     Array.iter
@@ -151,6 +166,11 @@ module Flow = struct
       g.nodes;
     Array.of_list (List.rev !acc)
 
+  (** Forward may-analysis. A definition is strongly killed only by a
+      write that provably overwrites it on every execution reaching
+      here: a scalar write, or a write to a cell with all-constant
+      subscripts. Writes to index-dependent cells kill nothing (an
+      earlier iteration's instance may survive in another cell). *)
   let reaching (g : t) : reaching =
     let defs = def_sites g in
     let n = Array.length g.nodes in
@@ -183,6 +203,7 @@ module Flow = struct
     in
     { r_defs = defs; r_sol = solve g spec }
 
+  (** Definitions reaching the entry of node [node] that may alias [l]. *)
   let reaching_defs_of (r : reaching) (node : int) (l : loc) : def list =
     IntSet.fold
       (fun id acc ->
@@ -2774,15 +2795,192 @@ module Sr_walk = struct
     single_pattern ~assigned:(assigned_scalars k.k_body) (Access.collect k.k_body) a
 end
 
-(** [Check.Legality.config_verdict] as it was before its kernel-only
+(** The flow-graph forms of [Check.Legality]'s two hazards, which its
+    structural walks must agree with: the scalar jam hazard by liveness
+    and the foreign-access verdict by reaching definitions. Then
+    [Check.Legality.config_verdict] as it was before its kernel-only
     analyses moved out of the per-configuration call and before its
     canonicalization moved into [Engine.Backend.normalize_config]: every
     verdict recomputes the spine, the array dependence test and the
-    scalar-hazard flow analysis, and a legal configuration that is
-    another spelling of a design carries its canonical spelling. The
-    [*_dependence]/hazard predicates are the library's. *)
+    graph's scalar hazard, and a legal configuration that is another
+    spelling of a design carries its canonical spelling. The dependence
+    test and [tiling_applicable] are the library's. *)
 module Legality = struct
   module L = Check.Legality
+  module F = Analysis.Flowgraph
+
+  (* ---------------------------------------------------------------- *)
+  (* The flow-graph hazards: oracles of [Check.Legality]'s walks *)
+
+  let commutative_assoc = function
+    | Ast.Add | Ast.Mul | Ast.Band | Ast.Bor | Ast.Bxor | Ast.Min | Ast.Max ->
+        true
+    | _ -> false
+
+  let count_var s e =
+    Ast.fold_expr
+      (fun n e -> match e with Ast.Var v when String.equal v s -> n + 1 | _ -> n)
+      0 e
+
+  let reduction_op s (rhs : Ast.expr) : Ast.binop option =
+    match rhs with
+    | Ast.Bin (op, a, b) when commutative_assoc op ->
+        if a = Ast.Var s && count_var s b = 0 then Some op
+        else if b = Ast.Var s && count_var s a = 0 then Some op
+        else None
+    | _ -> None
+
+  (* Is every body occurrence of [s] part of one single-operator
+     reduction? *)
+  let reduction_only (g : F.t) (body : F.node list) (s : string) : bool =
+    let ok = ref true and op = ref None in
+    List.iter
+      (fun (nd : F.node) ->
+        if !ok then
+          match nd.F.kind with
+          | F.Assign (Ast.Lvar x, rhs) when String.equal x s -> (
+              match reduction_op s rhs with
+              | Some o -> (
+                  match !op with
+                  | None -> op := Some o
+                  | Some o' -> if o <> o' then ok := false)
+              | None -> ok := false)
+          | F.Header _ -> ()
+          | _ ->
+              if
+                List.exists
+                  (fun u -> F.equal_loc u (F.Scalar s))
+                  (Flow.uses g nd.F.id)
+              then ok := false)
+      body;
+    !ok
+
+  (** First [(loop index, scalar)] a jam would reorder: a scalar defined
+      in the body of a reachable non-innermost loop, not one of its
+      indices, live (by the graph's liveness) at the body's entry and
+      not reduction-only. Loops in node order, scalars in [compare]
+      order. *)
+  let scalar_jam_hazard (g : F.t) : (string * string) option =
+    let live = Flow.live g in
+    let result = ref None in
+    Array.iter
+      (fun (hn : F.node) ->
+        if !result = None && g.F.reachable.(hn.F.id) then
+          match hn.F.kind with
+          | F.Header l ->
+              let body =
+                Array.to_list g.F.nodes
+                |> List.filter (fun (nd : F.node) ->
+                       nd.F.id <> hn.F.id && List.memq l nd.F.loops)
+              in
+              let indices =
+                l.Ast.index
+                :: List.filter_map
+                     (fun (nd : F.node) ->
+                       match nd.F.kind with
+                       | F.Header l' -> Some l'.Ast.index
+                       | _ -> None)
+                     body
+              in
+              let is_innermost =
+                not
+                  (List.exists
+                     (fun (nd : F.node) ->
+                       match nd.F.kind with F.Header _ -> true | _ -> false)
+                     body)
+              in
+              if not is_innermost then begin
+                let body_ids = List.map (fun (nd : F.node) -> nd.F.id) body in
+                let entries =
+                  List.filter (fun i -> List.mem i body_ids) g.F.succ.(hn.F.id)
+                in
+                let defined =
+                  body
+                  |> List.concat_map (fun (nd : F.node) -> Flow.defs_at g nd.F.id)
+                  |> List.filter_map (function F.Scalar s -> Some s | _ -> None)
+                  |> List.sort_uniq compare
+                in
+                List.iter
+                  (fun s ->
+                    if !result = None && not (List.mem s indices) then
+                      let carried =
+                        List.exists
+                          (fun e -> F.LocSet.mem (F.Scalar s) live.F.before.(e))
+                          entries
+                      in
+                      if carried && not (reduction_only g body s) then
+                        result := Some (l.Ast.index, s))
+                  defined
+              end
+          | _ -> ())
+      g.F.nodes;
+    !result
+
+  let linear_parts (fs : Affine.t list) =
+    List.map (fun (f : Affine.t) -> Affine.make f.Affine.terms 0) fs
+
+  let same_linear fs gs =
+    List.length fs = List.length gs && List.for_all2 Affine.equal fs gs
+
+  (* [`Match] same array and subscript coefficients, [`Foreign] same
+     array through another pattern, [`Both] a whole-array location. *)
+  let classify ~array ~pattern (l : F.loc) =
+    match l with
+    | F.Scalar _ -> `Other
+    | F.Whole a -> if String.equal a array then `Both else `Other
+    | F.Cell (a, fs) ->
+        if not (String.equal a array) then `Other
+        else if same_linear (linear_parts fs) pattern then `Match
+        else `Foreign
+
+  let matches c = c = `Match || c = `Both
+  let foreign c = c = `Foreign || c = `Both
+
+  (** A foreign access the cached registers would miss, by reaching
+      definitions: for a read set, a foreign write reaching one of the
+      group's reads; for a write set, a member write reaching a foreign
+      access (read or write). *)
+  let foreign_hazard (g : F.t) (grp : Analysis.Reuse.group) : string option =
+    match List.find_opt Analysis.Access.is_affine grp.Analysis.Reuse.members with
+    | None -> None
+    | Some rep ->
+        let pattern = linear_parts (Analysis.Access.affine_exn rep) in
+        let classify = classify ~array:grp.Analysis.Reuse.array ~pattern in
+        let r = Flow.reaching g in
+        (* some [pick]ed definition reaches a reachable node at which it
+           may alias one of the [probe]d locations *)
+        let reaches pick probe locs =
+          let defs =
+            Array.to_list r.Flow.r_defs
+            |> List.filter (fun (d : Flow.def) -> pick (classify d.Flow.d_loc))
+          in
+          Array.exists
+            (fun (nd : F.node) ->
+              g.F.reachable.(nd.F.id)
+              && List.exists
+                   (fun l ->
+                     probe (classify l)
+                     && List.exists
+                          (fun (d : Flow.def) ->
+                            Flow.IntSet.mem d.Flow.d_id
+                              r.Flow.r_sol.F.before.(nd.F.id)
+                            && F.may_alias d.Flow.d_loc l)
+                          defs)
+                   (locs nd.F.id))
+            g.F.nodes
+        in
+        match grp.Analysis.Reuse.kind with
+        | Analysis.Access.Read ->
+            if reaches foreign matches (Flow.uses g) then
+              Some
+                "a write through a different access pattern reaches the \
+                 set's reads"
+            else None
+        | Analysis.Access.Write ->
+            if
+              reaches matches foreign (fun i -> Flow.uses g i @ Flow.defs_at g i)
+            then Some "the set's writes reach an access through a different pattern"
+            else None
 
   type config_verdict =
     | Config_legal
@@ -2826,8 +3024,8 @@ module Legality = struct
     | None ->
         if
           wants_jam k c
-          && L.jam_unroll_legal_dependence k
-          && L.scalar_jam_hazard (Analysis.Flowgraph.build k) <> None
+          && Transform.Unroll.jam_legal k
+          && scalar_jam_hazard (F.build k) <> None
         then
           Config_illegal
             "unroll-and-jam at this vector reorders a loop-carried scalar \

@@ -206,8 +206,8 @@ let has_jam_reversing_dep k =
 
 let legality_example name src ~legal =
   let k = parse name src in
-  Alcotest.(check bool) (name ^ " jam_unroll_legal") legal
-    (Check.Legality.jam_unroll_legal k);
+  Alcotest.(check bool) (name ^ " jam legal") legal
+    (Transform.Unroll.jam_legal k && Check.Legality.scalar_jam_hazard k = None);
   Alcotest.(check bool) (name ^ " agrees with Dependence") (not legal)
     (has_jam_reversing_dep k)
 
@@ -241,6 +241,11 @@ let reuse_group_for k array =
       && List.length g.Analysis.Reuse.members > 1)
     (Analysis.Reuse.groups k.Ast.k_body)
 
+(* The set passes the dependence test and no foreign access reaches it. *)
+let replaceable k g =
+  Check.Legality.replaceable_group_dependence k g
+  && Check.Legality.foreign_hazard k g = None
+
 let test_replaceable_group () =
   (* A[i+j] vs A[i+j+1]: the distance system i+j = i'+j'+1 has infinitely
      many solutions per iteration — coupled, not replaceable *)
@@ -254,7 +259,7 @@ let test_replaceable_group () =
   in
   let g = reuse_group_for coupled "A" in
   Alcotest.(check bool) "coupled group not replaceable" false
-    (Check.Legality.replaceable_group coupled g);
+    (replaceable coupled g);
   (* A[j] vs A[j+1]: exact distance 1 along j, any along i — replaceable *)
   let consistent =
     parse "consistent"
@@ -266,7 +271,7 @@ let test_replaceable_group () =
   in
   let g = reuse_group_for consistent "A" in
   Alcotest.(check bool) "consistent group replaceable" true
-    (Check.Legality.replaceable_group consistent g)
+    (replaceable consistent g)
 
 (* ------------------------------------------------------------------ *)
 (* Translation validation *)

@@ -357,7 +357,7 @@ let soundness (k : Ast.kernel) : bool =
   let g = F.build k in
   let anns = annotate k.Ast.k_body in
   check_alignment g anns;
-  let r = F.reaching g in
+  let r = Reference.Flow.reaching g in
   let live = F.live g in
   let ant = F.anticipated g in
   let sites = U.sites k in
@@ -368,9 +368,9 @@ let soundness (k : Ast.kernel) : bool =
   Hashtbl.iter
     (fun (n, w) () ->
       let predicted =
-        F.IntSet.exists
-          (fun did -> r.F.r_defs.(did).F.d_node = w)
-          r.F.r_sol.F.before.(n)
+        Reference.Flow.IntSet.exists
+          (fun did -> r.Reference.Flow.r_defs.(did).Reference.Flow.d_node = w)
+          r.Reference.Flow.r_sol.F.before.(n)
       in
       if not predicted then
         failf "node %d concretely reads a value written at node %d, \
@@ -479,22 +479,16 @@ let test_builtins_clean () =
     (all_builtin ())
 
 (* ------------------------------------------------------------------ *)
-(* Legality: the flow-graph predicates agree with or strictly
-   strengthen the dependence-only ones *)
+(* Legality: the structural walks add nothing to the dependence-only
+   predicates on scalar-free nests, and catch the hazards the
+   dependence test cannot see *)
 
 let test_jam_equiv_scalar_free =
   Helpers.qtest "jam legality = dependence-only on scalar-free kernels" ~count:80
     Helpers.gen_kernel
     (fun k ->
-      Check.Legality.jam_unroll_legal k
-      = Check.Legality.jam_unroll_legal_dependence k)
-
-let test_jam_implies_dependence =
-  Helpers.qtest "strengthened jam legality implies dependence legality" ~count:150
-    Helpers.gen_flow_kernel
-    (fun k ->
-      (not (Check.Legality.jam_unroll_legal k))
-      || Check.Legality.jam_unroll_legal_dependence k)
+      (Transform.Unroll.jam_legal k && Check.Legality.scalar_jam_hazard k = None)
+      = Transform.Unroll.jam_legal k)
 
 let test_replaceable_equiv_scalar_free =
   Helpers.qtest "replaceable = dependence-only on scalar-free kernels" ~count:80
@@ -502,12 +496,13 @@ let test_replaceable_equiv_scalar_free =
     (fun k ->
       List.for_all
         (fun gp ->
-          Check.Legality.replaceable_group k gp
+          (Check.Legality.replaceable_group_dependence k gp
+          && Check.Legality.foreign_hazard k gp = None)
           = Check.Legality.replaceable_group_dependence k gp)
         (Analysis.Reuse.groups k.Ast.k_body))
 
 (* A non-commutative scalar recurrence: invisible to the dependence
-   test, caught by the flow-graph predicate. *)
+   test, caught by the walk and by its graph oracle. *)
 let recurrence_kernel op =
   mk_kernel "rec"
     ~arrays:[ Ast.array_decl "a" [ 4; 4 ]; Ast.array_decl "out" [ 1 ] ]
@@ -531,19 +526,55 @@ let recurrence_kernel op =
     ]
 
 let test_jam_scalar_recurrence () =
+  let hazard = Alcotest.(option (pair string string)) in
   let bad = recurrence_kernel (fun s -> Ast.Bin (Ast.Mul, s, Ast.Int 2)) in
   Alcotest.(check bool) "dependence test is blind to the recurrence" true
-    (Check.Legality.jam_unroll_legal_dependence bad);
-  Alcotest.(check bool) "flow-graph predicate rejects s = s*2 + a[i][j]" false
-    (Check.Legality.jam_unroll_legal bad);
-  (match Check.Legality.scalar_jam_hazard (F.build bad) with
-  | Some (_, s) -> Alcotest.(check string) "hazard names the scalar" "s" s
-  | None -> Alcotest.fail "expected a scalar jam hazard");
+    (Transform.Unroll.jam_legal bad);
+  Alcotest.check hazard "walk rejects s = s*2 + a[i][j] at loop i"
+    (Some ("i", "s"))
+    (Check.Legality.scalar_jam_hazard bad);
+  Alcotest.check hazard "graph oracle agrees" (Some ("i", "s"))
+    (Reference.Legality.scalar_jam_hazard (F.build bad));
   let good = recurrence_kernel (fun s -> s) in
-  Alcotest.(check bool) "plain reduction s = s + a[i][j] stays legal" true
-    (Check.Legality.jam_unroll_legal good);
-  Alcotest.(check bool) "no hazard on the reduction" true
-    (Check.Legality.scalar_jam_hazard (F.build good) = None)
+  Alcotest.check hazard "no hazard on the reduction s = s + a[i][j]" None
+    (Check.Legality.scalar_jam_hazard good);
+  Alcotest.check hazard "graph oracle agrees" None
+    (Reference.Legality.scalar_jam_hazard (F.build good))
+
+(* A scalar live at an inner loop's entry only round its outer loop's
+   back edge: [s] is read at the top of i's body, and i cannot carry it
+   itself because a loop in its body is indexed by [s]. The walk's
+   second pass over i's body is what shows j the read. *)
+let test_jam_hazard_round_outer_loop () =
+  let k =
+    mk_kernel "round"
+      ~arrays:[ Ast.array_decl "a" [ 4 ] ]
+      ~scalars:[ Ast.scalar_decl "s"; Ast.scalar_decl "x"; Ast.scalar_decl "z" ]
+      [
+        Ast.For
+          (mk_loop "i" 4
+             [
+               Ast.Assign (Ast.Lvar "x", Ast.Var "s");
+               Ast.For (mk_loop "s" 2 []);
+               Ast.For
+                 (mk_loop "j" 4
+                    [
+                      Ast.For
+                        (mk_loop "k" 4
+                           [ Ast.Assign (Ast.Lvar "z", Ast.Arr ("a", [ Ast.Var "k" ])) ]);
+                      Ast.If
+                        ( Ast.Bin (Ast.Lt, Ast.Var "j", Ast.Int 2),
+                          [ Ast.Assign (Ast.Lvar "s", Ast.Arr ("a", [ Ast.Var "j" ])) ],
+                          [] );
+                    ]);
+             ]);
+      ]
+  in
+  let hazard = Alcotest.(option (pair string string)) in
+  Alcotest.check hazard "walk finds j carrying s" (Some ("j", "s"))
+    (Check.Legality.scalar_jam_hazard k);
+  Alcotest.check hazard "graph oracle agrees" (Some ("j", "s"))
+    (Reference.Legality.scalar_jam_hazard (F.build k))
 
 (* A foreign-pattern write into a read set's array: each read pair has
    consistent distances (dependence-only says replaceable), but a write
@@ -576,14 +607,15 @@ let test_replaceable_foreign_write () =
   in
   match reads with
   | [ gp ] ->
+      let why =
+        Some "a write through a different access pattern reaches the set's reads"
+      in
       Alcotest.(check bool) "dependence-only predicate accepts the read set" true
         (Check.Legality.replaceable_group_dependence k gp);
-      (match Check.Legality.replaceable_verdict k gp with
-      | Check.Legality.Foreign_accesses _ -> ()
-      | Check.Legality.Replaceable ->
-          Alcotest.fail "foreign write a[2*i] not detected"
-      | Check.Legality.Inconsistent_distances ->
-          Alcotest.fail "unexpected inconsistent-distances verdict")
+      Alcotest.(check (option string)) "walk detects the foreign write a[2*i]" why
+        (Check.Legality.foreign_hazard k gp);
+      Alcotest.(check (option string)) "graph oracle agrees" why
+        (Reference.Legality.foreign_hazard (F.build k) gp)
   | gs -> Alcotest.failf "expected one read set over a, got %d" (List.length gs)
 
 (* ------------------------------------------------------------------ *)
@@ -869,10 +901,11 @@ let () =
       ( "legality",
         [
           test_jam_equiv_scalar_free;
-          test_jam_implies_dependence;
           test_replaceable_equiv_scalar_free;
           Alcotest.test_case "scalar recurrence vs reduction" `Quick
             test_jam_scalar_recurrence;
+          Alcotest.test_case "jam hazard round the outer loop" `Quick
+            test_jam_hazard_round_outer_loop;
           Alcotest.test_case "foreign-pattern write" `Quick
             test_replaceable_foreign_write;
         ] );

@@ -1,8 +1,9 @@
 (** The optimized flow analyses and footprint enumerators against the
     straightforward references of [reference.ml]: every solution equal
-    node for node, every footprint equal byte for byte (oob flags and
-    skip reasons included, budget exhaustion too), and every tier-1
-    footprint count equal to the reference footprint's certain elements.
+    node for node, every legality walk's verdict equal to its flow-graph
+    oracle's, every footprint equal byte for byte (oob flags and skip
+    reasons included, budget exhaustion too), and every tier-1 footprint
+    count equal to the reference footprint's certain elements.
     Run on the random kernel generators, on every stage output of the
     built-in and gallery kernels, and on their strip-mined sources. *)
 
@@ -42,8 +43,6 @@ let equal_opt a b =
   | None, None -> true
   | Some a, Some b -> F.LocSet.equal a b
   | _ -> false
-
-let show_ints s = String.concat " " (List.map string_of_int (F.IntSet.elements s))
 
 (** The uninitialized-read walk names exactly the reference's scalar
     uses that are not initialized, once per node and name, with the
@@ -85,6 +84,31 @@ let uninit_equivalent (k : Ast.kernel) =
       (List.length (Check.Diag.errors (U.check k)));
   true
 
+(** The legality walks give the graph oracles' verdicts: the same first
+    scalar jam hazard, and the same foreign-access verdict on every
+    uniformly generated set. *)
+let legality_equivalent (g : F.t) =
+  let k = g.F.kernel in
+  let walk = Check.Legality.scalar_jam_hazard k
+  and graph = R.Legality.scalar_jam_hazard g in
+  let show = function None -> "none" | Some (l, s) -> l ^ ":" ^ s in
+  if walk <> graph then
+    failf "jam hazard %s vs graph %s" (show walk) (show graph);
+  List.iter
+    (fun (grp : Analysis.Reuse.group) ->
+      let walk = Check.Legality.foreign_hazard k grp
+      and graph = R.Legality.foreign_hazard g grp in
+      if walk <> graph then
+        failf "foreign hazard on %s set of %s: %s vs graph %s"
+          (match grp.Analysis.Reuse.kind with
+          | Analysis.Access.Read -> "read"
+          | Analysis.Access.Write -> "write")
+          grp.Analysis.Reuse.array
+          (Option.value walk ~default:"none")
+          (Option.value graph ~default:"none"))
+    (Analysis.Reuse.groups k.Ast.k_body);
+  true
+
 (** Every analysis of the library equals its reference on [k]. *)
 let flow_equivalent (k : Ast.kernel) =
   let g = F.build k in
@@ -97,27 +121,21 @@ let flow_equivalent (k : Ast.kernel) =
         failf "defs differ at node %d: %s vs %s" i (show_locs (F.defs_at g i))
           (show_locs (R.Flow.defs_at g i)))
     g.F.nodes;
-  let r = F.reaching g and r' = R.Flow.reaching g in
-  if r.F.r_defs <> r'.F.r_defs then failf "definition sites differ";
-  same_solution "reaching" ~equal:F.IntSet.equal ~show:show_ints r.F.r_sol
-    r'.F.r_sol;
   same_solution "live" ~equal:F.LocSet.equal ~show:show_set (F.live g)
     (R.Flow.live g);
   same_solution "anticipated" ~equal:equal_opt ~show:show_opt
     (F.anticipated g) (R.Flow.anticipated g);
-  (* [live_at] and [reaching_defs_of] over every fact set and use *)
+  (* [live_at] over every fact set and use *)
   let live = F.live g in
   Array.iteri
     (fun i _ ->
       List.iter
         (fun l ->
           if F.live_at live.F.after.(i) l <> R.Flow.live_at live.F.after.(i) l
-          then failf "live_at differs at node %d" i;
-          if F.reaching_defs_of r i l <> R.Flow.reaching_defs_of r i l then
-            failf "reaching_defs_of differs at node %d" i)
+          then failf "live_at differs at node %d" i)
         (F.uses g i @ F.defs_at g i))
     g.F.nodes;
-  uninit_equivalent k
+  uninit_equivalent k && legality_equivalent g
 
 let same_fp name (a : Fp.array_fp) (b : Fp.array_fp) =
   if a.Fp.size <> b.Fp.size then failf "%s: size %d vs %d" name a.Fp.size b.Fp.size;
