@@ -394,7 +394,7 @@ let check ?(options : Transform.Pipeline.options option) (k : Ast.kernel) :
   let add d = diags := d :: !diags in
   let spine = Loop_nest.spine k.Ast.k_body in
   let jam_dep_ok = Transform.Unroll.jam_legal k in
-  let hazard = scalar_jam_hazard k in
+  let hazard = jam_hazard k in
   (* Unroll-and-jam. *)
   (match options with
   | None ->
@@ -404,13 +404,13 @@ let check ?(options : Transform.Pipeline.options option) (k : Ast.kernel) :
              "unroll-and-jam is not provably legal: outer unrolling will fall \
               back to innermost-only unrolling");
       (match hazard with
-      | Some (index, s) when jam_dep_ok ->
+      | Some (l, s) when jam_dep_ok ->
           add
-            (diagf Info
+            (diagf Info ?span:l.Ast.l_span
                "unroll-and-jam is not provably safe: loop '%s' carries a \
                 scalar recurrence on '%s' that fusing outer iterations would \
                 reorder"
-               index s)
+               l.Ast.index s)
       | _ -> ())
   | Some opts ->
       List.iter
@@ -437,13 +437,13 @@ let check ?(options : Transform.Pipeline.options option) (k : Ast.kernel) :
               (dependence would be reordered); the pipeline falls back to \
               innermost-only unrolling");
       (match hazard with
-      | Some (index, s) when wants_jam && jam_dep_ok ->
+      | Some (l, s) when wants_jam && jam_dep_ok ->
           add
-            (diagf Warning
+            (diagf Warning ?span:l.Ast.l_span
                "unroll-and-jam at this vector reorders the scalar recurrence \
                 on '%s' carried by loop '%s' (the dependence test cannot see \
                 scalar chains); results may differ"
-               s index)
+               s l.Ast.index)
       | _ -> ());
       (* Tiling. *)
       match opts.Transform.Pipeline.tile with
@@ -484,8 +484,15 @@ let check ?(options : Transform.Pipeline.options option) (k : Ast.kernel) :
         else
           match foreign_hazard k g with
           | Some why ->
+              (* the innermost loop with a span around the first member *)
+              let span =
+                List.fold_left
+                  (fun sp (l : Ast.loop) ->
+                    if Option.is_some l.Ast.l_span then l.Ast.l_span else sp)
+                  None (List.hd g.Reuse.members).Analysis.Access.loops
+              in
               add
-                (diagf Info
+                (diagf Info ?span
                    "uniformly generated %s set on '%s' (%d members) is not \
                     register-cacheable: %s"
                    kind_name g.Reuse.array
