@@ -7,13 +7,37 @@ open Ir
 
 type array_fp = {
   size : int;  (** linearized element count *)
-  may_read : Bytes.t;
-  must_read : Bytes.t;
-  may_write : Bytes.t;
-  must_write : Bytes.t;
+  flags : Bytes.t;  (** per element, the bits of the sets it is in *)
   mutable oob_read : bool;  (** some read resolved outside the box *)
   mutable oob_write : bool;
 }
+
+type sets = int
+
+let may_read = 1
+let must_read = 2
+let may_write = 4
+let must_write = 8
+let mem fp sets i = Char.code (Bytes.get fp.flags i) land sets <> 0
+
+let add fp sets i =
+  Bytes.set fp.flags i
+    (Char.unsafe_chr ((Char.code (Bytes.get fp.flags i) lor sets) land 0xff))
+
+let count fp sets =
+  Bytes.fold_left
+    (fun n c -> if Char.code c land sets <> 0 then n + 1 else n)
+    0 fp.flags
+
+let not_covered (a, sa) (b, sb) =
+  let count = ref 0 and first = ref (-1) in
+  for i = 0 to a.size - 1 do
+    if mem a sa i && not (mem b sb i) then begin
+      incr count;
+      if !first < 0 then first := i
+    end
+  done;
+  (!count, !first)
 
 type t = {
   arrays : (string * array_fp) list;  (** enumerable arrays, sorted *)
@@ -295,17 +319,13 @@ let compile ~skip (k : Ast.kernel) =
       if size < 0 then
         skip name (Printf.sprintf "more than %d elements" max_elements)
       else
-        let set () = Bytes.make size '\000' in
         Hashtbl.replace arrays name
           (Declared
              ( name,
                Array.of_list a.Ast.a_dims,
                {
                  size;
-                 may_read = set ();
-                 must_read = set ();
-                 may_write = set ();
-                 must_write = set ();
+                 flags = Bytes.make size '\000';
                  oob_read = false;
                  oob_write = false;
                } )))
@@ -464,14 +484,14 @@ let footprint ?(max_points = default_max_points) (k : Ast.kernel) : t =
     let certain = certain && not a.branch in
     if idx < 0 then
       if a.write then fp.oob_write <- true else fp.oob_read <- true
-    else if a.write then begin
-      Bytes.set fp.may_write idx '\001';
-      if certain then Bytes.set fp.must_write idx '\001'
-    end
-    else begin
-      Bytes.set fp.may_read idx '\001';
-      if certain then Bytes.set fp.must_read idx '\001'
-    end
+    else
+      add fp
+        (match (a.write, certain) with
+        | true, true -> may_write lor must_write
+        | true, false -> may_write
+        | false, true -> may_read lor must_read
+        | false, false -> may_read)
+        idx
   in
   let touch ~certain (a : access) =
     match a.target with

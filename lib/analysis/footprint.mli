@@ -8,15 +8,39 @@ open Ir
 
 type array_fp = {
   size : int;  (** linearized element count *)
-  may_read : Bytes.t;
-  must_read : Bytes.t;
-      (** read on every execution: outside undecided guards and ternary
-          branches *)
-  may_write : Bytes.t;
-  must_write : Bytes.t;  (** written on every execution *)
+  flags : Bytes.t;
+      (** one byte per element: the bits of the {!sets} it is in *)
   mutable oob_read : bool;  (** some read resolved outside the box *)
   mutable oob_write : bool;
 }
+
+(** A union of the four sets, one bit each. *)
+type sets = int
+
+val may_read : sets
+
+(** Read on every execution: outside undecided guards and ternary
+    branches. *)
+val must_read : sets
+
+val may_write : sets
+
+(** Written on every execution. *)
+val must_write : sets
+
+(** [mem fp s i]: element [i] is in some set of [s]. *)
+val mem : array_fp -> sets -> int -> bool
+
+(** Puts element [i] into every set of [s]. *)
+val add : array_fp -> sets -> int -> unit
+
+(** The elements in some set of [s]. *)
+val count : array_fp -> sets -> int
+
+(** [not_covered (a, sa) (b, sb)]: the elements of [a] in some set of
+    [sa] and in no set of [sb] of [b], an array of the same size; their
+    count and the first one, [-1] when there is none. *)
+val not_covered : array_fp * sets -> array_fp * sets -> int * int
 
 type t = {
   arrays : (string * array_fp) list;  (** enumerable arrays, sorted *)

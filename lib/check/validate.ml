@@ -23,6 +23,8 @@
 
 open Ir
 
+module Fp = Analysis.Footprint
+
 let pass = "validate"
 
 let diagf ?stage sev fmt = Diag.diagf ?stage sev ~pass fmt
@@ -30,29 +32,11 @@ let diagf ?stage sev fmt = Diag.diagf ?stage sev ~pass fmt
 (* ------------------------------------------------------------------ *)
 (* Footprint comparison *)
 
-(** Elements set in [a] but in neither [b] nor [c]: count and first
-    offending linear index. *)
-let not_covered a b c =
-  let n = Bytes.length a in
-  let count = ref 0 and first = ref (-1) in
-  for i = 0 to n - 1 do
-    if
-      Bytes.get a i <> '\000'
-      && Bytes.get b i = '\000'
-      && (match c with None -> true | Some c -> Bytes.get c i = '\000')
-    then begin
-      incr count;
-      if !first < 0 then first := i
-    end
-  done;
-  (!count, !first)
-
-let compare_footprints ~stage ~(pre : Analysis.Footprint.t)
-    ~(post : Analysis.Footprint.t) : Diag.t list =
+let compare_footprints ~stage ~(pre : Fp.t) ~(post : Fp.t) : Diag.t list =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   List.iter
-    (fun (name, (fp_post : Analysis.Footprint.array_fp)) ->
+    (fun (name, (fp_post : Fp.array_fp)) ->
       match List.assoc_opt name pre.arrays with
       | None -> ()  (* unenumerable on the pre side: reported as skipped *)
       | Some fp_pre ->
@@ -63,8 +47,8 @@ let compare_footprints ~stage ~(pre : Analysis.Footprint.t)
                  name fp_pre.size fp_post.size)
           else begin
             let n, first =
-              not_covered fp_post.may_read fp_pre.may_read
-                (Some fp_pre.may_write)
+              Fp.not_covered (fp_post, Fp.may_read)
+                (fp_pre, Fp.may_read lor Fp.may_write)
             in
             if n > 0 then
               add
@@ -72,14 +56,18 @@ let compare_footprints ~stage ~(pre : Analysis.Footprint.t)
                    "stage reads %d element(s) of '%s' the input kernel never \
                     touches (first at linear index %d)"
                    n name first);
-            let n, first = not_covered fp_post.may_write fp_pre.may_write None in
+            let n, first =
+              Fp.not_covered (fp_post, Fp.may_write) (fp_pre, Fp.may_write)
+            in
             if n > 0 then
               add
                 (diagf Error ~stage
                    "stage writes %d element(s) of '%s' the input kernel never \
                     writes (first at linear index %d)"
                    n name first);
-            let n, first = not_covered fp_pre.must_write fp_post.may_write None in
+            let n, first =
+              Fp.not_covered (fp_pre, Fp.must_write) (fp_post, Fp.may_write)
+            in
             if n > 0 then
               add
                 (diagf Error ~stage
@@ -130,7 +118,7 @@ type session = {
    its error-severity structural findings. *)
 and checked = {
   kernel : Ast.kernel;
-  fp : Analysis.Footprint.t;
+  fp : Fp.t;
   errors : Diag.t list option;
 }
 
@@ -161,7 +149,7 @@ let judge s stage ~before ~after =
     | _ ->
         {
           kernel = before;
-          fp = Analysis.Footprint.footprint ?max_points:s.max_points before;
+          fp = Fp.footprint ?max_points:s.max_points before;
           errors = None;
         }
   in
@@ -176,7 +164,7 @@ let judge s stage ~before ~after =
   in
   let post =
     if unchanged then pre.fp
-    else Analysis.Footprint.footprint ?max_points:s.max_points after
+    else Fp.footprint ?max_points:s.max_points after
   in
   s.last <- Some { kernel = after; fp = post; errors = Some errors };
   {

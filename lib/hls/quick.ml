@@ -160,12 +160,12 @@ let written_arrays (body : Ast.stmt list) : (string, unit) Hashtbl.t =
    elements of every array. *)
 let footprint (k : Ast.kernel) : int * int =
   let written = written_arrays k.Ast.k_body in
-  let count = Bytes.fold_left (fun n c -> if c = '\000' then n else n + 1) 0 in
+  let open Analysis.Footprint in
   List.fold_left
-    (fun (loads, stores) (name, (a : Analysis.Footprint.array_fp)) ->
-      ( (if Hashtbl.mem written name then loads else loads + count a.must_read),
-        stores + count a.must_write ))
-    (0, 0) (Analysis.Footprint.footprint k).arrays
+    (fun (loads, stores) (name, a) ->
+      ( (if Hashtbl.mem written name then loads else loads + count a must_read),
+        stores + count a must_write ))
+    (0, 0) (footprint k).arrays
 
 (* ------------------------------------------------------------------ *)
 (* Area floor *)

@@ -500,10 +500,7 @@ module Footprint = struct
                ( a.Ast.a_dims,
                  {
                    size;
-                   may_read = Bytes.make size '\000';
-                   must_read = Bytes.make size '\000';
-                   may_write = Bytes.make size '\000';
-                   must_write = Bytes.make size '\000';
+                   flags = Bytes.make size '\000';
                    oob_read = false;
                    oob_write = false;
                  } )))
@@ -536,12 +533,12 @@ module Footprint = struct
               if idx < 0 then
                 if write then fp.oob_write <- true else fp.oob_read <- true
               else if write then begin
-                Bytes.set fp.may_write idx '\001';
-                if certain then Bytes.set fp.must_write idx '\001'
+                add fp may_write idx;
+                if certain then add fp must_write idx
               end
               else begin
-                Bytes.set fp.may_read idx '\001';
-                if certain then Bytes.set fp.must_read idx '\001'
+                add fp may_read idx;
+                if certain then add fp must_read idx
               end)
     in
     (* Record every array read inside an expression (subscripts first);
