@@ -44,10 +44,6 @@ let replaceable_group_dependence (_k : Ast.kernel) (g : Reuse.group) : bool =
   in
   pairwise g.Reuse.members
 
-(* [0]: the body never runs; [-1] for a non-positive step: it may run
-   any number of times, zero included; otherwise it runs at least once. *)
-let trip (l : Ast.loop) = if l.Ast.step <= 0 then -1 else Ast.loop_trip l
-
 (* ------------------------------------------------------------------ *)
 (* Scalar recurrences under unroll-and-jam *)
 
@@ -103,46 +99,38 @@ let reads live e =
     (fun acc e -> match e with Ast.Var v -> Names.add v acc | _ -> acc)
     live e
 
-(* The number of flow-graph nodes of a statement: one each, in
-   preorder, so [pos + size st] numbers the statement after [st]. *)
-let rec size (st : Ast.stmt) =
-  match st with
-  | Ast.Assign _ | Ast.Rotate _ -> 1
-  | Ast.If (_, t, e) -> 1 + sizes t + sizes e
-  | Ast.For l -> 1 + sizes l.Ast.body
+(* The scalars live before [body], given those live after it: read
+   before any write on some path. [Some visit] sees every loop whose
+   body runs, once, as [visit l x] with the scalars [x] live at its
+   body's entry, in reverse program order (later statements and inner
+   loops first). A body's entry sees what its own iteration reads first
+   and, through the body, what is live after the loop; the back edge
+   adds nothing more there, but it makes the entry's scalars (bar the
+   index) live at the body's end, which a second, visiting pass hands
+   to the loops inside. The first pass visits nothing, so each loop's
+   body is walked once per enclosing loop, not once per path. *)
+let rec live visit body out = List.fold_right (live_stmt visit) body out
 
-and sizes body = List.fold_left (fun n st -> n + size st) 0 body
-
-(* The scalars live before [body], whose first statement is node [pos],
-   given those live after it: read before any write on some path.
-   [visit pos l x] sees every loop whose body runs, once, with the
-   scalars live at its body's entry. A body's entry sees what its own
-   iteration reads first and, through the body, what is live after the
-   loop; the back edge adds nothing more there, but it makes the
-   entry's scalars (bar the index) live at the body's end, which the
-   second pass hands to the loops inside. *)
-let rec live visit pos body out =
-  match body with
-  | [] -> out
-  | st :: rest -> live_stmt visit pos st (live visit (pos + size st) rest out)
-
-and live_stmt visit pos (st : Ast.stmt) out =
+and live_stmt visit (st : Ast.stmt) out =
   match st with
   | Ast.Assign (Ast.Lvar v, e) -> reads (Names.remove v out) e
   | Ast.Assign (Ast.Larr (_, subs), e) -> List.fold_left reads (reads out e) subs
   | Ast.Rotate rs -> List.fold_left (Fun.flip Names.add) out rs
   | Ast.If (c, t, e) ->
-      let then_ = live visit (pos + 1) t out in
-      reads (Names.union then_ (live visit (pos + 1 + sizes t) e out)) c
+      let else_ = live visit e out in
+      reads (Names.union (live visit t out) else_) c
   | Ast.For l ->
-      let t = trip l in
+      let t = Uninit.trip l in
       if t = 0 then Names.remove l.Ast.index out
       else
-        let entry = live (fun _ _ _ -> ()) (pos + 1) l.Ast.body out in
-        ignore
-          (live visit (pos + 1) l.Ast.body
-             (Names.union out (Names.remove l.Ast.index entry)));
-        visit pos l entry;
+        let entry = live None l.Ast.body out in
+        Option.iter
+          (fun v ->
+            ignore
+              (live visit l.Ast.body
+                 (Names.union out (Names.remove l.Ast.index entry)));
+            v l entry)
+          visit;
         Names.remove l.Ast.index (if t > 0 then entry else Names.union entry out)
 
 (* The scalars [body] assigns, and the indices of the loops in it. *)
@@ -170,19 +158,13 @@ let carried (l : Ast.loop) entry =
     |> Seq.find (fun s -> Names.mem s entry && not (reduction_only l.Ast.body s))
 
 (* The first loop, in program order, that carries a scalar recurrence
-   unroll-and-jam would reorder, with that scalar. *)
+   unroll-and-jam would reorder, with that scalar: the last one the
+   walk visits. *)
 let jam_hazard (k : Ast.kernel) : (Ast.loop * string) option =
   let first = ref None in
-  let visit pos l entry =
-    match !first with
-    | Some (p, _, _) when p < pos -> ()
-    | _ -> (
-        match carried l entry with
-        | Some s -> first := Some (pos, l, s)
-        | None -> ())
-  in
-  ignore (live visit 1 k.Ast.k_body Names.empty);
-  Option.map (fun (_, l, s) -> (l, s)) !first
+  let visit l entry = Option.iter (fun s -> first := Some (l, s)) (carried l entry) in
+  ignore (live (Some visit) k.Ast.k_body Names.empty);
+  !first
 
 (** First scalar whose loop-carried dependence chain unroll-and-jam
     would reorder, as [(loop index, scalar)]; [None] when every carried
@@ -224,16 +206,11 @@ let may_alias a b =
               fs gs)
   | Whole, _ | _, Whole -> true
 
-let rec cells_of array indices acc (e : Ast.expr) =
-  match e with
-  | Ast.Int _ | Ast.Var _ -> acc
-  | Ast.Arr (a, subs) ->
-      let acc = List.fold_left (cells_of array indices) acc subs in
-      if String.equal a array then cell indices subs :: acc else acc
-  | Ast.Bin (_, x, y) -> cells_of array indices (cells_of array indices acc x) y
-  | Ast.Un (_, x) -> cells_of array indices acc x
-  | Ast.Cond (c, x, y) ->
-      List.fold_left (cells_of array indices) acc [ c; x; y ]
+let cells_of array indices =
+  Ast.fold_expr (fun acc (e : Ast.expr) ->
+      match e with
+      | Ast.Arr (a, subs) when String.equal a array -> cell indices subs :: acc
+      | _ -> acc)
 
 exception Reached
 
@@ -245,25 +222,15 @@ exception Reached
    all-constant cell surely overwrites an earlier one, and it is
    selected exactly when the cell it overwrites is. A loop whose body
    runs brings every selected write of that body round its back edge,
-   so the outermost such loop adds them all up front, as {!Uninit} does
-   for its [may] set. *)
+   so the outermost such loop walks its body twice: the second walk
+   starts with every write the first one met, and the first can only
+   find what the second finds too. *)
 let reaches ~array ~gen ~probe ~probe_writes (k : Ast.kernel) : bool =
   let add r c = if List.mem c r then r else c :: r in
   let test r c = if probe c && List.exists (may_alias c) r then raise Reached in
   let write indices r subs =
     let w = cell indices subs in
     if gen w then add r w else r
-  in
-  let rec writes indices r (st : Ast.stmt) =
-    match st with
-    | Ast.Assign (Ast.Larr (a, subs), _) when String.equal a array ->
-        write indices r subs
-    | Ast.Assign _ | Ast.Rotate _ -> r
-    | Ast.If (_, t, e) ->
-        List.fold_left (writes indices) (List.fold_left (writes indices) r t) e
-    | Ast.For l ->
-        if trip l = 0 then r
-        else List.fold_left (writes (l.Ast.index :: indices)) r l.Ast.body
   in
   let rec stmts in_loop indices r body =
     List.fold_left (stmt in_loop indices) r body
@@ -282,10 +249,11 @@ let reaches ~array ~gen ~probe ~probe_writes (k : Ast.kernel) : bool =
         List.iter (test r) (cells_of array indices [] c);
         List.fold_left add (stmts in_loop indices r t) (stmts in_loop indices r e)
     | Ast.For l ->
-        if trip l = 0 then r
+        if Uninit.trip l = 0 then r
         else
-          let r = if in_loop then r else writes indices r st in
-          stmts true (l.Ast.index :: indices) r l.Ast.body
+          let indices = l.Ast.index :: indices in
+          let r = if in_loop then r else stmts true indices r l.Ast.body in
+          stmts true indices r l.Ast.body
   in
   match stmts false [] [] k.Ast.k_body with
   | _ -> false

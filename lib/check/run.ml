@@ -6,8 +6,8 @@
     well-formedness first (and, when it errors, alone — the later passes
     assume a structurally sound kernel), then bounds, the dataflow
     passes (uninit, deadstore), transform legality, and optionally the
-    full pipeline validation. One flow graph is built per run, for the
-    dead-store pass; uninit and legality walk the syntax instead.
+    full pipeline validation. Only the dead-store pass builds a flow
+    graph; uninit and legality walk the syntax instead.
 
     Diagnostics are sorted deterministically by (span, pass, stage,
     severity, message) before rendering, so [--format=json] output is
@@ -58,10 +58,9 @@ let all ?(config = default) (k : Ast.kernel) : Diag.t list =
   let wf = Wellformed.check k in
   if Diag.errors wf <> [] then sort wf
   else
-    let graph = Analysis.Flowgraph.build k in
     let bounds = Bounds.check k in
     let uninit = Uninit.check k in
-    let deadstore = Deadstore.check ~graph k in
+    let deadstore = Deadstore.check k in
     let legality = Legality.check ?options:config.options k in
     let validation =
       if not config.validate then []

@@ -33,8 +33,6 @@ type site = {
   span : Ast.span option;
 }
 
-(* [-1] for a non-positive step: the body may run any number of times,
-   zero included. *)
 let trip (l : Ast.loop) = if l.Ast.step <= 0 then -1 else Ast.loop_trip l
 
 let rec count_nodes stmts =

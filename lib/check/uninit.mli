@@ -27,6 +27,12 @@ type site = {
   span : Ast.span option;  (** the innermost enclosing loop's span *)
 }
 
+(** The trip count the structural walks go by: [0] when the body never
+    runs, [-1] for a non-positive step (it may run any number of times,
+    zero included), otherwise the positive count of a body that surely
+    runs. *)
+val trip : Ast.loop -> int
+
 (** The sites in node order, one per node and name. *)
 val sites : Ast.kernel -> site list
 

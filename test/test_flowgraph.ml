@@ -576,6 +576,58 @@ let test_jam_hazard_round_outer_loop () =
   Alcotest.check hazard "graph oracle agrees" (Some ("j", "s"))
     (Reference.Legality.scalar_jam_hazard (F.build k))
 
+(* Several loops carry a recurrence: the hazard names the first in
+   program order, the then-branch's before the else-branch's, an
+   earlier nest before a later one, and an outer loop before its inner
+   ones. *)
+let test_jam_hazard_first_in_program_order () =
+  let nest i j s =
+    Ast.For
+      (mk_loop i 4
+         [
+           Ast.For
+             (mk_loop j 4
+                [
+                  Ast.Assign
+                    ( Ast.Lvar s,
+                      Ast.Bin
+                        ( Ast.Add,
+                          Ast.Bin (Ast.Mul, Ast.Var s, Ast.Int 2),
+                          Ast.Arr ("a", [ Ast.Var i; Ast.Var j ]) ) );
+                ]);
+         ])
+  in
+  let kernel body =
+    mk_kernel "first"
+      ~arrays:[ Ast.array_decl "a" [ 4; 4 ] ]
+      ~scalars:(List.map Ast.scalar_decl [ "p"; "s"; "t"; "u" ])
+      body
+  in
+  let hazard = Alcotest.(option (pair string string)) in
+  List.iter
+    (fun (what, k, expected) ->
+      Alcotest.check hazard what expected (Check.Legality.scalar_jam_hazard k);
+      Alcotest.check hazard (what ^ ": graph oracle agrees") expected
+        (Reference.Legality.scalar_jam_hazard (F.build k)))
+    [
+      ( "then-branch nest first",
+        kernel
+          [
+            Ast.If
+              ( Ast.Bin (Ast.Lt, Ast.Var "p", Ast.Int 2),
+                [ nest "i" "j" "s" ],
+                [ nest "k" "l" "t" ] );
+            nest "m" "n" "u";
+          ],
+        Some ("i", "s") );
+      ( "earlier nest first",
+        kernel [ nest "m" "n" "u"; nest "i" "j" "s" ],
+        Some ("m", "u") );
+      ( "outer loop first",
+        kernel [ Ast.For (mk_loop "o" 2 [ nest "i" "j" "s" ]) ],
+        Some ("o", "s") );
+    ]
+
 (* A foreign-pattern write into a read set's array: each read pair has
    consistent distances (dependence-only says replaceable), but a write
    through a different subscript pattern reaches the reads. *)
@@ -865,6 +917,41 @@ let test_flow_scaling_sobel () =
             [ ("i", 8); ("j", 16) ];
           ]))
 
+(* The jam-hazard walk visits each loop's body once per enclosing loop,
+   so doubling a nest's depth from 8 to 16 may quadruple its words; a
+   walk per path would multiply them by 256. *)
+let test_jam_hazard_depth_scaling () =
+  let nest depth =
+    let rec go d =
+      if d = depth then
+        [
+          Ast.Assign
+            ( Ast.Lvar "s",
+              Ast.Bin
+                ( Ast.Add,
+                  Ast.Bin (Ast.Mul, Ast.Var "s", Ast.Int 2),
+                  Ast.Arr ("a", [ Ast.Var "i0" ]) ) );
+        ]
+      else [ Ast.For (mk_loop (Printf.sprintf "i%d" d) 2 (go (d + 1))) ]
+    in
+    mk_kernel "deep"
+      ~arrays:[ Ast.array_decl "a" [ 2 ] ]
+      ~scalars:[ Ast.scalar_decl "s" ]
+      (go 0)
+  in
+  let words depth =
+    let k = nest depth in
+    let w0 = Gc.minor_words () in
+    Alcotest.(check (option (pair string string)))
+      (Printf.sprintf "depth %d: outermost loop carries s" depth)
+      (Some ("i0", "s"))
+      (Sys.opaque_identity (Check.Legality.scalar_jam_hazard k));
+    Gc.minor_words () -. w0
+  in
+  let w8 = words 8 and w16 = words 16 in
+  if w16 > 8. *. w8 then
+    Alcotest.failf "depth 8 -> 16 multiplies the walk's words by %.1f" (w16 /. w8)
+
 (* A generated nest with its innermost body repeated 8, 16, 32 and 64
    times. *)
 let test_flow_scaling_random =
@@ -906,6 +993,8 @@ let () =
             test_jam_scalar_recurrence;
           Alcotest.test_case "jam hazard round the outer loop" `Quick
             test_jam_hazard_round_outer_loop;
+          Alcotest.test_case "jam hazard: first in program order" `Quick
+            test_jam_hazard_first_in_program_order;
           Alcotest.test_case "foreign-pattern write" `Quick
             test_replaceable_foreign_write;
         ] );
@@ -927,5 +1016,7 @@ let () =
           test_flow_scaling_random;
           Alcotest.test_case "uninit walk words per statement flat (sobel)" `Quick
             test_uninit_walk_scaling;
+          Alcotest.test_case "jam hazard walk words polynomial in depth" `Quick
+            test_jam_hazard_depth_scaling;
         ] );
     ]
