@@ -327,16 +327,31 @@ let defacto args =
        (build_path "../bin/defacto.exe")
        ~stdout:Filename.null ~stderr:Filename.null args)
 
+(* Every fixture under examples/checks exits with the code its name's
+   suffix encodes: [_ok] 0, [_warn] 1, [_err] 2. *)
 let test_exit_codes () =
   Alcotest.(check int) "clean kernel exits 0" 0 (defacto [ "check"; "-k"; "fir" ]);
-  Alcotest.(check int) "clean fixture exits 0" 0
-    (defacto [ "check"; "-f"; (build_path "../examples/checks/saxpy_ok.c") ]);
-  Alcotest.(check int) "warning fixture exits 1" 1
-    (defacto [ "check"; "-f"; (build_path "../examples/checks/guarded_oob_warn.c") ]);
-  Alcotest.(check int) "error fixture exits 2" 2
-    (defacto [ "check"; "-f"; (build_path "../examples/checks/oob_err.c") ]);
-  Alcotest.(check int) "front-end rejection exits 2" 2
-    (defacto [ "check"; "-f"; (build_path "../examples/checks/parse_err.c") ])
+  let dir = build_path "../examples/checks" in
+  let fixtures =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".c")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "fixtures found" true (fixtures <> []);
+  List.iter
+    (fun f ->
+      let want =
+        match
+          List.find_opt
+            (fun (suffix, _) -> Filename.check_suffix f (suffix ^ ".c"))
+            [ ("_ok", 0); ("_warn", 1); ("_err", 2) ]
+        with
+        | Some (_, code) -> code
+        | None -> Alcotest.failf "%s: unclassified fixture name" f
+      in
+      Alcotest.(check int) f want
+        (defacto [ "check"; "-f"; Filename.concat dir f ]))
+    fixtures
 
 let () =
   Alcotest.run "check"
